@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -26,7 +27,8 @@ from fractions import Fraction
 from .chart import Chart, sample
 from .errors import CurvlabError, ManifoldFormatError, RegistryError
 from .identities import (check_c_alpha, check_contact, check_hermitian,
-                         consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS)
+                         consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS,
+                         WorstResidual)
 from .manifold_io import load_manifold_file
 from .structures import (AlmostContactStructure, AlmostHermitianStructure,
                          check_kappa_mu, classify)
@@ -71,9 +73,12 @@ def _parse_check(token: str):
     m = _CHECK_RE.match(t)
     if m:
         name, args = m.group(1), m.group(2)
+        # exact parameters reach the frame engine; each must also be a finite float
         try:
-            vals = tuple(float(Fraction(a.strip())) for a in args.split(",") if a.strip())
-        except (ValueError, ZeroDivisionError):
+            vals = tuple(Fraction(a.strip()) for a in args.split(",") if a.strip())
+            for v in vals:
+                float(v)
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise InputError(f"bad parameters in check {token!r}") from None
         if name == "c":
             if len(vals) != 1:
@@ -177,7 +182,7 @@ def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
             s = _contact_of(kind, obj)
             residual = check_kappa_mu(s, args[0], args[1],
                                       samples if not s.is_frame else None)
-            rows.append(_row(f"kappa-mu({args[0]:g},{args[1]:g})", residual,
+            rows.append(_row(f"kappa-mu({float(args[0]):g},{float(args[1]):g})", residual,
                              residual <= tol))
         elif name == "classify":
             s = _contact_of(kind, obj)
@@ -272,8 +277,8 @@ def run(argv=None) -> int:
         except ValueError:
             print(f"bad CURVLAB_SEED {env!r}", file=sys.stderr)
             return 2
-    if args.samples < 1 or args.tol <= 0:
-        print("need samples >= 1 and tol > 0", file=sys.stderr)
+    if args.samples < 1 or not 0 < args.tol < math.inf:
+        print("need samples >= 1 and a finite tol > 0", file=sys.stderr)
         return 2
 
     try:
@@ -295,13 +300,13 @@ def run(argv=None) -> int:
         # report: default battery per target kind
         rows = []
         if kind == "chart":
-            worst = {"antisym_first_pair": 0.0, "antisym_second_pair": 0.0,
-                     "pair_interchange": 0.0, "first_bianchi": 0.0}
+            worst = {}
             for i in range(samples.n_points):
                 curv = geometry.curvature(obj, samples.points[i])
                 for k, v in geometry.curvature_symmetry_residuals(curv).items():
-                    worst[k] = max(worst[k], v)
-            rows = [_row(f"symmetry.{k}", v, v <= 1e-9) for k, v in worst.items()]
+                    worst.setdefault(k, WorstResidual(f"symmetry.{k}")).add(v)
+            rows = [_row(f"symmetry.{k}", w.value, w.value <= 1e-9)
+                    for k, w in worst.items()]
         elif kind in ("hermitian", "hermitian_structure"):
             h = _hermitian_of(kind, obj)
             for k in HERMITIAN_KINDS:

@@ -8,222 +8,163 @@ With a constant metric the Koszul formula loses its derivative terms:
 
 Everything downstream (connection, curvature, classification residuals) is
 evaluated in fractions.Fraction arithmetic, which makes this module the
-ground-truth oracle against the floating chart engine.
+ground-truth oracle against the floating chart engine. The tensors are
+built once per frame, as whole-tensor contractions over object arrays of
+Fractions; exact sums do not depend on the order of their terms, so every
+entry equals its per-index evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["FrameGeometry", "frame_connection", "frame_curvature", "heisenberg_h21"]
 
+_ZERO = Fraction(0)
+_fractions = np.frompyfunc(Fraction, 1, 1)
 
-def _rat_matrix_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
+
+def _rat(x) -> np.ndarray:
+    """Object array of Fractions with the shape of ``x``."""
+    return np.asarray(_fractions(np.array(x, dtype=object)), dtype=object)
+
+
+def _contract(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[..., n] = Σ_m t[m, ...] rows[n, m]: contracts the leading axis of
+    ``t`` with every row of ``rows`` and puts the new axis last. Zero
+    entries are skipped and unit entries are not multiplied, since frame
+    tensors are sparse."""
+    cols = []
+    for row in rows:
+        col = None
+        for m in np.flatnonzero(row):
+            piece = t[m] if row[m] == 1 else t[m] * row[m]
+            col = piece if col is None else col + piece
+        cols.append(np.full(t.shape[1:], _ZERO, dtype=object) if col is None else col)
+    return np.stack(cols, axis=-1)
+
+
+def _spd_inverse(g: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric rational matrix by Gauss–Jordan elimination
+    without row exchanges. Pivot k is the ratio of the leading minors of
+    orders k + 1 and k, so a pivot ≤ 0 means g is not positive definite."""
+    n = len(g)
+    a = np.concatenate([g, _rat(np.eye(n, dtype=int))], axis=1)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular frame metric")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        if a[col, col] <= 0:
+            raise ValueError("frame metric not positive definite")
+        a[col] = a[col] / a[col, col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            if r != col and a[r, col] != 0:
+                a[r] = a[r] - a[r, col] * a[col]
+    return a[:, n:]
 
 
-@dataclass
+@dataclass(eq=False)
 class FrameGeometry:
     """Structure constants and constant metric of an invariant frame.
 
     ``c[k][i][j]`` is the E_k coefficient of [E_i, E_j]; ``g[i][j]`` the
     frame metric. Optional almost contact tensors ``phi`` (matrix, column =
     input index), ``xi`` (vector) and ``eta`` (covector) ride along. All
-    entries are exact rationals. Construction validates bracket
-    antisymmetry, the Jacobi identity and positive definiteness of g.
+    entries become exact rationals in object arrays. Construction validates
+    bracket antisymmetry, the Jacobi identity and positive definiteness of
+    g, then builds the whole-tensor geometry:
+
+    * ``ginv``: g⁻¹;
+    * ``_nabla[i, j, k]``: E_k coefficient of ∇_Ei Ej;
+    * ``riem13[i, j, k, m]``: E_m coefficient of R_EiEj E_k
+      = ∇_i ∇_j E_k − ∇_j ∇_i E_k − ∇_[Ei,Ej] E_k;
+    * ``riem[i, j, k, l]`` = R(E_i, E_j, E_k, E_l) = −g(R_EiEj E_k, E_l).
     """
 
     dim: int
-    c: list  # c[k][i][j]
-    g: list  # g[i][j]
-    phi: list | None = None
-    xi: list | None = None
-    eta: list | None = None
+    c: np.ndarray  # c[k][i][j]
+    g: np.ndarray  # g[i][j]
+    phi: np.ndarray | None = None
+    xi: np.ndarray | None = None
+    eta: np.ndarray | None = None
     name: str = ""
-    _ginv: list = field(init=False, repr=False)
-    _nabla: list = field(init=False, repr=False)
-    _riem: dict = field(init=False, repr=False)
+    ginv: np.ndarray = field(init=False, repr=False)
+    _nabla: np.ndarray = field(init=False, repr=False)
+    riem13: np.ndarray = field(init=False, repr=False)
+    riem: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.dim
-        self.c = [[[Fraction(self.c[k][i][j]) for j in range(d)] for i in range(d)]
-                  for k in range(d)]
-        self.g = [[Fraction(self.g[i][j]) for j in range(d)] for i in range(d)]
-        if self.phi is not None:
-            self.phi = [[Fraction(x) for x in row] for row in self.phi]
-        if self.xi is not None:
-            self.xi = [Fraction(x) for x in self.xi]
-        if self.eta is not None:
-            self.eta = [Fraction(x) for x in self.eta]
+        self.c = _rat(self.c)
+        self.g = _rat(self.g)
+        for attr in ("phi", "xi", "eta"):
+            if getattr(self, attr) is not None:
+                setattr(self, attr, _rat(getattr(self, attr)))
         self._validate()
-        self._ginv = _rat_matrix_inverse(self.g)
-        self._nabla = self._compute_connection()
-        self._riem = {}
+        self.ginv = _spd_inverse(self.g)
+        d, c, g = self.dim, self.c, self.g
+        # Koszul: L[i, j, k] = g([Ei, Ej], Ek)
+        lower = _contract(c, g.T)
+        koszul = (lower - lower.transpose(2, 0, 1) + lower.transpose(1, 2, 0)) / 2
+        self._nabla = _contract(koszul.transpose(2, 0, 1), self.ginv)
+        # with N = _nabla: ∇_i ∇_j E_k = Σ_m N[j, k, m] ∇_i E_m and
+        # ∇_[Ei,Ej] E_k = Σ_m c[m, i, j] ∇_m E_k
+        by_m = self._nabla.transpose(1, 0, 2).reshape(d, d * d).T   # rows (i, q), columns m
+        second = _contract(self._nabla.transpose(2, 0, 1), by_m).reshape(d, d, d, d)
+        second = second.transpose(2, 0, 1, 3)                        # [i, j, k, q]
+        bracket = _contract(self._nabla, c.reshape(d, d * d).T).reshape(d, d, d, d)
+        self.riem13 = second - second.transpose(1, 0, 2, 3) - bracket.transpose(2, 3, 0, 1)
+        self.riem = -_contract(self.riem13.transpose(3, 0, 1, 2), g.T)
 
     def _validate(self):
-        d = self.dim
-        for k, i, j in product(range(d), repeat=3):
-            if self.c[k][i][j] != -self.c[k][j][i]:
-                raise ValueError(f"structure constants not antisymmetric at ({k},{i},{j})")
-        for i, j, k in product(range(d), repeat=3):
-            for m in range(d):
-                # Jacobi: [[Ei,Ej],Ek] + [[Ej,Ek],Ei] + [[Ek,Ei],Ej] = 0
-                s = sum(self.c[a][i][j] * self.c[m][a][k]
-                        + self.c[a][j][k] * self.c[m][a][i]
-                        + self.c[a][k][i] * self.c[m][a][j] for a in range(d))
-                if s != 0:
-                    raise ValueError(f"Jacobi identity fails on ({i},{j},{k})")
-        for i, j in product(range(d), repeat=2):
-            if self.g[i][j] != self.g[j][i]:
-                raise ValueError("frame metric not symmetric")
-        for k in range(1, d + 1):
-            if _leading_minor(self.g, k) <= 0:
-                raise ValueError("frame metric not positive definite")
+        d, c = self.dim, self.c
+        bad = np.argwhere(c != -c.transpose(0, 2, 1))
+        if len(bad):
+            raise ValueError("structure constants not antisymmetric at "
+                             "({},{},{})".format(*bad[0]))
+        # Jacobi: [[Ei,Ej],Ek] + [[Ej,Ek],Ei] + [[Ek,Ei],Ej] = 0, with
+        # t[i, j, k, m] = Σ_a c[a, i, j] c[m, a, k] the E_m part of the first term
+        t = _contract(c, c.transpose(0, 2, 1).reshape(d * d, d)).reshape(d, d, d, d)
+        t = t.transpose(0, 1, 3, 2)
+        bad = np.argwhere(t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3))
+        if len(bad):
+            raise ValueError("Jacobi identity fails on ({},{},{})".format(*bad[0][:3]))
+        if (self.g != self.g.T).any():
+            raise ValueError("frame metric not symmetric")
 
-    # -- connection and curvature ------------------------------------------
-
-    def bracket(self, i: int, j: int) -> list[Fraction]:
-        return [self.c[k][i][j] for k in range(self.dim)]
+    # -- thin reads of the tensors -------------------------------------------
 
     def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        d = self.dim
-        return sum(u[a] * self.g[a][b] * v[b] for a in range(d) for b in range(d))
-
-    def _compute_connection(self):
-        d = self.dim
-        nabla = [[None] * d for _ in range(d)]
-        basis = [[Fraction(int(a == b)) for a in range(d)] for b in range(d)]
-        for i in range(d):
-            for j in range(d):
-                rhs = []
-                for k in range(d):
-                    val = (self.inner(self.bracket(i, j), basis[k])
-                           - self.inner(self.bracket(j, k), basis[i])
-                           + self.inner(self.bracket(k, i), basis[j])) / 2
-                    rhs.append(val)
-                # coefficients solve g·x = rhs
-                nabla[i][j] = [sum(self._ginv[a][b] * rhs[b] for b in range(d))
-                               for a in range(d)]
-        return nabla
-
-    def nabla_vector(self, i: int, v: Sequence[Fraction]) -> list[Fraction]:
-        """∇_Ei of a constant-coefficient vector Σ v^j E_j."""
-        d = self.dim
-        out = [Fraction(0)] * d
-        for j in range(d):
-            if v[j] != 0:
-                coeff = self._nabla[i][j]
-                for k in range(d):
-                    out[k] += v[j] * coeff[k]
-        return out
-
-    def curvature_vector(self, i: int, j: int, k: int) -> list[Fraction]:
-        """R_EiEj E_k = ∇_i ∇_j E_k − ∇_j ∇_i E_k − ∇_[Ei,Ej] E_k."""
-        d = self.dim
-        a = self.nabla_vector(i, self._nabla[j][k])
-        b = self.nabla_vector(j, self._nabla[i][k])
-        br = self.bracket(i, j)
-        out = [a[m] - b[m] for m in range(d)]
-        for m in range(d):
-            if br[m] != 0:
-                coeff = self._nabla[m][k]
-                for q in range(d):
-                    out[q] -= br[m] * coeff[q]
-        return out
+        return _rat(u) @ self.g @ _rat(v)
 
     def riemann(self, i: int, j: int, k: int, l: int) -> Fraction:
-        """Lowered R(E_i, E_j, E_k, E_l) = −g(R_EiEj E_k, E_l), cached."""
-        key = (i, j, k, l)
-        if key not in self._riem:
-            vec = self.curvature_vector(i, j, k)
-            basis = [Fraction(int(a == l)) for a in range(self.dim)]
-            self._riem[key] = -self.inner(vec, basis)
-        return self._riem[key]
+        """Lowered R(E_i, E_j, E_k, E_l) = −g(R_EiEj E_k, E_l)."""
+        return self.riem[i, j, k, l]
 
     def riemann_table(self) -> np.ndarray:
-        d = self.dim
-        out = np.empty((d, d, d, d), dtype=object)
-        for i, j, k, l in product(range(d), repeat=4):
-            out[i, j, k, l] = self.riemann(i, j, k, l)
-        return out
+        return self.riem.copy()
 
     def phi_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
         if self.phi is None:
             raise ValueError("frame carries no phi tensor")
-        d = self.dim
-        return [sum(self.phi[i][j] * v[j] for j in range(d)) for i in range(d)]
+        return list(self.phi @ _rat(v))
 
     def eta_value(self, v: Sequence[Fraction]) -> Fraction:
         if self.eta is None:
             raise ValueError("frame carries no eta tensor")
-        return sum(self.eta[i] * v[i] for i in range(self.dim))
+        return self.eta @ _rat(v)
 
     def ricci(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
         """Ric(X, Y) = Σ_ab g^ab R(E_a, X, E_b, Y), exact."""
-        d = self.dim
-        total = Fraction(0)
-        for a, b in product(range(d), repeat=2):
-            if self._ginv[a][b] == 0:
-                continue
-            s = Fraction(0)
-            # expand bilinearly over the frame
-            for i in range(d):
-                if x[i] == 0:
-                    continue
-                for k in range(d):
-                    if y[k] == 0:
-                        continue
-                    s += x[i] * y[k] * self.riemann(a, i, b, k)
-            total += self._ginv[a][b] * s
-        return total
-
-
-def _leading_minor(m: list[list[Fraction]], k: int) -> Fraction:
-    sub = [row[:k] for row in m[:k]]
-    # fraction-exact determinant by elimination
-    n = k
-    a = [row[:] for row in sub]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f != 0:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+        ric = np.tensordot(self.ginv, self.riem, axes=([0, 1], [0, 2]))
+        return _rat(x) @ ric @ _rat(y)
 
 
 def frame_connection(fg: FrameGeometry, i: int, j: int) -> list[Fraction]:
     """Coefficients of ∇_Ei Ej in the frame basis, exact rationals."""
     if not (0 <= i < fg.dim and 0 <= j < fg.dim):
         raise IndexError(f"frame index out of range for dimension {fg.dim}")
-    return list(fg._nabla[i][j])
+    return list(fg._nabla[i, j])
 
 
 def frame_curvature(fg: FrameGeometry, i: int, j: int, k: int, l: int) -> Fraction:

@@ -16,23 +16,23 @@ norm by the sampling contract, so absolute tolerances are meaningful.
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .chart import SampleSet
-from .frame import FrameGeometry
+from .errors import EvalDomainError
+from .frame import FrameGeometry, _contract, _rat
 from .structures import (AlmostContactStructure, AlmostHermitianStructure,
                          contact_point_data, default_samples, hermitian_point_data)
 
 __all__ = [
     "IdentityReport", "Witness",
     "check_hermitian", "check_contact", "check_c_alpha",
-    "consequence_suite", "reevaluate_witness",
+    "consequence_suite", "reevaluate_witness", "WorstResidual",
     "CONTACT_KINDS", "HERMITIAN_KINDS",
 ]
 
@@ -148,9 +148,29 @@ def _quadruples(vectors: np.ndarray):
         yield vectors[start], vectors[start + 1], vectors[start + 2], vectors[start + 3]
 
 
+class WorstResidual:
+    """Running maximum of float residuals. A non-finite residual raises
+    EvalDomainError: ``max`` and ``>`` drop NaN, which would let a NaN read
+    as a pass."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.value = -1.0
+
+    def add(self, val: float) -> bool:
+        """Offer ``val``; True when it is the new strict maximum."""
+        val = float(val)
+        if not math.isfinite(val):
+            raise EvalDomainError(f"non-finite residual in {self.what}")
+        if val > self.value:
+            self.value = val
+            return True
+        return False
+
+
 def _sweep_chart(structure, defect, samples: SampleSet, tol: float, tag: str,
                  point_data: Callable, phv_of, etv_of) -> IdentityReport:
-    worst = -1.0
+    worst = WorstResidual(tag)
     witness = None
     n_quads = 0
     for p_idx in range(samples.n_points):
@@ -161,55 +181,58 @@ def _sweep_chart(structure, defect, samples: SampleSet, tol: float, tag: str,
         etv = etv_of(data)
         for X, Y, Z, W in _quadruples(samples.vectors[p_idx]):
             n_quads += 1
-            val = abs(defect(r4, gd, phv, etv, X, Y, Z, W))
-            if val > worst:
-                worst = val
+            if worst.add(abs(defect(r4, gd, phv, etv, X, Y, Z, W))):
                 witness = Witness(point=tuple(float(x) for x in p),
                                   vectors=tuple(tuple(float(c) for c in v)
                                                 for v in (X, Y, Z, W)))
     return IdentityReport(tag=tag, n_points=samples.n_points, n_quadruples=n_quads,
-                          residual=worst, exact=None, witness=witness, tolerance=tol)
+                          residual=worst.value, exact=None, witness=witness, tolerance=tol)
 
 
 def _frame_closures(fg: FrameGeometry):
+    """Exact closures over frame components. Every argument is either a plain
+    vector of shape (d,) or a slot batch: shape (d,) on one of four batch
+    axes, 1 on the others, then the component axis. Results broadcast over
+    the batch axes, so a defect evaluated on the four basis-slot batches is
+    its whole d⁴ table."""
     d = fg.dim
 
-    def r4(a, b, c, w):
-        total = Fraction(0)
-        for i in range(d):
-            if a[i] == 0:
-                continue
-            for j in range(d):
-                if b[j] == 0:
-                    continue
-                for k in range(d):
-                    if c[k] == 0:
-                        continue
-                    for l in range(d):
-                        if w[l] == 0:
-                            continue
-                        total += a[i] * b[j] * c[k] * w[l] * fg.riemann(i, j, k, l)
-        return total
+    def r4(*vectors):
+        t, axes = fg.riem, []
+        for v in vectors:   # each step contracts the leading curvature slot
+            if v.ndim == 1:
+                t = _contract(t, v[None])[..., 0]
+            else:
+                axes.append(int(np.argmax(v.shape[:-1])))
+                t = _contract(t, v.reshape(-1, d))
+        if not axes:
+            return t[()]
+        shape = [1] * 4
+        for a in axes:
+            shape[a] = d
+        return t.transpose(np.argsort(axes, kind="stable")).reshape(shape)
 
-    return r4, fg.inner, fg.phi_vector, fg.eta_value
+    def gd(a, b):
+        return ((a @ fg.g) * b).sum(axis=-1)
+
+    return r4, gd, (lambda v: v @ fg.phi.T), (lambda v: v @ fg.eta)
 
 
-def _sweep_frame(fg: FrameGeometry, defect, tol: float, tag: str) -> IdentityReport:
+def _sweep_frame(fg: FrameGeometry, defect, rows: np.ndarray, tol: float,
+                 tag: str) -> IdentityReport:
+    """Evaluate ``defect`` once on the d⁴ quadruples of ``rows`` (slot
+    a = rows on batch axis a). The C-order argmax of |defect| is the first
+    strict maximum of ``product(range(d), repeat=4)``."""
     d = fg.dim
-    r4, gd, phv, etv = _frame_closures(fg)
-    basis = [[Fraction(int(a == b)) for a in range(d)] for b in range(d)]
-    worst = Fraction(-1)
-    witness = None
-    for i, j, k, l in product(range(d), repeat=4):
-        val = abs(defect(r4, gd, phv, etv, basis[i], basis[j], basis[k], basis[l]))
-        if val > worst:
-            worst = val
-            witness = Witness(point=None,
-                              vectors=tuple(tuple(int(x) for x in basis[m])
-                                            for m in (i, j, k, l)))
+    slots = [rows.reshape([d if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
+    val = np.abs(np.broadcast_to(defect(*_frame_closures(fg), *slots), (d,) * 4))
+    idx = np.unravel_index(np.argmax(val), val.shape)
+    worst = val[idx]
     return IdentityReport(tag=tag, n_points=1, n_quadruples=d**4,
                           residual=float(worst), exact=worst,
-                          witness=witness, tolerance=tol)
+                          witness=Witness(point=None,
+                                          vectors=tuple(tuple(rows[i]) for i in idx)),
+                          tolerance=tol)
 
 
 # -- public checkers -------------------------------------------------------------
@@ -250,7 +273,7 @@ def check_contact(s: AlmostContactStructure, kind: str,
         raise ValueError(f"unknown contact identity {kind!r}")
     defect = _CONTACT_DEFECTS[kind]
     if s.is_frame:
-        return _sweep_frame(s.carrier, defect, tol, kind)
+        return _sweep_frame(s.carrier, defect, np.eye(s.dim, dtype=object), tol, kind)
     if samples is None:
         samples = default_samples(s)
     return _sweep_chart(
@@ -260,12 +283,14 @@ def check_contact(s: AlmostContactStructure, kind: str,
         lambda d: (lambda v: float(d.eta @ v)))
 
 
-def check_c_alpha(s: AlmostContactStructure, alpha: float,
+def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
                   samples: SampleSet | None = None, tol: float = 1e-7) -> IdentityReport:
-    """Residual of the c(α) curvature identity at a fixed α."""
-    tag = f"c({alpha:g})" if not isinstance(alpha, Fraction) else f"c({alpha})"
+    """Residual of the c(α) curvature identity at a fixed α. Frame carriers
+    take α exactly, so pass a Fraction (or int) for an exact residual."""
+    tag = f"c({float(alpha):g})"
     if s.is_frame:
-        return _sweep_frame(s.carrier, _defect_c_alpha(Fraction(alpha)), tol, tag)
+        return _sweep_frame(s.carrier, _defect_c_alpha(Fraction(alpha)),
+                            np.eye(s.dim, dtype=object), tol, tag)
     if samples is None:
         samples = default_samples(s)
     return _sweep_chart(
@@ -315,47 +340,34 @@ def _consequence_rows(kind: str):
     return rows
 
 
+def _as_quadruple(name: str, row, xi):
+    """Consequence row ``name`` as a defect of (X, Y, Z, W); the ξ-slot rows
+    put ξ into the slots they do not sweep."""
+    if name == "xi_slot_g":
+        return lambda r4, gd, phv, etv, X, Y, Z, W: row(r4, gd, phv, etv, xi, Y, W)
+    if name in ("xi_slot_zero", "xi_slot_phi_zero"):
+        return lambda r4, gd, phv, etv, X, Y, Z, W: row(r4, gd, phv, etv, xi, Y, Z, W)
+    return row
+
+
 def consequence_suite(s: AlmostContactStructure, kind: str,
                       samples: SampleSet | None = None,
                       tol: float = 1e-7) -> dict[str, IdentityReport]:
     """ξ-slot consequences of the identity ``kind`` on vectors ⊥ ξ."""
     kind = kind.lower()
     rows = _consequence_rows(kind)
-    out: dict[str, IdentityReport] = {}
     if s.is_frame:
         fg = s.carrier
-        d = fg.dim
-        r4, gd, phv, etv = _frame_closures(fg)
-        xi = fg.xi
-        basis = [[Fraction(int(a == b)) for a in range(d)] for b in range(d)]
-        # orthogonalize the basis against ξ (compatible metric: g(X, ξ) = η(X))
-        perp = [[basis[b][m] - fg.eta_value(basis[b]) * xi[m] for m in range(d)]
-                for b in range(d)]
-        for name, row in rows.items():
-            worst = Fraction(-1)
-            witness = None
-            n_quads = 0
-            for combo in product(range(d), repeat=4):
-                X, Y, Z, W = (perp[c] for c in combo)
-                if name == "xi_slot_g":
-                    val = abs(row(r4, gd, phv, etv, xi, Y, W))
-                elif name in ("xi_slot_zero", "xi_slot_phi_zero"):
-                    val = abs(row(r4, gd, phv, etv, xi, Y, Z, W))
-                else:
-                    val = abs(row(r4, gd, phv, etv, X, Y, Z, W))
-                n_quads += 1
-                if val > worst:
-                    worst = val
-                    witness = Witness(point=None, vectors=tuple(
-                        tuple(x for x in perp[c]) for c in combo))
-            out[name] = IdentityReport(
-                tag=f"{kind}.{name}", n_points=1, n_quadruples=n_quads,
-                residual=float(worst), exact=worst, witness=witness, tolerance=tol)
-        return out
+        # the basis orthogonalized against ξ (compatible metric: g(X, ξ) = η(X))
+        perp = np.eye(fg.dim, dtype=object) - np.outer(fg.eta, fg.xi)
+        return {name: _sweep_frame(fg, _as_quadruple(name, row, fg.xi), perp, tol,
+                                   f"{kind}.{name}")
+                for name, row in rows.items()}
     if samples is None:
         samples = default_samples(s)
+    out: dict[str, IdentityReport] = {}
     for name, row in rows.items():
-        worst = -1.0
+        worst = WorstResidual(f"{kind}.{name}")
         witness = None
         n_quads = 0
         for p_idx in range(samples.n_points):
@@ -365,23 +377,16 @@ def consequence_suite(s: AlmostContactStructure, kind: str,
             phv = lambda v: data.phi @ v
             etv = lambda v: float(data.eta @ v)
             xi = data.xi
+            defect = _as_quadruple(name, row, xi)
             for X, Y, Z, W in _quadruples(samples.vectors[p_idx]):
                 vecs = [v - float(data.eta @ v) * xi for v in (X, Y, Z, W)]
-                X_, Y_, Z_, W_ = vecs
-                if name == "xi_slot_g":
-                    val = abs(row(r4, gd, phv, etv, xi, Y_, W_))
-                elif name in ("xi_slot_zero", "xi_slot_phi_zero"):
-                    val = abs(row(r4, gd, phv, etv, xi, Y_, Z_, W_))
-                else:
-                    val = abs(row(r4, gd, phv, etv, X_, Y_, Z_, W_))
                 n_quads += 1
-                if val > worst:
-                    worst = val
+                if worst.add(abs(defect(r4, gd, phv, etv, *vecs))):
                     witness = Witness(point=tuple(float(x) for x in p),
                                       vectors=tuple(tuple(float(c) for c in v)
                                                     for v in vecs))
         out[name] = IdentityReport(tag=f"{kind}.{name}", n_points=samples.n_points,
-                                   n_quadruples=n_quads, residual=worst, exact=None,
+                                   n_quadruples=n_quads, residual=worst.value, exact=None,
                                    witness=witness, tolerance=tol)
     return out
 
@@ -410,9 +415,7 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
             fg = s.carrier
             if alpha is not None:
                 defect = _defect_c_alpha(Fraction(alpha))
-            r4, gd, phv, etv = _frame_closures(fg)
-            vecs = [[Fraction(x) for x in v] for v in witness.vectors]
-            return abs(defect(r4, gd, phv, etv, *vecs))
+            return abs(defect(*_frame_closures(fg), *map(_rat, witness.vectors)))
         data = contact_point_data(s, witness.point)
         r4, gd = _chart_closures(data)
         vecs = [np.asarray(v, dtype=float) for v in witness.vectors]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence, Union
 
 import numpy as np
@@ -153,31 +152,22 @@ def _validate_contact_chart(s: AlmostContactStructure, samples: SampleSet) -> di
     return res
 
 
+def _gsq(fg: FrameGeometry, v: np.ndarray) -> np.ndarray:
+    """g(v, v) over the leading axes of a stack of frame vectors."""
+    return ((v @ fg.g) * v).sum(axis=-1)
+
+
 def _validate_contact_frame(fg: FrameGeometry) -> dict[str, float]:
-    d = fg.dim
-    basis = [[Fraction(int(a == b)) for a in range(d)] for b in range(d)]
-    res = {}
-    res["eta_xi"] = abs(fg.eta_value(fg.xi) - 1)
-    phixi = fg.phi_vector(fg.xi)
-    res["phi_xi"] = fg.inner(phixi, phixi)
-    eta_phi = Fraction(0)
-    phi_sq = Fraction(0)
-    compat = Fraction(0)
-    for j in range(d):
-        X = basis[j]
-        phiX = fg.phi_vector(X)
-        eta_phi = max(eta_phi, abs(fg.eta_value(phiX)))
-        defect = [fg.phi_vector(phiX)[m] + X[m] - fg.eta_value(X) * fg.xi[m]
-                  for m in range(d)]
-        phi_sq = max(phi_sq, fg.inner(defect, defect))
-        for k in range(d):
-            Y = basis[k]
-            lhs = fg.inner(phiX, fg.phi_vector(Y))
-            rhs = fg.inner(X, Y) - fg.eta_value(X) * fg.eta_value(Y)
-            compat = max(compat, abs(lhs - rhs))
-    res["eta_phi"] = eta_phi
-    res["phi_square"] = phi_sq
-    res["compatibility"] = compat
+    # row j of each stack belongs to E_j; column j of phi is φE_j
+    res = {
+        "eta_xi": abs(fg.eta @ fg.xi - 1),
+        "phi_xi": _gsq(fg, fg.phi @ fg.xi),
+        "eta_phi": np.abs(fg.eta @ fg.phi).max(),
+        "phi_square": _gsq(fg, (fg.phi @ fg.phi).T + np.eye(fg.dim, dtype=object)
+                           - np.outer(fg.eta, fg.xi)).max(),
+        "compatibility": np.abs(fg.phi.T @ fg.g @ fg.phi - fg.g
+                                + np.outer(fg.eta, fg.eta)).max(),
+    }
     # quadratic residuals back to linear scale
     return {k: float(v) if k in ("eta_xi", "eta_phi", "compatibility")
             else math.sqrt(float(v)) for k, v in res.items()}
@@ -304,61 +294,30 @@ def _classify_chart(s: AlmostContactStructure, samples: SampleSet,
         ric_xi_xi_target=chart.dim - 1, tolerance=tol)
 
 
-def _frame_dbracket_eta(fg: FrameGeometry, i: int, j: int) -> Fraction:
-    """dη(E_i, E_j) = −η([E_i, E_j]) for constant frame coefficients."""
-    return -sum(fg.c[k][i][j] * fg.eta[k] for k in range(fg.dim))
-
-
 def _classify_frame(fg: FrameGeometry, tol: float) -> ClassificationReport:
     d = fg.dim
-    basis = [[Fraction(int(a == b)) for a in range(d)] for b in range(d)]
     compat = max(_validate_contact_frame(fg).values())
-    cm_blair = Fraction(0)
-    cm_raw = Fraction(0)
-    killing = Fraction(0)
-    nab_xi2 = Fraction(0)
-    nab_phi2 = Fraction(0)
-    par_phi2 = Fraction(0)
-
-    def nabla_dir(v: list[Fraction], w: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if v[i] != 0:
-                piece = fg.nabla_vector(i, w)
-                for m in range(d):
-                    out[m] += v[i] * piece[m]
-        return out
-
-    for i in range(d):
-        X = basis[i]
-        phiX = fg.phi_vector(X)
-        dxi = nabla_dir(X, fg.xi)
-        defect = [dxi[m] + phiX[m] for m in range(d)]
-        nab_xi2 = max(nab_xi2, fg.inner(defect, defect))
-        for j in range(d):
-            Y = basis[j]
-            de = _frame_dbracket_eta(fg, i, j)
-            gxphiy = fg.inner(X, fg.phi_vector(Y))
-            cm_blair = max(cm_blair, abs(gxphiy - de / 2))
-            cm_raw = max(cm_raw, abs(gxphiy - de))
-            killing = max(killing, abs(fg.inner(nabla_dir(X, fg.xi), Y)
-                                       + fg.inner(X, nabla_dir(Y, fg.xi))))
-            # (∇_X φ)Y = ∇_X (φY) − φ(∇_X Y)
-            dphi_y = [a - b for a, b in zip(nabla_dir(X, fg.phi_vector(Y)),
-                                            fg.phi_vector(nabla_dir(X, Y)))]
-            par_phi2 = max(par_phi2, fg.inner(dphi_y, dphi_y))
-            target = [fg.inner(X, Y) * fg.xi[m] - fg.eta_value(Y) * X[m] for m in range(d)]
-            sas = [a - b for a, b in zip(dphi_y, target)]
-            nab_phi2 = max(nab_phi2, fg.inner(sas, sas))
-    ric = fg.ricci(fg.xi, fg.xi)
+    # rows i: ∇_Ei ξ and φE_i; matrices [i, j]: dη(E_i, E_j) = −η([E_i, E_j])
+    # and g(E_i, φE_j)
+    nabla_xi = np.tensordot(fg.xi, fg._nabla, axes=([0], [1]))
+    d_eta = -np.tensordot(fg.eta, fg.c, axes=([0], [0]))
+    g_phi = fg.g @ fg.phi
+    killing = nabla_xi @ fg.g
+    # (∇_Ei φ)E_j = ∇_Ei (φE_j) − φ(∇_Ei E_j), as dphi[i, j, :]
+    dphi = (np.tensordot(fg._nabla, fg.phi, axes=([1], [0])).transpose(0, 2, 1)
+            - fg._nabla @ fg.phi.T)
+    # Sasakian target g(E_i, E_j) ξ − η(E_j) E_i
+    eye = np.eye(d, dtype=object)
+    target = fg.g[:, :, None] * fg.xi - fg.eta[None, :, None] * eye[:, None, :]
     return ClassificationReport(
         compatibility=float(compat),
-        contact_metric=float(cm_blair), contact_metric_raw=float(cm_raw),
-        killing_xi=float(killing),
-        sasakian_nabla_xi=math.sqrt(float(nab_xi2)),
-        sasakian_nabla_phi=math.sqrt(float(nab_phi2)),
-        parallel_phi=math.sqrt(float(par_phi2)),
-        ric_xi_xi=ric, ric_xi_xi_target=d - 1, tolerance=tol)
+        contact_metric=float(np.abs(g_phi - d_eta / 2).max()),
+        contact_metric_raw=float(np.abs(g_phi - d_eta).max()),
+        killing_xi=float(np.abs(killing + killing.T).max()),
+        sasakian_nabla_xi=math.sqrt(float(_gsq(fg, nabla_xi + fg.phi.T).max())),
+        sasakian_nabla_phi=math.sqrt(float(_gsq(fg, dphi - target).max())),
+        parallel_phi=math.sqrt(float(_gsq(fg, dphi).max())),
+        ric_xi_xi=fg.ricci(fg.xi, fg.xi), ric_xi_xi_target=d - 1, tolerance=tol)
 
 
 def classify(s: AlmostContactStructure, samples: SampleSet | None = None,
@@ -391,51 +350,24 @@ def _h_matrix_chart(s: AlmostContactStructure, p) -> np.ndarray:
     return 0.5 * lie
 
 
-def check_kappa_mu(s: AlmostContactStructure, kappa: float, mu: float,
-                   samples: SampleSet | None = None) -> float:
+def check_kappa_mu(s: AlmostContactStructure, kappa: float | Fraction,
+                   mu: float | Fraction, samples: SampleSet | None = None) -> float:
     """Max residual of R_XY ξ − κ(η(Y)X − η(X)Y) − μ(η(Y)hX − η(X)hY)
     with h = ½ L_ξ φ from brackets. Exact sweep over frame carriers."""
     if s.is_frame:
         fg = s.carrier
-        d = fg.dim
         kap, muf = Fraction(kappa), Fraction(mu)
-        basis = [[Fraction(int(a == b)) for a in range(d)] for b in range(d)]
-
-        def frame_bracket(u, v):
-            out = [Fraction(0)] * d
-            for a in range(d):
-                if u[a] == 0:
-                    continue
-                for b in range(d):
-                    if v[b] == 0:
-                        continue
-                    for k in range(d):
-                        if fg.c[k][a][b] != 0:
-                            out[k] += u[a] * v[b] * fg.c[k][a][b]
-            return out
-
-        # (L_ξ φ) E_j = [ξ, φE_j] − φ[ξ, E_j] with constant coefficients
-        h_cols = []
-        for j in range(d):
-            b1 = frame_bracket(fg.xi, fg.phi_vector(basis[j]))
-            b2 = fg.phi_vector(frame_bracket(fg.xi, basis[j]))
-            h_cols.append([(b1[k] - b2[k]) / 2 for k in range(d)])
-        worst = Fraction(0)
-        for i, j in product(range(d), repeat=2):
-            X, Y = basis[i], basis[j]
-            rxy_xi = [Fraction(0)] * d
-            for k in range(d):
-                if fg.xi[k] != 0:
-                    piece = fg.curvature_vector(i, j, k)
-                    for m in range(d):
-                        rxy_xi[m] += fg.xi[k] * piece[m]
-            hX = [h_cols[i][m] for m in range(d)]
-            hY = [h_cols[j][m] for m in range(d)]
-            ex_, ey = fg.eta_value(X), fg.eta_value(Y)
-            defect = [rxy_xi[m] - kap * (ey * X[m] - ex_ * Y[m])
-                      - muf * (ey * hX[m] - ex_ * hY[m]) for m in range(d)]
-            worst = max(worst, fg.inner(defect, defect))
-        return math.sqrt(float(worst))
+        # [ξ, v] = ad_xi @ v; h = ½ L_ξ φ with (L_ξ φ)E_j = [ξ, φE_j] − φ[ξ, E_j]
+        ad_xi = np.tensordot(fg.c, fg.xi, axes=([1], [0]))
+        h_cols = ((ad_xi @ fg.phi - fg.phi @ ad_xi) / 2).T
+        eye = np.eye(fg.dim, dtype=object)
+        # defect[i, j, :] for X = E_i, Y = E_j, with η(E_i) = eta[i]
+        ex_, ey = fg.eta[:, None, None], fg.eta[None, :, None]
+        defect = (np.tensordot(fg.riem13, fg.xi, axes=([2], [0]))
+                  - kap * (ey * eye[:, None, :] - ex_ * eye[None, :, :])
+                  - muf * (ey * h_cols[:, None, :] - ex_ * h_cols[None, :, :]))
+        return math.sqrt(float(_gsq(fg, defect).max()))
+    kappa, mu = float(kappa), float(mu)
     if samples is None:
         samples = default_samples(s)
     chart = s.carrier

@@ -180,3 +180,71 @@ def test_bad_flags_exit_two():
     assert code == 2
     code, _, _ = invoke(["identities", "h21", "--samples", "0"])
     assert code == 2
+
+
+def test_non_finite_tol_exit_two():
+    for tol in ("nan", "inf", "-inf"):
+        code, _, err = invoke(["identities", "h21", "--which", "g2", f"--tol={tol}"])
+        assert code == 2, tol
+        assert "finite tol" in err
+
+
+def test_rational_check_parameters_stay_exact():
+    from fractions import Fraction
+    from curvlab.cli import _parse_check
+    from curvlab.identities import check_c_alpha
+    from curvlab.frame import heisenberg_h21
+    from curvlab.structures import AlmostContactStructure
+    name, (alpha,) = _parse_check("c(1/3)")
+    assert (name, alpha) == ("c_alpha", Fraction(1, 3))
+    # c(α) = 1 + |α| on h21
+    s = AlmostContactStructure(heisenberg_h21(Fraction(3, 5), Fraction(4, 5)))
+    assert check_c_alpha(s, alpha).exact == Fraction(4, 3)
+    assert _parse_check("kappa-mu(1/3,0)") == ("kappa_mu", (Fraction(1, 3), Fraction(0)))
+    code, out, _ = invoke(["identities", "h21", "--which", "c(1/3),kappa-mu(1,0)", "--json"])
+    assert code == 1
+    rows = json.loads(out)["checks"]
+    assert [r["tag"] for r in rows] == ["c(0.333333)", "kappa-mu(1,0)"]
+    assert rows[0]["residual"] == float(Fraction(4, 3))
+
+
+def test_unrepresentable_check_parameter_exit_two():
+    code, _, err = invoke(["identities", "h21", "--which", "c(1e400)"])
+    assert code == 2
+    assert "bad parameters" in err
+
+
+OVERFLOWING_CHART = """[chart]
+dim = 3
+coords = "x, y, z"
+domain = "x in (0.99, 1)"
+[metric]
+g_11 = "1"
+g_22 = "1 + exp(700*x)"
+g_33 = "1"
+"""
+CONTACT_BLOCK = """[phi]
+phi^2_1 = "1"
+phi^1_2 = "-1"
+[xi]
+xi^3 = "1"
+[eta]
+eta_3 = "1"
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv,block", [
+    (["report"], ""),
+    (["identities", "--which", "g1"], CONTACT_BLOCK),
+    (["identities", "--which", "consequences"], CONTACT_BLOCK),
+])
+def test_nan_curvature_never_passes(tmp_path, argv, block):
+    """The Hessian of exp(700 x) overflows, so every curvature sample is NaN:
+    the sweep must stop with exit 2 instead of reporting a pass."""
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOWING_CHART + block)
+    code, out, err = invoke(argv[:1] + [str(path)] + argv[1:] + ["--samples", "3"])
+    assert code == 2
+    assert "non-finite residual" in err
+    assert "pass" not in out

@@ -226,3 +226,15 @@ def test_identity_reports_deterministic(s5_example):
     b = check_contact(s, "g1", smp)
     assert a.residual == b.residual
     assert a.witness == b.witness
+
+
+def test_worst_residual_rejects_non_finite():
+    from curvlab.errors import EvalDomainError
+    from curvlab.identities import WorstResidual
+    w = WorstResidual("row")
+    assert w.add(0.5) and not w.add(0.25) and w.value == 0.5
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(EvalDomainError):
+            w.add(bad)
+    with pytest.raises(EvalDomainError):
+        WorstResidual("row").add(float("nan"))
