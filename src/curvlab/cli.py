@@ -334,13 +334,7 @@ def run(argv=None) -> int:
                 rows.append(_row("hypersurface.structure", rep.structure_residual,
                                  rep.structure_residual <= args.tol))
         return _emit(args, args.target, seed, args.tol, rows)
-    except InputError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except (RegistryError, ManifoldFormatError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except CurvlabError as e:
+    except (InputError, CurvlabError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

@@ -9,8 +9,8 @@ from .warped import (WarpedSpec, build_warped, warped_christoffel_oracle,
                      eq_for_g1_obstruction)
 from .hypersurface import SurfacePatch, HypersurfaceReport, induce_hypersurface
 from .submersion import SubmersionPair, horizontal_lift, check_submersion_lift
-from .registry import (registry_names, resolve_target, contact_registry,
-                       ResolvedTarget, HypersurfaceExample)
+from .registry import (registry_names, resolve_target, ResolvedTarget,
+                       HypersurfaceExample)
 
 __all__ = [
     "ConeBundle", "build_cone", "cone_closed_forms", "ConeOracle",
@@ -20,6 +20,5 @@ __all__ = [
     "eq_for_g1_obstruction",
     "SurfacePatch", "HypersurfaceReport", "induce_hypersurface",
     "SubmersionPair", "horizontal_lift", "check_submersion_lift",
-    "registry_names", "resolve_target", "contact_registry",
-    "ResolvedTarget", "HypersurfaceExample",
+    "registry_names", "resolve_target", "ResolvedTarget", "HypersurfaceExample",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import expr as ex
 from .. import geometry
-from ..chart import Chart, Interval, TensorField, eval_field
+from ..chart import Chart, Interval, TensorField, eval_field, eval_field_jets
 from ..structures import AlmostContactStructure, AlmostHermitianStructure
 
 __all__ = ["ConeBundle", "build_cone", "ConeOracle", "cone_closed_forms"]
@@ -94,14 +94,12 @@ class ConeOracle:
         s = cb.base
         base = s.carrier
         self.g = base.metric_at(self.q)
-        self.conn = geometry.christoffel(base, self.q)
-        curv = geometry.curvature(base, self.q)
+        self.conn, curv = geometry.point_geometry(base, self.q)
         self.riem13 = curv.riem13
         self.phi = eval_field(s.phi, self.q)
         self.xi = eval_field(s.xi, self.q)
         self.eta = eval_field(s.eta, self.q)
-        self._s = s
-        self._base = base
+        self._fields = [(f.valence, eval_field_jets(f, self.q)) for f in (s.xi, s.eta, s.phi)]
 
     # -- helpers over base vectors (length d) --------------------------------
 
@@ -141,10 +139,8 @@ class ConeOracle:
         """(∇̃_A J) B from base covariant derivatives of φ, ξ, η."""
         _, X = self._split(A)
         b, Y = self._split(B)
-        s, base = self._s, self._base
-        dxi = geometry.covariant_derivative(base, s.xi, self.q, X)
-        deta = geometry.covariant_derivative(base, s.eta, self.q, X)
-        dphi = geometry.covariant_derivative(base, s.phi, self.q, X)
+        dxi, deta, dphi = (geometry.nabla_of(self.conn.gamma, valence, jets, X)
+                           for valence, jets in self._fields)
         # (∇̃_X J) ∂_t = −(1/t)(∇_X ξ + φX)
         from_dt = -(dxi + self.phi @ X) / self.t
         # (∇̃_X J) Y = (t((∇_X η)Y − g(X, φY)), (∇_X φ)Y − g(X,Y)ξ + η(Y)X)

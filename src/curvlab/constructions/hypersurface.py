@@ -25,7 +25,7 @@ import numpy as np
 from .. import expr as ex
 from .. import geometry
 from .. import jet
-from ..chart import Chart, SampleSet, TensorField, eval_field, sample
+from ..chart import Chart, SampleSet, TensorField, eval_field, eval_field_jets, sample
 from ..structures import AlmostContactStructure, AlmostHermitianStructure
 from ..errors import CurvlabError
 
@@ -90,8 +90,10 @@ def _check_ambient_kahler(ambient: AlmostHermitianStructure, tol: float):
     worst = 0.0
     for p_idx in range(probes.n_points):
         p = probes.points[p_idx]
+        gamma = geometry.christoffel(ambient.chart, p).gamma
+        jets = eval_field_jets(ambient.J, p)
         for X in probes.vectors[p_idx][:2]:
-            dJ = geometry.covariant_derivative(ambient.chart, ambient.J, p, X)
+            dJ = geometry.nabla_of(gamma, "endomorphism", jets, X)
             worst = max(worst, float(np.max(np.abs(dJ))))
     if worst > tol:
         raise CurvlabError(f"ambient structure is not Kähler (∇J residual {worst:.2e})")

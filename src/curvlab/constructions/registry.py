@@ -34,9 +34,9 @@ from .hypersurface import SurfacePatch
 from .submersion import SubmersionPair
 from .warped import RWarpedBundle, build_r_warped_contact
 
-__all__ = ["ResolvedTarget", "registry_names", "resolve_target",
-           "contact_registry", "flat_chart", "flat_kahler_r4", "flat_kahler_r2",
-           "flat_kahler_c2", "ambient_c3", "HypersurfaceExample",
+__all__ = ["ResolvedTarget", "registry_names", "resolve_target", "flat_chart",
+           "flat_kahler_r4", "flat_kahler_r2", "flat_kahler_c2", "ambient_c3",
+           "HypersurfaceExample",
            "build_flat3", "build_s2_round", "build_h21_chart", "build_flat_cosym5",
            "build_sine_cone", "build_r_warped_surface", "build_s5_in_c3",
            "build_hopf_pair"]
@@ -352,8 +352,3 @@ def resolve_target(name: str) -> ResolvedTarget:
         return ResolvedTarget(name, "hermitian", cb)
     raise RegistryError(f"unknown target {name!r}")
 
-
-def contact_registry() -> list[str]:
-    """Targets carrying a contact structure, for registry-wide sweeps."""
-    return ["h21", "h21_chart", "flat_cosym5", "sine_cone_cos", "sine_cone_sin",
-            "r_warped_surface", "s5_in_c3"]

@@ -28,7 +28,7 @@ import numpy as np
 from .. import expr as ex
 from .. import geometry
 from .. import jet
-from ..chart import SampleSet, eval_field, sample
+from ..chart import SampleSet, eval_field, eval_field_jets, sample
 from ..structures import AlmostContactStructure, AlmostHermitianStructure
 from ..errors import CurvlabError
 
@@ -70,15 +70,8 @@ def _projection_jets(sp: SubmersionPair, p: Sequence[float]):
     return base_pt, dpi, ddpi
 
 
-def _lift_system(sp: SubmersionPair, p, dpi, eta_vals) -> np.ndarray:
-    return np.vstack([dpi, eta_vals[None, :]])
-
-
-def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
-    """The unique horizontal vector at ``p`` projecting onto ``X_base``."""
-    base_pt, dpi, _ = _projection_jets(sp, p)
-    eta_vals = eval_field(sp.total.eta, p)
-    M = _lift_system(sp, p, dpi, eta_vals)
+def _solve_lift(p, dpi, eta_vals, X_base) -> np.ndarray:
+    M = np.vstack([dpi, eta_vals[None, :]])
     rhs = np.concatenate([np.asarray(X_base, dtype=float), [0.0]])
     try:
         return np.linalg.solve(M, rhs)
@@ -86,20 +79,22 @@ def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarra
         raise CurvlabError(f"horizontal lift solver singular at {tuple(p)}") from e
 
 
-def _lift_field_with_derivatives(sp: SubmersionPair, p, X_base):
+def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
+    """The unique horizontal vector at ``p`` projecting onto ``X_base``."""
+    _, dpi, _ = _projection_jets(sp, p)
+    return _solve_lift(p, dpi, eval_field(sp.total.eta, p), X_base)
+
+
+def _lift_field_with_derivatives(p, dpi, ddpi, eta_jets, X_base):
     """Lift of a constant-component base field and its coordinate derivatives.
 
     Returns (X↑, dX↑) with dX↑[k, m] = ∂_m X↑^k, exact up to the jets of the
     projection and of η.
     """
-    from ..chart import eval_field_jets
-
-    base_pt, dpi, ddpi = _projection_jets(sp, p)
-    eta_vals, eta_grads = eval_field_jets(sp.total.eta, p)  # grads[j, m] = ∂_m η_j
+    eta_vals, eta_grads = eta_jets  # grads[j, m] = ∂_m η_j
+    lift = _solve_lift(p, dpi, eta_vals, X_base)
     M = np.vstack([dpi, eta_vals[None, :]])
-    rhs = np.concatenate([np.asarray(X_base, dtype=float), [0.0]])
-    lift = np.linalg.solve(M, rhs)
-    nt = sp.total.carrier.dim
+    nt = len(eta_vals)
     dlift = np.empty((nt, nt))
     for m in range(nt):
         dM = np.vstack([ddpi[:, :, m], eta_grads[:, m][None, :]])
@@ -134,25 +129,21 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
 
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
-        base_pt, dpi, _ = _projection_jets(sp, p)
+        base_pt, dpi, ddpi = _projection_jets(sp, p)
         gM = total_chart.metric_at(p)
         gN = base_chart.metric_at(base_pt)
         Jb = eval_field(sp.base.J, base_pt)
         phi = eval_field(sp.total.phi, p)
         xi = eval_field(sp.total.xi, p)
-        conn_M = geometry.christoffel(total_chart, p)
-        conn_N = geometry.christoffel(base_chart, base_pt)
-        curv_M = geometry.curvature(total_chart, p)
-        curv_N = geometry.curvature(base_chart, base_pt)
+        eta = eval_field(sp.total.eta, p)
+        conn_M, curv_M = geometry.point_geometry(total_chart, p)
+        conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
 
         res["dpi_xi"] = max(res["dpi_xi"], float(np.max(np.abs(dpi @ xi))))
 
-        lifts = []
-        dlifts = []
-        for Xb in base_dirs:
-            lift, dlift = _lift_field_with_derivatives(sp, p, Xb)
-            lifts.append(lift)
-            dlifts.append(dlift)
+        eta_jets = eval_field_jets(sp.total.eta, p)
+        lifts, dlifts = zip(*(_lift_field_with_derivatives(p, dpi, ddpi, eta_jets, Xb)
+                              for Xb in base_dirs))
 
         def gm(u, v):
             return float(u @ gM @ v)
@@ -170,7 +161,7 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
                 Yl, dYl = lifts[b], dlifts[b]
                 nab = _covariant_of_lift(sp, p, conn_M.gamma, Xl, Yl, dYl)
                 nab_N = np.einsum("i,kij,j->k", Xb, conn_N.gamma, Yb)
-                predicted = (horizontal_lift(sp, p, nab_N)
+                predicted = (_solve_lift(p, dpi, eta, nab_N)
                              - G_base(Xb, Jb @ Yb) * xi)
                 res["lift_connection"] = max(res["lift_connection"],
                                              _norm(gM, nab - predicted))

@@ -341,7 +341,10 @@ class Ring:
     def pow_int(self, a, k: int):
         if k < 0 and not isinstance(a, jet.Jet2) and a == 0:
             raise EvalDomainError("zero raised to a negative power")
-        return a**k
+        try:
+            return a**k
+        except OverflowError:
+            raise EvalDomainError(f"power {k} overflows the float range") from None
 
     def call(self, fn: str, args: list):
         raise RingError(f"{self.name} ring does not support {fn}()")
@@ -362,7 +365,10 @@ class RealRing(Ring):
         guard = self._SINGULAR.get(fn)
         if guard and guard(u):
             raise EvalDomainError(f"{fn} of out-of-domain value {u!r}")
-        return getattr(math, fn)(float(u))
+        try:
+            return getattr(math, fn)(float(u))
+        except (OverflowError, ValueError):  # e.g. exp(1e3), sin(inf)
+            raise EvalDomainError(f"{fn} of {u!r} is out of the float range") from None
 
 
 class JetRing(Ring):

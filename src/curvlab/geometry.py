@@ -12,6 +12,11 @@ Ric(X, X) = (dim − 1) g(X, X) on unit spheres. The exterior derivative of a
 one-form carries no 1/2 factor: dη(X, Y) = Xη(Y) − Yη(X) on coordinate
 fields; callers that need the convention with the 1/2 (as the contact
 metric compatibility test does) scale explicitly.
+
+The ``*_of`` functions are formulas over values already built at one point
+(metric jets, Γ, curvature, field jets); the ``(chart, p, …)`` functions
+build what they need and call them. A check that needs several of these at
+a point builds them once, from one ``metric_jets`` (``point_geometry``).
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ from .errors import SingularMetricError
 
 __all__ = [
     "ConnectionAtPoint", "CurvatureAtPoint", "MetricJets",
-    "metric_jets", "christoffel", "curvature",
-    "covariant_derivative", "covariant_derivative_02",
-    "lie_derivative_metric", "exterior_d_oneform", "ricci",
+    "metric_jets", "connection_of", "curvature_of", "point_geometry",
+    "christoffel", "curvature",
+    "nabla_of", "covariant_derivative", "covariant_derivative_02",
+    "lie_derivative_of", "lie_derivative_metric",
+    "exterior_d_of", "exterior_d_oneform", "ricci_of", "ricci",
     "orthonormal_frame", "curvature_symmetry_residuals",
     "contact_volume_coefficient", "riemann_eval",
 ]
@@ -90,9 +97,8 @@ def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     return MetricJets(g=g, dg=dg, d2g=d2g, ginv=ginv)
 
 
-def christoffel(chart: Chart, p: Sequence[float]) -> ConnectionAtPoint:
+def connection_of(mj: MetricJets) -> ConnectionAtPoint:
     """Levi-Civita connection Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij)."""
-    mj = metric_jets(chart, p)
     # lowered symbols Γ_{l,ij} and their m-derivatives
     low = 0.5 * (np.einsum("jli->lij", mj.dg) + np.einsum("ilj->lij", mj.dg)
                  - np.einsum("ijl->lij", mj.dg))
@@ -106,10 +112,8 @@ def christoffel(chart: Chart, p: Sequence[float]) -> ConnectionAtPoint:
     return ConnectionAtPoint(gamma=gamma, dgamma=dgamma)
 
 
-def curvature(chart: Chart, p: Sequence[float]) -> CurvatureAtPoint:
+def curvature_of(mj: MetricJets, conn: ConnectionAtPoint) -> CurvatureAtPoint:
     """Curvature on coordinate fields; the bracket term vanishes there."""
-    conn = christoffel(chart, p)
-    mj = metric_jets(chart, p)
     gamma, dgamma = conn.gamma, conn.dgamma
     # (R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp
     riem13 = (np.einsum("mjki->mijk", dgamma) - np.einsum("mikj->mijk", dgamma)
@@ -119,29 +123,49 @@ def curvature(chart: Chart, p: Sequence[float]) -> CurvatureAtPoint:
     return CurvatureAtPoint(riem=riem, riem13=riem13, g=mj.g)
 
 
+def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[ConnectionAtPoint,
+                                                              CurvatureAtPoint]:
+    """Connection and curvature at ``p`` from one ``metric_jets``."""
+    mj = metric_jets(chart, p)
+    conn = connection_of(mj)
+    return conn, curvature_of(mj, conn)
+
+
+def christoffel(chart: Chart, p: Sequence[float]) -> ConnectionAtPoint:
+    return connection_of(metric_jets(chart, p))
+
+
+def curvature(chart: Chart, p: Sequence[float]) -> CurvatureAtPoint:
+    return point_geometry(chart, p)[1]
+
+
 def riemann_eval(curv: CurvatureAtPoint, X, Y, Z, W) -> float:
     """Multilinear evaluation R(X, Y, Z, W) against the lowered array."""
     return float(np.einsum("ijkl,i,j,k,l", curv.riem, X, Y, Z, W))
 
 
-def covariant_derivative(chart: Chart, f: TensorField, p: Sequence[float], X) -> np.ndarray:
-    """∇_X f at ``p`` for a vector, one-form or endomorphism field."""
-    conn = christoffel(chart, p)
-    gamma = conn.gamma
+def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
+    """∇_X f from Γ and the jets ``(values, grads)`` of a vector, one-form or
+    endomorphism field f, as returned by ``eval_field_jets``."""
     X = np.asarray(X, dtype=float)
-    vals, grads = eval_field_jets(f, p)
-    if f.valence == "vector":
+    vals, grads = jets
+    if valence == "vector":
         # (∇_X ξ)^k = X^i (∂_i ξ^k + Γ^k_ij ξ^j)
         return np.einsum("i,ki->k", X, grads) + np.einsum("i,kij,j->k", X, gamma, vals)
-    if f.valence == "oneform":
+    if valence == "oneform":
         # (∇_X η)_j = X^i (∂_i η_j − Γ^k_ij η_k)
         return np.einsum("i,ji->j", X, grads) - np.einsum("i,kij,k->j", X, gamma, vals)
-    if f.valence == "endomorphism":
+    if valence == "endomorphism":
         # (∇_X φ)^k_j = X^i (∂_i φ^k_j + Γ^k_im φ^m_j − φ^k_m Γ^m_ij)
         return (np.einsum("i,kji->kj", X, grads)
                 + np.einsum("i,kim,mj->kj", X, gamma, vals)
                 - np.einsum("km,i,mij->kj", vals, X, gamma))
-    raise ValueError(f"unsupported valence {f.valence!r}")
+    raise ValueError(f"unsupported valence {valence!r}")
+
+
+def covariant_derivative(chart: Chart, f: TensorField, p: Sequence[float], X) -> np.ndarray:
+    """∇_X f at ``p`` for a vector, one-form or endomorphism field."""
+    return nabla_of(christoffel(chart, p).gamma, f.valence, eval_field_jets(f, p), X)
 
 
 def covariant_derivative_02(chart: Chart, components, p: Sequence[float], X) -> np.ndarray:
@@ -157,27 +181,35 @@ def covariant_derivative_02(chart: Chart, components, p: Sequence[float], X) -> 
             - np.einsum("i,mik,jm->jk", X, gamma, vals))
 
 
-def lie_derivative_metric(chart: Chart, xi: TensorField, p: Sequence[float], X, Y) -> float:
-    """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ) for the Levi-Civita metric."""
-    if xi.valence != "vector":
-        raise ValueError("Killing test expects a vector field")
-    g = chart.metric_at(p)
-    dxx = covariant_derivative(chart, xi, p, X)
-    dxy = covariant_derivative(chart, xi, p, Y)
+def lie_derivative_of(g: np.ndarray, dxx: np.ndarray, dxy: np.ndarray, X, Y) -> float:
+    """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ), given ∇_X ξ and ∇_Y ξ."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return float(dxx @ g @ Y + X @ g @ dxy)
 
 
-def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y) -> float:
-    """dη(X, Y) = X^i Y^j (∂_i η_j − ∂_j η_i), without any 1/2 factor."""
-    if eta.valence != "oneform":
-        raise ValueError("exterior derivative here expects a one-form")
-    _, grads = eval_field_jets(eta, p)  # grads[j, i] = ∂_i η_j
+def lie_derivative_metric(chart: Chart, xi: TensorField, p: Sequence[float], X, Y) -> float:
+    """(L_ξ g)(X, Y) for the Levi-Civita metric."""
+    if xi.valence != "vector":
+        raise ValueError("Killing test expects a vector field")
+    gamma, jets = christoffel(chart, p).gamma, eval_field_jets(xi, p)
+    return lie_derivative_of(chart.metric_at(p), nabla_of(gamma, "vector", jets, X),
+                             nabla_of(gamma, "vector", jets, Y), X, Y)
+
+
+def exterior_d_of(grads: np.ndarray, X, Y) -> float:
+    """dη(X, Y) = X^i Y^j (∂_i η_j − ∂_j η_i) from grads[j, i] = ∂_i η_j."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     curl = grads.T - grads  # curl[i, j] = ∂_i η_j − ∂_j η_i
     return float(X @ curl @ Y)
+
+
+def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y) -> float:
+    """dη(X, Y), without any 1/2 factor."""
+    if eta.valence != "oneform":
+        raise ValueError("exterior derivative here expects a one-form")
+    return exterior_d_of(eval_field_jets(eta, p)[1], X, Y)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -199,13 +231,17 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
-    """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame."""
-    curv = curvature(chart, p)
+def ricci_of(curv: CurvatureAtPoint, X, Y) -> float:
+    """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame; reads
+    only ``curv.riem`` and ``curv.g``, which ``ContactPointData`` also has."""
     E = orthonormal_frame(curv.g)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return float(np.einsum("ai,j,ak,l,ijkl->", E, X, E, Y, curv.riem))
+
+
+def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
+    return ricci_of(curvature(chart, p), X, Y)
 
 
 def curvature_symmetry_residuals(curv: CurvatureAtPoint) -> dict[str, float]:

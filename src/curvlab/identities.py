@@ -16,7 +16,6 @@ norm by the sampling contract, so absolute tolerances are meaningful.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -24,9 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .chart import SampleSet
-from .errors import EvalDomainError
 from .frame import FrameGeometry, _contract, _rat
-from .structures import (AlmostContactStructure, AlmostHermitianStructure,
+from .structures import (AlmostContactStructure, AlmostHermitianStructure, WorstResidual,
                          contact_point_data, default_samples, hermitian_point_data)
 
 __all__ = [
@@ -146,26 +144,6 @@ def _chart_closures(data):
 def _quadruples(vectors: np.ndarray):
     for start in range(0, vectors.shape[0] - 3, 4):
         yield vectors[start], vectors[start + 1], vectors[start + 2], vectors[start + 3]
-
-
-class WorstResidual:
-    """Running maximum of float residuals. A non-finite residual raises
-    EvalDomainError: ``max`` and ``>`` drop NaN, which would let a NaN read
-    as a pass."""
-
-    def __init__(self, what: str):
-        self.what = what
-        self.value = -1.0
-
-    def add(self, val: float) -> bool:
-        """Offer ``val``; True when it is the new strict maximum."""
-        val = float(val)
-        if not math.isfinite(val):
-            raise EvalDomainError(f"non-finite residual in {self.what}")
-        if val > self.value:
-            self.value = val
-            return True
-        return False
 
 
 def _sweep_chart(structure, defect, samples: SampleSet, tol: float, tag: str,
@@ -365,30 +343,28 @@ def consequence_suite(s: AlmostContactStructure, kind: str,
                 for name, row in rows.items()}
     if samples is None:
         samples = default_samples(s)
-    out: dict[str, IdentityReport] = {}
-    for name, row in rows.items():
-        worst = WorstResidual(f"{kind}.{name}")
-        witness = None
-        n_quads = 0
-        for p_idx in range(samples.n_points):
-            p = samples.points[p_idx]
-            data = contact_point_data(s, p)
-            r4, gd = _chart_closures(data)
-            phv = lambda v: data.phi @ v
-            etv = lambda v: float(data.eta @ v)
-            xi = data.xi
-            defect = _as_quadruple(name, row, xi)
-            for X, Y, Z, W in _quadruples(samples.vectors[p_idx]):
-                vecs = [v - float(data.eta @ v) * xi for v in (X, Y, Z, W)]
-                n_quads += 1
-                if worst.add(abs(defect(r4, gd, phv, etv, *vecs))):
-                    witness = Witness(point=tuple(float(x) for x in p),
-                                      vectors=tuple(tuple(float(c) for c in v)
-                                                    for v in vecs))
-        out[name] = IdentityReport(tag=f"{kind}.{name}", n_points=samples.n_points,
-                                   n_quadruples=n_quads, residual=worst.value, exact=None,
-                                   witness=witness, tolerance=tol)
-    return out
+    worst = {name: WorstResidual(f"{kind}.{name}") for name in rows}
+    witness = dict.fromkeys(rows)
+    n_quads = 0
+    for p_idx in range(samples.n_points):
+        p = samples.points[p_idx]
+        data = contact_point_data(s, p)
+        r4, gd = _chart_closures(data)
+        phv = lambda v: data.phi @ v
+        etv = lambda v: float(data.eta @ v)
+        defects = {name: _as_quadruple(name, row, data.xi) for name, row in rows.items()}
+        for X, Y, Z, W in _quadruples(samples.vectors[p_idx]):
+            vecs = [v - float(data.eta @ v) * data.xi for v in (X, Y, Z, W)]
+            n_quads += 1
+            for name, defect in defects.items():
+                if worst[name].add(abs(defect(r4, gd, phv, etv, *vecs))):
+                    witness[name] = Witness(point=tuple(float(x) for x in p),
+                                            vectors=tuple(tuple(float(c) for c in v)
+                                                          for v in vecs))
+    return {name: IdentityReport(tag=f"{kind}.{name}", n_points=samples.n_points,
+                                 n_quadruples=n_quads, residual=worst[name].value, exact=None,
+                                 witness=witness[name], tolerance=tol)
+            for name in rows}
 
 
 def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fraction:

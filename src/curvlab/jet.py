@@ -140,6 +140,15 @@ def constant(x: float, nvars: int) -> Jet2:
 # -- elementary function propagation ----------------------------------------
 
 
+def _in_range(fn, x: float) -> float:
+    """``fn(x)`` from the math module; overflow and out-of-range arguments
+    such as sin(inf) raise EvalDomainError."""
+    try:
+        return fn(x)
+    except (OverflowError, ValueError):
+        raise EvalDomainError(f"{fn.__name__} of {x!r} is out of the float range") from None
+
+
 def _unary(u: Jet2, f0: float, f1: float, f2: float) -> Jet2:
     # second-order chain rule: H = f' H_u + f'' (grad_u)(grad_u)^T
     return Jet2(
@@ -171,23 +180,23 @@ def _pow_int(u: Jet2, k: int) -> Jet2:
 
 
 def _sin(u: Jet2) -> Jet2:
-    s, c = math.sin(u.value), math.cos(u.value)
+    s, c = _in_range(math.sin, u.value), math.cos(u.value)
     return _unary(u, s, c, -s)
 
 
 def _cos(u: Jet2) -> Jet2:
-    s, c = math.sin(u.value), math.cos(u.value)
+    s, c = _in_range(math.sin, u.value), math.cos(u.value)
     return _unary(u, c, -s, -c)
 
 
 def _tan(u: Jet2) -> Jet2:
-    t = math.tan(u.value)
+    t = _in_range(math.tan, u.value)
     d = 1.0 + t * t
     return _unary(u, t, d, 2.0 * t * d)
 
 
 def _exp(u: Jet2) -> Jet2:
-    e = math.exp(u.value)
+    e = _in_range(math.exp, u.value)
     return _unary(u, e, e, e)
 
 
@@ -207,12 +216,12 @@ def _sqrt(u: Jet2) -> Jet2:
 
 
 def _sinh(u: Jet2) -> Jet2:
-    s, c = math.sinh(u.value), math.cosh(u.value)
+    s, c = _in_range(math.sinh, u.value), _in_range(math.cosh, u.value)
     return _unary(u, s, c, s)
 
 
 def _cosh(u: Jet2) -> Jet2:
-    s, c = math.sinh(u.value), math.cosh(u.value)
+    s, c = _in_range(math.sinh, u.value), _in_range(math.cosh, u.value)
     return _unary(u, c, s, c)
 
 

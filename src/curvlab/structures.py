@@ -20,15 +20,15 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import geometry
-from .chart import Chart, SampleSet, TensorField, eval_field, sample
+from .chart import Chart, SampleSet, TensorField, eval_field, eval_field_jets, sample
 from .frame import FrameGeometry
-from .errors import CurvlabError
+from .errors import CurvlabError, EvalDomainError
 
 __all__ = [
     "AlmostContactStructure", "AlmostHermitianStructure",
     "ClassificationReport", "ContactPointData",
     "validate", "classify", "check_kappa_mu",
-    "contact_point_data", "hermitian_point_data", "default_samples",
+    "contact_point_data", "hermitian_point_data", "default_samples", "WorstResidual",
 ]
 
 Carrier = Union[Chart, FrameGeometry]
@@ -87,11 +87,14 @@ class AlmostHermitianStructure:
 
 @dataclass(frozen=True)
 class ContactPointData:
-    """Everything the pointwise checks need, evaluated once per point."""
+    """Everything the pointwise checks need, evaluated once per point: Γ and
+    the curvature from one ``metric_jets`` (``g`` is that metric), and φ, ξ,
+    η over the REAL ring."""
 
     g: np.ndarray
     riem: np.ndarray
     riem13: np.ndarray
+    gamma: np.ndarray
     phi: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
@@ -100,9 +103,9 @@ class ContactPointData:
 def contact_point_data(s: AlmostContactStructure, p: Sequence[float]) -> ContactPointData:
     if s.is_frame:
         raise ValueError("pointwise data is a chart-path concept")
-    curv = geometry.curvature(s.carrier, p)
+    conn, curv = geometry.point_geometry(s.carrier, p)
     return ContactPointData(
-        g=curv.g, riem=curv.riem, riem13=curv.riem13,
+        g=curv.g, riem=curv.riem, riem13=curv.riem13, gamma=conn.gamma,
         phi=eval_field(s.phi, p), xi=eval_field(s.xi, p), eta=eval_field(s.eta, p),
     )
 
@@ -125,31 +128,53 @@ def _gnorm(g: np.ndarray, v: np.ndarray) -> float:
     return math.sqrt(max(float(v @ g @ v), 0.0))
 
 
+class WorstResidual:
+    """Running maximum of float residuals. A non-finite residual raises
+    EvalDomainError: ``max`` and ``>`` drop NaN, which would let a NaN read
+    as a pass."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.value = -1.0
+
+    def add(self, val: float) -> bool:
+        """Offer ``val``; True when it is the new strict maximum."""
+        val = float(val)
+        if not math.isfinite(val):
+            raise EvalDomainError(f"non-finite residual in {self.what}")
+        if val > self.value:
+            self.value = val
+            return True
+        return False
+
+
+def _worst(what: str, keys) -> dict[str, WorstResidual]:
+    return {k: WorstResidual(f"{what}.{k}") for k in keys}
+
+
 # -- validation ----------------------------------------------------------------
 
 
 def _validate_contact_chart(s: AlmostContactStructure, samples: SampleSet) -> dict[str, float]:
-    res = {"eta_xi": 0.0, "phi_xi": 0.0, "eta_phi": 0.0, "phi_square": 0.0,
-           "compatibility": 0.0}
+    res = _worst("validate", ("eta_xi", "phi_xi", "eta_phi", "phi_square", "compatibility"))
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
         g = s.carrier.metric_at(p)
         phi = eval_field(s.phi, p)
         xi = eval_field(s.xi, p)
         eta = eval_field(s.eta, p)
-        res["eta_xi"] = max(res["eta_xi"], abs(float(eta @ xi) - 1.0))
-        res["phi_xi"] = max(res["phi_xi"], _gnorm(g, phi @ xi))
+        res["eta_xi"].add(abs(float(eta @ xi) - 1.0))
+        res["phi_xi"].add(_gnorm(g, phi @ xi))
         vecs = samples.vectors[p_idx]
         for X in vecs:
-            res["eta_phi"] = max(res["eta_phi"], abs(float(eta @ (phi @ X))))
-            defect = phi @ (phi @ X) + X - float(eta @ X) * xi
-            res["phi_square"] = max(res["phi_square"], _gnorm(g, defect))
+            res["eta_phi"].add(abs(float(eta @ (phi @ X))))
+            res["phi_square"].add(_gnorm(g, phi @ (phi @ X) + X - float(eta @ X) * xi))
         for a in range(0, len(vecs) - 1, 2):
             X, Y = vecs[a], vecs[a + 1]
             lhs = float((phi @ X) @ g @ (phi @ Y))
             rhs = float(X @ g @ Y) - float(eta @ X) * float(eta @ Y)
-            res["compatibility"] = max(res["compatibility"], abs(lhs - rhs))
-    return res
+            res["compatibility"].add(abs(lhs - rhs))
+    return {k: w.value for k, w in res.items()}
 
 
 def _gsq(fg: FrameGeometry, v: np.ndarray) -> np.ndarray:
@@ -174,20 +199,18 @@ def _validate_contact_frame(fg: FrameGeometry) -> dict[str, float]:
 
 
 def _validate_hermitian(h: AlmostHermitianStructure, samples: SampleSet) -> dict[str, float]:
-    res = {"j_square": 0.0, "compatibility": 0.0}
+    res = _worst("validate", ("j_square", "compatibility"))
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
         g = h.chart.metric_at(p)
         J = eval_field(h.J, p)
         vecs = samples.vectors[p_idx]
         for X in vecs:
-            res["j_square"] = max(res["j_square"], _gnorm(g, J @ (J @ X) + X))
+            res["j_square"].add(_gnorm(g, J @ (J @ X) + X))
         for a in range(0, len(vecs) - 1, 2):
             X, Y = vecs[a], vecs[a + 1]
-            res["compatibility"] = max(
-                res["compatibility"],
-                abs(float((J @ X) @ g @ (J @ Y)) - float(X @ g @ Y)))
-    return res
+            res["compatibility"].add(abs(float((J @ X) @ g @ (J @ Y)) - float(X @ g @ Y)))
+    return {k: w.value for k, w in res.items()}
 
 
 def validate(s, samples: SampleSet | None = None) -> dict[str, float]:
@@ -254,44 +277,41 @@ class ClassificationReport:
         }
 
 
-def _classify_chart(s: AlmostContactStructure, samples: SampleSet,
-                    tol: float) -> ClassificationReport:
+def _classify_chart(s: AlmostContactStructure, samples: SampleSet, tol: float,
+                    compat: float) -> ClassificationReport:
     chart = s.carrier
-    compat = max(_validate_contact_chart(s, samples).values())
-    cm_blair = cm_raw = killing = nab_xi = nab_phi = par_phi = 0.0
+    res = _worst("classify", ("contact_metric", "contact_metric_raw", "killing_xi",
+                              "sasakian_nabla_xi", "sasakian_nabla_phi", "parallel_phi"))
+    ric_dev = WorstResidual("classify.ric_xi_xi")
     ric_value = float(chart.dim - 1)
-    ric_dev = -1.0
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
+        data = contact_point_data(s, p)
         g = chart.metric_at(p)
-        phi = eval_field(s.phi, p)
-        xi = eval_field(s.xi, p)
-        eta = eval_field(s.eta, p)
+        phi, xi, eta = data.phi, data.xi, data.eta
+        xi_jets, phi_jets = eval_field_jets(s.xi, p), eval_field_jets(s.phi, p)
+        d_eta = eval_field_jets(s.eta, p)[1]
         vecs = samples.vectors[p_idx]
-        for X in vecs:
-            dxi = geometry.covariant_derivative(chart, s.xi, p, X)
-            nab_xi = max(nab_xi, _gnorm(g, dxi + phi @ X))
+        dxi = [geometry.nabla_of(data.gamma, "vector", xi_jets, X) for X in vecs]
+        for X, dxi_x in zip(vecs, dxi):
+            res["sasakian_nabla_xi"].add(_gnorm(g, dxi_x + phi @ X))
         for a in range(0, len(vecs) - 1, 2):
             X, Y = vecs[a], vecs[a + 1]
-            de = geometry.exterior_d_oneform(chart, s.eta, p, X, Y)
+            de = geometry.exterior_d_of(d_eta, X, Y)
             gxphiy = float(X @ g @ (phi @ Y))
-            cm_blair = max(cm_blair, abs(gxphiy - 0.5 * de))
-            cm_raw = max(cm_raw, abs(gxphiy - de))
-            killing = max(killing, abs(geometry.lie_derivative_metric(chart, s.xi, p, X, Y)))
-            dphi = geometry.covariant_derivative(chart, s.phi, p, X)
-            dphi_y = dphi @ Y
-            par_phi = max(par_phi, _gnorm(g, dphi_y))
+            res["contact_metric"].add(abs(gxphiy - 0.5 * de))
+            res["contact_metric_raw"].add(abs(gxphiy - de))
+            res["killing_xi"].add(abs(geometry.lie_derivative_of(g, dxi[a], dxi[a + 1], X, Y)))
+            dphi_y = geometry.nabla_of(data.gamma, "endomorphism", phi_jets, X) @ Y
+            res["parallel_phi"].add(_gnorm(g, dphi_y))
             target = float(X @ g @ Y) * xi - float(eta @ Y) * X
-            nab_phi = max(nab_phi, _gnorm(g, dphi_y - target))
-        val = geometry.ricci(chart, p, xi, xi)
-        dev = abs(val - (chart.dim - 1))
-        if dev > ric_dev:
-            ric_dev, ric_value = dev, val
+            res["sasakian_nabla_phi"].add(_gnorm(g, dphi_y - target))
+        val = geometry.ricci_of(data, xi, xi)
+        if ric_dev.add(abs(val - (chart.dim - 1))):
+            ric_value = val
     return ClassificationReport(
-        compatibility=compat, contact_metric=cm_blair, contact_metric_raw=cm_raw,
-        killing_xi=killing, sasakian_nabla_xi=nab_xi, sasakian_nabla_phi=nab_phi,
-        parallel_phi=par_phi, ric_xi_xi=ric_value,
-        ric_xi_xi_target=chart.dim - 1, tolerance=tol)
+        compatibility=compat, **{k: w.value for k, w in res.items()},
+        ric_xi_xi=ric_value, ric_xi_xi_target=chart.dim - 1, tolerance=tol)
 
 
 def _classify_frame(fg: FrameGeometry, tol: float) -> ClassificationReport:
@@ -331,7 +351,7 @@ def classify(s: AlmostContactStructure, samples: SampleSet | None = None,
     if compat > tol:
         raise CurvlabError(
             f"structure fails compatibility validation (residual {compat:.3e})")
-    return _classify_chart(s, samples, tol)
+    return _classify_chart(s, samples, tol, compat)
 
 
 # -- nullity condition -----------------------------------------------------------
@@ -340,8 +360,6 @@ def classify(s: AlmostContactStructure, samples: SampleSet | None = None,
 def _h_matrix_chart(s: AlmostContactStructure, p) -> np.ndarray:
     """h = ½ L_ξ φ from coordinate brackets: ½(ξ^i ∂_i φ^k_j − φ^i_j ∂_i ξ^k
     + φ^k_i ∂_j ξ^i)."""
-    from .chart import eval_field_jets
-
     phi_v, phi_g = eval_field_jets(s.phi, p)
     xi_v, xi_g = eval_field_jets(s.xi, p)  # xi_g[k, i] = ∂_i ξ^k
     lie = (np.einsum("i,kji->kj", xi_v, phi_g)
@@ -370,8 +388,7 @@ def check_kappa_mu(s: AlmostContactStructure, kappa: float | Fraction,
     kappa, mu = float(kappa), float(mu)
     if samples is None:
         samples = default_samples(s)
-    chart = s.carrier
-    worst = 0.0
+    worst = WorstResidual(f"kappa-mu({kappa:g},{mu:g})")
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
         data = contact_point_data(s, p)
@@ -384,5 +401,5 @@ def check_kappa_mu(s: AlmostContactStructure, kappa: float | Fraction,
             ey = float(data.eta @ Y)
             defect = (rxy_xi - kappa * (ey * X - ex_ * Y)
                       - mu * (ey * (h @ X) - ex_ * (h @ Y)))
-            worst = max(worst, _gnorm(data.g, defect))
-    return worst
+            worst.add(_gnorm(data.g, defect))
+    return worst.value

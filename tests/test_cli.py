@@ -238,6 +238,7 @@ eta_3 = "1"
     (["report"], ""),
     (["identities", "--which", "g1"], CONTACT_BLOCK),
     (["identities", "--which", "consequences"], CONTACT_BLOCK),
+    (["identities", "--which", "kappa-mu(1,0)"], CONTACT_BLOCK),
 ])
 def test_nan_curvature_never_passes(tmp_path, argv, block):
     """The Hessian of exp(700 x) overflows, so every curvature sample is NaN:
@@ -248,3 +249,39 @@ def test_nan_curvature_never_passes(tmp_path, argv, block):
     assert code == 2
     assert "non-finite residual" in err
     assert "pass" not in out
+
+
+def test_overflow_exits_two_without_traceback(tmp_path):
+    """exp(exp(10 x)) overflows the float range on the sampled domain: that
+    is an input error (exit 2), reported in one line, not a crash (exit 1)."""
+    import subprocess
+    import sys
+    import curvlab
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOWING_CHART.replace("exp(700*x)", "exp(exp(10*x))"))
+    env = dict(os.environ, PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "curvlab.cli", "report", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "out of the float range" in proc.stderr
+
+
+@pytest.mark.parametrize("argv,points", [
+    (["classify", "sine_cone_cos"], 20),
+    (["identities", "s5_in_c3", "--which", "g1", "--samples", "20"], 20),
+])
+def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
+    """Each check builds a chart point's geometry once: Γ, ∂Γ and R come
+    from a single metric_jets, and covariant derivatives reuse it."""
+    import curvlab.geometry as geometry
+    real, calls = geometry.metric_jets, []
+
+    def counting(chart, p):
+        calls.append(tuple(p))
+        return real(chart, p)
+
+    monkeypatch.setattr(geometry, "metric_jets", counting)
+    code, _, _ = invoke(argv)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == points

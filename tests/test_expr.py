@@ -178,6 +178,21 @@ def test_domain_errors_propagate():
         ex.eval_expr(parse("sqrt(x)"), {"x": jet.seed([-2.0], 0)}, ex.JET)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("text", [
+    "exp(exp(10*x))", "cosh(1000*x)", "sinh(1000*x)", "(10*x)^400",
+    "sin(exp(700*x)*exp(700*x))",
+])
+def test_float_range_errors_are_domain_errors(text):
+    """Overflow, and a math function of inf, raise EvalDomainError on both
+    float rings rather than OverflowError or ValueError."""
+    e = parse(text)
+    with pytest.raises(EvalDomainError):
+        ex.eval_expr(e, {"x": 1.0})
+    with pytest.raises(EvalDomainError):
+        ex.eval_expr(e, {"x": jet.seed([1.0], 0)}, ex.JET)
+
+
 @pytest.mark.parametrize("text", [
     "x^2 + y", "sin(x*y) + exp(x)", "cos(x)^2/(1 + y^2)", "sqrt(x + 3) - pi",
 ])
