@@ -165,7 +165,7 @@ def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
     for name, args in checks:
         if name in CONTACT_KINDS:
             s = _contact_of(kind, obj)
-            rep = check_contact(s, name, samples if not s.is_frame else None, tol)
+            rep = check_contact(s, name, samples, tol)
             rows.append(_row(rep.tag, rep.residual, rep.verdict,
                              _witness_json(rep.witness)))
         elif name in HERMITIAN_KINDS:
@@ -175,24 +175,21 @@ def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
                              _witness_json(rep.witness)))
         elif name == "c_alpha":
             s = _contact_of(kind, obj)
-            rep = check_c_alpha(s, args[0], samples if not s.is_frame else None, tol)
+            rep = check_c_alpha(s, args[0], samples, tol)
             rows.append(_row(rep.tag, rep.residual, rep.verdict,
                              _witness_json(rep.witness)))
         elif name == "kappa_mu":
             s = _contact_of(kind, obj)
-            residual = check_kappa_mu(s, args[0], args[1],
-                                      samples if not s.is_frame else None)
+            residual = check_kappa_mu(s, args[0], args[1], samples)
             rows.append(_row(f"kappa-mu({float(args[0]):g},{float(args[1]):g})", residual,
                              residual <= tol))
         elif name == "classify":
             s = _contact_of(kind, obj)
-            rows.extend(_classify_rows(s, samples if not s.is_frame else None, tol))
+            rows.extend(_classify_rows(s, samples, tol))
         elif name == "consequences":
             s = _contact_of(kind, obj)
             for g_kind in CONTACT_KINDS:
-                suite = consequence_suite(
-                    s, g_kind, samples if not s.is_frame else None, tol)
-                for rep in suite.values():
+                for rep in consequence_suite(s, g_kind, samples, tol).values():
                     rows.append(_row(rep.tag, rep.residual, rep.verdict))
     return rows
 
@@ -287,7 +284,7 @@ def run(argv=None) -> int:
 
         if args.command == "classify":
             s = _contact_of(kind, obj)
-            rows = _classify_rows(s, samples if not s.is_frame else None, args.tol)
+            rows = _classify_rows(s, samples, args.tol)
             return _emit(args, args.target, seed, args.tol, rows)
 
         if args.command == "identities":
@@ -334,7 +331,8 @@ def run(argv=None) -> int:
                 rows.append(_row("hypersurface.structure", rep.structure_residual,
                                  rep.structure_residual <= args.tol))
         return _emit(args, args.target, seed, args.tol, rows)
-    except (InputError, CurvlabError) as e:
+    except (InputError, CurvlabError, OverflowError) as e:
+        # OverflowError: an exact frame value or residual past the float range
         print(str(e), file=sys.stderr)
         return 2
 

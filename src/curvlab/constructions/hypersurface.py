@@ -26,7 +26,7 @@ from .. import expr as ex
 from .. import geometry
 from .. import jet
 from ..chart import Chart, SampleSet, TensorField, eval_field, eval_field_jets, sample
-from ..structures import AlmostContactStructure, AlmostHermitianStructure
+from ..structures import AlmostContactStructure, AlmostHermitianStructure, WorstResidual, _worst
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -87,16 +87,16 @@ def _ambient_J_matrix(ambient: AlmostHermitianStructure) -> np.ndarray:
 
 def _check_ambient_kahler(ambient: AlmostHermitianStructure, tol: float):
     probes = sample(ambient.chart, 3, 4, seed=7)
-    worst = 0.0
+    worst = WorstResidual("hypersurface.ambient_kahler")
     for p_idx in range(probes.n_points):
         p = probes.points[p_idx]
         gamma = geometry.christoffel(ambient.chart, p).gamma
         jets = eval_field_jets(ambient.J, p)
         for X in probes.vectors[p_idx][:2]:
             dJ = geometry.nabla_of(gamma, "endomorphism", jets, X)
-            worst = max(worst, float(np.max(np.abs(dJ))))
-    if worst > tol:
-        raise CurvlabError(f"ambient structure is not Kähler (∇J residual {worst:.2e})")
+            worst.add(np.max(np.abs(dJ)))
+    if worst.value > tol:
+        raise CurvlabError(f"ambient structure is not Kähler (∇J residual {worst.value:.2e})")
 
 
 def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
@@ -121,12 +121,8 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
 
     weingarten = []
     betas = []
-    umb = 0.0
-    h_res = 0.0
-    unit_res = 0.0
-    tang_res = 0.0
-    pullback = 0.0
-    struct_res = 0.0
+    res = _worst("hypersurface", ("umbilicity", "h_xi", "normal_unit", "normal_tangency",
+                                  "pullback", "structure"))
 
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
@@ -148,14 +144,14 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
             else:
                 N[a], dN[a] = float(v), 0.0
 
-        unit_res = max(unit_res, abs(float(N @ N) - 1.0))
-        if unit_res > 1e-6:
+        res["normal_unit"].add(abs(float(N @ N) - 1.0))
+        if res["normal_unit"].value > 1e-6:
             raise CurvlabError(f"normal is not unit at {tuple(p)} "
                                f"(|N|² − 1 = {float(N @ N) - 1.0:.2e})")
         sv = np.linalg.svd(JF, compute_uv=False)
         if sv[-1] < 1e-8:
             raise CurvlabError(f"immersion Jacobian rank-deficient at {tuple(p)}")
-        tang_res = max(tang_res, float(np.max(np.abs(N @ JF))))
+        res["normal_tangency"].add(np.max(np.abs(N @ JF)))
 
         G = JF.T @ JF  # first fundamental form (flat ambient)
         Ginv = np.linalg.inv(G)
@@ -163,7 +159,7 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
         weingarten.append(A)
         beta = float(np.trace(A)) / d
         betas.append(beta)
-        umb = max(umb, float(np.max(np.abs(A - beta * np.eye(d)))))
+        res["umbilicity"].add(np.max(np.abs(A - beta * np.eye(d))))
 
         xi_amb = -J @ N
         xi_chart = Ginv @ (JF.T @ xi_amb)
@@ -171,19 +167,17 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
         for X in samples.vectors[p_idx][:4]:
             h_val = float(N @ (-J @ (dN @ X)))
             eta_ax = float(xi_chart @ G @ (A @ X))
-            h_res = max(h_res, abs(h_val - eta_ax))
+            res["h_xi"].add(abs(h_val - eta_ax))
 
-        pullback = max(pullback, float(np.max(np.abs(G - chart.metric_at(p)))))
+        res["pullback"].add(np.max(np.abs(G - chart.metric_at(p))))
         if patch.has_structure:
-            struct_res = max(struct_res, float(np.max(np.abs(
-                xi_chart - eval_field(patch.xi, p)))))
+            res["structure"].add(np.max(np.abs(xi_chart - eval_field(patch.xi, p))))
             eta_vals = eval_field(patch.eta, p)
-            struct_res = max(struct_res, float(np.max(np.abs(
-                G @ xi_chart - eta_vals))))
+            res["structure"].add(np.max(np.abs(G @ xi_chart - eta_vals)))
             phi_vals = eval_field(patch.phi, p)
             # J (dF e_j) = dF (φ e_j) + η_j N, column by column
             defect = J @ JF - JF @ phi_vals - np.outer(N, eta_vals)
-            struct_res = max(struct_res, float(np.max(np.abs(defect))))
+            res["structure"].add(np.max(np.abs(defect)))
 
     induced = None
     if patch.has_structure:
@@ -193,7 +187,9 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     betas = np.asarray(betas)
     return HypersurfaceReport(
         points=samples.points, weingarten=weingarten, beta=betas,
-        beta_mean=float(betas.mean()), umbilicity=umb, h_xi_residual=h_res,
-        normal_unit_residual=unit_res, normal_tangency_residual=tang_res,
-        pullback_residual=pullback, structure_residual=struct_res,
+        beta_mean=float(betas.mean()), umbilicity=res["umbilicity"].value,
+        h_xi_residual=res["h_xi"].value, normal_unit_residual=res["normal_unit"].value,
+        normal_tangency_residual=res["normal_tangency"].value,
+        pullback_residual=res["pullback"].value,
+        structure_residual=res["structure"].value if patch.has_structure else 0.0,
         induced=induced)

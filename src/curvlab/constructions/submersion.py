@@ -29,7 +29,7 @@ from .. import expr as ex
 from .. import geometry
 from .. import jet
 from ..chart import SampleSet, eval_field, eval_field_jets, sample
-from ..structures import AlmostContactStructure, AlmostHermitianStructure
+from ..structures import AlmostContactStructure, AlmostHermitianStructure, _gnorm, _worst
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "horizontal_lift", "check_submersion_lift"]
@@ -122,10 +122,9 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
     samples = sample(total_chart, n_points, 1, seed)
     base_dirs = [np.eye(nb)[a] for a in range(nb)]
 
-    res = {"dpi_xi": 0.0, "lift_connection": 0.0, "lift_xi": 0.0,
-           "lift_bracket": 0.0, "lift_curvature": 0.0,
-           "lift_k1_consequence": 0.0, "lift_k2_consequence": 0.0,
-           "lift_k3_consequence": 0.0}
+    res = _worst("lift", ("dpi_xi", "lift_connection", "lift_xi", "lift_bracket",
+                          "lift_curvature", "lift_k1_consequence", "lift_k2_consequence",
+                          "lift_k3_consequence"))
 
     for p_idx in range(samples.n_points):
         p = samples.points[p_idx]
@@ -139,7 +138,7 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
         conn_M, curv_M = geometry.point_geometry(total_chart, p)
         conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
 
-        res["dpi_xi"] = max(res["dpi_xi"], float(np.max(np.abs(dpi @ xi))))
+        res["dpi_xi"].add(np.max(np.abs(dpi @ xi)))
 
         eta_jets = eval_field_jets(sp.total.eta, p)
         lifts, dlifts = zip(*(_lift_field_with_derivatives(p, dpi, ddpi, eta_jets, Xb)
@@ -156,20 +155,17 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
             Xl = lifts[a]
             # ∇ᴹ_{X↑} ξ + φ X↑ (ξ has constant components: derivative term only Γ)
             dxi = np.einsum("i,kij,j->k", Xl, conn_M.gamma, xi)
-            res["lift_xi"] = max(res["lift_xi"], _norm(gM, dxi + phi @ Xl))
+            res["lift_xi"].add(_gnorm(gM, dxi + phi @ Xl))
             for b, Yb in enumerate(base_dirs):
                 Yl, dYl = lifts[b], dlifts[b]
                 nab = _covariant_of_lift(sp, p, conn_M.gamma, Xl, Yl, dYl)
                 nab_N = np.einsum("i,kij,j->k", Xb, conn_N.gamma, Yb)
                 predicted = (_solve_lift(p, dpi, eta, nab_N)
                              - G_base(Xb, Jb @ Yb) * xi)
-                res["lift_connection"] = max(res["lift_connection"],
-                                             _norm(gM, nab - predicted))
+                res["lift_connection"].add(_gnorm(gM, nab - predicted))
                 # bracket of lifts of coordinate fields ([X, Y] = 0 downstairs)
                 bracket = dYl @ Xl - dlifts[a] @ Yl
-                res["lift_bracket"] = max(
-                    res["lift_bracket"],
-                    _norm(gM, bracket + 2.0 * G_base(Xb, Jb @ Yb) * xi))
+                res["lift_bracket"].add(_gnorm(gM, bracket + 2.0 * G_base(Xb, Jb @ Yb) * xi))
 
         # curvature lift and identity consequences on lifted quadruples
         def rM(u, v, w, z):
@@ -187,20 +183,16 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
                    - 2.0 * gm(Xl, phi @ Yl) * gm(Wl, phi @ Zl)
                    + gm(Yl, phi @ Zl) * gm(Wl, phi @ Xl)
                    - gm(Xl, phi @ Zl) * gm(Wl, phi @ Yl))
-            res["lift_curvature"] = max(res["lift_curvature"], abs(lhs - rhs))
+            res["lift_curvature"].add(abs(lhs - rhs))
 
             # consequences of the base satisfying each Hermitian identity
             k1 = (rM(Xl, Yl, phi @ Zl, phi @ Wl) - rM(Xl, Yl, Zl, Wl)
                   - (-gm(Yl, Wl) * gm(Zl, Xl) - gm(Yl, phi @ Wl) * gm(Zl, phi @ Xl)
                      + gm(Xl, Wl) * gm(Zl, Yl) + gm(Xl, phi @ Wl) * gm(Zl, phi @ Yl)))
-            res["lift_k1_consequence"] = max(res["lift_k1_consequence"], abs(k1))
+            res["lift_k1_consequence"].add(abs(k1))
             k2 = (rM(phi @ Xl, Yl, Zl, Wl) + rM(Xl, phi @ Yl, Zl, Wl)
                   + rM(Xl, Yl, phi @ Zl, Wl) + rM(Xl, Yl, Zl, phi @ Wl))
-            res["lift_k2_consequence"] = max(res["lift_k2_consequence"], abs(k2))
+            res["lift_k2_consequence"].add(abs(k2))
             k3 = rM(phi @ Xl, phi @ Yl, phi @ Zl, phi @ Wl) - rM(Xl, Yl, Zl, Wl)
-            res["lift_k3_consequence"] = max(res["lift_k3_consequence"], abs(k3))
-    return res
-
-
-def _norm(g: np.ndarray, v: np.ndarray) -> float:
-    return float(np.sqrt(max(v @ g @ v, 0.0)))
+            res["lift_k3_consequence"].add(abs(k3))
+    return {tag: w.value for tag, w in res.items()}

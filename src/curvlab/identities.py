@@ -5,10 +5,15 @@ curvature tensor to its J-composed reslottings (tags k1, k2, k3). For
 almost contact metric structures the analogous identities (tags g1, g2, g3)
 carry the correction terms produced by demanding the Hermitian identities
 on the metric cone, and the one-parameter c(α) family interpolates the
-φ-invariance defect. Chart carriers are swept over sampled vector
-quadruples; frame carriers are swept exhaustively over all dim⁴ frame
+φ-invariance defect.
+
+Each defect is written once, over closures (curvature on four vectors,
+metric pairing, φ or J, η), and one sweep evaluates it on both carriers.
+A frame carrier is swept once, exhaustively, over all dim⁴ frame
 quadruples in exact rational arithmetic, which is what turns verdicts like
-"g2 holds, g1 fails" into arithmetic facts.
+"g2 holds, g1 fails" into arithmetic facts. A chart carrier is swept at
+each sample point over that point's sampled quadruples, all at once. The
+consequence rows use the same sweep on vectors projected to v − η(v)ξ.
 
 Residuals are reported raw (not normalized); sample vectors are bounded in
 norm by the sampling contract, so absolute tolerances are meaningful.
@@ -16,14 +21,15 @@ norm by the sampling contract, so absolute tolerances are meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from functools import partial
 
 import numpy as np
 
 from .chart import SampleSet
-from .frame import FrameGeometry, _contract, _rat
+from .frame import _contract, _rat
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, WorstResidual,
                          contact_point_data, default_samples, hermitian_point_data)
 
@@ -126,91 +132,109 @@ _CONTACT_DEFECTS = {"g1": _defect_g1, "g2": _defect_g2, "g3": _defect_g3}
 _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
 
 
-# -- chart and frame sweep drivers ---------------------------------------------
+# -- one sweep for both carriers -----------------------------------------------
+#
+# A frame is swept once, exactly, over all d⁴ basis quadruples: slot a holds
+# the basis on batch axis a. A chart is swept at each sample point over that
+# point's sampled quadruples, which share one batch axis. The witness is the
+# first strict maximum of |defect| in C order over (point, quadruple).
 
 
-def _chart_closures(data):
-    riem, g = data.riem, data.g
-
-    def r4(a, b, c, d):
-        return float(np.einsum("ijkl,i,j,k,l", riem, a, b, c, d))
-
-    def gd(a, b):
-        return float(a @ g @ b)
-
-    return r4, gd
+def _tensors(s, p):
+    """(R, g, φ or J, η, ξ) of ``s``: a frame's exact tensors, or a chart's at
+    the sample point ``p``. An almost Hermitian structure has η = 0 and no ξ."""
+    if isinstance(s, AlmostHermitianStructure):
+        curv, J = hermitian_point_data(s, p)
+        return curv.riem, curv.g, J, np.zeros(s.dim), None
+    t = s.carrier if s.is_frame else contact_point_data(s, p)
+    return t.riem, t.g, t.phi, t.eta, t.xi
 
 
-def _quadruples(vectors: np.ndarray):
-    for start in range(0, vectors.shape[0] - 3, 4):
-        yield vectors[start], vectors[start + 1], vectors[start + 2], vectors[start + 3]
+def _closures(riem, g, phi, eta):
+    """The defects' r4, gd, phv and etv over vector batches of shape (..., d).
 
-
-def _sweep_chart(structure, defect, samples: SampleSet, tol: float, tag: str,
-                 point_data: Callable, phv_of, etv_of) -> IdentityReport:
-    worst = WorstResidual(tag)
-    witness = None
-    n_quads = 0
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        data = point_data(p)
-        r4, gd = _chart_closures(data)
-        phv = phv_of(data)
-        etv = etv_of(data)
-        for X, Y, Z, W in _quadruples(samples.vectors[p_idx]):
-            n_quads += 1
-            if worst.add(abs(defect(r4, gd, phv, etv, X, Y, Z, W))):
-                witness = Witness(point=tuple(float(x) for x in p),
-                                  vectors=tuple(tuple(float(c) for c in v)
-                                                for v in (X, Y, Z, W)))
-    return IdentityReport(tag=tag, n_points=samples.n_points, n_quadruples=n_quads,
-                          residual=worst.value, exact=None, witness=witness, tolerance=tol)
-
-
-def _frame_closures(fg: FrameGeometry):
-    """Exact closures over frame components. Every argument is either a plain
-    vector of shape (d,) or a slot batch: shape (d,) on one of four batch
-    axes, 1 on the others, then the component axis. Results broadcast over
-    the batch axes, so a defect evaluated on the four basis-slot batches is
-    its whole d⁴ table."""
-    d = fg.dim
-
-    def r4(*vectors):
-        t, axes = fg.riem, []
-        for v in vectors:   # each step contracts the leading curvature slot
-            if v.ndim == 1:
-                t = _contract(t, v[None])[..., 0]
-            else:
-                axes.append(int(np.argmax(v.shape[:-1])))
-                t = _contract(t, v.reshape(-1, d))
-        if not axes:
-            return t[()]
-        shape = [1] * 4
-        for a in axes:
-            shape[a] = d
-        return t.transpose(np.argsort(axes, kind="stable")).reshape(shape)
+    Exact (object) curvature contracts through the zero-skipping
+    ``_contract``; each r4 argument is then a plain vector of shape (d,) or a
+    slot batch (d on one of four batch axes, 1 on the others), and the result
+    broadcasts over the batch axes. Float curvature contracts by ``einsum``
+    over one shared batch axis. The stacked-matmul forms give the same bits
+    as ``a @ g @ b``, ``phi @ v`` and ``eta @ v`` on single vectors.
+    """
+    d = len(g)
+    if riem.dtype == object:
+        def r4(*vectors):
+            t, axes = riem, []
+            for v in vectors:   # each step contracts the leading curvature slot
+                if v.ndim == 1:
+                    t = _contract(t, v[None])[..., 0]
+                else:
+                    axes.append(int(np.argmax(v.shape[:-1])))
+                    t = _contract(t, v.reshape(-1, d))
+            if not axes:
+                return t[()]
+            shape = [1] * 4
+            for a in axes:
+                shape[a] = d
+            return t.transpose(np.argsort(axes, kind="stable")).reshape(shape)
+    else:
+        def r4(a, b, c, w):
+            return np.einsum("ijkl,...i,...j,...k,...l->...", riem, a, b, c, w)
 
     def gd(a, b):
-        return ((a @ fg.g) * b).sum(axis=-1)
+        return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
 
-    return r4, gd, (lambda v: v @ fg.phi.T), (lambda v: v @ fg.eta)
+    def phv(v):
+        return (phi @ v[..., None])[..., 0]
+
+    def etv(v):
+        return (v[..., None, :] @ eta)[..., 0]
+
+    return r4, gd, phv, etv
 
 
-def _sweep_frame(fg: FrameGeometry, defect, rows: np.ndarray, tol: float,
-                 tag: str) -> IdentityReport:
-    """Evaluate ``defect`` once on the d⁴ quadruples of ``rows`` (slot
-    a = rows on batch axis a). The C-order argmax of |defect| is the first
-    strict maximum of ``product(range(d), repeat=4)``."""
-    d = fg.dim
-    slots = [rows.reshape([d if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
-    val = np.abs(np.broadcast_to(defect(*_frame_closures(fg), *slots), (d,) * 4))
-    idx = np.unravel_index(np.argmax(val), val.shape)
-    worst = val[idx]
-    return IdentityReport(tag=tag, n_points=1, n_quadruples=d**4,
-                          residual=float(worst), exact=worst,
-                          witness=Witness(point=None,
-                                          vectors=tuple(tuple(rows[i]) for i in idx)),
-                          tolerance=tol)
+def _sweep(s, rows: dict, samples: SampleSet | None, tol: float,
+           perp: bool = False) -> dict[str, IdentityReport]:
+    """One report per ``rows`` entry (tag → function of ξ giving the defect),
+    with every swept vector v replaced by v − η(v)ξ when ``perp``. Frame
+    reports carry the exact residual."""
+    frame = isinstance(s, AlmostContactStructure) and s.is_frame
+    if frame:
+        d = s.dim
+        basis = np.eye(d, dtype=object)
+        visits = [(None, [basis.reshape([d if b == a else 1 for b in range(4)] + [d])
+                          for a in range(4)])]
+    else:
+        if samples is None:
+            samples = default_samples(s)
+        n = samples.vecs_per_point // 4
+        if n == 0:   # no quadruple to sweep must not read as a pass
+            raise ValueError("chart sweeps need at least four sample vectors per point")
+        visits = ((p, list(vecs[:4 * n].reshape(n, 4, -1).swapaxes(0, 1)))
+                  for p, vecs in zip(samples.points, samples.vectors))
+    worst = {tag: WorstResidual(tag) for tag in rows}
+    exact, witness = dict.fromkeys(rows), dict.fromkeys(rows)
+    n_points = n_quads = 0
+    for p, slots in visits:
+        riem, g, phi, eta, xi = _tensors(s, p)
+        closures = r4, gd, phv, etv = _closures(riem, g, phi, eta)
+        if perp:
+            slots = [v - etv(v)[..., None] * xi for v in slots]
+        shape = np.broadcast_shapes(*(v.shape[:-1] for v in slots))
+        n_points += 1
+        n_quads += math.prod(shape)
+        for tag, defect_at in rows.items():
+            vals = np.abs(np.broadcast_to(defect_at(xi)(*closures, *slots), shape))
+            idx = np.unravel_index(np.argmax(vals), shape)
+            if worst[tag].add(vals[idx]):
+                exact[tag] = vals[idx] if frame else None
+                witness[tag] = Witness(
+                    point=None if p is None else tuple(p.tolist()),
+                    vectors=tuple(tuple(np.broadcast_to(v, shape + v.shape[-1:])[idx].tolist())
+                                  for v in slots))
+    return {tag: IdentityReport(tag=tag, n_points=n_points, n_quadruples=n_quads,
+                                residual=w.value, exact=exact[tag], witness=witness[tag],
+                                tolerance=tol)
+            for tag, w in worst.items()}
 
 
 # -- public checkers -------------------------------------------------------------
@@ -222,21 +246,8 @@ def check_hermitian(h: AlmostHermitianStructure, kind: str,
     kind = kind.lower()
     if kind not in _HERMITIAN_DEFECTS:
         raise ValueError(f"unknown hermitian identity {kind!r}")
-    if samples is None:
-        samples = default_samples(h)
-
-    def point_data(p):
-        curv, J = hermitian_point_data(h, p)
-
-        class _D:
-            riem = curv.riem
-            g = curv.g
-            Jm = J
-        return _D
-
-    return _sweep_chart(h, _HERMITIAN_DEFECTS[kind], samples, tol, kind,
-                        point_data, lambda d: (lambda v: d.Jm @ v),
-                        lambda d: (lambda v: 0.0))
+    defect = _HERMITIAN_DEFECTS[kind]
+    return _sweep(h, {kind: lambda xi: defect}, samples, tol)[kind]
 
 
 def check_contact(s: AlmostContactStructure, kind: str,
@@ -250,15 +261,12 @@ def check_contact(s: AlmostContactStructure, kind: str,
     if kind not in _CONTACT_DEFECTS:
         raise ValueError(f"unknown contact identity {kind!r}")
     defect = _CONTACT_DEFECTS[kind]
-    if s.is_frame:
-        return _sweep_frame(s.carrier, defect, np.eye(s.dim, dtype=object), tol, kind)
-    if samples is None:
-        samples = default_samples(s)
-    return _sweep_chart(
-        s, defect, samples, tol, kind,
-        lambda p: contact_point_data(s, p),
-        lambda d: (lambda v: d.phi @ v),
-        lambda d: (lambda v: float(d.eta @ v)))
+    return _sweep(s, {kind: lambda xi: defect}, samples, tol)[kind]
+
+
+def _c_alpha_defect(s: AlmostContactStructure, alpha):
+    # frames keep α exact; on charts a Fraction would turn the sweep into objects
+    return _defect_c_alpha(Fraction(alpha) if s.is_frame else float(alpha))
 
 
 def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
@@ -266,16 +274,8 @@ def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
     """Residual of the c(α) curvature identity at a fixed α. Frame carriers
     take α exactly, so pass a Fraction (or int) for an exact residual."""
     tag = f"c({float(alpha):g})"
-    if s.is_frame:
-        return _sweep_frame(s.carrier, _defect_c_alpha(Fraction(alpha)),
-                            np.eye(s.dim, dtype=object), tol, tag)
-    if samples is None:
-        samples = default_samples(s)
-    return _sweep_chart(
-        s, _defect_c_alpha(float(alpha)), samples, tol, tag,
-        lambda p: contact_point_data(s, p),
-        lambda d: (lambda v: d.phi @ v),
-        lambda d: (lambda v: float(d.eta @ v)))
+    defect = _c_alpha_defect(s, alpha)
+    return _sweep(s, {tag: lambda xi: defect}, samples, tol)[tag]
 
 
 # -- ξ-slot consequence suites ----------------------------------------------------
@@ -334,37 +334,9 @@ def consequence_suite(s: AlmostContactStructure, kind: str,
     """ξ-slot consequences of the identity ``kind`` on vectors ⊥ ξ."""
     kind = kind.lower()
     rows = _consequence_rows(kind)
-    if s.is_frame:
-        fg = s.carrier
-        # the basis orthogonalized against ξ (compatible metric: g(X, ξ) = η(X))
-        perp = np.eye(fg.dim, dtype=object) - np.outer(fg.eta, fg.xi)
-        return {name: _sweep_frame(fg, _as_quadruple(name, row, fg.xi), perp, tol,
-                                   f"{kind}.{name}")
-                for name, row in rows.items()}
-    if samples is None:
-        samples = default_samples(s)
-    worst = {name: WorstResidual(f"{kind}.{name}") for name in rows}
-    witness = dict.fromkeys(rows)
-    n_quads = 0
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        data = contact_point_data(s, p)
-        r4, gd = _chart_closures(data)
-        phv = lambda v: data.phi @ v
-        etv = lambda v: float(data.eta @ v)
-        defects = {name: _as_quadruple(name, row, data.xi) for name, row in rows.items()}
-        for X, Y, Z, W in _quadruples(samples.vectors[p_idx]):
-            vecs = [v - float(data.eta @ v) * data.xi for v in (X, Y, Z, W)]
-            n_quads += 1
-            for name, defect in defects.items():
-                if worst[name].add(abs(defect(r4, gd, phv, etv, *vecs))):
-                    witness[name] = Witness(point=tuple(float(x) for x in p),
-                                            vectors=tuple(tuple(float(c) for c in v)
-                                                          for v in vecs))
-    return {name: IdentityReport(tag=f"{kind}.{name}", n_points=samples.n_points,
-                                 n_quadruples=n_quads, residual=worst[name].value, exact=None,
-                                 witness=witness[name], tolerance=tol)
-            for name in rows}
+    reports = _sweep(s, {f"{kind}.{name}": partial(_as_quadruple, name, row)
+                         for name, row in rows.items()}, samples, tol, perp=True)
+    return dict(zip(rows, reports.values()))
 
 
 def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fraction:
@@ -376,25 +348,13 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
     kind = kind.lower()
     if kind in _HERMITIAN_DEFECTS:
         defect = _HERMITIAN_DEFECTS[kind]
-        curv, J = hermitian_point_data(s, witness.point)
-        riem, g = curv.riem, curv.g
-
-        def r4(a, b, c, d):
-            return float(np.einsum("ijkl,i,j,k,l", riem, a, b, c, d))
-
-        vecs = [np.asarray(v, dtype=float) for v in witness.vectors]
-        return abs(defect(r4, lambda a, b: float(a @ g @ b), lambda v: J @ v,
-                          lambda v: 0.0, *vecs))
-    if kind in _CONTACT_DEFECTS or alpha is not None:
-        defect = _defect_c_alpha(alpha) if alpha is not None else _CONTACT_DEFECTS[kind]
-        if isinstance(s, AlmostContactStructure) and s.is_frame:
-            fg = s.carrier
-            if alpha is not None:
-                defect = _defect_c_alpha(Fraction(alpha))
-            return abs(defect(*_frame_closures(fg), *map(_rat, witness.vectors)))
-        data = contact_point_data(s, witness.point)
-        r4, gd = _chart_closures(data)
-        vecs = [np.asarray(v, dtype=float) for v in witness.vectors]
-        return abs(defect(r4, gd, lambda v: data.phi @ v,
-                          lambda v: float(data.eta @ v), *vecs))
-    raise ValueError(f"unknown identity {kind!r}")
+    elif alpha is not None:
+        defect = _c_alpha_defect(s, alpha)
+    elif kind in _CONTACT_DEFECTS:
+        defect = _CONTACT_DEFECTS[kind]
+    else:
+        raise ValueError(f"unknown identity {kind!r}")
+    riem, g, phi, eta, _ = _tensors(s, witness.point)
+    vecs = [_rat(v) if riem.dtype == object else np.asarray(v, dtype=float)
+            for v in witness.vectors]
+    return abs(defect(*_closures(riem, g, phi, eta), *vecs))

@@ -122,3 +122,16 @@ def test_non_kahler_ambient_rejected(s5_example):
     bad = AlmostHermitianStructure(flat, TensorField(flat, "endomorphism", J))
     with pytest.raises(CurvlabError):
         induce_hypersurface(bad, s5_example.patch)
+
+
+def test_nan_normal_never_passes(s5_example):
+    """inf · 0 makes one normal component NaN. The |N|² − 1 unit check must
+    stop with EvalDomainError instead of letting ``max`` drop the NaN."""
+    from curvlab.errors import EvalDomainError
+    patch = s5_example.patch
+    normal = ("exp(400)*exp(400)*0 + cos(a)*cos(p1)", "cos(a)*sin(p1)",
+              "sin(a)*cos(b)*cos(p2)", "sin(a)*cos(b)*sin(p2)",
+              "sin(a)*sin(b)*cos(p3)", "sin(a)*sin(b)*sin(p3)")
+    bad = SurfacePatch(chart=patch.chart, immersion=patch.immersion, normal=normal)
+    with pytest.raises(EvalDomainError, match="normal_unit"):
+        induce_hypersurface(s5_example.ambient, bad)

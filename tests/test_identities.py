@@ -215,8 +215,31 @@ def test_g3_implies_ricci_2n(name):
 def test_witness_reproducibility_chart(s5_example, sine_cone_cos):
     for s, kind in ((s5_example.structure, "g2"), (sine_cone_cos.structure, "g1")):
         rep = check_contact(s, kind)
-        again = reevaluate_witness(s, kind, rep.witness)
-        assert abs(again - rep.residual) <= 1e-12
+        assert reevaluate_witness(s, kind, rep.witness) == rep.residual
+
+
+def test_witness_reproducibility_hermitian(h21_chart):
+    h = build_cone(h21_chart).hermitian
+    for kind in ("k1", "k2", "k3"):
+        rep = check_hermitian(h, kind)
+        assert reevaluate_witness(h, kind, rep.witness) == rep.residual
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(-2)])
+def test_witness_reproducibility_c_alpha(s5_example, h21_frame, alpha):
+    rep = check_c_alpha(s5_example.structure, alpha)
+    assert reevaluate_witness(s5_example.structure, "c", rep.witness, alpha) == rep.residual
+    rep = check_c_alpha(h21_frame, alpha)
+    again = reevaluate_witness(h21_frame, "c", rep.witness, alpha)
+    assert type(again) is Fraction and again == rep.exact
+
+
+def test_sweep_without_quadruples_rejected(sine_cone_cos):
+    """Three vectors per point make no quadruple; an empty sweep must not
+    report a pass."""
+    s = sine_cone_cos.structure
+    with pytest.raises(ValueError, match="four sample vectors"):
+        check_contact(s, "g1", sample(s.carrier, 5, 3, seed=1))
 
 
 def test_identity_reports_deterministic(s5_example):

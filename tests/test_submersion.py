@@ -63,3 +63,22 @@ def test_lift_solver_singular_detected(hopf_pair):
                     "sin(alpha)/cos(alpha)*cos(gamma - beta)"))
     with pytest.raises(CurvlabError):
         horizontal_lift(bad, [0.7, 0.3, 1.1], [1.0, 0.0])
+
+
+def test_nan_structure_never_passes(hopf_pair):
+    """inf · 0 makes one φ entry NaN upstairs. The lift residuals must stop
+    with EvalDomainError instead of letting ``max`` drop the NaN."""
+    from curvlab.chart import TensorField
+    from curvlab.constructions import SubmersionPair
+    from curvlab.errors import EvalDomainError
+    from curvlab.structures import AlmostContactStructure
+    total = hopf_pair.total
+    phi = total.phi.components.copy()
+    phi[1, 0] = "exp(400)*exp(400)*0 + sin(alpha)/cos(alpha)"
+    bad = SubmersionPair(
+        total=AlmostContactStructure(
+            carrier=total.carrier, xi=total.xi, eta=total.eta,
+            phi=TensorField(total.carrier, "endomorphism", phi)),
+        base=hopf_pair.base, projection=hopf_pair.projection)
+    with pytest.raises(EvalDomainError, match="lift"):
+        check_submersion_lift(bad, n_points=3)
