@@ -20,6 +20,7 @@ The relations checked against the generic chart engines on both levels:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +30,7 @@ from .. import expr as ex
 from .. import geometry
 from .. import jet
 from ..chart import SampleSet, eval_field, eval_field_jets, sample
-from ..structures import AlmostContactStructure, AlmostHermitianStructure, _gnorm, _worst
+from ..structures import AlmostContactStructure, AlmostHermitianStructure, _worst
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "horizontal_lift", "check_submersion_lift"]
@@ -52,6 +53,10 @@ class SubmersionPair:
             for e in self.projection))
         if self.total.carrier.dim != self.base.chart.dim + 1:
             raise ValueError("total space must have one dimension more than the base")
+
+
+def _gnorm(g: np.ndarray, v: np.ndarray) -> float:
+    return math.sqrt(max(float(v @ g @ v), 0.0))
 
 
 def _projection_jets(sp: SubmersionPair, p: Sequence[float]):

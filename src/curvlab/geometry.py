@@ -35,8 +35,7 @@ __all__ = [
     "metric_jets", "connection_of", "curvature_of", "point_geometry",
     "christoffel", "curvature",
     "nabla_of", "covariant_derivative", "covariant_derivative_02",
-    "lie_derivative_of", "lie_derivative_metric",
-    "exterior_d_of", "exterior_d_oneform", "ricci_of", "ricci",
+    "lie_derivative_metric", "exterior_d_oneform", "ricci",
     "orthonormal_frame", "curvature_symmetry_residuals",
     "contact_volume_coefficient", "riemann_eval",
 ]
@@ -181,35 +180,26 @@ def covariant_derivative_02(chart: Chart, components, p: Sequence[float], X) -> 
             - np.einsum("i,mik,jm->jk", X, gamma, vals))
 
 
-def lie_derivative_of(g: np.ndarray, dxx: np.ndarray, dxy: np.ndarray, X, Y) -> float:
-    """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ), given ∇_X ξ and ∇_Y ξ."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return float(dxx @ g @ Y + X @ g @ dxy)
-
-
 def lie_derivative_metric(chart: Chart, xi: TensorField, p: Sequence[float], X, Y) -> float:
-    """(L_ξ g)(X, Y) for the Levi-Civita metric."""
+    """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ) for the Levi-Civita metric."""
     if xi.valence != "vector":
         raise ValueError("Killing test expects a vector field")
     gamma, jets = christoffel(chart, p).gamma, eval_field_jets(xi, p)
-    return lie_derivative_of(chart.metric_at(p), nabla_of(gamma, "vector", jets, X),
-                             nabla_of(gamma, "vector", jets, Y), X, Y)
-
-
-def exterior_d_of(grads: np.ndarray, X, Y) -> float:
-    """dη(X, Y) = X^i Y^j (∂_i η_j − ∂_j η_i) from grads[j, i] = ∂_i η_j."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    curl = grads.T - grads  # curl[i, j] = ∂_i η_j − ∂_j η_i
-    return float(X @ curl @ Y)
+    g = chart.metric_at(p)
+    return float(nabla_of(gamma, "vector", jets, X) @ g @ Y
+                 + X @ g @ nabla_of(gamma, "vector", jets, Y))
 
 
 def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y) -> float:
-    """dη(X, Y), without any 1/2 factor."""
+    """dη(X, Y) = X^i Y^j (∂_i η_j − ∂_j η_i), without any 1/2 factor."""
     if eta.valence != "oneform":
         raise ValueError("exterior derivative here expects a one-form")
-    return exterior_d_of(eval_field_jets(eta, p)[1], X, Y)
+    grads = eval_field_jets(eta, p)[1]  # grads[j, i] = ∂_i η_j
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    return float(X @ (grads.T - grads) @ Y)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -231,17 +221,13 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def ricci_of(curv: CurvatureAtPoint, X, Y) -> float:
-    """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame; reads
-    only ``curv.riem`` and ``curv.g``, which ``ContactPointData`` also has."""
+def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
+    """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame."""
+    curv = curvature(chart, p)
     E = orthonormal_frame(curv.g)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return float(np.einsum("ai,j,ak,l,ijkl->", E, X, E, Y, curv.riem))
-
-
-def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
-    return ricci_of(curvature(chart, p), X, Y)
 
 
 def curvature_symmetry_residuals(curv: CurvatureAtPoint) -> dict[str, float]:

@@ -1,44 +1,44 @@
 """Almost Hermitian and almost contact metric structures with their
-compatibility validators and geometric classification.
+compatibility validators, geometric classification and nullity condition.
 
-Structures live over either a coordinate chart (fields are expression
-arrays, residuals are floats from the AD engine) or an invariant frame
-(tensors are rational, residuals are exact). Classification covers the
+Structures live over either a coordinate chart or an invariant frame. Each
+check is written once, over a ``BasisRecord`` of components in a basis: a
+frame gives one exact record in its own basis, a chart one float record per
+sample point in the orthonormal frame E(p) = ``orthonormal_frame(g)``.
+Residuals are maxima over the carrier's basis vectors or ordered pairs of
+them; on charts they are tensor norms in E(p). Classification covers the
 contact metric condition (with the 1/2 exterior-derivative convention used
 by Blair, plus the raw convention for comparison), the Killing property of
-the Reeb field, the two Sasakian characterizations, parallelism of the
-product structure tensor and the Ricci curvature along the Reeb field.
+the Reeb field, the two Sasakian characterizations, parallelism of φ and
+the Ricci curvature along the Reeb field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import geometry
 from .chart import Chart, SampleSet, TensorField, eval_field, eval_field_jets, sample
-from .frame import FrameGeometry
+from .frame import FrameGeometry, _contract
 from .errors import CurvlabError, EvalDomainError
 
 __all__ = [
     "AlmostContactStructure", "AlmostHermitianStructure",
-    "ClassificationReport", "ContactPointData",
+    "BasisRecord", "ClassificationReport", "ContactPointData",
     "validate", "classify", "check_kappa_mu",
     "contact_point_data", "hermitian_point_data", "default_samples", "WorstResidual",
 ]
-
-Carrier = Union[Chart, FrameGeometry]
-
 
 @dataclass(frozen=True)
 class AlmostContactStructure:
     """Tensors (φ, ξ, η, g) over a chart, or a frame that carries them."""
 
-    carrier: Carrier
+    carrier: Chart | FrameGeometry
     phi: TensorField | None = None
     xi: TensorField | None = None
     eta: TensorField | None = None
@@ -87,14 +87,13 @@ class AlmostHermitianStructure:
 
 @dataclass(frozen=True)
 class ContactPointData:
-    """Everything the pointwise checks need, evaluated once per point: Γ and
-    the curvature from one ``metric_jets`` (``g`` is that metric), and φ, ξ,
-    η over the REAL ring."""
+    """What the identity sweeps need at a chart point, evaluated once: the
+    curvature from one ``metric_jets`` (``g`` is that metric), and φ, ξ, η
+    over the REAL ring."""
 
     g: np.ndarray
     riem: np.ndarray
     riem13: np.ndarray
-    gamma: np.ndarray
     phi: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
@@ -103,11 +102,10 @@ class ContactPointData:
 def contact_point_data(s: AlmostContactStructure, p: Sequence[float]) -> ContactPointData:
     if s.is_frame:
         raise ValueError("pointwise data is a chart-path concept")
-    conn, curv = geometry.point_geometry(s.carrier, p)
+    curv = geometry.curvature(s.carrier, p)
     return ContactPointData(
-        g=curv.g, riem=curv.riem, riem13=curv.riem13, gamma=conn.gamma,
-        phi=eval_field(s.phi, p), xi=eval_field(s.xi, p), eta=eval_field(s.eta, p),
-    )
+        g=curv.g, riem=curv.riem, riem13=curv.riem13,
+        phi=eval_field(s.phi, p), xi=eval_field(s.xi, p), eta=eval_field(s.eta, p))
 
 
 def hermitian_point_data(h: AlmostHermitianStructure, p: Sequence[float]):
@@ -122,10 +120,6 @@ def default_samples(s, n_points: int = 20, vecs_per_point: int = 20,
         return None
     chart = s.carrier if isinstance(s, AlmostContactStructure) else s.chart
     return sample(chart, n_points, vecs_per_point, seed)
-
-
-def _gnorm(g: np.ndarray, v: np.ndarray) -> float:
-    return math.sqrt(max(float(v @ g @ v), 0.0))
 
 
 class WorstResidual:
@@ -152,80 +146,120 @@ def _worst(what: str, keys) -> dict[str, WorstResidual]:
     return {k: WorstResidual(f"{what}.{k}") for k in keys}
 
 
+@dataclass(frozen=True)
+class BasisRecord:
+    """A structure's components in a basis e_1, …, e_d.
+
+    ``phi`` acts on columns. The tables hold vectors as rows:
+    ``nabla_xi[i]`` = ∇_{e_i}ξ, ``dphi[i, j]`` = (∇_{e_i}φ)e_j and
+    ``r_xi[i, j]`` = R_{e_i e_j}ξ; ``d_eta[i, j]`` = dη(e_i, e_j), without
+    the ½. An almost Hermitian record has φ = J, ξ = η = 0 and no
+    derivative tables.
+    """
+
+    g: np.ndarray
+    phi: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+    nabla_xi: np.ndarray | None = None
+    dphi: np.ndarray | None = None
+    d_eta: np.ndarray | None = None
+    r_xi: np.ndarray | None = None
+
+
+def _frame_record(fg: FrameGeometry) -> BasisRecord:
+    """The exact record of a frame in its own basis. The structure has
+    constant components there, so ∇ acts through the connection alone."""
+    nab = fg._nabla                  # nab[i, j, k]: E_k part of ∇_Ei Ej
+    by_j = nab.transpose(1, 0, 2)
+    return BasisRecord(
+        g=fg.g, phi=fg.phi, xi=fg.xi, eta=fg.eta,
+        nabla_xi=_contract(by_j, fg.xi[None])[..., 0],
+        # (∇_Ei φ)E_j = ∇_Ei (φE_j) − φ(∇_Ei E_j)
+        dphi=(_contract(by_j, fg.phi.T).transpose(0, 2, 1)
+              - _contract(nab.transpose(2, 0, 1), fg.phi)),
+        # dη(E_i, E_j) = −η([E_i, E_j])
+        d_eta=-_contract(fg.c, fg.eta[None])[..., 0],
+        r_xi=_contract(fg.riem13.transpose(2, 0, 1, 3), fg.xi[None])[..., 0])
+
+
+def _lift(t: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """out[a, b] = the vector t(E_a, E_b) in E(p) components, from a
+    coordinate table t[k, i, j] whose output index k comes first."""
+    return ((t @ E.T).transpose(2, 0, 1) @ E.T).transpose(2, 0, 1) @ F
+
+
+def _chart_record(s: AlmostContactStructure, p: Sequence[float]) -> BasisRecord:
+    """The record at a chart point in E(p), from one ``point_geometry`` and
+    the jets of ξ, φ and η."""
+    conn, curv = geometry.point_geometry(s.carrier, p)
+    g, gamma = curv.g, conn.gamma
+    E = geometry.orthonormal_frame(g)
+    F = g @ E.T                            # coordinate vector (row) → E(p) components
+    xi, dxi = eval_field_jets(s.xi, p)     # dxi[k, i] = ∂_i ξ^k
+    phi, dphi = eval_field_jets(s.phi, p)  # dphi[k, j, i] = ∂_i φ^k_j
+    eta, deta = eval_field_jets(s.eta, p)  # deta[j, i] = ∂_i η_j
+    # coordinate components (∇_i ξ)^k and (∇_i φ)^k_j, as [k, i] and [k, i, j]
+    nabla_xi = dxi + gamma @ xi
+    nabla_phi = dphi.transpose(0, 2, 1) + gamma @ phi - np.tensordot(phi, gamma, axes=1)
+    return BasisRecord(
+        g=E @ g @ E.T, phi=F.T @ phi @ E.T, xi=xi @ F, eta=E @ eta,
+        nabla_xi=E @ nabla_xi.T @ F, dphi=_lift(nabla_phi, E, F),
+        d_eta=E @ (deta.T - deta) @ E.T, r_xi=_lift(curv.riem13 @ xi, E, F))
+
+
+def _hermitian_record(h: AlmostHermitianStructure, p: Sequence[float]) -> BasisRecord:
+    """g and J at a chart point in E(p), with ξ = η = 0."""
+    g = h.chart.metric_at(p)
+    E = geometry.orthonormal_frame(g)
+    return BasisRecord(g=E @ g @ E.T, phi=E @ g @ eval_field(h.J, p) @ E.T,
+                       xi=np.zeros(h.dim), eta=np.zeros(h.dim))
+
+
+def _records(s, samples: SampleSet | None):
+    """One record for a frame; one per sample point (default: 20) for a chart."""
+    if isinstance(s, AlmostContactStructure) and s.is_frame:
+        return [_frame_record(s.carrier)]
+    samples = default_samples(s) if samples is None else samples
+    build = _hermitian_record if isinstance(s, AlmostHermitianStructure) else _chart_record
+    return (build(s, p) for p in samples.points)
+
+
+def _norm(g: np.ndarray, v: np.ndarray) -> float:
+    """Largest g-norm in a stack of basis components, exact until the √. The
+    clamp absorbs rounding below 0; ``max`` keeps a NaN as its first argument."""
+    return math.sqrt(max(float(np.max(((v @ g) * v).sum(axis=-1))), 0.0))
+
+
 # -- validation ----------------------------------------------------------------
 
 
-def _validate_contact_chart(s: AlmostContactStructure, samples: SampleSet) -> dict[str, float]:
-    res = _worst("validate", ("eta_xi", "phi_xi", "eta_phi", "phi_square", "compatibility"))
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        g = s.carrier.metric_at(p)
-        phi = eval_field(s.phi, p)
-        xi = eval_field(s.xi, p)
-        eta = eval_field(s.eta, p)
-        res["eta_xi"].add(abs(float(eta @ xi) - 1.0))
-        res["phi_xi"].add(_gnorm(g, phi @ xi))
-        vecs = samples.vectors[p_idx]
-        for X in vecs:
-            res["eta_phi"].add(abs(float(eta @ (phi @ X))))
-            res["phi_square"].add(_gnorm(g, phi @ (phi @ X) + X - float(eta @ X) * xi))
-        for a in range(0, len(vecs) - 1, 2):
-            X, Y = vecs[a], vecs[a + 1]
-            lhs = float((phi @ X) @ g @ (phi @ Y))
-            rhs = float(X @ g @ Y) - float(eta @ X) * float(eta @ Y)
-            res["compatibility"].add(abs(lhs - rhs))
-    return {k: w.value for k, w in res.items()}
-
-
-def _gsq(fg: FrameGeometry, v: np.ndarray) -> np.ndarray:
-    """g(v, v) over the leading axes of a stack of frame vectors."""
-    return ((v @ fg.g) * v).sum(axis=-1)
-
-
-def _validate_contact_frame(fg: FrameGeometry) -> dict[str, float]:
-    # row j of each stack belongs to E_j; column j of phi is φE_j
-    res = {
-        "eta_xi": abs(fg.eta @ fg.xi - 1),
-        "phi_xi": _gsq(fg, fg.phi @ fg.xi),
-        "eta_phi": np.abs(fg.eta @ fg.phi).max(),
-        "phi_square": _gsq(fg, (fg.phi @ fg.phi).T + np.eye(fg.dim, dtype=object)
-                           - np.outer(fg.eta, fg.xi)).max(),
-        "compatibility": np.abs(fg.phi.T @ fg.g @ fg.phi - fg.g
-                                + np.outer(fg.eta, fg.eta)).max(),
+def _algebraic(r: BasisRecord) -> dict:
+    # row j of each stack belongs to e_j; column j of phi is φe_j
+    eye = np.eye(len(r.g), dtype=r.g.dtype)
+    return {
+        "eta_xi": abs(r.eta @ r.xi - 1),
+        "phi_xi": _norm(r.g, r.phi @ r.xi),
+        "eta_phi": np.abs(r.eta @ r.phi).max(),
+        "phi_square": _norm(r.g, (r.phi @ r.phi).T + eye - np.outer(r.eta, r.xi)),
+        "compatibility": np.abs(r.phi.T @ r.g @ r.phi - r.g
+                                + np.outer(r.eta, r.eta)).max(),
     }
-    # quadratic residuals back to linear scale
-    return {k: float(v) if k in ("eta_xi", "eta_phi", "compatibility")
-            else math.sqrt(float(v)) for k, v in res.items()}
-
-
-def _validate_hermitian(h: AlmostHermitianStructure, samples: SampleSet) -> dict[str, float]:
-    res = _worst("validate", ("j_square", "compatibility"))
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        g = h.chart.metric_at(p)
-        J = eval_field(h.J, p)
-        vecs = samples.vectors[p_idx]
-        for X in vecs:
-            res["j_square"].add(_gnorm(g, J @ (J @ X) + X))
-        for a in range(0, len(vecs) - 1, 2):
-            X, Y = vecs[a], vecs[a + 1]
-            res["compatibility"].add(abs(float((J @ X) @ g @ (J @ Y)) - float(X @ g @ Y)))
-    return {k: w.value for k, w in res.items()}
 
 
 def validate(s, samples: SampleSet | None = None) -> dict[str, float]:
-    """Max residual per algebraic compatibility identity of the structure."""
+    """Max residual per algebraic compatibility identity of the structure,
+    over the carrier's basis vectors and ordered pairs of them."""
+    if not isinstance(s, (AlmostContactStructure, AlmostHermitianStructure)):
+        raise TypeError(f"cannot validate {type(s).__name__}")
+    res = {}
+    for r in _records(s, samples):
+        for k, v in _algebraic(r).items():
+            res.setdefault(k, WorstResidual(f"validate.{k}")).add(v)
+    res = {k: w.value for k, w in res.items()}
     if isinstance(s, AlmostHermitianStructure):
-        if samples is None:
-            samples = default_samples(s)
-        return _validate_hermitian(s, samples)
-    if isinstance(s, AlmostContactStructure):
-        if s.is_frame:
-            return _validate_contact_frame(s.carrier)
-        if samples is None:
-            samples = default_samples(s)
-        return _validate_contact_chart(s, samples)
-    raise TypeError(f"cannot validate {type(s).__name__}")
+        return {"j_square": res["phi_square"], "compatibility": res["compatibility"]}
+    return res
 
 
 # -- classification --------------------------------------------------------------
@@ -235,11 +269,12 @@ def validate(s, samples: SampleSet | None = None) -> dict[str, float]:
 class ClassificationReport:
     """Residuals and verdicts of the standard contact classification tests.
 
-    ``contact_metric`` compares g(X, φY) with the exterior derivative of η
-    in the convention carrying the 1/2 factor; ``contact_metric_raw`` is the
-    same comparison against the engine's unscaled dη. ``ric_xi_xi`` is the
-    Ricci curvature along ξ (exact for frame carriers) whose K-contact
-    target value is 2n = dim − 1.
+    Each residual is a maximum over the carrier's basis: the frame's own, or
+    E(p) at each sample point of a chart. ``contact_metric`` compares
+    g(X, φY) with dη(X, Y) in the convention carrying the 1/2 factor;
+    ``contact_metric_raw`` compares it with the engine's unscaled dη.
+    ``ric_xi_xi`` is Ric(ξ, ξ) (exact on frames; on charts, the sample
+    farthest from the target), whose K-contact target is 2n = dim − 1.
     """
 
     compatibility: float
@@ -265,141 +300,65 @@ class ClassificationReport:
         }
 
     def residuals(self) -> dict[str, float]:
-        return {
-            "compatibility": self.compatibility,
-            "contact_metric": self.contact_metric,
-            "contact_metric_raw": self.contact_metric_raw,
-            "killing_xi": self.killing_xi,
-            "sasakian_nabla_xi": self.sasakian_nabla_xi,
-            "sasakian_nabla_phi": self.sasakian_nabla_phi,
-            "parallel_phi": self.parallel_phi,
-            "ric_xi_xi": float(self.ric_xi_xi),
-        }
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)
+                if f.name not in ("ric_xi_xi_target", "tolerance")}
 
 
-def _classify_chart(s: AlmostContactStructure, samples: SampleSet, tol: float,
-                    compat: float) -> ClassificationReport:
-    chart = s.carrier
-    res = _worst("classify", ("contact_metric", "contact_metric_raw", "killing_xi",
-                              "sasakian_nabla_xi", "sasakian_nabla_phi", "parallel_phi"))
-    ric_dev = WorstResidual("classify.ric_xi_xi")
-    ric_value = float(chart.dim - 1)
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        data = contact_point_data(s, p)
-        g = chart.metric_at(p)
-        phi, xi, eta = data.phi, data.xi, data.eta
-        xi_jets, phi_jets = eval_field_jets(s.xi, p), eval_field_jets(s.phi, p)
-        d_eta = eval_field_jets(s.eta, p)[1]
-        vecs = samples.vectors[p_idx]
-        dxi = [geometry.nabla_of(data.gamma, "vector", xi_jets, X) for X in vecs]
-        for X, dxi_x in zip(vecs, dxi):
-            res["sasakian_nabla_xi"].add(_gnorm(g, dxi_x + phi @ X))
-        for a in range(0, len(vecs) - 1, 2):
-            X, Y = vecs[a], vecs[a + 1]
-            de = geometry.exterior_d_of(d_eta, X, Y)
-            gxphiy = float(X @ g @ (phi @ Y))
-            res["contact_metric"].add(abs(gxphiy - 0.5 * de))
-            res["contact_metric_raw"].add(abs(gxphiy - de))
-            res["killing_xi"].add(abs(geometry.lie_derivative_of(g, dxi[a], dxi[a + 1], X, Y)))
-            dphi_y = geometry.nabla_of(data.gamma, "endomorphism", phi_jets, X) @ Y
-            res["parallel_phi"].add(_gnorm(g, dphi_y))
-            target = float(X @ g @ Y) * xi - float(eta @ Y) * X
-            res["sasakian_nabla_phi"].add(_gnorm(g, dphi_y - target))
-        val = geometry.ricci_of(data, xi, xi)
-        if ric_dev.add(abs(val - (chart.dim - 1))):
-            ric_value = val
-    return ClassificationReport(
-        compatibility=compat, **{k: w.value for k, w in res.items()},
-        ric_xi_xi=ric_value, ric_xi_xi_target=chart.dim - 1, tolerance=tol)
-
-
-def _classify_frame(fg: FrameGeometry, tol: float) -> ClassificationReport:
-    d = fg.dim
-    compat = max(_validate_contact_frame(fg).values())
-    # rows i: ∇_Ei ξ and φE_i; matrices [i, j]: dη(E_i, E_j) = −η([E_i, E_j])
-    # and g(E_i, φE_j)
-    nabla_xi = np.tensordot(fg.xi, fg._nabla, axes=([0], [1]))
-    d_eta = -np.tensordot(fg.eta, fg.c, axes=([0], [0]))
-    g_phi = fg.g @ fg.phi
-    killing = nabla_xi @ fg.g
-    # (∇_Ei φ)E_j = ∇_Ei (φE_j) − φ(∇_Ei E_j), as dphi[i, j, :]
-    dphi = (np.tensordot(fg._nabla, fg.phi, axes=([1], [0])).transpose(0, 2, 1)
-            - fg._nabla @ fg.phi.T)
-    # Sasakian target g(E_i, E_j) ξ − η(E_j) E_i
-    eye = np.eye(d, dtype=object)
-    target = fg.g[:, :, None] * fg.xi - fg.eta[None, :, None] * eye[:, None, :]
-    return ClassificationReport(
-        compatibility=float(compat),
-        contact_metric=float(np.abs(g_phi - d_eta / 2).max()),
-        contact_metric_raw=float(np.abs(g_phi - d_eta).max()),
-        killing_xi=float(np.abs(killing + killing.T).max()),
-        sasakian_nabla_xi=math.sqrt(float(_gsq(fg, nabla_xi + fg.phi.T).max())),
-        sasakian_nabla_phi=math.sqrt(float(_gsq(fg, dphi - target).max())),
-        parallel_phi=math.sqrt(float(_gsq(fg, dphi).max())),
-        ric_xi_xi=fg.ricci(fg.xi, fg.xi), ric_xi_xi_target=d - 1, tolerance=tol)
+def _classification(r: BasisRecord) -> dict:
+    eye = np.eye(len(r.g), dtype=r.g.dtype)
+    g_phi = r.g @ r.phi              # g(e_i, φe_j)
+    killing = r.nabla_xi @ r.g       # g(∇_{e_i}ξ, e_j)
+    # Sasakian target g(e_i, e_j) ξ − η(e_j) e_i
+    target = r.g[:, :, None] * r.xi - r.eta[None, :, None] * eye[:, None, :]
+    return {
+        "contact_metric": np.abs(g_phi - r.d_eta / 2).max(),
+        "contact_metric_raw": np.abs(g_phi - r.d_eta).max(),
+        "killing_xi": np.abs(killing + killing.T).max(),
+        "sasakian_nabla_xi": _norm(r.g, r.nabla_xi + r.phi.T),
+        "sasakian_nabla_phi": _norm(r.g, r.dphi - target),
+        "parallel_phi": _norm(r.g, r.dphi),
+    }
 
 
 def classify(s: AlmostContactStructure, samples: SampleSet | None = None,
              tol: float = 1e-7) -> ClassificationReport:
-    """Run the classification battery; deterministic for a given sample set."""
-    if s.is_frame:
-        return _classify_frame(s.carrier, tol)
-    if samples is None:
-        samples = default_samples(s)
-    compat = max(_validate_contact_chart(s, samples).values())
-    if compat > tol:
+    """Run the classification battery; deterministic for a given sample set.
+    A structure whose compatibility residual exceeds ``tol`` is rejected."""
+    target, ric, res = s.dim - 1, None, {}
+    compat, ric_dev = WorstResidual("classify.compatibility"), WorstResidual("classify.ric_xi_xi")
+    for r in _records(s, samples):
+        for v in _algebraic(r).values():
+            compat.add(v)
+        for k, v in _classification(r).items():
+            res.setdefault(k, WorstResidual(f"classify.{k}")).add(v)
+        # Ric(ξ, ξ) = Σ_a (R_{e_a ξ}ξ)^a, the same in every basis
+        val = np.trace(r.r_xi, axis1=0, axis2=2) @ r.xi
+        if ric_dev.add(abs(val - target)):
+            ric = val
+    if compat.value > tol:
         raise CurvlabError(
-            f"structure fails compatibility validation (residual {compat:.3e})")
-    return _classify_chart(s, samples, tol, compat)
+            f"structure fails compatibility validation (residual {compat.value:.3e})")
+    return ClassificationReport(compatibility=compat.value, ric_xi_xi=ric, ric_xi_xi_target=target,
+                                tolerance=tol, **{k: w.value for k, w in res.items()})
 
 
 # -- nullity condition -----------------------------------------------------------
 
 
-def _h_matrix_chart(s: AlmostContactStructure, p) -> np.ndarray:
-    """h = ½ L_ξ φ from coordinate brackets: ½(ξ^i ∂_i φ^k_j − φ^i_j ∂_i ξ^k
-    + φ^k_i ∂_j ξ^i)."""
-    phi_v, phi_g = eval_field_jets(s.phi, p)
-    xi_v, xi_g = eval_field_jets(s.xi, p)  # xi_g[k, i] = ∂_i ξ^k
-    lie = (np.einsum("i,kji->kj", xi_v, phi_g)
-           - np.einsum("ij,ki->kj", phi_v, xi_g)
-           + np.einsum("ki,ij->kj", phi_v, xi_g))
-    return 0.5 * lie
-
-
 def check_kappa_mu(s: AlmostContactStructure, kappa: float | Fraction,
                    mu: float | Fraction, samples: SampleSet | None = None) -> float:
     """Max residual of R_XY ξ − κ(η(Y)X − η(X)Y) − μ(η(Y)hX − η(X)hY)
-    with h = ½ L_ξ φ from brackets. Exact sweep over frame carriers."""
-    if s.is_frame:
-        fg = s.carrier
-        kap, muf = Fraction(kappa), Fraction(mu)
-        # [ξ, v] = ad_xi @ v; h = ½ L_ξ φ with (L_ξ φ)E_j = [ξ, φE_j] − φ[ξ, E_j]
-        ad_xi = np.tensordot(fg.c, fg.xi, axes=([1], [0]))
-        h_cols = ((ad_xi @ fg.phi - fg.phi @ ad_xi) / 2).T
-        eye = np.eye(fg.dim, dtype=object)
-        # defect[i, j, :] for X = E_i, Y = E_j, with η(E_i) = eta[i]
-        ex_, ey = fg.eta[:, None, None], fg.eta[None, :, None]
-        defect = (np.tensordot(fg.riem13, fg.xi, axes=([2], [0]))
-                  - kap * (ey * eye[:, None, :] - ex_ * eye[None, :, :])
-                  - muf * (ey * h_cols[:, None, :] - ex_ * h_cols[None, :, :]))
-        return math.sqrt(float(_gsq(fg, defect).max()))
-    kappa, mu = float(kappa), float(mu)
-    if samples is None:
-        samples = default_samples(s)
-    worst = WorstResidual(f"kappa-mu({kappa:g},{mu:g})")
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        data = contact_point_data(s, p)
-        h = _h_matrix_chart(s, p)
-        vecs = samples.vectors[p_idx]
-        for a in range(0, len(vecs) - 1, 2):
-            X, Y = vecs[a], vecs[a + 1]
-            rxy_xi = np.einsum("mijk,i,j,k->m", data.riem13, X, Y, data.xi)
-            ex_ = float(data.eta @ X)
-            ey = float(data.eta @ Y)
-            defect = (rxy_xi - kappa * (ey * X - ex_ * Y)
-                      - mu * (ey * (h @ X) - ex_ * (h @ Y)))
-            worst.add(_gnorm(data.g, defect))
+    with h = ½ L_ξ φ, over ordered pairs of the carrier's basis vectors:
+    exact on frames, in E(p) at each sample point of a chart."""
+    ring = Fraction if s.is_frame else float   # frames keep κ and μ exact
+    kap, muf = ring(kappa), ring(mu)
+    worst = WorstResidual(f"kappa-mu({float(kappa):g},{float(mu):g})")
+    for r in _records(s, samples):
+        # rows j: h e_j, with (L_ξ φ)X = (∇_ξ φ)X − ∇_{φX} ξ + φ ∇_X ξ
+        h = (_contract(r.dphi, r.xi[None])[..., 0]
+             - r.phi.T @ r.nabla_xi + r.nabla_xi @ r.phi.T) / 2
+        eye = np.eye(s.dim, dtype=r.g.dtype)
+        ex_, ey = r.eta[:, None, None], r.eta[None, :, None]   # η(X), η(Y) at (e_i, e_j)
+        worst.add(_norm(r.g, r.r_xi - kap * (ey * eye[:, None, :] - ex_ * eye[None, :, :])
+                        - muf * (ey * h[:, None, :] - ex_ * h[None, :, :])))
     return worst.value

@@ -285,3 +285,39 @@ def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     code, _, _ = invoke(argv)
     assert code == 0
     assert len(calls) == len(set(calls)) == points
+
+
+H21_FRAME = """[frame]
+dim = 5
+c[5][1][3] = "2"
+c[5][2][4] = "2"
+g[1][1] = "1"
+g[2][2] = "1"
+g[3][3] = "1"
+g[4][4] = "1"
+g[5][5] = "1"
+phi[1][3] = "-3/5"
+phi[1][4] = "-4/5"
+phi[2][3] = "-4/5"
+phi[2][4] = "3/5"
+phi[3][1] = "3/5"
+phi[3][2] = "4/5"
+phi[4][1] = "4/5"
+phi[4][2] = "-3/5"
+xi[5] = "1"
+eta[5] = "1"
+"""
+
+
+def test_classify_rejects_incompatible_frame(tmp_path):
+    """Frames follow the chart rule: a compatibility residual above the
+    tolerance is an input error, not a classification."""
+    good = tmp_path / "h21.ini"
+    good.write_text(H21_FRAME)
+    assert invoke(["classify", str(good)])[0] == 0
+    bad = tmp_path / "h21_bad_phi.ini"
+    bad.write_text(H21_FRAME.replace('phi[3][1] = "3/5"', 'phi[3][1] = "2"'))
+    code, out, err = invoke(["classify", str(bad)])
+    assert code == 2
+    assert "fails compatibility validation" in err
+    assert out == ""

@@ -165,3 +165,28 @@ def test_classification_deterministic(s5_example):
     a = classify(s, smp).residuals()
     b = classify(s, smp).residuals()
     assert a == b
+
+
+@pytest.mark.parametrize("poison", ["curvature", "connection"])
+def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
+    """A NaN in R or Γ at the sample points must raise, not read as a pass:
+    clamps such as max(x, 0) and some array maxima drop NaN."""
+    from dataclasses import replace
+    from curvlab import geometry
+    from curvlab.errors import EvalDomainError
+    real = geometry.point_geometry
+
+    def poisoned(chart, p):
+        conn, curv = real(chart, p)
+        if poison == "connection":
+            return replace(conn, gamma=np.full_like(conn.gamma, np.nan)), curv
+        nan = np.full_like(curv.riem13, np.nan)
+        return conn, replace(curv, riem=nan, riem13=nan)
+
+    monkeypatch.setattr(geometry, "point_geometry", poisoned)
+    s = s5_example.structure
+    smp = sample(s.carrier, 3, 4, seed=1)
+    with pytest.raises(EvalDomainError):
+        classify(s, smp)
+    with pytest.raises(EvalDomainError):
+        check_kappa_mu(s, 1.0, 0.0, smp)
