@@ -190,15 +190,13 @@ def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.
     dim = f.chart.dim
     shape = f.components.shape
     vals = np.empty(shape)
-    grads = np.empty(shape + (dim,))
+    grads = np.zeros(shape + (dim,))    # a constant component keeps zero gradients
     for idx in np.ndindex(shape):
         v = ex.eval_expr(f.components[idx], env, ex.JET)
         if isinstance(v, jet.Jet2):
-            vals[idx] = v.value
-            grads[idx] = v.grad
+            vals[idx], grads[idx] = v.value, v.grad
         else:
             vals[idx] = float(v)
-            grads[idx] = 0.0
     return vals, grads
 
 

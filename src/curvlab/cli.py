@@ -12,6 +12,7 @@ inline (``h21:3/5,4/5``, ``cone_of:s5_in_c3``), or paths to manifold
 definition files. Exit status: 0 when every requested verdict holds, 1 when
 any check fails, 2 on input errors. The environment variable CURVLAB_SEED
 overrides the default sampling seed 42; an explicit --seed wins over both.
+A seed must be non-negative.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .identities import (check_c_alpha, check_contact, check_hermitian,
                          consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS,
                          WorstResidual)
 from .manifold_io import load_manifold_file
-from .structures import (AlmostContactStructure, AlmostHermitianStructure,
+from .structures import (AlmostContactStructure, AlmostHermitianStructure, _records,
                          check_kappa_mu, classify)
 from .constructions import (check_submersion_lift, induce_hypersurface,
                             registry_names, resolve_target)
@@ -163,53 +164,45 @@ def _classify_rows(s, samples, tol) -> list[dict]:
 def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
     rows = []
     for name, args in checks:
-        if name in CONTACT_KINDS:
-            s = _contact_of(kind, obj)
-            rep = check_contact(s, name, samples, tol)
-            rows.append(_row(rep.tag, rep.residual, rep.verdict,
-                             _witness_json(rep.witness)))
-        elif name in HERMITIAN_KINDS:
-            h = _hermitian_of(kind, obj)
-            rep = check_hermitian(h, name, samples, tol)
-            rows.append(_row(rep.tag, rep.residual, rep.verdict,
-                             _witness_json(rep.witness)))
-        elif name == "c_alpha":
-            s = _contact_of(kind, obj)
-            rep = check_c_alpha(s, args[0], samples, tol)
-            rows.append(_row(rep.tag, rep.residual, rep.verdict,
-                             _witness_json(rep.witness)))
+        s = _hermitian_of(kind, obj) if name in HERMITIAN_KINDS else _contact_of(kind, obj)
+        # a target carries one structure: its point records are built at the
+        # first check and read by every later one
+        samples = _records(s, samples)
+        if name == "classify":
+            rows.extend(_classify_rows(s, samples, tol))
         elif name == "kappa_mu":
-            s = _contact_of(kind, obj)
             residual = check_kappa_mu(s, args[0], args[1], samples)
             rows.append(_row(f"kappa-mu({float(args[0]):g},{float(args[1]):g})", residual,
                              residual <= tol))
-        elif name == "classify":
-            s = _contact_of(kind, obj)
-            rows.extend(_classify_rows(s, samples, tol))
         elif name == "consequences":
-            s = _contact_of(kind, obj)
             for g_kind in CONTACT_KINDS:
                 for rep in consequence_suite(s, g_kind, samples, tol).values():
                     rows.append(_row(rep.tag, rep.residual, rep.verdict))
+        else:
+            rep = (check_hermitian(s, name, samples, tol) if name in HERMITIAN_KINDS
+                   else check_c_alpha(s, args[0], samples, tol) if name == "c_alpha"
+                   else check_contact(s, name, samples, tol))
+            rows.append(_row(rep.tag, rep.residual, rep.verdict, _witness_json(rep.witness)))
     return rows
 
 
-def _samples_for(kind: str, obj, n: int, seed: int):
-    if kind == "frame":
-        return None
-    if kind == "contact" and obj.is_frame:
+def _samples_for(kind: str, obj, n: int, seed: int, sweeps: bool):
+    """The target's sample set; tangent vectors only when a check sweeps them
+    (``sample`` draws every point first, so the points stay the same)."""
+    vecs = VECS_PER_POINT if sweeps else 0
+    if kind == "frame" or kind == "contact" and obj.is_frame:
         return None
     if kind == "chart":
-        return sample(obj, n, VECS_PER_POINT, seed)
+        return sample(obj, n, vecs, seed)
     if kind == "hypersurface":
-        return sample(obj.structure.carrier, n, VECS_PER_POINT, seed)
+        return sample(obj.structure.carrier, n, vecs, seed)
     if kind == "pair":
-        return sample(obj.total.carrier, n, VECS_PER_POINT, seed)
+        return sample(obj.total.carrier, n, vecs, seed)
     if kind == "hermitian":
-        return sample(obj.cone_chart, n, VECS_PER_POINT, seed)
+        return sample(obj.cone_chart, n, vecs, seed)
     if kind == "hermitian_structure":
-        return sample(obj.chart, n, VECS_PER_POINT, seed)
-    return sample(obj.carrier, n, VECS_PER_POINT, seed)
+        return sample(obj.chart, n, vecs, seed)
+    return sample(obj.carrier, n, vecs, seed)
 
 
 def _emit(args, target, seed, tol, rows) -> int:
@@ -277,59 +270,51 @@ def run(argv=None) -> int:
     if args.samples < 1 or not 0 < args.tol < math.inf:
         print("need samples >= 1 and a finite tol > 0", file=sys.stderr)
         return 2
+    if seed < 0:
+        print(f"need a seed >= 0, got {seed}", file=sys.stderr)
+        return 2
 
     try:
         kind, obj = _resolve(args.target)
-        samples = _samples_for(kind, obj, args.samples, seed)
-
         if args.command == "classify":
-            s = _contact_of(kind, obj)
-            rows = _classify_rows(s, samples, args.tol)
-            return _emit(args, args.target, seed, args.tol, rows)
-
-        if args.command == "identities":
+            checks = [("classify", ())]
+        elif args.command == "identities":
             checks = [_parse_check(tok) for tok in _split_checks(args.which)]
             if not checks:
                 raise InputError("no checks requested")
-            rows = _identity_rows(kind, obj, checks, samples, args.tol)
-            return _emit(args, args.target, seed, args.tol, rows)
-
-        # report: default battery per target kind
-        rows = []
-        if kind == "chart":
+        elif kind in ("hermitian", "hermitian_structure"):
+            checks = [(k, ()) for k in HERMITIAN_KINDS]
+        elif kind != "chart":
+            checks = [("classify", ()), ("g1", ()), ("g2", ()), ("g3", ())]
+        else:   # report on a bare chart: the curvature symmetries
+            checks = []
+        samples = _samples_for(kind, obj, args.samples, seed,
+                               any(name not in ("classify", "kappa_mu") for name, _ in checks))
+        report = args.command == "report"
+        if report and kind == "chart":
             worst = {}
-            for i in range(samples.n_points):
-                curv = geometry.curvature(obj, samples.points[i])
-                for k, v in geometry.curvature_symmetry_residuals(curv).items():
+            for r in _records(obj, samples):
+                for k, v in geometry.curvature_symmetry_residuals(r).items():
                     worst.setdefault(k, WorstResidual(f"symmetry.{k}")).add(v)
             rows = [_row(f"symmetry.{k}", w.value, w.value <= 1e-9)
                     for k, w in worst.items()]
-        elif kind in ("hermitian", "hermitian_structure"):
-            h = _hermitian_of(kind, obj)
-            for k in HERMITIAN_KINDS:
-                rep = check_hermitian(h, k, samples, args.tol)
-                rows.append(_row(rep.tag, rep.residual, rep.verdict,
-                                 _witness_json(rep.witness)))
         else:
-            checks = [("classify", ()), ("g1", ()), ("g2", ()), ("g3", ())]
+            if report and kind in ("pair", "hypersurface"):
+                # the lift and induction rows read the checks' point records too
+                samples = _records(_contact_of(kind, obj), samples)
             rows = _identity_rows(kind, obj, checks, samples, args.tol)
-            if kind == "pair":
-                for tag, residual in check_submersion_lift(
-                        obj, n_points=args.samples, seed=seed, tol=args.tol).items():
-                    rows.append(_row(f"lift.{tag}", residual, residual <= args.tol))
-            if kind == "hypersurface":
-                rep = induce_hypersurface(obj.ambient, obj.patch, samples, args.tol)
-                rows.append(_row("hypersurface.umbilicity", rep.umbilicity,
-                                 rep.umbilicity <= args.tol))
-                rows.append(_row("hypersurface.beta_plus_one",
-                                 abs(rep.beta_mean + 1.0),
-                                 abs(rep.beta_mean + 1.0) <= args.tol))
-                rows.append(_row("hypersurface.h_xi", rep.h_xi_residual,
-                                 rep.h_xi_residual <= args.tol))
-                rows.append(_row("hypersurface.pullback", rep.pullback_residual,
-                                 rep.pullback_residual <= args.tol))
-                rows.append(_row("hypersurface.structure", rep.structure_residual,
-                                 rep.structure_residual <= args.tol))
+        if report and kind == "pair":
+            for tag, residual in check_submersion_lift(
+                    obj, tol=args.tol, samples=samples).items():
+                rows.append(_row(f"lift.{tag}", residual, residual <= args.tol))
+        if report and kind == "hypersurface":
+            rep = induce_hypersurface(obj.ambient, obj.patch, samples, args.tol)
+            for tag, residual in (("umbilicity", rep.umbilicity),
+                                  ("beta_plus_one", abs(rep.beta_mean + 1.0)),
+                                  ("h_xi", rep.h_xi_residual),
+                                  ("pullback", rep.pullback_residual),
+                                  ("structure", rep.structure_residual)):
+                rows.append(_row(f"hypersurface.{tag}", residual, residual <= args.tol))
         return _emit(args, args.target, seed, args.tol, rows)
     except (InputError, CurvlabError, OverflowError) as e:
         # OverflowError: an exact frame value or residual past the float range

@@ -25,8 +25,9 @@ import numpy as np
 from .. import expr as ex
 from .. import geometry
 from .. import jet
-from ..chart import Chart, SampleSet, TensorField, eval_field, eval_field_jets, sample
-from ..structures import AlmostContactStructure, AlmostHermitianStructure, WorstResidual, _worst
+from ..chart import Chart, TensorField, eval_field, eval_field_jets, sample
+from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
+                          WorstResidual, _records, _worst)
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -100,14 +101,14 @@ def _check_ambient_kahler(ambient: AlmostHermitianStructure, tol: float):
 
 
 def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
-                        samples: SampleSet | None = None,
-                        tol: float = 1e-7) -> HypersurfaceReport:
+                        samples: Samples = None, tol: float = 1e-7) -> HypersurfaceReport:
     """Run the pointwise induction over sampled parameter points.
 
     Raises on a non-unit normal, a rank-deficient immersion Jacobian or a
     non-Kähler ambient. When the patch carries a structure template, the
     template metric is checked against the first-fundamental form and
     (φ, ξ, η) against the JX = φX + η(X)N decomposition with ξ = −JN.
+    ``samples``: a sample set of the parameter chart, or its point records.
     """
     _check_ambient_kahler(ambient, tol)
     J = _ambient_J_matrix(ambient)
@@ -116,16 +117,19 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     nA = ambient.chart.dim
     if len(patch.immersion) != nA or len(patch.normal) != nA:
         raise ValueError("immersion and normal must have one entry per ambient coordinate")
-    if samples is None:
-        samples = sample(chart, 20, 8, seed=42)
+    induced = AlmostContactStructure(
+        carrier=chart, phi=patch.phi, xi=patch.xi, eta=patch.eta,
+        name=patch.name or chart.name) if patch.has_structure else None
+    records = _records(induced or chart, sample(chart, 20, 8, seed=42)
+                       if samples is None else samples)
 
     weingarten = []
     betas = []
     res = _worst("hypersurface", ("umbilicity", "h_xi", "normal_unit", "normal_tangency",
                                   "pullback", "structure"))
 
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
+    for rec in records:
+        p = rec.point
         env = chart.env(p, jets=True)
         F = np.empty(nA)
         JF = np.empty((nA, d))
@@ -164,29 +168,22 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
         xi_amb = -J @ N
         xi_chart = Ginv @ (JF.T @ xi_amb)
         # h(X, ξ) = g̃(∇̃_X ξ, N) with ∇̃_X ξ = −J dN X; η(AX) = g(ξ, AX)
-        for X in samples.vectors[p_idx][:4]:
+        for X in rec.vectors[:4]:
             h_val = float(N @ (-J @ (dN @ X)))
             eta_ax = float(xi_chart @ G @ (A @ X))
             res["h_xi"].add(abs(h_val - eta_ax))
 
-        res["pullback"].add(np.max(np.abs(G - chart.metric_at(p))))
+        res["pullback"].add(np.max(np.abs(G - rec.g)))
         if patch.has_structure:
-            res["structure"].add(np.max(np.abs(xi_chart - eval_field(patch.xi, p))))
-            eta_vals = eval_field(patch.eta, p)
-            res["structure"].add(np.max(np.abs(G @ xi_chart - eta_vals)))
-            phi_vals = eval_field(patch.phi, p)
+            res["structure"].add(np.max(np.abs(xi_chart - rec.xi)))
+            res["structure"].add(np.max(np.abs(G @ xi_chart - rec.eta)))
             # J (dF e_j) = dF (φ e_j) + η_j N, column by column
-            defect = J @ JF - JF @ phi_vals - np.outer(N, eta_vals)
+            defect = J @ JF - JF @ rec.phi - np.outer(N, rec.eta)
             res["structure"].add(np.max(np.abs(defect)))
 
-    induced = None
-    if patch.has_structure:
-        induced = AlmostContactStructure(
-            carrier=chart, phi=patch.phi, xi=patch.xi, eta=patch.eta,
-            name=patch.name or chart.name)
     betas = np.asarray(betas)
     return HypersurfaceReport(
-        points=samples.points, weingarten=weingarten, beta=betas,
+        points=np.array([rec.point for rec in records]), weingarten=weingarten, beta=betas,
         beta_mean=float(betas.mean()), umbilicity=res["umbilicity"].value,
         h_xi_residual=res["h_xi"].value, normal_unit_residual=res["normal_unit"].value,
         normal_tangency_residual=res["normal_tangency"].value,

@@ -29,8 +29,9 @@ import numpy as np
 from .. import expr as ex
 from .. import geometry
 from .. import jet
-from ..chart import SampleSet, eval_field, eval_field_jets, sample
-from ..structures import AlmostContactStructure, AlmostHermitianStructure, _worst
+from ..chart import eval_field, eval_field_jets, sample
+from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
+                          _records, _worst)
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "horizontal_lift", "check_submersion_lift"]
@@ -113,34 +114,32 @@ def _covariant_of_lift(sp: SubmersionPair, p, gamma, X_lift, Y_lift, dY_lift):
             + np.einsum("i,kij,j->k", X_lift, gamma, Y_lift))
 
 
-def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
-                          seed: int = 42, tol: float = 1e-6) -> dict[str, float]:
+def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42,
+                          tol: float = 1e-6, samples: Samples = None) -> dict[str, float]:
     """Residuals of the lift relations at sampled total-space points.
 
     Every relation checked is tensorial in the base arguments, so sweeping
     the base coordinate fields spans all vectors. Returns a dict of max
     residuals keyed by relation tag; ``dpi_xi`` is the invariant dπ(ξ) = 0.
+    The total space's g, Γ, R, φ, ξ and η come from the point records of
+    ``samples``, by default ``n_points`` points drawn with ``seed``.
     """
     total_chart = sp.total.carrier
     base_chart = sp.base.chart
     nb = base_chart.dim
-    samples = sample(total_chart, n_points, 1, seed)
+    records = _records(sp.total, sample(total_chart, n_points, 1, seed)
+                       if samples is None else samples)
     base_dirs = [np.eye(nb)[a] for a in range(nb)]
 
     res = _worst("lift", ("dpi_xi", "lift_connection", "lift_xi", "lift_bracket",
                           "lift_curvature", "lift_k1_consequence", "lift_k2_consequence",
                           "lift_k3_consequence"))
 
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
+    for rec in records:
+        p, gM, phi, xi, eta = rec.point, rec.g, rec.phi, rec.xi, rec.eta
         base_pt, dpi, ddpi = _projection_jets(sp, p)
-        gM = total_chart.metric_at(p)
         gN = base_chart.metric_at(base_pt)
         Jb = eval_field(sp.base.J, base_pt)
-        phi = eval_field(sp.total.phi, p)
-        xi = eval_field(sp.total.xi, p)
-        eta = eval_field(sp.total.eta, p)
-        conn_M, curv_M = geometry.point_geometry(total_chart, p)
         conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
 
         res["dpi_xi"].add(np.max(np.abs(dpi @ xi)))
@@ -159,11 +158,11 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
         for a, Xb in enumerate(base_dirs):
             Xl = lifts[a]
             # ∇ᴹ_{X↑} ξ + φ X↑ (ξ has constant components: derivative term only Γ)
-            dxi = np.einsum("i,kij,j->k", Xl, conn_M.gamma, xi)
+            dxi = np.einsum("i,kij,j->k", Xl, rec.gamma, xi)
             res["lift_xi"].add(_gnorm(gM, dxi + phi @ Xl))
             for b, Yb in enumerate(base_dirs):
                 Yl, dYl = lifts[b], dlifts[b]
-                nab = _covariant_of_lift(sp, p, conn_M.gamma, Xl, Yl, dYl)
+                nab = _covariant_of_lift(sp, p, rec.gamma, Xl, Yl, dYl)
                 nab_N = np.einsum("i,kij,j->k", Xb, conn_N.gamma, Yb)
                 predicted = (_solve_lift(p, dpi, eta, nab_N)
                              - G_base(Xb, Jb @ Yb) * xi)
@@ -174,7 +173,7 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20,
 
         # curvature lift and identity consequences on lifted quadruples
         def rM(u, v, w, z):
-            return float(np.einsum("ijkl,i,j,k,l", curv_M.riem, u, v, w, z))
+            return float(np.einsum("ijkl,i,j,k,l", rec.riem, u, v, w, z))
 
         def rN(u, v, w, z):
             return float(np.einsum("ijkl,i,j,k,l", curv_N.riem, u, v, w, z))

@@ -12,7 +12,8 @@ metric pairing, φ or J, η), and one sweep evaluates it on both carriers.
 A frame carrier is swept once, exhaustively, over all dim⁴ frame
 quadruples in exact rational arithmetic, which is what turns verdicts like
 "g2 holds, g1 fails" into arithmetic facts. A chart carrier is swept at
-each sample point over that point's sampled quadruples, all at once. The
+each sample point over that point's sampled quadruples, all at once, from
+the point records that every check of one invocation shares. The
 consequence rows use the same sweep on vectors projected to v − η(v)ξ.
 
 Residuals are reported raw (not normalized); sample vectors are bounded in
@@ -28,10 +29,9 @@ from functools import partial
 
 import numpy as np
 
-from .chart import SampleSet
 from .frame import _contract, _rat
-from .structures import (AlmostContactStructure, AlmostHermitianStructure, WorstResidual,
-                         contact_point_data, default_samples, hermitian_point_data)
+from .structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
+                         WorstResidual, _records, contact_point_data)
 
 __all__ = [
     "IdentityReport", "Witness",
@@ -136,18 +136,9 @@ _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
 #
 # A frame is swept once, exactly, over all d⁴ basis quadruples: slot a holds
 # the basis on batch axis a. A chart is swept at each sample point over that
-# point's sampled quadruples, which share one batch axis. The witness is the
-# first strict maximum of |defect| in C order over (point, quadruple).
-
-
-def _tensors(s, p):
-    """(R, g, φ or J, η, ξ) of ``s``: a frame's exact tensors, or a chart's at
-    the sample point ``p``. An almost Hermitian structure has η = 0 and no ξ."""
-    if isinstance(s, AlmostHermitianStructure):
-        curv, J = hermitian_point_data(s, p)
-        return curv.riem, curv.g, J, np.zeros(s.dim), None
-    t = s.carrier if s.is_frame else contact_point_data(s, p)
-    return t.riem, t.g, t.phi, t.eta, t.xi
+# point's sampled quadruples, which share one batch axis; R, g, φ (or J), η
+# and ξ come from the frame or the point record. The witness is the first
+# strict maximum of |defect| in C order over (point, quadruple).
 
 
 def _closures(riem, g, phi, eta):
@@ -192,7 +183,7 @@ def _closures(riem, g, phi, eta):
     return r4, gd, phv, etv
 
 
-def _sweep(s, rows: dict, samples: SampleSet | None, tol: float,
+def _sweep(s, rows: dict, samples: Samples, tol: float,
            perp: bool = False) -> dict[str, IdentityReport]:
     """One report per ``rows`` entry (tag → function of ξ giving the defect),
     with every swept vector v replaced by v − η(v)ξ when ``perp``. Frame
@@ -202,28 +193,26 @@ def _sweep(s, rows: dict, samples: SampleSet | None, tol: float,
         d = s.dim
         basis = np.eye(d, dtype=object)
         visits = [(None, [basis.reshape([d if b == a else 1 for b in range(4)] + [d])
-                          for a in range(4)])]
+                          for a in range(4)], s.carrier)]
     else:
-        if samples is None:
-            samples = default_samples(s)
-        n = samples.vecs_per_point // 4
+        records = _records(s, samples)
+        n = len(records[0].vectors) // 4
         if n == 0:   # no quadruple to sweep must not read as a pass
             raise ValueError("chart sweeps need at least four sample vectors per point")
-        visits = ((p, list(vecs[:4 * n].reshape(n, 4, -1).swapaxes(0, 1)))
-                  for p, vecs in zip(samples.points, samples.vectors))
+        visits = ((r.point, list(r.vectors[:4 * n].reshape(n, 4, -1).swapaxes(0, 1)), r)
+                  for r in records)
     worst = {tag: WorstResidual(tag) for tag in rows}
     exact, witness = dict.fromkeys(rows), dict.fromkeys(rows)
     n_points = n_quads = 0
-    for p, slots in visits:
-        riem, g, phi, eta, xi = _tensors(s, p)
-        closures = r4, gd, phv, etv = _closures(riem, g, phi, eta)
+    for p, slots, t in visits:
+        closures = r4, gd, phv, etv = _closures(t.riem, t.g, t.phi, t.eta)
         if perp:
-            slots = [v - etv(v)[..., None] * xi for v in slots]
+            slots = [v - etv(v)[..., None] * t.xi for v in slots]
         shape = np.broadcast_shapes(*(v.shape[:-1] for v in slots))
         n_points += 1
         n_quads += math.prod(shape)
         for tag, defect_at in rows.items():
-            vals = np.abs(np.broadcast_to(defect_at(xi)(*closures, *slots), shape))
+            vals = np.abs(np.broadcast_to(defect_at(t.xi)(*closures, *slots), shape))
             idx = np.unravel_index(np.argmax(vals), shape)
             if worst[tag].add(vals[idx]):
                 exact[tag] = vals[idx] if frame else None
@@ -241,7 +230,7 @@ def _sweep(s, rows: dict, samples: SampleSet | None, tol: float,
 
 
 def check_hermitian(h: AlmostHermitianStructure, kind: str,
-                    samples: SampleSet | None = None, tol: float = 1e-7) -> IdentityReport:
+                    samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
     """Max residual of the Hermitian identity ``kind`` over sampled quadruples."""
     kind = kind.lower()
     if kind not in _HERMITIAN_DEFECTS:
@@ -251,7 +240,7 @@ def check_hermitian(h: AlmostHermitianStructure, kind: str,
 
 
 def check_contact(s: AlmostContactStructure, kind: str,
-                  samples: SampleSet | None = None, tol: float = 1e-7) -> IdentityReport:
+                  samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
     """Max residual of the contact identity ``kind``.
 
     Frame carriers are swept exhaustively and exactly; the report then
@@ -270,7 +259,7 @@ def _c_alpha_defect(s: AlmostContactStructure, alpha):
 
 
 def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
-                  samples: SampleSet | None = None, tol: float = 1e-7) -> IdentityReport:
+                  samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
     """Residual of the c(α) curvature identity at a fixed α. Frame carriers
     take α exactly, so pass a Fraction (or int) for an exact residual."""
     tag = f"c({float(alpha):g})"
@@ -329,7 +318,7 @@ def _as_quadruple(name: str, row, xi):
 
 
 def consequence_suite(s: AlmostContactStructure, kind: str,
-                      samples: SampleSet | None = None,
+                      samples: Samples = None,
                       tol: float = 1e-7) -> dict[str, IdentityReport]:
     """ξ-slot consequences of the identity ``kind`` on vectors ⊥ ξ."""
     kind = kind.lower()
@@ -354,7 +343,7 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
         defect = _CONTACT_DEFECTS[kind]
     else:
         raise ValueError(f"unknown identity {kind!r}")
-    riem, g, phi, eta, _ = _tensors(s, witness.point)
-    vecs = [_rat(v) if riem.dtype == object else np.asarray(v, dtype=float)
-            for v in witness.vectors]
-    return abs(defect(*_closures(riem, g, phi, eta), *vecs))
+    frame = isinstance(s, AlmostContactStructure) and s.is_frame
+    t = s.carrier if frame else contact_point_data(s, witness.point)
+    vecs = [_rat(v) if frame else np.asarray(v, dtype=float) for v in witness.vectors]
+    return abs(defect(*_closures(t.riem, t.g, t.phi, t.eta), *vecs))

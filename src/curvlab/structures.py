@@ -5,6 +5,9 @@ Structures live over either a coordinate chart or an invariant frame. Each
 check is written once, over a ``BasisRecord`` of components in a basis: a
 frame gives one exact record in its own basis, a chart one float record per
 sample point in the orthonormal frame E(p) = ``orthonormal_frame(g)``.
+Every chart check reads one list of ``PointRecord`` (g, Γ, R and the
+structure at each sample point), built once per invocation by the caller or
+at a checker's entry; nothing caches it past the invocation.
 Residuals are maxima over the carrier's basis vectors or ordered pairs of
 them; on charts they are tensor norms in E(p). Classification covers the
 contact metric condition (with the 1/2 exterior-derivative convention used
@@ -29,7 +32,7 @@ from .errors import CurvlabError, EvalDomainError
 
 __all__ = [
     "AlmostContactStructure", "AlmostHermitianStructure",
-    "BasisRecord", "ClassificationReport", "ContactPointData",
+    "BasisRecord", "ClassificationReport", "PointRecord",
     "validate", "classify", "check_kappa_mu",
     "contact_point_data", "hermitian_point_data", "default_samples", "WorstResidual",
 ]
@@ -86,31 +89,56 @@ class AlmostHermitianStructure:
 
 
 @dataclass(frozen=True)
-class ContactPointData:
-    """What the identity sweeps need at a chart point, evaluated once: the
-    curvature from one ``metric_jets`` (``g`` is that metric), and φ, ξ, η
-    over the REAL ring."""
+class PointRecord:
+    """One sample point of a chart, evaluated once and read by every check:
+    the point and its sampled vectors (rows), g, Γ (``gamma[k, i, j]``), R
+    and R¹³ from one ``metric_jets``, and the structure over the REAL ring.
+    An almost Hermitian structure's record carries J as ``phi`` with ξ = η =
+    0; a bare chart's carries no structure."""
 
+    point: np.ndarray
+    vectors: np.ndarray
     g: np.ndarray
+    gamma: np.ndarray
     riem: np.ndarray
     riem13: np.ndarray
-    phi: np.ndarray
-    xi: np.ndarray
-    eta: np.ndarray
+    phi: np.ndarray | None = None
+    xi: np.ndarray | None = None
+    eta: np.ndarray | None = None
 
 
-def contact_point_data(s: AlmostContactStructure, p: Sequence[float]) -> ContactPointData:
-    if s.is_frame:
+# what a checker's ``samples`` may be: a sample set, the point records built
+# from one, or None for the default sample set (frames ignore it)
+Samples = SampleSet | list[PointRecord] | None
+
+
+def contact_point_data(s, p: Sequence[float], vectors=()) -> PointRecord:
+    """The ``PointRecord`` at chart point ``p`` of ``s``: an almost contact
+    or almost Hermitian structure over a chart, or a bare ``Chart``."""
+    if isinstance(s, Chart):
+        chart, fields = s, ()
+    elif isinstance(s, AlmostHermitianStructure):
+        chart, fields = s.chart, (s.J,)
+    elif s.is_frame:
         raise ValueError("pointwise data is a chart-path concept")
-    curv = geometry.curvature(s.carrier, p)
-    return ContactPointData(
-        g=curv.g, riem=curv.riem, riem13=curv.riem13,
-        phi=eval_field(s.phi, p), xi=eval_field(s.xi, p), eta=eval_field(s.eta, p))
+    else:
+        chart, fields = s.carrier, (s.phi, s.xi, s.eta)
+    conn, curv = geometry.point_geometry(chart, p)
+    values = [eval_field(f, p) for f in fields]
+    if len(values) == 1:
+        values += [np.zeros(s.dim)] * 2
+    record = PointRecord(np.asarray(p, dtype=float), np.asarray(vectors), curv.g, conn.gamma,
+                         curv.riem, curv.riem13, *values)
+    for a in vars(record).values():   # every check reads it: an in-place edit must raise
+        if a is not None:
+            a.flags.writeable = False
+    return record
 
 
 def hermitian_point_data(h: AlmostHermitianStructure, p: Sequence[float]):
-    curv = geometry.curvature(h.chart, p)
-    return curv, eval_field(h.J, p)
+    """(curvature, J) at a chart point; the curvature is the point record."""
+    r = contact_point_data(h, p)
+    return r, r.phi
 
 
 def default_samples(s, n_points: int = 20, vecs_per_point: int = 20,
@@ -189,40 +217,41 @@ def _lift(t: np.ndarray, E: np.ndarray, F: np.ndarray) -> np.ndarray:
     return ((t @ E.T).transpose(2, 0, 1) @ E.T).transpose(2, 0, 1) @ F
 
 
-def _chart_record(s: AlmostContactStructure, p: Sequence[float]) -> BasisRecord:
-    """The record at a chart point in E(p), from one ``point_geometry`` and
-    the jets of ξ, φ and η."""
-    conn, curv = geometry.point_geometry(s.carrier, p)
-    g, gamma = curv.g, conn.gamma
-    E = geometry.orthonormal_frame(g)
-    F = g @ E.T                            # coordinate vector (row) → E(p) components
-    xi, dxi = eval_field_jets(s.xi, p)     # dxi[k, i] = ∂_i ξ^k
-    phi, dphi = eval_field_jets(s.phi, p)  # dphi[k, j, i] = ∂_i φ^k_j
-    eta, deta = eval_field_jets(s.eta, p)  # deta[j, i] = ∂_i η_j
-    # coordinate components (∇_i ξ)^k and (∇_i φ)^k_j, as [k, i] and [k, i, j]
-    nabla_xi = dxi + gamma @ xi
-    nabla_phi = dphi.transpose(0, 2, 1) + gamma @ phi - np.tensordot(phi, gamma, axes=1)
-    return BasisRecord(
-        g=E @ g @ E.T, phi=F.T @ phi @ E.T, xi=xi @ F, eta=E @ eta,
-        nabla_xi=E @ nabla_xi.T @ F, dphi=_lift(nabla_phi, E, F),
-        d_eta=E @ (deta.T - deta) @ E.T, r_xi=_lift(curv.riem13 @ xi, E, F))
+def _chart_record(s, r: PointRecord, jets: bool = True) -> BasisRecord:
+    """The record at a chart point in E(p) from its point record; with
+    ``jets``, also the derivative tables, from Γ, R¹³ and the jets of ξ, φ
+    and η."""
+    E = geometry.orthonormal_frame(r.g)
+    F = r.g @ E.T                                   # coordinate vector (row) → E(p) components
+    tables = {}
+    if jets:
+        dxi = eval_field_jets(s.xi, r.point)[1]     # dxi[k, i] = ∂_i ξ^k
+        dphi = eval_field_jets(s.phi, r.point)[1]   # dphi[k, j, i] = ∂_i φ^k_j
+        deta = eval_field_jets(s.eta, r.point)[1]   # deta[j, i] = ∂_i η_j
+        # coordinate components (∇_i ξ)^k and (∇_i φ)^k_j, as [k, i] and [k, i, j]
+        nabla_xi = dxi + r.gamma @ r.xi
+        nabla_phi = dphi.transpose(0, 2, 1) + r.gamma @ r.phi - np.tensordot(r.phi, r.gamma, 1)
+        tables = dict(nabla_xi=E @ nabla_xi.T @ F, dphi=_lift(nabla_phi, E, F),
+                      d_eta=E @ (deta.T - deta) @ E.T, r_xi=_lift(r.riem13 @ r.xi, E, F))
+    return BasisRecord(g=E @ r.g @ E.T, phi=F.T @ r.phi @ E.T, xi=r.xi @ F, eta=E @ r.eta,
+                       **tables)
 
 
-def _hermitian_record(h: AlmostHermitianStructure, p: Sequence[float]) -> BasisRecord:
-    """g and J at a chart point in E(p), with ξ = η = 0."""
-    g = h.chart.metric_at(p)
-    E = geometry.orthonormal_frame(g)
-    return BasisRecord(g=E @ g @ E.T, phi=E @ g @ eval_field(h.J, p) @ E.T,
-                       xi=np.zeros(h.dim), eta=np.zeros(h.dim))
+def _records(s, samples):
+    """The point records ``samples`` stands for: itself when it already is a
+    list of them, else one per point of the ``SampleSet`` (default: 20
+    points), built here. A frame samples nothing, so ``samples`` passes."""
+    if isinstance(samples, list) or isinstance(s, AlmostContactStructure) and s.is_frame:
+        return samples
+    samples = default_samples(s) if samples is None else samples
+    return [contact_point_data(s, p, v) for p, v in zip(samples.points, samples.vectors)]
 
 
-def _records(s, samples: SampleSet | None):
-    """One record for a frame; one per sample point (default: 20) for a chart."""
+def _basis_records(s, samples, jets: bool = True):
+    """One exact record for a frame; one per chart point record otherwise."""
     if isinstance(s, AlmostContactStructure) and s.is_frame:
         return [_frame_record(s.carrier)]
-    samples = default_samples(s) if samples is None else samples
-    build = _hermitian_record if isinstance(s, AlmostHermitianStructure) else _chart_record
-    return (build(s, p) for p in samples.points)
+    return (_chart_record(s, r, jets) for r in _records(s, samples))
 
 
 def _norm(g: np.ndarray, v: np.ndarray) -> float:
@@ -247,13 +276,15 @@ def _algebraic(r: BasisRecord) -> dict:
     }
 
 
-def validate(s, samples: SampleSet | None = None) -> dict[str, float]:
+def validate(s, samples: Samples = None) -> dict[str, float]:
     """Max residual per algebraic compatibility identity of the structure,
-    over the carrier's basis vectors and ordered pairs of them."""
+    over the carrier's basis vectors and ordered pairs of them. On a chart it
+    reads g, φ, ξ and η (or J) of the point records and differentiates
+    nothing."""
     if not isinstance(s, (AlmostContactStructure, AlmostHermitianStructure)):
         raise TypeError(f"cannot validate {type(s).__name__}")
     res = {}
-    for r in _records(s, samples):
+    for r in _basis_records(s, samples, jets=False):
         for k, v in _algebraic(r).items():
             res.setdefault(k, WorstResidual(f"validate.{k}")).add(v)
     res = {k: w.value for k, w in res.items()}
@@ -320,13 +351,13 @@ def _classification(r: BasisRecord) -> dict:
     }
 
 
-def classify(s: AlmostContactStructure, samples: SampleSet | None = None,
+def classify(s: AlmostContactStructure, samples: Samples = None,
              tol: float = 1e-7) -> ClassificationReport:
     """Run the classification battery; deterministic for a given sample set.
     A structure whose compatibility residual exceeds ``tol`` is rejected."""
     target, ric, res = s.dim - 1, None, {}
     compat, ric_dev = WorstResidual("classify.compatibility"), WorstResidual("classify.ric_xi_xi")
-    for r in _records(s, samples):
+    for r in _basis_records(s, samples):
         for v in _algebraic(r).values():
             compat.add(v)
         for k, v in _classification(r).items():
@@ -346,14 +377,14 @@ def classify(s: AlmostContactStructure, samples: SampleSet | None = None,
 
 
 def check_kappa_mu(s: AlmostContactStructure, kappa: float | Fraction,
-                   mu: float | Fraction, samples: SampleSet | None = None) -> float:
+                   mu: float | Fraction, samples: Samples = None) -> float:
     """Max residual of R_XY ξ − κ(η(Y)X − η(X)Y) − μ(η(Y)hX − η(X)hY)
     with h = ½ L_ξ φ, over ordered pairs of the carrier's basis vectors:
     exact on frames, in E(p) at each sample point of a chart."""
     ring = Fraction if s.is_frame else float   # frames keep κ and μ exact
     kap, muf = ring(kappa), ring(mu)
     worst = WorstResidual(f"kappa-mu({float(kappa):g},{float(mu):g})")
-    for r in _records(s, samples):
+    for r in _basis_records(s, samples):
         # rows j: h e_j, with (L_ξ φ)X = (∇_ξ φ)X − ∇_{φX} ξ + φ ∇_X ξ
         h = (_contract(r.dphi, r.xi[None])[..., 0]
              - r.phi.T @ r.nabla_xi + r.nabla_xi @ r.phi.T) / 2

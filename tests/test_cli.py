@@ -182,6 +182,20 @@ def test_bad_flags_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("target", ["s5_in_c3", "sine_cone_cos", "h21"])
+@pytest.mark.parametrize("command,flags,env", [
+    ("classify", ["--seed", "-5"], None),
+    ("report", [], {"CURVLAB_SEED": "-3"}),
+])
+def test_negative_seed_exits_two(target, command, flags, env):
+    """A negative seed is an input error on every target, frames included
+    although they never sample: one line on stderr, no traceback."""
+    code, out, err = invoke([command, target] + flags, env=env)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "seed" in err
+
+
 def test_non_finite_tol_exit_two():
     for tol in ("nan", "inf", "-inf"):
         code, _, err = invoke(["identities", "h21", "--which", "g2", f"--tol={tol}"])
@@ -267,13 +281,23 @@ def test_overflow_exits_two_without_traceback(tmp_path):
     assert "out of the float range" in proc.stderr
 
 
+BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
+
+
 @pytest.mark.parametrize("argv,points", [
     (["classify", "sine_cone_cos"], 20),
     (["identities", "s5_in_c3", "--which", "g1", "--samples", "20"], 20),
+    (["identities", "s5_in_c3", "--which", "g1,g2,g3,kappa-mu(1,0),consequences",
+      "--samples", "20"], 20),
+    (["report", "cone_of:s5_in_c3", "--samples", "20"], 20),
+    # 20 total-space points and the 20 base points below them
+    (["report", "hopf_pair", "--samples", "20"], 40),
+    # 20 sample points and 3 probes of the ambient Kähler check
+    (["report", "s5_in_c3", "--samples", "20"], 23),
 ])
 def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
-    """Each check builds a chart point's geometry once: Γ, ∂Γ and R come
-    from a single metric_jets, and covariant derivatives reuse it."""
+    """An invocation builds a chart point's geometry once: Γ, ∂Γ and R come
+    from a single metric_jets, and every check reads that point record."""
     import curvlab.geometry as geometry
     real, calls = geometry.metric_jets, []
 
@@ -285,6 +309,40 @@ def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     code, _, _ = invoke(argv)
     assert code == 0
     assert len(calls) == len(set(calls)) == points
+
+
+def test_one_field_evaluation_per_sample_point(monkeypatch):
+    """φ, ξ and η are evaluated once per point and invocation, into the
+    point records every check reads."""
+    import curvlab.structures as structures
+    real, calls = structures.eval_field, []
+
+    def counting(f, p):
+        calls.append((id(f), tuple(p)))
+        return real(f, p)
+
+    monkeypatch.setattr(structures, "eval_field", counting)
+    code, _, _ = invoke(["identities", "s5_in_c3", "--which",
+                         "g1,g2,g3,kappa-mu(1,0),consequences", "--samples", "20"])
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 60
+
+
+@pytest.mark.parametrize("target,checks", [
+    ("s5_in_c3", BATTERY), ("sine_cone_cos", BATTERY), ("h21_chart:3/5,4/5", BATTERY),
+    ("cone_of:s5_in_c3", ["k1", "k2", "k3"]),
+])
+def test_shared_point_records_do_not_leak_between_checks(target, checks):
+    """Every check of one invocation reads the same point records. The
+    battery's rows must equal those of one invocation per check, so no
+    check may change a shared array in place."""
+    def rows(which):
+        code, out, _ = invoke(["identities", target, "--which", which,
+                               "--samples", "5", "--json"])
+        assert code in (0, 1)
+        return json.loads(out)["checks"]
+
+    assert rows(",".join(checks)) == [row for check in checks for row in rows(check)]
 
 
 H21_FRAME = """[frame]

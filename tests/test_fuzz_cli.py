@@ -94,7 +94,7 @@ options = st.lists(
     st.sampled_from([["--samples", "1"], ["--samples", "3"], ["--seed", "7"],
                      ["--tol", "1e-3"], ["--json"]] * 4
                     + [["--samples", "0"], ["--tol", "nan"], ["--tol", "0"], ["--seed", "x"],
-                       ["--bogus"]]),
+                       ["--seed", "-1"], ["--bogus"]]),
     max_size=3).map(lambda opts: [a for o in opts for a in o])
 
 

@@ -28,6 +28,25 @@ def test_s5_validates(s5_example):
     assert max(res.values()) <= 1e-12
 
 
+def test_validate_differentiates_nothing(monkeypatch, s5_example):
+    """validate reads g, φ, ξ and η of the point records: no field jets from
+    a sample set, and no metric jets either once the records exist."""
+    import curvlab.structures as structures
+    from curvlab import geometry
+    s = s5_example.structure
+    smp = sample(s.carrier, 20, 0, seed=3)
+    records = [structures.contact_point_data(s, p) for p in smp.points]
+    calls = []
+    for mod, name in ((structures, "eval_field_jets"), (geometry, "metric_jets")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    from_records = validate(s, records)
+    assert calls == []
+    assert validate(s, smp) == from_records
+    assert calls == ["metric_jets"] * 20
+
+
 def test_corrupted_phi_detected(sine_cone_cos):
     s = sine_cone_cos.structure
     chart = s.carrier
