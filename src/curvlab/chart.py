@@ -180,24 +180,34 @@ def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _expr_jets(exprs, env: dict, hessians: bool = False):
+    """Values and coordinate gradients of an array of expressions in one jet
+    environment ``env`` (one seed per coordinate), with the second
+    derivatives too when ``hessians``. A component that evaluates to a
+    constant keeps zero derivatives."""
+    exprs = np.asarray(exprs, dtype=object)
+    shape, dim = exprs.shape, len(env)
+    vals = np.empty(shape)
+    grads = np.zeros(shape + (dim,))
+    hess = np.zeros(shape + (dim, dim)) if hessians else None
+    for idx in np.ndindex(shape):
+        v = ex.eval_expr(exprs[idx], env, ex.JET)
+        if isinstance(v, jet.Jet2):
+            vals[idx], grads[idx] = v.value, v.grad
+            if hessians:
+                hess[idx] = v.hess
+        else:
+            vals[idx] = float(v)
+    return (vals, grads, hess) if hessians else (vals, grads)
+
+
 def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Components and their coordinate gradients at ``p``.
 
     Returns ``(values, grads)`` where ``grads[..., k]`` is the partial
     derivative of the component along coordinate k.
     """
-    env = f.chart.env(p, jets=True)
-    dim = f.chart.dim
-    shape = f.components.shape
-    vals = np.empty(shape)
-    grads = np.zeros(shape + (dim,))    # a constant component keeps zero gradients
-    for idx in np.ndindex(shape):
-        v = ex.eval_expr(f.components[idx], env, ex.JET)
-        if isinstance(v, jet.Jet2):
-            vals[idx], grads[idx] = v.value, v.grad
-        else:
-            vals[idx] = float(v)
-    return vals, grads
+    return _expr_jets(f.components, f.chart.env(p, jets=True))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 """Submersion pairs: a contact total space fibered over an almost Hermitian
 base, with horizontal-lift machinery and the lift-relation checkers.
 
-The projection is an expression map; the horizontal lift of a base vector
-solves the linear system [dπ; η]·X↑ = [X; 0] at each point (horizontality
-is η(X↑) = 0 since η is the metric dual of ξ). Derivatives of lift fields,
+The projection is an expression map. At each point the lifts of the base
+coordinate fields are the columns of the lifted frame L, which solves
+[dπ; η]·L = [I; 0] (horizontality is η(X↑) = 0 since η is the metric dual
+of ξ); the horizontal lift of a base vector X is L X. The derivatives of L,
 needed for covariant derivatives and brackets of lifts, come from the
-solve-derivative identity ∂(M⁻¹ r) = −M⁻¹ (∂M) M⁻¹ r, with ∂M assembled
-from second-order jets of the projection; no finite differences anywhere.
+solve-derivative identity ∂(M⁻¹ r) = −M⁻¹ (∂M) M⁻¹ r in one solve against
+the stacked ∂M, assembled from second-order jets of the projection and
+first-order jets of η; no finite differences anywhere.
 
+Every relation is tensorial in its base arguments, so the lifted frame
+spans them all: the connection, Reeb and bracket relations are tables over
+the pairs (a, b) of base coordinate fields, the curvature lift and the
+Hermitian-identity consequences nb⁴ tables, built with the identity
+closures on L laid out on four slot axes as in the frame sweep.
 The relations checked against the generic chart engines on both levels:
 
 * connection lift:  ∇ᴹ_{X↑} Y↑ = (∇ᴺ_X Y)↑ − G(X, JY) ξ
@@ -20,18 +27,16 @@ The relations checked against the generic chart engines on both levels:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .. import expr as ex
 from .. import geometry
-from .. import jet
-from ..chart import eval_field, eval_field_jets, sample
+from ..chart import _expr_jets, eval_field, eval_field_jets, sample
+from ..identities import _closures, _slot_axes
 from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                          _records, _worst)
+                          _norm, _records, _worst)
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "horizontal_lift", "check_submersion_lift"]
@@ -56,31 +61,19 @@ class SubmersionPair:
             raise ValueError("total space must have one dimension more than the base")
 
 
-def _gnorm(g: np.ndarray, v: np.ndarray) -> float:
-    return math.sqrt(max(float(v @ g @ v), 0.0))
-
-
 def _projection_jets(sp: SubmersionPair, p: Sequence[float]):
     """Base point, dπ (nb × nt) and its derivatives ddpi[a, i, m] = ∂_m dπ^a_i."""
-    chart = sp.total.carrier
-    nt, nb = chart.dim, sp.base.chart.dim
-    env = chart.env(p, jets=True)
-    base_pt = np.empty(nb)
-    dpi = np.empty((nb, nt))
-    ddpi = np.empty((nb, nt, nt))
-    for a in range(nb):
-        v = ex.eval_expr(sp.projection[a], env, ex.JET)
-        base_pt[a] = v.value
-        dpi[a] = v.grad
-        ddpi[a] = v.hess
-    return base_pt, dpi, ddpi
+    return _expr_jets(sp.projection, sp.total.carrier.env(p, jets=True), hessians=True)
 
 
-def _solve_lift(p, dpi, eta_vals, X_base) -> np.ndarray:
-    M = np.vstack([dpi, eta_vals[None, :]])
-    rhs = np.concatenate([np.asarray(X_base, dtype=float), [0.0]])
+def _lifted_frame(p, dpi, eta, dM=None):
+    """L, whose column a is the lift of the base coordinate field e_a at
+    ``p``: [dπ; η] L = [I; 0]. Given the stacked ``dM[m]`` = ∂_m [dπ; η],
+    also dL with dL[m] = ∂_m L = −M⁻¹ (∂_m M) L."""
+    M = np.vstack([dpi, eta[None, :]])
     try:
-        return np.linalg.solve(M, rhs)
+        L = np.linalg.solve(M, np.eye(len(M))[:, :len(dpi)])
+        return L if dM is None else (L, -np.linalg.solve(M, dM @ L))
     except np.linalg.LinAlgError as e:
         raise CurvlabError(f"horizontal lift solver singular at {tuple(p)}") from e
 
@@ -88,115 +81,64 @@ def _solve_lift(p, dpi, eta_vals, X_base) -> np.ndarray:
 def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
     """The unique horizontal vector at ``p`` projecting onto ``X_base``."""
     _, dpi, _ = _projection_jets(sp, p)
-    return _solve_lift(p, dpi, eval_field(sp.total.eta, p), X_base)
-
-
-def _lift_field_with_derivatives(p, dpi, ddpi, eta_jets, X_base):
-    """Lift of a constant-component base field and its coordinate derivatives.
-
-    Returns (X↑, dX↑) with dX↑[k, m] = ∂_m X↑^k, exact up to the jets of the
-    projection and of η.
-    """
-    eta_vals, eta_grads = eta_jets  # grads[j, m] = ∂_m η_j
-    lift = _solve_lift(p, dpi, eta_vals, X_base)
-    M = np.vstack([dpi, eta_vals[None, :]])
-    nt = len(eta_vals)
-    dlift = np.empty((nt, nt))
-    for m in range(nt):
-        dM = np.vstack([ddpi[:, :, m], eta_grads[:, m][None, :]])
-        dlift[:, m] = np.linalg.solve(M, -dM @ lift)
-    return lift, dlift
-
-
-def _covariant_of_lift(sp: SubmersionPair, p, gamma, X_lift, Y_lift, dY_lift):
-    # ∇ᴹ_X Y for the lift field Y with known derivatives
-    return (np.einsum("i,ki->k", X_lift, dY_lift)
-            + np.einsum("i,kij,j->k", X_lift, gamma, Y_lift))
+    return _lifted_frame(p, dpi, eval_field(sp.total.eta, p)) @ np.asarray(X_base, dtype=float)
 
 
 def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42,
                           tol: float = 1e-6, samples: Samples = None) -> dict[str, float]:
     """Residuals of the lift relations at sampled total-space points.
 
-    Every relation checked is tensorial in the base arguments, so sweeping
-    the base coordinate fields spans all vectors. Returns a dict of max
-    residuals keyed by relation tag; ``dpi_xi`` is the invariant dπ(ξ) = 0.
-    The total space's g, Γ, R, φ, ξ and η come from the point records of
-    ``samples``, by default ``n_points`` points drawn with ``seed``.
+    Every relation checked is tensorial in the base arguments, so the
+    lifted frame (the lifts of the base coordinate fields) spans all
+    vectors. Returns a dict of max residuals keyed by relation tag;
+    ``dpi_xi`` is the invariant dπ(ξ) = 0. The total space's g, Γ, R, φ, ξ
+    and η come from the point records of ``samples``, by default
+    ``n_points`` points drawn with ``seed``.
     """
-    total_chart = sp.total.carrier
     base_chart = sp.base.chart
-    nb = base_chart.dim
-    records = _records(sp.total, sample(total_chart, n_points, 1, seed)
+    records = _records(sp.total, sample(sp.total.carrier, n_points, 0, seed)
                        if samples is None else samples)
-    base_dirs = [np.eye(nb)[a] for a in range(nb)]
-
     res = _worst("lift", ("dpi_xi", "lift_connection", "lift_xi", "lift_bracket",
                           "lift_curvature", "lift_k1_consequence", "lift_k2_consequence",
                           "lift_k3_consequence"))
 
     for rec in records:
-        p, gM, phi, xi, eta = rec.point, rec.g, rec.phi, rec.xi, rec.eta
+        p, gM, gamma, phi, xi = rec.point, rec.g, rec.gamma, rec.phi, rec.xi
         base_pt, dpi, ddpi = _projection_jets(sp, p)
-        gN = base_chart.metric_at(base_pt)
-        Jb = eval_field(sp.base.J, base_pt)
         conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
+        GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)
+        eta, deta = eval_field_jets(sp.total.eta, p)                         # deta[j, m] = ∂_m η_j
+        # L[:, a] = e_a↑ and dL[m, k, a] = ∂_m (e_a↑)^k, from dM[m] = ∂_m [dπ; η]
+        dM = np.concatenate([ddpi, deta[None]]).transpose(2, 0, 1)
+        L, dL = _lifted_frame(p, dpi, eta, dM)
 
         res["dpi_xi"].add(np.max(np.abs(dpi @ xi)))
+        # ∇ᴹ_{e_a↑} ξ + φ e_a↑, rows a (ξ has constant components: only Γ acts)
+        res["lift_xi"].add(_norm(gM, np.einsum("kij,ia,j->ak", gamma, L, xi) + (phi @ L).T))
+        # pair tables [a, b, k]: D is e_a↑ differentiating the components of e_b↑
+        D = np.einsum("ma,mkb->abk", L, dL)
+        nabla = D + np.einsum("kij,ia,jb->abk", gamma, L, L)
+        predicted = np.einsum("kc,cab->abk", L, conn_N.gamma) - GJ[..., None] * xi
+        res["lift_connection"].add(_norm(gM, nabla - predicted))
+        # [e_a↑, e_b↑] + 2 G(e_a, J e_b) ξ, since [e_a, e_b] = 0 downstairs
+        res["lift_bracket"].add(_norm(gM, D - D.transpose(1, 0, 2) + 2.0 * GJ[..., None] * xi))
 
-        eta_jets = eval_field_jets(sp.total.eta, p)
-        lifts, dlifts = zip(*(_lift_field_with_derivatives(p, dpi, ddpi, eta_jets, Xb)
-                              for Xb in base_dirs))
-
-        def gm(u, v):
-            return float(u @ gM @ v)
-
-        def G_base(u, v):
-            return float(u @ gN @ v)
-
-        # connection lift and Reeb derivative
-        for a, Xb in enumerate(base_dirs):
-            Xl = lifts[a]
-            # ∇ᴹ_{X↑} ξ + φ X↑ (ξ has constant components: derivative term only Γ)
-            dxi = np.einsum("i,kij,j->k", Xl, rec.gamma, xi)
-            res["lift_xi"].add(_gnorm(gM, dxi + phi @ Xl))
-            for b, Yb in enumerate(base_dirs):
-                Yl, dYl = lifts[b], dlifts[b]
-                nab = _covariant_of_lift(sp, p, rec.gamma, Xl, Yl, dYl)
-                nab_N = np.einsum("i,kij,j->k", Xb, conn_N.gamma, Yb)
-                predicted = (_solve_lift(p, dpi, eta, nab_N)
-                             - G_base(Xb, Jb @ Yb) * xi)
-                res["lift_connection"].add(_gnorm(gM, nab - predicted))
-                # bracket of lifts of coordinate fields ([X, Y] = 0 downstairs)
-                bracket = dYl @ Xl - dlifts[a] @ Yl
-                res["lift_bracket"].add(_gnorm(gM, bracket + 2.0 * G_base(Xb, Jb @ Yb) * xi))
-
-        # curvature lift and identity consequences on lifted quadruples
-        def rM(u, v, w, z):
-            return float(np.einsum("ijkl,i,j,k,l", rec.riem, u, v, w, z))
-
-        def rN(u, v, w, z):
-            return float(np.einsum("ijkl,i,j,k,l", curv_N.riem, u, v, w, z))
-
-        import itertools
-        for (a, b, c, d_) in itertools.product(range(nb), repeat=4):
-            Wb, Zb, Xb, Yb = base_dirs[a], base_dirs[b], base_dirs[c], base_dirs[d_]
-            Wl, Zl, Xl, Yl = lifts[a], lifts[b], lifts[c], lifts[d_]
-            lhs = rM(Wl, Zl, Xl, Yl)
-            rhs = (rN(Wb, Zb, Xb, Yb)
-                   - 2.0 * gm(Xl, phi @ Yl) * gm(Wl, phi @ Zl)
-                   + gm(Yl, phi @ Zl) * gm(Wl, phi @ Xl)
-                   - gm(Xl, phi @ Zl) * gm(Wl, phi @ Yl))
-            res["lift_curvature"].add(abs(lhs - rhs))
-
+        # nb⁴ tables on the lifted frame, W, Z, X, Y on slot axes 0-3
+        r4, gd, phv, _ = _closures(rec.riem, gM, phi, rec.eta)
+        W, Z, X, Y = _slot_axes(L.T)
+        pw, pz, px, py = phv(W), phv(Z), phv(X), phv(Y)
+        rxyzw = r4(X, Y, Z, W)
+        tables = {
+            "lift_curvature": r4(W, Z, X, Y) - (curv_N.riem - 2.0 * gd(X, py) * gd(W, pz)
+                                                + gd(Y, pz) * gd(W, px) - gd(X, pz) * gd(W, py)),
             # consequences of the base satisfying each Hermitian identity
-            k1 = (rM(Xl, Yl, phi @ Zl, phi @ Wl) - rM(Xl, Yl, Zl, Wl)
-                  - (-gm(Yl, Wl) * gm(Zl, Xl) - gm(Yl, phi @ Wl) * gm(Zl, phi @ Xl)
-                     + gm(Xl, Wl) * gm(Zl, Yl) + gm(Xl, phi @ Wl) * gm(Zl, phi @ Yl)))
-            res["lift_k1_consequence"].add(abs(k1))
-            k2 = (rM(phi @ Xl, Yl, Zl, Wl) + rM(Xl, phi @ Yl, Zl, Wl)
-                  + rM(Xl, Yl, phi @ Zl, Wl) + rM(Xl, Yl, Zl, phi @ Wl))
-            res["lift_k2_consequence"].add(abs(k2))
-            k3 = rM(phi @ Xl, phi @ Yl, phi @ Zl, phi @ Wl) - rM(Xl, Yl, Zl, Wl)
-            res["lift_k3_consequence"].add(abs(k3))
+            "lift_k1_consequence": (r4(X, Y, pz, pw) - rxyzw
+                                    - (-gd(Y, W) * gd(Z, X) - gd(Y, pw) * gd(Z, px)
+                                       + gd(X, W) * gd(Z, Y) + gd(X, pw) * gd(Z, py))),
+            "lift_k2_consequence": (r4(px, Y, Z, W) + r4(X, py, Z, W) + r4(X, Y, pz, W)
+                                    + r4(X, Y, Z, pw)),
+            "lift_k3_consequence": r4(px, py, pz, pw) - rxyzw,
+        }
+        for tag, table in tables.items():
+            res[tag].add(np.max(np.abs(table)))
     return {tag: w.value for tag, w in res.items()}

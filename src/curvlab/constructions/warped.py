@@ -25,8 +25,9 @@ import numpy as np
 from .. import expr as ex
 from .. import geometry
 from .. import jet
-from ..chart import Chart, Interval, TensorField, SampleSet
-from ..structures import AlmostContactStructure, AlmostHermitianStructure
+from ..chart import Chart, Interval, TensorField, SampleSet, _expr_jets, eval_field
+from ..structures import (AlmostContactStructure, AlmostHermitianStructure, WorstResidual,
+                          _norm)
 from ..errors import EvalDomainError
 
 __all__ = [
@@ -94,12 +95,7 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
     fiber_conn = geometry.christoffel(spec.fiber, pf)
     g_base = spec.base.metric_at(pb)
     g_fiber = spec.fiber.metric_at(pf)
-    env = spec.base.env(pb, jets=True)
-    bval = ex.eval_expr(spec.warping, env, ex.JET)
-    if isinstance(bval, jet.Jet2):
-        b, db = bval.value, bval.grad
-    else:
-        b, db = float(bval), np.zeros(nb)
+    b, db = _expr_jets(spec.warping, spec.base.env(pb, jets=True))
     if b <= 0.0:
         raise EvalDomainError(f"warping function not positive at {tuple(pb)}")
     dlnb = db / b
@@ -186,10 +182,8 @@ def build_r_warped_contact(n: AlmostHermitianStructure, f_text: str | ex.Expr,
 
 
 def _warping_jets(rb: RWarpedBundle, theta_val: float) -> tuple[float, float, float]:
-    v = ex.eval_expr(rb.warping, {rb.theta: jet.seed([theta_val], 0)}, ex.JET)
-    if isinstance(v, jet.Jet2):
-        return v.value, float(v.grad[0]), float(v.hess[0, 0])
-    return float(v), 0.0, 0.0
+    f, df, ddf = _expr_jets(rb.warping, {rb.theta: jet.seed([theta_val], 0)}, hessians=True)
+    return float(f), float(df[0]), float(ddf[0, 0])
 
 
 def r_warped_christoffel_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray:
@@ -247,22 +241,18 @@ def r_warped_riemann_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray
 
 
 def eq_for_g1_obstruction(n: AlmostHermitianStructure, samples: SampleSet) -> float:
-    """Max norm of ḡ(JY, Z)JX − ḡ(JX, Z)JY + ḡ(X, Z)Y − ḡ(Y, Z)X on sampled
-    triples: the algebraic obstruction forcing fiber dimension 2 for the g1
-    identity of a line-warped structure. Identically zero in dimension 2,
-    nonzero somewhere in dimension ≥ 4.
+    """Max norm of ḡ(JY, Z)JX − ḡ(JX, Z)JY + ḡ(X, Z)Y − ḡ(Y, Z)X over the
+    coordinate basis triples at the sampled points: the algebraic obstruction
+    forcing fiber dimension 2 for the g1 identity of a line-warped structure.
+    Identically zero in dimension 2, nonzero somewhere in dimension ≥ 4. The
+    map is trilinear, so the basis triples span every triple.
     """
-    worst = 0.0
-    for p_idx in range(samples.n_points):
-        p = samples.points[p_idx]
-        g = n.chart.metric_at(p)
-        from ..chart import eval_field
-        J = eval_field(n.J, p)
-        vecs = samples.vectors[p_idx]
-        for a in range(0, len(vecs) - 2, 3):
-            X, Y, Z = vecs[a], vecs[a + 1], vecs[a + 2]
-            jx, jy = J @ X, J @ Y
-            q = (float(jy @ g @ Z) * jx - float(jx @ g @ Z) * jy
-                 + float(X @ g @ Z) * Y - float(Y @ g @ Z) * X)
-            worst = max(worst, float(np.sqrt(max(q @ g @ q, 0.0))))
-    return worst
+    worst = WorstResidual("eq_for_g1_obstruction")
+    for p in samples.points:
+        g, J = n.chart.metric_at(p), eval_field(n.J, p)
+        gj, eye = J.T @ g, np.eye(n.dim)     # gj[b, c] = ḡ(Je_b, e_c); row a of J.T is Je_a
+        # q[a, b, c] is the vector at (X, Y, Z) = (e_a, e_b, e_c)
+        q = (np.einsum("bc,ak->abck", gj, J.T) - np.einsum("ac,bk->abck", gj, J.T)
+             + np.einsum("ac,bk->abck", g, eye) - np.einsum("bc,ak->abck", g, eye))
+        worst.add(_norm(g, q))
+    return worst.value

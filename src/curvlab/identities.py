@@ -141,6 +141,13 @@ _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
 # strict maximum of |defect| in C order over (point, quadruple).
 
 
+def _slot_axes(basis: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``basis`` (n × d) on four slot axes: slot a holds them on
+    batch axis a, so a defect of the four slots is its n⁴ table."""
+    n, d = basis.shape
+    return [basis.reshape([n if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
+
+
 def _closures(riem, g, phi, eta):
     """The defects' r4, gd, phv and etv over vector batches of shape (..., d).
 
@@ -148,7 +155,9 @@ def _closures(riem, g, phi, eta):
     ``_contract``; each r4 argument is then a plain vector of shape (d,) or a
     slot batch (d on one of four batch axes, 1 on the others), and the result
     broadcasts over the batch axes. Float curvature contracts by ``einsum``
-    over one shared batch axis. The stacked-matmul forms give the same bits
+    over broadcast batch axes: one shared axis for a chart's sampled
+    quadruples, four slot axes for the submersion checker's lifted frame.
+    The stacked-matmul forms give the same bits
     as ``a @ g @ b``, ``phi @ v`` and ``eta @ v`` on single vectors.
     """
     d = len(g)
@@ -190,10 +199,7 @@ def _sweep(s, rows: dict, samples: Samples, tol: float,
     reports carry the exact residual."""
     frame = isinstance(s, AlmostContactStructure) and s.is_frame
     if frame:
-        d = s.dim
-        basis = np.eye(d, dtype=object)
-        visits = [(None, [basis.reshape([d if b == a else 1 for b in range(4)] + [d])
-                          for a in range(4)], s.carrier)]
+        visits = [(None, _slot_axes(np.eye(s.dim, dtype=object)), s.carrier)]
     else:
         records = _records(s, samples)
         n = len(records[0].vectors) // 4

@@ -238,3 +238,26 @@ def test_eq_for_g1_obstruction_dimension_two_vs_four():
     n4 = flat_kahler_r4()
     smp4 = sample(n4.chart, 10, 9, seed=2)
     assert eq_for_g1_obstruction(n4, smp4) > 0.1
+
+
+def test_eq_for_g1_obstruction_sweeps_the_coordinate_basis():
+    """The obstruction is trilinear, so it is read off the basis triples at
+    each sampled point; the sampled vectors, too few for one triple here,
+    change nothing. On flat R⁴ with its rotation J the largest basis value is
+    exactly 1."""
+    n4 = flat_kahler_r4()
+    for vecs in (0, 2, 9):
+        assert eq_for_g1_obstruction(n4, sample(n4.chart, 4, vecs, seed=2)) == 1.0
+
+
+def test_eq_for_g1_obstruction_nan_raises():
+    """inf · 0 makes one J entry NaN; the residual must raise, not read 0."""
+    from curvlab.chart import TensorField
+    from curvlab.errors import EvalDomainError
+    from curvlab.structures import AlmostHermitianStructure
+    n4 = flat_kahler_r4()
+    J = n4.J.components.copy()
+    J[1, 0] = "exp(400)*exp(400)*0 + 1"
+    bad = AlmostHermitianStructure(n4.chart, TensorField(n4.chart, "endomorphism", J))
+    with pytest.raises(EvalDomainError):
+        eq_for_g1_obstruction(bad, sample(n4.chart, 3, 9, seed=2))
