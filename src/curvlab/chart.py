@@ -212,48 +212,30 @@ def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Deterministic points and tangent vectors inside a chart domain."""
+    """Deterministic points inside a chart domain."""
 
     points: np.ndarray   # (n_points, dim)
-    vectors: np.ndarray  # (n_points, vecs_per_point, dim)
     seed: int
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def vecs_per_point(self) -> int:
-        return self.vectors.shape[1]
 
+def sample(chart: Chart, n_points: int, seed: int) -> SampleSet:
+    """Draw points uniformly from the bounded part of the domain.
 
-def sample(chart: Chart, n_points: int, vecs_per_point: int, seed: int) -> SampleSet:
-    """Draw points uniformly from the bounded part of the domain and tangent
-    vectors with Euclidean norm in [0.5, 2].
-
-    Deterministic for a fixed ``(chart, n_points, vecs_per_point, seed)``.
-    Unbounded coordinates are drawn from (−2, 2); strictly positive ones
-    from (0.5, 3); bounded ones keep a 1e−3 margin from the open ends.
-    Every sampled point is checked positive definite.
+    Deterministic for a fixed ``(chart, n_points, seed)``. Unbounded
+    coordinates are drawn from (−2, 2); strictly positive ones from (0.5, 3);
+    bounded ones keep a 1e−3 margin from the open ends. Every sampled point
+    is checked positive definite. Checks that need directions at a point
+    sweep a basis there, never sampled vectors.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     windows = [iv.sample_window() for iv in chart.domain]
     rng = np.random.default_rng(seed)
-    pts = np.empty((n_points, chart.dim))
-    for i in range(n_points):
-        for k, (lo, hi) in enumerate(windows):
-            pts[i, k] = rng.uniform(lo, hi)
-    vecs = np.empty((n_points, vecs_per_point, chart.dim))
-    for i in range(n_points):
-        for v in range(vecs_per_point):
-            direction = rng.uniform(-1.0, 1.0, chart.dim)
-            nrm = float(np.linalg.norm(direction))
-            if nrm < 1e-12:
-                direction = np.zeros(chart.dim)
-                direction[0] = 1.0
-                nrm = 1.0
-            vecs[i, v] = direction / nrm * rng.uniform(0.5, 2.0)
-    for i in range(n_points):
-        chart.check_spd(pts[i])
-    return SampleSet(points=pts, vectors=vecs, seed=seed)
+    pts = np.array([[rng.uniform(lo, hi) for lo, hi in windows] for _ in range(n_points)])
+    for p in pts:
+        chart.check_spd(p)
+    return SampleSet(points=pts, seed=seed)

@@ -32,7 +32,7 @@ from .identities import (check_c_alpha, check_contact, check_hermitian,
                          WorstResidual)
 from .manifold_io import load_manifold_file
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, _records,
-                         check_kappa_mu, classify)
+                         check_kappa_mu, classify, default_samples)
 from .constructions import (check_submersion_lift, induce_hypersurface,
                             registry_names, resolve_target)
 from . import geometry
@@ -40,7 +40,6 @@ from . import geometry
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-7
 DEFAULT_SAMPLES = 20
-VECS_PER_POINT = 20
 
 _CHECK_RE = re.compile(r"^(c|kappa-mu)\(([^)]*)\)$")
 
@@ -186,23 +185,14 @@ def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
     return rows
 
 
-def _samples_for(kind: str, obj, n: int, seed: int, sweeps: bool):
-    """The target's sample set; tangent vectors only when a check sweeps them
-    (``sample`` draws every point first, so the points stay the same)."""
-    vecs = VECS_PER_POINT if sweeps else 0
-    if kind == "frame" or kind == "contact" and obj.is_frame:
+def _samples_for(kind: str, obj, n: int, seed: int):
+    """The target's sample set; None on a frame, which samples nothing."""
+    if kind == "frame":
         return None
     if kind == "chart":
-        return sample(obj, n, vecs, seed)
-    if kind == "hypersurface":
-        return sample(obj.structure.carrier, n, vecs, seed)
-    if kind == "pair":
-        return sample(obj.total.carrier, n, vecs, seed)
-    if kind == "hermitian":
-        return sample(obj.cone_chart, n, vecs, seed)
-    if kind == "hermitian_structure":
-        return sample(obj.chart, n, vecs, seed)
-    return sample(obj.carrier, n, vecs, seed)
+        return sample(obj, n, seed)
+    s = _hermitian_of(kind, obj) if kind.startswith("hermitian") else _contact_of(kind, obj)
+    return default_samples(s, n, seed)
 
 
 def _emit(args, target, seed, tol, rows) -> int:
@@ -288,8 +278,7 @@ def run(argv=None) -> int:
             checks = [("classify", ()), ("g1", ()), ("g2", ()), ("g3", ())]
         else:   # report on a bare chart: the curvature symmetries
             checks = []
-        samples = _samples_for(kind, obj, args.samples, seed,
-                               any(name not in ("classify", "kappa_mu") for name, _ in checks))
+        samples = _samples_for(kind, obj, args.samples, seed)
         report = args.command == "report"
         if report and kind == "chart":
             worst = {}
@@ -304,8 +293,7 @@ def run(argv=None) -> int:
                 samples = _records(_contact_of(kind, obj), samples)
             rows = _identity_rows(kind, obj, checks, samples, args.tol)
         if report and kind == "pair":
-            for tag, residual in check_submersion_lift(
-                    obj, tol=args.tol, samples=samples).items():
+            for tag, residual in check_submersion_lift(obj, samples=samples).items():
                 rows.append(_row(f"lift.{tag}", residual, residual <= args.tol))
         if report and kind == "hypersurface":
             rep = induce_hypersurface(obj.ambient, obj.patch, samples, args.tol)

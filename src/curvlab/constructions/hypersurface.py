@@ -87,7 +87,7 @@ def _ambient_J_matrix(ambient: AlmostHermitianStructure) -> np.ndarray:
 
 def _check_ambient_kahler(ambient: AlmostHermitianStructure, tol: float):
     worst = WorstResidual("hypersurface.ambient_kahler")
-    for p in sample(ambient.chart, 3, 0, seed=7).points:
+    for p in sample(ambient.chart, 3, seed=7).points:
         gamma = geometry.christoffel(ambient.chart, p).gamma
         J, dJ = eval_field_jets(ambient.J, p)      # dJ[k, j, i] = ∂_i J^k_j
         # (∇_i J)^k_j as [k, i, j], along every coordinate basis vector at once
@@ -116,7 +116,7 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     induced = AlmostContactStructure(
         carrier=chart, phi=patch.phi, xi=patch.xi, eta=patch.eta,
         name=patch.name or chart.name) if patch.has_structure else None
-    records = _records(induced or chart, sample(chart, 20, 0, seed=42)
+    records = _records(induced or chart, sample(chart, 20, seed=42)
                        if samples is None else samples)
 
     weingarten = []

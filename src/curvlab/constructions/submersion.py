@@ -85,7 +85,7 @@ def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarra
 
 
 def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42,
-                          tol: float = 1e-6, samples: Samples = None) -> dict[str, float]:
+                          samples: Samples = None) -> dict[str, float]:
     """Residuals of the lift relations at sampled total-space points.
 
     Every relation checked is tensorial in the base arguments, so the
@@ -96,7 +96,7 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42
     ``n_points`` points drawn with ``seed``.
     """
     base_chart = sp.base.chart
-    records = _records(sp.total, sample(sp.total.carrier, n_points, 0, seed)
+    records = _records(sp.total, sample(sp.total.carrier, n_points, seed)
                        if samples is None else samples)
     res = _worst("lift", ("dpi_xi", "lift_connection", "lift_xi", "lift_bracket",
                           "lift_curvature", "lift_k1_consequence", "lift_k2_consequence",

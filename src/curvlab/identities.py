@@ -8,21 +8,22 @@ on the metric cone, and the one-parameter c(α) family interpolates the
 φ-invariance defect.
 
 Each defect is written once, over closures (curvature on four vectors,
-metric pairing, φ or J, η), and one sweep evaluates it on both carriers.
-A frame carrier is swept once, exhaustively, over all dim⁴ frame
-quadruples in exact rational arithmetic, which is what turns verdicts like
-"g2 holds, g1 fails" into arithmetic facts. A chart carrier is swept at
-each sample point over that point's sampled quadruples, all at once, from
-the point records that every check of one invocation shares. The
-consequence rows use the same sweep on vectors projected to v − η(v)ξ.
+metric pairing, φ or J, η), and one sweep evaluates it on both carriers,
+exhaustively, over all dim⁴ quadruples of an orthonormal basis. A frame
+carrier is swept once over its own basis in exact rational arithmetic,
+which is what turns verdicts like "g2 holds, g1 fails" into arithmetic
+facts. A chart carrier is swept at each sample point over the orthonormal
+frame E(p) of the point records that every check of one invocation
+shares. The consequence rows use the same sweep on vectors projected to
+v − η(v)ξ.
 
-Residuals are reported raw (not normalized); sample vectors are bounded in
-norm by the sampling contract, so absolute tolerances are meaningful.
+Every defect is 4-linear, so a residual is the largest entry of the defect
+tensor in an orthonormal basis: no direction is missed, and absolute
+tolerances are meaningful.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -47,8 +48,9 @@ HERMITIAN_KINDS = ("k1", "k2", "k3")
 @dataclass(frozen=True)
 class Witness:
     """Argmax location of an identity sweep: the point (None on frames,
-    where curvature is position-independent) and the four vectors, given in
-    chart coordinates or frame components."""
+    where curvature is position-independent) and the four swept vectors:
+    rows of E(p) in chart coordinates (projected to v − η(v)ξ for
+    consequence rows), or basis vectors in frame components."""
 
     point: tuple | None
     vectors: tuple
@@ -134,11 +136,11 @@ _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
 
 # -- one sweep for both carriers -----------------------------------------------
 #
-# A frame is swept once, exactly, over all d⁴ basis quadruples: slot a holds
-# the basis on batch axis a. A chart is swept at each sample point over that
-# point's sampled quadruples, which share one batch axis; R, g, φ (or J), η
-# and ξ come from the frame or the point record. The witness is the first
-# strict maximum of |defect| in C order over (point, quadruple).
+# Every swept record puts the rows of an orthonormal basis on four slot axes,
+# so a defect is its d⁴ table: a frame is one record in its own basis with no
+# point, a chart one record per sample point in E(p). R, g, φ (or J), η and ξ
+# come from the frame or the point record. The witness is the first strict
+# maximum of |defect| in C order over (point, quadruple).
 
 
 def _slot_axes(basis: np.ndarray) -> list[np.ndarray]:
@@ -148,37 +150,44 @@ def _slot_axes(basis: np.ndarray) -> list[np.ndarray]:
     return [basis.reshape([n if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
 
 
+def _swept(s, samples: Samples) -> list:
+    """(point, basis rows, tensors) of each record a sweep visits."""
+    if isinstance(s, AlmostContactStructure) and s.is_frame:
+        return [(None, np.eye(s.dim, dtype=object), s.carrier)]
+    return [(tuple(r.point.tolist()), r.E, r) for r in _records(s, samples)]
+
+
 def _closures(riem, g, phi, eta):
     """The defects' r4, gd, phv and etv over vector batches of shape (..., d).
 
-    Exact (object) curvature contracts through the zero-skipping
-    ``_contract``; each r4 argument is then a plain vector of shape (d,) or a
-    slot batch (d on one of four batch axes, 1 on the others), and the result
-    broadcasts over the batch axes. Float curvature contracts by ``einsum``
-    over broadcast batch axes: one shared axis for a chart's sampled
-    quadruples, four slot axes for the submersion checker's lifted frame.
-    The stacked-matmul forms give the same bits
-    as ``a @ g @ b``, ``phi @ v`` and ``eta @ v`` on single vectors.
+    Each r4 argument is a plain vector of shape (d,) or a slot batch (rows on
+    one of four batch axes, 1 on the others, any row count), and the result
+    broadcasts over the batch axes. r4 contracts one curvature slot per
+    argument: through the zero-skipping ``_contract`` on exact (object)
+    curvature, by one matmul on floats.
     """
     d = len(g)
     if riem.dtype == object:
-        def r4(*vectors):
-            t, axes = riem, []
-            for v in vectors:   # each step contracts the leading curvature slot
-                if v.ndim == 1:
-                    t = _contract(t, v[None])[..., 0]
-                else:
-                    axes.append(int(np.argmax(v.shape[:-1])))
-                    t = _contract(t, v.reshape(-1, d))
-            if not axes:
-                return t[()]
-            shape = [1] * 4
-            for a in axes:
-                shape[a] = d
-            return t.transpose(np.argsort(axes, kind="stable")).reshape(shape)
+        contract = _contract
     else:
-        def r4(a, b, c, w):
-            return np.einsum("ijkl,...i,...j,...k,...l->...", riem, a, b, c, w)
+        def contract(t, rows):
+            return (t.reshape(d, -1).T @ rows.T).reshape(t.shape[1:] + (len(rows),))
+
+    def r4(*vectors):
+        t, axes = riem, []
+        for v in vectors:   # each step contracts the leading curvature slot
+            if v.ndim == 1:
+                t = contract(t, v[None])[..., 0]
+            else:
+                axes.append(int(np.argmax(v.shape[:-1])))
+                t = contract(t, v.reshape(-1, d))
+        if not axes:
+            return t[()]
+        t = t.transpose(np.argsort(axes, kind="stable"))
+        shape = [1] * 4
+        for a, n in zip(sorted(axes), t.shape):
+            shape[a] = n
+        return t.reshape(shape)
 
     def gd(a, b):
         return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
@@ -195,37 +204,26 @@ def _closures(riem, g, phi, eta):
 def _sweep(s, rows: dict, samples: Samples, tol: float,
            perp: bool = False) -> dict[str, IdentityReport]:
     """One report per ``rows`` entry (tag → function of ξ giving the defect),
-    with every swept vector v replaced by v − η(v)ξ when ``perp``. Frame
-    reports carry the exact residual."""
-    frame = isinstance(s, AlmostContactStructure) and s.is_frame
-    if frame:
-        visits = [(None, _slot_axes(np.eye(s.dim, dtype=object)), s.carrier)]
-    else:
-        records = _records(s, samples)
-        n = len(records[0].vectors) // 4
-        if n == 0:   # no quadruple to sweep must not read as a pass
-            raise ValueError("chart sweeps need at least four sample vectors per point")
-        visits = ((r.point, list(r.vectors[:4 * n].reshape(n, 4, -1).swapaxes(0, 1)), r)
-                  for r in records)
+    with every swept vector v replaced by v − η(v)ξ when ``perp``. Exact
+    (object) tables give exact residuals."""
     worst = {tag: WorstResidual(tag) for tag in rows}
     exact, witness = dict.fromkeys(rows), dict.fromkeys(rows)
     n_points = n_quads = 0
-    for p, slots, t in visits:
+    for p, basis, t in _swept(s, samples):
         closures = r4, gd, phv, etv = _closures(t.riem, t.g, t.phi, t.eta)
+        slots = _slot_axes(basis)
         if perp:
             slots = [v - etv(v)[..., None] * t.xi for v in slots]
-        shape = np.broadcast_shapes(*(v.shape[:-1] for v in slots))
+        shape = (len(basis),) * 4
         n_points += 1
-        n_quads += math.prod(shape)
+        n_quads += len(basis) ** 4
         for tag, defect_at in rows.items():
             vals = np.abs(np.broadcast_to(defect_at(t.xi)(*closures, *slots), shape))
             idx = np.unravel_index(np.argmax(vals), shape)
             if worst[tag].add(vals[idx]):
-                exact[tag] = vals[idx] if frame else None
-                witness[tag] = Witness(
-                    point=None if p is None else tuple(p.tolist()),
-                    vectors=tuple(tuple(np.broadcast_to(v, shape + v.shape[-1:])[idx].tolist())
-                                  for v in slots))
+                exact[tag] = vals[idx] if vals.dtype == object else None
+                witness[tag] = Witness(p, tuple(tuple(v.reshape(-1, v.shape[-1])[i].tolist())
+                                                for v, i in zip(slots, idx)))
     return {tag: IdentityReport(tag=tag, n_points=n_points, n_quadruples=n_quads,
                                 residual=w.value, exact=exact[tag], witness=witness[tag],
                                 tolerance=tol)
@@ -237,7 +235,8 @@ def _sweep(s, rows: dict, samples: Samples, tol: float,
 
 def check_hermitian(h: AlmostHermitianStructure, kind: str,
                     samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
-    """Max residual of the Hermitian identity ``kind`` over sampled quadruples."""
+    """Max residual of the Hermitian identity ``kind`` over the quadruples of
+    E(p) at the sample points."""
     kind = kind.lower()
     if kind not in _HERMITIAN_DEFECTS:
         raise ValueError(f"unknown hermitian identity {kind!r}")
@@ -249,8 +248,8 @@ def check_contact(s: AlmostContactStructure, kind: str,
                   samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
     """Max residual of the contact identity ``kind``.
 
-    Frame carriers are swept exhaustively and exactly; the report then
-    carries the residual as a Fraction in ``exact``.
+    Frame carriers are swept exactly; the report then carries the residual
+    as a Fraction in ``exact``.
     """
     kind = kind.lower()
     if kind not in _CONTACT_DEFECTS:
@@ -335,10 +334,15 @@ def consequence_suite(s: AlmostContactStructure, kind: str,
 
 
 def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fraction:
-    """Recompute an identity defect at a recorded witness.
+    """Recompute an identity defect at a recorded witness, to verify that
+    reported residuals are reproducible.
 
-    Returns the exact Fraction on frame carriers, a float on charts; used to
-    verify that reported residuals are reproducible.
+    On frame carriers the defect of the four witness vectors is returned as
+    an exact Fraction. On charts the record at the witness point is rebuilt
+    and the defect table evaluated in the sweep's own layout, so the float
+    read from the entry whose slot rows are the witness vectors is rounded
+    as the sweep rounded it; a vector that is no row of E(p) raises
+    ValueError.
     """
     kind = kind.lower()
     if kind in _HERMITIAN_DEFECTS:
@@ -349,7 +353,12 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
         defect = _CONTACT_DEFECTS[kind]
     else:
         raise ValueError(f"unknown identity {kind!r}")
-    frame = isinstance(s, AlmostContactStructure) and s.is_frame
-    t = s.carrier if frame else contact_point_data(s, witness.point)
-    vecs = [_rat(v) if frame else np.asarray(v, dtype=float) for v in witness.vectors]
-    return abs(defect(*_closures(t.riem, t.g, t.phi, t.eta), *vecs))
+    if isinstance(s, AlmostContactStructure) and s.is_frame:
+        fg = s.carrier
+        return abs(defect(*_closures(fg.riem, fg.g, fg.phi, fg.eta),
+                          *(_rat(v) for v in witness.vectors)))
+    t = contact_point_data(s, witness.point)
+    rows = t.E.tolist()
+    idx = tuple(rows.index(list(v)) for v in witness.vectors)
+    vals = defect(*_closures(t.riem, t.g, t.phi, t.eta), *_slot_axes(t.E))
+    return abs(float(np.broadcast_to(vals, (len(rows),) * 4)[idx]))

@@ -5,8 +5,8 @@ Structures live over either a coordinate chart or an invariant frame. Each
 check is written once, over a ``BasisRecord`` of components in a basis: a
 frame gives one exact record in its own basis, a chart one float record per
 sample point in the orthonormal frame E(p) = ``orthonormal_frame(g)``.
-Every chart check reads one list of ``PointRecord`` (g, Γ, R and the
-structure at each sample point), built once per invocation by the caller or
+Every chart check reads one list of ``PointRecord`` (g, Γ, R, the structure
+and E(p) at each sample point), built once per invocation by the caller or
 at a checker's entry; nothing caches it past the invocation.
 Residuals are maxima over the carrier's basis vectors or ordered pairs of
 them; on charts they are tensor norms in E(p). Classification covers the
@@ -34,7 +34,7 @@ __all__ = [
     "AlmostContactStructure", "AlmostHermitianStructure",
     "BasisRecord", "ClassificationReport", "PointRecord",
     "validate", "classify", "check_kappa_mu",
-    "contact_point_data", "hermitian_point_data", "default_samples", "WorstResidual",
+    "contact_point_data", "default_samples", "WorstResidual",
 ]
 
 @dataclass(frozen=True)
@@ -91,13 +91,14 @@ class AlmostHermitianStructure:
 @dataclass(frozen=True)
 class PointRecord:
     """One sample point of a chart, evaluated once and read by every check:
-    the point and its sampled vectors (rows), g, Γ (``gamma[k, i, j]``), R
-    and R¹³ from one ``metric_jets``, and the structure over the REAL ring.
-    An almost Hermitian structure's record carries J as ``phi`` with ξ = η =
-    0; a bare chart's carries no structure."""
+    the point, g, Γ (``gamma[k, i, j]``), R and R¹³ from one
+    ``metric_jets``, the structure over the REAL ring and the orthonormal
+    frame E(p) = ``orthonormal_frame(g)``, whose rows are the frame vectors
+    in chart coordinates. An almost Hermitian structure's record carries J
+    as ``phi`` with ξ = η = 0; a bare chart's carries no structure and no
+    E(p), since only the curvature symmetries read it."""
 
     point: np.ndarray
-    vectors: np.ndarray
     g: np.ndarray
     gamma: np.ndarray
     riem: np.ndarray
@@ -105,6 +106,7 @@ class PointRecord:
     phi: np.ndarray | None = None
     xi: np.ndarray | None = None
     eta: np.ndarray | None = None
+    E: np.ndarray | None = None
 
 
 # what a checker's ``samples`` may be: a sample set, the point records built
@@ -112,7 +114,7 @@ class PointRecord:
 Samples = SampleSet | list[PointRecord] | None
 
 
-def contact_point_data(s, p: Sequence[float], vectors=()) -> PointRecord:
+def contact_point_data(s, p: Sequence[float]) -> PointRecord:
     """The ``PointRecord`` at chart point ``p`` of ``s``: an almost contact
     or almost Hermitian structure over a chart, or a bare ``Chart``."""
     if isinstance(s, Chart):
@@ -127,27 +129,22 @@ def contact_point_data(s, p: Sequence[float], vectors=()) -> PointRecord:
     values = [eval_field(f, p) for f in fields]
     if len(values) == 1:
         values += [np.zeros(s.dim)] * 2
-    record = PointRecord(np.asarray(p, dtype=float), np.asarray(vectors), curv.g, conn.gamma,
-                         curv.riem, curv.riem13, *values)
+    if values:
+        values.append(geometry.orthonormal_frame(curv.g))
+    record = PointRecord(np.asarray(p, dtype=float), curv.g, conn.gamma, curv.riem,
+                         curv.riem13, *values)
     for a in vars(record).values():   # every check reads it: an in-place edit must raise
         if a is not None:
             a.flags.writeable = False
     return record
 
 
-def hermitian_point_data(h: AlmostHermitianStructure, p: Sequence[float]):
-    """(curvature, J) at a chart point; the curvature is the point record."""
-    r = contact_point_data(h, p)
-    return r, r.phi
-
-
-def default_samples(s, n_points: int = 20, vecs_per_point: int = 20,
-                    seed: int = 42) -> SampleSet | None:
+def default_samples(s, n_points: int = 20, seed: int = 42) -> SampleSet | None:
     """Sampling helper; frame carriers need no samples (sweeps are exhaustive)."""
     if isinstance(s, AlmostContactStructure) and s.is_frame:
         return None
     chart = s.carrier if isinstance(s, AlmostContactStructure) else s.chart
-    return sample(chart, n_points, vecs_per_point, seed)
+    return sample(chart, n_points, seed)
 
 
 class WorstResidual:
@@ -221,8 +218,7 @@ def _chart_record(s, r: PointRecord, jets: bool = True) -> BasisRecord:
     """The record at a chart point in E(p) from its point record; with
     ``jets``, also the derivative tables, from Γ, R¹³ and the jets of ξ, φ
     and η."""
-    E = geometry.orthonormal_frame(r.g)
-    F = r.g @ E.T                                   # coordinate vector (row) → E(p) components
+    E, F = r.E, r.g @ r.E.T                         # F: coordinate vector (row) → E(p) components
     tables = {}
     if jets:
         dxi = eval_field_jets(s.xi, r.point)[1]     # dxi[k, i] = ∂_i ξ^k
@@ -244,7 +240,7 @@ def _records(s, samples):
     if isinstance(samples, list) or isinstance(s, AlmostContactStructure) and s.is_frame:
         return samples
     samples = default_samples(s) if samples is None else samples
-    return [contact_point_data(s, p, v) for p, v in zip(samples.points, samples.vectors)]
+    return [contact_point_data(s, p) for p in samples.points]
 
 
 def _basis_records(s, samples, jets: bool = True):

@@ -1,12 +1,37 @@
 import pytest
 from fractions import Fraction
 
+import numpy as np
+
 from curvlab.constructions.registry import (build_flat3, build_s2_round,
                                             build_h21_chart, build_flat_cosym5,
                                             build_sine_cone, build_r_warped_surface,
                                             build_s5_in_c3, build_hopf_pair)
+from curvlab.chart import sample
 from curvlab.frame import heisenberg_h21
 from curvlab.structures import AlmostContactStructure
+
+
+def sample_with_vectors(chart, n_points, vecs_per_point, seed):
+    """``sample(chart, n_points, seed)`` and random tangent vectors for tests
+    that take them as their own inputs, as ``(sample set, vectors)`` with
+    ``vectors[i]`` the ``vecs_per_point`` vectors at point i. The vectors
+    continue the sample's random stream after its points: each is a uniform
+    direction in [−1, 1]^dim scaled to a Euclidean norm drawn from [0.5, 2]."""
+    smp = sample(chart, n_points, seed)
+    rng = np.random.default_rng(seed)
+    rng.uniform(size=smp.points.size)   # the draws of the points
+    vecs = np.empty((n_points, vecs_per_point, chart.dim))
+    for i in range(n_points):
+        for v in range(vecs_per_point):
+            direction = rng.uniform(-1.0, 1.0, chart.dim)
+            nrm = float(np.linalg.norm(direction))
+            if nrm < 1e-12:
+                direction = np.zeros(chart.dim)
+                direction[0] = 1.0
+                nrm = 1.0
+            vecs[i, v] = direction / nrm * rng.uniform(0.5, 2.0)
+    return smp, vecs
 
 
 @pytest.fixture(scope="session")

@@ -7,43 +7,43 @@ from curvlab.chart import (Chart, Interval, TensorField, eval_field,
                            eval_field_jets, sample, DOMAIN_MARGIN)
 from curvlab.errors import SamplingError, SingularMetricError
 from curvlab.constructions.registry import flat_chart
+from conftest import sample_with_vectors
 
 
 def test_flat_sampling_window_and_determinism(flat3):
-    s1 = sample(flat3, 4, 3, seed=7)
-    s2 = sample(flat3, 4, 3, seed=7)
+    s1 = sample(flat3, 4, seed=7)
+    s2 = sample(flat3, 4, seed=7)
     assert s1.points.shape == (4, 3)
     assert np.array_equal(s1.points, s2.points)
-    assert np.array_equal(s1.vectors, s2.vectors)
     assert np.all(s1.points > -2.0) and np.all(s1.points < 2.0)
-    s3 = sample(flat3, 4, 3, seed=8)
+    s3 = sample(flat3, 4, seed=8)
     assert not np.array_equal(s1.points, s3.points)
 
 
 def test_positive_coordinate_window():
     cone = Chart(("t", "x"), [["1", "0"], [None, "t^2"]],
                  [Interval(0.0, math.inf), Interval()])
-    s = sample(cone, 16, 1, seed=3)
+    s = sample(cone, 16, seed=3)
     t = s.points[:, 0]
     assert np.all(t > 0.5) and np.all(t < 3.0)
 
 
 def test_bounded_domain_margin(sine_cone_cos):
     chart = sine_cone_cos.structure.carrier
-    s = sample(chart, 25, 1, seed=5)
+    s = sample(chart, 25, seed=5)
     z = s.points[:, -1]
     assert np.all(np.abs(z) <= math.pi / 2 - DOMAIN_MARGIN)
 
 
 def test_vector_norm_window(flat3):
-    s = sample(flat3, 6, 10, seed=1)
-    norms = np.linalg.norm(s.vectors, axis=2)
+    _, vectors = sample_with_vectors(flat3, 6, 10, seed=1)
+    norms = np.linalg.norm(vectors, axis=2)
     assert np.all(norms >= 0.1) and np.all(norms <= 10.0)
 
 
 def test_sample_rejects_empty():
     with pytest.raises(ValueError):
-        sample(flat_chart(("x",)), 0, 1, seed=0)
+        sample(flat_chart(("x",)), 0, seed=0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
 
@@ -53,7 +53,7 @@ def test_spd_validation_catches_degenerate():
     with pytest.raises(SingularMetricError):
         bad.check_spd([-1.0, 0.0])
     with pytest.raises(SingularMetricError):
-        sample(bad, 50, 1, seed=2)
+        sample(bad, 50, seed=2)
 
 
 def test_metric_symmetrized_and_mismatch_rejected():
@@ -95,6 +95,6 @@ def test_tensorfield_shape_checks():
 def test_sampled_points_are_spd_everywhere(s5_example, h21_chart):
     for s in (s5_example.structure, h21_chart):
         chart = s.carrier
-        smp = sample(chart, 10, 1, seed=9)
+        smp = sample(chart, 10, seed=9)
         for p in smp.points:
             chart.check_spd(p)  # raises on failure

@@ -28,7 +28,7 @@ def test_h_xi_sweeps_the_coordinate_basis(s5_example):
     """h(X, ξ) − η(AX) is linear in X, so it is checked on the coordinate
     basis and needs no sampled vectors: with none it must still be a real
     residual, not the −1 of an empty maximum."""
-    smp = sample(s5_example.patch.chart, 3, 0, seed=1)
+    smp = sample(s5_example.patch.chart, 3, seed=1)
     h_xi = induce_hypersurface(s5_example.ambient, s5_example.patch, smp).h_xi_residual
     assert math.isfinite(h_xi) and 0.0 <= h_xi <= 1e-12
 

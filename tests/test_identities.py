@@ -10,6 +10,7 @@ from curvlab.identities import (check_c_alpha, check_contact, check_hermitian,
 from curvlab.structures import default_samples
 from curvlab.constructions import build_cone, resolve_target
 from curvlab.constructions.registry import flat_kahler_c2
+from conftest import sample_with_vectors
 
 F = Fraction
 
@@ -78,6 +79,18 @@ def test_h21_g1_value_is_2cs():
     for c, s in ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)), (F(1), F(0))):
         st = AlmostContactStructure(heisenberg_h21(c, s))
         assert reevaluate_witness(st, "g1", designated) == 2 * c * s
+
+
+@pytest.mark.parametrize("cs", ["3/5,4/5", "-5/13,12/13", "112/113,-15/113"])
+def test_h21_chart_residuals_are_the_exact_h21_values(cs):
+    """h21_chart is the h21 frame in coordinates and a chart sweep covers all
+    of E(p), so its residuals are the exact frame values up to rounding:
+    g1 = 2, g2 = g3 = 0 and c(1/2) = 3/2."""
+    s = resolve_target(f"h21_chart:{cs}").obj
+    smp = sample(s.carrier, 5, seed=1)
+    for kind, exact in (("g1", 2), ("g2", 0), ("g3", 0)):
+        assert abs(check_contact(s, kind, smp).residual - exact) <= 1e-12, kind
+    assert abs(check_c_alpha(s, F(1, 2), smp).residual - 1.5) <= 1e-12
 
 
 def test_s5_satisfies_all_g(s5_example):
@@ -171,12 +184,12 @@ def test_g2_implies_xi_slot_relation(h21_frame, s5_example):
     # chart path on S5
     s = s5_example.structure
     from curvlab.structures import contact_point_data
-    smp = sample(s.carrier, 4, 12, seed=5)
+    smp, vectors = sample_with_vectors(s.carrier, 4, 12, seed=5)
     for i in range(smp.n_points):
         p = smp.points[i]
         data = contact_point_data(s, p)
         for a in range(0, 12 - 2, 3):
-            Y, Z, W = smp.vectors[i][a], smp.vectors[i][a + 1], smp.vectors[i][a + 2]
+            Y, Z, W = vectors[i][a], vectors[i][a + 1], vectors[i][a + 2]
             pw = data.phi @ W
             lhs = float(np.einsum("ijkl,i,j,k,l", data.riem, data.xi, Y, Z, pw))
             rhs = float(data.eta @ Z) * float(pw @ data.g @ Y)
@@ -234,17 +247,17 @@ def test_witness_reproducibility_c_alpha(s5_example, h21_frame, alpha):
     assert type(again) is Fraction and again == rep.exact
 
 
-def test_sweep_without_quadruples_rejected(sine_cone_cos):
-    """Three vectors per point make no quadruple; an empty sweep must not
-    report a pass."""
+def test_chart_sweep_covers_every_frame_quadruple(sine_cone_cos):
+    """A chart sweep visits all d⁴ quadruples of E(p) at every point."""
     s = sine_cone_cos.structure
-    with pytest.raises(ValueError, match="four sample vectors"):
-        check_contact(s, "g1", sample(s.carrier, 5, 3, seed=1))
+    rep = check_contact(s, "g1", sample(s.carrier, 5, seed=1))
+    assert rep.n_points == 5
+    assert rep.n_quadruples == rep.n_points * s.dim ** 4
 
 
 def test_identity_reports_deterministic(s5_example):
     s = s5_example.structure
-    smp = sample(s.carrier, 6, 8, seed=3)
+    smp = sample(s.carrier, 6, seed=3)
     a = check_contact(s, "g1", smp)
     b = check_contact(s, "g1", smp)
     assert a.residual == b.residual

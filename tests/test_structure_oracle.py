@@ -168,7 +168,7 @@ def contact(request):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chart_validate_matches_oracle(contact, seed):
-    smp = sample(contact.carrier, 3, 4, seed)
+    smp = sample(contact.carrier, 3, seed)
     got, want = validate(contact, smp), oracle_validate(contact, smp)
     assert list(got) == list(want)
     for key in want:
@@ -177,7 +177,7 @@ def test_chart_validate_matches_oracle(contact, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chart_classify_matches_oracle(contact, seed):
-    smp = sample(contact.carrier, 3, 4, seed)
+    smp = sample(contact.carrier, 3, seed)
     rep = classify(contact, smp)
     want, ric = oracle_classify(contact, smp)
     close(rep.compatibility, max(oracle_validate(contact, smp).values()))
@@ -189,7 +189,7 @@ def test_chart_classify_matches_oracle(contact, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kappa,mu", KAPPA_MU)
 def test_chart_kappa_mu_matches_oracle(contact, seed, kappa, mu):
-    smp = sample(contact.carrier, 3, 4, seed)
+    smp = sample(contact.carrier, 3, seed)
     close(check_kappa_mu(contact, kappa, mu, smp),
           oracle_kappa_mu(contact, float(kappa), float(mu), smp))
 
@@ -197,7 +197,7 @@ def test_chart_kappa_mu_matches_oracle(contact, seed, kappa, mu):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hermitian_validate_matches_oracle(seed):
     h = flat_kahler_c2()
-    smp = sample(h.chart, 3, 4, seed)
+    smp = sample(h.chart, 3, seed)
     got, want = validate(h, smp), oracle_hermitian(h, smp)
     assert list(got) == list(want)
     for key in want:
@@ -304,7 +304,7 @@ def test_sol3_chart_matches_solvable_frame():
     """The same structure on both carriers: E(p) is the frame (E1, E2, ξ),
     so every chart residual is the frame's exact one, up to rounding."""
     chart, frame = load_manifold_text(SOL3_CHART), AlmostContactStructure(solvable_frame())
-    smp = sample(chart.carrier, 3, 4, 5)
+    smp = sample(chart.carrier, 3, 5)
     want = classify(frame).residuals()
     assert want["sasakian_nabla_phi"] > 0.5
     for key, val in classify(chart, smp).residuals().items():

@@ -34,7 +34,7 @@ def test_validate_differentiates_nothing(monkeypatch, s5_example):
     import curvlab.structures as structures
     from curvlab import geometry
     s = s5_example.structure
-    smp = sample(s.carrier, 20, 0, seed=3)
+    smp = sample(s.carrier, 20, seed=3)
     records = [structures.contact_point_data(s, p) for p in smp.points]
     calls = []
     for mod, name in ((structures, "eval_field_jets"), (geometry, "metric_jets")):
@@ -180,7 +180,7 @@ def test_frame_carrier_requires_tensors():
 
 def test_classification_deterministic(s5_example):
     s = s5_example.structure
-    smp = sample(s.carrier, 8, 12, seed=77)
+    smp = sample(s.carrier, 8, seed=77)
     a = classify(s, smp).residuals()
     b = classify(s, smp).residuals()
     assert a == b
@@ -204,7 +204,7 @@ def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
 
     monkeypatch.setattr(geometry, "point_geometry", poisoned)
     s = s5_example.structure
-    smp = sample(s.carrier, 3, 4, seed=1)
+    smp = sample(s.carrier, 3, seed=1)
     with pytest.raises(EvalDomainError):
         classify(s, smp)
     with pytest.raises(EvalDomainError):

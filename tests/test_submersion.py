@@ -14,7 +14,7 @@ def test_total_space_structure_validates(hopf_pair):
 
 def test_lift_projects_back(hopf_pair):
     from curvlab.constructions.submersion import _projection_jets
-    smp = sample(hopf_pair.total.carrier, 10, 1, seed=19)
+    smp = sample(hopf_pair.total.carrier, 10, seed=19)
     rng = np.random.default_rng(20)
     for p in smp.points:
         _, dpi, _ = _projection_jets(hopf_pair, p)
@@ -28,7 +28,7 @@ def test_lift_projects_back(hopf_pair):
 
 def test_lift_isometry_onto_base(hopf_pair):
     # dpi restricted to the horizontal space is isometric for these metrics
-    smp = sample(hopf_pair.total.carrier, 6, 1, seed=29)
+    smp = sample(hopf_pair.total.carrier, 6, seed=29)
     from curvlab.constructions.submersion import _projection_jets
     for p in smp.points:
         base_pt, dpi, _ = _projection_jets(hopf_pair, p)
@@ -41,7 +41,7 @@ def test_lift_isometry_onto_base(hopf_pair):
 
 
 def test_hopf_lift_relations(hopf_pair):
-    res = check_submersion_lift(hopf_pair, n_points=20, seed=42, tol=1e-6)
+    res = check_submersion_lift(hopf_pair, n_points=20, seed=42)
     assert res["dpi_xi"] <= 1e-12
     assert res["lift_connection"] <= 1e-6
     assert res["lift_xi"] <= 1e-6
