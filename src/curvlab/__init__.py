@@ -10,8 +10,8 @@ classification conditions.
 """
 
 from .chart import Chart, Interval, SampleSet, TensorField, eval_field, sample
-from .frame import FrameGeometry, frame_connection, frame_curvature, heisenberg_h21
-from .jet import Jet2, jet_apply, seed, seeds
+from .frame import FrameGeometry, heisenberg_h21
+from .jet import Jet2, seed, seeds
 from .expr import eval_expr, parse_expr, to_text
 from .structures import (AlmostContactStructure, AlmostHermitianStructure,
                          ClassificationReport, check_kappa_mu, classify, validate)
@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chart", "Interval", "SampleSet", "TensorField", "eval_field", "sample",
-    "FrameGeometry", "frame_connection", "frame_curvature", "heisenberg_h21",
-    "Jet2", "jet_apply", "seed", "seeds",
+    "FrameGeometry", "heisenberg_h21",
+    "Jet2", "seed", "seeds",
     "eval_expr", "parse_expr", "to_text",
     "AlmostContactStructure", "AlmostHermitianStructure", "ClassificationReport",
     "check_kappa_mu", "classify", "validate",

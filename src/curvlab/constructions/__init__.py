@@ -2,7 +2,7 @@
 structures, hypersurface induction and submersion pairs, each with the
 closed-form oracles that make their structure theorems executable."""
 
-from .cone import ConeBundle, build_cone, cone_closed_forms, ConeOracle
+from .cone import ConeBundle, build_cone, ConeOracle
 from .warped import (WarpedSpec, build_warped, warped_christoffel_oracle,
                      RWarpedBundle, build_r_warped_contact,
                      r_warped_riemann_oracle, r_warped_christoffel_oracle,
@@ -13,7 +13,7 @@ from .registry import (registry_names, resolve_target, ResolvedTarget,
                        HypersurfaceExample)
 
 __all__ = [
-    "ConeBundle", "build_cone", "cone_closed_forms", "ConeOracle",
+    "ConeBundle", "build_cone", "ConeOracle",
     "WarpedSpec", "build_warped", "warped_christoffel_oracle",
     "RWarpedBundle", "build_r_warped_contact",
     "r_warped_riemann_oracle", "r_warped_christoffel_oracle",

@@ -24,7 +24,7 @@ from .. import geometry
 from ..chart import Chart, Interval, TensorField, eval_field, eval_field_jets
 from ..structures import AlmostContactStructure, AlmostHermitianStructure
 
-__all__ = ["ConeBundle", "build_cone", "ConeOracle", "cone_closed_forms"]
+__all__ = ["ConeBundle", "build_cone", "ConeOracle"]
 
 CONE_COORD = "t"
 
@@ -190,28 +190,3 @@ class ConeOracle:
                         - float(Y @ g @ pz) * float(X @ g @ pw)
                         + float(X @ g @ pz) * float(Y @ g @ pw))
 
-
-_CASES = {
-    "connection": lambda o, inputs: o.connection(*inputs),
-    "curvature": lambda o, inputs: o.curvature_op(*inputs),
-    "nabla_j": lambda o, inputs: o.nabla_J(*inputs),
-    "curvature_j_dt": lambda o, inputs: o.curvature_J_dt(*inputs),
-    "curvature_j_base": lambda o, inputs: o.curvature_J_base(*inputs),
-    "pair_1": lambda o, inputs: o.pair_1(*inputs),
-    "pair_2": lambda o, inputs: o.pair_2(*inputs),
-    "pair_3": lambda o, inputs: o.pair_3(*inputs),
-}
-
-
-def cone_closed_forms(cb: ConeBundle, case: str, p_cone: Sequence[float], inputs):
-    """Closed-form right-hand sides, dispatched by case tag.
-
-    Cases: connection, curvature, nabla_j (cone-vector inputs);
-    curvature_j_dt, curvature_j_base (cone-vector inputs, base parts used);
-    pair_1, pair_2, pair_3 (base-vector inputs, scalar output).
-    """
-    try:
-        fn = _CASES[case]
-    except KeyError:
-        raise ValueError(f"unknown cone oracle case {case!r}") from None
-    return fn(ConeOracle(cb, p_cone), inputs)

@@ -31,7 +31,7 @@ from .errors import EvalDomainError, ExprSyntaxError, RingError, UnknownIdentifi
 __all__ = [
     "Expr", "Num", "ConstName", "Var", "Neg", "Bin", "Pow", "Call",
     "parse_expr", "eval_expr", "to_text", "free_variables",
-    "REAL", "JET", "RATIONAL", "num",
+    "REAL", "JET", "RATIONAL",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
@@ -81,17 +81,6 @@ class Call:
 
 
 Expr = Union[Num, ConstName, Var, Neg, Bin, Pow, Call]
-
-
-def num(value) -> Num:
-    """Wrap a plain number (int, float or Fraction) as an Expr constant."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return Num(int(value))
-        return Bin("/", Num(value.numerator), Num(value.denominator))
-    if isinstance(value, (int, float)):
-        return Num(value)
-    raise TypeError(f"cannot embed {type(value).__name__} as an expression constant")
 
 
 def free_variables(e: Expr) -> set[str]:

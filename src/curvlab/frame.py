@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["FrameGeometry", "frame_connection", "frame_curvature", "heisenberg_h21"]
+__all__ = ["FrameGeometry", "heisenberg_h21"]
 
 _ZERO = Fraction(0)
 _fractions = np.frompyfunc(Fraction, 1, 1)
@@ -76,10 +75,14 @@ class FrameGeometry:
     g, then builds the whole-tensor geometry:
 
     * ``ginv``: g⁻¹;
-    * ``_nabla[i, j, k]``: E_k coefficient of ∇_Ei Ej;
+    * ``nabla[i, j, k]``: E_k coefficient of ∇_Ei Ej;
     * ``riem13[i, j, k, m]``: E_m coefficient of R_EiEj E_k
       = ∇_i ∇_j E_k − ∇_j ∇_i E_k − ∇_[Ei,Ej] E_k;
     * ``riem[i, j, k, l]`` = R(E_i, E_j, E_k, E_l) = −g(R_EiEj E_k, E_l).
+
+    Callers read these fields directly: ``fg.nabla[i, j]`` holds the frame
+    coefficients of ∇_Ei Ej, and ``fg.riem[i, j, k, l]`` the exact lowered
+    curvature.
     """
 
     dim: int
@@ -90,7 +93,7 @@ class FrameGeometry:
     eta: np.ndarray | None = None
     name: str = ""
     ginv: np.ndarray = field(init=False, repr=False)
-    _nabla: np.ndarray = field(init=False, repr=False)
+    nabla: np.ndarray = field(init=False, repr=False)
     riem13: np.ndarray = field(init=False, repr=False)
     riem: np.ndarray = field(init=False, repr=False)
 
@@ -106,13 +109,13 @@ class FrameGeometry:
         # Koszul: L[i, j, k] = g([Ei, Ej], Ek)
         lower = _contract(c, g.T)
         koszul = (lower - lower.transpose(2, 0, 1) + lower.transpose(1, 2, 0)) / 2
-        self._nabla = _contract(koszul.transpose(2, 0, 1), self.ginv)
-        # with N = _nabla: ∇_i ∇_j E_k = Σ_m N[j, k, m] ∇_i E_m and
+        self.nabla = _contract(koszul.transpose(2, 0, 1), self.ginv)
+        # with N = self.nabla: ∇_i ∇_j E_k = Σ_m N[j, k, m] ∇_i E_m and
         # ∇_[Ei,Ej] E_k = Σ_m c[m, i, j] ∇_m E_k
-        by_m = self._nabla.transpose(1, 0, 2).reshape(d, d * d).T   # rows (i, q), columns m
-        second = _contract(self._nabla.transpose(2, 0, 1), by_m).reshape(d, d, d, d)
+        by_m = self.nabla.transpose(1, 0, 2).reshape(d, d * d).T    # rows (i, q), columns m
+        second = _contract(self.nabla.transpose(2, 0, 1), by_m).reshape(d, d, d, d)
         second = second.transpose(2, 0, 1, 3)                        # [i, j, k, q]
-        bracket = _contract(self._nabla, c.reshape(d, d * d).T).reshape(d, d, d, d)
+        bracket = _contract(self.nabla, c.reshape(d, d * d).T).reshape(d, d, d, d)
         self.riem13 = second - second.transpose(1, 0, 2, 3) - bracket.transpose(2, 3, 0, 1)
         self.riem = -_contract(self.riem13.transpose(3, 0, 1, 2), g.T)
 
@@ -131,48 +134,6 @@ class FrameGeometry:
             raise ValueError("Jacobi identity fails on ({},{},{})".format(*bad[0][:3]))
         if (self.g != self.g.T).any():
             raise ValueError("frame metric not symmetric")
-
-    # -- thin reads of the tensors -------------------------------------------
-
-    def inner(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-        return _rat(u) @ self.g @ _rat(v)
-
-    def riemann(self, i: int, j: int, k: int, l: int) -> Fraction:
-        """Lowered R(E_i, E_j, E_k, E_l) = −g(R_EiEj E_k, E_l)."""
-        return self.riem[i, j, k, l]
-
-    def riemann_table(self) -> np.ndarray:
-        return self.riem.copy()
-
-    def phi_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if self.phi is None:
-            raise ValueError("frame carries no phi tensor")
-        return list(self.phi @ _rat(v))
-
-    def eta_value(self, v: Sequence[Fraction]) -> Fraction:
-        if self.eta is None:
-            raise ValueError("frame carries no eta tensor")
-        return self.eta @ _rat(v)
-
-    def ricci(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-        """Ric(X, Y) = Σ_ab g^ab R(E_a, X, E_b, Y), exact."""
-        ric = np.tensordot(self.ginv, self.riem, axes=([0, 1], [0, 2]))
-        return _rat(x) @ ric @ _rat(y)
-
-
-def frame_connection(fg: FrameGeometry, i: int, j: int) -> list[Fraction]:
-    """Coefficients of ∇_Ei Ej in the frame basis, exact rationals."""
-    if not (0 <= i < fg.dim and 0 <= j < fg.dim):
-        raise IndexError(f"frame index out of range for dimension {fg.dim}")
-    return list(fg._nabla[i, j])
-
-
-def frame_curvature(fg: FrameGeometry, i: int, j: int, k: int, l: int) -> Fraction:
-    """Exact lowered curvature R(E_i, E_j, E_k, E_l)."""
-    for idx in (i, j, k, l):
-        if not 0 <= idx < fg.dim:
-            raise IndexError(f"frame index out of range for dimension {fg.dim}")
-    return fg.riemann(i, j, k, l)
 
 
 def heisenberg_h21(c: Fraction, s: Fraction) -> FrameGeometry:

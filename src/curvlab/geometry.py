@@ -17,6 +17,9 @@ The ``*_of`` functions are formulas over values already built at one point
 (metric jets, Γ, curvature, field jets); the ``(chart, p, …)`` functions
 build what they need and call them. A check that needs several of these at
 a point builds them once, from one ``metric_jets`` (``point_geometry``).
+Derived quantities (∇ of a field, L_ξ g, dη, Ric) are computed by the
+checks that need them, from the arrays above; the one-formula versions that
+tests compare those checks against live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -27,17 +30,14 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .chart import Chart, TensorField, eval_field_jets
+from .chart import Chart
 from .errors import SingularMetricError
 
 __all__ = [
     "ConnectionAtPoint", "CurvatureAtPoint", "MetricJets",
     "metric_jets", "connection_of", "curvature_of", "point_geometry",
-    "christoffel", "curvature",
-    "nabla_of", "covariant_derivative", "covariant_derivative_02",
-    "lie_derivative_metric", "exterior_d_oneform", "ricci",
+    "christoffel", "curvature", "nabla_of",
     "orthonormal_frame", "curvature_symmetry_residuals",
-    "contact_volume_coefficient", "riemann_eval",
 ]
 
 
@@ -138,11 +138,6 @@ def curvature(chart: Chart, p: Sequence[float]) -> CurvatureAtPoint:
     return point_geometry(chart, p)[1]
 
 
-def riemann_eval(curv: CurvatureAtPoint, X, Y, Z, W) -> float:
-    """Multilinear evaluation R(X, Y, Z, W) against the lowered array."""
-    return float(np.einsum("ijkl,i,j,k,l", curv.riem, X, Y, Z, W))
-
-
 def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
     """∇_X f from Γ and the jets ``(values, grads)`` of a vector, one-form or
     endomorphism field f, as returned by ``eval_field_jets``."""
@@ -160,46 +155,6 @@ def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
                 + np.einsum("i,kim,mj->kj", X, gamma, vals)
                 - np.einsum("km,i,mij->kj", vals, X, gamma))
     raise ValueError(f"unsupported valence {valence!r}")
-
-
-def covariant_derivative(chart: Chart, f: TensorField, p: Sequence[float], X) -> np.ndarray:
-    """∇_X f at ``p`` for a vector, one-form or endomorphism field."""
-    return nabla_of(christoffel(chart, p).gamma, f.valence, eval_field_jets(f, p), X)
-
-
-def covariant_derivative_02(chart: Chart, components, p: Sequence[float], X) -> np.ndarray:
-    """∇_X T for a (0,2) expression array; used for the ∇g = 0 check."""
-    t = TensorField(chart, "endomorphism", components)  # same shape, parse only
-    conn = christoffel(chart, p)
-    gamma = conn.gamma
-    X = np.asarray(X, dtype=float)
-    vals, grads = eval_field_jets(t, p)
-    # (∇_X T)_jk = X^i (∂_i T_jk − Γ^m_ij T_mk − Γ^m_ik T_jm)
-    return (np.einsum("i,jki->jk", X, grads)
-            - np.einsum("i,mij,mk->jk", X, gamma, vals)
-            - np.einsum("i,mik,jm->jk", X, gamma, vals))
-
-
-def lie_derivative_metric(chart: Chart, xi: TensorField, p: Sequence[float], X, Y) -> float:
-    """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ) for the Levi-Civita metric."""
-    if xi.valence != "vector":
-        raise ValueError("Killing test expects a vector field")
-    gamma, jets = christoffel(chart, p).gamma, eval_field_jets(xi, p)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    g = chart.metric_at(p)
-    return float(nabla_of(gamma, "vector", jets, X) @ g @ Y
-                 + X @ g @ nabla_of(gamma, "vector", jets, Y))
-
-
-def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y) -> float:
-    """dη(X, Y) = X^i Y^j (∂_i η_j − ∂_j η_i), without any 1/2 factor."""
-    if eta.valence != "oneform":
-        raise ValueError("exterior derivative here expects a one-form")
-    grads = eval_field_jets(eta, p)[1]  # grads[j, i] = ∂_i η_j
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return float(X @ (grads.T - grads) @ Y)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -221,15 +176,6 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
-    """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame."""
-    curv = curvature(chart, p)
-    E = orthonormal_frame(curv.g)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    return float(np.einsum("ai,j,ak,l,ijkl->", E, X, E, Y, curv.riem))
-
-
 def curvature_symmetry_residuals(curv: CurvatureAtPoint) -> dict[str, float]:
     """Max residuals of the four classical symmetries of the lowered tensor."""
     R = curv.riem
@@ -240,41 +186,3 @@ def curvature_symmetry_residuals(curv: CurvatureAtPoint) -> dict[str, float]:
         "first_bianchi": float(np.max(np.abs(
             R + np.einsum("ijkl->jkil", R) + np.einsum("ijkl->kijl", R)))),
     }
-
-
-def contact_volume_coefficient(chart: Chart, eta: TensorField, p: Sequence[float]) -> float:
-    """Unnormalized coefficient of η ∧ (dη)^n on the coordinate basis.
-
-    The chart dimension must be odd (2n + 1). Only the nonvanishing of the
-    result is meaningful; the combinatorial normalization is not applied.
-    """
-    from itertools import permutations
-
-    d = chart.dim
-    if d % 2 == 0:
-        raise ValueError("contact volume needs an odd-dimensional chart")
-    n = (d - 1) // 2
-    vals, grads = eval_field_jets(eta, p)
-    curl = grads.T - grads
-
-    def sign(perm):
-        s, seen = 1, list(perm)
-        for i in range(len(seen)):
-            while seen[i] != i:
-                j = seen[i]
-                seen[i], seen[j] = seen[j], seen[i]
-                s = -s
-        return s
-
-    total = 0.0
-    for perm in permutations(range(d)):
-        term = vals[perm[0]]
-        if term == 0.0:
-            continue
-        for a in range(n):
-            term *= curl[perm[1 + 2 * a], perm[2 + 2 * a]]
-            if term == 0.0:
-                break
-        if term != 0.0:
-            total += sign(perm) * term
-    return total

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EvalDomainError
 
-__all__ = ["Jet2", "seed", "seeds", "constant", "jet_apply", "JET_FUNCTIONS"]
+__all__ = ["Jet2", "seed", "seeds", "constant", "JET_FUNCTIONS"]
 
 
 class Jet2:
@@ -236,41 +236,3 @@ JET_FUNCTIONS = {
     "cosh": _cosh,
 }
 
-
-def jet_apply(tag: str, args: Iterable) -> Jet2:
-    """Apply an elementary operation by tag to jet (or mixed) arguments.
-
-    Tags: add, sub, mul, div, neg, pow-int, sin, cos, tan, exp, log, sqrt,
-    sinh, cosh. ``pow-int`` expects (jet, integer exponent).
-    """
-    args = list(args)
-
-    def binary(expected: int):
-        if len(args) != expected:
-            raise TypeError(f"{tag} expects {expected} argument(s), got {len(args)}")
-
-    if tag == "add":
-        binary(2)
-        return args[0] + args[1]
-    if tag == "sub":
-        binary(2)
-        return args[0] - args[1]
-    if tag == "mul":
-        binary(2)
-        return args[0] * args[1]
-    if tag == "div":
-        binary(2)
-        return args[0] / args[1]
-    if tag == "neg":
-        binary(1)
-        return -args[0]
-    if tag == "pow-int":
-        binary(2)
-        return args[0] ** args[1]
-    if tag in JET_FUNCTIONS:
-        binary(1)
-        u = args[0]
-        if not isinstance(u, Jet2):
-            raise TypeError(f"{tag} expects a Jet2 argument")
-        return JET_FUNCTIONS[tag](u)
-    raise ValueError(f"unknown jet operation tag {tag!r}")

@@ -54,7 +54,7 @@ __all__ = ["load_manifold_text", "load_manifold_file"]
 
 _SECTIONS = ("chart", "metric", "phi", "xi", "eta", "hermitian", "frame")
 _DOMAIN_RE = re.compile(
-    r"^\s*(\w+)\s+in\s+\(\s*(-?[\w.+]+)\s*,\s*(-?[\w.+]+)\s*\)\s*$")
+    r"^\s*(\w+)\s+in\s+\(\s*([\w.+-]+)\s*,\s*([\w.+-]+)\s*\)\s*$")
 _FRAME_KEY_RE = re.compile(r"^(c|g|phi|xi|eta)((?:\[\d+\])+)$")
 
 
@@ -218,7 +218,10 @@ def load_manifold_text(text: str):
         metric[i, j] = e
         if i != j:
             metric[j, i] = e
-    chart = Chart(coords, metric, domain, name=chart_meta.get("name", ""))
+    try:
+        chart = Chart(coords, metric, domain, name=chart_meta.get("name", ""))
+    except ValueError as e:
+        raise ManifoldFormatError(str(e)) from None
 
     def tensor(entries, prefixes, rank, valence):
         if not entries:
@@ -323,5 +326,11 @@ def _build_frame(entries):
 
 
 def load_manifold_file(path) -> object:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_manifold_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ManifoldFormatError(f"not valid UTF-8: {e.reason}", e.start) from None
+    except OSError as e:
+        raise ManifoldFormatError(f"cannot read {path}: {e.strerror}") from None
+    return load_manifold_text(text)

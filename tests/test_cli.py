@@ -83,12 +83,19 @@ def test_check_on_wrong_carrier_exit_two():
     assert code == 2
 
 
-def test_malformed_file_exit_two(tmp_path):
+@pytest.mark.parametrize("content,message", [
+    pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "x +* 1"\n',
+                 "byte offset", id="expression_syntax"),
+    pytest.param(b"\xff\xfe[chart]\n", "not valid UTF-8", id="not_utf8"),
+    pytest.param(b'[chart]\ndim = 2\ncoords = "x, x"\n[metric]\ng_11 = "1"\ng_22 = "1"\n',
+                 "duplicate coordinate names", id="duplicate_coords"),
+])
+def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
-    bad.write_text('[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "x +* 1"\n')
+    bad.write_bytes(content)
     code, _, err = invoke(["classify", str(bad)])
     assert code == 2
-    assert "byte offset" in err
+    assert message in err
 
 
 def test_file_target_roundtrip(tmp_path):

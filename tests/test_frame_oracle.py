@@ -117,7 +117,7 @@ def same(rep, oracle):
 
 def test_table_matches_oracle(frame):
     s, riem, _ = frame
-    assert all(s.carrier.riemann(*idx) == v for idx, v in riem.items())
+    assert all(s.carrier.riem[idx] == v for idx, v in riem.items())
 
 
 def test_identities_match_oracle(frame):
@@ -142,7 +142,7 @@ def test_consequences_match_oracle(frame):
 
 def test_table_symmetries(frame):
     s, _, _ = frame
-    r = s.carrier.riemann_table()
+    r = s.carrier.riem
     assert r.any()
     assert not (r + r.transpose(1, 0, 2, 3)).any()
     assert not (r + r.transpose(0, 1, 3, 2)).any()

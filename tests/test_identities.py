@@ -171,15 +171,15 @@ def test_g2_implies_xi_slot_relation(h21_frame, s5_example):
     basis = [[F(int(a == b)) for a in range(d)] for b in range(d)]
     for j, k, l in product(range(d), repeat=3):
         Y, Z, W = basis[j], basis[k], basis[l]
-        pw = fg.phi_vector(W)
+        pw = fg.phi @ W
         lhs = F(0)
         for m in range(d):
             if fg.xi[m] == 0:
                 continue
             for a in range(d):
                 if pw[a] != 0:
-                    lhs += fg.xi[m] * pw[a] * fg.riemann(m, j, k, a)
-        rhs = fg.eta_value(Z) * fg.inner(pw, Y)
+                    lhs += fg.xi[m] * pw[a] * fg.riem[m, j, k, a]
+        rhs = (fg.eta @ Z) * (pw @ fg.g @ Y)
         assert lhs == rhs
     # chart path on S5
     s = s5_example.structure

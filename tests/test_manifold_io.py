@@ -5,8 +5,8 @@ import pytest
 
 from curvlab.chart import Chart
 from curvlab.errors import ManifoldFormatError
-from curvlab.frame import FrameGeometry, frame_curvature
-from curvlab.manifold_io import load_manifold_text
+from curvlab.frame import FrameGeometry
+from curvlab.manifold_io import load_manifold_file, load_manifold_text
 from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure
 
 SINE_CONE_TEXT = """
@@ -95,9 +95,9 @@ def test_load_su2_frame_berger():
     # curvature symmetries hold exactly on a loaded frame
     from itertools import product
     for i, j, k, l in product(range(3), repeat=4):
-        r = frame_curvature(fg, i, j, k, l)
-        assert r == -frame_curvature(fg, j, i, k, l)
-        assert r == frame_curvature(fg, k, l, i, j)
+        r = fg.riem[i, j, k, l]
+        assert r == -fg.riem[j, i, k, l]
+        assert r == fg.riem[k, l, i, j]
 
 
 def test_unknown_key_is_error():
@@ -161,6 +161,17 @@ def test_dim_coords_mismatch():
     text = '[chart]\ndim = 3\ncoords = "x, y"\n[metric]\ng_11 = "1"\n'
     with pytest.raises(ManifoldFormatError):
         load_manifold_text(text)
+
+
+def test_domain_bound_with_negative_exponent():
+    text = '[chart]\ndim = 1\ncoords = "x"\ndomain = "x in (-1e-1, 5e-1)"\n[metric]\ng_11 = "1"\n'
+    c = load_manifold_text(text)
+    assert (c.domain[0].lo, c.domain[0].hi) == (-0.1, 0.5)
+
+
+def test_unreadable_file_is_format_error(tmp_path):
+    with pytest.raises(ManifoldFormatError):
+        load_manifold_file(tmp_path / "missing.ini")
 
 
 def test_frame_rejects_bad_jacobi():

@@ -8,7 +8,7 @@ h = ½ L_ξ φ from coordinate brackets). The engine works on whole tables in
 E(p), so it must agree to rounding.
 
 On frames the oracle is the bracket form: h from ad_ξ = [ξ, ·] and Ric from
-``FrameGeometry.ricci``. The engine takes h from ∇ and Ric(ξ, ξ) as a trace,
+``reference.frame_ricci``. The engine takes h from ∇ and Ric(ξ, ξ) as a trace,
 which are the same rationals, so every residual must agree exactly.
 """
 
@@ -26,6 +26,7 @@ from curvlab.constructions.registry import flat_kahler_c2
 from curvlab.frame import FrameGeometry, heisenberg_h21
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
 from curvlab.structures import AlmostContactStructure, check_kappa_mu, classify, validate
+from reference import frame_ricci, ricci
 from test_frame_oracle import tilted_frame_text
 
 F = Fraction
@@ -104,7 +105,7 @@ def oracle_classify(s, samples):
                              ("parallel_phi", gnorm(g, dphi_y)),
                              ("sasakian_nabla_phi", gnorm(g, dphi_y - target))):
                 res[key] = max(res[key], val)
-        val = geometry.ricci(chart, p, xi, xi)
+        val = ricci(chart, p, xi, xi)
         if abs(val - (d - 1)) > ric_dev:
             ric, ric_dev = val, abs(val - (d - 1))
     return res, ric
@@ -212,7 +213,7 @@ def gsq(fg, v):
 
 
 def frame_oracle(fg):
-    """validate and classify residuals from brackets and fg.ricci."""
+    """validate and classify residuals from brackets and frame_ricci."""
     d = fg.dim
     eye = np.eye(d, dtype=object)
     val = {
@@ -224,11 +225,11 @@ def frame_oracle(fg):
         "compatibility": float(np.abs(fg.phi.T @ fg.g @ fg.phi - fg.g
                                       + np.outer(fg.eta, fg.eta)).max()),
     }
-    nabla_xi = np.tensordot(fg.xi, fg._nabla, axes=([0], [1]))
+    nabla_xi = np.tensordot(fg.xi, fg.nabla, axes=([0], [1]))
     d_eta = -np.tensordot(fg.eta, fg.c, axes=([0], [0]))     # −η([E_i, E_j])
     g_phi, killing = fg.g @ fg.phi, nabla_xi @ fg.g
-    dphi = (np.tensordot(fg._nabla, fg.phi, axes=([1], [0])).transpose(0, 2, 1)
-            - fg._nabla @ fg.phi.T)
+    dphi = (np.tensordot(fg.nabla, fg.phi, axes=([1], [0])).transpose(0, 2, 1)
+            - fg.nabla @ fg.phi.T)
     target = fg.g[:, :, None] * fg.xi - fg.eta[None, :, None] * eye[:, None, :]
     cls = {
         "compatibility": max(val.values()),
@@ -238,7 +239,7 @@ def frame_oracle(fg):
         "sasakian_nabla_xi": math.sqrt(float(gsq(fg, nabla_xi + fg.phi.T).max())),
         "sasakian_nabla_phi": math.sqrt(float(gsq(fg, dphi - target).max())),
         "parallel_phi": math.sqrt(float(gsq(fg, dphi).max())),
-        "ric_xi_xi": float(fg.ricci(fg.xi, fg.xi)),
+        "ric_xi_xi": float(frame_ricci(fg, fg.xi, fg.xi)),
     }
     return val, cls
 
@@ -291,7 +292,7 @@ def test_frame_validate_matches_oracle(frame):
 def test_frame_classify_matches_oracle(frame):
     rep = classify(frame)
     assert type(rep.ric_xi_xi) is Fraction
-    assert rep.ric_xi_xi == frame.carrier.ricci(frame.carrier.xi, frame.carrier.xi)
+    assert rep.ric_xi_xi == frame_ricci(frame.carrier, frame.carrier.xi, frame.carrier.xi)
     assert rep.residuals() == frame_oracle(frame.carrier)[1]
 
 
