@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jet
-from .errors import SamplingError, SingularMetricError
+from .errors import CurvlabError, SamplingError, SingularMetricError
 
 __all__ = [
     "Interval", "Chart", "TensorField", "SampleSet",
@@ -74,6 +74,13 @@ class Chart:
             raise ValueError("chart needs at least one coordinate")
         if len(set(self.coords)) != self.dim:
             raise ValueError("duplicate coordinate names")
+        for coord in self.coords:   # an expression must be able to name each coordinate
+            try:
+                named = ex.parse_expr(coord, self.coords) == ex.Var(coord)
+            except CurvlabError:
+                named = False
+            if not named:
+                raise ValueError(f"coordinate name {coord!r} does not parse as a variable")
         self.name = name
         if domain is None:
             domain = [Interval()] * self.dim
@@ -130,7 +137,7 @@ class Chart:
         for k in range(1, self.dim + 1):
             if np.linalg.det(g[:k, :k]) <= 0.0:
                 raise SingularMetricError(
-                    f"metric not positive definite at {tuple(p)} (leading minor {k})")
+                    f"metric not positive definite at {tuple(map(float, p))} (leading minor {k})")
 
     def __repr__(self) -> str:
         label = self.name or ",".join(self.coords)

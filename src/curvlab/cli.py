@@ -28,11 +28,10 @@ from fractions import Fraction
 from .chart import Chart, sample
 from .errors import CurvlabError, ManifoldFormatError, RegistryError
 from .identities import (check_c_alpha, check_contact, check_hermitian,
-                         consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS,
-                         WorstResidual)
+                         consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS)
 from .manifold_io import load_manifold_file
-from .structures import (AlmostContactStructure, AlmostHermitianStructure, _records,
-                         check_kappa_mu, classify, default_samples)
+from .structures import (AlmostContactStructure, AlmostHermitianStructure, _finite,
+                         _point_record, check_kappa_mu, classify, default_samples)
 from .constructions import (check_submersion_lift, induce_hypersurface,
                             registry_names, resolve_target)
 from . import geometry
@@ -145,28 +144,22 @@ def _row(tag: str, residual: float, verdict: bool, witness=None, gate=True) -> d
 
 def _classify_rows(s, samples, tol) -> list[dict]:
     rep = classify(s, samples, tol)
-    rows = []
-    bools = rep.booleans()
-    res = rep.residuals()
-    rows.append(_row("classify.compatibility", res["compatibility"],
-                     bools["compatibility"]))
-    for tag in ("contact_metric", "contact_metric_raw", "killing_xi",
-                "sasakian_nabla_xi", "sasakian_nabla_phi", "parallel_phi"):
-        verdict = res[tag] <= tol
-        rows.append(_row(f"classify.{tag}", res[tag], verdict, gate=False))
-    ric_res = abs(float(rep.ric_xi_xi) - rep.ric_xi_xi_target)
-    rows.append(_row("classify.ric_xi_xi_minus_2n", ric_res,
-                     bools["k_contact_ricci"], gate=False))
-    return rows
+    bools, res = rep.booleans(), rep.residuals()
+    rows = [_row("classify.compatibility", res["compatibility"], bools["compatibility"])]
+    rows += [_row(f"classify.{tag}", res[tag], res[tag] <= tol, gate=False)
+             for tag in ("contact_metric", "contact_metric_raw", "killing_xi",
+                         "sasakian_nabla_xi", "sasakian_nabla_phi", "parallel_phi")]
+    ric = abs(float(rep.ric_xi_xi) - rep.ric_xi_xi_target)
+    return rows + [_row("classify.ric_xi_xi_minus_2n", ric, bools["k_contact_ricci"], gate=False)]
 
 
 def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
     rows = []
     for name, args in checks:
         s = _hermitian_of(kind, obj) if name in HERMITIAN_KINDS else _contact_of(kind, obj)
-        # a target carries one structure: its point records are built at the
+        # a target carries one structure: its point record is built at the
         # first check and read by every later one
-        samples = _records(s, samples)
+        samples = _point_record(s, samples)
         if name == "classify":
             rows.extend(_classify_rows(s, samples, tol))
         elif name == "kappa_mu":
@@ -281,16 +274,13 @@ def run(argv=None) -> int:
         samples = _samples_for(kind, obj, args.samples, seed)
         report = args.command == "report"
         if report and kind == "chart":
-            worst = {}
-            for r in _records(obj, samples):
-                for k, v in geometry.curvature_symmetry_residuals(r).items():
-                    worst.setdefault(k, WorstResidual(f"symmetry.{k}")).add(v)
-            rows = [_row(f"symmetry.{k}", w.value, w.value <= 1e-9)
-                    for k, w in worst.items()]
+            res = geometry.curvature_symmetry_residuals(_point_record(obj, samples))
+            rows = [_row(f"symmetry.{k}", v, v <= 1e-9)
+                    for k, v in _finite("symmetry", res).items()]
         else:
             if report and kind in ("pair", "hypersurface"):
-                # the lift and induction rows read the checks' point records too
-                samples = _records(_contact_of(kind, obj), samples)
+                # the lift and induction rows read the checks' point record too
+                samples = _point_record(_contact_of(kind, obj), samples)
             rows = _identity_rows(kind, obj, checks, samples, args.tol)
         if report and kind == "pair":
             for tag, residual in check_submersion_lift(obj, samples=samples).items():

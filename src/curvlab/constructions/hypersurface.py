@@ -25,7 +25,7 @@ import numpy as np
 from .. import geometry
 from ..chart import Chart, TensorField, _expr_jets, eval_field, eval_field_jets, sample
 from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                          WorstResidual, _records, _worst)
+                          WorstResidual, _point_record)
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -104,7 +104,7 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     non-Kähler ambient. When the patch carries a structure template, the
     template metric is checked against the first-fundamental form and
     (φ, ξ, η) against the JX = φX + η(X)N decomposition with ξ = −JN.
-    ``samples``: a sample set of the parameter chart, or its point records.
+    ``samples``: a sample set of the parameter chart, or its point record.
     """
     _check_ambient_kahler(ambient, tol)
     J = _ambient_J_matrix(ambient)
@@ -116,27 +116,25 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     induced = AlmostContactStructure(
         carrier=chart, phi=patch.phi, xi=patch.xi, eta=patch.eta,
         name=patch.name or chart.name) if patch.has_structure else None
-    records = _records(induced or chart, sample(chart, 20, seed=42)
-                       if samples is None else samples)
+    rec = _point_record(induced or chart, sample(chart, 20, seed=42)
+                        if samples is None else samples)
 
     weingarten = []
     betas = []
-    res = _worst("hypersurface", ("umbilicity", "h_xi", "normal_unit", "normal_tangency",
-                                  "pullback", "structure"))
+    res = {k: WorstResidual(f"hypersurface.{k}") for k in (
+        "umbilicity", "h_xi", "normal_unit", "normal_tangency", "pullback", "structure")}
 
-    for rec in records:
-        p = rec.point
+    for k, p in enumerate(rec.point):
         env = chart.env(p, jets=True)
         JF = _expr_jets(patch.immersion, env)[1]
         N, dN = _expr_jets(patch.normal, env)
 
         res["normal_unit"].add(abs(float(N @ N) - 1.0))
         if res["normal_unit"].value > 1e-6:
-            raise CurvlabError(f"normal is not unit at {tuple(p)} "
+            raise CurvlabError(f"normal is not unit at {tuple(map(float, p))} "
                                f"(|N|² − 1 = {float(N @ N) - 1.0:.2e})")
-        sv = np.linalg.svd(JF, compute_uv=False)
-        if sv[-1] < 1e-8:
-            raise CurvlabError(f"immersion Jacobian rank-deficient at {tuple(p)}")
+        if np.linalg.svd(JF, compute_uv=False)[-1] < 1e-8:
+            raise CurvlabError(f"immersion Jacobian rank-deficient at {tuple(map(float, p))}")
         res["normal_tangency"].add(np.max(np.abs(N @ JF)))
 
         G = JF.T @ JF  # first fundamental form (flat ambient)
@@ -147,23 +145,22 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
         betas.append(beta)
         res["umbilicity"].add(np.max(np.abs(A - beta * np.eye(d))))
 
-        xi_amb = -J @ N
-        xi_chart = Ginv @ (JF.T @ xi_amb)
+        xi_chart = Ginv @ (JF.T @ (-J @ N))   # ξ = −JN in chart components
         # h(X, ξ) = g̃(∇̃_X ξ, N) with ∇̃_X ξ = −J dN X; η(AX) = g(ξ, AX); both
         # are linear in X, so X sweeps the coordinate basis
         res["h_xi"].add(np.max(np.abs(N @ (-J @ dN) - xi_chart @ G @ A)))
 
-        res["pullback"].add(np.max(np.abs(G - rec.g)))
+        res["pullback"].add(np.max(np.abs(G - rec.g[k])))
         if patch.has_structure:
-            res["structure"].add(np.max(np.abs(xi_chart - rec.xi)))
-            res["structure"].add(np.max(np.abs(G @ xi_chart - rec.eta)))
+            res["structure"].add(np.max(np.abs(xi_chart - rec.xi[k])))
+            res["structure"].add(np.max(np.abs(G @ xi_chart - rec.eta[k])))
             # J (dF e_j) = dF (φ e_j) + η_j N, column by column
-            defect = J @ JF - JF @ rec.phi - np.outer(N, rec.eta)
+            defect = J @ JF - JF @ rec.phi[k] - np.outer(N, rec.eta[k])
             res["structure"].add(np.max(np.abs(defect)))
 
     betas = np.asarray(betas)
     return HypersurfaceReport(
-        points=np.array([rec.point for rec in records]), weingarten=weingarten, beta=betas,
+        points=np.array(rec.point), weingarten=weingarten, beta=betas,
         beta_mean=float(betas.mean()), umbilicity=res["umbilicity"].value,
         h_xi_residual=res["h_xi"].value, normal_unit_residual=res["normal_unit"].value,
         normal_tangency_residual=res["normal_tangency"].value,

@@ -36,7 +36,7 @@ from .. import geometry
 from ..chart import _expr_jets, eval_field, eval_field_jets, sample
 from ..identities import _closures, _slot_axes
 from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                          _norm, _records, _worst)
+                          _finite, _norm, _point_record)
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "horizontal_lift", "check_submersion_lift"]
@@ -75,7 +75,7 @@ def _lifted_frame(p, dpi, eta, dM=None):
         L = np.linalg.solve(M, np.eye(len(M))[:, :len(dpi)])
         return L if dM is None else (L, -np.linalg.solve(M, dM @ L))
     except np.linalg.LinAlgError as e:
-        raise CurvlabError(f"horizontal lift solver singular at {tuple(p)}") from e
+        raise CurvlabError(f"horizontal lift solver singular at {tuple(map(float, p))}") from e
 
 
 def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
@@ -92,53 +92,51 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42
     lifted frame (the lifts of the base coordinate fields) spans all
     vectors. Returns a dict of max residuals keyed by relation tag;
     ``dpi_xi`` is the invariant dπ(ξ) = 0. The total space's g, Γ, R, φ, ξ
-    and η come from the point records of ``samples``, by default
+    and η come from the point record of ``samples``, by default
     ``n_points`` points drawn with ``seed``.
     """
     base_chart = sp.base.chart
-    records = _records(sp.total, sample(sp.total.carrier, n_points, seed)
-                       if samples is None else samples)
-    res = _worst("lift", ("dpi_xi", "lift_connection", "lift_xi", "lift_bracket",
-                          "lift_curvature", "lift_k1_consequence", "lift_k2_consequence",
-                          "lift_k3_consequence"))
-
-    for rec in records:
-        p, gM, gamma, phi, xi = rec.point, rec.g, rec.gamma, rec.phi, rec.xi
+    rec = _point_record(sp.total, sample(sp.total.carrier, n_points, seed)
+                        if samples is None else samples)
+    per_point = []
+    for p in rec.point:
         base_pt, dpi, ddpi = _projection_jets(sp, p)
         conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
         GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)
         eta, deta = eval_field_jets(sp.total.eta, p)                         # deta[j, m] = ∂_m η_j
         # L[:, a] = e_a↑ and dL[m, k, a] = ∂_m (e_a↑)^k, from dM[m] = ∂_m [dπ; η]
         dM = np.concatenate([ddpi, deta[None]]).transpose(2, 0, 1)
-        L, dL = _lifted_frame(p, dpi, eta, dM)
+        per_point.append((*_lifted_frame(p, dpi, eta, dM), dpi, conn_N.gamma, curv_N.riem, GJ))
+    L, dL, dpi, gamma_N, riem_N, GJ = (np.array(a) for a in zip(*per_point))
+    # pair tables [n, a, b, k]: D is e_a↑ differentiating the components of e_b↑
+    D = np.einsum("nma,nmkb->nabk", L, dL)
+    nabla = D + np.einsum("nkij,nia,njb->nabk", rec.gamma, L, L)
+    predicted = np.einsum("nkc,ncab->nabk", L, gamma_N) - GJ[..., None] * rec.xi[:, None, None]
 
-        res["dpi_xi"].add(np.max(np.abs(dpi @ xi)))
+    # (N, nb, nb, nb, nb) tables on the stacked lifted frames, W, Z, X, Y on
+    # slot axes 0-3 after the point axis
+    r4, gd, phv, _ = _closures(rec.riem, rec.g, rec.phi, rec.eta)
+    W, Z, X, Y = _slot_axes(L.transpose(0, 2, 1))
+    pw, pz, px, py = phv(W), phv(Z), phv(X), phv(Y)
+    rxyzw = r4(X, Y, Z, W)
+    tables = {
+        "lift_curvature": r4(W, Z, X, Y) - (riem_N - 2.0 * gd(X, py) * gd(W, pz)
+                                            + gd(Y, pz) * gd(W, px) - gd(X, pz) * gd(W, py)),
+        # consequences of the base satisfying each Hermitian identity
+        "lift_k1_consequence": (r4(X, Y, pz, pw) - rxyzw
+                                - (-gd(Y, W) * gd(Z, X) - gd(Y, pw) * gd(Z, px)
+                                   + gd(X, W) * gd(Z, Y) + gd(X, pw) * gd(Z, py))),
+        "lift_k2_consequence": (r4(px, Y, Z, W) + r4(X, py, Z, W) + r4(X, Y, pz, W)
+                                + r4(X, Y, Z, pw)),
+        "lift_k3_consequence": r4(px, py, pz, pw) - rxyzw,
+    }
+    return _finite("lift", {
+        "dpi_xi": np.max(np.abs(dpi @ rec.xi[..., None])),
+        "lift_connection": _norm(rec.g, nabla - predicted),
         # ∇ᴹ_{e_a↑} ξ + φ e_a↑, rows a (ξ has constant components: only Γ acts)
-        res["lift_xi"].add(_norm(gM, np.einsum("kij,ia,j->ak", gamma, L, xi) + (phi @ L).T))
-        # pair tables [a, b, k]: D is e_a↑ differentiating the components of e_b↑
-        D = np.einsum("ma,mkb->abk", L, dL)
-        nabla = D + np.einsum("kij,ia,jb->abk", gamma, L, L)
-        predicted = np.einsum("kc,cab->abk", L, conn_N.gamma) - GJ[..., None] * xi
-        res["lift_connection"].add(_norm(gM, nabla - predicted))
+        "lift_xi": _norm(rec.g, np.einsum("nkij,nia,nj->nak", rec.gamma, L, rec.xi)
+                         + (rec.phi @ L).transpose(0, 2, 1)),
         # [e_a↑, e_b↑] + 2 G(e_a, J e_b) ξ, since [e_a, e_b] = 0 downstairs
-        res["lift_bracket"].add(_norm(gM, D - D.transpose(1, 0, 2) + 2.0 * GJ[..., None] * xi))
-
-        # nb⁴ tables on the lifted frame, W, Z, X, Y on slot axes 0-3
-        r4, gd, phv, _ = _closures(rec.riem, gM, phi, rec.eta)
-        W, Z, X, Y = _slot_axes(L.T)
-        pw, pz, px, py = phv(W), phv(Z), phv(X), phv(Y)
-        rxyzw = r4(X, Y, Z, W)
-        tables = {
-            "lift_curvature": r4(W, Z, X, Y) - (curv_N.riem - 2.0 * gd(X, py) * gd(W, pz)
-                                                + gd(Y, pz) * gd(W, px) - gd(X, pz) * gd(W, py)),
-            # consequences of the base satisfying each Hermitian identity
-            "lift_k1_consequence": (r4(X, Y, pz, pw) - rxyzw
-                                    - (-gd(Y, W) * gd(Z, X) - gd(Y, pw) * gd(Z, px)
-                                       + gd(X, W) * gd(Z, Y) + gd(X, pw) * gd(Z, py))),
-            "lift_k2_consequence": (r4(px, Y, Z, W) + r4(X, py, Z, W) + r4(X, Y, pz, W)
-                                    + r4(X, Y, Z, pw)),
-            "lift_k3_consequence": r4(px, py, pz, pw) - rxyzw,
-        }
-        for tag, table in tables.items():
-            res[tag].add(np.max(np.abs(table)))
-    return {tag: w.value for tag, w in res.items()}
+        "lift_bracket": _norm(rec.g, D - D.transpose(0, 2, 1, 3)
+                              + 2.0 * GJ[..., None] * rec.xi[:, None, None]),
+        **{tag: np.max(np.abs(table)) for tag, table in tables.items()}})

@@ -97,7 +97,7 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
     g_fiber = spec.fiber.metric_at(pf)
     b, db = _expr_jets(spec.warping, spec.base.env(pb, jets=True))
     if b <= 0.0:
-        raise EvalDomainError(f"warping function not positive at {tuple(pb)}")
+        raise EvalDomainError(f"warping function not positive at {tuple(map(float, pb))}")
     dlnb = db / b
     grad_lnb = np.linalg.solve(g_base, dlnb)
 
@@ -254,5 +254,5 @@ def eq_for_g1_obstruction(n: AlmostHermitianStructure, samples: SampleSet) -> fl
         # q[a, b, c] is the vector at (X, Y, Z) = (e_a, e_b, e_c)
         q = (np.einsum("bc,ak->abck", gj, J.T) - np.einsum("ac,bk->abck", gj, J.T)
              + np.einsum("ac,bk->abck", g, eye) - np.einsum("bc,ak->abck", g, eye))
-        worst.add(_norm(g, q))
+        worst.add(_norm(g[None], q[None]))
     return worst.value

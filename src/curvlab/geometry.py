@@ -92,7 +92,7 @@ def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as e:
-        raise SingularMetricError(f"metric singular at {tuple(p)}") from e
+        raise SingularMetricError(f"metric singular at {tuple(map(float, p))}") from e
     return MetricJets(g=g, dg=dg, d2g=d2g, ginv=ginv)
 
 
@@ -176,13 +176,13 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def curvature_symmetry_residuals(curv: CurvatureAtPoint) -> dict[str, float]:
-    """Max residuals of the four classical symmetries of the lowered tensor."""
+def curvature_symmetry_residuals(curv) -> dict[str, float]:
+    """Max residuals of the four classical symmetries of the lowered tensors ``curv.riem``."""
     R = curv.riem
     return {
-        "antisym_first_pair": float(np.max(np.abs(R + np.einsum("ijkl->jikl", R)))),
-        "antisym_second_pair": float(np.max(np.abs(R + np.einsum("ijkl->ijlk", R)))),
-        "pair_interchange": float(np.max(np.abs(R - np.einsum("ijkl->klij", R)))),
+        "antisym_first_pair": float(np.max(np.abs(R + np.einsum("...ijkl->...jikl", R)))),
+        "antisym_second_pair": float(np.max(np.abs(R + np.einsum("...ijkl->...ijlk", R)))),
+        "pair_interchange": float(np.max(np.abs(R - np.einsum("...ijkl->...klij", R)))),
         "first_bianchi": float(np.max(np.abs(
-            R + np.einsum("ijkl->jkil", R) + np.einsum("ijkl->kijl", R)))),
+            R + np.einsum("...ijkl->...jkil", R) + np.einsum("...ijkl->...kijl", R)))),
     }

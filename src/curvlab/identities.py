@@ -9,13 +9,13 @@ on the metric cone, and the one-parameter c(α) family interpolates the
 
 Each defect is written once, over closures (curvature on four vectors,
 metric pairing, φ or J, η), and one sweep evaluates it on both carriers,
-exhaustively, over all dim⁴ quadruples of an orthonormal basis. A frame
-carrier is swept once over its own basis in exact rational arithmetic,
-which is what turns verdicts like "g2 holds, g1 fails" into arithmetic
-facts. A chart carrier is swept at each sample point over the orthonormal
-frame E(p) of the point records that every check of one invocation
-shares. The consequence rows use the same sweep on vectors projected to
-v − η(v)ξ.
+exhaustively over all dim⁴ quadruples of an orthonormal basis and all
+points at once. A frame carrier is one point in its own basis, in exact
+rational arithmetic, which is what turns verdicts like "g2 holds, g1
+fails" into arithmetic facts. A chart carrier is swept over the
+orthonormal frames E(p) of the one stacked point record that every check
+of an invocation shares. The consequence rows use the same sweep on
+vectors projected to v − η(v)ξ.
 
 Every defect is 4-linear, so a residual is the largest entry of the defect
 tensor in an orthonormal basis: no direction is missed, and absolute
@@ -32,7 +32,7 @@ import numpy as np
 
 from .frame import _contract, _rat
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                         WorstResidual, _records, contact_point_data)
+                         WorstResidual, _checked, _point_record, contact_point_data)
 
 __all__ = [
     "IdentityReport", "Witness",
@@ -136,57 +136,49 @@ _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
 
 # -- one sweep for both carriers -----------------------------------------------
 #
-# Every swept record puts the rows of an orthonormal basis on four slot axes,
-# so a defect is its d⁴ table: a frame is one record in its own basis with no
-# point, a chart one record per sample point in E(p). R, g, φ (or J), η and ξ
-# come from the frame or the point record. The witness is the first strict
-# maximum of |defect| in C order over (point, quadruple).
+# A sweep puts the rows of each point's orthonormal basis on four slot axes
+# after the point axis, so a defect is one (N, d, d, d, d) table: a frame is
+# one point in its own basis, a chart its N sample points in E(p). The
+# witness is the first strict maximum of |defect| in C order over (point,
+# quadruple).
 
 
 def _slot_axes(basis: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``basis`` (n × d) on four slot axes: slot a holds them on
-    batch axis a, so a defect of the four slots is its n⁴ table."""
-    n, d = basis.shape
-    return [basis.reshape([n if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
-
-
-def _swept(s, samples: Samples) -> list:
-    """(point, basis rows, tensors) of each record a sweep visits."""
-    if isinstance(s, AlmostContactStructure) and s.is_frame:
-        return [(None, np.eye(s.dim, dtype=object), s.carrier)]
-    return [(tuple(r.point.tolist()), r.E, r) for r in _records(s, samples)]
+    """The rows of ``basis`` (N × n × d) on four slot axes: slot a holds
+    them on batch axis a after the point axis, so a defect of the four
+    slots is its (N, n, n, n, n) table."""
+    N, n, d = basis.shape
+    return [basis.reshape([N] + [n if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
 
 
 def _closures(riem, g, phi, eta):
-    """The defects' r4, gd, phv and etv over vector batches of shape (..., d).
+    """The defects' r4, gd, phv and etv over slot batches at N points.
 
-    Each r4 argument is a plain vector of shape (d,) or a slot batch (rows on
-    one of four batch axes, 1 on the others, any row count), and the result
-    broadcasts over the batch axes. r4 contracts one curvature slot per
-    argument: through the zero-skipping ``_contract`` on exact (object)
-    curvature, by one matmul on floats.
+    The tensors carry a leading point axis N; a slot batch has shape (N,
+    s0, s1, s2, s3, d), rows on one slot axis and 1 on the others, and
+    results broadcast over the point and slot axes. r4 contracts one
+    curvature slot per argument: by one stacked matmul on floats, through
+    the zero-skipping ``_contract`` on an exact frame's one slice.
     """
-    d = len(g)
+    N, d = g.shape[:2]
+    g, phi, eta = (a.reshape(N, 1, 1, 1, 1, d, -1) for a in (g, phi, eta))
     if riem.dtype == object:
-        contract = _contract
+        def contract(t, rows):
+            return _contract(t[0], rows[0])[None]
     else:
         def contract(t, rows):
-            return (t.reshape(d, -1).T @ rows.T).reshape(t.shape[1:] + (len(rows),))
+            return (t.reshape(N, d, -1).transpose(0, 2, 1) @ rows.transpose(0, 2, 1)).reshape(
+                t.shape[:1] + t.shape[2:] + rows.shape[1:2])
 
     def r4(*vectors):
         t, axes = riem, []
         for v in vectors:   # each step contracts the leading curvature slot
-            if v.ndim == 1:
-                t = contract(t, v[None])[..., 0]
-            else:
-                axes.append(int(np.argmax(v.shape[:-1])))
-                t = contract(t, v.reshape(-1, d))
-        if not axes:
-            return t[()]
-        t = t.transpose(np.argsort(axes, kind="stable"))
-        shape = [1] * 4
-        for a, n in zip(sorted(axes), t.shape):
-            shape[a] = n
+            axes.append(int(np.argmax(v.shape[1:-1])))
+            t = contract(t, v.reshape(N, -1, d))
+        t = t.transpose(0, *(1 + np.argsort(axes, kind="stable")))
+        shape = [N, 1, 1, 1, 1]
+        for a, n in zip(sorted(axes), t.shape[1:]):
+            shape[1 + a] *= n
         return t.reshape(shape)
 
     def gd(a, b):
@@ -196,7 +188,7 @@ def _closures(riem, g, phi, eta):
         return (phi @ v[..., None])[..., 0]
 
     def etv(v):
-        return (v[..., None, :] @ eta)[..., 0]
+        return (v[..., None, :] @ eta)[..., 0, 0]
 
     return r4, gd, phv, etv
 
@@ -206,28 +198,25 @@ def _sweep(s, rows: dict, samples: Samples, tol: float,
     """One report per ``rows`` entry (tag → function of ξ giving the defect),
     with every swept vector v replaced by v − η(v)ξ when ``perp``. Exact
     (object) tables give exact residuals."""
-    worst = {tag: WorstResidual(tag) for tag in rows}
-    exact, witness = dict.fromkeys(rows), dict.fromkeys(rows)
-    n_points = n_quads = 0
-    for p, basis, t in _swept(s, samples):
-        closures = r4, gd, phv, etv = _closures(t.riem, t.g, t.phi, t.eta)
-        slots = _slot_axes(basis)
-        if perp:
-            slots = [v - etv(v)[..., None] * t.xi for v in slots]
-        shape = (len(basis),) * 4
-        n_points += 1
-        n_quads += len(basis) ** 4
-        for tag, defect_at in rows.items():
-            vals = np.abs(np.broadcast_to(defect_at(t.xi)(*closures, *slots), shape))
-            idx = np.unravel_index(np.argmax(vals), shape)
-            if worst[tag].add(vals[idx]):
-                exact[tag] = vals[idx] if vals.dtype == object else None
-                witness[tag] = Witness(p, tuple(tuple(v.reshape(-1, v.shape[-1])[i].tolist())
-                                                for v, i in zip(slots, idx)))
-    return {tag: IdentityReport(tag=tag, n_points=n_points, n_quadruples=n_quads,
-                                residual=w.value, exact=exact[tag], witness=witness[tag],
-                                tolerance=tol)
-            for tag, w in worst.items()}
+    t = _point_record(s, samples)
+    closures = r4, gd, phv, etv = _closures(t.riem, t.g, t.phi, t.eta)
+    slots = _slot_axes(t.E)
+    xi = t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)
+    if perp:
+        slots = [v - etv(v)[..., None] * xi for v in slots]
+    shape = t.E.shape[:2] + t.E.shape[1:2] * 3
+    reports = {}
+    for tag, defect_at in rows.items():
+        vals = np.abs(np.broadcast_to(defect_at(xi)(*closures, *slots), shape))
+        idx = np.unravel_index(np.argmax(vals), shape)
+        residual = _checked(tag, vals[idx])
+        witness = Witness(None if t.point is None else tuple(t.point[idx[0]].tolist()),
+                          tuple(tuple(v[idx[0]].reshape(-1, v.shape[-1])[i].tolist())
+                                for v, i in zip(slots, idx[1:])))
+        reports[tag] = IdentityReport(
+            tag=tag, n_points=shape[0], n_quadruples=vals.size, residual=residual,
+            exact=vals[idx] if vals.dtype == object else None, witness=witness, tolerance=tol)
+    return reports
 
 
 # -- public checkers -------------------------------------------------------------
@@ -334,15 +323,14 @@ def consequence_suite(s: AlmostContactStructure, kind: str,
 
 
 def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fraction:
-    """Recompute an identity defect at a recorded witness, to verify that
-    reported residuals are reproducible.
+    """Recompute an identity defect at a recorded witness, as a sweep of one
+    point, to verify that reported residuals are reproducible.
 
-    On frame carriers the defect of the four witness vectors is returned as
-    an exact Fraction. On charts the record at the witness point is rebuilt
-    and the defect table evaluated in the sweep's own layout, so the float
-    read from the entry whose slot rows are the witness vectors is rounded
-    as the sweep rounded it; a vector that is no row of E(p) raises
-    ValueError.
+    On frame carriers the four witness vectors fill the slots and the
+    defect is an exact Fraction. On charts the record at the witness point
+    is rebuilt and the table evaluated in the sweep's layout, so the entry
+    whose slot rows are the witness vectors is rounded as the sweep rounded
+    it; a vector that is no row of E(p) raises ValueError.
     """
     kind = kind.lower()
     if kind in _HERMITIAN_DEFECTS:
@@ -353,12 +341,14 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
         defect = _CONTACT_DEFECTS[kind]
     else:
         raise ValueError(f"unknown identity {kind!r}")
-    if isinstance(s, AlmostContactStructure) and s.is_frame:
-        fg = s.carrier
-        return abs(defect(*_closures(fg.riem, fg.g, fg.phi, fg.eta),
-                          *(_rat(v) for v in witness.vectors)))
-    t = contact_point_data(s, witness.point)
-    rows = t.E.tolist()
-    idx = tuple(rows.index(list(v)) for v in witness.vectors)
-    vals = defect(*_closures(t.riem, t.g, t.phi, t.eta), *_slot_axes(t.E))
-    return abs(float(np.broadcast_to(vals, (len(rows),) * 4)[idx]))
+    frame = isinstance(s, AlmostContactStructure) and s.is_frame
+    if frame:   # the witness vectors fill the slots
+        t, idx = _point_record(s, None), (0,) * 5
+        slots = [_rat(v).reshape(1, 1, 1, 1, 1, -1) for v in witness.vectors]
+    else:       # the entry whose slot rows are the witness vectors
+        t = contact_point_data(s, [witness.point])
+        rows, slots = t.E[0].tolist(), _slot_axes(t.E)
+        idx = (0,) + tuple(rows.index(list(v)) for v in witness.vectors)
+    val = np.broadcast_to(defect(*_closures(t.riem, t.g, t.phi, t.eta), *slots),
+                          t.E.shape[:2] + t.E.shape[1:2] * 3)[idx]
+    return abs(val) if frame else abs(float(val))

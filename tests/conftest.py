@@ -9,7 +9,14 @@ from curvlab.constructions.registry import (build_flat3, build_s2_round,
                                             build_s5_in_c3, build_hopf_pair)
 from curvlab.chart import sample
 from curvlab.frame import heisenberg_h21
-from curvlab.structures import AlmostContactStructure
+from curvlab.structures import AlmostContactStructure, contact_point_data
+
+
+def record_at(s, p):
+    """The point record of ``s`` at the one point ``p``: the stacked record
+    of ``[p]`` with every array indexed ``[0]``."""
+    r = contact_point_data(s, [p])
+    return type(r)(**{k: None if a is None else a[0] for k, a in vars(r).items()})
 
 
 def sample_with_vectors(chart, n_points, vecs_per_point, seed):

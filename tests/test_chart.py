@@ -57,8 +57,10 @@ def test_spd_validation_catches_degenerate():
 
 
 def test_metric_symmetrized_and_mismatch_rejected():
-    c = Chart(("x", "y"), [["1", "x"], [None, "2"]])
+    c = Chart(("x", "y"), [["1", "x"], [None, "2"]], name="plane")
     assert c.metric[1, 0] == c.metric[0, 1]
+    assert c.name == "plane"
+    assert Chart(("x",), [["1"]], name="line").name == "line"
     with pytest.raises(ValueError):
         Chart(("x", "y"), [["1", "x"], ["y", "2"]])
 

@@ -25,7 +25,7 @@ from curvlab.constructions import resolve_target
 from curvlab.identities import (_CONTACT_DEFECTS, _HERMITIAN_DEFECTS, _as_quadruple,
                                 _consequence_rows, _defect_c_alpha, check_c_alpha,
                                 check_contact, check_hermitian, consequence_suite)
-from curvlab.structures import contact_point_data
+from conftest import record_at
 
 ALPHAS = (0.5, -2.0)
 SEEDS = (3, 11)
@@ -64,7 +64,7 @@ def brute_sweep(s, defects, points, perp=False):
     ``defects`` maps a tag to a function of ξ giving the defect."""
     rows, values = [], {tag: [] for tag in defects}
     for p in points:
-        r = contact_point_data(s, p)
+        r = record_at(s, p)
         closures = oracle_closures(r.riem, r.g, r.phi, r.eta)
         vecs = [v - float(r.eta @ v) * r.xi if perp else v for v in r.E]
         rows.append(np.array(vecs))

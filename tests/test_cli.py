@@ -89,6 +89,12 @@ def test_check_on_wrong_carrier_exit_two():
     pytest.param(b"\xff\xfe[chart]\n", "not valid UTF-8", id="not_utf8"),
     pytest.param(b'[chart]\ndim = 2\ncoords = "x, x"\n[metric]\ng_11 = "1"\ng_22 = "1"\n',
                  "duplicate coordinate names", id="duplicate_coords"),
+    pytest.param(b'[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "-1"\n',
+                 "metric not positive definite at (1.", id="not_positive_definite"),
+    pytest.param(b'[chart]\ndim = 1\ncoords = "1x"\n[metric]\ng_11 = "1"\n',
+                 "coordinate name '1x' does not parse", id="coordinate_1x"),
+    pytest.param(b'[chart]\ndim = 1\ncoords = "x y"\n[metric]\ng_11 = "1"\n',
+                 "coordinate name 'x y' does not parse", id="coordinate_x_y"),
 ])
 def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
@@ -96,6 +102,7 @@ def test_malformed_file_exit_two(tmp_path, content, message):
     code, _, err = invoke(["classify", str(bad)])
     assert code == 2
     assert message in err
+    assert "np.float64" not in err   # points print as plain floats
 
 
 def test_file_target_roundtrip(tmp_path):

@@ -10,7 +10,7 @@ from curvlab.identities import (check_c_alpha, check_contact, check_hermitian,
 from curvlab.structures import default_samples
 from curvlab.constructions import build_cone, resolve_target
 from curvlab.constructions.registry import flat_kahler_c2
-from conftest import sample_with_vectors
+from conftest import record_at, sample_with_vectors
 
 F = Fraction
 
@@ -183,11 +183,10 @@ def test_g2_implies_xi_slot_relation(h21_frame, s5_example):
         assert lhs == rhs
     # chart path on S5
     s = s5_example.structure
-    from curvlab.structures import contact_point_data
     smp, vectors = sample_with_vectors(s.carrier, 4, 12, seed=5)
     for i in range(smp.n_points):
         p = smp.points[i]
-        data = contact_point_data(s, p)
+        data = record_at(s, p)
         for a in range(0, 12 - 2, 3):
             Y, Z, W = vectors[i][a], vectors[i][a + 1], vectors[i][a + 2]
             pw = data.phi @ W
@@ -253,6 +252,22 @@ def test_chart_sweep_covers_every_frame_quadruple(sine_cone_cos):
     rep = check_contact(s, "g1", sample(s.carrier, 5, seed=1))
     assert rep.n_points == 5
     assert rep.n_quadruples == rep.n_points * s.dim ** 4
+
+
+def test_one_evaluation_per_check(monkeypatch):
+    """Each identity check evaluates its defect once, as one table over all
+    sample points: one set of closures per check, not one per point."""
+    import contextlib
+    import io
+    import curvlab.cli as cli
+    import curvlab.identities as identities
+    real, calls = identities._closures, []
+    monkeypatch.setattr(identities, "_closures", lambda *a: calls.append(a) or real(*a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(["identities", "s5_in_c3", "--which", "g1,g2,g3", "--samples", "20"])
+    assert code == 0
+    assert len(calls) == 3
+    assert all(riem.shape == (20, 5, 5, 5, 5) for riem, *_ in calls)
 
 
 def test_identity_reports_deterministic(s5_example):

@@ -29,13 +29,13 @@ def test_s5_validates(s5_example):
 
 
 def test_validate_differentiates_nothing(monkeypatch, s5_example):
-    """validate reads g, φ, ξ and η of the point records: no field jets from
-    a sample set, and no metric jets either once the records exist."""
+    """validate reads g, φ, ξ and η of the point record: no field jets from
+    a sample set, and no metric jets either once the record exists."""
     import curvlab.structures as structures
     from curvlab import geometry
     s = s5_example.structure
     smp = sample(s.carrier, 20, seed=3)
-    records = [structures.contact_point_data(s, p) for p in smp.points]
+    records = structures.contact_point_data(s, smp.points)
     calls = []
     for mod, name in ((structures, "eval_field_jets"), (geometry, "metric_jets")):
         real = getattr(mod, name)
@@ -186,26 +186,35 @@ def test_classification_deterministic(s5_example):
     assert a == b
 
 
-@pytest.mark.parametrize("poison", ["curvature", "connection"])
+@pytest.mark.parametrize("poison", ["curvature", "connection", "curvature_at_last_point"])
 def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
     """A NaN in R or Γ at the sample points must raise, not read as a pass:
-    clamps such as max(x, 0) and some array maxima drop NaN."""
+    clamps such as max(x, 0) and some array maxima drop NaN. Poisoning only
+    the last of several points catches a batched maximum that skips a NaN."""
     from dataclasses import replace
     from curvlab import geometry
     from curvlab.errors import EvalDomainError
+    from curvlab.identities import check_contact, consequence_suite
     real = geometry.point_geometry
+    s = s5_example.structure
+    smp = sample(s.carrier, 3, seed=1)
 
     def poisoned(chart, p):
         conn, curv = real(chart, p)
+        if poison == "curvature_at_last_point" and not np.array_equal(p, smp.points[-1]):
+            return conn, curv
         if poison == "connection":
             return replace(conn, gamma=np.full_like(conn.gamma, np.nan)), curv
         nan = np.full_like(curv.riem13, np.nan)
         return conn, replace(curv, riem=nan, riem13=nan)
 
     monkeypatch.setattr(geometry, "point_geometry", poisoned)
-    s = s5_example.structure
-    smp = sample(s.carrier, 3, seed=1)
     with pytest.raises(EvalDomainError):
         classify(s, smp)
     with pytest.raises(EvalDomainError):
         check_kappa_mu(s, 1.0, 0.0, smp)
+    if poison != "connection":   # the identity rows read R, not Γ
+        with pytest.raises(EvalDomainError):
+            check_contact(s, "g1", smp)
+        with pytest.raises(EvalDomainError):
+            consequence_suite(s, "g1", smp)

@@ -23,8 +23,8 @@ from curvlab import geometry
 from curvlab.chart import Chart, TensorField, eval_field, eval_field_jets, sample
 from curvlab.constructions import SubmersionPair, check_submersion_lift
 from curvlab.constructions.registry import build_hopf_pair
-from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure,
-                                contact_point_data)
+from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure
+from conftest import record_at
 
 SEEDS = (3, 11)
 N_POINTS = 12
@@ -65,7 +65,7 @@ def oracle(sp, points):
         worst[tag] = max(worst[tag], float(val))
 
     for p in points:
-        rec = contact_point_data(sp.total, p)
+        rec = record_at(sp.total, p)
         gM, phi, xi, eta = rec.g, rec.phi, rec.xi, rec.eta
         env = sp.total.carrier.env(p, jets=True)
         jets = [ex.eval_expr(e, env, ex.JET) for e in sp.projection]
