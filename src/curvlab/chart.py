@@ -114,30 +114,41 @@ class Chart:
         return ex.parse_expr(text, self.coords)
 
     def env(self, p: Sequence[float], jets: bool = False) -> dict:
+        """Coordinate values at a point ``p`` (d,), as floats, or at each row
+        of ``p`` (N, d), as arrays over the N points; seeded jets when
+        ``jets``."""
+        p = np.asarray(p, dtype=float)
         if jets:
-            sds = jet.seeds(p)
-            return {name: sds[i] for i, name in enumerate(self.coords)}
-        return {name: float(p[i]) for i, name in enumerate(self.coords)}
+            values = jet.seeds(p)
+        else:
+            values = list(p.T) if p.ndim > 1 else p.tolist()
+        return dict(zip(self.coords, values))
 
     def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
         return all(iv.contains(x, margin) for iv, x in zip(self.domain, p))
 
     def metric_at(self, p: Sequence[float]) -> np.ndarray:
-        """Metric matrix evaluated at ``p`` (floats)."""
+        """Metric matrix at a point ``p`` (d,), or stacked (N, d, d) at each
+        row of ``p`` (N, d); each entry is one expression walk (floats)."""
         env = self.env(p)
-        g = np.empty((self.dim, self.dim))
+        g = np.empty(np.shape(p)[:-1] + (self.dim, self.dim))
         for i in range(self.dim):
             for j in range(i, self.dim):
-                g[i, j] = g[j, i] = ex.eval_expr(self.metric[i, j], env, ex.REAL)
+                g[..., i, j] = g[..., j, i] = ex.eval_expr(self.metric[i, j], env, ex.REAL)
         return g
 
     def check_spd(self, p: Sequence[float]):
-        """Positive definiteness via leading principal minors."""
-        g = self.metric_at(p)
-        for k in range(1, self.dim + 1):
-            if np.linalg.det(g[:k, :k]) <= 0.0:
-                raise SingularMetricError(
-                    f"metric not positive definite at {tuple(map(float, p))} (leading minor {k})")
+        """Positive definiteness via leading principal minors, at a point or
+        at each row of ``p``; names the first failing point and its first
+        failing minor."""
+        pts = np.asarray(p, dtype=float).reshape(-1, self.dim)
+        g = self.metric_at(pts)
+        bad = np.stack([np.linalg.det(g[:, :k, :k]) <= 0.0
+                        for k in range(1, self.dim + 1)], axis=1)
+        if bad.any():
+            n, k = divmod(int(np.argmax(bad)), self.dim)
+            raise SingularMetricError(f"metric not positive definite at "
+                                      f"{tuple(pts[n].tolist())} (leading minor {k + 1})")
 
     def __repr__(self) -> str:
         label = self.name or ",".join(self.coords)
@@ -179,37 +190,42 @@ class TensorField:
 
 
 def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
-    """All components of ``f`` at ``p`` as floats, one shared environment."""
+    """All components of ``f`` at a point ``p`` as floats, one shared
+    environment; at each row of ``p`` (N, d), on a leading point axis."""
     env = f.chart.env(p)
-    out = np.empty(f.components.shape)
+    out = np.empty(np.shape(p)[:-1] + f.components.shape)
     for idx in np.ndindex(f.components.shape):
-        out[idx] = ex.eval_expr(f.components[idx], env, ex.REAL)
+        out[(..., *idx)] = ex.eval_expr(f.components[idx], env, ex.REAL)
     return out
 
 
 def _expr_jets(exprs, env: dict, hessians: bool = False):
     """Values and coordinate gradients of an array of expressions in one jet
-    environment ``env`` (one seed per coordinate), with the second
-    derivatives too when ``hessians``. A component that evaluates to a
-    constant keeps zero derivatives."""
+    environment ``env`` (one seed per coordinate, at a point or at N points),
+    with the second derivatives too when ``hessians``. A component that
+    evaluates to a constant keeps zero derivatives. Batched seeds put the
+    point axis first: vals[n, ...], grads[n, ..., k]."""
     exprs = np.asarray(exprs, dtype=object)
-    shape, dim = exprs.shape, len(env)
+    lead = next(iter(env.values())).value.shape
+    shape, dim = lead + exprs.shape, len(env)
     vals = np.empty(shape)
     grads = np.zeros(shape + (dim,))
     hess = np.zeros(shape + (dim, dim)) if hessians else None
-    for idx in np.ndindex(shape):
+    for idx in np.ndindex(exprs.shape):
         v = ex.eval_expr(exprs[idx], env, ex.JET)
+        at = (slice(None),) * len(lead) + idx
         if isinstance(v, jet.Jet2):
-            vals[idx], grads[idx] = v.value, v.grad
+            vals[at], grads[at] = v.value, v.grad
             if hessians:
-                hess[idx] = v.hess
+                hess[at] = v.hess
         else:
-            vals[idx] = float(v)
+            vals[at] = float(v)
     return (vals, grads, hess) if hessians else (vals, grads)
 
 
 def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Components and their coordinate gradients at ``p``.
+    """Components and their coordinate gradients at ``p``, or at each row of
+    ``p`` (N, d) on a leading point axis.
 
     Returns ``(values, grads)`` where ``grads[..., k]`` is the partial
     derivative of the component along coordinate k.
@@ -243,6 +259,5 @@ def sample(chart: Chart, n_points: int, seed: int) -> SampleSet:
     windows = [iv.sample_window() for iv in chart.domain]
     rng = np.random.default_rng(seed)
     pts = np.array([[rng.uniform(lo, hi) for lo, hi in windows] for _ in range(n_points)])
-    for p in pts:
-        chart.check_spd(p)
+    chart.check_spd(pts)
     return SampleSet(points=pts, seed=seed)

@@ -18,6 +18,7 @@ A seed must be non-negative.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -207,6 +208,7 @@ def _emit(args, target, seed, tol, rows) -> int:
     return 0 if all(gates) else 1
 
 
+@functools.cache   # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="curvlab",
                                  description="curvature identity lab")

@@ -4,6 +4,8 @@ Metric and tensor components are defined as small closed-form expressions
 and evaluated over one of three scalar rings: plain floats, second-order
 jets (for derivatives) or exact rationals (for frame definitions; the
 rational ring rejects transcendental operations and decimal literals).
+Float and jet coordinates may carry a leading axis of N points; one walk
+of the expression then evaluates it at all of them.
 
 Grammar (whitespace-insensitive)::
 
@@ -24,6 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from . import jet
 from .errors import EvalDomainError, ExprSyntaxError, RingError, UnknownIdentifierError
@@ -323,15 +327,15 @@ class Ring:
 
     def div(self, a, b):
         if not isinstance(a, jet.Jet2) and not isinstance(b, jet.Jet2):
-            if b == 0:
+            if np.any(b == 0):
                 raise EvalDomainError("division by zero")
         return a / b
 
     def pow_int(self, a, k: int):
-        if k < 0 and not isinstance(a, jet.Jet2) and a == 0:
+        if k < 0 and not isinstance(a, jet.Jet2) and np.any(a == 0):
             raise EvalDomainError("zero raised to a negative power")
         try:
-            return a**k
+            return jet._pow(a, k)
         except OverflowError:
             raise EvalDomainError(f"power {k} overflows the float range") from None
 
@@ -352,12 +356,10 @@ class RealRing(Ring):
             raise RingError(f"{fn}() expects one argument")
         u = args[0]
         guard = self._SINGULAR.get(fn)
-        if guard and guard(u):
-            raise EvalDomainError(f"{fn} of out-of-domain value {u!r}")
-        try:
-            return getattr(math, fn)(float(u))
-        except (OverflowError, ValueError):  # e.g. exp(1e3), sin(inf)
-            raise EvalDomainError(f"{fn} of {u!r} is out of the float range") from None
+        bad = [v for v in np.ravel(u).tolist() if guard(v)] if guard else ()
+        if bad:
+            raise EvalDomainError(f"{fn} of out-of-domain value {bad[0]!r}")
+        return jet._in_range(getattr(math, fn), u)   # e.g. exp(1e3), sin(inf) raise
 
 
 class JetRing(Ring):

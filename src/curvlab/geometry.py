@@ -1,8 +1,9 @@
 """Chart-level differential geometry from second-order jets.
 
-All derivatives of metric and tensor components come from one jet pass per
-point; no finite differences and no symbolic manipulation. Conventions used
-throughout the package:
+All derivatives of metric and tensor components come from second-order
+jets, one jet pass per expression over a batch of points (``metric_jets``
+takes a point or N of them); no finite differences and no symbolic
+manipulation. Conventions used throughout the package:
 
 * curvature operator  R_XY Z = ∇_X ∇_Y Z − ∇_Y ∇_X Z − ∇_[X,Y] Z,
 * lowered tensor      R(X, Y, Z, W) = −g(R_XY Z, W),
@@ -16,7 +17,9 @@ metric compatibility test does) scale explicitly.
 The ``*_of`` functions are formulas over values already built at one point
 (metric jets, Γ, curvature, field jets); the ``(chart, p, …)`` functions
 build what they need and call them. A check that needs several of these at
-a point builds them once, from one ``metric_jets`` (``point_geometry``).
+a point builds them once, from one ``metric_jets`` (``point_geometry``);
+given N points, ``point_geometry`` makes one batched ``metric_jets`` and
+runs the per-point formulas on its slices.
 Derived quantities (∇ of a field, L_ξ g, dη, Ric) are computed by the
 checks that need them, from the arrays above; the one-formula versions that
 tests compare those checks against live in ``tests/reference.py``.
@@ -24,7 +27,7 @@ tests compare those checks against live in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MetricJets:
-    """Metric and its first two coordinate derivative arrays at a point."""
+    """Metric and its first two coordinate derivative arrays at a point, or
+    at N points along a leading axis."""
 
     g: np.ndarray    # (d, d)
     dg: np.ndarray   # (d, d, d); dg[i, j, k] = ∂_k g_ij
@@ -74,25 +78,33 @@ class CurvatureAtPoint:
 
 
 def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
+    """The metric jets at a point ``p`` (d,), or at each row of ``p`` (N, d)
+    on a leading axis: one jet walk per metric entry over all the points."""
     d = chart.dim
+    lead = np.shape(p)[:-1]
     env = chart.env(p, jets=True)
-    g = np.empty((d, d))
-    dg = np.empty((d, d, d))
-    d2g = np.empty((d, d, d, d))
+    g = np.empty(lead + (d, d))
+    dg = np.empty(lead + (d, d, d))
+    d2g = np.empty(lead + (d, d, d, d))
     for i in range(d):
         for j in range(i, d):
             v = ex.eval_expr(chart.metric[i, j], env, ex.JET)
             if hasattr(v, "grad"):
                 val, grad, hess = v.value, v.grad, v.hess
             else:
-                val, grad, hess = float(v), np.zeros(d), np.zeros((d, d))
-            g[i, j] = g[j, i] = val
-            dg[i, j] = dg[j, i] = grad
-            d2g[i, j] = d2g[j, i] = hess
+                val, grad, hess = float(v), 0.0, 0.0
+            g[..., i, j] = g[..., j, i] = val
+            dg[..., i, j, :] = dg[..., j, i, :] = grad
+            d2g[..., i, j, :, :] = d2g[..., j, i, :, :] = hess
     try:
         ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as e:
-        raise SingularMetricError(f"metric singular at {tuple(map(float, p))}") from e
+    except np.linalg.LinAlgError:   # name the first singular point
+        for q, gq in zip(np.reshape(p, (-1, d)), g.reshape(-1, d, d)):
+            try:
+                np.linalg.inv(gq)
+            except np.linalg.LinAlgError as e:
+                raise SingularMetricError(f"metric singular at {tuple(map(float, q))}") from e
+        raise
     return MetricJets(g=g, dg=dg, d2g=d2g, ginv=ginv)
 
 
@@ -124,10 +136,23 @@ def curvature_of(mj: MetricJets, conn: ConnectionAtPoint) -> CurvatureAtPoint:
 
 def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[ConnectionAtPoint,
                                                               CurvatureAtPoint]:
-    """Connection and curvature at ``p`` from one ``metric_jets``."""
+    """Connection and curvature at a point ``p`` from one ``metric_jets``; at
+    each row of ``p`` (N, d), stacked on a leading point axis, from one
+    batched ``metric_jets`` whose slices the per-point formulas read."""
     mj = metric_jets(chart, p)
-    conn = connection_of(mj)
-    return conn, curvature_of(mj, conn)
+    if mj.g.ndim == 2:
+        conn = connection_of(mj)
+        return conn, curvature_of(mj, conn)
+    at = [MetricJets(*a) for a in zip(mj.g, mj.dg, mj.d2g, mj.ginv)]
+    conns = [connection_of(m) for m in at]
+    curvs = [curvature_of(m, c) for m, c in zip(at, conns)]
+    return _stacked(conns), _stacked(curvs)
+
+
+def _stacked(items: list):
+    """One record of the type of ``items``, each array stacked over them."""
+    cls = type(items[0])
+    return cls(*(np.array([getattr(x, f.name) for x in items]) for f in fields(cls)))
 
 
 def christoffel(chart: Chart, p: Sequence[float]) -> ConnectionAtPoint:

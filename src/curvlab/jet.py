@@ -1,12 +1,20 @@
 """Second-order forward-mode automatic differentiation.
 
 A :class:`Jet2` is a truncated second-order Taylor expansion of a scalar
-function of n variables at a point: the value, the gradient and the (dense,
+function of n variables: the value, the gradient and the (dense,
 symmetric) Hessian. Propagating jets through arithmetic and elementary
 functions yields exact first and second partial derivatives in one pass,
 which is what the chart engine needs to differentiate metric and tensor
 components. Dimensions stay small (charts here are at most 8-dimensional),
 so dense storage is the right trade-off.
+
+A jet holds one point, or a batch of N points on a leading axis: value
+(N,), gradient (N, n) and Hessian (N, n, n). The rules are written once,
+broadcasting over that axis, so one walk of an expression evaluates it at
+every sample point. Each point's numbers are those of a one-point jet, bit
+for bit: arithmetic is elementwise IEEE, and the elementary functions and
+powers go through ``math`` and Python's float ``pow`` one value at a time
+(numpy's vectorised ``exp`` or ``**`` may differ in the last bit).
 
 Third-order derivatives are intentionally out of scope.
 """
@@ -25,7 +33,8 @@ __all__ = ["Jet2", "seed", "seeds", "constant", "JET_FUNCTIONS"]
 
 
 class Jet2:
-    """Value, gradient and Hessian of a scalar at a point.
+    """Value, gradient and Hessian of a scalar at a point, or at each of N
+    points along a leading axis.
 
     Supports mixed arithmetic with plain real numbers; those are treated as
     constants (zero derivatives). The Hessian is kept symmetric by
@@ -34,14 +43,10 @@ class Jet2:
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
-        self.value = float(value)
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
-
-    @property
-    def nvars(self) -> int:
-        return self.grad.shape[0]
 
     def __repr__(self) -> str:
         return f"Jet2({self.value!r}, grad={self.grad!r})"
@@ -52,8 +57,7 @@ class Jet2:
         if isinstance(other, Jet2):
             return other
         if isinstance(other, numbers.Real):
-            n = self.nvars
-            return Jet2(float(other), np.zeros(n), np.zeros((n, n)))
+            return Jet2(float(other), np.zeros(self.grad.shape), np.zeros(self.hess.shape))
         return None
 
     def __add__(self, other):
@@ -85,11 +89,12 @@ class Jet2:
             return Jet2(self.value * c, self.grad * c, self.hess * c)
         if not isinstance(other, Jet2):
             return NotImplemented
-        cross = np.outer(self.grad, other.grad)
+        u, v = self.value[..., None], other.value[..., None]
+        cross = _outer(self.grad, other.grad)
         return Jet2(
             self.value * other.value,
-            self.grad * other.value + other.grad * self.value,
-            self.hess * other.value + other.hess * self.value + cross + cross.T,
+            self.grad * v + other.grad * u,
+            self.hess * v[..., None] + other.hess * u[..., None] + cross + cross.swapaxes(-1, -2),
         )
 
     __rmul__ = __mul__
@@ -117,20 +122,22 @@ class Jet2:
 
 
 def seed(point: Sequence[float], i: int) -> Jet2:
-    """Coordinate seed for variable ``i`` at ``point``: value is the
-    coordinate value, gradient the i-th standard basis vector, Hessian zero.
+    """Coordinate seed for variable ``i`` at ``point`` (n,), or at each row
+    of ``point`` (N, n): value is the coordinate value, gradient the i-th
+    standard basis vector, Hessian zero.
     """
-    n = len(point)
+    p = np.asarray(point, dtype=float)
+    n = p.shape[-1]
     if not 0 <= i < n:
         raise IndexError(f"variable index {i} out of range for dimension {n}")
-    g = np.zeros(n)
-    g[i] = 1.0
-    return Jet2(float(point[i]), g, np.zeros((n, n)))
+    g = np.zeros(p.shape)
+    g[..., i] = 1.0
+    return Jet2(p[..., i], g, np.zeros(p.shape + (n,)))
 
 
 def seeds(point: Sequence[float]) -> list[Jet2]:
-    """Seeds for every coordinate of ``point``, in order."""
-    return [seed(point, i) for i in range(len(point))]
+    """Seeds for every coordinate of ``point`` (or of each of its rows), in order."""
+    return [seed(point, i) for i in range(np.shape(point)[-1])]
 
 
 def constant(x: float, nvars: int) -> Jet2:
@@ -140,52 +147,72 @@ def constant(x: float, nvars: int) -> Jet2:
 # -- elementary function propagation ----------------------------------------
 
 
-def _in_range(fn, x: float) -> float:
-    """``fn(x)`` from the math module; overflow and out-of-range arguments
-    such as sin(inf) raise EvalDomainError."""
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer`` at each point: out[..., i, j] = a[..., i] b[..., j]."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _in_range(fn, x):
+    """``fn`` from the math module at ``x``, a number or an array of them,
+    one value at a time in order. Overflow and out-of-range arguments such
+    as sin(inf) raise EvalDomainError naming the first such value."""
+    values = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
+    out = []
     try:
-        return fn(x)
+        for v in values:
+            out.append(fn(float(v)))
     except (OverflowError, ValueError):
-        raise EvalDomainError(f"{fn.__name__} of {x!r} is out of the float range") from None
+        raise EvalDomainError(f"{fn.__name__} of {v!r} is out of the float range") from None
+    return np.reshape(out, x.shape) if isinstance(x, np.ndarray) else out[0]
 
 
-def _unary(u: Jet2, f0: float, f1: float, f2: float) -> Jet2:
+def _pow(x, k: int):
+    """``x ** k``; on an array, Python's float ``pow`` one value at a time
+    (OverflowError at the first value that overflows)."""
+    if not isinstance(x, np.ndarray):
+        return x**k
+    return np.reshape([v**k for v in x.ravel().tolist()], x.shape)
+
+
+def _unary(u: Jet2, f0, f1, f2) -> Jet2:
     # second-order chain rule: H = f' H_u + f'' (grad_u)(grad_u)^T
+    f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
     return Jet2(
         f0,
         f1 * u.grad,
-        f1 * u.hess + f2 * np.outer(u.grad, u.grad),
+        f1[..., None] * u.hess + f2 * _outer(u.grad, u.grad),
     )
 
 
 def _div(u: Jet2, v: Jet2) -> Jet2:
-    if v.value == 0.0:
+    if np.any(v.value == 0.0):
         raise EvalDomainError("division by zero")
     w = u.value / v.value
-    gw = (u.grad - w * v.grad) / v.value
-    cross = np.outer(gw, v.grad)
-    hw = (u.hess - w * v.hess - cross - cross.T) / v.value
+    vv = v.value[..., None]
+    gw = (u.grad - w[..., None] * v.grad) / vv
+    cross = _outer(gw, v.grad)
+    hw = (u.hess - w[..., None, None] * v.hess - cross - cross.swapaxes(-1, -2)) / vv[..., None]
     return Jet2(w, gw, hw)
 
 
 def _pow_int(u: Jet2, k: int) -> Jet2:
     if k == 0:
-        return constant(1.0, u.nvars)
-    if k < 0 and u.value == 0.0:
+        return Jet2(np.ones(u.value.shape), np.zeros(u.grad.shape), np.zeros(u.hess.shape))
+    if k < 0 and np.any(u.value == 0.0):
         raise EvalDomainError("zero raised to a negative power")
-    f0 = u.value**k
-    f1 = k * u.value ** (k - 1)
-    f2 = k * (k - 1) * u.value ** (k - 2) if k != 1 else 0.0
+    f0 = _pow(u.value, k)
+    f1 = k * _pow(u.value, k - 1)
+    f2 = k * (k - 1) * _pow(u.value, k - 2) if k != 1 else np.zeros(u.value.shape)
     return _unary(u, f0, f1, f2)
 
 
 def _sin(u: Jet2) -> Jet2:
-    s, c = _in_range(math.sin, u.value), math.cos(u.value)
+    s, c = _in_range(math.sin, u.value), _in_range(math.cos, u.value)
     return _unary(u, s, c, -s)
 
 
 def _cos(u: Jet2) -> Jet2:
-    s, c = _in_range(math.sin, u.value), math.cos(u.value)
+    s, c = _in_range(math.sin, u.value), _in_range(math.cos, u.value)
     return _unary(u, c, -s, -c)
 
 
@@ -201,17 +228,17 @@ def _exp(u: Jet2) -> Jet2:
 
 
 def _log(u: Jet2) -> Jet2:
-    if u.value <= 0.0:
+    if np.any(u.value <= 0.0):
         raise EvalDomainError("log of a non-positive value")
-    return _unary(u, math.log(u.value), 1.0 / u.value, -1.0 / u.value**2)
+    return _unary(u, _in_range(math.log, u.value), 1.0 / u.value, -1.0 / _pow(u.value, 2))
 
 
 def _sqrt(u: Jet2) -> Jet2:
-    if u.value < 0.0:
+    if np.any(u.value < 0.0):
         raise EvalDomainError("sqrt of a negative value")
-    if u.value == 0.0:
+    if np.any(u.value == 0.0):
         raise EvalDomainError("sqrt not differentiable at zero")
-    r = math.sqrt(u.value)
+    r = _in_range(math.sqrt, u.value)
     return _unary(u, r, 0.5 / r, -0.25 / (r * u.value))
 
 

@@ -132,16 +132,14 @@ def contact_point_data(s, points: Sequence[Sequence[float]]) -> PointRecord:
         raise ValueError("pointwise data is a chart-path concept")
     else:
         chart, fields = s.carrier, (s.phi, s.xi, s.eta)
-    per_point = []
-    for p in points:
-        conn, curv = geometry.point_geometry(chart, p)
-        values = [eval_field(f, p) for f in fields]
-        if len(values) == 1:
-            values += [np.zeros(s.dim)] * 2
-        if values:
-            values.append(geometry.orthonormal_frame(curv.g))
-        per_point.append((p, curv.g, conn.gamma, curv.riem, curv.riem13, *values))
-    return PointRecord(*(np.array(a, dtype=float) for a in zip(*per_point)))
+    points = np.array(points, dtype=float)   # a copy: the record is read-only
+    conn, curv = geometry.point_geometry(chart, points)
+    values = [eval_field(f, points) for f in fields]
+    if len(values) == 1:
+        values += [np.zeros(points.shape)] * 2
+    if values:
+        values.append(np.array([geometry.orthonormal_frame(g) for g in curv.g]))
+    return PointRecord(points, curv.g, conn.gamma, curv.riem, curv.riem13, *values)
 
 
 def default_samples(s, n_points: int = 20, seed: int = 42) -> SampleSet | None:
@@ -250,8 +248,7 @@ def _chart_record(s, r: PointRecord, jets: bool = True) -> BasisRecord:
     tables = {}
     if jets:
         # dxi[n, k, i] = ∂_i ξ^k, dphi[n, k, j, i] = ∂_i φ^k_j and deta[n, j, i] = ∂_i η_j
-        dxi, dphi, deta = (np.array(a) for a in zip(*(
-            [eval_field_jets(f, p)[1] for f in (s.xi, s.phi, s.eta)] for p in r.point)))
+        dxi, dphi, deta = (eval_field_jets(f, r.point)[1] for f in (s.xi, s.phi, s.eta))
         # coordinate components (∇_i ξ)^k and (∇_i φ)^k_j, as [n, k, i] and [n, k, i, j]
         nabla_xi = dxi + (r.gamma @ r.xi[:, None, :, None])[..., 0]
         nabla_phi = (dphi.transpose(0, 1, 3, 2) + r.gamma @ r.phi[:, None]

@@ -100,3 +100,30 @@ def test_sampled_points_are_spd_everywhere(s5_example, h21_chart):
         smp = sample(chart, 10, seed=9)
         for p in smp.points:
             chart.check_spd(p)  # raises on failure
+
+
+def test_spd_check_names_first_failing_point_and_minor():
+    """The batched check reports the first failing point in row order, and
+    the first failing leading minor there."""
+    chart = Chart(("x", "y"), [["x", "y"], [None, "1"]])
+    pts = np.array([[1.0, 0.5], [2.0, 3.0], [-1.0, 0.0]])   # minor 2 fails at row 1
+    with pytest.raises(SingularMetricError,
+                       match=r"^metric not positive definite at \(2\.0, 3\.0\) \(leading minor 2\)$"):
+        chart.check_spd(pts)
+    with pytest.raises(SingularMetricError, match=r"at \(-1\.0, 0\.0\) \(leading minor 1\)$"):
+        chart.check_spd(pts[[0, 2, 1]])
+    chart.check_spd(pts[:1])
+
+
+def test_batched_real_domain_errors_name_the_first_value():
+    from curvlab.errors import EvalDomainError
+    chart = Chart(("x",), [["1"]])
+    pts = np.array([[0.5], [-2.0], [-3.0], [800.0]])
+    for text, message in (("log(x)", r"^log of out-of-domain value -2\.0$"),
+                          ("sqrt(x)", r"^sqrt of out-of-domain value -2\.0$"),
+                          ("exp(x)", r"^exp of 800\.0 is out of the float range$"),
+                          ("1/(x - x)", r"^division by zero$"),
+                          ("(10*x)^200", r"^power 200 overflows the float range$")):
+        f = TensorField(chart, "vector", [text])
+        with pytest.raises(EvalDomainError, match=message):
+            eval_field(f, pts)

@@ -4,6 +4,7 @@ import os
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvlab.cli import run
@@ -95,6 +96,10 @@ def test_check_on_wrong_carrier_exit_two():
                  "coordinate name '1x' does not parse", id="coordinate_1x"),
     pytest.param(b'[chart]\ndim = 1\ncoords = "x y"\n[metric]\ng_11 = "1"\n',
                  "coordinate name 'x y' does not parse", id="coordinate_x_y"),
+    pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "1"\ng_12 = "2"\n'
+                 b'g_22 = "1"\n', "(leading minor 2)", id="leading_minor_2"),
+    pytest.param(b'[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "2 + log(x)"\n',
+                 "log of out-of-domain value -0.", id="log_of_negative"),
 ])
 def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
@@ -103,6 +108,7 @@ def test_malformed_file_exit_two(tmp_path, content, message):
     assert code == 2
     assert message in err
     assert "np.float64" not in err   # points print as plain floats
+    assert "array(" not in err and len(err.splitlines()) == 1   # one line, one scalar
 
 
 def test_file_target_roundtrip(tmp_path):
@@ -150,6 +156,26 @@ def test_json_golden_classify_sine_cone():
                            "--json"])
     assert code == 0
     golden = (GOLDEN / "classify_sine_cone.json").read_text()
+    assert out == golden
+
+
+def test_json_golden_sine_cone_battery():
+    code, out, _ = invoke(["identities", "sine_cone_cos", "--which",
+                           "g1,g2,g3,c(1/2),kappa-mu(1,0),consequences",
+                           "--samples", "5", "--seed", "3", "--json"])
+    assert code == 1
+    golden = (GOLDEN / "identities_sine_cone_battery.json").read_text()
+    assert out == golden
+
+
+def test_json_golden_bare_chart_report(monkeypatch):
+    """A bare chart with sin, cos and rational entries and one off-diagonal
+    entry; the symmetry residuals are rounding-level, so every bit counts."""
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = invoke(["report", "bare_trig_chart.ini", "--samples", "6",
+                           "--seed", "7", "--json"])
+    assert code == 0
+    golden = (GOLDEN / "report_bare_trig_chart.json").read_text()
     assert out == golden
 
 
@@ -292,7 +318,22 @@ def test_overflow_exits_two_without_traceback(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "out of the float range" in proc.stderr
+    # one line naming one scalar, not an array of the sample points
+    assert proc.stderr == "exp of 21416.490403837517 is out of the float range\n"
+    assert "array(" not in proc.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_underflowing_jet_exits_two(tmp_path):
+    """log's second derivative −1/u² at u = x²⁰⁰ ≈ 1e-200 divides by an
+    underflowed 0: the jet reads −inf and the curvature check stops with
+    exit 2, where a scalar float division raised ZeroDivisionError."""
+    path = tmp_path / "underflow.ini"
+    path.write_text('[chart]\ndim = 2\ncoords = "x, y"\n[metric]\n'
+                    'g_11 = "2 + log(x^200)/1000"\ng_22 = "1"\n')
+    code, out, err = invoke(["report", str(path), "--seed", "1"])
+    assert code == 2
+    assert "non-finite residual" in err and out == ""
 
 
 BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
@@ -310,36 +351,41 @@ BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
     (["report", "s5_in_c3", "--samples", "20"], 23),
 ])
 def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
-    """An invocation builds a chart point's geometry once: Γ, ∂Γ and R come
-    from a single metric_jets, and every check reads that point record."""
+    """An invocation builds a chart point's geometry once: Γ, ∂Γ and R of
+    the 20 sample points come from one batched metric_jets, and every check
+    reads that point record. No point is differentiated twice."""
     import curvlab.geometry as geometry
     real, calls = geometry.metric_jets, []
 
     def counting(chart, p):
-        calls.append(tuple(p))
+        calls.append(np.atleast_2d(p))   # one point (d,) or a batch (N, d)
         return real(chart, p)
 
     monkeypatch.setattr(geometry, "metric_jets", counting)
     code, _, _ = invoke(argv)
     assert code == 0
-    assert len(calls) == len(set(calls)) == points
+    assert [len(batch) for batch in calls].count(20) == 1
+    rows = [tuple(row) for batch in calls for row in batch]
+    assert len(rows) == len(set(rows)) == points
 
 
 def test_one_field_evaluation_per_sample_point(monkeypatch):
-    """φ, ξ and η are evaluated once per point and invocation, into the
-    point records every check reads."""
+    """φ, ξ and η are evaluated once per point and invocation, each in one
+    batch over the sample points, into the point record every check reads."""
     import curvlab.structures as structures
     real, calls = structures.eval_field, []
 
     def counting(f, p):
-        calls.append((id(f), tuple(p)))
+        calls.append((id(f), np.atleast_2d(p)))
         return real(f, p)
 
     monkeypatch.setattr(structures, "eval_field", counting)
     code, _, _ = invoke(["identities", "s5_in_c3", "--which",
                          "g1,g2,g3,kappa-mu(1,0),consequences", "--samples", "20"])
     assert code == 0
-    assert len(calls) == len(set(calls)) == 60
+    assert len(calls) == 3
+    pairs = [(f, tuple(row)) for f, batch in calls for row in batch]
+    assert len(pairs) == len(set(pairs)) == 60
 
 
 @pytest.mark.parametrize("target,checks", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvlab import geometry as geo
-from curvlab.chart import Chart, Interval, TensorField, eval_field, sample
+from curvlab.chart import Chart, Interval, TensorField, eval_field, eval_field_jets, sample
 from curvlab.errors import SingularMetricError
 from curvlab.frame import heisenberg_h21
 from conftest import sample_with_vectors
@@ -242,3 +242,66 @@ def test_curvature_symmetries_on_registry(h21_chart, s5_example, sine_cone_cos,
         for p in smp.points:
             res = geo.curvature_symmetry_residuals(geo.curvature(chart, p))
             assert max(res.values()) <= 1e-9, (chart.name, res)
+
+
+# -- batched metric jets ---------------------------------------------------------
+
+def _registry_fields():
+    """(label, chart, fields) for every chart a registry target carries."""
+    from curvlab.constructions.registry import resolve_target
+    out = []
+    for name in ("flat3", "s2_round", "h21_chart", "flat_cosym5", "sine_cone_cos",
+                 "sine_cone_sin", "r_warped_surface", "s5_in_c3", "hopf_pair",
+                 "cone_of:s5_in_c3", "cone_of:sine_cone_cos"):
+        t = resolve_target(name)
+        if t.kind == "chart":
+            out.append((name, t.obj, ()))
+        elif t.kind == "contact":
+            out.append((name, t.obj.carrier, (t.obj.phi, t.obj.xi, t.obj.eta)))
+        elif t.kind == "hypersurface":
+            s = t.obj.structure
+            out.append((name, s.carrier, (s.phi, s.xi, s.eta)))
+            out.append((f"{name}.ambient", t.obj.ambient.chart, (t.obj.ambient.J,)))
+        elif t.kind == "pair":
+            s = t.obj.total
+            out.append((f"{name}.total", s.carrier, (s.phi, s.xi, s.eta)))
+            out.append((f"{name}.base", t.obj.base.chart, (t.obj.base.J,)))
+        else:
+            out.append((name, t.obj.cone_chart, (t.obj.hermitian.J,)))
+    return out
+
+
+REGISTRY_FIELDS = _registry_fields()
+
+
+@pytest.mark.parametrize("label,chart,fields", REGISTRY_FIELDS,
+                         ids=[r[0] for r in REGISTRY_FIELDS])
+def test_batched_evaluation_equals_per_point(label, chart, fields):
+    """One batched walk per expression gives every point's numbers bit for
+    bit: metric jets, Γ and R, the metric and the fields and their jets."""
+    pts = sample(chart, 4, seed=9).points
+    mj = geo.metric_jets(chart, pts)
+    conn, curv = geo.point_geometry(chart, pts)
+    g = chart.metric_at(pts)
+    vals = [eval_field(f, pts) for f in fields]
+    jets = [eval_field_jets(f, pts) for f in fields]
+    for n, p in enumerate(pts):
+        one = geo.metric_jets(chart, p)
+        for name in ("g", "dg", "d2g", "ginv"):
+            assert np.array_equal(getattr(mj, name)[n], getattr(one, name)), name
+        conn1, curv1 = geo.point_geometry(chart, p)
+        assert np.array_equal(conn.gamma[n], conn1.gamma)
+        assert np.array_equal(conn.dgamma[n], conn1.dgamma)
+        assert np.array_equal(curv.riem[n], curv1.riem)
+        assert np.array_equal(curv.riem13[n], curv1.riem13)
+        assert np.array_equal(g[n], chart.metric_at(p))
+        for f, v, (jv, jg) in zip(fields, vals, jets):
+            assert np.array_equal(v[n], eval_field(f, p))
+            v1, g1 = eval_field_jets(f, p)
+            assert np.array_equal(jv[n], v1) and np.array_equal(jg[n], g1)
+
+
+def test_batched_singular_metric_names_first_point():
+    degenerate = Chart(("x", "y"), [["x", "0"], [None, "1"]])
+    with pytest.raises(SingularMetricError, match=r"at \(0\.0, 2\.0\)$"):
+        geo.metric_jets(degenerate, np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 3.0]]))

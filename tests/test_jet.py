@@ -221,3 +221,99 @@ def test_log_of_nonpositive_raises():
 def test_sqrt_of_negative_raises():
     with pytest.raises(EvalDomainError):
         jet.JET_FUNCTIONS["sqrt"](jet.seed([-0.5], 0))
+
+
+# -- batched jets: each point bit for bit a one-point jet ---------------------------
+
+# N = 5 points of two variables; u = x y + x/2 + 1/4 has a full Hessian, and
+# every rule's window below is reached through it
+POINTS = np.array([[0.31, 0.72], [0.55, -0.4], [0.9, 0.13], [0.12, 0.95], [0.66, 0.58]])
+
+
+def _inner(x, y):
+    return x * y + x / 2 + 0.25
+
+
+def assert_batch_is_per_point(fn, points=POINTS):
+    """fn over jets at all rows of ``points`` equals fn at each row alone."""
+    batch = fn(*jet.seeds(points))
+    assert batch.value.shape == points.shape[:1]
+    for n, p in enumerate(points):
+        one = fn(*jet.seeds(p))
+        assert np.array_equal(batch.value[n], one.value)
+        assert np.array_equal(batch.grad[n], one.grad)
+        assert np.array_equal(batch.hess[n], one.hess)
+
+
+@pytest.mark.parametrize("tag", sorted(jet.JET_FUNCTIONS))
+def test_batched_functions_match_single_points(tag):
+    assert_batch_is_per_point(lambda x, y: jet.JET_FUNCTIONS[tag](_inner(x, y)))
+
+
+@pytest.mark.parametrize("tag,ref", BINARY_CASES)
+def test_batched_arithmetic_matches_single_points(tag, ref):
+    assert_batch_is_per_point(lambda x, y: ref(_inner(x, y), y - 2))
+    assert_batch_is_per_point(lambda x, y: ref(3, _inner(x, y)))
+    assert_batch_is_per_point(lambda x, y: ref(_inner(x, y), 0.75))
+
+
+@pytest.mark.parametrize("k", [-2, 0, 1, 2, 3])
+def test_batched_powers_match_single_points(k):
+    assert_batch_is_per_point(lambda x, y: _inner(x, y) ** k)
+
+
+def _tan_rule(x):
+    t = math.tan(x)
+    d = 1.0 + t * t
+    return t, d, 2.0 * t * d
+
+
+def _sqrt_rule(x):
+    r = math.sqrt(x)
+    return r, 0.5 / r, -0.25 / (r * x)
+
+
+# f, f', f'' of each rule from scalar ``math`` calls and Python float pow
+SCALAR_RULES = {
+    "sin": lambda x: (math.sin(x), math.cos(x), -math.sin(x)),
+    "cos": lambda x: (math.cos(x), -math.sin(x), -math.cos(x)),
+    "tan": _tan_rule,
+    "exp": lambda x: (math.exp(x),) * 3,
+    "log": lambda x: (math.log(x), 1.0 / x, -1.0 / x**2),
+    "sqrt": _sqrt_rule,
+    "sinh": lambda x: (math.sinh(x), math.cosh(x), math.sinh(x)),
+    "cosh": lambda x: (math.cosh(x), math.sinh(x), math.cosh(x)),
+}
+
+
+@pytest.mark.parametrize("tag,window", [(t, w) for t, _, w in UNARY_CASES]
+                         + [(f"pow{k}", (0.1, 5.0)) for k in (-2, -1, 2, 3)])
+def test_batched_rules_are_scalar_math(tag, window):
+    """Over 20000 points numpy's vectorised exp, tan, log, sinh, cosh and
+    ``**`` differ from ``math`` and Python's pow in the last bit on some
+    values; a batched jet must give the scalar numbers at every point."""
+    xs = np.random.default_rng(21).uniform(*window, 20000)
+    u = jet.seed(xs[:, None], 0)
+    if tag.startswith("pow"):
+        k = int(tag[3:])
+        out = u**k
+        want = [(x**k, k * x ** (k - 1), k * (k - 1) * x ** (k - 2)) for x in xs.tolist()]
+    else:
+        out = jet.JET_FUNCTIONS[tag](u)
+        want = [SCALAR_RULES[tag](x) for x in xs.tolist()]
+    f0, f1, f2 = np.array(want).T
+    assert np.array_equal(out.value, f0)
+    assert np.array_equal(out.grad[:, 0], f1)
+    assert np.array_equal(out.hess[:, 0, 0], f2)
+
+
+def test_batched_domain_errors_name_the_first_value():
+    u = jet.seed(np.array([[1.0], [800.0], [900.0]]), 0)
+    with pytest.raises(EvalDomainError, match=r"^exp of 800\.0 is out of the float range$"):
+        jet.JET_FUNCTIONS["exp"](u)
+    with pytest.raises(EvalDomainError, match=r"^log of a non-positive value$"):
+        jet.JET_FUNCTIONS["log"](u - 900.0)
+    with pytest.raises(EvalDomainError, match=r"^division by zero$"):
+        1.0 / (u - 800.0)
+    with pytest.raises(OverflowError):
+        u**200

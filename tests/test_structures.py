@@ -30,21 +30,23 @@ def test_s5_validates(s5_example):
 
 def test_validate_differentiates_nothing(monkeypatch, s5_example):
     """validate reads g, φ, ξ and η of the point record: no field jets from
-    a sample set, and no metric jets either once the record exists."""
+    a sample set, one batch of metric jets over its points, and no
+    expression evaluation at all once the record exists."""
     import curvlab.structures as structures
-    from curvlab import geometry
+    from curvlab import expr, geometry
     s = s5_example.structure
     smp = sample(s.carrier, 20, seed=3)
     records = structures.contact_point_data(s, smp.points)
     calls = []
-    for mod, name in ((structures, "eval_field_jets"), (geometry, "metric_jets")):
+    for mod, name in ((structures, "eval_field_jets"), (geometry, "metric_jets"),
+                      (expr, "eval_expr")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
-                            calls.append(name) or real(*a))
+                            calls.append((name, np.shape(a[1]))) or real(*a))
     from_records = validate(s, records)
     assert calls == []
     assert validate(s, smp) == from_records
-    assert calls == ["metric_jets"] * 20
+    assert [c for c in calls if c[0] != "eval_expr"] == [("metric_jets", smp.points.shape)]
 
 
 def test_corrupted_phi_detected(sine_cone_cos):
@@ -190,7 +192,7 @@ def test_classification_deterministic(s5_example):
 def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
     """A NaN in R or Γ at the sample points must raise, not read as a pass:
     clamps such as max(x, 0) and some array maxima drop NaN. Poisoning only
-    the last of several points catches a batched maximum that skips a NaN."""
+    the last point of the batch catches a batched maximum that skips a NaN."""
     from dataclasses import replace
     from curvlab import geometry
     from curvlab.errors import EvalDomainError
@@ -199,14 +201,17 @@ def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
     s = s5_example.structure
     smp = sample(s.carrier, 3, seed=1)
 
-    def poisoned(chart, p):
-        conn, curv = real(chart, p)
-        if poison == "curvature_at_last_point" and not np.array_equal(p, smp.points[-1]):
-            return conn, curv
+    def poisoned(chart, points):
+        conn, curv = real(chart, points)
+        assert np.array_equal(points, smp.points)   # the whole batch in one call
+        at = -1 if poison == "curvature_at_last_point" else slice(None)
         if poison == "connection":
-            return replace(conn, gamma=np.full_like(conn.gamma, np.nan)), curv
-        nan = np.full_like(curv.riem13, np.nan)
-        return conn, replace(curv, riem=nan, riem13=nan)
+            gamma = conn.gamma.copy()
+            gamma[at] = np.nan
+            return replace(conn, gamma=gamma), curv
+        riem, riem13 = curv.riem.copy(), curv.riem13.copy()
+        riem[at] = riem13[at] = np.nan
+        return conn, replace(curv, riem=riem, riem13=riem13)
 
     monkeypatch.setattr(geometry, "point_geometry", poisoned)
     with pytest.raises(EvalDomainError):
