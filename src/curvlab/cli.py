@@ -26,6 +26,8 @@ import re
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .chart import Chart, sample
 from .errors import CurvlabError, ManifoldFormatError, RegistryError
 from .identities import (check_c_alpha, check_contact, check_hermitian,
@@ -232,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# a float fault leaves a NaN or inf, which ``_checked`` reports in one line
+@np.errstate(all="ignore")
 def run(argv=None) -> int:
     ap = build_parser()
     try:

@@ -8,7 +8,7 @@ of ξ); the horizontal lift of a base vector X is L X. The derivatives of L,
 needed for covariant derivatives and brackets of lifts, come from the
 solve-derivative identity ∂(M⁻¹ r) = −M⁻¹ (∂M) M⁻¹ r in one solve against
 the stacked ∂M, assembled from second-order jets of the projection and
-first-order jets of η; no finite differences anywhere.
+first-order jets of η, at all the sample points at once; no finite differences.
 
 Every relation is tensorial in its base arguments, so the lifted frame
 spans them all: the connection, Reeb and bracket relations are tables over
@@ -62,20 +62,29 @@ class SubmersionPair:
 
 
 def _projection_jets(sp: SubmersionPair, p: Sequence[float]):
-    """Base point, dπ (nb × nt) and its derivatives ddpi[a, i, m] = ∂_m dπ^a_i."""
+    """Base point, dπ (nb × nt) and ddpi[a, i, m] = ∂_m dπ^a_i at ``p`` (..., nt)."""
     return _expr_jets(sp.projection, sp.total.carrier.env(p, jets=True), hessians=True)
 
 
 def _lifted_frame(p, dpi, eta, dM=None):
     """L, whose column a is the lift of the base coordinate field e_a at
     ``p``: [dπ; η] L = [I; 0]. Given the stacked ``dM[m]`` = ∂_m [dπ; η],
-    also dL with dL[m] = ∂_m L = −M⁻¹ (∂_m M) L."""
-    M = np.vstack([dpi, eta[None, :]])
+    also dL with dL[m] = ∂_m L = −M⁻¹ (∂_m M) L. At N points, on a leading
+    axis, one stacked solve each; a singular M names its first point."""
+    M = np.concatenate([dpi, eta[..., None, :]], axis=-2)
+    rhs = np.eye(M.shape[-1])[:, :dpi.shape[-2]]
     try:
-        L = np.linalg.solve(M, np.eye(len(M))[:, :len(dpi)])
-        return L if dM is None else (L, -np.linalg.solve(M, dM @ L))
+        L = np.linalg.solve(M, np.broadcast_to(rhs, M.shape[:-1] + rhs.shape[-1:]))
+        return L if dM is None else (L, -np.linalg.solve(M[..., None, :, :],
+                                                         dM @ L[..., None, :, :]))
     except np.linalg.LinAlgError as e:
-        raise CurvlabError(f"horizontal lift solver singular at {tuple(map(float, p))}") from e
+        for q, Mq in zip(np.reshape(p, (-1, M.shape[-1])), M.reshape((-1,) + M.shape[-2:])):
+            try:
+                np.linalg.solve(Mq, rhs)
+            except np.linalg.LinAlgError:
+                raise CurvlabError(
+                    f"horizontal lift solver singular at {tuple(map(float, q))}") from e
+        raise
 
 
 def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
@@ -98,20 +107,18 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42
     base_chart = sp.base.chart
     rec = _point_record(sp.total, sample(sp.total.carrier, n_points, seed)
                         if samples is None else samples)
-    per_point = []
-    for p in rec.point:
-        base_pt, dpi, ddpi = _projection_jets(sp, p)
-        conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
-        GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)
-        eta, deta = eval_field_jets(sp.total.eta, p)                         # deta[j, m] = ∂_m η_j
-        # L[:, a] = e_a↑ and dL[m, k, a] = ∂_m (e_a↑)^k, from dM[m] = ∂_m [dπ; η]
-        dM = np.concatenate([ddpi, deta[None]]).transpose(2, 0, 1)
-        per_point.append((*_lifted_frame(p, dpi, eta, dM), dpi, conn_N.gamma, curv_N.riem, GJ))
-    L, dL, dpi, gamma_N, riem_N, GJ = (np.array(a) for a in zip(*per_point))
+    base_pt, dpi, ddpi = _projection_jets(sp, rec.point)
+    conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
+    GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)
+    eta, deta = eval_field_jets(sp.total.eta, rec.point)  # deta[n, j, m] = ∂_m η_j
+    # L[n, :, a] = e_a↑ and dL[n, m, k, a] = ∂_m (e_a↑)^k, from dM[n, m] = ∂_m [dπ; η]
+    dM = np.concatenate([ddpi, deta[:, None]], axis=1).transpose(0, 3, 1, 2)
+    L, dL = _lifted_frame(rec.point, dpi, eta, dM)
     # pair tables [n, a, b, k]: D is e_a↑ differentiating the components of e_b↑
     D = np.einsum("nma,nmkb->nabk", L, dL)
     nabla = D + np.einsum("nkij,nia,njb->nabk", rec.gamma, L, L)
-    predicted = np.einsum("nkc,ncab->nabk", L, gamma_N) - GJ[..., None] * rec.xi[:, None, None]
+    predicted = (np.einsum("nkc,ncab->nabk", L, conn_N.gamma)
+                 - GJ[..., None] * rec.xi[:, None, None])
 
     # (N, nb, nb, nb, nb) tables on the stacked lifted frames, W, Z, X, Y on
     # slot axes 0-3 after the point axis
@@ -120,7 +127,7 @@ def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42
     pw, pz, px, py = phv(W), phv(Z), phv(X), phv(Y)
     rxyzw = r4(X, Y, Z, W)
     tables = {
-        "lift_curvature": r4(W, Z, X, Y) - (riem_N - 2.0 * gd(X, py) * gd(W, pz)
+        "lift_curvature": r4(W, Z, X, Y) - (curv_N.riem - 2.0 * gd(X, py) * gd(W, pz)
                                             + gd(Y, pz) * gd(W, px) - gd(X, pz) * gd(W, py)),
         # consequences of the base satisfying each Hermitian identity
         "lift_k1_consequence": (r4(X, Y, pz, pw) - rxyzw

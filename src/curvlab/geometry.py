@@ -14,12 +14,12 @@ one-form carries no 1/2 factor: dη(X, Y) = Xη(Y) − Yη(X) on coordinate
 fields; callers that need the convention with the 1/2 (as the contact
 metric compatibility test does) scale explicitly.
 
-The ``*_of`` functions are formulas over values already built at one point
-(metric jets, Γ, curvature, field jets); the ``(chart, p, …)`` functions
-build what they need and call them. A check that needs several of these at
-a point builds them once, from one ``metric_jets`` (``point_geometry``);
-given N points, ``point_geometry`` makes one batched ``metric_jets`` and
-runs the per-point formulas on its slices.
+The ``*_of`` functions are formulas over values already built (metric jets,
+Γ, curvature, field jets); the ``(chart, p, …)`` functions build what they
+need and call them. ``connection_of``, ``curvature_of`` and
+``orthonormal_frame`` take one point or N on a leading axis, and a point's
+numbers in a batch are its one-point numbers bit for bit. ``point_geometry``
+builds Γ and R from one ``metric_jets``: at N points, one array evaluation.
 Derived quantities (∇ of a field, L_ξ g, dη, Ric) are computed by the
 checks that need them, from the arrays above; the one-formula versions that
 tests compare those checks against live in ``tests/reference.py``.
@@ -27,7 +27,7 @@ tests compare those checks against live in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +57,8 @@ class MetricJets:
 
 @dataclass(frozen=True)
 class ConnectionAtPoint:
-    """Christoffel symbols Γ^k_ij at a point, gamma[k, i, j], plus the
-    coordinate derivatives dgamma[k, i, j, m] = ∂_m Γ^k_ij."""
+    """Christoffel symbols Γ^k_ij, gamma[..., k, i, j], and their derivatives
+    dgamma[..., k, i, j, m] = ∂_m Γ^k_ij, at a point or on a point axis."""
 
     gamma: np.ndarray
     dgamma: np.ndarray
@@ -66,7 +66,7 @@ class ConnectionAtPoint:
 
 @dataclass(frozen=True)
 class CurvatureAtPoint:
-    """Curvature arrays at a point.
+    """Curvature arrays at a point, or at N points on a leading axis.
 
     ``riem[i, j, k, l]`` is the lowered R(∂_i, ∂_j, ∂_k, ∂_l);
     ``riem13[m, i, j, k]`` is the operator component (R_∂i∂j ∂_k)^m.
@@ -111,15 +111,15 @@ def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
 def connection_of(mj: MetricJets) -> ConnectionAtPoint:
     """Levi-Civita connection Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij)."""
     # lowered symbols Γ_{l,ij} and their m-derivatives
-    low = 0.5 * (np.einsum("jli->lij", mj.dg) + np.einsum("ilj->lij", mj.dg)
-                 - np.einsum("ijl->lij", mj.dg))
-    dlow = 0.5 * (np.einsum("jlim->lijm", mj.d2g) + np.einsum("iljm->lijm", mj.d2g)
-                  - np.einsum("ijlm->lijm", mj.d2g))
-    gamma = np.einsum("kl,lij->kij", mj.ginv, low)
+    low = 0.5 * (np.einsum("...jli->...lij", mj.dg) + np.einsum("...ilj->...lij", mj.dg)
+                 - np.einsum("...ijl->...lij", mj.dg))
+    dlow = 0.5 * (np.einsum("...jlim->...lijm", mj.d2g) + np.einsum("...iljm->...lijm", mj.d2g)
+                  - np.einsum("...ijlm->...lijm", mj.d2g))
+    gamma = np.einsum("...kl,...lij->...kij", mj.ginv, low)
     # ∂_m g^{kl} = −g^{ka} (∂_m g_ab) g^{bl}
-    dginv = -np.einsum("ka,abm,bl->klm", mj.ginv, mj.dg, mj.ginv)
-    dgamma = (np.einsum("klm,lij->kijm", dginv, low)
-              + np.einsum("kl,lijm->kijm", mj.ginv, dlow))
+    dginv = -np.einsum("...ka,...abm,...bl->...klm", mj.ginv, mj.dg, mj.ginv)
+    dgamma = (np.einsum("...klm,...lij->...kijm", dginv, low)
+              + np.einsum("...kl,...lijm->...kijm", mj.ginv, dlow))
     return ConnectionAtPoint(gamma=gamma, dgamma=dgamma)
 
 
@@ -127,32 +127,20 @@ def curvature_of(mj: MetricJets, conn: ConnectionAtPoint) -> CurvatureAtPoint:
     """Curvature on coordinate fields; the bracket term vanishes there."""
     gamma, dgamma = conn.gamma, conn.dgamma
     # (R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp
-    riem13 = (np.einsum("mjki->mijk", dgamma) - np.einsum("mikj->mijk", dgamma)
-              + np.einsum("pjk,mip->mijk", gamma, gamma)
-              - np.einsum("pik,mjp->mijk", gamma, gamma))
-    riem = -np.einsum("lm,mijk->ijkl", mj.g, riem13)
+    riem13 = (np.einsum("...mjki->...mijk", dgamma) - np.einsum("...mikj->...mijk", dgamma)
+              + np.einsum("...pjk,...mip->...mijk", gamma, gamma)
+              - np.einsum("...pik,...mjp->...mijk", gamma, gamma))
+    riem = -np.einsum("...lm,...mijk->...ijkl", mj.g, riem13)
     return CurvatureAtPoint(riem=riem, riem13=riem13, g=mj.g)
 
 
 def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[ConnectionAtPoint,
                                                               CurvatureAtPoint]:
-    """Connection and curvature at a point ``p`` from one ``metric_jets``; at
-    each row of ``p`` (N, d), stacked on a leading point axis, from one
-    batched ``metric_jets`` whose slices the per-point formulas read."""
+    """Connection and curvature at a point ``p`` (d,), or at each row of
+    ``p`` (N, d) on a leading point axis, from one ``metric_jets``."""
     mj = metric_jets(chart, p)
-    if mj.g.ndim == 2:
-        conn = connection_of(mj)
-        return conn, curvature_of(mj, conn)
-    at = [MetricJets(*a) for a in zip(mj.g, mj.dg, mj.d2g, mj.ginv)]
-    conns = [connection_of(m) for m in at]
-    curvs = [curvature_of(m, c) for m, c in zip(at, conns)]
-    return _stacked(conns), _stacked(curvs)
-
-
-def _stacked(items: list):
-    """One record of the type of ``items``, each array stacked over them."""
-    cls = type(items[0])
-    return cls(*(np.array([getattr(x, f.name) for x in items]) for f in fields(cls)))
+    conn = connection_of(mj)
+    return conn, curvature_of(mj, conn)
 
 
 def christoffel(chart: Chart, p: Sequence[float]) -> ConnectionAtPoint:
@@ -183,21 +171,22 @@ def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt frame from the coordinate basis, pivot order fixed.
+    """Gram-Schmidt frame from the coordinate basis, pivot order fixed; g is (d, d) or (N, d, d).
 
-    Returns ``E`` with rows E[a] the frame vectors; E g E^T = identity.
+    Returns ``E`` with rows E[..., a, :] the frame vectors; E g E^T = identity.
     """
-    d = g.shape[0]
-    E = np.zeros((d, d))
+    d = g.shape[-1]
+    E = np.zeros(g.shape)
     for a in range(d):
-        v = np.zeros(d)
-        v[a] = 1.0
+        v = np.zeros(g.shape[:-2] + (1, d))   # a row vector at each point
+        v[..., a] = 1.0
         for b in range(a):
-            v = v - (E[b] @ g @ v) * E[b]
-        nrm2 = float(v @ g @ v)
-        if nrm2 <= 0.0:
+            Eb = E[..., b:b + 1, :]
+            v = v - (Eb @ g @ v.swapaxes(-1, -2)) * Eb
+        nrm2 = v @ g @ v.swapaxes(-1, -2)
+        if np.any(nrm2 <= 0.0):
             raise SingularMetricError("Gram-Schmidt breakdown: metric not positive definite")
-        E[a] = v / np.sqrt(nrm2)
+        E[..., a:a + 1, :] = v / np.sqrt(nrm2)
     return E
 
 

@@ -163,7 +163,7 @@ def _in_range(fn, x):
             out.append(fn(float(v)))
     except (OverflowError, ValueError):
         raise EvalDomainError(f"{fn.__name__} of {v!r} is out of the float range") from None
-    return np.reshape(out, x.shape) if isinstance(x, np.ndarray) else out[0]
+    return np.array(out).reshape(x.shape) if isinstance(x, np.ndarray) else out[0]
 
 
 def _pow(x, k: int):
@@ -171,7 +171,7 @@ def _pow(x, k: int):
     (OverflowError at the first value that overflows)."""
     if not isinstance(x, np.ndarray):
         return x**k
-    return np.reshape([v**k for v in x.ravel().tolist()], x.shape)
+    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _unary(u: Jet2, f0, f1, f2) -> Jet2:

@@ -92,7 +92,7 @@ class AlmostHermitianStructure:
 class PointRecord:
     """The sample points of a chart, evaluated once and read by every check,
     each array with a leading point axis N: the points, g, Γ (``gamma[n,
-    k, i, j]``), R and R¹³ from one ``metric_jets`` per point, the structure
+    k, i, j]``), R and R¹³ from one batched ``point_geometry``, the structure
     over the REAL ring and E(p) = ``orthonormal_frame(g)``, rows in chart
     coordinates. An almost Hermitian record carries J as ``phi`` with ξ = η
     = 0; a bare chart's has no structure and no E(p). A frame's record has
@@ -138,7 +138,7 @@ def contact_point_data(s, points: Sequence[Sequence[float]]) -> PointRecord:
     if len(values) == 1:
         values += [np.zeros(points.shape)] * 2
     if values:
-        values.append(np.array([geometry.orthonormal_frame(g) for g in curv.g]))
+        values.append(geometry.orthonormal_frame(curv.g))
     return PointRecord(points, curv.g, conn.gamma, curv.riem, curv.riem13, *values)
 
 

@@ -3,7 +3,10 @@
 Each function rebuilds what it needs at one point: Christoffel symbols and
 curvature through ``geometry.christoffel`` and ``geometry.curvature``, field
 jets through ``eval_field_jets``. It then evaluates its own coordinate
-formula. None of them reads the per-point records that the structure
+formula. ``connection_at_point``, ``curvature_at_point`` and
+``gram_schmidt`` are the one-point formulas, with no point axis, that the
+batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
+match bit for bit. None of them reads the per-point records that the structure
 battery and the identity sweep work from (``contact_point_data`` and the
 exact frame tables of ``structures``), so an oracle that compares those
 records with these functions does not check the engine against itself.
@@ -23,7 +26,51 @@ import numpy as np
 
 from curvlab.chart import Chart, TensorField, eval_field_jets
 from curvlab.frame import FrameGeometry, _rat
-from curvlab.geometry import christoffel, curvature, nabla_of, orthonormal_frame
+from curvlab.errors import SingularMetricError
+from curvlab.geometry import (ConnectionAtPoint, CurvatureAtPoint, MetricJets, christoffel,
+                              curvature, nabla_of)
+
+
+def connection_at_point(mj: MetricJets) -> ConnectionAtPoint:
+    """Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij) and ∂_m Γ^k_ij from
+    the metric jets at one point, with no point axis."""
+    low = 0.5 * (np.einsum("jli->lij", mj.dg) + np.einsum("ilj->lij", mj.dg)
+                 - np.einsum("ijl->lij", mj.dg))
+    dlow = 0.5 * (np.einsum("jlim->lijm", mj.d2g) + np.einsum("iljm->lijm", mj.d2g)
+                  - np.einsum("ijlm->lijm", mj.d2g))
+    gamma = np.einsum("kl,lij->kij", mj.ginv, low)
+    dginv = -np.einsum("ka,abm,bl->klm", mj.ginv, mj.dg, mj.ginv)
+    dgamma = (np.einsum("klm,lij->kijm", dginv, low)
+              + np.einsum("kl,lijm->kijm", mj.ginv, dlow))
+    return ConnectionAtPoint(gamma=gamma, dgamma=dgamma)
+
+
+def curvature_at_point(mj: MetricJets, conn: ConnectionAtPoint) -> CurvatureAtPoint:
+    """(R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp
+    and R_ijkl = −g_lm (R_ij ∂_k)^m at one point, with no point axis."""
+    gamma, dgamma = conn.gamma, conn.dgamma
+    riem13 = (np.einsum("mjki->mijk", dgamma) - np.einsum("mikj->mijk", dgamma)
+              + np.einsum("pjk,mip->mijk", gamma, gamma)
+              - np.einsum("pik,mjp->mijk", gamma, gamma))
+    riem = -np.einsum("lm,mijk->ijkl", mj.g, riem13)
+    return CurvatureAtPoint(riem=riem, riem13=riem13, g=mj.g)
+
+
+def gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Rows E[a] of the g-orthonormal frame from the coordinate basis, pivot
+    order fixed, for one metric (d, d)."""
+    d = g.shape[0]
+    E = np.zeros((d, d))
+    for a in range(d):
+        v = np.zeros(d)
+        v[a] = 1.0
+        for b in range(a):
+            v = v - (E[b] @ g @ v) * E[b]
+        nrm2 = float(v @ g @ v)
+        if nrm2 <= 0.0:
+            raise SingularMetricError("Gram-Schmidt breakdown: metric not positive definite")
+        E[a] = v / np.sqrt(nrm2)
+    return E
 
 
 def covariant_derivative(chart: Chart, f: TensorField, p: Sequence[float], X) -> np.ndarray:
@@ -69,7 +116,7 @@ def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y)
 def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
     """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame."""
     curv = curvature(chart, p)
-    E = orthonormal_frame(curv.g)
+    E = gram_schmidt(curv.g)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return float(np.einsum("ai,j,ak,l,ijkl->", E, X, E, Y, curv.riem))

@@ -323,6 +323,30 @@ def test_overflow_exits_two_without_traceback(tmp_path):
     assert "array(" not in proc.stderr
 
 
+NAN_CONSTANT_CHART = OVERFLOWING_CHART.replace('"1 + exp(700*x)"', '"1"').replace(
+    'g_33 = "1"', 'g_33 = "(0)*(1e400)"')
+
+
+@pytest.mark.parametrize("chart", [OVERFLOWING_CHART, NAN_CONSTANT_CHART],
+                         ids=["overflowing_hessian", "nan_constant"])
+def test_floating_point_faults_print_one_line(tmp_path, chart):
+    """An overflowing jet and a NaN metric entry read as non-finite
+    residuals: exit 2 and one line on stderr, with no numpy warning ahead
+    of it (a subprocess, so stderr is the real one)."""
+    import subprocess
+    import sys
+    import curvlab
+    path = tmp_path / "fault.ini"
+    path.write_text(chart)
+    env = dict(os.environ, PYTHONPATH=str(Path(curvlab.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "curvlab.cli", "report", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "non-finite residual in symmetry.antisym_first_pair\n"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_underflowing_jet_exits_two(tmp_path):
     """log's second derivative −1/u² at u = x²⁰⁰ ≈ 1e-200 divides by an
@@ -345,7 +369,7 @@ BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
     (["identities", "s5_in_c3", "--which", "g1,g2,g3,kappa-mu(1,0),consequences",
       "--samples", "20"], 20),
     (["report", "cone_of:s5_in_c3", "--samples", "20"], 20),
-    # 20 total-space points and the 20 base points below them
+    # 20 total-space points and the 20 base points below them, one batch each
     (["report", "hopf_pair", "--samples", "20"], 40),
     # 20 sample points and 3 probes of the ambient Kähler check
     (["report", "s5_in_c3", "--samples", "20"], 23),
@@ -353,7 +377,8 @@ BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
 def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     """An invocation builds a chart point's geometry once: Γ, ∂Γ and R of
     the 20 sample points come from one batched metric_jets, and every check
-    reads that point record. No point is differentiated twice."""
+    reads that point record; a submersion's 20 base points come in a second
+    batch. No point is differentiated twice."""
     import curvlab.geometry as geometry
     real, calls = geometry.metric_jets, []
 
@@ -364,7 +389,7 @@ def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     monkeypatch.setattr(geometry, "metric_jets", counting)
     code, _, _ = invoke(argv)
     assert code == 0
-    assert [len(batch) for batch in calls].count(20) == 1
+    assert [len(batch) for batch in calls].count(20) == points // 20
     rows = [tuple(row) for batch in calls for row in batch]
     assert len(rows) == len(set(rows)) == points
 

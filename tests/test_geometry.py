@@ -1,6 +1,8 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from curvlab import geometry as geo
 from curvlab.chart import Chart, Interval, TensorField, eval_field, eval_field_jets, sample
 from curvlab.errors import SingularMetricError
 from curvlab.frame import heisenberg_h21
+from curvlab.manifold_io import load_manifold_file
 from conftest import sample_with_vectors
-from reference import (contact_volume_coefficient, covariant_derivative,
-                       covariant_derivative_02, exterior_d_oneform,
-                       lie_derivative_metric, ricci)
+from reference import (connection_at_point, contact_volume_coefficient,
+                       covariant_derivative, covariant_derivative_02, curvature_at_point,
+                       exterior_d_oneform, gram_schmidt, lie_derivative_metric, ricci)
 
 
 def frame_vectors_at(p):
@@ -274,14 +277,30 @@ def _registry_fields():
 REGISTRY_FIELDS = _registry_fields()
 
 
+def _assert_point_geometry_per_point(chart, pts):
+    """The batched Γ, ∂Γ, R¹³, R and E(p) equal, bit for bit, the one-point
+    formulas of ``reference`` run on each point's own metric jets."""
+    conn, curv = geo.point_geometry(chart, pts)
+    E = geo.orthonormal_frame(curv.g)
+    for n, p in enumerate(pts):
+        one = geo.metric_jets(chart, p)
+        conn1 = connection_at_point(one)
+        curv1 = curvature_at_point(one, conn1)
+        assert np.array_equal(conn.gamma[n], conn1.gamma)
+        assert np.array_equal(conn.dgamma[n], conn1.dgamma)
+        assert np.array_equal(curv.riem13[n], curv1.riem13)
+        assert np.array_equal(curv.riem[n], curv1.riem)
+        assert np.array_equal(E[n], gram_schmidt(one.g))
+
+
 @pytest.mark.parametrize("label,chart,fields", REGISTRY_FIELDS,
                          ids=[r[0] for r in REGISTRY_FIELDS])
 def test_batched_evaluation_equals_per_point(label, chart, fields):
     """One batched walk per expression gives every point's numbers bit for
-    bit: metric jets, Γ and R, the metric and the fields and their jets."""
+    bit: metric jets, the metric and the fields and their jets; and the
+    batched point geometry equals the one-point reference formulas."""
     pts = sample(chart, 4, seed=9).points
     mj = geo.metric_jets(chart, pts)
-    conn, curv = geo.point_geometry(chart, pts)
     g = chart.metric_at(pts)
     vals = [eval_field(f, pts) for f in fields]
     jets = [eval_field_jets(f, pts) for f in fields]
@@ -289,16 +308,29 @@ def test_batched_evaluation_equals_per_point(label, chart, fields):
         one = geo.metric_jets(chart, p)
         for name in ("g", "dg", "d2g", "ginv"):
             assert np.array_equal(getattr(mj, name)[n], getattr(one, name)), name
-        conn1, curv1 = geo.point_geometry(chart, p)
-        assert np.array_equal(conn.gamma[n], conn1.gamma)
-        assert np.array_equal(conn.dgamma[n], conn1.dgamma)
-        assert np.array_equal(curv.riem[n], curv1.riem)
-        assert np.array_equal(curv.riem13[n], curv1.riem13)
         assert np.array_equal(g[n], chart.metric_at(p))
         for f, v, (jv, jg) in zip(fields, vals, jets):
             assert np.array_equal(v[n], eval_field(f, p))
             v1, g1 = eval_field_jets(f, p)
             assert np.array_equal(jv[n], v1) and np.array_equal(jg[n], g1)
+    _assert_point_geometry_per_point(chart, pts)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_batched_point_geometry_on_generated_charts(tmp_path, k):
+    """The benchmark's bare charts with dense off-diagonal metrics: seed 3
+    draws dimensions 3, 5 and 6."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import Generator
+    finally:
+        sys.path.pop(0)
+    gen = Generator("chart_sweep", 3, tmp_path)
+    files = [gen.bare_chart_file() for _ in range(k + 1)]
+    path, dim = files[-1]
+    assert dim == (3, 5, 6)[k]
+    chart = load_manifold_file(path)
+    _assert_point_geometry_per_point(chart, sample(chart, 7, seed=k).points)
 
 
 def test_batched_singular_metric_names_first_point():

@@ -65,6 +65,18 @@ def test_lift_solver_singular_detected(hopf_pair):
         horizontal_lift(bad, [0.7, 0.3, 1.1], [1.0, 0.0])
 
 
+def test_lift_singular_at_a_later_point_names_it(hopf_pair):
+    """dπ of (α, β²) loses rank where β = 0: the stacked solve over all the
+    points names the first such point, in point order."""
+    from curvlab.chart import SampleSet
+    from curvlab.constructions import SubmersionPair
+    bad = SubmersionPair(total=hopf_pair.total, base=hopf_pair.base,
+                         projection=("alpha", "beta*beta"))
+    pts = np.array([[0.5, 0.3, 0.1], [0.6, 0.0, 0.2], [0.7, 0.0, 0.4]])
+    with pytest.raises(CurvlabError, match=r"singular at \(0\.6, 0\.0, 0\.2\)$"):
+        check_submersion_lift(bad, samples=SampleSet(pts, seed=0))
+
+
 def test_nan_structure_never_passes(hopf_pair):
     """inf · 0 makes one φ entry NaN upstairs. The lift residuals must stop
     with EvalDomainError instead of letting ``max`` drop the NaN."""
