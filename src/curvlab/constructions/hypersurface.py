@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import geometry
-from ..chart import Chart, TensorField, _expr_jets, eval_field, eval_field_jets, sample
-from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                          WorstResidual, _point_record)
+from ..chart import Chart, TensorField, _expr_jets, eval_field_jets, sample
+from ..structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
+                          Samples, _checked, _finite, _point_record)
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -57,7 +57,7 @@ class SurfacePatch:
 
 @dataclass
 class HypersurfaceReport:
-    """Pointwise induction results over a sample set.
+    """Induction results over a sample set.
 
     ``beta`` is the per-point Rayleigh fit trace(A)/dim; ``umbilicity`` the
     max entry of |A − βI| over all points; ``h_xi_residual`` the defect of
@@ -67,7 +67,6 @@ class HypersurfaceReport:
     """
 
     points: np.ndarray
-    weingarten: list
     beta: np.ndarray
     beta_mean: float
     umbilicity: float
@@ -79,37 +78,88 @@ class HypersurfaceReport:
     induced: AlmostContactStructure | None
 
 
-def _ambient_J_matrix(ambient: AlmostHermitianStructure) -> np.ndarray:
-    # constant J required (flat Kähler ambient); evaluate anywhere valid
-    probe = np.zeros(ambient.chart.dim)
-    return eval_field(ambient.J, probe)
+def _per_point(a: np.ndarray) -> np.ndarray:
+    """Max |entry| of ``a`` at each point of its leading axis."""
+    return np.max(np.abs(a.reshape(len(a), -1)), axis=1)
 
 
-def _check_ambient_kahler(ambient: AlmostHermitianStructure, tol: float):
-    worst = WorstResidual("hypersurface.ambient_kahler")
-    for p in sample(ambient.chart, 3, seed=7).points:
-        gamma = geometry.christoffel(ambient.chart, p).gamma
-        J, dJ = eval_field_jets(ambient.J, p)      # dJ[k, j, i] = ∂_i J^k_j
-        # (∇_i J)^k_j as [k, i, j], along every coordinate basis vector at once
-        worst.add(np.max(np.abs(dJ.transpose(0, 2, 1) + gamma @ J - np.tensordot(J, gamma, 1))))
-    if worst.value > tol:
-        raise CurvlabError(f"ambient structure is not Kähler (∇J residual {worst.value:.2e})")
+def _ambient_kahler(ambient: AlmostHermitianStructure, points: np.ndarray):
+    """J at each row of ``points`` (N, d) and the largest |∇J| entry there,
+    from one ``metric_jets`` and one jet walk of J over all the points."""
+    gamma = geometry.connection_of(geometry.metric_jets(ambient.chart, points)).gamma
+    J, dJ = eval_field_jets(ambient.J, points)      # dJ[n, k, j, i] = ∂_i J^k_j
+    d = ambient.chart.dim
+    # (∇_i J)^k_j as [n, k, i, j], along every coordinate basis vector at once
+    nabla = (dJ.transpose(0, 1, 3, 2) + gamma @ J[:, None]
+             - (J @ gamma.reshape(-1, d, d * d)).reshape(gamma.shape))
+    return J, _per_point(nabla)
+
+
+def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
+    """The induction at every point of ``rec`` at once, from one jet walk
+    each of the immersion and the normal: β, the Weingarten matrices A and
+    ξ = −JN in chart components, each on the leading point axis, and the
+    per-point residuals keyed by row name.
+
+    Raises at the first point whose normal is not unit (EvalDomainError if
+    it is NaN) or whose immersion Jacobian is rank-deficient, in that order.
+    """
+    d = patch.chart.dim
+    env = patch.chart.env(rec.point, jets=True)
+    JF = _expr_jets(patch.immersion, env)[1]        # (N, nA, d)
+    N, dN = _expr_jets(patch.normal, env)           # (N, nA), (N, nA, d)
+    Nrow = N[:, None, :]
+    norm2 = (Nrow @ N[:, :, None])[:, 0, 0]
+    unit = np.abs(norm2 - 1.0)
+    smin = np.linalg.svd(JF, compute_uv=False)[:, -1]
+    bad = np.flatnonzero(np.isnan(unit) | (unit > 1e-6) | (smin < 1e-8))
+    if bad.size:
+        k = bad[0]
+        p = tuple(map(float, rec.point[k]))
+        if _checked("hypersurface.normal_unit", unit[k]) > 1e-6:
+            raise CurvlabError(f"normal is not unit at {p} (|N|² − 1 = {norm2[k] - 1.0:.2e})")
+        raise CurvlabError(f"immersion Jacobian rank-deficient at {p}")
+
+    JFt = JF.transpose(0, 2, 1)
+    G = JFt @ JF  # first fundamental form (flat ambient)
+    Ginv = np.linalg.inv(G)
+    A = -Ginv @ (JFt @ dN)  # Weingarten in chart components
+    beta = np.trace(A, axis1=-2, axis2=-1) / d
+    xi = (Ginv @ (JFt @ (-J @ N[:, :, None])))[:, :, 0]   # ξ = −JN in chart components
+    # h(X, ξ) = g̃(∇̃_X ξ, N) with ∇̃_X ξ = −J dN X; η(AX) = g(ξ, AX); both
+    # are linear in X, so X sweeps the coordinate basis
+    res = {"normal_unit": unit,
+           "normal_tangency": _per_point(Nrow @ JF),
+           "umbilicity": _per_point(A - beta[:, None, None] * np.eye(d)),
+           "h_xi": _per_point(Nrow @ (-J @ dN) - xi[:, None, :] @ G @ A),
+           "pullback": _per_point(G - rec.g)}
+    if patch.has_structure:
+        # J (dF e_j) = dF (φ e_j) + η_j N, column by column
+        res["structure"] = np.max([
+            _per_point(xi - rec.xi),
+            _per_point((G @ xi[:, :, None])[:, :, 0] - rec.eta),
+            _per_point(J @ JF - JF @ rec.phi - N[:, :, None] * rec.eta[:, None, :])], axis=0)
+    return beta, A, xi, res
 
 
 def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
                         samples: Samples = None, tol: float = 1e-7) -> HypersurfaceReport:
-    """Run the pointwise induction over sampled parameter points.
+    """Run the induction over sampled parameter points, as one array
+    evaluation over all of them.
 
-    Raises on a non-unit normal, a rank-deficient immersion Jacobian or a
-    non-Kähler ambient. When the patch carries a structure template, the
-    template metric is checked against the first-fundamental form and
-    (φ, ξ, η) against the JX = φX + η(X)N decomposition with ξ = −JN.
+    Raises on a non-Kähler ambient, then at the first point with a non-unit
+    normal or a rank-deficient immersion Jacobian. When the patch carries a
+    structure template, the template metric is checked against the
+    first-fundamental form and (φ, ξ, η) against the JX = φX + η(X)N
+    decomposition with ξ = −JN. The ambient's J is read at the Kähler
+    check's probes; a flat Kähler ambient has it constant.
     ``samples``: a sample set of the parameter chart, or its point record.
     """
-    _check_ambient_kahler(ambient, tol)
-    J = _ambient_J_matrix(ambient)
+    J, nabla_J = _ambient_kahler(ambient, sample(ambient.chart, 3, seed=7).points)
+    kahler = _checked("hypersurface.ambient_kahler", np.max(nabla_J))
+    if kahler > tol:
+        raise CurvlabError(f"ambient structure is not Kähler (∇J residual {kahler:.2e})")
     chart = patch.chart
-    d = chart.dim
     nA = ambient.chart.dim
     if len(patch.immersion) != nA or len(patch.normal) != nA:
         raise ValueError("immersion and normal must have one entry per ambient coordinate")
@@ -119,51 +169,13 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     rec = _point_record(induced or chart, sample(chart, 20, seed=42)
                         if samples is None else samples)
 
-    weingarten = []
-    betas = []
-    res = {k: WorstResidual(f"hypersurface.{k}") for k in (
-        "umbilicity", "h_xi", "normal_unit", "normal_tangency", "pullback", "structure")}
-
-    for k, p in enumerate(rec.point):
-        env = chart.env(p, jets=True)
-        JF = _expr_jets(patch.immersion, env)[1]
-        N, dN = _expr_jets(patch.normal, env)
-
-        res["normal_unit"].add(abs(float(N @ N) - 1.0))
-        if res["normal_unit"].value > 1e-6:
-            raise CurvlabError(f"normal is not unit at {tuple(map(float, p))} "
-                               f"(|N|² − 1 = {float(N @ N) - 1.0:.2e})")
-        if np.linalg.svd(JF, compute_uv=False)[-1] < 1e-8:
-            raise CurvlabError(f"immersion Jacobian rank-deficient at {tuple(map(float, p))}")
-        res["normal_tangency"].add(np.max(np.abs(N @ JF)))
-
-        G = JF.T @ JF  # first fundamental form (flat ambient)
-        Ginv = np.linalg.inv(G)
-        A = -Ginv @ (JF.T @ dN)  # Weingarten in chart components
-        weingarten.append(A)
-        beta = float(np.trace(A)) / d
-        betas.append(beta)
-        res["umbilicity"].add(np.max(np.abs(A - beta * np.eye(d))))
-
-        xi_chart = Ginv @ (JF.T @ (-J @ N))   # ξ = −JN in chart components
-        # h(X, ξ) = g̃(∇̃_X ξ, N) with ∇̃_X ξ = −J dN X; η(AX) = g(ξ, AX); both
-        # are linear in X, so X sweeps the coordinate basis
-        res["h_xi"].add(np.max(np.abs(N @ (-J @ dN) - xi_chart @ G @ A)))
-
-        res["pullback"].add(np.max(np.abs(G - rec.g[k])))
-        if patch.has_structure:
-            res["structure"].add(np.max(np.abs(xi_chart - rec.xi[k])))
-            res["structure"].add(np.max(np.abs(G @ xi_chart - rec.eta[k])))
-            # J (dF e_j) = dF (φ e_j) + η_j N, column by column
-            defect = J @ JF - JF @ rec.phi[k] - np.outer(N, rec.eta[k])
-            res["structure"].add(np.max(np.abs(defect)))
-
-    betas = np.asarray(betas)
+    beta, _, _, res = _induction(J[0], patch, rec)
+    worst = _finite("hypersurface", {k: np.max(v) for k, v in res.items()})
     return HypersurfaceReport(
-        points=np.array(rec.point), weingarten=weingarten, beta=betas,
-        beta_mean=float(betas.mean()), umbilicity=res["umbilicity"].value,
-        h_xi_residual=res["h_xi"].value, normal_unit_residual=res["normal_unit"].value,
-        normal_tangency_residual=res["normal_tangency"].value,
-        pullback_residual=res["pullback"].value,
-        structure_residual=res["structure"].value if patch.has_structure else 0.0,
+        points=np.array(rec.point), beta=beta,
+        beta_mean=float(beta.mean()), umbilicity=worst["umbilicity"],
+        h_xi_residual=worst["h_xi"], normal_unit_residual=worst["normal_unit"],
+        normal_tangency_residual=worst["normal_tangency"],
+        pullback_residual=worst["pullback"],
+        structure_residual=worst.get("structure", 0.0),
         induced=induced)

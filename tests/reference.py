@@ -6,7 +6,9 @@ jets through ``eval_field_jets``. It then evaluates its own coordinate
 formula. ``connection_at_point``, ``curvature_at_point`` and
 ``gram_schmidt`` are the one-point formulas, with no point axis, that the
 batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
-match bit for bit. None of them reads the per-point records that the structure
+match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
+that part for the batched hypersurface induction and its ambient Kähler
+check. None of them reads the per-point records that the structure
 battery and the identity sweep work from (``contact_point_data`` and the
 exact frame tables of ``structures``), so an oracle that compares those
 records with these functions does not check the engine against itself.
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from curvlab.chart import Chart, TensorField, eval_field_jets
+from curvlab.chart import Chart, TensorField, _expr_jets, eval_field_jets
 from curvlab.frame import FrameGeometry, _rat
 from curvlab.errors import SingularMetricError
 from curvlab.geometry import (ConnectionAtPoint, CurvatureAtPoint, MetricJets, christoffel,
@@ -164,3 +166,38 @@ def frame_ricci(fg: FrameGeometry, x: Sequence[Fraction], y: Sequence[Fraction])
     """Ric(X, Y) = Σ_ab g^ab R(E_a, X, E_b, Y) on an invariant frame, exact."""
     ric = np.tensordot(fg.ginv, fg.riem, axes=([0, 1], [0, 2]))
     return _rat(x) @ ric @ _rat(y)
+
+
+def hypersurface_at_point(J: np.ndarray, patch, p: Sequence[float], g: np.ndarray,
+                          phi=None, xi=None, eta=None):
+    """The hypersurface induction at one parameter point ``p``: the
+    Weingarten matrix A, β = tr A / d, ξ = −JN in chart components and the
+    residuals keyed by row name, from jets of the immersion and the normal
+    at ``p`` alone. ``g`` is the chart metric at ``p``; the ``structure``
+    residual is there when the template φ, ξ, η at ``p`` are given."""
+    d = patch.chart.dim
+    env = patch.chart.env(p, jets=True)
+    JF = _expr_jets(patch.immersion, env)[1]
+    N, dN = _expr_jets(patch.normal, env)
+    G = JF.T @ JF
+    Ginv = np.linalg.inv(G)
+    A = -Ginv @ (JF.T @ dN)
+    beta = float(np.trace(A)) / d
+    xi_chart = Ginv @ (JF.T @ (-J @ N))
+    res = {"normal_unit": abs(float(N @ N) - 1.0),
+           "normal_tangency": np.max(np.abs(N @ JF)),
+           "umbilicity": np.max(np.abs(A - beta * np.eye(d))),
+           "h_xi": np.max(np.abs(N @ (-J @ dN) - xi_chart @ G @ A)),
+           "pullback": np.max(np.abs(G - g))}
+    if phi is not None:
+        res["structure"] = max(np.max(np.abs(xi_chart - xi)),
+                               np.max(np.abs(G @ xi_chart - eta)),
+                               np.max(np.abs(J @ JF - JF @ phi - np.outer(N, eta))))
+    return A, beta, xi_chart, res
+
+
+def nabla_J_at_point(ambient, p: Sequence[float]) -> float:
+    """Largest |(∇_i J)^k_j| at one point, from ``christoffel`` there."""
+    gamma = christoffel(ambient.chart, p).gamma
+    J, dJ = eval_field_jets(ambient.J, p)      # dJ[k, j, i] = ∂_i J^k_j
+    return np.max(np.abs(dJ.transpose(0, 2, 1) + gamma @ J - np.tensordot(J, gamma, 1)))

@@ -179,6 +179,16 @@ def test_json_golden_bare_chart_report(monkeypatch):
     assert out == golden
 
 
+def test_json_golden_s5_report():
+    """The hypersurface induction rows after the classify and g1–g3 rows;
+    umbilicity, h(X, ξ), pullback and structure are rounding-level."""
+    code, out, _ = invoke(["report", "s5_in_c3", "--samples", "7", "--seed", "3",
+                           "--json"])
+    assert code == 0
+    golden = (GOLDEN / "report_s5_in_c3.json").read_text()
+    assert out == golden
+
+
 def test_json_byte_determinism():
     argv = ["report", "s5_in_c3", "--samples", "4", "--json"]
     _, a, _ = invoke(argv)
@@ -371,14 +381,15 @@ BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
     (["report", "cone_of:s5_in_c3", "--samples", "20"], 20),
     # 20 total-space points and the 20 base points below them, one batch each
     (["report", "hopf_pair", "--samples", "20"], 40),
-    # 20 sample points and 3 probes of the ambient Kähler check
+    # 20 sample points and the 3 probes of the ambient Kähler check, one batch each
     (["report", "s5_in_c3", "--samples", "20"], 23),
 ])
 def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     """An invocation builds a chart point's geometry once: Γ, ∂Γ and R of
     the 20 sample points come from one batched metric_jets, and every check
     reads that point record; a submersion's 20 base points come in a second
-    batch. No point is differentiated twice."""
+    batch, and so do a hypersurface's ambient Kähler probes. No point is
+    differentiated twice."""
     import curvlab.geometry as geometry
     real, calls = geometry.metric_jets, []
 
@@ -392,6 +403,23 @@ def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     assert [len(batch) for batch in calls].count(20) == points // 20
     rows = [tuple(row) for batch in calls for row in batch]
     assert len(rows) == len(set(rows)) == points
+    assert len(calls) == -(-points // 20)
+
+
+def test_one_jet_walk_of_immersion_and_normal(monkeypatch):
+    """report s5_in_c3 walks the immersion and the normal once each, over
+    all the sample points."""
+    import curvlab.constructions.hypersurface as hypersurface
+    real, calls = hypersurface._expr_jets, []
+
+    def counting(exprs, env):
+        calls.append((len(exprs), next(iter(env.values())).value.shape))
+        return real(exprs, env)
+
+    monkeypatch.setattr(hypersurface, "_expr_jets", counting)
+    code, _, _ = invoke(["report", "s5_in_c3", "--samples", "20"])
+    assert code == 0
+    assert calls == [(6, (20,)), (6, (20,))]
 
 
 def test_one_field_evaluation_per_sample_point(monkeypatch):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.chart import Chart, Interval, sample
+from curvlab.chart import Chart, Interval, SampleSet, TensorField, eval_field, sample
 from curvlab.errors import CurvlabError
-from curvlab.structures import classify
-from curvlab.constructions import SurfacePatch, induce_hypersurface
+from curvlab.structures import AlmostHermitianStructure, classify, contact_point_data
+from curvlab.constructions import SurfacePatch, hypersurface, induce_hypersurface
 from curvlab.constructions.registry import ambient_c3
 from curvlab.identities import check_contact
+
+from reference import hypersurface_at_point, nabla_J_at_point
 
 
 def test_s5_induction(s5_example):
@@ -58,7 +60,7 @@ def _sphere_like_immersion():
     return chart5, [dom] * 5, radii
 
 
-def test_ellipsoid_not_umbilical():
+def _ellipsoid_patch():
     coords, dom, sphere = _sphere_like_immersion()
     # 2 x1^2 + (rest)^2 = 1: squash the first coordinate by 1/sqrt(2)
     immersion = [f"({sphere[0]})/sqrt(2)"] + sphere[1:]
@@ -68,28 +70,92 @@ def test_ellipsoid_not_umbilical():
     # parameter-chart metric is only needed for sampling; use any SPD template
     metric = [[("1" if i == j else None) for j in range(5)] for i in range(5)]
     chart = Chart(coords, metric, dom, name="ellipsoid_param")
-    patch = SurfacePatch(chart=chart, immersion=immersion, normal=normal,
-                         name="ellipsoid")
-    rep = induce_hypersurface(ambient_c3(), patch)
+    return SurfacePatch(chart=chart, immersion=immersion, normal=normal,
+                        name="ellipsoid")
+
+
+def _spherical_patch():
+    # same machinery on the classical spherical parametrization
+    coords, dom, sphere = _sphere_like_immersion()
+    metric = [[("1" if i == j else None) for j in range(5)] for i in range(5)]
+    chart = Chart(coords, metric, dom, name="s5_param")
+    return SurfacePatch(chart=chart, immersion=sphere, normal=sphere,
+                        name="s5_spherical")
+
+
+def test_ellipsoid_not_umbilical():
+    rep = induce_hypersurface(ambient_c3(), _ellipsoid_patch())
     assert rep.umbilicity > 1e-2
     assert rep.normal_unit_residual <= 1e-12
     assert rep.induced is None
 
 
 def test_round_sphere_via_spherical_coordinates():
-    # same machinery on the classical spherical parametrization
-    coords, dom, sphere = _sphere_like_immersion()
-    metric = [[("1" if i == j else None) for j in range(5)] for i in range(5)]
-    chart = Chart(coords, metric, dom, name="s5_param")
-    patch = SurfacePatch(chart=chart, immersion=sphere, normal=sphere,
-                         name="s5_spherical")
-    rep = induce_hypersurface(ambient_c3(), patch)
+    rep = induce_hypersurface(ambient_c3(), _spherical_patch())
     assert rep.umbilicity <= 1e-9
     assert abs(rep.beta_mean + 1.0) <= 1e-10
     assert rep.h_xi_residual <= 1e-9
     # no induced-structure template on this patch; pullback differs from the
     # placeholder metric, which only drives sampling
     assert rep.induced is None
+
+
+@pytest.mark.parametrize("which", ["s5_in_c3", "ellipsoid", "spherical"])
+def test_batched_induction_matches_one_point_reference(s5_example, which):
+    """One array evaluation over all points gives, point by point, the
+    Weingarten matrix, β, ξ and every residual of the one-point loop body in
+    ``reference``, bit for bit; the report holds their maxima."""
+    patch = {"s5_in_c3": s5_example.patch, "ellipsoid": _ellipsoid_patch(),
+             "spherical": _spherical_patch()}[which]
+    s = s5_example.structure if patch.has_structure else patch.chart
+    rec = contact_point_data(s, sample(patch.chart, 11, seed=5).points)
+    J = eval_field(ambient_c3().J, np.zeros(6))
+    beta, A, xi, res = hypersurface._induction(J, patch, rec)
+    refs = [hypersurface_at_point(
+        J, patch, rec.point[n], rec.g[n],
+        *((rec.phi[n], rec.xi[n], rec.eta[n]) if patch.has_structure else ()))
+        for n in range(len(rec.point))]
+    assert np.array_equal(A, [r[0] for r in refs])
+    assert np.array_equal(beta, [r[1] for r in refs])
+    assert np.array_equal(xi, [r[2] for r in refs])
+    assert list(res) == list(refs[0][3])
+    assert len(res) == (6 if patch.has_structure else 5)
+    for k, v in res.items():
+        assert np.array_equal(v, [r[3][k] for r in refs]), k
+    rep = induce_hypersurface(ambient_c3(), patch, rec)
+    assert np.array_equal(rep.beta, beta)
+    assert rep.umbilicity == max(r[3]["umbilicity"] for r in refs)
+    assert rep.h_xi_residual == max(r[3]["h_xi"] for r in refs)
+    assert rep.structure_residual == (max(r[3]["structure"] for r in refs)
+                                      if patch.has_structure else 0.0)
+
+
+def _curved_ambient(J_entries):
+    """A curved 4-dimensional chart and an endomorphism field on it: Γ is
+    nonzero, so every term of ∇J counts."""
+    chart = Chart(("x1", "x2", "x3", "x4"),
+                  [["1 + x2^2", "x1/5", None, None], [None, "2 + sin(x3)", None, None],
+                   [None, None, "exp(x1/3)", None], [None, None, None, "1 + x4^2"]],
+                  name="curved4")
+    J = np.full((4, 4), None, dtype=object)
+    for (i, j), t in J_entries.items():
+        J[i, j] = t
+    return AlmostHermitianStructure(chart, TensorField(chart, "endomorphism", J))
+
+
+@pytest.mark.parametrize("ambient", [
+    ambient_c3(),
+    _curved_ambient({(1, 0): "1", (0, 1): "-1", (3, 2): "1", (2, 3): "-1"}),
+    _curved_ambient({(1, 0): "1 + x1*x3", (0, 1): "-cos(x2)", (3, 2): "x4",
+                     (2, 3): "-1", (0, 2): "x1^2"}),
+], ids=["c3", "curved_constant_J", "curved_varying_J"])
+def test_batched_nabla_J_matches_per_probe(ambient):
+    """The ambient Kähler check's one batch over its probes gives each
+    probe's ∇J residual and J bit for bit."""
+    points = sample(ambient.chart, 3, seed=7).points
+    J, nabla_J = hypersurface._ambient_kahler(ambient, points)
+    assert np.array_equal(nabla_J, [nabla_J_at_point(ambient, p) for p in points])
+    assert np.array_equal(J, [eval_field(ambient.J, p) for p in points])
 
 
 def test_non_unit_normal_rejected(s5_example):
@@ -104,16 +170,66 @@ def test_non_unit_normal_rejected(s5_example):
         induce_hypersurface(s5_example.ambient, bad)
 
 
+_S5_IMMERSION = ("cos(a)*cos(p1)", "cos(a)*sin(p1)",
+                 "sin(a)*cos(b)*cos(p2)", "sin(a)*cos(b)*sin(p2)",
+                 "sin(a)*sin(b)*cos(p3)", "sin(a)*sin(b)*sin(p3)")
+# collapse one parameter: the Jacobian loses rank everywhere
+_DEGENERATE = ("cos(a)*cos(p1)", "cos(a)*sin(p1)",
+               "sin(a)*cos(p2)", "sin(a)*sin(p2)",
+               "0*p3", "0*p3 + 1")
+
+
+def _points(p1_values):
+    """Parameter points of s5_in_c3 that differ only in p1."""
+    return SampleSet(points=np.array([[0.7, 0.6, v, 0.3, 0.3] for v in p1_values]), seed=0)
+
+
 def test_rank_deficient_immersion_rejected(s5_example):
-    patch = s5_example.patch
-    # collapse one parameter: the Jacobian loses rank everywhere
-    degenerate = ("cos(a)*cos(p1)", "cos(a)*sin(p1)",
-                  "sin(a)*cos(p2)", "sin(a)*sin(p2)",
-                  "0*p3", "0*p3 + 1")
-    bad = SurfacePatch(chart=patch.chart, immersion=degenerate,
-                       normal=degenerate)
-    with pytest.raises(CurvlabError):
+    bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_DEGENERATE,
+                       normal=_S5_IMMERSION)
+    with pytest.raises(CurvlabError, match="rank-deficient"):
         induce_hypersurface(s5_example.ambient, bad)
+
+
+def test_non_unit_error_comes_first_at_a_point(s5_example):
+    """At a point that is both non-unit and rank-deficient (|N|² = 2 and a
+    collapsed parameter), the non-unit normal is reported."""
+    bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_DEGENERATE,
+                       normal=_DEGENERATE)
+    with pytest.raises(CurvlabError, match=r"normal is not unit at \(0\.7, 0\.6, 0\.0,"):
+        induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.5]))
+
+
+def test_first_failing_point_is_named(s5_example):
+    """|N|² = (1 + p1²/1000)² is unit at p1 = 0 only: the first two points
+    pass, and the third, not the last, is named."""
+    normal = tuple(f"(1 + p1^2/1000)*({c})" for c in _S5_IMMERSION)
+    bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_S5_IMMERSION,
+                       normal=normal)
+    with pytest.raises(CurvlabError, match=r"not unit at \(0\.7, 0\.6, 0\.5, 0\.3, 0\.3\)"):
+        induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.0, 0.5, 0.9]))
+    # a rank-deficient point before it is named instead, with its own error
+    collapsing = tuple(f"p1*({c})" for c in _S5_IMMERSION)
+    bad = SurfacePatch(chart=s5_example.patch.chart, immersion=collapsing,
+                       normal=normal)
+    with pytest.raises(CurvlabError, match=r"rank-deficient at \(0\.7, 0\.6, 0\.0, 0\.3, 0\.3\)"):
+        induce_hypersurface(s5_example.ambient, bad, _points([0.01, 0.0, 0.5]))
+
+
+def test_nan_normal_is_named_in_point_order(s5_example):
+    """exp(400 p1)² · 0 is NaN at p1 = 1 only. A NaN normal stops the check
+    with EvalDomainError when it comes first in point order, and a non-unit
+    one before it is reported as non-unit."""
+    from curvlab.errors import EvalDomainError
+    normal = tuple(f"exp(400*p1)*exp(400*p1)*0 + (1 + p1^2/1000)*({c})"
+                   for c in _S5_IMMERSION)
+    bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_S5_IMMERSION,
+                       normal=normal)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvalDomainError, match="normal_unit"):
+            induce_hypersurface(s5_example.ambient, bad, _points([0.0, 1.0, 0.5]))
+        with pytest.raises(CurvlabError, match=r"not unit at \(0\.7, 0\.6, 0\.5,"):
+            induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.5, 1.0]))
 
 
 def test_non_kahler_ambient_rejected(s5_example):
