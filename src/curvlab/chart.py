@@ -129,12 +129,13 @@ class Chart:
 
     def metric_at(self, p: Sequence[float]) -> np.ndarray:
         """Metric matrix at a point ``p`` (d,), or stacked (N, d, d) at each
-        row of ``p`` (N, d); each entry is one expression walk (floats)."""
-        env = self.env(p)
+        row of ``p`` (N, d); one expression walk (floats) over the entries,
+        sharing one memo."""
+        env, memo = self.env(p), {}
         g = np.empty(np.shape(p)[:-1] + (self.dim, self.dim))
         for i in range(self.dim):
             for j in range(i, self.dim):
-                g[..., i, j] = g[..., j, i] = ex.eval_expr(self.metric[i, j], env, ex.REAL)
+                g[..., i, j] = g[..., j, i] = ex.eval_expr(self.metric[i, j], env, ex.REAL, memo)
         return g
 
     def check_spd(self, p: Sequence[float]):
@@ -191,28 +192,30 @@ class TensorField:
 
 def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
     """All components of ``f`` at a point ``p`` as floats, one shared
-    environment; at each row of ``p`` (N, d), on a leading point axis."""
-    env = f.chart.env(p)
+    environment and memo; at each row of ``p`` (N, d), on a leading point
+    axis."""
+    env, memo = f.chart.env(p), {}
     out = np.empty(np.shape(p)[:-1] + f.components.shape)
     for idx in np.ndindex(f.components.shape):
-        out[(..., *idx)] = ex.eval_expr(f.components[idx], env, ex.REAL)
+        out[(..., *idx)] = ex.eval_expr(f.components[idx], env, ex.REAL, memo)
     return out
 
 
 def _expr_jets(exprs, env: dict, hessians: bool = False):
     """Values and coordinate gradients of an array of expressions in one jet
-    environment ``env`` (one seed per coordinate, at a point or at N points),
-    with the second derivatives too when ``hessians``. A component that
-    evaluates to a constant keeps zero derivatives. Batched seeds put the
-    point axis first: vals[n, ...], grads[n, ..., k]."""
+    environment ``env`` (one seed per coordinate, at a point or at N points)
+    and one memo, with the second derivatives too when ``hessians``. A
+    component that evaluates to a constant keeps zero derivatives. Batched
+    seeds put the point axis first: vals[n, ...], grads[n, ..., k]."""
     exprs = np.asarray(exprs, dtype=object)
     lead = next(iter(env.values())).value.shape
     shape, dim = lead + exprs.shape, len(env)
     vals = np.empty(shape)
     grads = np.zeros(shape + (dim,))
     hess = np.zeros(shape + (dim, dim)) if hessians else None
+    memo = {}
     for idx in np.ndindex(exprs.shape):
-        v = ex.eval_expr(exprs[idx], env, ex.JET)
+        v = ex.eval_expr(exprs[idx], env, ex.JET, memo)
         at = (slice(None),) * len(lead) + idx
         if isinstance(v, jet.Jet2):
             vals[at], grads[at] = v.value, v.grad
@@ -256,8 +259,8 @@ def sample(chart: Chart, n_points: int, seed: int) -> SampleSet:
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
-    windows = [iv.sample_window() for iv in chart.domain]
-    rng = np.random.default_rng(seed)
-    pts = np.array([[rng.uniform(lo, hi) for lo, hi in windows] for _ in range(n_points)])
+    lo, hi = np.array([iv.sample_window() for iv in chart.domain]).T
+    # one draw of N × d uniforms, row by row: the stream of N·d scalar draws
+    pts = np.random.default_rng(seed).uniform(lo, hi, size=(n_points, chart.dim))
     chart.check_spd(pts)
     return SampleSet(points=pts, seed=seed)

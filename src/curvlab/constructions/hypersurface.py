@@ -102,7 +102,8 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
     per-point residuals keyed by row name.
 
     Raises at the first point whose normal is not unit (EvalDomainError if
-    it is NaN) or whose immersion Jacobian is rank-deficient, in that order.
+    it is NaN) or whose immersion Jacobian is not finite or rank-deficient,
+    in that order.
     """
     d = patch.chart.dim
     env = patch.chart.env(rec.point, jets=True)
@@ -111,13 +112,17 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
     Nrow = N[:, None, :]
     norm2 = (Nrow @ N[:, :, None])[:, 0, 0]
     unit = np.abs(norm2 - 1.0)
-    smin = np.linalg.svd(JF, compute_uv=False)[:, -1]
-    bad = np.flatnonzero(np.isnan(unit) | (unit > 1e-6) | (smin < 1e-8))
+    finite = np.isfinite(JF).all(axis=(1, 2))   # the svd fails on inf or NaN
+    smin = np.zeros(len(JF))
+    smin[finite] = np.linalg.svd(JF[finite], compute_uv=False)[:, -1]
+    bad = np.flatnonzero(np.isnan(unit) | (unit > 1e-6) | ~finite | (smin < 1e-8))
     if bad.size:
         k = bad[0]
         p = tuple(map(float, rec.point[k]))
         if _checked("hypersurface.normal_unit", unit[k]) > 1e-6:
             raise CurvlabError(f"normal is not unit at {p} (|N|² − 1 = {norm2[k] - 1.0:.2e})")
+        if not finite[k]:
+            raise CurvlabError(f"immersion Jacobian is not finite at {p}")
         raise CurvlabError(f"immersion Jacobian rank-deficient at {p}")
 
     JFt = JF.transpose(0, 2, 1)
@@ -148,11 +153,11 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     evaluation over all of them.
 
     Raises on a non-Kähler ambient, then at the first point with a non-unit
-    normal or a rank-deficient immersion Jacobian. When the patch carries a
-    structure template, the template metric is checked against the
-    first-fundamental form and (φ, ξ, η) against the JX = φX + η(X)N
-    decomposition with ξ = −JN. The ambient's J is read at the Kähler
-    check's probes; a flat Kähler ambient has it constant.
+    normal or a non-finite or rank-deficient immersion Jacobian. When the
+    patch carries a structure template, the template metric is checked
+    against the first-fundamental form and (φ, ξ, η) against the
+    JX = φX + η(X)N decomposition with ξ = −JN. The ambient's J is read at
+    the Kähler check's probes; a flat Kähler ambient has it constant.
     ``samples``: a sample set of the parameter chart, or its point record.
     """
     J, nabla_J = _ambient_kahler(ambient, sample(ambient.chart, 3, seed=7).points)

@@ -7,6 +7,14 @@ rational ring rejects transcendental operations and decimal literals).
 Float and jet coordinates may carry a leading axis of N points; one walk
 of the expression then evaluates it at all of them.
 
+Inner nodes (``Neg``, ``Bin``, ``Pow``, ``Call``) compute their structural
+hash once, at construction. A caller that walks several expressions over
+one environment, such as the metric entries of a chart, passes one memo
+dict to every ``eval_expr`` of that walk and drops it afterwards; each
+distinct subtree is then evaluated once. Structural equality takes
+``Num(1)`` for ``Num(1.0)``, so a memo hit must also match the literal
+types below the node; the memo never changes a value or an error.
+
 Grammar (whitespace-insensitive)::
 
     expr   := term (('+'|'-') term)*
@@ -60,9 +68,41 @@ class Var:
     name: str
 
 
+def _literal_sig(e) -> object:
+    """What structural equality does not see in ``e``: None when every
+    literal and exponent below ``e`` is an int, else a tuple that mirrors the
+    tree and records each literal's type and sign (``Num(1) == Num(1.0)`` and
+    ``Num(0.0) == Num(-0.0)``, but they can evaluate differently)."""
+    if type(e) is Num:
+        v = e.value
+        return None if type(v) is int else (type(v), math.copysign(1.0, v))
+    return getattr(e, "_sig", None)
+
+
+def _seal(node, fields: tuple, sigs: tuple):
+    """Cache ``node``'s structural hash (children's hashes are cached in
+    turn, so this is O(1)) and its literal signature, once, at construction."""
+    object.__setattr__(node, "_hash", hash((type(node), *fields)))
+    object.__setattr__(node, "_sig", None if sigs.count(None) == len(sigs) else sigs)
+
+
+def _node_hash(node) -> int:
+    return node._hash
+
+
+def _node_reduce(node):
+    # str hashes are salted per process: unpickling rebuilds the cached hash
+    return type(node), tuple(getattr(node, f) for f in node.__match_args__)
+
+
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
+
+    def __post_init__(self):
+        _seal(self, (self.arg,), (_literal_sig(self.arg),))
+
+    __hash__, __reduce__ = _node_hash, _node_reduce
 
 
 @dataclass(frozen=True)
@@ -71,17 +111,35 @@ class Bin:
     left: "Expr"
     right: "Expr"
 
+    def __post_init__(self):
+        _seal(self, (self.op, self.left, self.right),
+              (_literal_sig(self.left), _literal_sig(self.right)))
+
+    __hash__, __reduce__ = _node_hash, _node_reduce
+
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
 
+    def __post_init__(self):
+        k = self.exponent
+        _seal(self, (self.base, k),
+              (_literal_sig(self.base), None if type(k) is int else type(k)))
+
+    __hash__, __reduce__ = _node_hash, _node_reduce
+
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     args: tuple
+
+    def __post_init__(self):
+        _seal(self, (self.fn, self.args), tuple(map(_literal_sig, self.args)))
+
+    __hash__, __reduce__ = _node_hash, _node_reduce
 
 
 Expr = Union[Num, ConstName, Var, Neg, Bin, Pow, Call]
@@ -402,11 +460,14 @@ JET = JetRing()
 RATIONAL = RationalRing()
 
 
-def eval_expr(e: Expr, env: Mapping[str, object], ring: Ring = REAL):
+def eval_expr(e: Expr, env: Mapping[str, object], ring: Ring = REAL, memo: dict | None = None):
     """Evaluate ``e`` with coordinate values from ``env`` over ``ring``.
 
     Over the jet ring, seeding every coordinate yields the value, gradient
-    and Hessian in a single pass.
+    and Hessian in a single pass. ``memo`` is an empty dict that a caller
+    creates for one walk, one ``env`` and one ring, passes to each
+    ``eval_expr`` of the walk and then drops: each distinct inner subtree
+    is then evaluated once, and a repeat returns the same value object.
     """
     match e:
         case Num(v):
@@ -418,20 +479,30 @@ def eval_expr(e: Expr, env: Mapping[str, object], ring: Ring = REAL):
                 return env[name]
             except KeyError:
                 raise UnknownIdentifierError(name) from None
+    if memo is not None:
+        hit = memo.get(e)
+        if hit is not None and hit[0] == e._sig:
+            return hit[1]
+    match e:
         case Neg(arg):
-            return -eval_expr(arg, env, ring)
+            value = -eval_expr(arg, env, ring, memo)
         case Bin(op, l, r):
-            a = eval_expr(l, env, ring)
-            b = eval_expr(r, env, ring)
+            a = eval_expr(l, env, ring, memo)
+            b = eval_expr(r, env, ring, memo)
             if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            return ring.div(a, b)
+                value = a + b
+            elif op == "-":
+                value = a - b
+            elif op == "*":
+                value = a * b
+            else:
+                value = ring.div(a, b)
         case Pow(base, k):
-            return ring.pow_int(eval_expr(base, env, ring), k)
+            value = ring.pow_int(eval_expr(base, env, ring, memo), k)
         case Call(fn, args):
-            return ring.call(fn, [eval_expr(a, env, ring) for a in args])
-    raise TypeError(f"not an expression node: {e!r}")
+            value = ring.call(fn, [eval_expr(a, env, ring, memo) for a in args])
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    if memo is not None:
+        memo[e] = e._sig, value
+    return value

@@ -79,16 +79,17 @@ class CurvatureAtPoint:
 
 def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     """The metric jets at a point ``p`` (d,), or at each row of ``p`` (N, d)
-    on a leading axis: one jet walk per metric entry over all the points."""
+    on a leading axis: one jet walk over the metric entries and all the
+    points, sharing one memo."""
     d = chart.dim
     lead = np.shape(p)[:-1]
-    env = chart.env(p, jets=True)
+    env, memo = chart.env(p, jets=True), {}
     g = np.empty(lead + (d, d))
     dg = np.empty(lead + (d, d, d))
     d2g = np.empty(lead + (d, d, d, d))
     for i in range(d):
         for j in range(i, d):
-            v = ex.eval_expr(chart.metric[i, j], env, ex.JET)
+            v = ex.eval_expr(chart.metric[i, j], env, ex.JET, memo)
             if hasattr(v, "grad"):
                 val, grad, hess = v.value, v.grad, v.hess
             else:

@@ -13,8 +13,9 @@ A jet holds one point, or a batch of N points on a leading axis: value
 broadcasting over that axis, so one walk of an expression evaluates it at
 every sample point. Each point's numbers are those of a one-point jet, bit
 for bit: arithmetic is elementwise IEEE, and the elementary functions and
-powers go through ``math`` and Python's float ``pow`` one value at a time
-(numpy's vectorised ``exp`` or ``**`` may differ in the last bit).
+powers map ``math`` and Python's float ``pow`` over the values (numpy's
+vectorised ``exp`` or ``**`` may differ in the last bit). Only the powers 0
+and 1, whose values are exact, skip that loop: ones and a copy.
 
 Third-order derivatives are intentionally out of scope.
 """
@@ -154,23 +155,36 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _in_range(fn, x):
     """``fn`` from the math module at ``x``, a number or an array of them,
-    one value at a time in order. Overflow and out-of-range arguments such
-    as sin(inf) raise EvalDomainError naming the first such value."""
+    mapped over the values in order. Overflow and out-of-range arguments
+    such as sin(inf) raise EvalDomainError naming the first such value."""
     values = x.ravel().tolist() if isinstance(x, np.ndarray) else [x]
-    out = []
     try:
-        for v in values:
-            out.append(fn(float(v)))
+        out = list(map(fn, map(float, values)))
     except (OverflowError, ValueError):
+        v = next(v for v in values if not _defined(fn, v))
         raise EvalDomainError(f"{fn.__name__} of {v!r} is out of the float range") from None
     return np.array(out).reshape(x.shape) if isinstance(x, np.ndarray) else out[0]
 
 
+def _defined(fn, v) -> bool:
+    try:
+        fn(float(v))
+    except (OverflowError, ValueError):
+        return False
+    return True
+
+
 def _pow(x, k: int):
-    """``x ** k``; on an array, Python's float ``pow`` one value at a time
-    (OverflowError at the first value that overflows)."""
+    """``x ** k``; on a float array, Python's float ``pow`` one value at a
+    time (OverflowError at the first value that overflows). The exponents 0
+    and 1 are exact without it: ``pow(x, 0)`` is 1 for every x, NaN included
+    (C99), and ``pow(x, 1)`` is x, since libm's error is below one ulp."""
     if not isinstance(x, np.ndarray):
         return x**k
+    if k == 0:
+        return np.ones(x.shape)
+    if k == 1:
+        return x.copy()
     return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
 
 

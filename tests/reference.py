@@ -8,8 +8,9 @@ formula. ``connection_at_point``, ``curvature_at_point`` and
 batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
 match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
 that part for the batched hypersurface induction and its ambient Kähler
-check. None of them reads the per-point records that the structure
-battery and the identity sweep work from (``contact_point_data`` and the
+check, and ``sample_per_scalar`` for the one-call draw of ``sample``. None
+of them reads the per-point records that the structure battery and the
+identity sweep work from (``contact_point_data`` and the
 exact frame tables of ``structures``), so an oracle that compares those
 records with these functions does not check the engine against itself.
 Keep them that way. Tests import this module the way they import
@@ -201,3 +202,13 @@ def nabla_J_at_point(ambient, p: Sequence[float]) -> float:
     gamma = christoffel(ambient.chart, p).gamma
     J, dJ = eval_field_jets(ambient.J, p)      # dJ[k, j, i] = ∂_i J^k_j
     return np.max(np.abs(dJ.transpose(0, 2, 1) + gamma @ J - np.tensordot(J, gamma, 1)))
+
+
+def sample_per_scalar(chart: Chart, n_points: int, seed: int) -> np.ndarray:
+    """Points in the sampling windows of ``chart``'s domain, drawn one
+    scalar at a time, point by point and coordinate by coordinate: the
+    stream that the one (N, d) draw of ``sample`` must reproduce bit for
+    bit."""
+    windows = [iv.sample_window() for iv in chart.domain]
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(lo, hi) for lo, hi in windows] for _ in range(n_points)])

@@ -127,3 +127,34 @@ def test_batched_real_domain_errors_name_the_first_value():
         f = TensorField(chart, "vector", [text])
         with pytest.raises(EvalDomainError, match=message):
             eval_field(f, pts)
+
+
+def _registry_charts():
+    """Every chart the registry builds: bare charts, structure carriers, the
+    ambient and base charts of the constructions, and one cone per contact
+    target."""
+    from curvlab.constructions.registry import registry_names, resolve_target
+    names = [n for n in registry_names() if "<" not in n]
+    contact = [n for n in names if resolve_target(n).kind in ("contact", "hypersurface")]
+    charts = {}
+    for name in names + [f"cone_of:{n}" for n in contact if n != "h21"]:
+        t = resolve_target(name)
+        found = {"chart": lambda o: [o],
+                 "contact": lambda o: [o.carrier],
+                 "hypersurface": lambda o: [o.structure.carrier, o.ambient.chart],
+                 "pair": lambda o: [o.total.carrier, o.base.chart],
+                 "hermitian": lambda o: [o.cone_chart]}[t.kind](t.obj)
+        for k, c in enumerate(c for c in found if isinstance(c, Chart)):
+            charts[f"{name}.{k}"] = c
+    return charts
+
+
+@pytest.mark.parametrize("chart", [pytest.param(c, id=n)
+                                   for n, c in sorted(_registry_charts().items())])
+def test_one_call_draw_is_the_per_scalar_stream(chart):
+    """``sample`` draws its N × d coordinates in one call; the bytes equal
+    N · d scalar draws in row order, at every seed."""
+    from reference import sample_per_scalar
+    for seed in range(20):
+        want = sample_per_scalar(chart, 7, seed)
+        assert sample(chart, 7, seed).points.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +207,119 @@ def test_real_equals_jet_value_exactly(text):
         sx, sy = jet.seeds([x0, y0])
         jval = ex.eval_expr(e, {"x": sx, "y": sy}, ex.JET)
         assert real == jval.value
+
+
+# -- the per-walk memo ---------------------------------------------------------
+
+MEMO_LEAVES = ["0", "1", "2", "3", "710", "0.5", "1.0", "1e-3", "x", "y", "pi"]
+MEMO_FUNCTIONS = ["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh"]
+
+
+@st.composite
+def texts(draw, pool=(), depth=0):
+    """Expression text in the parser's grammar. A leaf is a literal, a
+    coordinate or, when ``pool`` is given, one of its texts, so the parsed
+    trees repeat those subtrees as equal but distinct objects."""
+    kind = draw(st.integers(0, 6)) if depth < 3 else 0
+    if kind == 0:
+        return draw(st.sampled_from(MEMO_LEAVES + [f"({t})" for t in pool]))
+    if kind == 1:
+        return f"-({draw(texts(pool, depth + 1))})"
+    if kind in (2, 3):
+        op = draw(st.sampled_from("+-*/"))
+        return f"({draw(texts(pool, depth + 1))}) {op} ({draw(texts(pool, depth + 1))})"
+    if kind == 4:
+        return f"({draw(texts(pool, depth + 1))})^{draw(st.sampled_from([-2, -1, 0, 1, 2, 3, 40]))}"
+    return f"{draw(st.sampled_from(MEMO_FUNCTIONS))}({draw(texts(pool, depth + 1))})"
+
+
+@st.composite
+def walks(draw):
+    """A few expressions sharing subtrees, as the entries of one walk."""
+    pool = draw(st.lists(texts(), min_size=1, max_size=3))
+    return [parse(t) for t in draw(st.lists(texts(pool), min_size=1, max_size=4))]
+
+
+def _bits(v):
+    """Everything a walk's result carries: its type and, for arrays and
+    jets, the bytes of every array (stricter than ``np.array_equal``, which
+    takes −0.0 for 0.0)."""
+    if isinstance(v, jet.Jet2):
+        return "jet", v.value.tobytes(), v.grad.tobytes(), v.hess.tobytes(), v.hess.shape
+    if isinstance(v, np.ndarray):
+        return "array", v.dtype.str, v.shape, v.tobytes()
+    return type(v), repr(v)
+
+
+def _walk(exprs, env, ring, memo):
+    """Results of ``exprs`` in order, or the first error as (type, message)."""
+    out = []
+    try:
+        for e in exprs:
+            out.append(_bits(ex.eval_expr(e, env, ring, memo)))
+    except Exception as err:   # the memo must not change which error, nor its text
+        out.append((type(err), str(err)))
+    return out
+
+
+def _real_and_jet_envs(points):
+    pts = np.array(points, dtype=float)
+    sx, sy = jet.seeds(pts)
+    return [({"x": pts[:, 0], "y": pts[:, 1]}, ex.REAL), ({"x": sx, "y": sy}, ex.JET)]
+
+
+@given(walks(), st.lists(st.tuples(st.sampled_from([0.0, -1.0, 2.0, 700.0]) | st.floats(-3, 3),
+                                   st.floats(-3, 3)), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_memo_walk_equals_walk_without_memo(exprs, points):
+    """One memo shared by every expression of a walk, at N points, on the
+    float and jet rings, gives each expression the values of a walk with no
+    memo bit for bit, and the same first error (log or sqrt of a negative,
+    overflow, division by zero) with the same message."""
+    with np.errstate(all="ignore"):
+        for env, ring in _real_and_jet_envs(points):
+            assert _walk(exprs, env, ring, {}) == _walk(exprs, env, ring, None)
+
+
+@pytest.mark.parametrize("pair", [
+    ("x*((3^40 + 1) - 3^40)", "x*((3.0^40 + 1) - 3^40)"),   # exact int vs rounded float
+    ("x*(10^400/10^399)", "x*(10.0^400/10^399)"),           # 10.0^400 overflows
+])
+def test_memo_keeps_int_and_float_literals_apart(pair):
+    """``Num(1) == Num(1.0)``, and so are the trees around them, but an int
+    and a float literal can evaluate differently. A memo hit needs the same
+    literal types too."""
+    exprs = [parse(t) for t in pair] + [parse(t) for t in reversed(pair)]
+    assert exprs[0] == exprs[1]
+    for env, ring in _real_and_jet_envs([[1.5, 0.0], [-2.0, 0.0]]):
+        assert _walk(exprs, env, ring, {}) == _walk(exprs, env, ring, None)
+
+
+def test_memo_keeps_zero_signs_and_exponent_types_apart():
+    x = ex.Var("x")
+    signed = [ex.Bin("*", x, ex.Num(0.0)), ex.Bin("*", x, ex.Num(-0.0))]
+    powers = [ex.Pow(x, 2), ex.Pow(x, 2.0)]   # the jet ring rejects a float exponent
+    for exprs in (signed, powers, powers[::-1]):
+        assert exprs[0] == exprs[1]
+        for env, ring in _real_and_jet_envs([[1.5, 0.0]]):
+            assert _walk(exprs, env, ring, {}) == _walk(exprs, env, ring, None)
+
+
+def test_cached_hash_matches_equality_and_survives_pickling():
+    """The hash is cached at construction. String hashes are salted per
+    process, so a tree pickled in another process must hash as one built
+    here."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+    a, b = parse("sin(x)^2 + 1.0*y"), parse("sin(x)^2 + 1*y")
+    assert a == b and hash(a) == hash(b)
+    code = ("import pickle, sys; from curvlab import expr; sys.stdout.buffer.write("
+            "pickle.dumps(expr.parse_expr('sin(x)^2 + 1.0*y', ('x', 'y'))))")
+    env = dict(os.environ, PYTHONHASHSEED="12345",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    c = pickle.loads(subprocess.run([sys.executable, "-c", code], env=env,
+                                    check=True, capture_output=True).stdout)
+    assert c == a and hash(c) == hash(a) and c._sig == a._sig
+    assert len({c: 1, a: 2}) == 1

@@ -337,3 +337,41 @@ def test_batched_singular_metric_names_first_point():
     degenerate = Chart(("x", "y"), [["x", "0"], [None, "1"]])
     with pytest.raises(SingularMetricError, match=r"at \(0\.0, 2\.0\)$"):
         geo.metric_jets(degenerate, np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 3.0]]))
+
+
+def _function_calls(e):
+    """Every ``Call`` node of ``e``, one per occurrence."""
+    from curvlab import expr as ex
+    match e:
+        case ex.Call(_, args):
+            return [e] + [c for a in args for c in _function_calls(a)]
+        case ex.Neg(arg) | ex.Pow(arg, _):
+            return _function_calls(arg)
+        case ex.Bin(_, l, r):
+            return _function_calls(l) + _function_calls(r)
+    return []
+
+
+@pytest.mark.parametrize("target, counts", [
+    ("cone_of:sine_cone_cos", {"sin": 0, "cos": 1}),   # one shared cos(z)^2, in 10 entries
+    ("s5_in_c3", {"sin": 2, "cos": 2}),                # sin(a) in 3 entries, parsed apart
+])
+def test_metric_jets_calls_each_distinct_function_once(monkeypatch, target, counts):
+    """One ``metric_jets`` walk evaluates each distinct ``Call`` subtree of
+    the metric once, over all the points, however many entries repeat it."""
+    from curvlab import expr as ex, jet
+    from curvlab.constructions.registry import resolve_target
+    obj = resolve_target(target).obj
+    chart = obj.cone_chart if target.startswith("cone_of:") else obj.structure.carrier
+    points = sample(chart, 5, seed=3).points
+    calls = dict.fromkeys(counts, 0)
+    for fn in calls:
+        def counted(u, fn=fn, rule=jet.JET_FUNCTIONS[fn]):
+            calls[fn] += 1
+            return rule(u)
+        monkeypatch.setitem(jet.JET_FUNCTIONS, fn, counted)
+    geo.metric_jets(chart, points)
+    found = [c for i in range(chart.dim) for j in range(i, chart.dim)
+             for c in _function_calls(chart.metric[i, j]) if c.fn in calls]
+    assert calls == {fn: len({ex.to_text(c) for c in found if c.fn == fn}) for fn in calls}
+    assert calls == counts and len(found) > sum(counts.values())

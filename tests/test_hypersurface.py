@@ -232,6 +232,24 @@ def test_nan_normal_is_named_in_point_order(s5_example):
             induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.5, 1.0]))
 
 
+def test_non_finite_immersion_jacobian_is_named(s5_example):
+    """exp(400 a)² · 0 is NaN where exp(800 a) overflows, a > 0.89. A NaN
+    Jacobian would make the svd raise numpy's LinAlgError; the check names
+    the first such point instead, after a finite one, and with the default
+    sample set too."""
+    immersion = ("exp(400*a)*exp(400*a)*0 + cos(a)*cos(p1)",) + _S5_IMMERSION[1:]
+    bad = SurfacePatch(chart=s5_example.patch.chart, immersion=immersion,
+                       normal=_S5_IMMERSION)
+    points = SampleSet(points=np.array([[0.7, 0.6, 0.5, 0.3, 0.3], [1.2, 0.6, 0.5, 0.3, 0.3],
+                                        [1.3, 0.6, 0.5, 0.3, 0.3]]), seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CurvlabError, match=r"^immersion Jacobian is not finite at "
+                                               r"\(1\.2, 0\.6, 0\.5, 0\.3, 0\.3\)$"):
+            induce_hypersurface(s5_example.ambient, bad, points)
+        with pytest.raises(CurvlabError, match="immersion Jacobian is not finite"):
+            induce_hypersurface(s5_example.ambient, bad)
+
+
 def test_non_kahler_ambient_rejected(s5_example):
     from curvlab.chart import TensorField
     from curvlab.structures import AlmostHermitianStructure

@@ -317,3 +317,20 @@ def test_batched_domain_errors_name_the_first_value():
         1.0 / (u - 800.0)
     with pytest.raises(OverflowError):
         u**200
+
+
+POW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan,
+             1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 2.5]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_pow_zero_and_one_skip_the_loop_exactly(k):
+    """``_pow`` returns ones for k = 0 and a copy for k = 1 without calling
+    ``pow``: the bytes must be Python's ``pow`` at ±0, subnormals, ±inf, NaN
+    and the ends of the float range."""
+    xs = np.array(POW_EDGES)
+    out = jet._pow(xs, k)
+    assert out.tobytes() == np.array([pow(v, k) for v in POW_EDGES]).tobytes()
+    assert out is not xs and not np.shares_memory(out, xs)
+    grid = xs.reshape(4, 4)
+    assert jet._pow(grid, k).tobytes() == out.tobytes() and jet._pow(grid, k).shape == (4, 4)
