@@ -41,9 +41,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"empty interval ({self.lo}, {self.hi})")
 
-    def contains(self, x: float, margin: float = 0.0) -> bool:
-        return self.lo + margin <= x <= self.hi - margin
-
     def sample_window(self) -> tuple[float, float]:
         lo, hi = self.lo, self.hi
         if math.isinf(lo) and math.isinf(hi):
@@ -124,9 +121,6 @@ class Chart:
             values = list(p.T) if p.ndim > 1 else p.tolist()
         return dict(zip(self.coords, values))
 
-    def contains(self, p: Sequence[float], margin: float = 0.0) -> bool:
-        return all(iv.contains(x, margin) for iv, x in zip(self.domain, p))
-
     def metric_at(self, p: Sequence[float]) -> np.ndarray:
         """Metric matrix at a point ``p`` (d,), or stacked (N, d, d) at each
         row of ``p`` (N, d); one expression walk (floats) over the entries,
@@ -141,11 +135,11 @@ class Chart:
     def check_spd(self, p: Sequence[float]):
         """Positive definiteness via leading principal minors, at a point or
         at each row of ``p``; names the first failing point and its first
-        failing minor."""
+        failing minor. A non-finite minor fails too, NaN included."""
         pts = np.asarray(p, dtype=float).reshape(-1, self.dim)
         g = self.metric_at(pts)
-        bad = np.stack([np.linalg.det(g[:, :k, :k]) <= 0.0
-                        for k in range(1, self.dim + 1)], axis=1)
+        minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, self.dim + 1)], axis=1)
+        bad = ~(np.isfinite(minors) & (minors > 0.0))
         if bad.any():
             n, k = divmod(int(np.argmax(bad)), self.dim)
             raise SingularMetricError(f"metric not positive definite at "

@@ -87,12 +87,8 @@ def _ambient_kahler(ambient: AlmostHermitianStructure, points: np.ndarray):
     """J at each row of ``points`` (N, d) and the largest |∇J| entry there,
     from one ``metric_jets`` and one jet walk of J over all the points."""
     gamma = geometry.connection_of(geometry.metric_jets(ambient.chart, points)).gamma
-    J, dJ = eval_field_jets(ambient.J, points)      # dJ[n, k, j, i] = ∂_i J^k_j
-    d = ambient.chart.dim
-    # (∇_i J)^k_j as [n, k, i, j], along every coordinate basis vector at once
-    nabla = (dJ.transpose(0, 1, 3, 2) + gamma @ J[:, None]
-             - (J @ gamma.reshape(-1, d, d * d)).reshape(gamma.shape))
-    return J, _per_point(nabla)
+    J, dJ = eval_field_jets(ambient.J, points)
+    return J, _per_point(geometry.nabla_endomorphism_of(gamma, J, dJ))
 
 
 def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):

@@ -12,28 +12,25 @@ case of a line base, g = dθ² + f(θ)² ḡ over an almost Hermitian fiber
 φξ = 0, and its curvature has a closed form in fiber data; f″/f = −1
 (f = α cos θ + β sin θ) is exactly the condition making the ξ-slot
 curvature block match the contact identities, which is how the sine-cone
-examples arise.
+examples arise. These closed forms, which the tests compare the chart
+engine against, live in ``tests/closed_forms.py``. ``eq_for_g1_obstruction``
+stays here: it is a verdict, the algebraic obstruction that forces fiber
+dimension 2 for the g1 identity, evaluated once over all sample points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .. import expr as ex
-from .. import geometry
-from .. import jet
-from ..chart import Chart, Interval, TensorField, SampleSet, _expr_jets, eval_field
-from ..structures import (AlmostContactStructure, AlmostHermitianStructure, WorstResidual,
+from ..chart import Chart, Interval, TensorField, SampleSet, eval_field
+from ..structures import (AlmostContactStructure, AlmostHermitianStructure, _checked,
                           _norm)
-from ..errors import EvalDomainError
 
 __all__ = [
-    "WarpedSpec", "build_warped", "warped_christoffel_oracle",
-    "RWarpedBundle", "build_r_warped_contact",
-    "r_warped_christoffel_oracle", "r_warped_riemann_oracle",
+    "WarpedSpec", "build_warped", "RWarpedBundle", "build_r_warped_contact",
     "eq_for_g1_obstruction",
 ]
 
@@ -79,43 +76,6 @@ def build_warped(spec: WarpedSpec) -> Chart:
             metric[nb + i, nb + j] = ex.Bin("*", b2, spec.fiber.metric[i, j])
     domain = spec.base.domain + spec.fiber.domain
     return Chart(coords, metric, domain, name=spec.name or "warped")
-
-
-def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarray:
-    """Predicted Christoffel array of the product chart at ``p``.
-
-    Built block-wise from the base and fiber connections and the warping
-    function; compare against the generic engine on the built chart.
-    """
-    nb, nf = spec.base.dim, spec.fiber.dim
-    d = nb + nf
-    pb = np.asarray(p[:nb], dtype=float)
-    pf = np.asarray(p[nb:], dtype=float)
-    base_conn = geometry.christoffel(spec.base, pb)
-    fiber_conn = geometry.christoffel(spec.fiber, pf)
-    g_base = spec.base.metric_at(pb)
-    g_fiber = spec.fiber.metric_at(pf)
-    b, db = _expr_jets(spec.warping, spec.base.env(pb, jets=True))
-    if b <= 0.0:
-        raise EvalDomainError(f"warping function not positive at {tuple(map(float, pb))}")
-    dlnb = db / b
-    grad_lnb = np.linalg.solve(g_base, dlnb)
-
-    gamma = np.zeros((d, d, d))
-    gamma[:nb, :nb, :nb] = base_conn.gamma
-    gamma[nb:, nb:, nb:] = fiber_conn.gamma
-    for a in range(nb):
-        for z in range(nf):
-            for w in range(nf):
-                if z == w:
-                    gamma[nb + w, a, nb + z] = dlnb[a]
-                    gamma[nb + w, nb + z, a] = dlnb[a]
-    for z in range(nf):
-        for w in range(nf):
-            coeff = -b * b * g_fiber[z, w]
-            for c in range(nb):
-                gamma[c, nb + z, nb + w] = coeff * grad_lnb[c]
-    return gamma
 
 
 # -- line-warped almost contact structures ------------------------------------
@@ -181,65 +141,6 @@ def build_r_warped_contact(n: AlmostHermitianStructure, f_text: str | ex.Expr,
     return RWarpedBundle(fiber=n, structure=structure, warping=f, theta=theta)
 
 
-def _warping_jets(rb: RWarpedBundle, theta_val: float) -> tuple[float, float, float]:
-    f, df, ddf = _expr_jets(rb.warping, {rb.theta: jet.seed([theta_val], 0)}, hessians=True)
-    return float(f), float(df[0]), float(ddf[0, 0])
-
-
-def r_warped_christoffel_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray:
-    """Predicted Christoffel array: ∇_ξ X = ∇_X ξ = (f′/f) X, ∇_ξ ξ = 0 and
-    ∇_X Y = ∇̄_X Y − f f′ ḡ(X, Y) ξ."""
-    fiber = rb.fiber.chart
-    nf = fiber.dim
-    d = nf + 1
-    pf = np.asarray(p[:nf], dtype=float)
-    th = float(p[nf])
-    f, fp, _ = _warping_jets(rb, th)
-    if f <= 0.0:
-        raise EvalDomainError(f"warping function vanishes at {th}")
-    fiber_conn = geometry.christoffel(fiber, pf)
-    g_fiber = fiber.metric_at(pf)
-    gamma = np.zeros((d, d, d))
-    gamma[:nf, :nf, :nf] = fiber_conn.gamma
-    for a in range(nf):
-        gamma[a, nf, a] = fp / f
-        gamma[a, a, nf] = fp / f
-    for a in range(nf):
-        for b_ in range(nf):
-            gamma[nf, a, b_] = -f * fp * g_fiber[a, b_]
-    return gamma
-
-
-def r_warped_riemann_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray:
-    """Predicted lowered curvature tensor of the line-warped metric.
-
-    Fiber block: f²[R̄ + f′²(ḡ⊗ḡ antisymmetrized)]; ξ-slot block:
-    R(W, ξ, X, ξ) = −(f″/f) g(X, W); every component with exactly one
-    ξ slot vanishes.
-    """
-    fiber = rb.fiber.chart
-    nf = fiber.dim
-    d = nf + 1
-    pf = np.asarray(p[:nf], dtype=float)
-    th = float(p[nf])
-    f, fp, fpp = _warping_jets(rb, th)
-    gbar = fiber.metric_at(pf)
-    rbar = geometry.curvature(fiber, pf).riem
-    out = np.zeros((d, d, d, d))
-    # fiber block, indices (w, z, x, y)
-    gg = np.einsum("xz,yw->wzxy", gbar, gbar) - np.einsum("yz,xw->wzxy", gbar, gbar)
-    out[:nf, :nf, :nf, :nf] = f * f * (rbar + fp * fp * gg)
-    # two-ξ block: R(∂_w, ξ, ∂_x, ξ) = −(f″/f)·f²ḡ(x, w) = −f″ f ḡ
-    k = -fpp * f * gbar
-    for w in range(nf):
-        for x in range(nf):
-            out[w, nf, x, nf] = k[x, w]
-            out[nf, w, x, nf] = -k[x, w]
-            out[w, nf, nf, x] = -k[x, w]
-            out[nf, w, nf, x] = k[x, w]
-    return out
-
-
 def eq_for_g1_obstruction(n: AlmostHermitianStructure, samples: SampleSet) -> float:
     """Max norm of ḡ(JY, Z)JX − ḡ(JX, Z)JY + ḡ(X, Z)Y − ḡ(Y, Z)X over the
     coordinate basis triples at the sampled points: the algebraic obstruction
@@ -247,12 +148,10 @@ def eq_for_g1_obstruction(n: AlmostHermitianStructure, samples: SampleSet) -> fl
     Identically zero in dimension 2, nonzero somewhere in dimension ≥ 4. The
     map is trilinear, so the basis triples span every triple.
     """
-    worst = WorstResidual("eq_for_g1_obstruction")
-    for p in samples.points:
-        g, J = n.chart.metric_at(p), eval_field(n.J, p)
-        gj, eye = J.T @ g, np.eye(n.dim)     # gj[b, c] = ḡ(Je_b, e_c); row a of J.T is Je_a
-        # q[a, b, c] is the vector at (X, Y, Z) = (e_a, e_b, e_c)
-        q = (np.einsum("bc,ak->abck", gj, J.T) - np.einsum("ac,bk->abck", gj, J.T)
-             + np.einsum("ac,bk->abck", g, eye) - np.einsum("bc,ak->abck", g, eye))
-        worst.add(_norm(g[None], q[None]))
-    return worst.value
+    g, J = n.chart.metric_at(samples.points), eval_field(n.J, samples.points)
+    JT, eye = J.transpose(0, 2, 1), np.eye(n.dim)
+    gj = JT @ g     # gj[n, b, c] = ḡ(Je_b, e_c); row a of Jᵀ is Je_a
+    # q[n, a, b, c] is the vector at (X, Y, Z) = (e_a, e_b, e_c)
+    q = (np.einsum("nbc,nak->nabck", gj, JT) - np.einsum("nac,nbk->nabck", gj, JT)
+         + np.einsum("nac,bk->nabck", g, eye) - np.einsum("nbc,ak->nabck", g, eye))
+    return _checked("eq_for_g1_obstruction", _norm(g, q))

@@ -19,10 +19,14 @@ The ``*_of`` functions are formulas over values already built (metric jets,
 need and call them. ``connection_of``, ``curvature_of`` and
 ``orthonormal_frame`` take one point or N on a leading axis, and a point's
 numbers in a batch are its one-point numbers bit for bit. ``point_geometry``
-builds Γ and R from one ``metric_jets``: at N points, one array evaluation.
-Derived quantities (∇ of a field, L_ξ g, dη, Ric) are computed by the
-checks that need them, from the arrays above; the one-formula versions that
-tests compare those checks against live in ``tests/reference.py``.
+builds Γ and R from one ``metric_jets``: at N points, one array evaluation;
+it is the one entry point for Γ and R at a chart point.
+``nabla_endomorphism_of`` is ∇φ along every coordinate direction at N
+points, shared by the structure battery and the hypersurface's ambient
+Kähler check. Other derived quantities (∇ of a vector field, L_ξ g, dη,
+Ric) are computed by the checks that need them, from the arrays above; the
+per-vector versions that tests compare those checks against, ``nabla_of``
+among them, live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import SingularMetricError
 __all__ = [
     "ConnectionAtPoint", "CurvatureAtPoint", "MetricJets",
     "metric_jets", "connection_of", "curvature_of", "point_geometry",
-    "christoffel", "curvature", "nabla_of",
+    "nabla_endomorphism_of",
     "orthonormal_frame", "curvature_symmetry_residuals",
 ]
 
@@ -144,31 +148,16 @@ def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[ConnectionAtPoint,
     return conn, curvature_of(mj, conn)
 
 
-def christoffel(chart: Chart, p: Sequence[float]) -> ConnectionAtPoint:
-    return connection_of(metric_jets(chart, p))
-
-
-def curvature(chart: Chart, p: Sequence[float]) -> CurvatureAtPoint:
-    return point_geometry(chart, p)[1]
-
-
-def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
-    """∇_X f from Γ and the jets ``(values, grads)`` of a vector, one-form or
-    endomorphism field f, as returned by ``eval_field_jets``."""
-    X = np.asarray(X, dtype=float)
-    vals, grads = jets
-    if valence == "vector":
-        # (∇_X ξ)^k = X^i (∂_i ξ^k + Γ^k_ij ξ^j)
-        return np.einsum("i,ki->k", X, grads) + np.einsum("i,kij,j->k", X, gamma, vals)
-    if valence == "oneform":
-        # (∇_X η)_j = X^i (∂_i η_j − Γ^k_ij η_k)
-        return np.einsum("i,ji->j", X, grads) - np.einsum("i,kij,k->j", X, gamma, vals)
-    if valence == "endomorphism":
-        # (∇_X φ)^k_j = X^i (∂_i φ^k_j + Γ^k_im φ^m_j − φ^k_m Γ^m_ij)
-        return (np.einsum("i,kji->kj", X, grads)
-                + np.einsum("i,kim,mj->kj", X, gamma, vals)
-                - np.einsum("km,i,mij->kj", vals, X, gamma))
-    raise ValueError(f"unsupported valence {valence!r}")
+def nabla_endomorphism_of(gamma: np.ndarray, vals: np.ndarray,
+                          grads: np.ndarray) -> np.ndarray:
+    """(∇_i φ)^k_j = ∂_i φ^k_j + Γ^k_im φ^m_j − φ^k_m Γ^m_ij as [n, k, i, j],
+    along every coordinate basis vector at each of N points, from Γ
+    (N, d, d, d) and the jets of an endomorphism field φ: ``vals`` (N, d, d)
+    and ``grads[n, k, j, i]`` = ∂_i φ^k_j, as ``eval_field_jets`` returns
+    them."""
+    n, d = vals.shape[:2]
+    return (grads.transpose(0, 1, 3, 2) + gamma @ vals[:, None]
+            - (vals @ gamma.reshape(n, d, d * d)).reshape(gamma.shape))
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:

@@ -32,12 +32,12 @@ import numpy as np
 
 from .frame import _contract, _rat
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                         WorstResidual, _checked, _point_record, contact_point_data)
+                         _checked, _point_record, contact_point_data)
 
 __all__ = [
     "IdentityReport", "Witness",
     "check_hermitian", "check_contact", "check_c_alpha",
-    "consequence_suite", "reevaluate_witness", "WorstResidual",
+    "consequence_suite", "reevaluate_witness",
     "CONTACT_KINDS", "HERMITIAN_KINDS",
 ]
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import EvalDomainError
 
-__all__ = ["Jet2", "seed", "seeds", "constant", "JET_FUNCTIONS"]
+__all__ = ["Jet2", "seed", "seeds", "JET_FUNCTIONS"]
 
 
 class Jet2:
@@ -139,10 +139,6 @@ def seed(point: Sequence[float], i: int) -> Jet2:
 def seeds(point: Sequence[float]) -> list[Jet2]:
     """Seeds for every coordinate of ``point`` (or of each of its rows), in order."""
     return [seed(point, i) for i in range(np.shape(point)[-1])]
-
-
-def constant(x: float, nvars: int) -> Jet2:
-    return Jet2(float(x), np.zeros(nvars), np.zeros((nvars, nvars)))
 
 
 # -- elementary function propagation ----------------------------------------

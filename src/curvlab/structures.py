@@ -34,7 +34,7 @@ __all__ = [
     "AlmostContactStructure", "AlmostHermitianStructure",
     "BasisRecord", "ClassificationReport", "PointRecord",
     "validate", "classify", "check_kappa_mu",
-    "contact_point_data", "default_samples", "WorstResidual",
+    "contact_point_data", "default_samples",
 ]
 
 @dataclass(frozen=True)
@@ -172,22 +172,6 @@ def _checked(what: str, val) -> float:
     return val
 
 
-class WorstResidual:
-    """Running maximum of float residuals, each through ``_checked``."""
-
-    def __init__(self, what: str):
-        self.what = what
-        self.value = -1.0
-
-    def add(self, val: float) -> bool:
-        """Offer ``val``; True when it is the new strict maximum."""
-        val = _checked(self.what, val)
-        if val > self.value:
-            self.value = val
-            return True
-        return False
-
-
 def _finite(what: str, residuals: dict) -> dict[str, float]:
     """``residuals`` as floats; a non-finite one raises EvalDomainError."""
     return {k: _checked(f"{what}.{k}", v) for k, v in residuals.items()}
@@ -249,12 +233,10 @@ def _chart_record(s, r: PointRecord, jets: bool = True) -> BasisRecord:
     if jets:
         # dxi[n, k, i] = ∂_i ξ^k, dphi[n, k, j, i] = ∂_i φ^k_j and deta[n, j, i] = ∂_i η_j
         dxi, dphi, deta = (eval_field_jets(f, r.point)[1] for f in (s.xi, s.phi, s.eta))
-        # coordinate components (∇_i ξ)^k and (∇_i φ)^k_j, as [n, k, i] and [n, k, i, j]
+        # coordinate components (∇_i ξ)^k as [n, k, i]
         nabla_xi = dxi + (r.gamma @ r.xi[:, None, :, None])[..., 0]
-        nabla_phi = (dphi.transpose(0, 1, 3, 2) + r.gamma @ r.phi[:, None]
-                     - (r.phi @ r.gamma.reshape(r.xi.shape + (-1,))).reshape(r.gamma.shape))
         tables = dict(nabla_xi=E @ nabla_xi.transpose(0, 2, 1) @ F,
-                      dphi=_lift(nabla_phi, ET, F),
+                      dphi=_lift(geometry.nabla_endomorphism_of(r.gamma, r.phi, dphi), ET, F),
                       d_eta=E @ (deta.transpose(0, 2, 1) - deta) @ ET,
                       r_xi=_lift((r.riem13 @ r.xi[:, None, None, :, None])[..., 0], ET, F))
     return BasisRecord(g=E @ r.g @ ET, phi=F.transpose(0, 2, 1) @ r.phi @ ET,

@@ -1,9 +1,11 @@
 """Independent references that the oracle tests compare the engines against.
 
 Each function rebuilds what it needs at one point: Christoffel symbols and
-curvature through ``geometry.christoffel`` and ``geometry.curvature``, field
-jets through ``eval_field_jets``. It then evaluates its own coordinate
-formula. ``connection_at_point``, ``curvature_at_point`` and
+curvature through ``geometry.point_geometry``, field jets through
+``eval_field_jets``. It then evaluates its own coordinate formula.
+``nabla_of`` is ∇_X of a vector, one-form or endomorphism field along one
+vector X, the per-vector formula that the batched ∇ tables of the
+structure battery must match. ``connection_at_point``, ``curvature_at_point`` and
 ``gram_schmidt`` are the one-point formulas, with no point axis, that the
 batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
 match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
@@ -30,8 +32,7 @@ import numpy as np
 from curvlab.chart import Chart, TensorField, _expr_jets, eval_field_jets
 from curvlab.frame import FrameGeometry, _rat
 from curvlab.errors import SingularMetricError
-from curvlab.geometry import (ConnectionAtPoint, CurvatureAtPoint, MetricJets, christoffel,
-                              curvature, nabla_of)
+from curvlab.geometry import ConnectionAtPoint, CurvatureAtPoint, MetricJets, point_geometry
 
 
 def connection_at_point(mj: MetricJets) -> ConnectionAtPoint:
@@ -76,16 +77,34 @@ def gram_schmidt(g: np.ndarray) -> np.ndarray:
     return E
 
 
+def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
+    """∇_X f from Γ and the jets ``(values, grads)`` of a vector, one-form or
+    endomorphism field f, as returned by ``eval_field_jets``."""
+    X = np.asarray(X, dtype=float)
+    vals, grads = jets
+    if valence == "vector":
+        # (∇_X ξ)^k = X^i (∂_i ξ^k + Γ^k_ij ξ^j)
+        return np.einsum("i,ki->k", X, grads) + np.einsum("i,kij,j->k", X, gamma, vals)
+    if valence == "oneform":
+        # (∇_X η)_j = X^i (∂_i η_j − Γ^k_ij η_k)
+        return np.einsum("i,ji->j", X, grads) - np.einsum("i,kij,k->j", X, gamma, vals)
+    if valence == "endomorphism":
+        # (∇_X φ)^k_j = X^i (∂_i φ^k_j + Γ^k_im φ^m_j − φ^k_m Γ^m_ij)
+        return (np.einsum("i,kji->kj", X, grads)
+                + np.einsum("i,kim,mj->kj", X, gamma, vals)
+                - np.einsum("km,i,mij->kj", vals, X, gamma))
+    raise ValueError(f"unsupported valence {valence!r}")
+
+
 def covariant_derivative(chart: Chart, f: TensorField, p: Sequence[float], X) -> np.ndarray:
     """∇_X f at ``p`` for a vector, one-form or endomorphism field."""
-    return nabla_of(christoffel(chart, p).gamma, f.valence, eval_field_jets(f, p), X)
+    return nabla_of(point_geometry(chart, p)[0].gamma, f.valence, eval_field_jets(f, p), X)
 
 
 def covariant_derivative_02(chart: Chart, components, p: Sequence[float], X) -> np.ndarray:
     """∇_X T for a (0,2) expression array; used for the ∇g = 0 check."""
     t = TensorField(chart, "endomorphism", components)  # same shape, parse only
-    conn = christoffel(chart, p)
-    gamma = conn.gamma
+    gamma = point_geometry(chart, p)[0].gamma
     X = np.asarray(X, dtype=float)
     vals, grads = eval_field_jets(t, p)
     # (∇_X T)_jk = X^i (∂_i T_jk − Γ^m_ij T_mk − Γ^m_ik T_jm)
@@ -98,7 +117,7 @@ def lie_derivative_metric(chart: Chart, xi: TensorField, p: Sequence[float], X, 
     """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ) for the Levi-Civita metric."""
     if xi.valence != "vector":
         raise ValueError("Killing test expects a vector field")
-    gamma, jets = christoffel(chart, p).gamma, eval_field_jets(xi, p)
+    gamma, jets = point_geometry(chart, p)[0].gamma, eval_field_jets(xi, p)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     g = chart.metric_at(p)
@@ -118,7 +137,7 @@ def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y)
 
 def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
     """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame."""
-    curv = curvature(chart, p)
+    curv = point_geometry(chart, p)[1]
     E = gram_schmidt(curv.g)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -198,8 +217,8 @@ def hypersurface_at_point(J: np.ndarray, patch, p: Sequence[float], g: np.ndarra
 
 
 def nabla_J_at_point(ambient, p: Sequence[float]) -> float:
-    """Largest |(∇_i J)^k_j| at one point, from ``christoffel`` there."""
-    gamma = christoffel(ambient.chart, p).gamma
+    """Largest |(∇_i J)^k_j| at one point, from ``point_geometry`` there."""
+    gamma = point_geometry(ambient.chart, p)[0].gamma
     J, dJ = eval_field_jets(ambient.J, p)      # dJ[k, j, i] = ∂_i J^k_j
     return np.max(np.abs(dJ.transpose(0, 2, 1) + gamma @ J - np.tensordot(J, gamma, 1)))
 

@@ -19,9 +19,9 @@ from curvlab.chart import sample, eval_field
 from curvlab.identities import (Witness, check_contact, check_hermitian,
                                 reevaluate_witness)
 from curvlab.structures import classify
-from curvlab.constructions import (ConeOracle, build_cone,
-                                   check_submersion_lift, induce_hypersurface,
+from curvlab.constructions import (build_cone, check_submersion_lift, induce_hypersurface,
                                    resolve_target)
+from closed_forms import ConeOracle
 from conftest import sample_with_vectors
 from reference import covariant_derivative
 
@@ -68,7 +68,7 @@ def test_criterion_02_cross_engine(h21_frame, h21_chart):
         vecs = [np.array([2.0, 0, 0, 0, 0]), np.array([0, 2.0, 0, 0, 0]),
                 np.array([0, 0, 2.0, 0, 2 * x1]), np.array([0, 0, 0, 2.0, 2 * x2]),
                 np.array([0, 0, 0, 0, 2.0])]
-        curv = geo.curvature(chart, p)
+        curv = geo.point_geometry(chart, p)[1]
         for idx in product(range(5), repeat=4):
             chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem, *(vecs[i] for i in idx)))
             worst = max(worst, abs(chart_val - float(fg.riem[idx])))
@@ -153,8 +153,7 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
         for i in range(smp.n_points):
             p = smp.points[i]
             oracle = ConeOracle(cb, p)
-            conn = geo.christoffel(cb.cone_chart, p)
-            curv = geo.curvature(cb.cone_chart, p)
+            conn, curv = geo.point_geometry(cb.cone_chart, p)
             A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
             worst = max(worst, float(np.max(np.abs(
                 np.einsum("i,kij,j->k", A, conn.gamma, B) - oracle.connection(A, B)))))
@@ -261,7 +260,7 @@ def test_criterion_13a_curvature_symmetries():
                  else (t.obj.structure if t.kind == "hypersurface" else t.obj).carrier)
         smp = sample(chart, 5, seed=42)
         for p in smp.points:
-            res = geo.curvature_symmetry_residuals(geo.curvature(chart, p))
+            res = geo.curvature_symmetry_residuals(geo.point_geometry(chart, p)[1])
             worst = max(worst, max(res.values()))
     verdict(13, worst <= 1e-9,
             f"curvature symmetry residuals over the registry: max {worst:.2e}")

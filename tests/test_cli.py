@@ -100,6 +100,9 @@ def test_check_on_wrong_carrier_exit_two():
                  b'g_22 = "1"\n', "(leading minor 2)", id="leading_minor_2"),
     pytest.param(b'[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "2 + log(x)"\n',
                  "log of out-of-domain value -0.", id="log_of_negative"),
+    pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\ndomain = "x in (0.99, 1)"\n[metric]\n'
+                 b'g_11 = "exp(400*x)*exp(400*x)*0 + 1"\ng_22 = "1"\n',
+                 "metric not positive definite at (0.99", id="nan_metric"),
 ])
 def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
@@ -337,12 +340,16 @@ NAN_CONSTANT_CHART = OVERFLOWING_CHART.replace('"1 + exp(700*x)"', '"1"').replac
     'g_33 = "1"', 'g_33 = "(0)*(1e400)"')
 
 
-@pytest.mark.parametrize("chart", [OVERFLOWING_CHART, NAN_CONSTANT_CHART],
-                         ids=["overflowing_hessian", "nan_constant"])
-def test_floating_point_faults_print_one_line(tmp_path, chart):
-    """An overflowing jet and a NaN metric entry read as non-finite
-    residuals: exit 2 and one line on stderr, with no numpy warning ahead
-    of it (a subprocess, so stderr is the real one)."""
+@pytest.mark.parametrize("chart,message", [
+    (OVERFLOWING_CHART, "non-finite residual in symmetry.antisym_first_pair"),
+    (NAN_CONSTANT_CHART, "metric not positive definite at (0.9971916483884478, "
+                         "-0.24448624099179073, 1.4343916796455298) (leading minor 3)"),
+], ids=["overflowing_hessian", "nan_constant"])
+def test_floating_point_faults_print_one_line(tmp_path, chart, message):
+    """An overflowing jet reads as a non-finite residual, and a NaN metric
+    entry as a metric that is not positive definite at the first sample
+    point: exit 2 and one line on stderr, with no numpy warning ahead of it
+    (a subprocess, so stderr is the real one)."""
     import subprocess
     import sys
     import curvlab
@@ -354,7 +361,7 @@ def test_floating_point_faults_print_one_line(tmp_path, chart):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "non-finite residual in symmetry.antisym_first_pair\n"
+    assert proc.stderr == message + "\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

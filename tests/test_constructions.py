@@ -6,14 +6,12 @@ import pytest
 from curvlab import expr as ex
 from curvlab import geometry as geo
 from curvlab.chart import Chart, Interval, eval_field, sample
-from curvlab.constructions import (ConeOracle, WarpedSpec, build_cone,
-                                   build_warped, build_r_warped_contact,
-                                   eq_for_g1_obstruction,
-                                   warped_christoffel_oracle)
+from curvlab.constructions import (WarpedSpec, build_cone, build_warped,
+                                   build_r_warped_contact, eq_for_g1_obstruction)
 from curvlab.constructions.registry import (flat_chart, flat_kahler_r2,
                                             flat_kahler_r4)
-from curvlab.constructions.warped import (r_warped_christoffel_oracle,
-                                          r_warped_riemann_oracle)
+from closed_forms import (ConeOracle, r_warped_christoffel_oracle, r_warped_riemann_oracle,
+                          warped_christoffel_oracle)
 from conftest import sample_with_vectors
 from reference import covariant_derivative
 
@@ -75,8 +73,7 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
     for i in range(smp.n_points):
         p = smp.points[i]
         oracle = ConeOracle(cb, p)
-        conn = geo.christoffel(cb.cone_chart, p)
-        curv = geo.curvature(cb.cone_chart, p)
+        conn, curv = geo.point_geometry(cb.cone_chart, p)
         A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
         engine_nab = np.einsum("i,kij,j->k", A, conn.gamma, B)
         worst = max(worst, float(np.max(np.abs(
@@ -98,7 +95,7 @@ def test_cone_j_composed_curvature_cases(s5_example):
     for i in range(smp.n_points):
         p = smp.points[i]
         oracle = ConeOracle(cb, p)
-        curv = geo.curvature(cb.cone_chart, p)
+        curv = geo.point_geometry(cb.cone_chart, p)[1]
         J = eval_field(cb.J, p)
         g = cb.cone_chart.metric_at(p)
         X, Y, Z, W = (v.copy() for v in vectors[i][:4])
@@ -127,7 +124,7 @@ def test_trivial_warping_gives_product():
     p = [0.2, 0.5, -0.7]
     gamma = warped_christoffel_oracle(spec, p)
     assert np.all(gamma == 0.0)
-    assert np.max(np.abs(geo.christoffel(chart, p).gamma)) <= 1e-14
+    assert np.max(np.abs(geo.point_geometry(chart, p)[0].gamma)) <= 1e-14
 
 
 def test_warped_with_b_t_reproduces_cone():
@@ -149,7 +146,7 @@ def test_cosine_warped_connection_oracle():
     chart = build_warped(spec)
     smp = sample(chart, 10, seed=6)
     for p in smp.points:
-        eng = geo.christoffel(chart, p).gamma
+        eng = geo.point_geometry(chart, p)[0].gamma
         assert np.max(np.abs(eng - warped_christoffel_oracle(spec, p))) <= 1e-9
 
 
@@ -177,9 +174,9 @@ def test_r_warped_oracles_match_engine(sine_cone_cos, sine_cone_sin,
         chart = rb.structure.carrier
         smp = sample(chart, 8, seed=4)
         for p in smp.points:
-            eng_g = geo.christoffel(chart, p).gamma
+            eng_g = geo.point_geometry(chart, p)[0].gamma
             assert np.max(np.abs(eng_g - r_warped_christoffel_oracle(rb, p))) <= 1e-8
-            eng_r = geo.curvature(chart, p).riem
+            eng_r = geo.point_geometry(chart, p)[1].riem
             assert np.max(np.abs(eng_r - r_warped_riemann_oracle(rb, p))) <= 1e-8
 
 
@@ -192,7 +189,7 @@ def test_f_second_over_f_minus_one_gives_unit_block(f_text):
     smp, vectors = sample_with_vectors(chart, 6, 4, seed=15)
     for i in range(smp.n_points):
         p = smp.points[i]
-        curv = geo.curvature(chart, p)
+        curv = geo.point_geometry(chart, p)[1]
         g = chart.metric_at(p)
         xi = np.array([0, 0, 0, 0, 1.0])
         for a in range(0, 4, 2):
@@ -207,7 +204,7 @@ def test_constant_warping_kills_xi_block():
     rb = build_r_warped_contact(flat_kahler_r4(), "1 + 0*z", "z", Interval())
     chart = rb.structure.carrier
     p = [0.1, 0.2, 0.3, 0.4, 0.5]
-    curv = geo.curvature(chart, p)
+    curv = geo.point_geometry(chart, p)[1]
     assert np.max(np.abs(curv.riem)) <= 1e-14
 
 

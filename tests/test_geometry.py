@@ -34,24 +34,24 @@ def frame_vectors_at(p):
 
 def test_flat_christoffel_zero(flat3):
     for p in ([0.0, 0.0, 0.0], [1.0, -0.5, 2.0]):
-        conn = geo.christoffel(flat3, p)
+        conn = geo.point_geometry(flat3, p)[0]
         assert np.all(conn.gamma == 0.0)
 
 
 def test_cone_over_flat_christoffel():
     cone = Chart(("t", "x"), [["1", "0"], [None, "t^2"]],
                  [Interval(0, math.inf), Interval()])
-    conn = geo.christoffel(cone, [2.0, 0.7])
+    conn = geo.point_geometry(cone, [2.0, 0.7])[0]
     assert abs(conn.gamma[1, 0, 1] - 0.5) < 1e-14   # Gamma^x_tx = 1/t
     assert abs(conn.gamma[1, 1, 0] - 0.5) < 1e-14
     assert abs(conn.gamma[0, 1, 1] + 2.0) < 1e-14   # Gamma^t_xx = -t
 
 
 def test_sphere_christoffel(s2_round):
-    conn = geo.christoffel(s2_round, [math.pi / 2, 0.4])
+    conn = geo.point_geometry(s2_round, [math.pi / 2, 0.4])[0]
     assert abs(conn.gamma[0, 1, 1]) < 1e-12         # -sin cos = 0 at equator
     th = 0.8
-    conn = geo.christoffel(s2_round, [th, 0.4])
+    conn = geo.point_geometry(s2_round, [th, 0.4])[0]
     assert abs(conn.gamma[0, 1, 1] + math.sin(th) * math.cos(th)) < 1e-12
     assert abs(conn.gamma[1, 0, 1] - math.cos(th) / math.sin(th)) < 1e-12
 
@@ -59,7 +59,7 @@ def test_sphere_christoffel(s2_round):
 def test_singular_metric_raises():
     degenerate = Chart(("x", "y"), [["x", "0"], [None, "x"]])
     with pytest.raises(SingularMetricError):
-        geo.christoffel(degenerate, [0.0, 0.0])
+        geo.point_geometry(degenerate, [0.0, 0.0])
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -67,13 +67,13 @@ def test_singular_metric_raises():
 def test_flat5_curvature_zero():
     flat5 = Chart(tuple("abcde"), [[("1" if i == j else "0") for j in range(5)]
                                    for i in range(5)])
-    curv = geo.curvature(flat5, [0.1, 0.2, 0.3, 0.4, 0.5])
+    curv = geo.point_geometry(flat5, [0.1, 0.2, 0.3, 0.4, 0.5])[1]
     assert np.all(curv.riem == 0.0)
 
 
 def test_h21_chart_curvature_table(h21_chart):
     p = [0.4, -0.7, 0.2, 1.1, -0.3]
-    curv = geo.curvature(h21_chart.carrier, p)
+    curv = geo.point_geometry(h21_chart.carrier, p)[1]
     X1, X2, Y1, Y2, XI = frame_vectors_at(p)
     r = lambda a, b, c, d: float(np.einsum("ijkl,i,j,k,l", curv.riem, a, b, c, d))
     assert abs(r(X1, X2, Y1, Y2) - (-1.0)) < 1e-12
@@ -89,7 +89,7 @@ def test_cross_engine_h21_all_quadruples(h21_chart):
     """Chart engine on frame vectors vs the exact rational frame engine."""
     fg = heisenberg_h21(Fraction(3, 5), Fraction(4, 5))
     for p in ([0.0] * 5, [0.5, -1.2, 0.3, 0.8, 2.0]):
-        curv = geo.curvature(h21_chart.carrier, p)
+        curv = geo.point_geometry(h21_chart.carrier, p)[1]
         vecs = frame_vectors_at(p)
         for i, j, k, l in product(range(5), repeat=4):
             chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem,
@@ -243,7 +243,7 @@ def test_curvature_symmetries_on_registry(h21_chart, s5_example, sine_cone_cos,
     for chart in charts:
         smp = sample(chart, 5, seed=13)
         for p in smp.points:
-            res = geo.curvature_symmetry_residuals(geo.curvature(chart, p))
+            res = geo.curvature_symmetry_residuals(geo.point_geometry(chart, p)[1])
             assert max(res.values()) <= 1e-9, (chart.name, res)
 
 

@@ -279,13 +279,10 @@ def test_identity_reports_deterministic(s5_example):
     assert a.witness == b.witness
 
 
-def test_worst_residual_rejects_non_finite():
+def test_checked_rejects_non_finite():
     from curvlab.errors import EvalDomainError
-    from curvlab.identities import WorstResidual
-    w = WorstResidual("row")
-    assert w.add(0.5) and not w.add(0.25) and w.value == 0.5
+    from curvlab.structures import _checked
+    assert _checked("row", 0.5) == 0.5
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(EvalDomainError):
-            w.add(bad)
-    with pytest.raises(EvalDomainError):
-        WorstResidual("row").add(float("nan"))
+        with pytest.raises(EvalDomainError, match="non-finite residual in row"):
+            _checked("row", bad)

@@ -3,9 +3,9 @@
 On charts the oracle is the plain loop: at each sample point it feeds the
 rows of E(p) = orthonormal_frame(g), and every ordered pair of them, one
 vector at a time to single-vector formulas in chart coordinates (∇ from
-``nabla_of``, dη from the curl of η's gradients, norms from ``v @ g @ v``,
-h = ½ L_ξ φ from coordinate brackets). The engine works on whole tables in
-E(p), so it must agree to rounding.
+``reference.nabla_of``, dη from the curl of η's gradients, norms from
+``v @ g @ v``, h = ½ L_ξ φ from coordinate brackets). The engine works on
+whole tables in E(p), so it must agree to rounding.
 
 On frames the oracle is the bracket form: h from ad_ξ = [ξ, ·] and Ric from
 ``reference.frame_ricci``. The engine takes h from ∇ and Ric(ξ, ξ) as a trace,
@@ -26,7 +26,7 @@ from curvlab.constructions.registry import flat_kahler_c2
 from curvlab.frame import FrameGeometry, heisenberg_h21
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
 from curvlab.structures import AlmostContactStructure, check_kappa_mu, classify, validate
-from reference import frame_ricci, ricci
+from reference import frame_ricci, nabla_of, ricci
 from test_frame_oracle import tilted_frame_text
 
 F = Fraction
@@ -89,7 +89,7 @@ def oracle_classify(s, samples):
         xi_jets, phi_jets = eval_field_jets(s.xi, p), eval_field_jets(s.phi, p)
         grads = eval_field_jets(s.eta, p)[1]        # grads[j, i] = ∂_i η_j
         curl = grads.T - grads
-        dxi = [geometry.nabla_of(gamma, "vector", xi_jets, X) for X in vecs]
+        dxi = [nabla_of(gamma, "vector", xi_jets, X) for X in vecs]
         for X, dxi_x in zip(vecs, dxi):
             res["sasakian_nabla_xi"] = max(res["sasakian_nabla_xi"], gnorm(g, dxi_x + phi @ X))
         for a, b in product(range(d), repeat=2):
@@ -97,7 +97,7 @@ def oracle_classify(s, samples):
             de = float(X @ curl @ Y)
             gxphiy = float(X @ g @ (phi @ Y))
             lie = float(dxi[a] @ g @ Y + X @ g @ dxi[b])
-            dphi_y = geometry.nabla_of(gamma, "endomorphism", phi_jets, X) @ Y
+            dphi_y = nabla_of(gamma, "endomorphism", phi_jets, X) @ Y
             target = float(X @ g @ Y) * xi - float(eta @ Y) * X
             for key, val in (("contact_metric", abs(gxphiy - 0.5 * de)),
                              ("contact_metric_raw", abs(gxphiy - de)),
@@ -115,7 +115,7 @@ def oracle_kappa_mu(s, kappa, mu, samples):
     worst = 0.0
     for p in samples.points:
         g, vecs = basis_at(s.carrier, p)
-        riem13 = geometry.curvature(s.carrier, p).riem13
+        riem13 = geometry.point_geometry(s.carrier, p)[1].riem13
         phi_v, phi_g = eval_field_jets(s.phi, p)
         xi_v, xi_g = eval_field_jets(s.xi, p)       # xi_g[k, i] = ∂_i ξ^k
         eta = eval_field(s.eta, p)
