@@ -85,6 +85,9 @@ class Chart:
             raise ValueError("one domain interval per coordinate required")
         self.domain = tuple(domain)
         self.metric = self._symmetrize(metric)
+        # the upper triangle row by row, compiled once for metric_at and metric_jets
+        self.upper = tuple((i, j) for i in range(self.dim) for j in range(i, self.dim))
+        self.metric_program = ex.Program(self.metric[ij] for ij in self.upper)
 
     def _symmetrize(self, metric) -> np.ndarray:
         m = np.empty((self.dim, self.dim), dtype=object)
@@ -123,13 +126,10 @@ class Chart:
 
     def metric_at(self, p: Sequence[float]) -> np.ndarray:
         """Metric matrix at a point ``p`` (d,), or stacked (N, d, d) at each
-        row of ``p`` (N, d); one expression walk (floats) over the entries,
-        sharing one memo."""
-        env, memo = self.env(p), {}
+        row of ``p`` (N, d); one run (floats) of the metric program."""
         g = np.empty(np.shape(p)[:-1] + (self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                g[..., i, j] = g[..., j, i] = ex.eval_expr(self.metric[i, j], env, ex.REAL, memo)
+        for (i, j), v in zip(self.upper, self.metric_program.run(self.env(p))):
+            g[..., i, j] = g[..., j, i] = v
         return g
 
     def check_spd(self, p: Sequence[float]):
@@ -159,11 +159,13 @@ class TensorField:
 
     ``valence`` is one of ``vector`` (components ξ^i), ``oneform``
     (components η_i) or ``endomorphism`` (matrix φ^i_j, row = output index).
+    ``program`` holds the components, compiled in C order.
     """
 
     chart: Chart
     valence: str
     components: np.ndarray = field(repr=False)
+    program: ex.Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.valence not in _VALENCE_SHAPES:
@@ -182,35 +184,31 @@ class TensorField:
                 entry = ex.Num(0)
             parsed[idx] = entry
         object.__setattr__(self, "components", parsed)
+        object.__setattr__(self, "program", ex.Program(parsed.flat))
 
 
 def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
-    """All components of ``f`` at a point ``p`` as floats, one shared
-    environment and memo; at each row of ``p`` (N, d), on a leading point
-    axis."""
-    env, memo = f.chart.env(p), {}
+    """All components of ``f`` at a point ``p`` as floats, from one run of
+    its program; at each row of ``p`` (N, d), on a leading point axis."""
     out = np.empty(np.shape(p)[:-1] + f.components.shape)
-    for idx in np.ndindex(f.components.shape):
-        out[(..., *idx)] = ex.eval_expr(f.components[idx], env, ex.REAL, memo)
+    for idx, v in zip(np.ndindex(f.components.shape), f.program.run(f.chart.env(p))):
+        out[(..., *idx)] = v
     return out
 
 
-def _expr_jets(exprs, env: dict, hessians: bool = False):
-    """Values and coordinate gradients of an array of expressions in one jet
-    environment ``env`` (one seed per coordinate, at a point or at N points)
-    and one memo, with the second derivatives too when ``hessians``. A
-    component that evaluates to a constant keeps zero derivatives. Batched
-    seeds put the point axis first: vals[n, ...], grads[n, ..., k]."""
-    exprs = np.asarray(exprs, dtype=object)
+def _expr_jets(program: ex.Program, env: dict, hessians: bool = False):
+    """Values and coordinate gradients of the roots of ``program`` from one
+    run in the jet environment ``env`` (one seed per coordinate, at a point
+    or at N points), with the second derivatives too when ``hessians``. A
+    root that evaluates to a constant keeps zero derivatives. Batched seeds
+    put the point axis first: vals[n, r], grads[n, r, k]."""
     lead = next(iter(env.values())).value.shape
-    shape, dim = lead + exprs.shape, len(env)
+    shape, dim = lead + (len(program.roots),), len(env)
     vals = np.empty(shape)
     grads = np.zeros(shape + (dim,))
     hess = np.zeros(shape + (dim, dim)) if hessians else None
-    memo = {}
-    for idx in np.ndindex(exprs.shape):
-        v = ex.eval_expr(exprs[idx], env, ex.JET, memo)
-        at = (slice(None),) * len(lead) + idx
+    for r, v in enumerate(program.run(env, ex.JET)):
+        at = (slice(None),) * len(lead) + (r,)
         if isinstance(v, jet.Jet2):
             vals[at], grads[at] = v.value, v.grad
             if hessians:
@@ -227,7 +225,9 @@ def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.
     Returns ``(values, grads)`` where ``grads[..., k]`` is the partial
     derivative of the component along coordinate k.
     """
-    return _expr_jets(f.components, f.chart.env(p, jets=True))
+    vals, grads = _expr_jets(f.program, f.chart.env(p, jets=True))
+    shape = vals.shape[:-1] + f.components.shape
+    return vals.reshape(shape), grads.reshape(shape + grads.shape[-1:])
 
 
 @dataclass(frozen=True)

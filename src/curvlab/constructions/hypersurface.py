@@ -19,9 +19,10 @@ residuals need no template.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
+from .. import expr as ex
 from .. import geometry
 from ..chart import Chart, TensorField, _expr_jets, eval_field_jets, sample
 from ..structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
@@ -34,7 +35,8 @@ __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
 @dataclass(frozen=True)
 class SurfacePatch:
     """Parameter chart, immersion and unit normal of a hypersurface, plus
-    the optional closed-form induced structure over the parameter chart."""
+    the optional closed-form induced structure over the parameter chart.
+    ``program`` holds the immersion followed by the normal, compiled once."""
 
     chart: Chart                 # parameter chart; metric = induced metric template
     immersion: tuple             # ambient coordinates as Expr over chart coords
@@ -43,12 +45,14 @@ class SurfacePatch:
     xi: TensorField | None = None
     eta: TensorField | None = None
     name: str = ""
+    program: ex.Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "immersion", tuple(
             self.chart.parse(e) if isinstance(e, str) else e for e in self.immersion))
         object.__setattr__(self, "normal", tuple(
             self.chart.parse(e) if isinstance(e, str) else e for e in self.normal))
+        object.__setattr__(self, "program", ex.Program(self.immersion + self.normal))
 
     @property
     def has_structure(self) -> bool:
@@ -85,15 +89,15 @@ def _per_point(a: np.ndarray) -> np.ndarray:
 
 def _ambient_kahler(ambient: AlmostHermitianStructure, points: np.ndarray):
     """J at each row of ``points`` (N, d) and the largest |∇J| entry there,
-    from one ``metric_jets`` and one jet walk of J over all the points."""
+    from one ``metric_jets`` and one jet run of J over all the points."""
     gamma = geometry.connection_of(geometry.metric_jets(ambient.chart, points)).gamma
     J, dJ = eval_field_jets(ambient.J, points)
     return J, _per_point(geometry.nabla_endomorphism_of(gamma, J, dJ))
 
 
 def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
-    """The induction at every point of ``rec`` at once, from one jet walk
-    each of the immersion and the normal: β, the Weingarten matrices A and
+    """The induction at every point of ``rec`` at once, from one jet run of
+    the patch's program (immersion and normal): β, the Weingarten matrices A and
     ξ = −JN in chart components, each on the leading point axis, and the
     per-point residuals keyed by row name.
 
@@ -101,10 +105,9 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
     it is NaN) or whose immersion Jacobian is not finite or rank-deficient,
     in that order.
     """
-    d = patch.chart.dim
-    env = patch.chart.env(rec.point, jets=True)
-    JF = _expr_jets(patch.immersion, env)[1]        # (N, nA, d)
-    N, dN = _expr_jets(patch.normal, env)           # (N, nA), (N, nA, d)
+    d, nA = patch.chart.dim, len(patch.immersion)
+    V, dV = _expr_jets(patch.program, patch.chart.env(rec.point, jets=True))
+    JF, N, dN = dV[:, :nA], V[:, nA:], dV[:, nA:]   # (N, nA, d), (N, nA), (N, nA, d)
     Nrow = N[:, None, :]
     norm2 = (Nrow @ N[:, :, None])[:, 0, 0]
     unit = np.abs(norm2 - 1.0)

@@ -27,11 +27,12 @@ The relations checked against the generic chart engines on both levels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .. import expr as ex
 from .. import geometry
 from ..chart import _expr_jets, eval_field, eval_field_jets, sample
 from ..identities import _closures, _slot_axes
@@ -48,6 +49,7 @@ class SubmersionPair:
     base: AlmostHermitianStructure     # dim n
     projection: tuple                  # base coords as Expr over total coords
     name: str = ""
+    program: ex.Program = field(init=False, repr=False, compare=False)   # the projection
 
     def __post_init__(self):
         if self.total.is_frame:
@@ -57,13 +59,14 @@ class SubmersionPair:
         object.__setattr__(self, "projection", tuple(
             self.total.carrier.parse(e) if isinstance(e, str) else e
             for e in self.projection))
+        object.__setattr__(self, "program", ex.Program(self.projection))
         if self.total.carrier.dim != self.base.chart.dim + 1:
             raise ValueError("total space must have one dimension more than the base")
 
 
 def _projection_jets(sp: SubmersionPair, p: Sequence[float]):
     """Base point, dπ (nb × nt) and ddpi[a, i, m] = ∂_m dπ^a_i at ``p`` (..., nt)."""
-    return _expr_jets(sp.projection, sp.total.carrier.env(p, jets=True), hessians=True)
+    return _expr_jets(sp.program, sp.total.carrier.env(p, jets=True), hessians=True)
 
 
 def _lifted_frame(p, dpi, eta, dM=None):

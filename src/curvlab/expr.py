@@ -4,16 +4,14 @@ Metric and tensor components are defined as small closed-form expressions
 and evaluated over one of three scalar rings: plain floats, second-order
 jets (for derivatives) or exact rationals (for frame definitions; the
 rational ring rejects transcendental operations and decimal literals).
-Float and jet coordinates may carry a leading axis of N points; one walk
-of the expression then evaluates it at all of them.
+Float and jet coordinates may carry a leading axis of N points; one run
+then evaluates at all of them.
 
-Inner nodes (``Neg``, ``Bin``, ``Pow``, ``Call``) compute their structural
-hash once, at construction. A caller that walks several expressions over
-one environment, such as the metric entries of a chart, passes one memo
-dict to every ``eval_expr`` of that walk and drops it afterwards; each
-distinct subtree is then evaluated once. Structural equality takes
-``Num(1)`` for ``Num(1.0)``, so a memo hit must also match the literal
-types below the node; the memo never changes a value or an error.
+A ``Program`` compiles a sequence of expressions once, into a flat list
+with one instruction per distinct node. Each owner of expressions (a
+chart's metric, a field's components, a construction's maps) compiles its
+program when it parses them and runs it once per ring and point batch.
+``eval_expr`` is the one-expression case.
 
 Grammar (whitespace-insensitive)::
 
@@ -33,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +40,7 @@ from .errors import EvalDomainError, ExprSyntaxError, RingError, UnknownIdentifi
 
 __all__ = [
     "Expr", "Num", "ConstName", "Var", "Neg", "Bin", "Pow", "Call",
-    "parse_expr", "eval_expr", "to_text", "free_variables",
+    "parse_expr", "eval_expr", "Program", "to_text", "free_variables",
     "REAL", "JET", "RATIONAL",
 ]
 
@@ -68,41 +66,9 @@ class Var:
     name: str
 
 
-def _literal_sig(e) -> object:
-    """What structural equality does not see in ``e``: None when every
-    literal and exponent below ``e`` is an int, else a tuple that mirrors the
-    tree and records each literal's type and sign (``Num(1) == Num(1.0)`` and
-    ``Num(0.0) == Num(-0.0)``, but they can evaluate differently)."""
-    if type(e) is Num:
-        v = e.value
-        return None if type(v) is int else (type(v), math.copysign(1.0, v))
-    return getattr(e, "_sig", None)
-
-
-def _seal(node, fields: tuple, sigs: tuple):
-    """Cache ``node``'s structural hash (children's hashes are cached in
-    turn, so this is O(1)) and its literal signature, once, at construction."""
-    object.__setattr__(node, "_hash", hash((type(node), *fields)))
-    object.__setattr__(node, "_sig", None if sigs.count(None) == len(sigs) else sigs)
-
-
-def _node_hash(node) -> int:
-    return node._hash
-
-
-def _node_reduce(node):
-    # str hashes are salted per process: unpickling rebuilds the cached hash
-    return type(node), tuple(getattr(node, f) for f in node.__match_args__)
-
-
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
-
-    def __post_init__(self):
-        _seal(self, (self.arg,), (_literal_sig(self.arg),))
-
-    __hash__, __reduce__ = _node_hash, _node_reduce
 
 
 @dataclass(frozen=True)
@@ -111,35 +77,17 @@ class Bin:
     left: "Expr"
     right: "Expr"
 
-    def __post_init__(self):
-        _seal(self, (self.op, self.left, self.right),
-              (_literal_sig(self.left), _literal_sig(self.right)))
-
-    __hash__, __reduce__ = _node_hash, _node_reduce
-
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
 
-    def __post_init__(self):
-        k = self.exponent
-        _seal(self, (self.base, k),
-              (_literal_sig(self.base), None if type(k) is int else type(k)))
-
-    __hash__, __reduce__ = _node_hash, _node_reduce
-
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     args: tuple
-
-    def __post_init__(self):
-        _seal(self, (self.fn, self.args), tuple(map(_literal_sig, self.args)))
-
-    __hash__, __reduce__ = _node_hash, _node_reduce
 
 
 Expr = Union[Num, ConstName, Var, Neg, Bin, Pow, Call]
@@ -231,19 +179,14 @@ class _Parser:
         return e
 
     def parse_int_exponent(self) -> int:
+        sign = -1 if self.take("-") else 1
         self.skip_ws()
         start = self.pos
-        if self.take("-"):
-            pass
-        self.skip_ws()
-        digits_start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
-        if self.pos == digits_start:
+        if self.pos == start or self.text[self.pos:self.pos + 1] == ".":
             raise self.error("exponent must be an integer literal")
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            raise self.error("exponent must be an integer literal")
-        return int(self.text[start:self.pos].replace(" ", ""))
+        return sign * int(self.text[start:self.pos])
 
     def parse_base(self) -> Expr:
         c = self.peek()
@@ -252,7 +195,7 @@ class _Parser:
             e = self.parse_expr()
             self.expect(")")
             return e
-        if c.isdigit() or c == ".":
+        if c.isdecimal() or c == ".":
             return self.parse_number()
         if c.isalpha() or c == "_":
             return self.parse_ident()
@@ -261,13 +204,13 @@ class _Parser:
     def parse_number(self) -> Num:
         start = self.pos
         text = self.text
-        while self.pos < len(text) and text[self.pos].isdigit():
+        while self.pos < len(text) and text[self.pos].isdecimal():
             self.pos += 1
         is_float = False
         if self.pos < len(text) and text[self.pos] == ".":
             is_float = True
             self.pos += 1
-            while self.pos < len(text) and text[self.pos].isdigit():
+            while self.pos < len(text) and text[self.pos].isdecimal():
                 self.pos += 1
         if self.pos < len(text) and text[self.pos] in "eE":
             # scientific suffix only when followed by digits / sign+digits,
@@ -276,9 +219,9 @@ class _Parser:
             self.pos += 1
             if self.pos < len(text) and text[self.pos] in "+-":
                 self.pos += 1
-            if self.pos < len(text) and text[self.pos].isdigit():
+            if self.pos < len(text) and text[self.pos].isdecimal():
                 is_float = True
-                while self.pos < len(text) and text[self.pos].isdigit():
+                while self.pos < len(text) and text[self.pos].isdecimal():
                     self.pos += 1
             else:
                 self.pos = save
@@ -460,49 +403,78 @@ JET = JetRing()
 RATIONAL = RationalRing()
 
 
-def eval_expr(e: Expr, env: Mapping[str, object], ring: Ring = REAL, memo: dict | None = None):
-    """Evaluate ``e`` with coordinate values from ``env`` over ``ring``.
+class Program:
+    """Expressions compiled once into a flat list of instructions.
 
-    Over the jet ring, seeding every coordinate yields the value, gradient
-    and Hessian in a single pass. ``memo`` is an empty dict that a caller
-    creates for one walk, one ``env`` and one ring, passes to each
-    ``eval_expr`` of the walk and then drops: each distinct inner subtree
-    is then evaluated once, and a repeat returns the same value object.
+    Each distinct node becomes one instruction, in first-visit post-order:
+    ``run`` evaluates it once however many roots share it, in the order of
+    a plain walk of the roots, so it raises that walk's first error. Equal
+    nodes merge only when their literals also agree in type and sign and
+    their exponents in type, since ``Num(1) == Num(1.0)`` and
+    ``Num(0.0) == Num(-0.0)`` can evaluate differently.
     """
-    match e:
-        case Num(v):
-            return ring.lift_int(v) if isinstance(v, int) else ring.lift_float(v)
-        case ConstName(name):
-            return ring.named_constant(name)
-        case Var(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnknownIdentifierError(name) from None
-    if memo is not None:
-        hit = memo.get(e)
-        if hit is not None and hit[0] == e._sig:
-            return hit[1]
-    match e:
-        case Neg(arg):
-            value = -eval_expr(arg, env, ring, memo)
-        case Bin(op, l, r):
-            a = eval_expr(l, env, ring, memo)
-            b = eval_expr(r, env, ring, memo)
-            if op == "+":
-                value = a + b
+
+    def __init__(self, exprs: Iterable[Expr]):
+        self.code: list[tuple] = []   # (op, a, b): operands are earlier slots
+        slots: dict[tuple, int] = {}
+        self.roots = tuple(self._intern(e, slots) for e in exprs)
+
+    def _intern(self, e: Expr, slots: dict) -> int:
+        match e:
+            case Num(v):
+                ins, key = ("num", v, None), ("num", type(v), repr(v))
+            case Var(name):
+                ins = key = ("var", name, None)
+            case ConstName(name):
+                ins = key = ("const", name, None)
+            case Neg(arg):
+                ins = key = ("neg", self._intern(arg, slots), None)
+            case Bin(op, l, r):
+                ins = key = (op, self._intern(l, slots), self._intern(r, slots))
+            case Pow(base, k):
+                ins = ("^", self._intern(base, slots), k)
+                key = ins + (type(k), repr(k))
+            case Call(fn, args):
+                ins = key = ("call", fn, tuple(self._intern(a, slots) for a in args))
+            case _:
+                raise TypeError(f"not an expression node: {e!r}")
+        if key not in slots:
+            slots[key] = len(self.code)
+            self.code.append(ins)
+        return slots[key]
+
+    def run(self, env: Mapping[str, object], ring: Ring = REAL) -> list:
+        """The root values with coordinate values from ``env`` over ``ring``."""
+        vals = []
+        for op, a, b in self.code:
+            if op == "*":
+                v = vals[a] * vals[b]
+            elif op == "+":
+                v = vals[a] + vals[b]
             elif op == "-":
-                value = a - b
-            elif op == "*":
-                value = a * b
+                v = vals[a] - vals[b]
+            elif op == "/":
+                v = ring.div(vals[a], vals[b])
+            elif op == "^":
+                v = ring.pow_int(vals[a], b)
+            elif op == "neg":
+                v = -vals[a]
+            elif op == "call":
+                v = ring.call(a, [vals[i] for i in b])
+            elif op == "var":
+                try:
+                    v = env[a]
+                except KeyError:
+                    raise UnknownIdentifierError(a) from None
+            elif op == "num":
+                v = ring.lift_int(a) if isinstance(a, int) else ring.lift_float(a)
             else:
-                value = ring.div(a, b)
-        case Pow(base, k):
-            value = ring.pow_int(eval_expr(base, env, ring, memo), k)
-        case Call(fn, args):
-            value = ring.call(fn, [eval_expr(a, env, ring, memo) for a in args])
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
-    if memo is not None:
-        memo[e] = e._sig, value
-    return value
+                v = ring.named_constant(a)
+            vals.append(v)
+        return [vals[r] for r in self.roots]
+
+
+def eval_expr(e: Expr, env: Mapping[str, object], ring: Ring = REAL):
+    """Evaluate ``e`` with coordinate values from ``env`` over ``ring``; over
+    the jet ring, seeded coordinates give the value, gradient and Hessian."""
+    return Program([e]).run(env, ring)[0]

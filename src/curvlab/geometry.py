@@ -36,8 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import expr as ex
-from .chart import Chart
+from .chart import Chart, _expr_jets
 from .errors import SingularMetricError
 
 __all__ = [
@@ -83,24 +82,17 @@ class CurvatureAtPoint:
 
 def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     """The metric jets at a point ``p`` (d,), or at each row of ``p`` (N, d)
-    on a leading axis: one jet walk over the metric entries and all the
-    points, sharing one memo."""
+    on a leading axis: one jet run of the chart's metric program over all
+    the points."""
     d = chart.dim
     lead = np.shape(p)[:-1]
-    env, memo = chart.env(p, jets=True), {}
     g = np.empty(lead + (d, d))
     dg = np.empty(lead + (d, d, d))
     d2g = np.empty(lead + (d, d, d, d))
-    for i in range(d):
-        for j in range(i, d):
-            v = ex.eval_expr(chart.metric[i, j], env, ex.JET, memo)
-            if hasattr(v, "grad"):
-                val, grad, hess = v.value, v.grad, v.hess
-            else:
-                val, grad, hess = float(v), 0.0, 0.0
-            g[..., i, j] = g[..., j, i] = val
-            dg[..., i, j, :] = dg[..., j, i, :] = grad
-            d2g[..., i, j, :, :] = d2g[..., j, i, :, :] = hess
+    vals, grads, hess = _expr_jets(chart.metric_program, chart.env(p, jets=True), hessians=True)
+    i, j = np.array(chart.upper).T
+    for a, b in ((i, j), (j, i)):
+        g[..., a, b], dg[..., a, b, :], d2g[..., a, b, :, :] = vals, grads, hess
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:   # name the first singular point

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from curvlab import expr as ex
 from curvlab import geometry
 from curvlab import jet
 from curvlab.chart import _expr_jets, eval_field, eval_field_jets
@@ -155,7 +156,7 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
     fiber_conn = geometry.point_geometry(spec.fiber, pf)[0]
     g_base = spec.base.metric_at(pb)
     g_fiber = spec.fiber.metric_at(pf)
-    b, db = _expr_jets(spec.warping, spec.base.env(pb, jets=True))
+    (b,), (db,) = _expr_jets(ex.Program([spec.warping]), spec.base.env(pb, jets=True))
     if b <= 0.0:
         raise EvalDomainError(f"warping function not positive at {tuple(map(float, pb))}")
     dlnb = db / b
@@ -179,7 +180,8 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
 
 
 def _warping_jets(rb: RWarpedBundle, theta_val: float) -> tuple[float, float, float]:
-    f, df, ddf = _expr_jets(rb.warping, {rb.theta: jet.seed([theta_val], 0)}, hessians=True)
+    env = {rb.theta: jet.seed([theta_val], 0)}
+    (f,), (df,), (ddf,) = _expr_jets(ex.Program([rb.warping]), env, hessians=True)
     return float(f), float(df[0]), float(ddf[0, 0])
 
 

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import settings
 
 from curvlab.constructions.registry import (build_flat3, build_s2_round,
                                             build_h21_chart, build_flat_cosym5,
@@ -10,6 +11,11 @@ from curvlab.constructions.registry import (build_flat3, build_s2_round,
 from curvlab.chart import sample
 from curvlab.frame import heisenberg_h21
 from curvlab.structures import AlmostContactStructure, contact_point_data
+
+# every hypothesis test draws the same examples on every run, with no
+# example database carried between runs
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def record_at(s, p):

@@ -10,7 +10,8 @@ structure battery must match. ``connection_at_point``, ``curvature_at_point`` an
 batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
 match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
 that part for the batched hypersurface induction and its ambient Kähler
-check, and ``sample_per_scalar`` for the one-call draw of ``sample``. None
+check, ``sample_per_scalar`` for the one-call draw of ``sample``, and
+``walk`` for the interned ``expr.Program``. None
 of them reads the per-point records that the structure battery and the
 identity sweep work from (``contact_point_data`` and the
 exact frame tables of ``structures``), so an oracle that compares those
@@ -29,10 +30,38 @@ from typing import Sequence
 
 import numpy as np
 
+from curvlab import expr as ex
 from curvlab.chart import Chart, TensorField, _expr_jets, eval_field_jets
 from curvlab.frame import FrameGeometry, _rat
-from curvlab.errors import SingularMetricError
+from curvlab.errors import SingularMetricError, UnknownIdentifierError
 from curvlab.geometry import ConnectionAtPoint, CurvatureAtPoint, MetricJets, point_geometry
+
+
+def walk(e: ex.Expr, env, ring):
+    """``e`` over ``ring`` by a plain recursive walk that evaluates each
+    subtree wherever it occurs, children left to right."""
+    match e:
+        case ex.Num(v):
+            return ring.lift_int(v) if isinstance(v, int) else ring.lift_float(v)
+        case ex.ConstName(name):
+            return ring.named_constant(name)
+        case ex.Var(name):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnknownIdentifierError(name) from None
+        case ex.Neg(arg):
+            return -walk(arg, env, ring)
+        case ex.Bin(op, l, r):
+            a, b = walk(l, env, ring), walk(r, env, ring)
+            if op == "/":
+                return ring.div(a, b)
+            return a + b if op == "+" else a - b if op == "-" else a * b
+        case ex.Pow(base, k):
+            return ring.pow_int(walk(base, env, ring), k)
+        case ex.Call(fn, args):
+            return ring.call(fn, [walk(a, env, ring) for a in args])
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def connection_at_point(mj: MetricJets) -> ConnectionAtPoint:
@@ -197,8 +226,8 @@ def hypersurface_at_point(J: np.ndarray, patch, p: Sequence[float], g: np.ndarra
     residual is there when the template φ, ξ, η at ``p`` are given."""
     d = patch.chart.dim
     env = patch.chart.env(p, jets=True)
-    JF = _expr_jets(patch.immersion, env)[1]
-    N, dN = _expr_jets(patch.normal, env)
+    JF = _expr_jets(ex.Program(patch.immersion), env)[1]
+    N, dN = _expr_jets(ex.Program(patch.normal), env)
     G = JF.T @ JF
     Ginv = np.linalg.inv(G)
     A = -Ginv @ (JF.T @ dN)

@@ -103,6 +103,8 @@ def test_check_on_wrong_carrier_exit_two():
     pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\ndomain = "x in (0.99, 1)"\n[metric]\n'
                  b'g_11 = "exp(400*x)*exp(400*x)*0 + 1"\ng_22 = "1"\n',
                  "metric not positive definite at (0.99", id="nan_metric"),
+    pytest.param('[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "x^²"\n'.encode(),
+                 "exponent must be an integer literal", id="superscript_exponent"),
 ])
 def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
@@ -414,19 +416,22 @@ def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
 
 
 def test_one_jet_walk_of_immersion_and_normal(monkeypatch):
-    """report s5_in_c3 walks the immersion and the normal once each, over
-    all the sample points."""
+    """report s5_in_c3 runs one program, the immersion and then the normal,
+    once over all the sample points. Its normal is its immersion, so the
+    two halves of the program share their instructions."""
     import curvlab.constructions.hypersurface as hypersurface
     real, calls = hypersurface._expr_jets, []
 
-    def counting(exprs, env):
-        calls.append((len(exprs), next(iter(env.values())).value.shape))
-        return real(exprs, env)
+    def counting(program, env):
+        calls.append((program, next(iter(env.values())).value.shape))
+        return real(program, env)
 
     monkeypatch.setattr(hypersurface, "_expr_jets", counting)
     code, _, _ = invoke(["report", "s5_in_c3", "--samples", "20"])
     assert code == 0
-    assert calls == [(6, (20,)), (6, (20,))]
+    assert [(len(program.roots), shape) for program, shape in calls] == [(12, (20,))]
+    roots = calls[0][0].roots
+    assert roots[:6] == roots[6:]
 
 
 def test_one_field_evaluation_per_sample_point(monkeypatch):

@@ -10,6 +10,7 @@ from curvlab import expr as ex
 from curvlab import jet
 from curvlab.errors import (EvalDomainError, ExprSyntaxError, RingError,
                             UnknownIdentifierError)
+from reference import walk
 
 COORDS = ("x", "y", "u", "v", "z")
 
@@ -48,6 +49,19 @@ def test_non_integer_exponent_rejected():
         parse("x^2.5")
     with pytest.raises(ExprSyntaxError):
         parse("x^y")
+
+
+@pytest.mark.parametrize("text", ["x^-\t2", "x^-\u00a02"])
+def test_exponent_sign_may_be_followed_by_any_whitespace(text):
+    assert parse(text) == ex.Pow(ex.Var("x"), -2)
+
+
+@pytest.mark.parametrize("text", ["x^²", "x^-²", "²", "x*²", "1²"])
+def test_superscript_digits_are_syntax_errors(text):
+    """``str.isdigit`` admits superscripts, which ``int`` and ``float``
+    reject; the parser reads decimal digits only."""
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
 
 
 def test_whitespace_insensitive():
@@ -209,10 +223,10 @@ def test_real_equals_jet_value_exactly(text):
         assert real == jval.value
 
 
-# -- the per-walk memo ---------------------------------------------------------
+# -- the interned program -----------------------------------------------------
 
-MEMO_LEAVES = ["0", "1", "2", "3", "710", "0.5", "1.0", "1e-3", "x", "y", "pi"]
-MEMO_FUNCTIONS = ["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh"]
+WALK_LEAVES = ["0", "1", "2", "3", "710", "0.5", "1.0", "1e-3", "x", "y", "pi"]
+WALK_FUNCTIONS = ["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh"]
 
 
 @st.composite
@@ -222,7 +236,7 @@ def texts(draw, pool=(), depth=0):
     trees repeat those subtrees as equal but distinct objects."""
     kind = draw(st.integers(0, 6)) if depth < 3 else 0
     if kind == 0:
-        return draw(st.sampled_from(MEMO_LEAVES + [f"({t})" for t in pool]))
+        return draw(st.sampled_from(WALK_LEAVES + [f"({t})" for t in pool]))
     if kind == 1:
         return f"-({draw(texts(pool, depth + 1))})"
     if kind in (2, 3):
@@ -230,12 +244,12 @@ def texts(draw, pool=(), depth=0):
         return f"({draw(texts(pool, depth + 1))}) {op} ({draw(texts(pool, depth + 1))})"
     if kind == 4:
         return f"({draw(texts(pool, depth + 1))})^{draw(st.sampled_from([-2, -1, 0, 1, 2, 3, 40]))}"
-    return f"{draw(st.sampled_from(MEMO_FUNCTIONS))}({draw(texts(pool, depth + 1))})"
+    return f"{draw(st.sampled_from(WALK_FUNCTIONS))}({draw(texts(pool, depth + 1))})"
 
 
 @st.composite
 def walks(draw):
-    """A few expressions sharing subtrees, as the entries of one walk."""
+    """A few expressions sharing subtrees, as the roots of one program."""
     pool = draw(st.lists(texts(), min_size=1, max_size=3))
     return [parse(t) for t in draw(st.lists(texts(pool), min_size=1, max_size=4))]
 
@@ -251,15 +265,19 @@ def _bits(v):
     return type(v), repr(v)
 
 
-def _walk(exprs, env, ring, memo):
-    """Results of ``exprs`` in order, or the first error as (type, message)."""
-    out = []
+def _outcome(values):
+    """The bits of each value that ``values()`` returns, or its first error
+    as (type, message)."""
     try:
-        for e in exprs:
-            out.append(_bits(ex.eval_expr(e, env, ring, memo)))
-    except Exception as err:   # the memo must not change which error, nor its text
-        out.append((type(err), str(err)))
-    return out
+        return [_bits(v) for v in values()]
+    except Exception as err:   # the program must raise the walk's error, with its text
+        return type(err), str(err)
+
+
+def _assert_program_equals_walk(exprs, env, ring, program=None):
+    program = program or ex.Program(exprs)
+    assert (_outcome(lambda: program.run(env, ring))
+            == _outcome(lambda: [walk(e, env, ring) for e in exprs]))
 
 
 def _real_and_jet_envs(points):
@@ -271,14 +289,24 @@ def _real_and_jet_envs(points):
 @given(walks(), st.lists(st.tuples(st.sampled_from([0.0, -1.0, 2.0, 700.0]) | st.floats(-3, 3),
                                    st.floats(-3, 3)), min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_memo_walk_equals_walk_without_memo(exprs, points):
-    """One memo shared by every expression of a walk, at N points, on the
-    float and jet rings, gives each expression the values of a walk with no
-    memo bit for bit, and the same first error (log or sqrt of a negative,
-    overflow, division by zero) with the same message."""
+def test_program_equals_reference_walk(exprs, points):
+    """One program over the expressions, run at N points on the float and
+    jet rings, gives each root the value of a plain walk
+    (``reference.walk``) bit for bit, or the walk's first error (log or
+    sqrt of a negative, overflow, division by zero) with its message."""
     with np.errstate(all="ignore"):
         for env, ring in _real_and_jet_envs(points):
-            assert _walk(exprs, env, ring, {}) == _walk(exprs, env, ring, None)
+            _assert_program_equals_walk(exprs, env, ring)
+
+
+def test_program_raises_the_first_error_of_the_walk():
+    """Over the rational ring the walk stops at the first decimal literal or
+    named constant, in root order, and so does the program."""
+    exprs = [parse(t) for t in ("1/4 + x", "sin(y) + 0.5", "pi*x", "sin(y)")]
+    env = {"x": Fraction(1, 3), "y": Fraction(2)}
+    for roots in (exprs, exprs[2:], exprs[::-1], exprs[:1]):
+        _assert_program_equals_walk(roots, env, ex.RATIONAL)
+    assert ex.Program(exprs[:1]).run(env, ex.RATIONAL) == [Fraction(7, 12)]
 
 
 @pytest.mark.parametrize("pair", [
@@ -287,12 +315,15 @@ def test_memo_walk_equals_walk_without_memo(exprs, points):
 ])
 def test_memo_keeps_int_and_float_literals_apart(pair):
     """``Num(1) == Num(1.0)``, and so are the trees around them, but an int
-    and a float literal can evaluate differently. A memo hit needs the same
-    literal types too."""
-    exprs = [parse(t) for t in pair] + [parse(t) for t in reversed(pair)]
+    and a float literal can evaluate differently. As roots of one program
+    they stay apart."""
+    exprs = [parse(t) for t in pair]
     assert exprs[0] == exprs[1]
-    for env, ring in _real_and_jet_envs([[1.5, 0.0], [-2.0, 0.0]]):
-        assert _walk(exprs, env, ring, {}) == _walk(exprs, env, ring, None)
+    for roots in (exprs, exprs[::-1], exprs + exprs[::-1]):
+        program = ex.Program(roots)
+        assert program.roots[0] != program.roots[1]
+        for env, ring in _real_and_jet_envs([[1.5, 0.0], [-2.0, 0.0]]):
+            _assert_program_equals_walk(roots, env, ring, program)
 
 
 def test_memo_keeps_zero_signs_and_exponent_types_apart():
@@ -301,14 +332,24 @@ def test_memo_keeps_zero_signs_and_exponent_types_apart():
     powers = [ex.Pow(x, 2), ex.Pow(x, 2.0)]   # the jet ring rejects a float exponent
     for exprs in (signed, powers, powers[::-1]):
         assert exprs[0] == exprs[1]
+        program = ex.Program(exprs)
+        assert program.roots[0] != program.roots[1]
         for env, ring in _real_and_jet_envs([[1.5, 0.0]]):
-            assert _walk(exprs, env, ring, {}) == _walk(exprs, env, ring, None)
+            _assert_program_equals_walk(exprs, env, ring, program)
 
 
-def test_cached_hash_matches_equality_and_survives_pickling():
-    """The hash is cached at construction. String hashes are salted per
-    process, so a tree pickled in another process must hash as one built
-    here."""
+def test_program_interns_each_distinct_node_once():
+    """Equal subtrees built apart share one instruction; the roots read it."""
+    exprs = [parse(t) for t in ("sin(x)^2 + y", "y + sin(x)^2", "sin(x)^2 + y")]
+    program = ex.Program(exprs)
+    # x, sin(x), sin(x)^2, y, sin(x)^2 + y, y + sin(x)^2
+    assert len(program.code) == 6
+    assert program.roots == (4, 5, 4)
+
+
+def test_hash_matches_equality_and_survives_pickling():
+    """String hashes are salted per process, so a tree pickled in another
+    process must equal, and hash as, one built here."""
     import os
     import pickle
     import subprocess
@@ -321,5 +362,5 @@ def test_cached_hash_matches_equality_and_survives_pickling():
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     c = pickle.loads(subprocess.run([sys.executable, "-c", code], env=env,
                                     check=True, capture_output=True).stdout)
-    assert c == a and hash(c) == hash(a) and c._sig == a._sig
+    assert c == a and hash(c) == hash(a)
     assert len({c: 1, a: 2}) == 1

@@ -6,8 +6,8 @@ is strict JSON: NaN and Infinity are not JSON, so a non-finite residual
 must never reach stdout. The generators cover chart files (random metric
 expressions, optionally with a complex structure), frame files (bad
 indices, non-rational and out-of-range values) and raw text. The runs are
-derandomized and use no example database, so the suite stays
-deterministic.
+derandomized and use no example database (the profile that
+``conftest.py`` loads), so the suite stays deterministic.
 """
 
 import contextlib
@@ -117,8 +117,7 @@ c[1][1][3] = "1e400"
 """
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=st.one_of(chart_files(), frame_files(), raw_text), command=commands,
        opts=options, as_json=st.booleans())
 @example(text=OVERFLOWING_FRAME, command=["classify"], opts=[], as_json=False)

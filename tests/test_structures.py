@@ -31,22 +31,23 @@ def test_s5_validates(s5_example):
 def test_validate_differentiates_nothing(monkeypatch, s5_example):
     """validate reads g, φ, ξ and η of the point record: no field jets from
     a sample set, one batch of metric jets over its points, and no
-    expression evaluation at all once the record exists."""
+    expression program run at all once the record exists."""
     import curvlab.structures as structures
     from curvlab import expr, geometry
     s = s5_example.structure
     smp = sample(s.carrier, 20, seed=3)
     records = structures.contact_point_data(s, smp.points)
     calls = []
-    for mod, name in ((structures, "eval_field_jets"), (geometry, "metric_jets"),
-                      (expr, "eval_expr")):
-        real = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name:
+    for owner, name in ((structures, "eval_field_jets"), (geometry, "metric_jets"),
+                        (expr.Program, "run")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name:
                             calls.append((name, np.shape(a[1]))) or real(*a))
     from_records = validate(s, records)
     assert calls == []
     assert validate(s, smp) == from_records
-    assert [c for c in calls if c[0] != "eval_expr"] == [("metric_jets", smp.points.shape)]
+    assert [c for c in calls if c[0] != "run"] == [("metric_jets", smp.points.shape)]
+    assert ("run", ()) in calls
 
 
 def test_corrupted_phi_detected(sine_cone_cos):
