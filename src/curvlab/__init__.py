@@ -12,7 +12,7 @@ classification conditions.
 from .chart import Chart, Interval, SampleSet, TensorField, eval_field, sample
 from .frame import FrameGeometry, heisenberg_h21
 from .jet import Jet2, seed, seeds
-from .expr import eval_expr, parse_expr, to_text
+from .expr import eval_expr, parse_expr
 from .structures import (AlmostContactStructure, AlmostHermitianStructure,
                          ClassificationReport, check_kappa_mu, classify, validate)
 from .identities import (IdentityReport, check_c_alpha, check_contact,
@@ -24,7 +24,7 @@ __all__ = [
     "Chart", "Interval", "SampleSet", "TensorField", "eval_field", "sample",
     "FrameGeometry", "heisenberg_h21",
     "Jet2", "seed", "seeds",
-    "eval_expr", "parse_expr", "to_text",
+    "eval_expr", "parse_expr",
     "AlmostContactStructure", "AlmostHermitianStructure", "ClassificationReport",
     "check_kappa_mu", "classify", "validate",
     "IdentityReport", "check_c_alpha", "check_contact", "check_hermitian",

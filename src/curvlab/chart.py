@@ -9,6 +9,7 @@ one chart up to measure-zero sets that sampling avoids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -85,9 +86,13 @@ class Chart:
             raise ValueError("one domain interval per coordinate required")
         self.domain = tuple(domain)
         self.metric = self._symmetrize(metric)
-        # the upper triangle row by row, compiled once for metric_at and metric_jets
         self.upper = tuple((i, j) for i in range(self.dim) for j in range(i, self.dim))
-        self.metric_program = ex.Program(self.metric[ij] for ij in self.upper)
+
+    @functools.cached_property
+    def metric_program(self) -> ex.Program:
+        """The upper triangle row by row, compiled on first run, for
+        ``metric_at`` and ``metric_jets``."""
+        return ex.Program(self.metric[ij] for ij in self.upper)
 
     def _symmetrize(self, metric) -> np.ndarray:
         m = np.empty((self.dim, self.dim), dtype=object)
@@ -159,13 +164,11 @@ class TensorField:
 
     ``valence`` is one of ``vector`` (components ξ^i), ``oneform``
     (components η_i) or ``endomorphism`` (matrix φ^i_j, row = output index).
-    ``program`` holds the components, compiled in C order.
     """
 
     chart: Chart
     valence: str
     components: np.ndarray = field(repr=False)
-    program: ex.Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.valence not in _VALENCE_SHAPES:
@@ -184,7 +187,11 @@ class TensorField:
                 entry = ex.Num(0)
             parsed[idx] = entry
         object.__setattr__(self, "components", parsed)
-        object.__setattr__(self, "program", ex.Program(parsed.flat))
+
+    @functools.cached_property
+    def program(self) -> ex.Program:
+        """The components in C order, compiled on first run."""
+        return ex.Program(self.components.flat)
 
 
 def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:

@@ -34,7 +34,8 @@ from .identities import (check_c_alpha, check_contact, check_hermitian,
                          consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS)
 from .manifold_io import load_manifold_file
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, _finite,
-                         _point_record, check_kappa_mu, classify, default_samples)
+                         _point_record, check_kappa_mu, classify, default_samples,
+                         validate)
 from .constructions import (check_submersion_lift, induce_hypersurface,
                             registry_names, resolve_target)
 from . import geometry
@@ -101,7 +102,7 @@ def _resolve(target: str):
         if isinstance(obj, AlmostContactStructure):
             return ("contact", obj)
         if isinstance(obj, AlmostHermitianStructure):
-            return ("hermitian_structure", obj)
+            return ("hermitian", obj)
         if isinstance(obj, Chart):
             return ("chart", obj)
         return ("frame", obj)
@@ -124,8 +125,6 @@ def _contact_of(kind: str, obj):
 
 def _hermitian_of(kind: str, obj):
     if kind == "hermitian":
-        return obj.hermitian
-    if kind == "hermitian_structure":
         return obj
     raise InputError("target carries no almost Hermitian structure")
 
@@ -158,11 +157,18 @@ def _classify_rows(s, samples, tol) -> list[dict]:
 
 def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
     rows = []
-    for name, args in checks:
+    for i, (name, args) in enumerate(checks):
         s = _hermitian_of(kind, obj) if name in HERMITIAN_KINDS else _contact_of(kind, obj)
         # a target carries one structure: its point record is built at the
         # first check and read by every later one
         samples = _point_record(s, samples)
+        if i == 0 and name in HERMITIAN_KINDS:
+            # a Hermitian target takes only k1–k3, so J is validated once,
+            # here, as classify validates a contact structure
+            compat = max(validate(s, samples).values())
+            if compat > tol:
+                raise CurvlabError(
+                    f"structure fails compatibility validation (residual {compat:.3e})")
         if name == "classify":
             rows.extend(_classify_rows(s, samples, tol))
         elif name == "kappa_mu":
@@ -187,8 +193,7 @@ def _samples_for(kind: str, obj, n: int, seed: int):
         return None
     if kind == "chart":
         return sample(obj, n, seed)
-    s = _hermitian_of(kind, obj) if kind.startswith("hermitian") else _contact_of(kind, obj)
-    return default_samples(s, n, seed)
+    return default_samples(obj if kind == "hermitian" else _contact_of(kind, obj), n, seed)
 
 
 def _emit(args, target, seed, tol, rows) -> int:
@@ -271,7 +276,7 @@ def run(argv=None) -> int:
             checks = [_parse_check(tok) for tok in _split_checks(args.which)]
             if not checks:
                 raise InputError("no checks requested")
-        elif kind in ("hermitian", "hermitian_structure"):
+        elif kind == "hermitian":
             checks = [(k, ()) for k in HERMITIAN_KINDS]
         elif kind != "chart":
             checks = [("classify", ()), ("g1", ()), ("g2", ()), ("g3", ())]

@@ -14,29 +14,19 @@ the tests compare the engine against, live in ``tests/closed_forms.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import expr as ex
 from ..chart import Chart, Interval, TensorField
 from ..structures import AlmostContactStructure, AlmostHermitianStructure
 
-__all__ = ["ConeBundle", "build_cone"]
+__all__ = ["build_cone"]
 
 CONE_COORD = "t"
 
 
-@dataclass(frozen=True)
-class ConeBundle:
-    base: AlmostContactStructure
-    cone_chart: Chart
-    J: TensorField
-    hermitian: AlmostHermitianStructure
-
-
-def build_cone(s: AlmostContactStructure) -> ConeBundle:
-    """Assemble the cone chart and its almost complex structure.
+def build_cone(s: AlmostContactStructure) -> AlmostHermitianStructure:
+    """The cone over ``s``: its chart and almost complex structure J.
 
     Frame carriers are not supported; realize the group on its global chart
     first.
@@ -71,7 +61,5 @@ def build_cone(s: AlmostContactStructure) -> ConeBundle:
         J[0, i + 1] = ex.Bin("*", t, s.eta.components[i])
         for j in range(d):
             J[i + 1, j + 1] = s.phi.components[i, j]
-    Jf = TensorField(cone_chart, "endomorphism", J)
-    herm = AlmostHermitianStructure(cone_chart, Jf,
+    return AlmostHermitianStructure(cone_chart, TensorField(cone_chart, "endomorphism", J),
                                     name=f"cone_of({s.name or 'base'})")
-    return ConeBundle(base=s, cone_chart=cone_chart, J=Jf, hermitian=herm)

@@ -19,7 +19,9 @@ residuals need no template.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import expr as ex
@@ -35,8 +37,7 @@ __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
 @dataclass(frozen=True)
 class SurfacePatch:
     """Parameter chart, immersion and unit normal of a hypersurface, plus
-    the optional closed-form induced structure over the parameter chart.
-    ``program`` holds the immersion followed by the normal, compiled once."""
+    the optional closed-form induced structure over the parameter chart."""
 
     chart: Chart                 # parameter chart; metric = induced metric template
     immersion: tuple             # ambient coordinates as Expr over chart coords
@@ -45,14 +46,17 @@ class SurfacePatch:
     xi: TensorField | None = None
     eta: TensorField | None = None
     name: str = ""
-    program: ex.Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "immersion", tuple(
             self.chart.parse(e) if isinstance(e, str) else e for e in self.immersion))
         object.__setattr__(self, "normal", tuple(
             self.chart.parse(e) if isinstance(e, str) else e for e in self.normal))
-        object.__setattr__(self, "program", ex.Program(self.immersion + self.normal))
+
+    @functools.cached_property
+    def program(self) -> ex.Program:
+        """The immersion followed by the normal, compiled on first run."""
+        return ex.Program(self.immersion + self.normal)
 
     @property
     def has_structure(self) -> bool:

@@ -29,13 +29,13 @@ from ..chart import Chart, Interval, TensorField
 from ..frame import heisenberg_h21
 from ..structures import AlmostContactStructure, AlmostHermitianStructure
 from ..errors import RegistryError
-from .cone import ConeBundle, build_cone
+from .cone import build_cone
 from .hypersurface import SurfacePatch
 from .submersion import SubmersionPair
 from .warped import RWarpedBundle, build_r_warped_contact
 
 __all__ = ["ResolvedTarget", "registry_names", "resolve_target", "flat_chart",
-           "flat_kahler_r4", "flat_kahler_r2", "flat_kahler_c2", "ambient_c3",
+           "flat_kahler_r4", "flat_kahler_r2", "ambient_c3",
            "HypersurfaceExample",
            "build_flat3", "build_s2_round", "build_h21_chart", "build_flat_cosym5",
            "build_sine_cone", "build_r_warped_surface", "build_s5_in_c3",
@@ -91,12 +91,6 @@ def flat_kahler_r2() -> AlmostHermitianStructure:
     chart = flat_chart(("x", "y"), name="flat_r2")
     return AlmostHermitianStructure(chart, _rotation_block_J(chart, [(0, 1)]),
                                     name="flat_kahler_r2")
-
-
-def flat_kahler_c2() -> AlmostHermitianStructure:
-    chart = flat_chart(("x1", "y1", "x2", "y2"), name="flat_c2")
-    return AlmostHermitianStructure(chart, _rotation_block_J(chart, [(0, 1), (2, 3)]),
-                                    name="flat_c2")
 
 
 def ambient_c3() -> AlmostHermitianStructure:
@@ -346,9 +340,8 @@ def resolve_target(name: str) -> ResolvedTarget:
         else:
             raise RegistryError(f"cone_of needs a contact target, got {inner.kind}")
         try:
-            cb = build_cone(s)
+            return ResolvedTarget(name, "hermitian", build_cone(s))
         except ValueError as e:
             raise RegistryError(str(e)) from None
-        return ResolvedTarget(name, "hermitian", cb)
     raise RegistryError(f"unknown target {name!r}")
 

@@ -1,5 +1,5 @@
 """Submersion pairs: a contact total space fibered over an almost Hermitian
-base, with horizontal-lift machinery and the lift-relation checkers.
+base, with the lifted frame and the lift-relation checker.
 
 The projection is an expression map. At each point the lifts of the base
 coordinate fields are the columns of the lifted frame L, which solves
@@ -27,20 +27,21 @@ The relations checked against the generic chart engines on both levels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .. import expr as ex
 from .. import geometry
-from ..chart import _expr_jets, eval_field, eval_field_jets, sample
+from ..chart import _expr_jets, eval_field, eval_field_jets
 from ..identities import _closures, _slot_axes
 from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
                           _finite, _norm, _point_record)
 from ..errors import CurvlabError
 
-__all__ = ["SubmersionPair", "horizontal_lift", "check_submersion_lift"]
+__all__ = ["SubmersionPair", "check_submersion_lift"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class SubmersionPair:
     base: AlmostHermitianStructure     # dim n
     projection: tuple                  # base coords as Expr over total coords
     name: str = ""
-    program: ex.Program = field(init=False, repr=False, compare=False)   # the projection
 
     def __post_init__(self):
         if self.total.is_frame:
@@ -59,9 +59,13 @@ class SubmersionPair:
         object.__setattr__(self, "projection", tuple(
             self.total.carrier.parse(e) if isinstance(e, str) else e
             for e in self.projection))
-        object.__setattr__(self, "program", ex.Program(self.projection))
         if self.total.carrier.dim != self.base.chart.dim + 1:
             raise ValueError("total space must have one dimension more than the base")
+
+    @functools.cached_property
+    def program(self) -> ex.Program:
+        """The projection, compiled on first run."""
+        return ex.Program(self.projection)
 
 
 def _projection_jets(sp: SubmersionPair, p: Sequence[float]):
@@ -90,26 +94,17 @@ def _lifted_frame(p, dpi, eta, dM=None):
         raise
 
 
-def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
-    """The unique horizontal vector at ``p`` projecting onto ``X_base``."""
-    _, dpi, _ = _projection_jets(sp, p)
-    return _lifted_frame(p, dpi, eval_field(sp.total.eta, p)) @ np.asarray(X_base, dtype=float)
-
-
-def check_submersion_lift(sp: SubmersionPair, n_points: int = 20, seed: int = 42,
-                          samples: Samples = None) -> dict[str, float]:
+def check_submersion_lift(sp: SubmersionPair, samples: Samples = None) -> dict[str, float]:
     """Residuals of the lift relations at sampled total-space points.
 
     Every relation checked is tensorial in the base arguments, so the
     lifted frame (the lifts of the base coordinate fields) spans all
     vectors. Returns a dict of max residuals keyed by relation tag;
     ``dpi_xi`` is the invariant dπ(ξ) = 0. The total space's g, Γ, R, φ, ξ
-    and η come from the point record of ``samples``, by default
-    ``n_points`` points drawn with ``seed``.
+    and η come from the point record of ``samples``.
     """
     base_chart = sp.base.chart
-    rec = _point_record(sp.total, sample(sp.total.carrier, n_points, seed)
-                        if samples is None else samples)
+    rec = _point_record(sp.total, samples)
     base_pt, dpi, ddpi = _projection_jets(sp, rec.point)
     conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
     GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)

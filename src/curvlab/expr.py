@@ -10,7 +10,7 @@ then evaluates at all of them.
 A ``Program`` compiles a sequence of expressions once, into a flat list
 with one instruction per distinct node. Each owner of expressions (a
 chart's metric, a field's components, a construction's maps) compiles its
-program when it parses them and runs it once per ring and point batch.
+program on first run and runs it once per ring and point batch.
 ``eval_expr`` is the one-expression case.
 
 Grammar (whitespace-insensitive)::
@@ -40,7 +40,7 @@ from .errors import EvalDomainError, ExprSyntaxError, RingError, UnknownIdentifi
 
 __all__ = [
     "Expr", "Num", "ConstName", "Var", "Neg", "Bin", "Pow", "Call",
-    "parse_expr", "eval_expr", "Program", "to_text", "free_variables",
+    "parse_expr", "eval_expr", "Program", "free_variables",
     "REAL", "JET", "RATIONAL",
 ]
 
@@ -260,53 +260,6 @@ def parse_expr(text: str, coords: Sequence[str]) -> Expr:
     and :class:`UnknownIdentifierError` for undeclared identifiers.
     """
     return _Parser(text, coords).parse()
-
-
-# -- printer ------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
-
-
-def _prec(e: Expr) -> int:
-    match e:
-        case Bin(op, _, _):
-            return _PREC[op]
-        case Neg(_):
-            return _PREC["neg"]
-        case Pow(_, _):
-            return _PREC["pow"]
-        case _:
-            return _PREC["atom"]
-
-
-def to_text(e: Expr) -> str:
-    """Canonical text form; ``parse(to_text(parse(s)))`` is a fixed point."""
-
-    def wrap(child: Expr, minimum: int) -> str:
-        s = to_text(child)
-        return f"({s})" if _prec(child) < minimum else s
-
-    match e:
-        case Num(v):
-            return repr(v)
-        case ConstName(name):
-            return name
-        case Var(name):
-            return name
-        case Neg(arg):
-            return "-" + wrap(arg, _PREC["neg"])
-        case Bin(op, l, r):
-            p = _PREC[op]
-            # left-associative: right operand needs strictly higher precedence
-            left = wrap(l, p)
-            right = wrap(r, p + 1)
-            return f"{left} {op} {right}"
-        case Pow(base, k):
-            b = wrap(base, _PREC["atom"])
-            return f"{b}^{k}"
-        case Call(fn, args):
-            return f"{fn}(" + ", ".join(to_text(a) for a in args) + ")"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # -- rings and evaluation -------------------------------------------------------

@@ -259,6 +259,8 @@ def _build_frame(entries):
                 dim = int(value)
             except ValueError:
                 raise ManifoldFormatError("dim must be an integer", off) from None
+            if dim < 1:
+                raise ManifoldFormatError("dim must be a positive integer", off)
         else:
             values.append((key, value, off))
     if dim is None:

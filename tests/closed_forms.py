@@ -4,10 +4,13 @@ These are the structure theorems of ``curvlab.constructions`` written as
 formulas at one point: the cone's connection, curvature and ∇J from the
 base contact structure (``ConeOracle``); the warped product's Christoffel
 symbols block-wise from base, fiber and warping function
-(``warped_christoffel_oracle``); and the line-warped metric's connection
-and lowered curvature from the fiber and f, f′, f″
+(``warped_christoffel_oracle``, on the chart that ``build_warped`` makes
+from a ``WarpedSpec``); and the line-warped metric's connection and
+lowered curvature from the fiber and f, f′, f″
 (``r_warped_christoffel_oracle``, ``r_warped_riemann_oracle``). The tests
-compare the generic chart engine on the built charts against them. Base
+compare the generic chart engine on the built charts against them.
+``eq_for_g1_obstruction`` is the algebraic obstruction that forces fiber
+dimension 2 for the g1 identity of a line-warped structure. Base
 and fiber geometry comes from ``geometry.point_geometry`` at the one point,
 ∇ of a field from ``reference.nabla_of``.
 
@@ -17,6 +20,7 @@ Tests import this module the way they import ``conftest`` and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,25 +28,25 @@ import numpy as np
 from curvlab import expr as ex
 from curvlab import geometry
 from curvlab import jet
-from curvlab.chart import _expr_jets, eval_field, eval_field_jets
-from curvlab.constructions import ConeBundle, RWarpedBundle, WarpedSpec
+from curvlab.chart import Chart, SampleSet, _expr_jets, eval_field, eval_field_jets
+from curvlab.constructions import RWarpedBundle
 from curvlab.errors import EvalDomainError
+from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure, _checked, _norm
 from reference import nabla_of
 
 
 class ConeOracle:
-    """Closed-form predictions at one cone point, from base data only.
+    """Closed-form predictions at one point of the cone over the base
+    structure ``s``, from base data only.
 
     Vectors are passed in cone components (t-component first); the lifted
     base fields they represent have constant components.
     """
 
-    def __init__(self, cb: ConeBundle, p_cone: Sequence[float]):
-        self.cb = cb
+    def __init__(self, s: AlmostContactStructure, p_cone: Sequence[float]):
         self.p = np.asarray(p_cone, dtype=float)
         self.t = float(p_cone[0])
         self.q = np.asarray(p_cone[1:], dtype=float)
-        s = cb.base
         base = s.carrier
         self.g = base.metric_at(self.q)
         self.conn, curv = geometry.point_geometry(base, self.q)
@@ -142,6 +146,49 @@ class ConeOracle:
                         + float(X @ g @ pz) * float(Y @ g @ pw))
 
 
+@dataclass(frozen=True)
+class WarpedSpec:
+    """Base chart, fiber chart and the positive warping function over the
+    base coordinates."""
+
+    base: Chart
+    fiber: Chart
+    warping: ex.Expr
+    name: str = ""
+
+    def __post_init__(self):
+        if set(self.base.coords) & set(self.fiber.coords):
+            raise ValueError("base and fiber coordinate names must be disjoint")
+        free = ex.free_variables(self.warping)
+        if not free <= set(self.base.coords):
+            raise ValueError("warping function must depend on base coordinates only")
+
+
+def build_warped(spec: WarpedSpec) -> Chart:
+    """Product chart with fiber block scaled by the squared warping function.
+
+    The warping function is checked positive at sampled base points when the
+    chart is sampled (positive definiteness of the fiber block fails
+    otherwise).
+    """
+    nb, nf = spec.base.dim, spec.fiber.dim
+    d = nb + nf
+    coords = spec.base.coords + spec.fiber.coords
+    b2 = ex.Pow(spec.warping, 2)
+    metric = np.empty((d, d), dtype=object)
+    metric[:] = None
+    for i in range(nb):
+        for j in range(i, nb):
+            metric[i, j] = spec.base.metric[i, j]
+        for j in range(nf):
+            metric[i, nb + j] = ex.Num(0)
+    for i in range(nf):
+        for j in range(i, nf):
+            metric[nb + i, nb + j] = ex.Bin("*", b2, spec.fiber.metric[i, j])
+    domain = spec.base.domain + spec.fiber.domain
+    return Chart(coords, metric, domain, name=spec.name or "warped")
+
+
 def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarray:
     """Predicted Christoffel array of the product chart at ``p``.
 
@@ -237,3 +284,19 @@ def r_warped_riemann_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray
             out[w, nf, nf, x] = -k[x, w]
             out[nf, w, nf, x] = k[x, w]
     return out
+
+
+def eq_for_g1_obstruction(n: AlmostHermitianStructure, samples: SampleSet) -> float:
+    """Max norm of ḡ(JY, Z)JX − ḡ(JX, Z)JY + ḡ(X, Z)Y − ḡ(Y, Z)X over the
+    coordinate basis triples at the sampled points: the algebraic obstruction
+    forcing fiber dimension 2 for the g1 identity of a line-warped structure.
+    Identically zero in dimension 2, nonzero somewhere in dimension ≥ 4. The
+    map is trilinear, so the basis triples span every triple.
+    """
+    g, J = n.chart.metric_at(samples.points), eval_field(n.J, samples.points)
+    JT, eye = J.transpose(0, 2, 1), np.eye(n.dim)
+    gj = JT @ g     # gj[n, b, c] = ḡ(Je_b, e_c); row a of Jᵀ is Je_a
+    # q[n, a, b, c] is the vector at (X, Y, Z) = (e_a, e_b, e_c)
+    q = (np.einsum("nbc,nak->nabck", gj, JT) - np.einsum("nac,nbk->nabck", gj, JT)
+         + np.einsum("nac,bk->nabck", g, eye) - np.einsum("nbc,ak->nabck", g, eye))
+    return _checked("eq_for_g1_obstruction", _norm(g, q))

@@ -7,15 +7,24 @@ from hypothesis import settings
 from curvlab.constructions.registry import (build_flat3, build_s2_round,
                                             build_h21_chart, build_flat_cosym5,
                                             build_sine_cone, build_r_warped_surface,
-                                            build_s5_in_c3, build_hopf_pair)
+                                            build_s5_in_c3, build_hopf_pair,
+                                            _rotation_block_J, flat_chart)
 from curvlab.chart import sample
 from curvlab.frame import heisenberg_h21
-from curvlab.structures import AlmostContactStructure, contact_point_data
+from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure,
+                                contact_point_data)
 
 # every hypothesis test draws the same examples on every run, with no
 # example database carried between runs
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def flat_kahler_c2() -> AlmostHermitianStructure:
+    """Flat C² on (x1, y1, x2, y2) with J∂_x = ∂_y in each complex line."""
+    chart = flat_chart(("x1", "y1", "x2", "y2"), name="flat_c2")
+    return AlmostHermitianStructure(chart, _rotation_block_J(chart, [(0, 1), (2, 3)]),
+                                    name="flat_c2")
 
 
 def record_at(s, p):

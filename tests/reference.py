@@ -11,7 +11,10 @@ batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
 match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
 that part for the batched hypersurface induction and its ambient Kähler
 check, ``sample_per_scalar`` for the one-call draw of ``sample``, and
-``walk`` for the interned ``expr.Program``. None
+``walk`` for the interned ``expr.Program``. ``horizontal_lift`` is the
+lifted frame of ``check_submersion_lift`` applied to one base vector at
+one point, and ``to_text`` prints an expression back to text for the
+parser's round-trip tests. None
 of them reads the per-point records that the structure battery and the
 identity sweep work from (``contact_point_data`` and the
 exact frame tables of ``structures``), so an oracle that compares those
@@ -31,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from curvlab import expr as ex
-from curvlab.chart import Chart, TensorField, _expr_jets, eval_field_jets
+from curvlab.chart import Chart, TensorField, _expr_jets, eval_field, eval_field_jets
+from curvlab.constructions.submersion import SubmersionPair, _lifted_frame, _projection_jets
 from curvlab.frame import FrameGeometry, _rat
 from curvlab.errors import SingularMetricError, UnknownIdentifierError
 from curvlab.geometry import ConnectionAtPoint, CurvatureAtPoint, MetricJets, point_geometry
@@ -61,6 +65,51 @@ def walk(e: ex.Expr, env, ring):
             return ring.pow_int(walk(base, env, ring), k)
         case ex.Call(fn, args):
             return ring.call(fn, [walk(a, env, ring) for a in args])
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
+
+
+def _prec(e: ex.Expr) -> int:
+    match e:
+        case ex.Bin(op, _, _):
+            return _PREC[op]
+        case ex.Neg(_):
+            return _PREC["neg"]
+        case ex.Pow(_, _):
+            return _PREC["pow"]
+        case _:
+            return _PREC["atom"]
+
+
+def to_text(e: ex.Expr) -> str:
+    """Canonical text form; ``parse(to_text(parse(s)))`` is a fixed point."""
+
+    def wrap(child: ex.Expr, minimum: int) -> str:
+        s = to_text(child)
+        return f"({s})" if _prec(child) < minimum else s
+
+    match e:
+        case ex.Num(v):
+            return repr(v)
+        case ex.ConstName(name):
+            return name
+        case ex.Var(name):
+            return name
+        case ex.Neg(arg):
+            return "-" + wrap(arg, _PREC["neg"])
+        case ex.Bin(op, l, r):
+            p = _PREC[op]
+            # left-associative: right operand needs strictly higher precedence
+            left = wrap(l, p)
+            right = wrap(r, p + 1)
+            return f"{left} {op} {right}"
+        case ex.Pow(base, k):
+            b = wrap(base, _PREC["atom"])
+            return f"{b}^{k}"
+        case ex.Call(fn, args):
+            return f"{fn}(" + ", ".join(to_text(a) for a in args) + ")"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -260,3 +309,10 @@ def sample_per_scalar(chart: Chart, n_points: int, seed: int) -> np.ndarray:
     windows = [iv.sample_window() for iv in chart.domain]
     rng = np.random.default_rng(seed)
     return np.array([[rng.uniform(lo, hi) for lo, hi in windows] for _ in range(n_points)])
+
+
+def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
+    """The unique horizontal vector at ``p`` projecting onto ``X_base``:
+    L X with the lifted frame L of ``check_submersion_lift``."""
+    _, dpi, _ = _projection_jets(sp, p)
+    return _lifted_frame(p, dpi, eval_field(sp.total.eta, p)) @ np.asarray(X_base, dtype=float)

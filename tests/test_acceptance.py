@@ -130,10 +130,10 @@ def test_criterion_05_cone_theorems(s5_example, h21_chart, flat_cosym5):
     ok = True
     seen_true = seen_false = 0
     for name, base in bases.items():
-        cb = build_cone(base)
+        cone = build_cone(base)
         for i, (gk, kk) in enumerate((("g1", "k1"), ("g2", "k2"), ("g3", "k3"))):
             vg = check_contact(base, gk, tol=1e-7).verdict
-            vk = check_hermitian(cb.hermitian, kk, tol=1e-7).verdict
+            vk = check_hermitian(cone, kk, tol=1e-7).verdict
             if vg != vk:
                 ok = False
             seen_true += vg
@@ -148,19 +148,19 @@ def test_criterion_05_cone_theorems(s5_example, h21_chart, flat_cosym5):
 def test_criterion_06_cone_oracles(s5_example, h21_chart):
     worst = 0.0
     for base in (s5_example.structure, h21_chart):
-        cb = build_cone(base)
-        smp, vectors = sample_with_vectors(cb.cone_chart, 20, 4, seed=42)
+        cone = build_cone(base)
+        smp, vectors = sample_with_vectors(cone.chart, 20, 4, seed=42)
         for i in range(smp.n_points):
             p = smp.points[i]
-            oracle = ConeOracle(cb, p)
-            conn, curv = geo.point_geometry(cb.cone_chart, p)
+            oracle = ConeOracle(base, p)
+            conn, curv = geo.point_geometry(cone.chart, p)
             A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
             worst = max(worst, float(np.max(np.abs(
                 np.einsum("i,kij,j->k", A, conn.gamma, B) - oracle.connection(A, B)))))
             worst = max(worst, float(np.max(np.abs(
                 np.einsum("mijk,i,j,k->m", curv.riem13, A, B, C)
                 - oracle.curvature_op(A, B, C)))))
-            dJ = covariant_derivative(cb.cone_chart, cb.J, p, A)
+            dJ = covariant_derivative(cone.chart, cone.J, p, A)
             worst = max(worst, float(np.max(np.abs(dJ @ B - oracle.nabla_J(A, B)))))
     verdict(6, worst <= 1e-8,
             f"engine matches the cone connection/curvature/nabla-J closed "
@@ -169,15 +169,15 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
 
 # -- 7: Kähler cone iff Sasakian base --------------------------------------------------------
 
-def _max_nabla_J(cb, n_points=10, seed=42):
-    smp, vectors = sample_with_vectors(cb.cone_chart, n_points, 4, seed)
+def _max_nabla_J(cone, n_points=10, seed=42):
+    smp, vectors = sample_with_vectors(cone.chart, n_points, 4, seed)
     worst = 0.0
     for i in range(smp.n_points):
         p = smp.points[i]
-        g = cb.cone_chart.metric_at(p)
+        g = cone.chart.metric_at(p)
         for a in range(0, 4, 2):
             A, B = vectors[i][a], vectors[i][a + 1]
-            dJ = covariant_derivative(cb.cone_chart, cb.J, p, A) @ B
+            dJ = covariant_derivative(cone.chart, cone.J, p, A) @ B
             worst = max(worst, math.sqrt(max(float(dJ @ g @ dJ), 0.0)))
     return worst
 
@@ -227,7 +227,7 @@ def test_criterion_10_s5_hypersurface(s5_example):
 # -- 11: Hopf pair ------------------------------------------------------------------------------
 
 def test_criterion_11_hopf_pair(hopf_pair):
-    res = check_submersion_lift(hopf_pair, n_points=20, seed=42)
+    res = check_submersion_lift(hopf_pair, sample(hopf_pair.total.carrier, 20, 42))
     keys = ("lift_connection", "lift_xi", "lift_bracket", "lift_curvature",
             "lift_k1_consequence")
     worst = max(res[k] for k in keys)

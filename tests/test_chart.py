@@ -143,7 +143,7 @@ def _registry_charts():
                  "contact": lambda o: [o.carrier],
                  "hypersurface": lambda o: [o.structure.carrier, o.ambient.chart],
                  "pair": lambda o: [o.total.carrier, o.base.chart],
-                 "hermitian": lambda o: [o.cone_chart]}[t.kind](t.obj)
+                 "hermitian": lambda o: [o.chart]}[t.kind](t.obj)
         for k, c in enumerate(c for c in found if isinstance(c, Chart)):
             charts[f"{name}.{k}"] = c
     return charts

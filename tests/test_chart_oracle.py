@@ -140,7 +140,7 @@ def test_consequences_match_oracle(contact, seed):
 
 
 def test_hermitian_matches_oracle(seed):
-    h = resolve_target("cone_of:s5_in_c3").obj.hermitian
+    h = resolve_target("cone_of:s5_in_c3").obj
     smp = sample(h.chart, N_POINTS, seed)
     rows, values = brute_sweep(h, {kind: (lambda xi, d=defect: d)
                                    for kind, defect in _HERMITIAN_DEFECTS.items()},

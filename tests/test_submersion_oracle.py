@@ -167,10 +167,9 @@ FAILING = {"hopf_pair": (), "negated_j": ("lift_connection", "lift_bracket"),
 @pytest.mark.parametrize("name", PAIRS)
 def test_lift_tables_match_oracle(name, seed):
     sp = PAIRS[name]()
-    # the points of the default draw
-    points = sample(sp.total.carrier, N_POINTS, seed).points
-    want = oracle(sp, points)
-    got = check_submersion_lift(sp, n_points=N_POINTS, seed=seed)
+    smp = sample(sp.total.carrier, N_POINTS, seed)
+    want = oracle(sp, smp.points)
+    got = check_submersion_lift(sp, smp)
     assert tuple(got) == TAGS
     for tag in TAGS:
         assert abs(got[tag] - want[tag]) <= 1e-12 * max(1.0, abs(want[tag])), tag
