@@ -9,24 +9,25 @@ Hermitian curvature identities, their contact analogues and the related
 classification conditions.
 """
 
-from .chart import Chart, Interval, SampleSet, TensorField, eval_field, sample
+from .chart import Chart, Interval, TensorField, eval_field, sample
 from .frame import FrameGeometry, heisenberg_h21
 from .jet import Jet2, seed, seeds
 from .expr import eval_expr, parse_expr
 from .structures import (AlmostContactStructure, AlmostHermitianStructure,
-                         ClassificationReport, check_kappa_mu, classify, validate)
+                         ClassificationReport, check_kappa_mu, classify,
+                         contact_point_data, validate)
 from .identities import (IdentityReport, check_c_alpha, check_contact,
                          check_hermitian, consequence_suite)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "Interval", "SampleSet", "TensorField", "eval_field", "sample",
+    "Chart", "Interval", "TensorField", "eval_field", "sample",
     "FrameGeometry", "heisenberg_h21",
     "Jet2", "seed", "seeds",
     "eval_expr", "parse_expr",
     "AlmostContactStructure", "AlmostHermitianStructure", "ClassificationReport",
-    "check_kappa_mu", "classify", "validate",
+    "check_kappa_mu", "classify", "contact_point_data", "validate",
     "IdentityReport", "check_c_alpha", "check_contact", "check_hermitian",
     "consequence_suite",
     "__version__",

@@ -21,7 +21,7 @@ from . import jet
 from .errors import CurvlabError, SamplingError, SingularMetricError
 
 __all__ = [
-    "Interval", "Chart", "TensorField", "SampleSet",
+    "Interval", "Chart", "TensorField",
     "sample", "eval_field", "eval_field_jets",
     "DOMAIN_MARGIN", "POSITIVE_WINDOW", "UNBOUNDED_WINDOW",
 ]
@@ -237,20 +237,9 @@ def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.
     return vals.reshape(shape), grads.reshape(shape + grads.shape[-1:])
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Deterministic points inside a chart domain."""
-
-    points: np.ndarray   # (n_points, dim)
-    seed: int
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-
-def sample(chart: Chart, n_points: int, seed: int) -> SampleSet:
-    """Draw points uniformly from the bounded part of the domain.
+def sample(chart: Chart, n_points: int, seed: int) -> np.ndarray:
+    """Draw points uniformly from the bounded part of the domain, as an
+    (n_points, dim) array.
 
     Deterministic for a fixed ``(chart, n_points, seed)``. Unbounded
     coordinates are drawn from (−2, 2); strictly positive ones from (0.5, 3);
@@ -264,4 +253,4 @@ def sample(chart: Chart, n_points: int, seed: int) -> SampleSet:
     # one draw of N × d uniforms, row by row: the stream of N·d scalar draws
     pts = np.random.default_rng(seed).uniform(lo, hi, size=(n_points, chart.dim))
     chart.check_spd(pts)
-    return SampleSet(points=pts, seed=seed)
+    return pts

@@ -13,6 +13,11 @@ definition files. Exit status: 0 when every requested verdict holds, 1 when
 any check fails, 2 on input errors. The environment variable CURVLAB_SEED
 overrides the default sampling seed 42; an explicit --seed wins over both.
 A seed must be non-negative.
+
+An invocation is one pipeline: resolve the target to its object, parse the
+checks, draw the sample points, reject a check the target's structure
+cannot take, build the one point record that every check reads, compute the
+rows and emit them.
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ from .identities import (check_c_alpha, check_contact, check_hermitian,
                          consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS)
 from .manifold_io import load_manifold_file
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, _finite,
-                         _point_record, check_kappa_mu, classify, default_samples,
-                         validate)
-from .constructions import (check_submersion_lift, induce_hypersurface,
-                            registry_names, resolve_target)
+                         check_kappa_mu, classify, contact_point_data, validate)
+from .constructions import (HypersurfaceExample, SubmersionPair, check_submersion_lift,
+                            induce_hypersurface, registry_names, resolve_target)
 from . import geometry
 
 DEFAULT_SEED = 42
@@ -94,39 +98,16 @@ def _parse_check(token: str):
 
 
 def _resolve(target: str):
-    if os.path.exists(target) and os.path.isfile(target):
+    """The target's object: what a manifold file or registry name defines."""
+    if os.path.isfile(target):
         try:
-            obj = load_manifold_file(target)
+            return load_manifold_file(target)
         except ManifoldFormatError as e:
             raise InputError(f"malformed manifold file: {e}") from None
-        if isinstance(obj, AlmostContactStructure):
-            return ("contact", obj)
-        if isinstance(obj, AlmostHermitianStructure):
-            return ("hermitian", obj)
-        if isinstance(obj, Chart):
-            return ("chart", obj)
-        return ("frame", obj)
     try:
-        t = resolve_target(target)
+        return resolve_target(target)
     except RegistryError as e:
         raise InputError(str(e)) from None
-    return (t.kind, t.obj)
-
-
-def _contact_of(kind: str, obj):
-    if kind == "contact":
-        return obj
-    if kind == "hypersurface":
-        return obj.structure
-    if kind == "pair":
-        return obj.total
-    raise InputError("target carries no almost contact structure")
-
-
-def _hermitian_of(kind: str, obj):
-    if kind == "hermitian":
-        return obj
-    raise InputError("target carries no almost Hermitian structure")
 
 
 def _witness_json(w):
@@ -144,8 +125,8 @@ def _row(tag: str, residual: float, verdict: bool, witness=None, gate=True) -> d
     return row
 
 
-def _classify_rows(s, samples, tol) -> list[dict]:
-    rep = classify(s, samples, tol)
+def _classify_rows(s, rec, tol) -> list[dict]:
+    rep = classify(s, rec, tol)
     bools, res = rep.booleans(), rep.residuals()
     rows = [_row("classify.compatibility", res["compatibility"], bools["compatibility"])]
     rows += [_row(f"classify.{tag}", res[tag], res[tag] <= tol, gate=False)
@@ -155,45 +136,32 @@ def _classify_rows(s, samples, tol) -> list[dict]:
     return rows + [_row("classify.ric_xi_xi_minus_2n", ric, bools["k_contact_ricci"], gate=False)]
 
 
-def _identity_rows(kind: str, obj, checks, samples, tol) -> list[dict]:
+def _identity_rows(s, checks, rec, tol) -> list[dict]:
+    if isinstance(s, AlmostHermitianStructure):
+        # a Hermitian target takes only k1–k3, so J is validated once, here,
+        # as classify validates a contact structure
+        compat = max(validate(s, rec).values())
+        if compat > tol:
+            raise CurvlabError(
+                f"structure fails compatibility validation (residual {compat:.3e})")
     rows = []
-    for i, (name, args) in enumerate(checks):
-        s = _hermitian_of(kind, obj) if name in HERMITIAN_KINDS else _contact_of(kind, obj)
-        # a target carries one structure: its point record is built at the
-        # first check and read by every later one
-        samples = _point_record(s, samples)
-        if i == 0 and name in HERMITIAN_KINDS:
-            # a Hermitian target takes only k1–k3, so J is validated once,
-            # here, as classify validates a contact structure
-            compat = max(validate(s, samples).values())
-            if compat > tol:
-                raise CurvlabError(
-                    f"structure fails compatibility validation (residual {compat:.3e})")
+    for name, args in checks:
         if name == "classify":
-            rows.extend(_classify_rows(s, samples, tol))
+            rows.extend(_classify_rows(s, rec, tol))
         elif name == "kappa_mu":
-            residual = check_kappa_mu(s, args[0], args[1], samples)
+            residual = check_kappa_mu(s, args[0], args[1], rec)
             rows.append(_row(f"kappa-mu({float(args[0]):g},{float(args[1]):g})", residual,
                              residual <= tol))
         elif name == "consequences":
             for g_kind in CONTACT_KINDS:
-                for rep in consequence_suite(s, g_kind, samples, tol).values():
+                for rep in consequence_suite(s, g_kind, rec, tol).values():
                     rows.append(_row(rep.tag, rep.residual, rep.verdict))
         else:
-            rep = (check_hermitian(s, name, samples, tol) if name in HERMITIAN_KINDS
-                   else check_c_alpha(s, args[0], samples, tol) if name == "c_alpha"
-                   else check_contact(s, name, samples, tol))
+            rep = (check_hermitian(s, name, rec, tol) if name in HERMITIAN_KINDS
+                   else check_c_alpha(s, args[0], rec, tol) if name == "c_alpha"
+                   else check_contact(s, name, rec, tol))
             rows.append(_row(rep.tag, rep.residual, rep.verdict, _witness_json(rep.witness)))
     return rows
-
-
-def _samples_for(kind: str, obj, n: int, seed: int):
-    """The target's sample set; None on a frame, which samples nothing."""
-    if kind == "frame":
-        return None
-    if kind == "chart":
-        return sample(obj, n, seed)
-    return default_samples(obj if kind == "hermitian" else _contact_of(kind, obj), n, seed)
 
 
 def _emit(args, target, seed, tol, rows) -> int:
@@ -269,35 +237,45 @@ def run(argv=None) -> int:
         return 2
 
     try:
-        kind, obj = _resolve(args.target)
+        obj = _resolve(args.target)
+        # the structure every check reads: a pair's total space, a
+        # hypersurface's induced structure, or the target itself
+        s = (obj.total if isinstance(obj, SubmersionPair)
+             else obj.structure if isinstance(obj, HypersurfaceExample) else obj)
         if args.command == "classify":
             checks = [("classify", ())]
         elif args.command == "identities":
             checks = [_parse_check(tok) for tok in _split_checks(args.which)]
             if not checks:
                 raise InputError("no checks requested")
-        elif kind == "hermitian":
+        elif isinstance(s, AlmostHermitianStructure):
             checks = [(k, ()) for k in HERMITIAN_KINDS]
-        elif kind != "chart":
+        elif not isinstance(s, Chart):
             checks = [("classify", ()), ("g1", ()), ("g2", ()), ("g3", ())]
         else:   # report on a bare chart: the curvature symmetries
             checks = []
-        samples = _samples_for(kind, obj, args.samples, seed)
-        report = args.command == "report"
-        if report and kind == "chart":
-            res = geometry.curvature_symmetry_residuals(_point_record(obj, samples))
+        # sampling checks the metric at the points; a frame samples nothing
+        chart = (s.chart if isinstance(s, AlmostHermitianStructure)
+                 else s.carrier if isinstance(s, AlmostContactStructure) else s)
+        points = sample(chart, args.samples, seed) if isinstance(chart, Chart) else None
+        for name, _ in checks:
+            if name in HERMITIAN_KINDS and not isinstance(s, AlmostHermitianStructure):
+                raise InputError("target carries no almost Hermitian structure")
+            if name not in HERMITIAN_KINDS and not isinstance(s, AlmostContactStructure):
+                raise InputError("target carries no almost contact structure")
+        rec = contact_point_data(s, points)
+        if isinstance(s, Chart):
+            res = geometry.curvature_symmetry_residuals(rec)
             rows = [_row(f"symmetry.{k}", v, v <= 1e-9)
                     for k, v in _finite("symmetry", res).items()]
         else:
-            if report and kind in ("pair", "hypersurface"):
-                # the lift and induction rows read the checks' point record too
-                samples = _point_record(_contact_of(kind, obj), samples)
-            rows = _identity_rows(kind, obj, checks, samples, args.tol)
-        if report and kind == "pair":
-            for tag, residual in check_submersion_lift(obj, samples=samples).items():
+            rows = _identity_rows(s, checks, rec, args.tol)
+        report = args.command == "report"
+        if report and isinstance(obj, SubmersionPair):
+            for tag, residual in check_submersion_lift(obj, rec).items():
                 rows.append(_row(f"lift.{tag}", residual, residual <= args.tol))
-        if report and kind == "hypersurface":
-            rep = induce_hypersurface(obj.ambient, obj.patch, samples, args.tol)
+        if report and isinstance(obj, HypersurfaceExample):
+            rep = induce_hypersurface(obj.ambient, obj.patch, rec, args.tol)
             for tag, residual in (("umbilicity", rep.umbilicity),
                                   ("beta_plus_one", abs(rep.beta_mean + 1.0)),
                                   ("h_xi", rep.h_xi_residual),

@@ -7,12 +7,11 @@ from .cone import build_cone
 from .warped import RWarpedBundle, build_r_warped_contact
 from .hypersurface import SurfacePatch, HypersurfaceReport, induce_hypersurface
 from .submersion import SubmersionPair, check_submersion_lift
-from .registry import (registry_names, resolve_target, ResolvedTarget,
-                       HypersurfaceExample)
+from .registry import registry_names, resolve_target, HypersurfaceExample
 
 __all__ = [
     "build_cone", "RWarpedBundle", "build_r_warped_contact",
     "SurfacePatch", "HypersurfaceReport", "induce_hypersurface",
     "SubmersionPair", "check_submersion_lift",
-    "registry_names", "resolve_target", "ResolvedTarget", "HypersurfaceExample",
+    "registry_names", "resolve_target", "HypersurfaceExample",
 ]

@@ -12,9 +12,9 @@ normal are expression lists over the chart coordinates, and all ambient
 derivatives come from jets of those expressions. Because chart fields must
 be closed-form expressions (the expression layer does no symbolic
 differentiation), the induced structure on the parameter chart is supplied
-as a closed-form template and validated pointwise against the
-immersion-derived values; umbilicity, β and the second-fundamental-form
-residuals need no template.
+as a closed-form structure beside the patch, and its point record is
+validated pointwise against the immersion-derived values; umbilicity, β and
+the second-fundamental-form residuals need no structure.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 
 from .. import expr as ex
 from .. import geometry
-from ..chart import Chart, TensorField, _expr_jets, eval_field_jets, sample
-from ..structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
-                          Samples, _checked, _finite, _point_record)
+from ..chart import Chart, _expr_jets, eval_field_jets, sample
+from ..structures import AlmostHermitianStructure, PointRecord, _checked, _finite
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -36,16 +35,11 @@ __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Parameter chart, immersion and unit normal of a hypersurface, plus
-    the optional closed-form induced structure over the parameter chart."""
+    """Parameter chart, immersion and unit normal of a hypersurface."""
 
     chart: Chart                 # parameter chart; metric = induced metric template
     immersion: tuple             # ambient coordinates as Expr over chart coords
     normal: tuple                # unit normal components as Expr
-    phi: TensorField | None = None
-    xi: TensorField | None = None
-    eta: TensorField | None = None
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "immersion", tuple(
@@ -58,20 +52,16 @@ class SurfacePatch:
         """The immersion followed by the normal, compiled on first run."""
         return ex.Program(self.immersion + self.normal)
 
-    @property
-    def has_structure(self) -> bool:
-        return self.phi is not None and self.xi is not None and self.eta is not None
-
 
 @dataclass
 class HypersurfaceReport:
-    """Induction results over a sample set.
+    """Induction results at the points of a point record.
 
     ``beta`` is the per-point Rayleigh fit trace(A)/dim; ``umbilicity`` the
     max entry of |A − βI| over all points; ``h_xi_residual`` the defect of
     h(X, ξ) = η(AX) over the coordinate basis; ``pullback_residual`` and
-    ``structure_residual`` the template-vs-immersion mismatches (zero-length
-    template checks report 0).
+    ``structure_residual`` the mismatches of the record's metric and
+    structure with the immersion (0 when the record carries no structure).
     """
 
     points: np.ndarray
@@ -83,7 +73,6 @@ class HypersurfaceReport:
     normal_tangency_residual: float
     pullback_residual: float
     structure_residual: float
-    induced: AlmostContactStructure | None
 
 
 def _per_point(a: np.ndarray) -> np.ndarray:
@@ -103,7 +92,9 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
     """The induction at every point of ``rec`` at once, from one jet run of
     the patch's program (immersion and normal): β, the Weingarten matrices A and
     ξ = −JN in chart components, each on the leading point axis, and the
-    per-point residuals keyed by row name.
+    per-point residuals keyed by row name. The structure row compares the
+    immersion with the structure of ``rec`` and is present iff ``rec``
+    carries one.
 
     Raises at the first point whose normal is not unit (EvalDomainError if
     it is NaN) or whose immersion Jacobian is not finite or rank-deficient,
@@ -141,7 +132,7 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
            "umbilicity": _per_point(A - beta[:, None, None] * np.eye(d)),
            "h_xi": _per_point(Nrow @ (-J @ dN) - xi[:, None, :] @ G @ A),
            "pullback": _per_point(G - rec.g)}
-    if patch.has_structure:
+    if rec.phi is not None:
         # J (dF e_j) = dF (φ e_j) + η_j N, column by column
         res["structure"] = np.max([
             _per_point(xi - rec.xi),
@@ -151,32 +142,24 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
 
 
 def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
-                        samples: Samples = None, tol: float = 1e-7) -> HypersurfaceReport:
-    """Run the induction over sampled parameter points, as one array
-    evaluation over all of them.
+                        rec: PointRecord, tol: float = 1e-7) -> HypersurfaceReport:
+    """Run the induction at the points of ``rec``, a point record of the
+    parameter chart, as one array evaluation over all of them.
 
     Raises on a non-Kähler ambient, then at the first point with a non-unit
-    normal or a non-finite or rank-deficient immersion Jacobian. When the
-    patch carries a structure template, the template metric is checked
-    against the first-fundamental form and (φ, ξ, η) against the
-    JX = φX + η(X)N decomposition with ξ = −JN. The ambient's J is read at
-    the Kähler check's probes; a flat Kähler ambient has it constant.
-    ``samples``: a sample set of the parameter chart, or its point record.
+    normal or a non-finite or rank-deficient immersion Jacobian. The record's
+    metric is checked against the first fundamental form and, when the record
+    carries a structure, its (φ, ξ, η) against the JX = φX + η(X)N
+    decomposition with ξ = −JN. The ambient's J is read at the Kähler check's
+    probes; a flat Kähler ambient has it constant.
     """
-    J, nabla_J = _ambient_kahler(ambient, sample(ambient.chart, 3, seed=7).points)
+    J, nabla_J = _ambient_kahler(ambient, sample(ambient.chart, 3, seed=7))
     kahler = _checked("hypersurface.ambient_kahler", np.max(nabla_J))
     if kahler > tol:
         raise CurvlabError(f"ambient structure is not Kähler (∇J residual {kahler:.2e})")
-    chart = patch.chart
     nA = ambient.chart.dim
     if len(patch.immersion) != nA or len(patch.normal) != nA:
         raise ValueError("immersion and normal must have one entry per ambient coordinate")
-    induced = AlmostContactStructure(
-        carrier=chart, phi=patch.phi, xi=patch.xi, eta=patch.eta,
-        name=patch.name or chart.name) if patch.has_structure else None
-    rec = _point_record(induced or chart, sample(chart, 20, seed=42)
-                        if samples is None else samples)
-
     beta, _, _, res = _induction(J[0], patch, rec)
     worst = _finite("hypersurface", {k: np.max(v) for k, v in res.items()})
     return HypersurfaceReport(
@@ -185,5 +168,4 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
         h_xi_residual=worst["h_xi"], normal_unit_residual=worst["normal_unit"],
         normal_tangency_residual=worst["normal_tangency"],
         pullback_residual=worst["pullback"],
-        structure_residual=worst.get("structure", 0.0),
-        induced=induced)
+        structure_residual=worst.get("structure", 0.0))

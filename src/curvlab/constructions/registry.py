@@ -34,19 +34,12 @@ from .hypersurface import SurfacePatch
 from .submersion import SubmersionPair
 from .warped import RWarpedBundle, build_r_warped_contact
 
-__all__ = ["ResolvedTarget", "registry_names", "resolve_target", "flat_chart",
+__all__ = ["registry_names", "resolve_target", "flat_chart",
            "flat_kahler_r4", "flat_kahler_r2", "ambient_c3",
            "HypersurfaceExample",
            "build_flat3", "build_s2_round", "build_h21_chart", "build_flat_cosym5",
            "build_sine_cone", "build_r_warped_surface", "build_s5_in_c3",
            "build_hopf_pair"]
-
-
-@dataclass(frozen=True)
-class ResolvedTarget:
-    name: str
-    kind: str  # "chart" | "contact" | "hermitian" | "pair" | "hypersurface"
-    obj: object
 
 
 @dataclass(frozen=True)
@@ -225,8 +218,7 @@ def build_s5_in_c3() -> HypersurfaceExample:
         "sin(a)*cos(b)*cos(p2)", "sin(a)*cos(b)*sin(p2)",
         "sin(a)*sin(b)*cos(p3)", "sin(a)*sin(b)*sin(p3)",
     )
-    patch = SurfacePatch(chart=chart, immersion=immersion, normal=immersion,
-                         phi=phi_f, xi=xi_f, eta=eta_f, name="s5_in_c3")
+    patch = SurfacePatch(chart=chart, immersion=immersion, normal=immersion)
     structure = AlmostContactStructure(carrier=chart, phi=phi_f, xi=xi_f,
                                        eta=eta_f, name="s5_in_c3")
     return HypersurfaceExample(structure=structure, patch=patch, ambient=ambient_c3())
@@ -295,53 +287,53 @@ def registry_names() -> list[str]:
             "s5_in_c3", "cone_of:<contact target>", "hopf_pair"]
 
 
-def resolve_target(name: str) -> ResolvedTarget:
-    """Resolve a registry target name, with inline parameters."""
+def resolve_target(name: str):
+    """Resolve a registry target name, with inline parameters, to its object:
+    a ``Chart``, an ``AlmostContactStructure``, an
+    ``AlmostHermitianStructure``, a ``SubmersionPair`` or a
+    ``HypersurfaceExample``."""
     base, _, arg = name.partition(":")
     base = base.strip()
     if base == "flat3":
-        return ResolvedTarget(name, "chart", build_flat3())
+        return build_flat3()
     if base == "s2_round":
-        return ResolvedTarget(name, "chart", build_s2_round())
+        return build_s2_round()
     if base == "h21":
         c, s = _parse_cs(arg) if arg else (Fraction(3, 5), Fraction(4, 5))
         try:
             fg = heisenberg_h21(c, s)
         except ValueError as e:
             raise RegistryError(str(e)) from None
-        return ResolvedTarget(name, "contact",
-                              AlmostContactStructure(fg, name=f"h21({c},{s})"))
+        return AlmostContactStructure(fg, name=f"h21({c},{s})")
     if base == "h21_chart":
         c, s = _parse_cs(arg) if arg else (Fraction(3, 5), Fraction(4, 5))
         try:
-            return ResolvedTarget(name, "contact", build_h21_chart(c, s))
+            return build_h21_chart(c, s)
         except ValueError as e:
             raise RegistryError(str(e)) from None
     if base == "flat_cosym5":
-        return ResolvedTarget(name, "contact", build_flat_cosym5())
+        return build_flat_cosym5()
     if base == "sine_cone_cos":
-        return ResolvedTarget(name, "contact", build_sine_cone("cos").structure)
+        return build_sine_cone("cos").structure
     if base == "sine_cone_sin":
-        return ResolvedTarget(name, "contact", build_sine_cone("sin").structure)
+        return build_sine_cone("sin").structure
     if base == "r_warped_surface":
-        return ResolvedTarget(name, "contact", build_r_warped_surface().structure)
+        return build_r_warped_surface().structure
     if base == "s5_in_c3":
-        return ResolvedTarget(name, "hypersurface", build_s5_in_c3())
+        return build_s5_in_c3()
     if base == "hopf_pair":
-        return ResolvedTarget(name, "pair", build_hopf_pair())
+        return build_hopf_pair()
     if base == "cone_of":
         if not arg:
             raise RegistryError("cone_of needs a contact target, e.g. cone_of:s5_in_c3")
         inner = resolve_target(arg)
-        if inner.kind == "hypersurface":
-            s = inner.obj.structure
-        elif inner.kind == "contact":
-            s = inner.obj
-        else:
-            raise RegistryError(f"cone_of needs a contact target, got {inner.kind}")
+        s = inner.structure if isinstance(inner, HypersurfaceExample) else inner
+        if not isinstance(s, AlmostContactStructure):
+            got = ("chart" if isinstance(s, Chart) else "pair" if isinstance(s, SubmersionPair)
+                   else "hermitian")
+            raise RegistryError(f"cone_of needs a contact target, got {got}")
         try:
-            return ResolvedTarget(name, "hermitian", build_cone(s))
+            return build_cone(s)
         except ValueError as e:
             raise RegistryError(str(e)) from None
     raise RegistryError(f"unknown target {name!r}")
-

@@ -37,8 +37,8 @@ from .. import expr as ex
 from .. import geometry
 from ..chart import _expr_jets, eval_field, eval_field_jets
 from ..identities import _closures, _slot_axes
-from ..structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                          _finite, _norm, _point_record)
+from ..structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
+                          _finite, _norm)
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "check_submersion_lift"]
@@ -73,17 +73,17 @@ def _projection_jets(sp: SubmersionPair, p: Sequence[float]):
     return _expr_jets(sp.program, sp.total.carrier.env(p, jets=True), hessians=True)
 
 
-def _lifted_frame(p, dpi, eta, dM=None):
+def _lifted_frame(p, dpi, eta, dM):
     """L, whose column a is the lift of the base coordinate field e_a at
-    ``p``: [dπ; η] L = [I; 0]. Given the stacked ``dM[m]`` = ∂_m [dπ; η],
-    also dL with dL[m] = ∂_m L = −M⁻¹ (∂_m M) L. At N points, on a leading
-    axis, one stacked solve each; a singular M names its first point."""
+    ``p``: [dπ; η] L = [I; 0], and from the stacked ``dM[m]`` = ∂_m [dπ; η]
+    its derivatives dL[m] = ∂_m L = −M⁻¹ (∂_m M) L. At N points, on a
+    leading axis, one stacked solve each; a singular M names its first
+    point."""
     M = np.concatenate([dpi, eta[..., None, :]], axis=-2)
     rhs = np.eye(M.shape[-1])[:, :dpi.shape[-2]]
     try:
         L = np.linalg.solve(M, np.broadcast_to(rhs, M.shape[:-1] + rhs.shape[-1:]))
-        return L if dM is None else (L, -np.linalg.solve(M[..., None, :, :],
-                                                         dM @ L[..., None, :, :]))
+        return L, -np.linalg.solve(M[..., None, :, :], dM @ L[..., None, :, :])
     except np.linalg.LinAlgError as e:
         for q, Mq in zip(np.reshape(p, (-1, M.shape[-1])), M.reshape((-1,) + M.shape[-2:])):
             try:
@@ -94,17 +94,16 @@ def _lifted_frame(p, dpi, eta, dM=None):
         raise
 
 
-def check_submersion_lift(sp: SubmersionPair, samples: Samples = None) -> dict[str, float]:
+def check_submersion_lift(sp: SubmersionPair, rec: PointRecord) -> dict[str, float]:
     """Residuals of the lift relations at sampled total-space points.
 
     Every relation checked is tensorial in the base arguments, so the
     lifted frame (the lifts of the base coordinate fields) spans all
     vectors. Returns a dict of max residuals keyed by relation tag;
     ``dpi_xi`` is the invariant dπ(ξ) = 0. The total space's g, Γ, R, φ, ξ
-    and η come from the point record of ``samples``.
+    and η come from ``rec``, the point record of ``sp.total``.
     """
     base_chart = sp.base.chart
-    rec = _point_record(sp.total, samples)
     base_pt, dpi, ddpi = _projection_jets(sp, rec.point)
     conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
     GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)

@@ -31,10 +31,6 @@ class RWarpedBundle:
     warping: ex.Expr
     theta: str  # line coordinate name, appended last
 
-    @property
-    def chart(self) -> Chart:
-        return self.structure.carrier
-
 
 def build_r_warped_contact(n: AlmostHermitianStructure, f_text: str | ex.Expr,
                            theta: str = "z",

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from .frame import _contract, _rat
-from .structures import (AlmostContactStructure, AlmostHermitianStructure, Samples,
-                         _checked, _point_record, contact_point_data)
+from .structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
+                         _checked, contact_point_data)
 
 __all__ = [
     "IdentityReport", "Witness",
@@ -193,21 +192,25 @@ def _closures(riem, g, phi, eta):
     return r4, gd, phv, etv
 
 
-def _sweep(s, rows: dict, samples: Samples, tol: float,
+def _xi_slot(t: PointRecord) -> np.ndarray:
+    """ξ of the record as a slot batch: on no slot axis."""
+    return t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)
+
+
+def _sweep(rows: dict, t: PointRecord, tol: float,
            perp: bool = False) -> dict[str, IdentityReport]:
-    """One report per ``rows`` entry (tag → function of ξ giving the defect),
-    with every swept vector v replaced by v − η(v)ξ when ``perp``. Exact
-    (object) tables give exact residuals."""
-    t = _point_record(s, samples)
+    """One report per ``rows`` entry (tag → defect) over the bases of the
+    record ``t``, with every swept vector v replaced by v − η(v)ξ when
+    ``perp``. Exact (object) tables give exact residuals."""
     closures = r4, gd, phv, etv = _closures(t.riem, t.g, t.phi, t.eta)
     slots = _slot_axes(t.E)
-    xi = t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)
     if perp:
+        xi = _xi_slot(t)
         slots = [v - etv(v)[..., None] * xi for v in slots]
     shape = t.E.shape[:2] + t.E.shape[1:2] * 3
     reports = {}
-    for tag, defect_at in rows.items():
-        vals = np.abs(np.broadcast_to(defect_at(xi)(*closures, *slots), shape))
+    for tag, defect in rows.items():
+        vals = np.abs(np.broadcast_to(defect(*closures, *slots), shape))
         idx = np.unravel_index(np.argmax(vals), shape)
         residual = _checked(tag, vals[idx])
         witness = Witness(None if t.point is None else tuple(t.point[idx[0]].tolist()),
@@ -223,19 +226,19 @@ def _sweep(s, rows: dict, samples: Samples, tol: float,
 
 
 def check_hermitian(h: AlmostHermitianStructure, kind: str,
-                    samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
+                    rec: PointRecord, tol: float = 1e-7) -> IdentityReport:
     """Max residual of the Hermitian identity ``kind`` over the quadruples of
-    E(p) at the sample points."""
+    E(p) at the points of ``rec``, the point record of ``h``."""
     kind = kind.lower()
     if kind not in _HERMITIAN_DEFECTS:
         raise ValueError(f"unknown hermitian identity {kind!r}")
-    defect = _HERMITIAN_DEFECTS[kind]
-    return _sweep(h, {kind: lambda xi: defect}, samples, tol)[kind]
+    return _sweep({kind: _HERMITIAN_DEFECTS[kind]}, rec, tol)[kind]
 
 
 def check_contact(s: AlmostContactStructure, kind: str,
-                  samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
-    """Max residual of the contact identity ``kind``.
+                  rec: PointRecord, tol: float = 1e-7) -> IdentityReport:
+    """Max residual of the contact identity ``kind`` over the bases of
+    ``rec``, the point record of ``s``.
 
     Frame carriers are swept exactly; the report then carries the residual
     as a Fraction in ``exact``.
@@ -243,8 +246,7 @@ def check_contact(s: AlmostContactStructure, kind: str,
     kind = kind.lower()
     if kind not in _CONTACT_DEFECTS:
         raise ValueError(f"unknown contact identity {kind!r}")
-    defect = _CONTACT_DEFECTS[kind]
-    return _sweep(s, {kind: lambda xi: defect}, samples, tol)[kind]
+    return _sweep({kind: _CONTACT_DEFECTS[kind]}, rec, tol)[kind]
 
 
 def _c_alpha_defect(s: AlmostContactStructure, alpha):
@@ -253,12 +255,12 @@ def _c_alpha_defect(s: AlmostContactStructure, alpha):
 
 
 def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
-                  samples: Samples = None, tol: float = 1e-7) -> IdentityReport:
-    """Residual of the c(α) curvature identity at a fixed α. Frame carriers
-    take α exactly, so pass a Fraction (or int) for an exact residual."""
+                  rec: PointRecord, tol: float = 1e-7) -> IdentityReport:
+    """Residual of the c(α) curvature identity at a fixed α over the bases
+    of ``rec``. Frame carriers take α exactly, so pass a Fraction (or int)
+    for an exact residual."""
     tag = f"c({float(alpha):g})"
-    defect = _c_alpha_defect(s, alpha)
-    return _sweep(s, {tag: lambda xi: defect}, samples, tol)[tag]
+    return _sweep({tag: _c_alpha_defect(s, alpha)}, rec, tol)[tag]
 
 
 # -- ξ-slot consequence suites ----------------------------------------------------
@@ -268,16 +270,18 @@ def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
 # identity with its η-terms dropped, valid on the orthogonal complement.
 
 
-def _consequence_rows(kind: str):
-    def xi_slot_g(r4, gd, phv, etv, xi, Y, W):
+def _consequence_rows(kind: str, xi):
+    """The rows of ``kind`` as defects of (X, Y, Z, W); the ξ-slot rows put
+    ``xi``, a slot batch, into the slots they do not sweep."""
+    def xi_slot_g(r4, gd, phv, etv, X, Y, Z, W):
         return r4(xi, Y, xi, W) - gd(Y, W)
 
-    def xi_slot_zero(r4, gd, phv, etv, xi, Y, Z, W):
+    def xi_slot_zero(r4, gd, phv, etv, X, Y, Z, W):
         return r4(xi, Y, Z, W)
 
     rows = {"xi_slot_g": xi_slot_g, "xi_slot_zero": xi_slot_zero}
     if kind == "g1":
-        def xi_slot_phi_zero(r4, gd, phv, etv, xi, Y, Z, W):
+        def xi_slot_phi_zero(r4, gd, phv, etv, X, Y, Z, W):
             return r4(xi, Y, phv(Z), phv(W))
 
         def restricted(r4, gd, phv, etv, X, Y, Z, W):
@@ -301,24 +305,13 @@ def _consequence_rows(kind: str):
     return rows
 
 
-def _as_quadruple(name: str, row, xi):
-    """Consequence row ``name`` as a defect of (X, Y, Z, W); the ξ-slot rows
-    put ξ into the slots they do not sweep."""
-    if name == "xi_slot_g":
-        return lambda r4, gd, phv, etv, X, Y, Z, W: row(r4, gd, phv, etv, xi, Y, W)
-    if name in ("xi_slot_zero", "xi_slot_phi_zero"):
-        return lambda r4, gd, phv, etv, X, Y, Z, W: row(r4, gd, phv, etv, xi, Y, Z, W)
-    return row
-
-
-def consequence_suite(s: AlmostContactStructure, kind: str,
-                      samples: Samples = None,
+def consequence_suite(s: AlmostContactStructure, kind: str, rec: PointRecord,
                       tol: float = 1e-7) -> dict[str, IdentityReport]:
-    """ξ-slot consequences of the identity ``kind`` on vectors ⊥ ξ."""
+    """ξ-slot consequences of the identity ``kind`` on vectors ⊥ ξ, over the
+    bases of ``rec``, the point record of ``s``."""
     kind = kind.lower()
-    rows = _consequence_rows(kind)
-    reports = _sweep(s, {f"{kind}.{name}": partial(_as_quadruple, name, row)
-                         for name, row in rows.items()}, samples, tol, perp=True)
+    rows = _consequence_rows(kind, _xi_slot(rec))
+    reports = _sweep({f"{kind}.{name}": row for name, row in rows.items()}, rec, tol, perp=True)
     return dict(zip(rows, reports.values()))
 
 
@@ -343,7 +336,7 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
         raise ValueError(f"unknown identity {kind!r}")
     frame = isinstance(s, AlmostContactStructure) and s.is_frame
     if frame:   # the witness vectors fill the slots
-        t, idx = _point_record(s, None), (0,) * 5
+        t, idx = contact_point_data(s), (0,) * 5
         slots = [_rat(v).reshape(1, 1, 1, 1, 1, -1) for v in witness.vectors]
     else:       # the entry whose slot rows are the witness vectors
         t = contact_point_data(s, [witness.point])

@@ -5,9 +5,9 @@ Structures live over either a coordinate chart or an invariant frame. Each
 check is written once, over a ``BasisRecord`` of components in a basis with
 a leading point axis, and evaluated once over all points: a frame is one
 exact point in its own basis, a chart its sample points in the orthonormal
-frames E(p) = ``orthonormal_frame(g)``. Every chart check reads one stacked
-``PointRecord``, built once per invocation by the caller or at a checker's
-entry; nothing caches it past the invocation.
+frames E(p) = ``orthonormal_frame(g)``. Every check takes the one stacked
+``PointRecord`` of its invocation, built by ``contact_point_data``; nothing
+caches it past the invocation.
 Residuals are maxima over the carrier's basis vectors or ordered pairs of
 them; on charts they are tensor norms in E(p). Classification covers the
 contact metric condition (with the 1/2 exterior-derivative convention used
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .chart import Chart, SampleSet, TensorField, eval_field, eval_field_jets, sample
+from .chart import Chart, TensorField, eval_field, eval_field_jets
 from .frame import FrameGeometry, _contract
 from .errors import CurvlabError, EvalDomainError
 
@@ -34,7 +34,7 @@ __all__ = [
     "AlmostContactStructure", "AlmostHermitianStructure",
     "BasisRecord", "ClassificationReport", "PointRecord",
     "validate", "classify", "check_kappa_mu",
-    "contact_point_data", "default_samples",
+    "contact_point_data",
 ]
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ class AlmostHermitianStructure:
         if self.J.chart is not self.chart:
             raise ValueError("J defined over a different chart")
 
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
-
 
 @dataclass(frozen=True)
 class PointRecord:
@@ -115,21 +111,19 @@ class PointRecord:
                 a.flags.writeable = False
 
 
-# what a checker's ``samples`` may be: a sample set, the point record built
-# from one, or None for the default sample set (frames ignore it)
-Samples = SampleSet | PointRecord | None
-
-
-def contact_point_data(s, points: Sequence[Sequence[float]]) -> PointRecord:
-    """The ``PointRecord`` at the chart points ``points`` (N × d) of ``s``:
-    an almost contact or almost Hermitian structure over a chart, or a bare
-    ``Chart``."""
+def contact_point_data(s, points: Sequence[Sequence[float]] | None = None) -> PointRecord:
+    """The ``PointRecord`` that every check on ``s`` reads: at the chart
+    points ``points`` (N × d) of an almost contact or almost Hermitian
+    structure over a chart, or of a bare ``Chart``; on a frame, its own
+    exact record, and ``points`` is ignored."""
     if isinstance(s, Chart):
         chart, fields = s, ()
     elif isinstance(s, AlmostHermitianStructure):
         chart, fields = s.chart, (s.J,)
     elif s.is_frame:
-        raise ValueError("pointwise data is a chart-path concept")
+        fg = s.carrier
+        return PointRecord(None, fg.g[None], None, fg.riem[None], None, fg.phi[None],
+                           fg.xi[None], fg.eta[None], np.eye(s.dim, dtype=object)[None])
     else:
         chart, fields = s.carrier, (s.phi, s.xi, s.eta)
     points = np.array(points, dtype=float)   # a copy: the record is read-only
@@ -140,27 +134,6 @@ def contact_point_data(s, points: Sequence[Sequence[float]]) -> PointRecord:
     if values:
         values.append(geometry.orthonormal_frame(curv.g))
     return PointRecord(points, curv.g, conn.gamma, curv.riem, curv.riem13, *values)
-
-
-def default_samples(s, n_points: int = 20, seed: int = 42) -> SampleSet | None:
-    """Sampling helper; frame carriers need no samples (sweeps are exhaustive)."""
-    if isinstance(s, AlmostContactStructure) and s.is_frame:
-        return None
-    chart = s.carrier if isinstance(s, AlmostContactStructure) else s.chart
-    return sample(chart, n_points, seed)
-
-
-def _point_record(s, samples: Samples) -> PointRecord:
-    """The point record ``samples`` stands for: itself, or built here from a
-    ``SampleSet`` (default: 20 points); a frame's own exact record always."""
-    if isinstance(s, AlmostContactStructure) and s.is_frame:
-        fg = s.carrier
-        return PointRecord(None, fg.g[None], None, fg.riem[None], None, fg.phi[None],
-                           fg.xi[None], fg.eta[None], np.eye(s.dim, dtype=object)[None])
-    if isinstance(samples, PointRecord):
-        return samples
-    samples = default_samples(s) if samples is None else samples
-    return contact_point_data(s, samples.points)
 
 
 def _checked(what: str, val) -> float:
@@ -244,11 +217,11 @@ def _chart_record(s, r: PointRecord, jets: bool = True) -> BasisRecord:
                        **tables)
 
 
-def _basis_record(s, samples: Samples, jets: bool = True) -> BasisRecord:
-    """The frame's exact record, or the chart's at the points of ``samples``."""
+def _basis_record(s, rec: PointRecord, jets: bool = True) -> BasisRecord:
+    """The frame's exact record, or the chart's at the points of ``rec``."""
     if isinstance(s, AlmostContactStructure) and s.is_frame:
         return _frame_record(s.carrier)
-    return _chart_record(s, _point_record(s, samples), jets)
+    return _chart_record(s, rec, jets)
 
 
 def _norm(g: np.ndarray, v: np.ndarray) -> float:
@@ -276,14 +249,14 @@ def _algebraic(r: BasisRecord) -> dict:
     }
 
 
-def validate(s, samples: Samples = None) -> dict[str, float]:
+def validate(s, rec: PointRecord) -> dict[str, float]:
     """Max residual per algebraic compatibility identity of the structure,
     over the carrier's basis vectors and ordered pairs of them. On a chart it
-    reads g, φ, ξ and η (or J) of the point record and differentiates
-    nothing."""
+    reads g, φ, ξ and η (or J) of the point record ``rec`` and
+    differentiates nothing."""
     if not isinstance(s, (AlmostContactStructure, AlmostHermitianStructure)):
         raise TypeError(f"cannot validate {type(s).__name__}")
-    res = _finite("validate", _algebraic(_basis_record(s, samples, jets=False)))
+    res = _finite("validate", _algebraic(_basis_record(s, rec, jets=False)))
     if isinstance(s, AlmostHermitianStructure):
         return {"j_square": res["phi_square"], "compatibility": res["compatibility"]}
     return res
@@ -347,11 +320,11 @@ def _classification(r: BasisRecord) -> dict:
     }
 
 
-def classify(s: AlmostContactStructure, samples: Samples = None,
+def classify(s: AlmostContactStructure, rec: PointRecord,
              tol: float = 1e-7) -> ClassificationReport:
-    """Run the classification battery; deterministic for a given sample set.
-    A structure whose compatibility residual exceeds ``tol`` is rejected."""
-    r, target = _basis_record(s, samples), s.dim - 1
+    """Run the classification battery at the points of ``rec``. A structure
+    whose compatibility residual exceeds ``tol`` is rejected."""
+    r, target = _basis_record(s, rec), s.dim - 1
     compat = max(_finite("classify.compatibility", _algebraic(r)).values())
     res = _finite("classify", _classification(r))
     # Ric(ξ, ξ) = Σ_a (R_{e_a ξ}ξ)^a at each point, the same in every basis
@@ -369,13 +342,13 @@ def classify(s: AlmostContactStructure, samples: Samples = None,
 
 
 def check_kappa_mu(s: AlmostContactStructure, kappa: float | Fraction,
-                   mu: float | Fraction, samples: Samples = None) -> float:
+                   mu: float | Fraction, rec: PointRecord) -> float:
     """Max residual of R_XY ξ − κ(η(Y)X − η(X)Y) − μ(η(Y)hX − η(X)hY)
     with h = ½ L_ξ φ, over ordered pairs of the carrier's basis vectors:
     exact on frames, in E(p) at each sample point of a chart."""
     ring = Fraction if s.is_frame else float   # frames keep κ and μ exact
     kap, muf = ring(kappa), ring(mu)
-    r = _basis_record(s, samples)
+    r = _basis_record(s, rec)
     phi_t = r.phi.transpose(0, 2, 1)
     # rows j: h e_j, with (L_ξ φ)X = (∇_ξ φ)X − ∇_{φX} ξ + φ ∇_X ξ; ∇_ξ φ term by term
     h = (sum(r.xi[:, m, None, None] * r.dphi[:, m] for m in range(s.dim))

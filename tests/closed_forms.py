@@ -28,7 +28,7 @@ import numpy as np
 from curvlab import expr as ex
 from curvlab import geometry
 from curvlab import jet
-from curvlab.chart import Chart, SampleSet, _expr_jets, eval_field, eval_field_jets
+from curvlab.chart import Chart, _expr_jets, eval_field, eval_field_jets
 from curvlab.constructions import RWarpedBundle
 from curvlab.errors import EvalDomainError
 from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure, _checked, _norm
@@ -286,15 +286,15 @@ def r_warped_riemann_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray
     return out
 
 
-def eq_for_g1_obstruction(n: AlmostHermitianStructure, samples: SampleSet) -> float:
+def eq_for_g1_obstruction(n: AlmostHermitianStructure, points: np.ndarray) -> float:
     """Max norm of ḡ(JY, Z)JX − ḡ(JX, Z)JY + ḡ(X, Z)Y − ḡ(Y, Z)X over the
-    coordinate basis triples at the sampled points: the algebraic obstruction
+    coordinate basis triples at the points ``points``: the algebraic obstruction
     forcing fiber dimension 2 for the g1 identity of a line-warped structure.
     Identically zero in dimension 2, nonzero somewhere in dimension ≥ 4. The
     map is trilinear, so the basis triples span every triple.
     """
-    g, J = n.chart.metric_at(samples.points), eval_field(n.J, samples.points)
-    JT, eye = J.transpose(0, 2, 1), np.eye(n.dim)
+    g, J = n.chart.metric_at(points), eval_field(n.J, points)
+    JT, eye = J.transpose(0, 2, 1), np.eye(n.chart.dim)
     gj = JT @ g     # gj[n, b, c] = ḡ(Je_b, e_c); row a of Jᵀ is Je_a
     # q[n, a, b, c] is the vector at (X, Y, Z) = (e_a, e_b, e_c)
     q = (np.einsum("nbc,nak->nabck", gj, JT) - np.einsum("nac,nbk->nabck", gj, JT)

@@ -9,7 +9,8 @@ from curvlab.constructions.registry import (build_flat3, build_s2_round,
                                             build_sine_cone, build_r_warped_surface,
                                             build_s5_in_c3, build_hopf_pair,
                                             _rotation_block_J, flat_chart)
-from curvlab.chart import sample
+from curvlab.chart import Chart, sample
+from curvlab.constructions import HypersurfaceExample, SubmersionPair, resolve_target
 from curvlab.frame import heisenberg_h21
 from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure,
                                 contact_point_data)
@@ -34,15 +35,35 @@ def record_at(s, p):
     return type(r)(**{k: None if a is None else a[0] for k, a in vars(r).items()})
 
 
+def structure_of(name):
+    """The structure the checks of registry target ``name`` read: a pair's
+    total space, a hypersurface's induced structure, or the target itself."""
+    obj = resolve_target(name)
+    if isinstance(obj, SubmersionPair):
+        return obj.total
+    return obj.structure if isinstance(obj, HypersurfaceExample) else obj
+
+
+def record(s, n=20, seed=42):
+    """The point record that a checker on ``s`` reads: a frame's own exact
+    one, or the record at ``sample(chart, n, seed)`` of the chart under
+    ``s`` (a structure's chart, or ``s`` itself when it is a ``Chart``)."""
+    if isinstance(s, AlmostContactStructure) and s.is_frame:
+        return contact_point_data(s)
+    chart = (s if isinstance(s, Chart) else s.chart if isinstance(s, AlmostHermitianStructure)
+             else s.carrier)
+    return contact_point_data(s, sample(chart, n, seed))
+
+
 def sample_with_vectors(chart, n_points, vecs_per_point, seed):
     """``sample(chart, n_points, seed)`` and random tangent vectors for tests
-    that take them as their own inputs, as ``(sample set, vectors)`` with
+    that take them as their own inputs, as ``(points, vectors)`` with
     ``vectors[i]`` the ``vecs_per_point`` vectors at point i. The vectors
     continue the sample's random stream after its points: each is a uniform
     direction in [−1, 1]^dim scaled to a Euclidean norm drawn from [0.5, 2]."""
     smp = sample(chart, n_points, seed)
     rng = np.random.default_rng(seed)
-    rng.uniform(size=smp.points.size)   # the draws of the points
+    rng.uniform(size=smp.size)   # the draws of the points
     vecs = np.empty((n_points, vecs_per_point, chart.dim))
     for i in range(n_points):
         for v in range(vecs_per_point):

@@ -11,10 +11,10 @@ batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
 match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
 that part for the batched hypersurface induction and its ambient Kähler
 check, ``sample_per_scalar`` for the one-call draw of ``sample``, and
-``walk`` for the interned ``expr.Program``. ``horizontal_lift`` is the
-lifted frame of ``check_submersion_lift`` applied to one base vector at
-one point, and ``to_text`` prints an expression back to text for the
-parser's round-trip tests. None
+``walk`` for the interned ``expr.Program``. ``horizontal_lift`` solves for
+the lift of one base vector at one point with its own solve, which the
+lifted frame of ``check_submersion_lift`` must match, and ``to_text``
+prints an expression back to text for the parser's round-trip tests. None
 of them reads the per-point records that the structure battery and the
 identity sweep work from (``contact_point_data`` and the
 exact frame tables of ``structures``), so an oracle that compares those
@@ -35,7 +35,7 @@ import numpy as np
 
 from curvlab import expr as ex
 from curvlab.chart import Chart, TensorField, _expr_jets, eval_field, eval_field_jets
-from curvlab.constructions.submersion import SubmersionPair, _lifted_frame, _projection_jets
+from curvlab.constructions.submersion import SubmersionPair
 from curvlab.frame import FrameGeometry, _rat
 from curvlab.errors import SingularMetricError, UnknownIdentifierError
 from curvlab.geometry import ConnectionAtPoint, CurvatureAtPoint, MetricJets, point_geometry
@@ -312,7 +312,11 @@ def sample_per_scalar(chart: Chart, n_points: int, seed: int) -> np.ndarray:
 
 
 def horizontal_lift(sp: SubmersionPair, p: Sequence[float], X_base) -> np.ndarray:
-    """The unique horizontal vector at ``p`` projecting onto ``X_base``:
-    L X with the lifted frame L of ``check_submersion_lift``."""
-    _, dpi, _ = _projection_jets(sp, p)
-    return _lifted_frame(p, dpi, eval_field(sp.total.eta, p)) @ np.asarray(X_base, dtype=float)
+    """The unique horizontal vector at ``p`` projecting onto ``X_base``: L X
+    where [dπ; η] L = [I; 0], with dπ from a jet run of the projection at
+    ``p``. A singular [dπ; η] raises ``numpy.linalg.LinAlgError``."""
+    _, dpi = _expr_jets(ex.Program(sp.projection), sp.total.carrier.env(p, jets=True))
+    nb = len(dpi)
+    L = np.linalg.solve(np.vstack([dpi, eval_field(sp.total.eta, p)]),
+                        np.vstack([np.eye(nb), np.zeros((1, nb))]))
+    return L @ np.asarray(X_base, dtype=float)

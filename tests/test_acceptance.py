@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from curvlab import geometry as geo
-from curvlab.chart import sample, eval_field
+from curvlab.chart import Chart, sample, eval_field
 from curvlab.identities import (Witness, check_contact, check_hermitian,
                                 reevaluate_witness)
 from curvlab.structures import classify
-from curvlab.constructions import (build_cone, check_submersion_lift, induce_hypersurface,
-                                   resolve_target)
+from curvlab.constructions import build_cone, check_submersion_lift, induce_hypersurface
 from closed_forms import ConeOracle
-from conftest import sample_with_vectors
+from conftest import record, sample_with_vectors, structure_of
 from reference import covariant_derivative
 
 F = Fraction
@@ -61,9 +60,8 @@ def test_criterion_01_h21_exact_table(h21_frame):
 def test_criterion_02_cross_engine(h21_frame, h21_chart):
     fg = h21_frame.carrier
     chart = h21_chart.carrier
-    smp = sample(chart, 3, seed=42)
     worst = 0.0
-    for p in smp.points:
+    for p in sample(chart, 3, seed=42):
         x1, x2 = p[0], p[1]
         vecs = [np.array([2.0, 0, 0, 0, 0]), np.array([0, 2.0, 0, 0, 0]),
                 np.array([0, 0, 2.0, 0, 2 * x1]), np.array([0, 0, 0, 2.0, 2 * x2]),
@@ -80,9 +78,9 @@ def test_criterion_02_cross_engine(h21_frame, h21_chart):
 # -- 3: H(2,1) identity verdicts ------------------------------------------------------
 
 def test_criterion_03_h21_identity_verdicts(h21_frame):
-    g2 = check_contact(h21_frame, "g2")
-    g3 = check_contact(h21_frame, "g3")
-    g1 = check_contact(h21_frame, "g1")
+    g2 = check_contact(h21_frame, "g2", record(h21_frame))
+    g3 = check_contact(h21_frame, "g3", record(h21_frame))
+    g1 = check_contact(h21_frame, "g1", record(h21_frame))
     # the exhaustive-sweep oracle fixes the max residual at exactly 2 with a
     # theta-independent witness; the designated quadruple (X1, Y1, X1, Y2)
     # carries exactly 24/25 = 2 cos(theta) sin(theta)
@@ -103,17 +101,12 @@ CONTACT_TARGETS = ("h21", "h21_chart", "flat_cosym5", "sine_cone_cos",
                    "sine_cone_sin", "r_warped_surface", "s5_in_c3")
 
 
-def _contact(name):
-    t = resolve_target(name)
-    return t.obj.structure if t.kind == "hypersurface" else t.obj
-
-
 def test_criterion_04_inclusion_chain():
     ok = True
     table = {}
     for name in CONTACT_TARGETS:
-        s = _contact(name)
-        v = {k: check_contact(s, k, tol=1e-7).verdict for k in ("g1", "g2", "g3")}
+        s = structure_of(name)
+        v = {k: check_contact(s, k, record(s), tol=1e-7).verdict for k in ("g1", "g2", "g3")}
         table[name] = v
         if (v["g1"] and not v["g2"]) or (v["g2"] and not v["g3"]):
             ok = False
@@ -132,8 +125,8 @@ def test_criterion_05_cone_theorems(s5_example, h21_chart, flat_cosym5):
     for name, base in bases.items():
         cone = build_cone(base)
         for i, (gk, kk) in enumerate((("g1", "k1"), ("g2", "k2"), ("g3", "k3"))):
-            vg = check_contact(base, gk, tol=1e-7).verdict
-            vk = check_hermitian(cone, kk, tol=1e-7).verdict
+            vg = check_contact(base, gk, record(base), tol=1e-7).verdict
+            vk = check_hermitian(cone, kk, record(cone), tol=1e-7).verdict
             if vg != vk:
                 ok = False
             seen_true += vg
@@ -149,9 +142,8 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
     worst = 0.0
     for base in (s5_example.structure, h21_chart):
         cone = build_cone(base)
-        smp, vectors = sample_with_vectors(cone.chart, 20, 4, seed=42)
-        for i in range(smp.n_points):
-            p = smp.points[i]
+        points, vectors = sample_with_vectors(cone.chart, 20, 4, seed=42)
+        for i, p in enumerate(points):
             oracle = ConeOracle(base, p)
             conn, curv = geo.point_geometry(cone.chart, p)
             A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
@@ -170,10 +162,9 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
 # -- 7: Kähler cone iff Sasakian base --------------------------------------------------------
 
 def _max_nabla_J(cone, n_points=10, seed=42):
-    smp, vectors = sample_with_vectors(cone.chart, n_points, 4, seed)
+    points, vectors = sample_with_vectors(cone.chart, n_points, 4, seed)
     worst = 0.0
-    for i in range(smp.n_points):
-        p = smp.points[i]
+    for i, p in enumerate(points):
         g = cone.chart.metric_at(p)
         for a in range(0, 4, 2):
             A, B = vectors[i][a], vectors[i][a + 1]
@@ -196,8 +187,8 @@ def test_criterion_08_sine_cones(sine_cone_cos, sine_cone_sin):
     ok = True
     notes = []
     for rb in (sine_cone_cos, sine_cone_sin):
-        g2 = check_contact(rb.structure, "g2").residual
-        g1 = check_contact(rb.structure, "g1").residual
+        g2 = check_contact(rb.structure, "g2", record(rb.structure)).residual
+        g1 = check_contact(rb.structure, "g1", record(rb.structure)).residual
         notes.append(f"{rb.structure.name}: g2 = {g2:.1e}, g1 = {g1:.2f}")
         ok = ok and g2 <= 1e-8 and g1 >= 0.5
     verdict(8, ok, "; ".join(notes))
@@ -206,16 +197,19 @@ def test_criterion_08_sine_cones(sine_cone_cos, sine_cone_sin):
 # -- 9: surface-base warped product -----------------------------------------------------------
 
 def test_criterion_09_surface_warped_g1(r_warped_surface):
-    res = check_contact(r_warped_surface.structure, "g1").residual
+    s = r_warped_surface.structure
+    res = check_contact(s, "g1", record(s)).residual
     verdict(9, res <= 1e-8, f"cosine-warped surface fiber has g1 residual {res:.2e}")
 
 
 # -- 10: hypersurface induction ----------------------------------------------------------------
 
 def test_criterion_10_s5_hypersurface(s5_example):
-    rep = induce_hypersurface(s5_example.ambient, s5_example.patch)
-    cls = classify(rep.induced)
-    idents = {k: check_contact(rep.induced, k).residual for k in ("g1", "g2", "g3")}
+    s = s5_example.structure
+    rec = record(s)
+    rep = induce_hypersurface(s5_example.ambient, s5_example.patch, rec)
+    cls = classify(s, rec)
+    idents = {k: check_contact(s, k, rec).residual for k in ("g1", "g2", "g3")}
     ok = (rep.umbilicity <= 1e-9
           and abs(rep.beta_mean + 1.0) <= 1e-9
           and cls.sasakian_nabla_xi <= 1e-8 and cls.sasakian_nabla_phi <= 1e-8
@@ -227,7 +221,7 @@ def test_criterion_10_s5_hypersurface(s5_example):
 # -- 11: Hopf pair ------------------------------------------------------------------------------
 
 def test_criterion_11_hopf_pair(hopf_pair):
-    res = check_submersion_lift(hopf_pair, sample(hopf_pair.total.carrier, 20, 42))
+    res = check_submersion_lift(hopf_pair, record(hopf_pair.total))
     keys = ("lift_connection", "lift_xi", "lift_bracket", "lift_curvature",
             "lift_k1_consequence")
     worst = max(res[k] for k in keys)
@@ -239,7 +233,7 @@ def test_criterion_11_hopf_pair(hopf_pair):
 # -- 12: K-contact criteria ----------------------------------------------------------------------
 
 def test_criterion_12_k_contact(h21_frame):
-    rep = classify(h21_frame)
+    rep = classify(h21_frame, record(h21_frame))
     ok = (rep.killing_xi == 0.0
           and isinstance(rep.ric_xi_xi, Fraction)
           and rep.ric_xi_xi == 4
@@ -255,11 +249,9 @@ def test_criterion_13a_curvature_symmetries():
     for name in ("h21_chart", "sine_cone_cos", "sine_cone_sin",
                  "r_warped_surface", "flat_cosym5", "s5_in_c3", "s2_round",
                  "flat3"):
-        t = resolve_target(name)
-        chart = (t.obj if t.kind == "chart"
-                 else (t.obj.structure if t.kind == "hypersurface" else t.obj).carrier)
-        smp = sample(chart, 5, seed=42)
-        for p in smp.points:
+        s = structure_of(name)
+        chart = s if isinstance(s, Chart) else s.carrier
+        for p in sample(chart, 5, seed=42):
             res = geo.curvature_symmetry_residuals(geo.point_geometry(chart, p)[1])
             worst = max(worst, max(res.values()))
     verdict(13, worst <= 1e-9,

@@ -13,25 +13,25 @@ from conftest import sample_with_vectors
 def test_flat_sampling_window_and_determinism(flat3):
     s1 = sample(flat3, 4, seed=7)
     s2 = sample(flat3, 4, seed=7)
-    assert s1.points.shape == (4, 3)
-    assert np.array_equal(s1.points, s2.points)
-    assert np.all(s1.points > -2.0) and np.all(s1.points < 2.0)
+    assert s1.shape == (4, 3)
+    assert np.array_equal(s1, s2)
+    assert np.all(s1 > -2.0) and np.all(s1 < 2.0)
     s3 = sample(flat3, 4, seed=8)
-    assert not np.array_equal(s1.points, s3.points)
+    assert not np.array_equal(s1, s3)
 
 
 def test_positive_coordinate_window():
     cone = Chart(("t", "x"), [["1", "0"], [None, "t^2"]],
                  [Interval(0.0, math.inf), Interval()])
     s = sample(cone, 16, seed=3)
-    t = s.points[:, 0]
+    t = s[:, 0]
     assert np.all(t > 0.5) and np.all(t < 3.0)
 
 
 def test_bounded_domain_margin(sine_cone_cos):
     chart = sine_cone_cos.structure.carrier
     s = sample(chart, 25, seed=5)
-    z = s.points[:, -1]
+    z = s[:, -1]
     assert np.all(np.abs(z) <= math.pi / 2 - DOMAIN_MARGIN)
 
 
@@ -97,8 +97,7 @@ def test_tensorfield_shape_checks():
 def test_sampled_points_are_spd_everywhere(s5_example, h21_chart):
     for s in (s5_example.structure, h21_chart):
         chart = s.carrier
-        smp = sample(chart, 10, seed=9)
-        for p in smp.points:
+        for p in sample(chart, 10, seed=9):
             chart.check_spd(p)  # raises on failure
 
 
@@ -133,17 +132,20 @@ def _registry_charts():
     """Every chart the registry builds: bare charts, structure carriers, the
     ambient and base charts of the constructions, and one cone per contact
     target."""
+    from curvlab.constructions import HypersurfaceExample, SubmersionPair
     from curvlab.constructions.registry import registry_names, resolve_target
+    from curvlab.structures import AlmostContactStructure
     names = [n for n in registry_names() if "<" not in n]
-    contact = [n for n in names if resolve_target(n).kind in ("contact", "hypersurface")]
+    contact = [n for n in names
+               if isinstance(resolve_target(n), (AlmostContactStructure, HypersurfaceExample))]
     charts = {}
     for name in names + [f"cone_of:{n}" for n in contact if n != "h21"]:
-        t = resolve_target(name)
-        found = {"chart": lambda o: [o],
-                 "contact": lambda o: [o.carrier],
-                 "hypersurface": lambda o: [o.structure.carrier, o.ambient.chart],
-                 "pair": lambda o: [o.total.carrier, o.base.chart],
-                 "hermitian": lambda o: [o.chart]}[t.kind](t.obj)
+        o = resolve_target(name)
+        found = ([o] if isinstance(o, Chart)
+                 else [o.carrier] if isinstance(o, AlmostContactStructure)
+                 else [o.structure.carrier, o.ambient.chart] if isinstance(o, HypersurfaceExample)
+                 else [o.total.carrier, o.base.chart] if isinstance(o, SubmersionPair)
+                 else [o.chart])
         for k, c in enumerate(c for c in found if isinstance(c, Chart)):
             charts[f"{name}.{k}"] = c
     return charts
@@ -157,4 +159,4 @@ def test_one_call_draw_is_the_per_scalar_stream(chart):
     from reference import sample_per_scalar
     for seed in range(20):
         want = sample_per_scalar(chart, 7, seed)
-        assert sample(chart, 7, seed).points.tobytes() == want.tobytes()
+        assert sample(chart, 7, seed).tobytes() == want.tobytes()

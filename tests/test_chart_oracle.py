@@ -22,10 +22,11 @@ import pytest
 
 from curvlab.chart import sample
 from curvlab.constructions import resolve_target
-from curvlab.identities import (_CONTACT_DEFECTS, _HERMITIAN_DEFECTS, _as_quadruple,
-                                _consequence_rows, _defect_c_alpha, check_c_alpha,
-                                check_contact, check_hermitian, consequence_suite)
-from conftest import record_at
+from curvlab.identities import (_CONTACT_DEFECTS, _HERMITIAN_DEFECTS, _consequence_rows,
+                                _defect_c_alpha, check_c_alpha, check_contact,
+                                check_hermitian, consequence_suite)
+from curvlab.structures import contact_point_data
+from conftest import record_at, structure_of
 
 ALPHAS = (0.5, -2.0)
 SEEDS = (3, 11)
@@ -58,20 +59,19 @@ def oracle_closures(riem, g, phi, eta):
             remembered(lambda v: phi @ v), lambda v: float(eta @ v))
 
 
-def brute_sweep(s, defects, points, perp=False):
+def brute_sweep(s, defects_at, points, perp=False):
     """(rows, {tag: values}): ``rows[n]`` holds the swept vectors at point n
     and ``values[tag][n, i, j, k, l]`` the |defect| on rows i, j, k, l;
-    ``defects`` maps a tag to a function of ξ giving the defect."""
-    rows, values = [], {tag: [] for tag in defects}
+    ``defects_at`` maps ξ at a point to the defects there, keyed by tag."""
+    rows, values = [], {}
     for p in points:
         r = record_at(s, p)
         closures = oracle_closures(r.riem, r.g, r.phi, r.eta)
         vecs = [v - float(r.eta @ v) * r.xi if perp else v for v in r.E]
         rows.append(np.array(vecs))
-        for tag, defect_at in defects.items():
-            defect = defect_at(r.xi)
-            values[tag].append([abs(defect(*closures, *quad))
-                                for quad in product(vecs, repeat=4)])
+        for tag, defect in defects_at(r.xi).items():
+            values.setdefault(tag, []).append([abs(defect(*closures, *quad))
+                                               for quad in product(vecs, repeat=4)])
     d = len(rows[0])
     return rows, {tag: np.reshape(v, (len(points),) + (d,) * 4) for tag, v in values.items()}
 
@@ -101,9 +101,7 @@ def same(rep, points, rows, values, unread=()):
 @pytest.fixture(scope="module",
                 params=["s5_in_c3", "sine_cone_cos", "h21_chart", "hopf_pair"])
 def contact(request):
-    t = resolve_target(request.param)
-    return {"hypersurface": lambda o: o.structure, "pair": lambda o: o.total}.get(
-        t.kind, lambda o: o)(t.obj)
+    return structure_of(request.param)
 
 
 @pytest.fixture(params=SEEDS)
@@ -113,37 +111,34 @@ def seed(request):
 
 def test_identities_match_oracle(contact, seed):
     smp = sample(contact.carrier, N_POINTS, seed)
-    defects = {kind: (lambda xi, d=defect: d) for kind, defect in _CONTACT_DEFECTS.items()}
-    defects.update({alpha: (lambda xi, a=alpha: _defect_c_alpha(a)) for alpha in ALPHAS})
-    rows, values = brute_sweep(contact, defects, smp.points)
+    defects = {**_CONTACT_DEFECTS, **{alpha: _defect_c_alpha(alpha) for alpha in ALPHAS}}
+    rows, values = brute_sweep(contact, lambda xi: defects, smp)
+    rec = contact_point_data(contact, smp)
     for kind in _CONTACT_DEFECTS:
-        rep = check_contact(contact, kind, smp)
+        rep = check_contact(contact, kind, rec)
         assert rep.n_quadruples == N_POINTS * contact.dim ** 4
-        same(rep, smp.points, rows, values[kind])
+        same(rep, smp, rows, values[kind])
     for alpha in ALPHAS:
-        same(check_c_alpha(contact, alpha, smp), smp.points, rows, values[alpha])
+        same(check_c_alpha(contact, alpha, rec), smp, rows, values[alpha])
 
 
 def test_consequences_match_oracle(contact, seed):
     smp = sample(contact.carrier, N_POINTS, seed)
-    rows = {(kind, name): row for kind in _CONTACT_DEFECTS
-            for name, row in _consequence_rows(kind).items()}
-    swept, values = brute_sweep(contact, {tag: (lambda xi, n=tag[1], r=row:
-                                                _as_quadruple(n, r, xi))
-                                          for tag, row in rows.items()},
-                                smp.points, perp=True)
+    swept, values = brute_sweep(contact, lambda xi: {
+        (kind, name): row for kind in _CONTACT_DEFECTS
+        for name, row in _consequence_rows(kind, xi).items()}, smp, perp=True)
+    rec = contact_point_data(contact, smp)
     for kind in _CONTACT_DEFECTS:
-        suite = consequence_suite(contact, kind, smp)
-        assert list(suite) == list(_consequence_rows(kind))
+        suite = consequence_suite(contact, kind, rec)
+        assert list(suite) == list(_consequence_rows(kind, None))
         for name, rep in suite.items():
-            same(rep, smp.points, swept, values[kind, name], UNREAD.get(name, ()))
+            same(rep, smp, swept, values[kind, name], UNREAD.get(name, ()))
 
 
 def test_hermitian_matches_oracle(seed):
-    h = resolve_target("cone_of:s5_in_c3").obj
+    h = resolve_target("cone_of:s5_in_c3")
     smp = sample(h.chart, N_POINTS, seed)
-    rows, values = brute_sweep(h, {kind: (lambda xi, d=defect: d)
-                                   for kind, defect in _HERMITIAN_DEFECTS.items()},
-                               smp.points)
+    rows, values = brute_sweep(h, lambda xi: _HERMITIAN_DEFECTS, smp)
+    rec = contact_point_data(h, smp)
     for kind in _HERMITIAN_DEFECTS:
-        same(check_hermitian(h, kind, smp), smp.points, rows, values[kind])
+        same(check_hermitian(h, kind, rec), smp, rows, values[kind])

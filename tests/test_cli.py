@@ -84,6 +84,33 @@ def test_check_on_wrong_carrier_exit_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("target,got", [
+    ("cone_of:flat3", "chart"), ("cone_of:hopf_pair", "pair"),
+    ("cone_of:cone_of:s5_in_c3", "hermitian"),
+])
+def test_cone_of_names_what_it_got(target, got):
+    """A cone needs a contact target; the message names what the inner
+    target is instead."""
+    code, out, err = invoke(["report", target])
+    assert (code, out) == (2, "")
+    assert err == f"cone_of needs a contact target, got {got}\n"
+
+
+def test_wrong_check_kind_is_reported_before_the_record(tmp_path):
+    """A contact file whose φ cannot be evaluated at the sample points, asked
+    for a check it cannot take: the check is rejected before the point
+    record evaluates φ, so the kind error is the one reported."""
+    path = tmp_path / "sqrt_phi.ini"
+    path.write_text('[chart]\ndim = 3\ncoords = "x, y, z"\n[metric]\ng_11 = "1"\ng_22 = "1"\n'
+                    'g_33 = "1"\n[phi]\nphi^2_1 = "sqrt(-1 - x^2)"\nphi^1_2 = "-1"\n'
+                    '[xi]\nxi^3 = "1"\n[eta]\neta_3 = "1"\n')
+    assert invoke(["identities", str(path), "--which", "g1"])[2].startswith(
+        "sqrt of out-of-domain value")
+    code, out, err = invoke(["identities", str(path), "--which", "g1,k1"])
+    assert (code, out) == (2, "")
+    assert err == "target carries no almost Hermitian structure\n"
+
+
 @pytest.mark.parametrize("content,message", [
     pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "x +* 1"\n',
                  "byte offset", id="expression_syntax"),
@@ -288,12 +315,12 @@ def test_rational_check_parameters_stay_exact():
     from curvlab.cli import _parse_check
     from curvlab.identities import check_c_alpha
     from curvlab.frame import heisenberg_h21
-    from curvlab.structures import AlmostContactStructure
+    from curvlab.structures import AlmostContactStructure, contact_point_data
     name, (alpha,) = _parse_check("c(1/3)")
     assert (name, alpha) == ("c_alpha", Fraction(1, 3))
     # c(α) = 1 + |α| on h21
     s = AlmostContactStructure(heisenberg_h21(Fraction(3, 5), Fraction(4, 5)))
-    assert check_c_alpha(s, alpha).exact == Fraction(4, 3)
+    assert check_c_alpha(s, alpha, contact_point_data(s)).exact == Fraction(4, 3)
     assert _parse_check("kappa-mu(1/3,0)") == ("kappa_mu", (Fraction(1, 3), Fraction(0)))
     code, out, _ = invoke(["identities", "h21", "--which", "c(1/3),kappa-mu(1,0)", "--json"])
     assert code == 1

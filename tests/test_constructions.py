@@ -33,9 +33,8 @@ def test_cone_rejects_frame_carrier(h21_frame):
 def test_cone_J_invariants(s5_example, h21_chart):
     for base in (s5_example.structure, h21_chart):
         cone = build_cone(base)
-        smp, vectors = sample_with_vectors(cone.chart, 6, 4, seed=11)
-        for i in range(smp.n_points):
-            p = smp.points[i]
+        points, vectors = sample_with_vectors(cone.chart, 6, 4, seed=11)
+        for i, p in enumerate(points):
             t = p[0]
             J = eval_field(cone.J, p)
             g = cone.chart.metric_at(p)
@@ -68,10 +67,9 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
     base = {"s5": s5_example.structure, "h21": h21_chart,
             "cosym": flat_cosym5}[base_name]
     cone = build_cone(base)
-    smp, vectors = sample_with_vectors(cone.chart, 20, 8, seed=42)
+    points, vectors = sample_with_vectors(cone.chart, 20, 8, seed=42)
     worst = 0.0
-    for i in range(smp.n_points):
-        p = smp.points[i]
+    for i, p in enumerate(points):
         oracle = ConeOracle(base, p)
         conn, curv = geo.point_geometry(cone.chart, p)
         A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
@@ -90,11 +88,10 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
 def test_cone_j_composed_curvature_cases(s5_example):
     base = s5_example.structure
     cone = build_cone(base)
-    smp, vectors = sample_with_vectors(cone.chart, 5, 8, seed=9)
+    points, vectors = sample_with_vectors(cone.chart, 5, 8, seed=9)
     dt = np.zeros(cone.chart.dim)
     dt[0] = 1.0
-    for i in range(smp.n_points):
-        p = smp.points[i]
+    for i, p in enumerate(points):
         oracle = ConeOracle(base, p)
         curv = geo.point_geometry(cone.chart, p)[1]
         J = eval_field(cone.J, p)
@@ -145,8 +142,7 @@ def test_cosine_warped_connection_oracle():
     fiber = flat_chart(("x", "y", "u", "v"))
     spec = WarpedSpec(base, fiber, ex.parse_expr("cos(th)", ["th"]))
     chart = build_warped(spec)
-    smp = sample(chart, 10, seed=6)
-    for p in smp.points:
+    for p in sample(chart, 10, seed=6):
         eng = geo.point_geometry(chart, p)[0].gamma
         assert np.max(np.abs(eng - warped_christoffel_oracle(spec, p))) <= 1e-9
 
@@ -173,8 +169,7 @@ def test_r_warped_oracles_match_engine(sine_cone_cos, sine_cone_sin,
                                        r_warped_surface):
     for rb in (sine_cone_cos, sine_cone_sin, r_warped_surface):
         chart = rb.structure.carrier
-        smp = sample(chart, 8, seed=4)
-        for p in smp.points:
+        for p in sample(chart, 8, seed=4):
             eng_g = geo.point_geometry(chart, p)[0].gamma
             assert np.max(np.abs(eng_g - r_warped_christoffel_oracle(rb, p))) <= 1e-8
             eng_r = geo.point_geometry(chart, p)[1].riem
@@ -187,9 +182,8 @@ def test_f_second_over_f_minus_one_gives_unit_block(f_text):
     dom = Interval(-math.pi / 2, math.pi / 2) if f_text == "cos(z)" else Interval(0.0, math.pi)
     rb = build_r_warped_contact(flat_kahler_r4(), f_text, "z", dom)
     chart = rb.structure.carrier
-    smp, vectors = sample_with_vectors(chart, 6, 4, seed=15)
-    for i in range(smp.n_points):
-        p = smp.points[i]
+    points, vectors = sample_with_vectors(chart, 6, 4, seed=15)
+    for i, p in enumerate(points):
         curv = geo.point_geometry(chart, p)[1]
         g = chart.metric_at(p)
         xi = np.array([0, 0, 0, 0, 1.0])
@@ -222,11 +216,9 @@ def test_vanishing_warping_rejected():
 
 def test_eq_for_g1_obstruction_dimension_two_vs_four():
     n2 = flat_kahler_r2()
-    smp2 = sample(n2.chart, 10, seed=2)
-    assert eq_for_g1_obstruction(n2, smp2) <= 1e-12
+    assert eq_for_g1_obstruction(n2, sample(n2.chart, 10, seed=2)) <= 1e-12
     n4 = flat_kahler_r4()
-    smp4 = sample(n4.chart, 10, seed=2)
-    assert eq_for_g1_obstruction(n4, smp4) > 0.1
+    assert eq_for_g1_obstruction(n4, sample(n4.chart, 10, seed=2)) > 0.1
 
 
 def test_eq_for_g1_obstruction_sweeps_the_coordinate_basis():

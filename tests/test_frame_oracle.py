@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 from curvlab.frame import FrameGeometry, heisenberg_h21
-from curvlab.identities import (_CONTACT_DEFECTS, _as_quadruple, _consequence_rows,
-                                _defect_c_alpha, check_c_alpha, check_contact,
-                                consequence_suite)
+from curvlab.identities import (_CONTACT_DEFECTS, _consequence_rows, _defect_c_alpha,
+                                check_c_alpha, check_contact, consequence_suite)
 from curvlab.manifold_io import load_manifold_file
-from curvlab.structures import AlmostContactStructure
+from curvlab.structures import AlmostContactStructure, contact_point_data
 
 F = Fraction
 ALPHAS = (F(1, 2), F(-2))
@@ -122,11 +121,11 @@ def test_table_matches_oracle(frame):
 
 def test_identities_match_oracle(frame):
     s, _, closures = frame
-    basis = np.eye(s.dim, dtype=int).tolist()
+    basis, rec = np.eye(s.dim, dtype=int).tolist(), contact_point_data(s)
     for kind, defect in _CONTACT_DEFECTS.items():
-        same(check_contact(s, kind), brute_sweep(closures, defect, basis))
+        same(check_contact(s, kind, rec), brute_sweep(closures, defect, basis))
     for alpha in ALPHAS:
-        same(check_c_alpha(s, alpha), brute_sweep(closures, _defect_c_alpha(alpha), basis))
+        same(check_c_alpha(s, alpha, rec), brute_sweep(closures, _defect_c_alpha(alpha), basis))
 
 
 def test_consequences_match_oracle(frame):
@@ -135,9 +134,9 @@ def test_consequences_match_oracle(frame):
     xi = fg.xi.tolist()
     perp = [[int(a == b) - fg.eta[b] * xi[a] for a in range(s.dim)] for b in range(s.dim)]
     for kind in _CONTACT_DEFECTS:
-        suite = consequence_suite(s, kind)
-        for name, row in _consequence_rows(kind).items():
-            same(suite[name], brute_sweep(closures, _as_quadruple(name, row, xi), perp))
+        suite = consequence_suite(s, kind, contact_point_data(s))
+        for name, row in _consequence_rows(kind, xi).items():
+            same(suite[name], brute_sweep(closures, row, perp))
 
 
 def test_table_symmetries(frame):

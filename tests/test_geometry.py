@@ -136,9 +136,8 @@ def test_oneform_covariant_derivative_lowers_vector(h21_chart):
 def test_nabla_g_vanishes(h21_chart, s5_example):
     for s in (h21_chart, s5_example.structure):
         chart = s.carrier
-        smp, vectors = sample_with_vectors(chart, 4, 2, seed=17)
-        for i in range(smp.n_points):
-            p = smp.points[i]
+        points, vectors = sample_with_vectors(chart, 4, 2, seed=17)
+        for i, p in enumerate(points):
             X = vectors[i][0]
             out = covariant_derivative_02(chart, chart.metric, p, X)
             assert np.max(np.abs(out)) <= 1e-9
@@ -155,9 +154,8 @@ def test_flat_translation_is_killing(flat3):
 
 def test_h21_xi_is_killing(h21_chart):
     s = h21_chart
-    smp, vectors = sample_with_vectors(s.carrier, 6, 4, seed=23)
-    for i in range(smp.n_points):
-        p = smp.points[i]
+    points, vectors = sample_with_vectors(s.carrier, 6, 4, seed=23)
+    for i, p in enumerate(points):
         for a in range(0, 4, 2):
             X, Y = vectors[i][a], vectors[i][a + 1]
             assert abs(lie_derivative_metric(s.carrier, s.xi, p, X, Y)) <= 1e-9
@@ -198,9 +196,8 @@ def test_h21_deta_on_frame(h21_chart):
 
 def test_h21_contact_volume_nonzero(h21_chart):
     s = h21_chart
-    smp = sample(s.carrier, 5, seed=31)
     vols = [contact_volume_coefficient(s.carrier, s.eta, p)
-            for p in smp.points]
+            for p in sample(s.carrier, 5, seed=31)]
     assert all(abs(v) > 1e-6 for v in vols)
     # constant across points (left invariance)
     assert max(vols) - min(vols) < 1e-12
@@ -242,8 +239,7 @@ def test_curvature_symmetries_on_registry(h21_chart, s5_example, sine_cone_cos,
               sine_cone_cos.structure.carrier, sine_cone_sin.structure.carrier,
               r_warped_surface.structure.carrier, flat_cosym5.carrier, s2_round]
     for chart in charts:
-        smp = sample(chart, 5, seed=13)
-        for p in smp.points:
+        for p in sample(chart, 5, seed=13):
             res = geo.curvature_symmetry_residuals(geo.point_geometry(chart, p)[1])
             assert max(res.values()) <= 1e-9, (chart.name, res)
 
@@ -252,26 +248,28 @@ def test_curvature_symmetries_on_registry(h21_chart, s5_example, sine_cone_cos,
 
 def _registry_fields():
     """(label, chart, fields) for every chart a registry target carries."""
+    from curvlab.constructions import HypersurfaceExample, SubmersionPair
     from curvlab.constructions.registry import resolve_target
+    from curvlab.structures import AlmostContactStructure
     out = []
     for name in ("flat3", "s2_round", "h21_chart", "flat_cosym5", "sine_cone_cos",
                  "sine_cone_sin", "r_warped_surface", "s5_in_c3", "hopf_pair",
                  "cone_of:s5_in_c3", "cone_of:sine_cone_cos"):
-        t = resolve_target(name)
-        if t.kind == "chart":
-            out.append((name, t.obj, ()))
-        elif t.kind == "contact":
-            out.append((name, t.obj.carrier, (t.obj.phi, t.obj.xi, t.obj.eta)))
-        elif t.kind == "hypersurface":
-            s = t.obj.structure
+        o = resolve_target(name)
+        if isinstance(o, Chart):
+            out.append((name, o, ()))
+        elif isinstance(o, AlmostContactStructure):
+            out.append((name, o.carrier, (o.phi, o.xi, o.eta)))
+        elif isinstance(o, HypersurfaceExample):
+            s = o.structure
             out.append((name, s.carrier, (s.phi, s.xi, s.eta)))
-            out.append((f"{name}.ambient", t.obj.ambient.chart, (t.obj.ambient.J,)))
-        elif t.kind == "pair":
-            s = t.obj.total
+            out.append((f"{name}.ambient", o.ambient.chart, (o.ambient.J,)))
+        elif isinstance(o, SubmersionPair):
+            s = o.total
             out.append((f"{name}.total", s.carrier, (s.phi, s.xi, s.eta)))
-            out.append((f"{name}.base", t.obj.base.chart, (t.obj.base.J,)))
+            out.append((f"{name}.base", o.base.chart, (o.base.J,)))
         else:
-            out.append((name, t.obj.chart, (t.obj.J,)))
+            out.append((name, o.chart, (o.J,)))
     return out
 
 
@@ -300,7 +298,7 @@ def test_batched_evaluation_equals_per_point(label, chart, fields):
     """One batched walk per expression gives every point's numbers bit for
     bit: metric jets, the metric and the fields and their jets; and the
     batched point geometry equals the one-point reference formulas."""
-    pts = sample(chart, 4, seed=9).points
+    pts = sample(chart, 4, seed=9)
     mj = geo.metric_jets(chart, pts)
     g = chart.metric_at(pts)
     vals = [eval_field(f, pts) for f in fields]
@@ -331,7 +329,7 @@ def test_batched_point_geometry_on_generated_charts(tmp_path, k):
     path, dim = files[-1]
     assert dim == (3, 5, 6)[k]
     chart = load_manifold_file(path)
-    _assert_point_geometry_per_point(chart, sample(chart, 7, seed=k).points)
+    _assert_point_geometry_per_point(chart, sample(chart, 7, seed=k))
 
 
 def test_batched_singular_metric_names_first_point():
@@ -362,9 +360,9 @@ def test_metric_jets_calls_each_distinct_function_once(monkeypatch, target, coun
     the metric once, over all the points, however many entries repeat it."""
     from curvlab import expr as ex, jet
     from curvlab.constructions.registry import resolve_target
-    obj = resolve_target(target).obj
+    obj = resolve_target(target)
     chart = obj.chart if target.startswith("cone_of:") else obj.structure.carrier
-    points = sample(chart, 5, seed=3).points
+    points = sample(chart, 5, seed=3)
     calls = dict.fromkeys(counts, 0)
     for fn in calls:
         def counted(u, fn=fn, rule=jet.JET_FUNCTIONS[fn]):

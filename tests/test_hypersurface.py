@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.chart import Chart, Interval, SampleSet, TensorField, eval_field, sample
+from curvlab.chart import Chart, Interval, TensorField, eval_field, sample
 from curvlab.errors import CurvlabError
 from curvlab.structures import AlmostHermitianStructure, classify, contact_point_data
 from curvlab.constructions import SurfacePatch, hypersurface, induce_hypersurface
 from curvlab.constructions.registry import ambient_c3
 from curvlab.identities import check_contact
 
+from conftest import record
 from reference import hypersurface_at_point, nabla_J_at_point
 
 
 def test_s5_induction(s5_example):
-    rep = induce_hypersurface(s5_example.ambient, s5_example.patch)
+    rep = induce_hypersurface(s5_example.ambient, s5_example.patch, record(s5_example.structure))
     assert rep.umbilicity <= 1e-9
     assert abs(rep.beta_mean + 1.0) <= 1e-12
     assert np.all(np.abs(rep.beta + 1.0) <= 1e-10)
@@ -23,25 +24,29 @@ def test_s5_induction(s5_example):
     assert rep.normal_tangency_residual <= 1e-12
     assert rep.pullback_residual <= 1e-10
     assert rep.structure_residual <= 1e-10
-    assert rep.induced is not None
 
 
 def test_h_xi_sweeps_the_coordinate_basis(s5_example):
     """h(X, ξ) − η(AX) is linear in X, so it is checked on the coordinate
     basis and needs no sampled vectors: with none it must still be a real
     residual, not the −1 of an empty maximum."""
-    smp = sample(s5_example.patch.chart, 3, seed=1)
-    h_xi = induce_hypersurface(s5_example.ambient, s5_example.patch, smp).h_xi_residual
+    rec = record(s5_example.structure, 3, seed=1)
+    h_xi = induce_hypersurface(s5_example.ambient, s5_example.patch, rec).h_xi_residual
     assert math.isfinite(h_xi) and 0.0 <= h_xi <= 1e-12
 
 
 def test_s5_induced_structure_is_sasakian(s5_example):
-    rep = induce_hypersurface(s5_example.ambient, s5_example.patch)
-    cls = classify(rep.induced)
+    """The structure the immersion induces, read off the record it is
+    compared with, is Sasakian and satisfies g1–g3."""
+    s = s5_example.structure
+    rec = record(s)
+    rep = induce_hypersurface(s5_example.ambient, s5_example.patch, rec)
+    assert rep.structure_residual <= 1e-10
+    cls = classify(s, rec)
     assert cls.sasakian_nabla_xi <= 1e-8
     assert cls.sasakian_nabla_phi <= 1e-8
     for kind in ("g1", "g2", "g3"):
-        assert check_contact(rep.induced, kind).residual <= 1e-7
+        assert check_contact(s, kind, rec).residual <= 1e-7
 
 
 def _sphere_like_immersion():
@@ -70,8 +75,7 @@ def _ellipsoid_patch():
     # parameter-chart metric is only needed for sampling; use any SPD template
     metric = [[("1" if i == j else None) for j in range(5)] for i in range(5)]
     chart = Chart(coords, metric, dom, name="ellipsoid_param")
-    return SurfacePatch(chart=chart, immersion=immersion, normal=normal,
-                        name="ellipsoid")
+    return SurfacePatch(chart=chart, immersion=immersion, normal=normal)
 
 
 def _spherical_patch():
@@ -79,25 +83,26 @@ def _spherical_patch():
     coords, dom, sphere = _sphere_like_immersion()
     metric = [[("1" if i == j else None) for j in range(5)] for i in range(5)]
     chart = Chart(coords, metric, dom, name="s5_param")
-    return SurfacePatch(chart=chart, immersion=sphere, normal=sphere,
-                        name="s5_spherical")
+    return SurfacePatch(chart=chart, immersion=sphere, normal=sphere)
 
 
 def test_ellipsoid_not_umbilical():
-    rep = induce_hypersurface(ambient_c3(), _ellipsoid_patch())
+    patch = _ellipsoid_patch()
+    rep = induce_hypersurface(ambient_c3(), patch, record(patch.chart))
     assert rep.umbilicity > 1e-2
     assert rep.normal_unit_residual <= 1e-12
-    assert rep.induced is None
+    assert rep.structure_residual == 0.0   # a bare chart's record: no structure row
 
 
 def test_round_sphere_via_spherical_coordinates():
-    rep = induce_hypersurface(ambient_c3(), _spherical_patch())
+    patch = _spherical_patch()
+    rep = induce_hypersurface(ambient_c3(), patch, record(patch.chart))
     assert rep.umbilicity <= 1e-9
     assert abs(rep.beta_mean + 1.0) <= 1e-10
     assert rep.h_xi_residual <= 1e-9
-    # no induced-structure template on this patch; pullback differs from the
+    # no structure on this patch's chart; pullback differs from the
     # placeholder metric, which only drives sampling
-    assert rep.induced is None
+    assert rep.structure_residual == 0.0
 
 
 @pytest.mark.parametrize("which", ["s5_in_c3", "ellipsoid", "spherical"])
@@ -107,19 +112,20 @@ def test_batched_induction_matches_one_point_reference(s5_example, which):
     ``reference``, bit for bit; the report holds their maxima."""
     patch = {"s5_in_c3": s5_example.patch, "ellipsoid": _ellipsoid_patch(),
              "spherical": _spherical_patch()}[which]
-    s = s5_example.structure if patch.has_structure else patch.chart
-    rec = contact_point_data(s, sample(patch.chart, 11, seed=5).points)
+    structured = which == "s5_in_c3"
+    s = s5_example.structure if structured else patch.chart
+    rec = contact_point_data(s, sample(patch.chart, 11, seed=5))
     J = eval_field(ambient_c3().J, np.zeros(6))
     beta, A, xi, res = hypersurface._induction(J, patch, rec)
     refs = [hypersurface_at_point(
         J, patch, rec.point[n], rec.g[n],
-        *((rec.phi[n], rec.xi[n], rec.eta[n]) if patch.has_structure else ()))
+        *((rec.phi[n], rec.xi[n], rec.eta[n]) if structured else ()))
         for n in range(len(rec.point))]
     assert np.array_equal(A, [r[0] for r in refs])
     assert np.array_equal(beta, [r[1] for r in refs])
     assert np.array_equal(xi, [r[2] for r in refs])
     assert list(res) == list(refs[0][3])
-    assert len(res) == (6 if patch.has_structure else 5)
+    assert len(res) == (6 if structured else 5)
     for k, v in res.items():
         assert np.array_equal(v, [r[3][k] for r in refs]), k
     rep = induce_hypersurface(ambient_c3(), patch, rec)
@@ -127,7 +133,7 @@ def test_batched_induction_matches_one_point_reference(s5_example, which):
     assert rep.umbilicity == max(r[3]["umbilicity"] for r in refs)
     assert rep.h_xi_residual == max(r[3]["h_xi"] for r in refs)
     assert rep.structure_residual == (max(r[3]["structure"] for r in refs)
-                                      if patch.has_structure else 0.0)
+                                      if structured else 0.0)
 
 
 def _curved_ambient(J_entries):
@@ -152,7 +158,7 @@ def _curved_ambient(J_entries):
 def test_batched_nabla_J_matches_per_probe(ambient):
     """The ambient Kähler check's one batch over its probes gives each
     probe's ∇J residual and J bit for bit."""
-    points = sample(ambient.chart, 3, seed=7).points
+    points = sample(ambient.chart, 3, seed=7)
     J, nabla_J = hypersurface._ambient_kahler(ambient, points)
     assert np.array_equal(nabla_J, [nabla_J_at_point(ambient, p) for p in points])
     assert np.array_equal(J, [eval_field(ambient.J, p) for p in points])
@@ -167,7 +173,7 @@ def test_non_unit_normal_rejected(s5_example):
     bad = SurfacePatch(chart=patch.chart, immersion=patch.immersion,
                        normal=scaled)
     with pytest.raises(CurvlabError):
-        induce_hypersurface(s5_example.ambient, bad)
+        induce_hypersurface(s5_example.ambient, bad, record(bad.chart))
 
 
 _S5_IMMERSION = ("cos(a)*cos(p1)", "cos(a)*sin(p1)",
@@ -179,16 +185,17 @@ _DEGENERATE = ("cos(a)*cos(p1)", "cos(a)*sin(p1)",
                "0*p3", "0*p3 + 1")
 
 
-def _points(p1_values):
-    """Parameter points of s5_in_c3 that differ only in p1."""
-    return SampleSet(points=np.array([[0.7, 0.6, v, 0.3, 0.3] for v in p1_values]), seed=0)
+def _points(chart, p1_values):
+    """The record of ``chart`` at parameter points of s5_in_c3 that differ
+    only in p1."""
+    return contact_point_data(chart, [[0.7, 0.6, v, 0.3, 0.3] for v in p1_values])
 
 
 def test_rank_deficient_immersion_rejected(s5_example):
     bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_DEGENERATE,
                        normal=_S5_IMMERSION)
     with pytest.raises(CurvlabError, match="rank-deficient"):
-        induce_hypersurface(s5_example.ambient, bad)
+        induce_hypersurface(s5_example.ambient, bad, record(bad.chart))
 
 
 def test_non_unit_error_comes_first_at_a_point(s5_example):
@@ -197,7 +204,7 @@ def test_non_unit_error_comes_first_at_a_point(s5_example):
     bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_DEGENERATE,
                        normal=_DEGENERATE)
     with pytest.raises(CurvlabError, match=r"normal is not unit at \(0\.7, 0\.6, 0\.0,"):
-        induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.5]))
+        induce_hypersurface(s5_example.ambient, bad, _points(bad.chart, [0.0, 0.5]))
 
 
 def test_first_failing_point_is_named(s5_example):
@@ -207,13 +214,13 @@ def test_first_failing_point_is_named(s5_example):
     bad = SurfacePatch(chart=s5_example.patch.chart, immersion=_S5_IMMERSION,
                        normal=normal)
     with pytest.raises(CurvlabError, match=r"not unit at \(0\.7, 0\.6, 0\.5, 0\.3, 0\.3\)"):
-        induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.0, 0.5, 0.9]))
+        induce_hypersurface(s5_example.ambient, bad, _points(bad.chart, [0.0, 0.0, 0.5, 0.9]))
     # a rank-deficient point before it is named instead, with its own error
     collapsing = tuple(f"p1*({c})" for c in _S5_IMMERSION)
     bad = SurfacePatch(chart=s5_example.patch.chart, immersion=collapsing,
                        normal=normal)
     with pytest.raises(CurvlabError, match=r"rank-deficient at \(0\.7, 0\.6, 0\.0, 0\.3, 0\.3\)"):
-        induce_hypersurface(s5_example.ambient, bad, _points([0.01, 0.0, 0.5]))
+        induce_hypersurface(s5_example.ambient, bad, _points(bad.chart, [0.01, 0.0, 0.5]))
 
 
 def test_nan_normal_is_named_in_point_order(s5_example):
@@ -227,27 +234,27 @@ def test_nan_normal_is_named_in_point_order(s5_example):
                        normal=normal)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvalDomainError, match="normal_unit"):
-            induce_hypersurface(s5_example.ambient, bad, _points([0.0, 1.0, 0.5]))
+            induce_hypersurface(s5_example.ambient, bad, _points(bad.chart, [0.0, 1.0, 0.5]))
         with pytest.raises(CurvlabError, match=r"not unit at \(0\.7, 0\.6, 0\.5,"):
-            induce_hypersurface(s5_example.ambient, bad, _points([0.0, 0.5, 1.0]))
+            induce_hypersurface(s5_example.ambient, bad, _points(bad.chart, [0.0, 0.5, 1.0]))
 
 
 def test_non_finite_immersion_jacobian_is_named(s5_example):
     """exp(400 a)² · 0 is NaN where exp(800 a) overflows, a > 0.89. A NaN
     Jacobian would make the svd raise numpy's LinAlgError; the check names
-    the first such point instead, after a finite one, and with the default
-    sample set too."""
+    the first such point instead, after a finite one, and at 20 sampled
+    points too."""
     immersion = ("exp(400*a)*exp(400*a)*0 + cos(a)*cos(p1)",) + _S5_IMMERSION[1:]
     bad = SurfacePatch(chart=s5_example.patch.chart, immersion=immersion,
                        normal=_S5_IMMERSION)
-    points = SampleSet(points=np.array([[0.7, 0.6, 0.5, 0.3, 0.3], [1.2, 0.6, 0.5, 0.3, 0.3],
-                                        [1.3, 0.6, 0.5, 0.3, 0.3]]), seed=0)
+    points = contact_point_data(bad.chart, [[0.7, 0.6, 0.5, 0.3, 0.3], [1.2, 0.6, 0.5, 0.3, 0.3],
+                                            [1.3, 0.6, 0.5, 0.3, 0.3]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CurvlabError, match=r"^immersion Jacobian is not finite at "
                                                r"\(1\.2, 0\.6, 0\.5, 0\.3, 0\.3\)$"):
             induce_hypersurface(s5_example.ambient, bad, points)
         with pytest.raises(CurvlabError, match="immersion Jacobian is not finite"):
-            induce_hypersurface(s5_example.ambient, bad)
+            induce_hypersurface(s5_example.ambient, bad, record(bad.chart))
 
 
 def test_non_kahler_ambient_rejected(s5_example):
@@ -264,7 +271,7 @@ def test_non_kahler_ambient_rejected(s5_example):
         J[i, j] = t
     bad = AlmostHermitianStructure(flat, TensorField(flat, "endomorphism", J))
     with pytest.raises(CurvlabError):
-        induce_hypersurface(bad, s5_example.patch)
+        induce_hypersurface(bad, s5_example.patch, record(s5_example.structure))
 
 
 def test_nan_normal_never_passes(s5_example):
@@ -277,4 +284,4 @@ def test_nan_normal_never_passes(s5_example):
               "sin(a)*sin(b)*cos(p3)", "sin(a)*sin(b)*sin(p3)")
     bad = SurfacePatch(chart=patch.chart, immersion=patch.immersion, normal=normal)
     with pytest.raises(EvalDomainError, match="normal_unit"):
-        induce_hypersurface(s5_example.ambient, bad)
+        induce_hypersurface(s5_example.ambient, bad, record(bad.chart))

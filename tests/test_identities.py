@@ -4,12 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from curvlab.chart import sample
 from curvlab.identities import (check_c_alpha, check_contact, check_hermitian,
                                 consequence_suite, reevaluate_witness)
-from curvlab.structures import default_samples
 from curvlab.constructions import build_cone, resolve_target
-from conftest import flat_kahler_c2, record_at, sample_with_vectors
+from conftest import flat_kahler_c2, record, record_at, sample_with_vectors, structure_of
 
 F = Fraction
 
@@ -19,7 +17,7 @@ F = Fraction
 def test_flat_c2_satisfies_all_k():
     h = flat_kahler_c2()
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(h, kind)
+        rep = check_hermitian(h, kind, record(h))
         assert rep.residual <= 1e-12
         assert rep.verdict
 
@@ -27,38 +25,38 @@ def test_flat_c2_satisfies_all_k():
 def test_cone_over_s5_is_kahler_flat(s5_example):
     cone = build_cone(s5_example.structure)
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(cone, kind)
+        rep = check_hermitian(cone, kind, record(cone))
         assert rep.residual <= 1e-7
 
 
 def test_cone_over_h21_k2_but_not_k1(h21_chart):
     cone = build_cone(h21_chart)
-    k2 = check_hermitian(cone, "k2")
+    k2 = check_hermitian(cone, "k2", record(cone))
     assert k2.residual <= 1e-7
-    k1 = check_hermitian(cone, "k1")
+    k1 = check_hermitian(cone, "k1", record(cone))
     assert k1.residual >= 0.5
-    k3 = check_hermitian(cone, "k3")
+    k3 = check_hermitian(cone, "k3", record(cone))
     assert k3.residual <= 1e-7
 
 
 # -- contact identities ---------------------------------------------------------------
 
 def test_h21_g2_exactly_zero(h21_frame):
-    rep = check_contact(h21_frame, "g2")
+    rep = check_contact(h21_frame, "g2", record(h21_frame))
     assert rep.exact == 0
     assert rep.verdict
     assert rep.n_quadruples == 625
 
 
 def test_h21_g3_exactly_zero(h21_frame):
-    rep = check_contact(h21_frame, "g3")
+    rep = check_contact(h21_frame, "g3", record(h21_frame))
     assert rep.exact == 0
 
 
 def test_h21_g1_exact_residuals(h21_frame):
     """The exhaustive sweep pins the max residual at exactly 2; the
     designated quadruple (X1, Y1, X1, Y2) carries exactly 24/25 = 2cs."""
-    rep = check_contact(h21_frame, "g1")
+    rep = check_contact(h21_frame, "g1", record(h21_frame))
     assert rep.exact == 2
     assert not rep.verdict
     # the argmax witness reproduces its residual exactly
@@ -85,78 +83,79 @@ def test_h21_chart_residuals_are_the_exact_h21_values(cs):
     """h21_chart is the h21 frame in coordinates and a chart sweep covers all
     of E(p), so its residuals are the exact frame values up to rounding:
     g1 = 2, g2 = g3 = 0 and c(1/2) = 3/2."""
-    s = resolve_target(f"h21_chart:{cs}").obj
-    smp = sample(s.carrier, 5, seed=1)
+    s = resolve_target(f"h21_chart:{cs}")
+    rec = record(s, 5, seed=1)
     for kind, exact in (("g1", 2), ("g2", 0), ("g3", 0)):
-        assert abs(check_contact(s, kind, smp).residual - exact) <= 1e-12, kind
-    assert abs(check_c_alpha(s, F(1, 2), smp).residual - 1.5) <= 1e-12
+        assert abs(check_contact(s, kind, rec).residual - exact) <= 1e-12, kind
+    assert abs(check_c_alpha(s, F(1, 2), rec).residual - 1.5) <= 1e-12
 
 
 def test_s5_satisfies_all_g(s5_example):
     for kind in ("g1", "g2", "g3"):
-        rep = check_contact(s5_example.structure, kind)
+        rep = check_contact(s5_example.structure, kind, record(s5_example.structure))
         assert rep.residual <= 1e-7, kind
 
 
 def test_sine_cone_g2_not_g1(sine_cone_cos, sine_cone_sin):
     for bundle in (sine_cone_cos, sine_cone_sin):
         s = bundle.structure
-        g2 = check_contact(s, "g2")
+        g2 = check_contact(s, "g2", record(s))
         assert g2.residual <= 1e-8
-        g1 = check_contact(s, "g1")
+        g1 = check_contact(s, "g1", record(s))
         assert g1.residual >= 0.5
-        g3 = check_contact(s, "g3")
+        g3 = check_contact(s, "g3", record(s))
         assert g3.residual <= 1e-8
 
 
 def test_surface_warped_satisfies_g1(r_warped_surface):
-    rep = check_contact(r_warped_surface.structure, "g1")
+    rep = check_contact(r_warped_surface.structure, "g1", record(r_warped_surface.structure))
     assert rep.residual <= 1e-8
 
 
 def test_flat_cosym_fails_all_g(flat_cosym5):
     for kind in ("g1", "g2", "g3"):
-        rep = check_contact(flat_cosym5, kind)
+        rep = check_contact(flat_cosym5, kind, record(flat_cosym5))
         assert rep.residual > 0.1, kind
 
 
 # -- c(alpha) ---------------------------------------------------------------------------
 
 def test_s5_is_c1(s5_example):
-    assert check_c_alpha(s5_example.structure, 1.0).residual <= 1e-7
+    assert check_c_alpha(s5_example.structure, 1.0, record(s5_example.structure)).residual <= 1e-7
 
 
 def test_s5_alpha_zero_negative_control(s5_example):
-    assert check_c_alpha(s5_example.structure, 0.0).residual >= 0.5
+    assert check_c_alpha(s5_example.structure, 0.0, record(s5_example.structure)).residual >= 0.5
 
 
 def test_flat_cosym_is_c0(flat_cosym5):
-    assert check_c_alpha(flat_cosym5, 0.0).residual <= 1e-12
+    assert check_c_alpha(flat_cosym5, 0.0, record(flat_cosym5)).residual <= 1e-12
 
 
 def test_h21_c1_equals_g1(h21_frame):
     # c(1) coincides with g1 term for term
-    assert check_c_alpha(h21_frame, 1).exact == check_contact(h21_frame, "g1").exact
+    rec = record(h21_frame)
+    assert check_c_alpha(h21_frame, 1, rec).exact == check_contact(h21_frame, "g1", rec).exact
 
 
 # -- consequences ------------------------------------------------------------------------
 
 def test_s5_consequences(s5_example):
     for kind in ("g1", "g2", "g3"):
-        suite = consequence_suite(s5_example.structure, kind)
+        suite = consequence_suite(s5_example.structure, kind, record(s5_example.structure))
         for tag, rep in suite.items():
             assert rep.residual <= 1e-7, (kind, tag)
 
 
 def test_h21_xi_slot_consequence_exact(h21_frame):
-    suite = consequence_suite(h21_frame, "g2")
+    suite = consequence_suite(h21_frame, "g2", record(h21_frame))
     assert suite["xi_slot_g"].exact == 0
     assert suite["xi_slot_zero"].exact == 0
 
 
 def test_flat_cosym_xi_slot_fails(flat_cosym5):
     # R = 0 so R(xi, Y, xi, W) cannot equal g(Y, W); the g3 consequence fails
-    suite = consequence_suite(flat_cosym5, "g3")
+    suite = consequence_suite(flat_cosym5, "g3", record(flat_cosym5))
     assert suite["xi_slot_g"].residual > 0.1
     assert suite["restricted"].residual <= 1e-12
 
@@ -182,9 +181,8 @@ def test_g2_implies_xi_slot_relation(h21_frame, s5_example):
         assert lhs == rhs
     # chart path on S5
     s = s5_example.structure
-    smp, vectors = sample_with_vectors(s.carrier, 4, 12, seed=5)
-    for i in range(smp.n_points):
-        p = smp.points[i]
+    points, vectors = sample_with_vectors(s.carrier, 4, 12, seed=5)
+    for i, p in enumerate(points):
         data = record_at(s, p)
         for a in range(0, 12 - 2, 3):
             Y, Z, W = vectors[i][a], vectors[i][a + 1], vectors[i][a + 2]
@@ -200,15 +198,10 @@ CONTACT_TARGETS = ("h21", "h21_chart", "flat_cosym5", "sine_cone_cos",
                    "sine_cone_sin", "r_warped_surface", "s5_in_c3")
 
 
-def contact_structure(name):
-    t = resolve_target(name)
-    return t.obj.structure if t.kind == "hypersurface" else t.obj
-
-
 @pytest.mark.parametrize("name", CONTACT_TARGETS)
 def test_inclusion_chain(name):
-    s = contact_structure(name)
-    verdicts = {k: check_contact(s, k, tol=1e-7).verdict for k in ("g1", "g2", "g3")}
+    s = structure_of(name)
+    verdicts = {k: check_contact(s, k, record(s), tol=1e-7).verdict for k in ("g1", "g2", "g3")}
     assert not (verdicts["g1"] and not verdicts["g2"]), name
     assert not (verdicts["g2"] and not verdicts["g3"]), name
 
@@ -216,31 +209,31 @@ def test_inclusion_chain(name):
 @pytest.mark.parametrize("name", CONTACT_TARGETS)
 def test_g3_implies_ricci_2n(name):
     from curvlab.structures import classify
-    s = contact_structure(name)
-    if not check_contact(s, "g3", tol=1e-7).verdict:
+    s = structure_of(name)
+    if not check_contact(s, "g3", record(s), tol=1e-7).verdict:
         pytest.skip("g3 does not hold here")
-    rep = classify(s)
+    rep = classify(s, record(s))
     assert abs(float(rep.ric_xi_xi) - rep.ric_xi_xi_target) <= 1e-6
 
 
 def test_witness_reproducibility_chart(s5_example, sine_cone_cos):
     for s, kind in ((s5_example.structure, "g2"), (sine_cone_cos.structure, "g1")):
-        rep = check_contact(s, kind)
+        rep = check_contact(s, kind, record(s))
         assert reevaluate_witness(s, kind, rep.witness) == rep.residual
 
 
 def test_witness_reproducibility_hermitian(h21_chart):
     h = build_cone(h21_chart)
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(h, kind)
+        rep = check_hermitian(h, kind, record(h))
         assert reevaluate_witness(h, kind, rep.witness) == rep.residual
 
 
 @pytest.mark.parametrize("alpha", [F(1, 2), F(-2)])
 def test_witness_reproducibility_c_alpha(s5_example, h21_frame, alpha):
-    rep = check_c_alpha(s5_example.structure, alpha)
+    rep = check_c_alpha(s5_example.structure, alpha, record(s5_example.structure))
     assert reevaluate_witness(s5_example.structure, "c", rep.witness, alpha) == rep.residual
-    rep = check_c_alpha(h21_frame, alpha)
+    rep = check_c_alpha(h21_frame, alpha, record(h21_frame))
     again = reevaluate_witness(h21_frame, "c", rep.witness, alpha)
     assert type(again) is Fraction and again == rep.exact
 
@@ -248,7 +241,7 @@ def test_witness_reproducibility_c_alpha(s5_example, h21_frame, alpha):
 def test_chart_sweep_covers_every_frame_quadruple(sine_cone_cos):
     """A chart sweep visits all d⁴ quadruples of E(p) at every point."""
     s = sine_cone_cos.structure
-    rep = check_contact(s, "g1", sample(s.carrier, 5, seed=1))
+    rep = check_contact(s, "g1", record(s, 5, seed=1))
     assert rep.n_points == 5
     assert rep.n_quadruples == rep.n_points * s.dim ** 4
 
@@ -271,9 +264,9 @@ def test_one_evaluation_per_check(monkeypatch):
 
 def test_identity_reports_deterministic(s5_example):
     s = s5_example.structure
-    smp = sample(s.carrier, 6, seed=3)
-    a = check_contact(s, "g1", smp)
-    b = check_contact(s, "g1", smp)
+    rec = record(s, 6, seed=3)
+    a = check_contact(s, "g1", rec)
+    b = check_contact(s, "g1", rec)
     assert a.residual == b.residual
     assert a.witness == b.witness
 

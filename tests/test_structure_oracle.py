@@ -21,11 +21,11 @@ import pytest
 
 from curvlab import geometry
 from curvlab.chart import eval_field, eval_field_jets, sample
-from curvlab.constructions import resolve_target
 from curvlab.frame import FrameGeometry, heisenberg_h21
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
-from curvlab.structures import AlmostContactStructure, check_kappa_mu, classify, validate
-from conftest import flat_kahler_c2
+from curvlab.structures import (AlmostContactStructure, check_kappa_mu, classify,
+                                contact_point_data, validate)
+from conftest import flat_kahler_c2, record, structure_of
 from reference import frame_ricci, nabla_of, ricci
 from test_frame_oracle import tilted_frame_text
 
@@ -46,9 +46,9 @@ def basis_at(chart, p):
     return g, list(geometry.orthonormal_frame(g))
 
 
-def oracle_validate(s, samples):
+def oracle_validate(s, points):
     res = dict.fromkeys(("eta_xi", "phi_xi", "eta_phi", "phi_square", "compatibility"), 0.0)
-    for p in samples.points:
+    for p in points:
         g, vecs = basis_at(s.carrier, p)
         phi, xi, eta = eval_field(s.phi, p), eval_field(s.xi, p), eval_field(s.eta, p)
         res["eta_xi"] = max(res["eta_xi"], abs(float(eta @ xi) - 1.0))
@@ -64,9 +64,9 @@ def oracle_validate(s, samples):
     return res
 
 
-def oracle_hermitian(h, samples):
+def oracle_hermitian(h, points):
     res = {"j_square": 0.0, "compatibility": 0.0}
-    for p in samples.points:
+    for p in points:
         g, vecs = basis_at(h.chart, p)
         J = eval_field(h.J, p)
         for X in vecs:
@@ -77,12 +77,12 @@ def oracle_hermitian(h, samples):
     return res
 
 
-def oracle_classify(s, samples):
+def oracle_classify(s, points):
     chart, d = s.carrier, s.dim
     res = dict.fromkeys(("contact_metric", "contact_metric_raw", "killing_xi",
                          "sasakian_nabla_xi", "sasakian_nabla_phi", "parallel_phi"), 0.0)
     ric, ric_dev = None, -1.0
-    for p in samples.points:
+    for p in points:
         g, vecs = basis_at(chart, p)
         gamma = geometry.point_geometry(chart, p)[0].gamma
         phi, xi, eta = eval_field(s.phi, p), eval_field(s.xi, p), eval_field(s.eta, p)
@@ -111,9 +111,9 @@ def oracle_classify(s, samples):
     return res, ric
 
 
-def oracle_kappa_mu(s, kappa, mu, samples):
+def oracle_kappa_mu(s, kappa, mu, points):
     worst = 0.0
-    for p in samples.points:
+    for p in points:
         g, vecs = basis_at(s.carrier, p)
         riem13 = geometry.point_geometry(s.carrier, p)[1].riem13
         phi_v, phi_g = eval_field_jets(s.phi, p)
@@ -162,15 +162,13 @@ eta_3 = "1"
 def contact(request):
     if request.param == "sol3":
         return load_manifold_text(SOL3_CHART)
-    t = resolve_target(request.param)
-    return {"hypersurface": lambda o: o.structure, "pair": lambda o: o.total}.get(
-        t.kind, lambda o: o)(t.obj)
+    return structure_of(request.param)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chart_validate_matches_oracle(contact, seed):
     smp = sample(contact.carrier, 3, seed)
-    got, want = validate(contact, smp), oracle_validate(contact, smp)
+    got, want = validate(contact, contact_point_data(contact, smp)), oracle_validate(contact, smp)
     assert list(got) == list(want)
     for key in want:
         close(got[key], want[key])
@@ -179,7 +177,7 @@ def test_chart_validate_matches_oracle(contact, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chart_classify_matches_oracle(contact, seed):
     smp = sample(contact.carrier, 3, seed)
-    rep = classify(contact, smp)
+    rep = classify(contact, contact_point_data(contact, smp))
     want, ric = oracle_classify(contact, smp)
     close(rep.compatibility, max(oracle_validate(contact, smp).values()))
     for key, val in want.items():
@@ -191,7 +189,7 @@ def test_chart_classify_matches_oracle(contact, seed):
 @pytest.mark.parametrize("kappa,mu", KAPPA_MU)
 def test_chart_kappa_mu_matches_oracle(contact, seed, kappa, mu):
     smp = sample(contact.carrier, 3, seed)
-    close(check_kappa_mu(contact, kappa, mu, smp),
+    close(check_kappa_mu(contact, kappa, mu, contact_point_data(contact, smp)),
           oracle_kappa_mu(contact, float(kappa), float(mu), smp))
 
 
@@ -199,7 +197,7 @@ def test_chart_kappa_mu_matches_oracle(contact, seed, kappa, mu):
 def test_hermitian_validate_matches_oracle(seed):
     h = flat_kahler_c2()
     smp = sample(h.chart, 3, seed)
-    got, want = validate(h, smp), oracle_hermitian(h, smp)
+    got, want = validate(h, contact_point_data(h, smp)), oracle_hermitian(h, smp)
     assert list(got) == list(want)
     for key in want:
         close(got[key], want[key])
@@ -286,11 +284,11 @@ def frame(request, tmp_path_factory):
 
 
 def test_frame_validate_matches_oracle(frame):
-    assert validate(frame) == frame_oracle(frame.carrier)[0]
+    assert validate(frame, record(frame)) == frame_oracle(frame.carrier)[0]
 
 
 def test_frame_classify_matches_oracle(frame):
-    rep = classify(frame)
+    rep = classify(frame, record(frame))
     assert type(rep.ric_xi_xi) is Fraction
     assert rep.ric_xi_xi == frame_ricci(frame.carrier, frame.carrier.xi, frame.carrier.xi)
     assert rep.residuals() == frame_oracle(frame.carrier)[1]
@@ -298,17 +296,18 @@ def test_frame_classify_matches_oracle(frame):
 
 @pytest.mark.parametrize("kappa,mu", KAPPA_MU)
 def test_frame_kappa_mu_matches_oracle(frame, kappa, mu):
-    assert check_kappa_mu(frame, kappa, mu) == frame_kappa_mu(frame.carrier, F(kappa), F(mu))
+    assert check_kappa_mu(frame, kappa, mu, record(frame)) \
+        == frame_kappa_mu(frame.carrier, F(kappa), F(mu))
 
 
 def test_sol3_chart_matches_solvable_frame():
     """The same structure on both carriers: E(p) is the frame (E1, E2, ξ),
     so every chart residual is the frame's exact one, up to rounding."""
     chart, frame = load_manifold_text(SOL3_CHART), AlmostContactStructure(solvable_frame())
-    smp = sample(chart.carrier, 3, 5)
-    want = classify(frame).residuals()
+    rec, exact = record(chart, 3, 5), record(frame)
+    want = classify(frame, exact).residuals()
     assert want["sasakian_nabla_phi"] > 0.5
-    for key, val in classify(chart, smp).residuals().items():
+    for key, val in classify(chart, rec).residuals().items():
         close(val, want[key])
     for kappa, mu in KAPPA_MU:
-        close(check_kappa_mu(chart, kappa, mu, smp), check_kappa_mu(frame, kappa, mu))
+        close(check_kappa_mu(chart, kappa, mu, rec), check_kappa_mu(frame, kappa, mu, exact))

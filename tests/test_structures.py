@@ -7,47 +7,42 @@ import pytest
 from curvlab.chart import TensorField, sample
 from curvlab.errors import CurvlabError
 from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure,
-                                check_kappa_mu, classify, validate)
-from conftest import flat_kahler_c2
+                                check_kappa_mu, classify, contact_point_data, validate)
+from conftest import flat_kahler_c2, record
 
 
 # -- validate ----------------------------------------------------------------------
 
 def test_h21_frame_validates_exactly(h21_frame):
-    res = validate(h21_frame)
+    res = validate(h21_frame, record(h21_frame))
     assert all(v == 0.0 for v in res.values())
 
 
 def test_sine_cone_validates(sine_cone_cos):
-    res = validate(sine_cone_cos.structure)
+    res = validate(sine_cone_cos.structure, record(sine_cone_cos.structure))
     assert max(res.values()) <= 1e-12
 
 
 def test_s5_validates(s5_example):
-    res = validate(s5_example.structure)
+    res = validate(s5_example.structure, record(s5_example.structure))
     assert max(res.values()) <= 1e-12
 
 
 def test_validate_differentiates_nothing(monkeypatch, s5_example):
-    """validate reads g, φ, ξ and η of the point record: no field jets from
-    a sample set, one batch of metric jets over its points, and no
-    expression program run at all once the record exists."""
+    """validate reads g, φ, ξ and η of the point record: no field jets, no
+    metric jets and no expression program run once the record exists."""
     import curvlab.structures as structures
     from curvlab import expr, geometry
     s = s5_example.structure
-    smp = sample(s.carrier, 20, seed=3)
-    records = structures.contact_point_data(s, smp.points)
+    records = contact_point_data(s, sample(s.carrier, 20, seed=3))
     calls = []
     for owner, name in ((structures, "eval_field_jets"), (geometry, "metric_jets"),
                         (expr.Program, "run")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name:
                             calls.append((name, np.shape(a[1]))) or real(*a))
-    from_records = validate(s, records)
+    validate(s, records)
     assert calls == []
-    assert validate(s, smp) == from_records
-    assert [c for c in calls if c[0] != "run"] == [("metric_jets", smp.points.shape)]
-    assert ("run", ()) in calls
 
 
 def test_corrupted_phi_detected(sine_cone_cos):
@@ -58,13 +53,13 @@ def test_corrupted_phi_detected(sine_cone_cos):
     bad = AlmostContactStructure(carrier=chart,
                                  phi=TensorField(chart, "endomorphism", comps),
                                  xi=s.xi, eta=s.eta)
-    res = validate(bad)
+    res = validate(bad, record(bad))
     assert res["phi_square"] >= 0.05
 
 
 def test_hermitian_validate():
     h = flat_kahler_c2()
-    res = validate(h)
+    res = validate(h, record(h))
     # summation order differs between g(JX, JY) and g(X, Y); roundoff only
     assert max(res.values()) <= 1e-14
 
@@ -78,13 +73,13 @@ def test_classify_rejects_incompatible(sine_cone_cos):
                                  phi=TensorField(chart, "endomorphism", comps),
                                  xi=s.xi, eta=s.eta)
     with pytest.raises(CurvlabError):
-        classify(bad)
+        classify(bad, record(bad))
 
 
 # -- classify ------------------------------------------------------------------------
 
 def test_h21_classification(h21_frame):
-    rep = classify(h21_frame)
+    rep = classify(h21_frame, record(h21_frame))
     b = rep.booleans()
     assert rep.killing_xi == 0.0
     assert b["killing_xi"]
@@ -99,8 +94,8 @@ def test_h21_classification(h21_frame):
 
 
 def test_h21_chart_classification_matches_frame(h21_frame, h21_chart):
-    fr = classify(h21_frame)
-    ch = classify(h21_chart)
+    fr = classify(h21_frame, record(h21_frame))
+    ch = classify(h21_chart, record(h21_chart))
     assert ch.killing_xi <= 1e-9
     assert abs(ch.sasakian_nabla_xi) > 0.05
     assert abs(float(ch.ric_xi_xi) - 4.0) <= 1e-8
@@ -109,7 +104,7 @@ def test_h21_chart_classification_matches_frame(h21_frame, h21_chart):
 
 
 def test_s5_is_sasakian(s5_example):
-    rep = classify(s5_example.structure)
+    rep = classify(s5_example.structure, record(s5_example.structure))
     b = rep.booleans()
     assert rep.sasakian_nabla_xi <= 1e-8
     assert rep.sasakian_nabla_phi <= 1e-8
@@ -118,7 +113,7 @@ def test_s5_is_sasakian(s5_example):
 
 
 def test_sine_cone_classification(sine_cone_cos):
-    rep = classify(sine_cone_cos.structure)
+    rep = classify(sine_cone_cos.structure, record(sine_cone_cos.structure))
     b = rep.booleans()
     # eta is closed: d(eta) = 0 so the Blair pairing residual is |g(X, phiY)|
     assert not b["contact_metric"]
@@ -126,7 +121,7 @@ def test_sine_cone_classification(sine_cone_cos):
 
 
 def test_hopf_total_is_sasakian(hopf_pair):
-    rep = classify(hopf_pair.total)
+    rep = classify(hopf_pair.total, record(hopf_pair.total))
     assert rep.booleans()["sasakian"]
     assert rep.booleans()["contact_metric"]
     assert abs(rep.ric_xi_xi - 2.0) <= 1e-8  # 2n with n = 1
@@ -135,38 +130,38 @@ def test_hopf_total_is_sasakian(hopf_pair):
 # -- kappa-mu nullity ------------------------------------------------------------------
 
 def test_s5_has_kappa_one(s5_example):
-    res = check_kappa_mu(s5_example.structure, 1.0, 0.0)
+    res = check_kappa_mu(s5_example.structure, 1.0, 0.0, record(s5_example.structure))
     assert res <= 1e-7
-    res_wrong = check_kappa_mu(s5_example.structure, 0.0, 0.0)
+    res_wrong = check_kappa_mu(s5_example.structure, 0.0, 0.0, record(s5_example.structure))
     assert res_wrong > 0.1
 
 
 def test_h21_kappa_mu_exact_zero(h21_frame):
     # brackets with xi vanish, so h = 0 and the kappa = 1 nullity relation
     # holds exactly; mu is then immaterial
-    assert check_kappa_mu(h21_frame, 1, 0) == 0.0
-    assert check_kappa_mu(h21_frame, 1, 5) == 0.0
-    assert check_kappa_mu(h21_frame, Fraction(1, 2), 0) > 0.4
+    assert check_kappa_mu(h21_frame, 1, 0, record(h21_frame)) == 0.0
+    assert check_kappa_mu(h21_frame, 1, 5, record(h21_frame)) == 0.0
+    assert check_kappa_mu(h21_frame, Fraction(1, 2), 0, record(h21_frame)) > 0.4
 
 
 def test_h21_chart_kappa_mu_matches_frame(h21_chart):
-    assert check_kappa_mu(h21_chart, 1.0, 0.0) <= 1e-9
+    assert check_kappa_mu(h21_chart, 1.0, 0.0, record(h21_chart)) <= 1e-9
 
 
 def test_kappa_mu_zero_zero_reduces_to_rxy_xi(flat_cosym5):
     # on eta-orthogonal vectors the formula degenerates to |R_XY xi|,
     # which vanishes identically on a flat chart for any (kappa, mu) with
     # both parameters zero
-    assert check_kappa_mu(flat_cosym5, 0.0, 0.0) == 0.0
+    assert check_kappa_mu(flat_cosym5, 0.0, 0.0, record(flat_cosym5)) == 0.0
 
 
 def test_sasakian_consistency_bound(s5_example, hopf_pair):
     # structures passing the Sasakian residuals satisfy the kappa=1 nullity
     # within a small multiple of the classification tolerance
     for s in (s5_example.structure, hopf_pair.total):
-        rep = classify(s)
+        rep = classify(s, record(s))
         assert rep.sasakian_nabla_xi <= 1e-7
-        assert check_kappa_mu(s, 1.0, 0.0) <= 10 * 1e-7
+        assert check_kappa_mu(s, 1.0, 0.0, record(s)) <= 10 * 1e-7
 
 
 # -- misc --------------------------------------------------------------------------
@@ -183,9 +178,9 @@ def test_frame_carrier_requires_tensors():
 
 def test_classification_deterministic(s5_example):
     s = s5_example.structure
-    smp = sample(s.carrier, 8, seed=77)
-    a = classify(s, smp).residuals()
-    b = classify(s, smp).residuals()
+    rec = record(s, 8, seed=77)
+    a = classify(s, rec).residuals()
+    b = classify(s, rec).residuals()
     assert a == b
 
 
@@ -204,7 +199,7 @@ def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
 
     def poisoned(chart, points):
         conn, curv = real(chart, points)
-        assert np.array_equal(points, smp.points)   # the whole batch in one call
+        assert np.array_equal(points, smp)   # the whole batch in one call
         at = -1 if poison == "curvature_at_last_point" else slice(None)
         if poison == "connection":
             gamma = conn.gamma.copy()
@@ -215,12 +210,13 @@ def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
         return conn, replace(curv, riem=riem, riem13=riem13)
 
     monkeypatch.setattr(geometry, "point_geometry", poisoned)
+    rec = contact_point_data(s, smp)
     with pytest.raises(EvalDomainError):
-        classify(s, smp)
+        classify(s, rec)
     with pytest.raises(EvalDomainError):
-        check_kappa_mu(s, 1.0, 0.0, smp)
+        check_kappa_mu(s, 1.0, 0.0, rec)
     if poison != "connection":   # the identity rows read R, not Γ
         with pytest.raises(EvalDomainError):
-            check_contact(s, "g1", smp)
+            check_contact(s, "g1", rec)
         with pytest.raises(EvalDomainError):
-            consequence_suite(s, "g1", smp)
+            consequence_suite(s, "g1", rec)

@@ -23,7 +23,7 @@ from curvlab import geometry
 from curvlab.chart import Chart, TensorField, eval_field, eval_field_jets, sample
 from curvlab.constructions import SubmersionPair, check_submersion_lift
 from curvlab.constructions.registry import build_hopf_pair
-from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure
+from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure, contact_point_data
 from conftest import record_at
 
 SEEDS = (3, 11)
@@ -167,9 +167,9 @@ FAILING = {"hopf_pair": (), "negated_j": ("lift_connection", "lift_bracket"),
 @pytest.mark.parametrize("name", PAIRS)
 def test_lift_tables_match_oracle(name, seed):
     sp = PAIRS[name]()
-    smp = sample(sp.total.carrier, N_POINTS, seed)
-    want = oracle(sp, smp.points)
-    got = check_submersion_lift(sp, smp)
+    points = sample(sp.total.carrier, N_POINTS, seed)
+    want = oracle(sp, points)
+    got = check_submersion_lift(sp, contact_point_data(sp.total, points))
     assert tuple(got) == TAGS
     for tag in TAGS:
         assert abs(got[tag] - want[tag]) <= 1e-12 * max(1.0, abs(want[tag])), tag
