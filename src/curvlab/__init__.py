@@ -9,26 +9,24 @@ Hermitian curvature identities, their contact analogues and the related
 classification conditions.
 """
 
-from .chart import Chart, Interval, TensorField, eval_field, sample
+from .chart import Chart, Interval, TensorField, sample
 from .frame import FrameGeometry, heisenberg_h21
 from .jet import Jet2, seed, seeds
 from .expr import eval_expr, parse_expr
 from .structures import (AlmostContactStructure, AlmostHermitianStructure,
                          ClassificationReport, check_kappa_mu, classify,
                          contact_point_data, validate)
-from .identities import (IdentityReport, check_c_alpha, check_contact,
-                         check_hermitian, consequence_suite)
+from .identities import IdentityReport, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chart", "Interval", "TensorField", "eval_field", "sample",
+    "Chart", "Interval", "TensorField", "sample",
     "FrameGeometry", "heisenberg_h21",
     "Jet2", "seed", "seeds",
     "eval_expr", "parse_expr",
     "AlmostContactStructure", "AlmostHermitianStructure", "ClassificationReport",
     "check_kappa_mu", "classify", "contact_point_data", "validate",
-    "IdentityReport", "check_c_alpha", "check_contact", "check_hermitian",
-    "consequence_suite",
+    "IdentityReport", "sweep",
     "__version__",
 ]

@@ -3,8 +3,15 @@
 A chart is a single coordinate patch: coordinate names, an open box domain
 (possibly unbounded) and the metric components as expression ASTs. Tensor
 fields (vectors, one-forms, endomorphisms) are expression arrays over the
-same chart. Multi-chart atlases are out of scope; every example here fits
-one chart up to measure-zero sets that sampling avoids.
+same chart; a structure compiles the programs of its fields (structures.py).
+Multi-chart atlases are out of scope; every example here fits one chart up
+to measure-zero sets that sampling avoids.
+
+``sample`` draws the points of an invocation and runs the metric program
+once over the jet ring there: the positive-definiteness check reads that
+run's g, and every later stage reads its ``MetricJets``. ``Chart.metric_at``
+is the float ring's run of the same program, which the tests compare the
+jet values against bit for bit.
 """
 
 from __future__ import annotations
@@ -17,12 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from . import jet
+from . import geometry, jet
 from .errors import CurvlabError, SamplingError, SingularMetricError
 
 __all__ = [
-    "Interval", "Chart", "TensorField",
-    "sample", "eval_field", "eval_field_jets",
+    "Interval", "Chart", "TensorField", "sample",
     "DOMAIN_MARGIN", "POSITIVE_WINDOW", "UNBOUNDED_WINDOW",
 ]
 
@@ -91,7 +97,7 @@ class Chart:
     @functools.cached_property
     def metric_program(self) -> ex.Program:
         """The upper triangle row by row, compiled on first run, for
-        ``metric_at`` and ``metric_jets``."""
+        ``metric_at`` (floats) and ``sample`` and ``metric_jets`` (jets)."""
         return ex.Program(self.metric[ij] for ij in self.upper)
 
     def _symmetrize(self, metric) -> np.ndarray:
@@ -118,13 +124,13 @@ class Chart:
     def parse(self, text: str) -> ex.Expr:
         return ex.parse_expr(text, self.coords)
 
-    def env(self, p: Sequence[float], jets: bool = False) -> dict:
+    def env(self, p: Sequence[float], jets: bool = False, hessians: bool = True) -> dict:
         """Coordinate values at a point ``p`` (d,), as floats, or at each row
         of ``p`` (N, d), as arrays over the N points; seeded jets when
-        ``jets``."""
+        ``jets``, carrying Hessians when ``hessians``."""
         p = np.asarray(p, dtype=float)
         if jets:
-            values = jet.seeds(p)
+            values = jet.seeds(p, hessians)
         else:
             values = list(p.T) if p.ndim > 1 else p.tolist()
         return dict(zip(self.coords, values))
@@ -136,19 +142,6 @@ class Chart:
         for (i, j), v in zip(self.upper, self.metric_program.run(self.env(p))):
             g[..., i, j] = g[..., j, i] = v
         return g
-
-    def check_spd(self, p: Sequence[float]):
-        """Positive definiteness via leading principal minors, at a point or
-        at each row of ``p``; names the first failing point and its first
-        failing minor. A non-finite minor fails too, NaN included."""
-        pts = np.asarray(p, dtype=float).reshape(-1, self.dim)
-        g = self.metric_at(pts)
-        minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, self.dim + 1)], axis=1)
-        bad = ~(np.isfinite(minors) & (minors > 0.0))
-        if bad.any():
-            n, k = divmod(int(np.argmax(bad)), self.dim)
-            raise SingularMetricError(f"metric not positive definite at "
-                                      f"{tuple(pts[n].tolist())} (leading minor {k + 1})")
 
     def __repr__(self) -> str:
         label = self.name or ",".join(self.coords)
@@ -188,69 +181,39 @@ class TensorField:
             parsed[idx] = entry
         object.__setattr__(self, "components", parsed)
 
-    @functools.cached_property
-    def program(self) -> ex.Program:
-        """The components in C order, compiled on first run."""
-        return ex.Program(self.components.flat)
 
 
-def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
-    """All components of ``f`` at a point ``p`` as floats, from one run of
-    its program; at each row of ``p`` (N, d), on a leading point axis."""
-    out = np.empty(np.shape(p)[:-1] + f.components.shape)
-    for idx, v in zip(np.ndindex(f.components.shape), f.program.run(f.chart.env(p))):
-        out[(..., *idx)] = v
-    return out
+def _check_spd(pts: np.ndarray, g: np.ndarray):
+    """Positive definiteness of the metrics g (N, d, d) at the rows of
+    ``pts`` (N, d) via leading principal minors; names the first failing
+    point and its first failing minor. A non-finite minor fails too, NaN
+    included."""
+    d = g.shape[-1]
+    minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, d + 1)], axis=1)
+    bad = ~(np.isfinite(minors) & (minors > 0.0))
+    if bad.any():
+        n, k = divmod(int(np.argmax(bad)), d)
+        raise SingularMetricError(f"metric not positive definite at "
+                                  f"{tuple(pts[n].tolist())} (leading minor {k + 1})")
 
 
-def _expr_jets(program: ex.Program, env: dict, hessians: bool = False):
-    """Values and coordinate gradients of the roots of ``program`` from one
-    run in the jet environment ``env`` (one seed per coordinate, at a point
-    or at N points), with the second derivatives too when ``hessians``. A
-    root that evaluates to a constant keeps zero derivatives. Batched seeds
-    put the point axis first: vals[n, r], grads[n, r, k]."""
-    lead = next(iter(env.values())).value.shape
-    shape, dim = lead + (len(program.roots),), len(env)
-    vals = np.empty(shape)
-    grads = np.zeros(shape + (dim,))
-    hess = np.zeros(shape + (dim, dim)) if hessians else None
-    for r, v in enumerate(program.run(env, ex.JET)):
-        at = (slice(None),) * len(lead) + (r,)
-        if isinstance(v, jet.Jet2):
-            vals[at], grads[at] = v.value, v.grad
-            if hessians:
-                hess[at] = v.hess
-        else:
-            vals[at] = float(v)
-    return (vals, grads, hess) if hessians else (vals, grads)
-
-
-def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Components and their coordinate gradients at ``p``, or at each row of
-    ``p`` (N, d) on a leading point axis.
-
-    Returns ``(values, grads)`` where ``grads[..., k]`` is the partial
-    derivative of the component along coordinate k.
-    """
-    vals, grads = _expr_jets(f.program, f.chart.env(p, jets=True))
-    shape = vals.shape[:-1] + f.components.shape
-    return vals.reshape(shape), grads.reshape(shape + grads.shape[-1:])
-
-
-def sample(chart: Chart, n_points: int, seed: int) -> np.ndarray:
-    """Draw points uniformly from the bounded part of the domain, as an
-    (n_points, dim) array.
+def sample(chart: Chart, n_points: int, seed: int) -> geometry.MetricJets:
+    """Draw points uniformly from the bounded part of the domain, and the
+    metric jets there from one jet run of the metric program; the points
+    are ``.point``, an (n_points, dim) array.
 
     Deterministic for a fixed ``(chart, n_points, seed)``. Unbounded
     coordinates are drawn from (−2, 2); strictly positive ones from (0.5, 3);
     bounded ones keep a 1e−3 margin from the open ends. Every sampled point
-    is checked positive definite. Checks that need directions at a point
-    sweep a basis there, never sampled vectors.
+    is checked positive definite on the run's g, before g is inverted.
+    Checks that need directions at a point sweep a basis there, never
+    sampled vectors.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     lo, hi = np.array([iv.sample_window() for iv in chart.domain]).T
     # one draw of N × d uniforms, row by row: the stream of N·d scalar draws
     pts = np.random.default_rng(seed).uniform(lo, hi, size=(n_points, chart.dim))
-    chart.check_spd(pts)
-    return pts
+    g, dg, d2g = geometry._metric_arrays(chart, pts)
+    _check_spd(pts, g)
+    return geometry.MetricJets(pts, g, dg, d2g)

@@ -15,9 +15,12 @@ overrides the default sampling seed 42; an explicit --seed wins over both.
 A seed must be non-negative.
 
 An invocation is one pipeline: resolve the target to its object, parse the
-checks, draw the sample points, reject a check the target's structure
-cannot take, build the one point record that every check reads, compute the
-rows and emit them.
+checks, draw the sample points with the metric jets there (one jet run of
+the metric, which also checks it positive definite), reject a check the
+target's structure cannot take, build the one point record that every check
+reads (one jet run of the structure's fields), sweep every identity row in
+one pass (the consequence rows in a second), and emit the rows in the order
+asked, each residual checked finite as its row is emitted.
 """
 
 from __future__ import annotations
@@ -35,10 +38,9 @@ import numpy as np
 
 from .chart import Chart, sample
 from .errors import CurvlabError, ManifoldFormatError, RegistryError
-from .identities import (check_c_alpha, check_contact, check_hermitian,
-                         consequence_suite, CONTACT_KINDS, HERMITIAN_KINDS)
+from .identities import CONTACT_KINDS, HERMITIAN_KINDS, sweep
 from .manifold_io import load_manifold_file
-from .structures import (AlmostContactStructure, AlmostHermitianStructure, _finite,
+from .structures import (AlmostContactStructure, AlmostHermitianStructure, _checked, _finite,
                          check_kappa_mu, classify, contact_point_data, validate)
 from .constructions import (HypersurfaceExample, SubmersionPair, check_submersion_lift,
                             induce_hypersurface, registry_names, resolve_target)
@@ -144,6 +146,7 @@ def _identity_rows(s, checks, rec, tol) -> list[dict]:
         if compat > tol:
             raise CurvlabError(
                 f"structure fails compatibility validation (residual {compat:.3e})")
+    reports = iter(sweep([c for c in checks if c[0] not in ("classify", "kappa_mu")], rec, tol))
     rows = []
     for name, args in checks:
         if name == "classify":
@@ -152,15 +155,11 @@ def _identity_rows(s, checks, rec, tol) -> list[dict]:
             residual = check_kappa_mu(s, args[0], args[1], rec)
             rows.append(_row(f"kappa-mu({float(args[0]):g},{float(args[1]):g})", residual,
                              residual <= tol))
-        elif name == "consequences":
-            for g_kind in CONTACT_KINDS:
-                for rep in consequence_suite(s, g_kind, rec, tol).values():
-                    rows.append(_row(rep.tag, rep.residual, rep.verdict))
         else:
-            rep = (check_hermitian(s, name, rec, tol) if name in HERMITIAN_KINDS
-                   else check_c_alpha(s, args[0], rec, tol) if name == "c_alpha"
-                   else check_contact(s, name, rec, tol))
-            rows.append(_row(rep.tag, rep.residual, rep.verdict, _witness_json(rep.witness)))
+            for rep in next(reports):
+                residual = _checked(rep.tag, rep.residual)
+                witness = None if name == "consequences" else _witness_json(rep.witness)
+                rows.append(_row(rep.tag, residual, rep.verdict, witness))
     return rows
 
 
@@ -254,16 +253,16 @@ def run(argv=None) -> int:
             checks = [("classify", ()), ("g1", ()), ("g2", ()), ("g3", ())]
         else:   # report on a bare chart: the curvature symmetries
             checks = []
-        # sampling checks the metric at the points; a frame samples nothing
+        # sampling runs and checks the metric at the points; a frame samples nothing
         chart = (s.chart if isinstance(s, AlmostHermitianStructure)
                  else s.carrier if isinstance(s, AlmostContactStructure) else s)
-        points = sample(chart, args.samples, seed) if isinstance(chart, Chart) else None
+        mj = sample(chart, args.samples, seed) if isinstance(chart, Chart) else None
         for name, _ in checks:
             if name in HERMITIAN_KINDS and not isinstance(s, AlmostHermitianStructure):
                 raise InputError("target carries no almost Hermitian structure")
             if name not in HERMITIAN_KINDS and not isinstance(s, AlmostContactStructure):
                 raise InputError("target carries no almost contact structure")
-        rec = contact_point_data(s, points)
+        rec = contact_point_data(s, mj)
         if isinstance(s, Chart):
             res = geometry.curvature_symmetry_residuals(rec)
             rows = [_row(f"symmetry.{k}", v, v <= 1e-9)

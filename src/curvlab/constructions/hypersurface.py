@@ -26,8 +26,10 @@ import numpy as np
 
 from .. import expr as ex
 from .. import geometry
-from ..chart import Chart, _expr_jets, eval_field_jets, sample
-from ..structures import AlmostHermitianStructure, PointRecord, _checked, _finite
+from ..chart import Chart, sample
+from ..geometry import _expr_jets
+from ..structures import (AlmostHermitianStructure, PointRecord, _checked, _finite,
+                          contact_point_data)
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -64,7 +66,6 @@ class HypersurfaceReport:
     structure with the immersion (0 when the record carries no structure).
     """
 
-    points: np.ndarray
     beta: np.ndarray
     beta_mean: float
     umbilicity: float
@@ -80,12 +81,12 @@ def _per_point(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a.reshape(len(a), -1)), axis=1)
 
 
-def _ambient_kahler(ambient: AlmostHermitianStructure, points: np.ndarray):
-    """J at each row of ``points`` (N, d) and the largest |∇J| entry there,
-    from one ``metric_jets`` and one jet run of J over all the points."""
-    gamma = geometry.connection_of(geometry.metric_jets(ambient.chart, points)).gamma
-    J, dJ = eval_field_jets(ambient.J, points)
-    return J, _per_point(geometry.nabla_endomorphism_of(gamma, J, dJ))
+def _ambient_kahler(ambient: AlmostHermitianStructure):
+    """J at the Kähler check's 3 probes of the ambient chart (seed 7) and
+    the largest |∇J| entry at each, read from the ambient's point record
+    there: one metric jet run and one jet run of J."""
+    rec = contact_point_data(ambient, sample(ambient.chart, 3, seed=7))
+    return rec.phi, _per_point(geometry.nabla_endomorphism_of(rec.gamma, rec.phi, rec.dphi))
 
 
 def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
@@ -101,7 +102,7 @@ def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):
     in that order.
     """
     d, nA = patch.chart.dim, len(patch.immersion)
-    V, dV = _expr_jets(patch.program, patch.chart.env(rec.point, jets=True))
+    V, dV = _expr_jets(patch.program, patch.chart.env(rec.point, jets=True, hessians=False))
     JF, N, dN = dV[:, :nA], V[:, nA:], dV[:, nA:]   # (N, nA, d), (N, nA), (N, nA, d)
     Nrow = N[:, None, :]
     norm2 = (Nrow @ N[:, :, None])[:, 0, 0]
@@ -153,7 +154,7 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     decomposition with ξ = −JN. The ambient's J is read at the Kähler check's
     probes; a flat Kähler ambient has it constant.
     """
-    J, nabla_J = _ambient_kahler(ambient, sample(ambient.chart, 3, seed=7))
+    J, nabla_J = _ambient_kahler(ambient)
     kahler = _checked("hypersurface.ambient_kahler", np.max(nabla_J))
     if kahler > tol:
         raise CurvlabError(f"ambient structure is not Kähler (∇J residual {kahler:.2e})")
@@ -163,7 +164,7 @@ def induce_hypersurface(ambient: AlmostHermitianStructure, patch: SurfacePatch,
     beta, _, _, res = _induction(J[0], patch, rec)
     worst = _finite("hypersurface", {k: np.max(v) for k, v in res.items()})
     return HypersurfaceReport(
-        points=np.array(rec.point), beta=beta,
+        beta=beta,
         beta_mean=float(beta.mean()), umbilicity=worst["umbilicity"],
         h_xi_residual=worst["h_xi"], normal_unit_residual=worst["normal_unit"],
         normal_tangency_residual=worst["normal_tangency"],

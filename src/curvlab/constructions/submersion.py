@@ -35,10 +35,10 @@ import numpy as np
 
 from .. import expr as ex
 from .. import geometry
-from ..chart import _expr_jets, eval_field, eval_field_jets
+from ..geometry import _expr_jets
 from ..identities import _closures, _slot_axes
 from ..structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
-                          _finite, _norm)
+                          _finite, _norm, contact_point_data)
 from ..errors import CurvlabError
 
 __all__ = ["SubmersionPair", "check_submersion_lift"]
@@ -101,20 +101,20 @@ def check_submersion_lift(sp: SubmersionPair, rec: PointRecord) -> dict[str, flo
     lifted frame (the lifts of the base coordinate fields) spans all
     vectors. Returns a dict of max residuals keyed by relation tag;
     ``dpi_xi`` is the invariant dπ(ξ) = 0. The total space's g, Γ, R, φ, ξ
-    and η come from ``rec``, the point record of ``sp.total``.
+    and η (with its gradients) come from ``rec``, the point record of
+    ``sp.total``; the base's come from its own record at the base points,
+    built from one metric jet run and one jet run of J there.
     """
-    base_chart = sp.base.chart
     base_pt, dpi, ddpi = _projection_jets(sp, rec.point)
-    conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
-    GJ = base_chart.metric_at(base_pt) @ eval_field(sp.base.J, base_pt)  # G(e_a, J e_b)
-    eta, deta = eval_field_jets(sp.total.eta, rec.point)  # deta[n, j, m] = ∂_m η_j
+    base = contact_point_data(sp.base, geometry.metric_jets(sp.base.chart, base_pt))
+    GJ = base.g @ base.phi   # G(e_a, J e_b)
     # L[n, :, a] = e_a↑ and dL[n, m, k, a] = ∂_m (e_a↑)^k, from dM[n, m] = ∂_m [dπ; η]
-    dM = np.concatenate([ddpi, deta[:, None]], axis=1).transpose(0, 3, 1, 2)
-    L, dL = _lifted_frame(rec.point, dpi, eta, dM)
+    dM = np.concatenate([ddpi, rec.deta[:, None]], axis=1).transpose(0, 3, 1, 2)
+    L, dL = _lifted_frame(rec.point, dpi, rec.eta, dM)
     # pair tables [n, a, b, k]: D is e_a↑ differentiating the components of e_b↑
     D = np.einsum("nma,nmkb->nabk", L, dL)
     nabla = D + np.einsum("nkij,nia,njb->nabk", rec.gamma, L, L)
-    predicted = (np.einsum("nkc,ncab->nabk", L, conn_N.gamma)
+    predicted = (np.einsum("nkc,ncab->nabk", L, base.gamma)
                  - GJ[..., None] * rec.xi[:, None, None])
 
     # (N, nb, nb, nb, nb) tables on the stacked lifted frames, W, Z, X, Y on
@@ -124,7 +124,7 @@ def check_submersion_lift(sp: SubmersionPair, rec: PointRecord) -> dict[str, flo
     pw, pz, px, py = phv(W), phv(Z), phv(X), phv(Y)
     rxyzw = r4(X, Y, Z, W)
     tables = {
-        "lift_curvature": r4(W, Z, X, Y) - (curv_N.riem - 2.0 * gd(X, py) * gd(W, pz)
+        "lift_curvature": r4(W, Z, X, Y) - (base.riem - 2.0 * gd(X, py) * gd(W, pz)
                                             + gd(Y, pz) * gd(W, px) - gd(X, pz) * gd(W, py)),
         # consequences of the base satisfying each Hermitian identity
         "lift_k1_consequence": (r4(X, Y, pz, pw) - rxyzw

@@ -300,20 +300,11 @@ class Ring:
 class RealRing(Ring):
     name = "real"
 
-    _SINGULAR = {
-        "log": lambda u: u <= 0.0,
-        "sqrt": lambda u: u < 0.0,
-    }
-
     def call(self, fn: str, args: list):
         if len(args) != 1:
             raise RingError(f"{fn}() expects one argument")
-        u = args[0]
-        guard = self._SINGULAR.get(fn)
-        bad = [v for v in np.ravel(u).tolist() if guard(v)] if guard else ()
-        if bad:
-            raise EvalDomainError(f"{fn} of out-of-domain value {bad[0]!r}")
-        return jet._in_range(getattr(math, fn), u)   # e.g. exp(1e3), sin(inf) raise
+        jet._check_domain(fn, args[0])
+        return jet._in_range(getattr(math, fn), args[0])   # e.g. exp(1e3), sin(inf) raise
 
 
 class JetRing(Ring):
@@ -324,7 +315,7 @@ class JetRing(Ring):
             raise RingError(f"{fn}() expects one argument")
         u = args[0]
         if not isinstance(u, jet.Jet2):
-            return RealRing().call(fn, args)  # constant subtree
+            return REAL.call(fn, args)  # constant subtree
         return jet.JET_FUNCTIONS[fn](u)
 
 

@@ -17,6 +17,13 @@ orthonormal frames E(p) of the one stacked point record that every check
 of an invocation shares. The consequence rows use the same sweep on
 vectors projected to v − η(v)ξ.
 
+``sweep`` takes every identity check of an invocation and reads the point
+record alone: the plain rows are one sweep and the consequence rows of all
+three kinds one more, and within a sweep each closure value is computed
+once per distinct argument tuple and kept until its last read, so a term
+that several rows share (such as R(X, Y, φZ, φW) in g1, g2 and c(α)) is
+contracted once.
+
 Every defect is 4-linear, so a residual is the largest entry of the defect
 tensor in an orthonormal basis: no direction is missed, and absolute
 tolerances are meaningful.
@@ -24,19 +31,19 @@ tolerances are meaningful.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from . import geometry
 from .frame import _contract, _rat
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
-                         _checked, contact_point_data)
+                         contact_point_data)
 
 __all__ = [
-    "IdentityReport", "Witness",
-    "check_hermitian", "check_contact", "check_c_alpha",
-    "consequence_suite", "reevaluate_witness",
+    "IdentityReport", "Witness", "sweep", "reevaluate_witness",
     "CONTACT_KINDS", "HERMITIAN_KINDS",
 ]
 
@@ -57,13 +64,24 @@ class Witness:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """The largest |defect| of a sweep, ``value``: a float on charts, exact
+    on an exact record. ``residual`` converts it when read, so a value past
+    the float range raises OverflowError where the row is emitted."""
+
     tag: str
     n_points: int
     n_quadruples: int
-    residual: float
-    exact: Fraction | None
+    value: float | Fraction
     witness: Witness | None
     tolerance: float
+
+    @property
+    def exact(self) -> Fraction | None:
+        return None if isinstance(self.value, float) else self.value
+
+    @property
+    def residual(self) -> float:
+        return float(self.value)
 
     @property
     def verdict(self) -> bool:
@@ -192,75 +210,79 @@ def _closures(riem, g, phi, eta):
     return r4, gd, phv, etv
 
 
-def _xi_slot(t: PointRecord) -> np.ndarray:
-    """ξ of the record as a slot batch: on no slot axis."""
-    return t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)
+def _projected(slots, etv, xi):
+    """``slots`` with every vector v replaced by v − η(v)ξ when the slot
+    batch ``xi`` is given."""
+    return slots if xi is None else [v - etv(v)[..., None] * xi for v in slots]
 
 
-def _sweep(rows: dict, t: PointRecord, tol: float,
-           perp: bool = False) -> dict[str, IdentityReport]:
-    """One report per ``rows`` entry (tag → defect) over the bases of the
-    record ``t``, with every swept vector v replaced by v − η(v)ξ when
-    ``perp``. Exact (object) tables give exact residuals."""
-    closures = r4, gd, phv, etv = _closures(t.riem, t.g, t.phi, t.eta)
-    slots = _slot_axes(t.E)
-    if perp:
-        xi = _xi_slot(t)
-        slots = [v - etv(v)[..., None] * xi for v in slots]
+def _remembered(closures, last: set[int]):
+    """``closures`` that compute each value once per tuple of argument
+    objects and keep it until the call in ``last`` that reads it for the
+    last time; calls are counted in order across all of them. A kept value
+    keeps its arguments, so no id is reused while it is kept, and it is
+    read-only, since rows share it."""
+    memo, calls = {}, itertools.count()
+
+    def remembered(fn):
+        def call(*args):
+            key = (fn, *map(id, args))
+            if key not in memo:
+                out = fn(*args)
+                out.flags.writeable = False
+                memo[key] = args, out
+            out = memo[key][1]
+            if next(calls) in last:
+                del memo[key]
+            return out
+        return call
+
+    return tuple(map(remembered, closures))
+
+
+def _last_reads(rows: dict, xi) -> set[int]:
+    """The positions, in call order, of the last call of each distinct
+    closure call that a sweep of ``rows`` makes, found by running the rows
+    on stand-in scalars: a defect branches on no value, so the sweep makes
+    the same calls in the same order."""
+    calls, values = [], {}
+
+    def stand_in(fn):
+        def call(*args):
+            key = (fn, *map(id, args))
+            calls.append(key)
+            # one value per key, as the sweep's memo gives; it keeps the
+            # arguments, so no id is reused during the run
+            return values.setdefault(key, (args, np.float64(0.0)))[1]
+        return call
+
+    closures = tuple(map(stand_in, "r4 gd phv etv".split()))
+    slots = _projected([np.float64(0.0) for _ in range(4)], closures[3], xi)
+    for _, defect in rows.values():
+        defect(*closures, *slots)
+    return set({key: n for n, key in enumerate(calls)}.values())
+
+
+def _sweep(rows: dict, t: PointRecord, tol: float, xi=None) -> dict:
+    """One report per ``rows`` entry (key → (tag, defect)), under the same
+    key, over the bases of the record ``t``, with every swept vector v
+    replaced by v − η(v)ξ when the slot batch ``xi`` is given. Exact
+    (object) tables give exact residuals. A residual may be non-finite: the
+    caller checks it where it emits it."""
+    closures = r4, gd, phv, etv = _remembered(_closures(t.riem, t.g, t.phi, t.eta),
+                                              _last_reads(rows, xi))
+    slots = _projected(_slot_axes(t.E), etv, xi)
     shape = t.E.shape[:2] + t.E.shape[1:2] * 3
     reports = {}
-    for tag, defect in rows.items():
+    for key, (tag, defect) in rows.items():
         vals = np.abs(np.broadcast_to(defect(*closures, *slots), shape))
         idx = np.unravel_index(np.argmax(vals), shape)
-        residual = _checked(tag, vals[idx])
         witness = Witness(None if t.point is None else tuple(t.point[idx[0]].tolist()),
                           tuple(tuple(v[idx[0]].reshape(-1, v.shape[-1])[i].tolist())
                                 for v, i in zip(slots, idx[1:])))
-        reports[tag] = IdentityReport(
-            tag=tag, n_points=shape[0], n_quadruples=vals.size, residual=residual,
-            exact=vals[idx] if vals.dtype == object else None, witness=witness, tolerance=tol)
+        reports[key] = IdentityReport(tag=tag, n_points=shape[0], n_quadruples=vals.size,
+                                      value=vals[idx], witness=witness, tolerance=tol)
     return reports
-
-
-# -- public checkers -------------------------------------------------------------
-
-
-def check_hermitian(h: AlmostHermitianStructure, kind: str,
-                    rec: PointRecord, tol: float = 1e-7) -> IdentityReport:
-    """Max residual of the Hermitian identity ``kind`` over the quadruples of
-    E(p) at the points of ``rec``, the point record of ``h``."""
-    kind = kind.lower()
-    if kind not in _HERMITIAN_DEFECTS:
-        raise ValueError(f"unknown hermitian identity {kind!r}")
-    return _sweep({kind: _HERMITIAN_DEFECTS[kind]}, rec, tol)[kind]
-
-
-def check_contact(s: AlmostContactStructure, kind: str,
-                  rec: PointRecord, tol: float = 1e-7) -> IdentityReport:
-    """Max residual of the contact identity ``kind`` over the bases of
-    ``rec``, the point record of ``s``.
-
-    Frame carriers are swept exactly; the report then carries the residual
-    as a Fraction in ``exact``.
-    """
-    kind = kind.lower()
-    if kind not in _CONTACT_DEFECTS:
-        raise ValueError(f"unknown contact identity {kind!r}")
-    return _sweep({kind: _CONTACT_DEFECTS[kind]}, rec, tol)[kind]
-
-
-def _c_alpha_defect(s: AlmostContactStructure, alpha):
-    # frames keep α exact; on charts a Fraction would turn the sweep into objects
-    return _defect_c_alpha(Fraction(alpha) if s.is_frame else float(alpha))
-
-
-def check_c_alpha(s: AlmostContactStructure, alpha: float | Fraction,
-                  rec: PointRecord, tol: float = 1e-7) -> IdentityReport:
-    """Residual of the c(α) curvature identity at a fixed α over the bases
-    of ``rec``. Frame carriers take α exactly, so pass a Fraction (or int)
-    for an exact residual."""
-    tag = f"c({float(alpha):g})"
-    return _sweep({tag: _c_alpha_defect(s, alpha)}, rec, tol)[tag]
 
 
 # -- ξ-slot consequence suites ----------------------------------------------------
@@ -305,14 +327,50 @@ def _consequence_rows(kind: str, xi):
     return rows
 
 
-def consequence_suite(s: AlmostContactStructure, kind: str, rec: PointRecord,
-                      tol: float = 1e-7) -> dict[str, IdentityReport]:
-    """ξ-slot consequences of the identity ``kind`` on vectors ⊥ ξ, over the
-    bases of ``rec``, the point record of ``s``."""
-    kind = kind.lower()
-    rows = _consequence_rows(kind, _xi_slot(rec))
-    reports = _sweep({f"{kind}.{name}": row for name, row in rows.items()}, rec, tol, perp=True)
-    return dict(zip(rows, reports.values()))
+# -- the sweep entry -------------------------------------------------------------
+
+def _plain_row(name: str, args: tuple, t: PointRecord):
+    """The tag and defect of the identity check ``name`` with ``args``."""
+    if name == "c_alpha":
+        # α stays exact on an exact (object) record; on floats a Fraction
+        # would turn the sweep into objects
+        alpha = Fraction(args[0]) if t.riem.dtype == object else float(args[0])
+        return f"c({float(args[0]):g})", _defect_c_alpha(alpha)
+    defects = {**_CONTACT_DEFECTS, **_HERMITIAN_DEFECTS}
+    if name not in defects:
+        raise ValueError(f"unknown identity {name!r}")
+    return name, defects[name]
+
+
+def sweep(checks, t: PointRecord, tol: float = 1e-7) -> list[list[IdentityReport]]:
+    """The reports of each identity check of ``checks``, in order, over the
+    bases of the point record ``t``: a check is a pair (name, args), name
+    one of CONTACT_KINDS or HERMITIAN_KINDS with no args, ``c_alpha`` with
+    (α,), or ``consequences``, whose reports are the ξ-slot rows of g1, g2
+    and g3 on vectors ⊥ ξ. A repeated check repeats its reports.
+
+    The plain rows of all checks are one sweep, and the consequence rows one
+    more, with one ξ slot batch for all of them. Residuals are not checked
+    finite here: an emitted row goes through ``structures._checked``.
+    """
+    plain, perp, keys = {}, {}, []
+    xi = t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)   # ξ on no slot axis
+    for name, args in checks:
+        if name == "consequences":
+            if not perp:
+                perp = {f"{kind}.{row}": (f"{kind}.{row}", defect) for kind in CONTACT_KINDS
+                        for row, defect in _consequence_rows(kind, xi).items()}
+            keys.append(list(perp))
+        else:
+            # keyed by the check itself: distinct α may share a display tag
+            plain[name, args] = _plain_row(name, args, t)
+            keys.append([(name, args)])
+    reports = {}
+    if plain:
+        reports.update(_sweep(plain, t, tol))
+    if perp:
+        reports.update(_sweep(perp, t, tol, xi))
+    return [[reports[key] for key in row] for row in keys]
 
 
 def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fraction:
@@ -325,23 +383,16 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
     whose slot rows are the witness vectors is rounded as the sweep rounded
     it; a vector that is no row of E(p) raises ValueError.
     """
-    kind = kind.lower()
-    if kind in _HERMITIAN_DEFECTS:
-        defect = _HERMITIAN_DEFECTS[kind]
-    elif alpha is not None:
-        defect = _c_alpha_defect(s, alpha)
-    elif kind in _CONTACT_DEFECTS:
-        defect = _CONTACT_DEFECTS[kind]
-    else:
-        raise ValueError(f"unknown identity {kind!r}")
     frame = isinstance(s, AlmostContactStructure) and s.is_frame
     if frame:   # the witness vectors fill the slots
         t, idx = contact_point_data(s), (0,) * 5
         slots = [_rat(v).reshape(1, 1, 1, 1, 1, -1) for v in witness.vectors]
     else:       # the entry whose slot rows are the witness vectors
-        t = contact_point_data(s, [witness.point])
+        chart = s.chart if isinstance(s, AlmostHermitianStructure) else s.carrier
+        t = contact_point_data(s, geometry.metric_jets(chart, [witness.point]))
         rows, slots = t.E[0].tolist(), _slot_axes(t.E)
         idx = (0,) + tuple(rows.index(list(v)) for v in witness.vectors)
+    _, defect = _plain_row(kind.lower() if alpha is None else "c_alpha", (alpha,), t)
     val = np.broadcast_to(defect(*_closures(t.riem, t.g, t.phi, t.eta), *slots),
                           t.E.shape[:2] + t.E.shape[1:2] * 3)[idx]
     return abs(val) if frame else abs(float(val))

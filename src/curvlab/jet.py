@@ -5,8 +5,10 @@ function of n variables: the value, the gradient and the (dense,
 symmetric) Hessian. Propagating jets through arithmetic and elementary
 functions yields exact first and second partial derivatives in one pass,
 which is what the chart engine needs to differentiate metric and tensor
-components. Dimensions stay small (charts here are at most 8-dimensional),
-so dense storage is the right trade-off.
+components. Seeded without Hessians, a jet carries the value and gradient
+only (``hess`` is None), for a run whose second derivatives nobody reads.
+Dimensions stay small (charts here are at most 8-dimensional), so dense
+storage is the right trade-off.
 
 A jet holds one point, or a batch of N points on a leading axis: value
 (N,), gradient (N, n) and Hessian (N, n, n). The rules are written once,
@@ -15,7 +17,11 @@ every sample point. Each point's numbers are those of a one-point jet, bit
 for bit: arithmetic is elementwise IEEE, and the elementary functions and
 powers map ``math`` and Python's float ``pow`` over the values (numpy's
 vectorised ``exp`` or ``**`` may differ in the last bit). Only the powers 0
-and 1, whose values are exact, skip that loop: ones and a copy.
+and 1, whose values are exact, skip that loop: ones and a copy. The value
+part is what the float ring computes, bit for bit: a jet divided by a
+constant divides (multiplying by the reciprocal may round differently), and
+f(u) is computed before the other derivative functions, so an argument out
+of f's range raises f's error.
 
 Third-order derivatives are intentionally out of scope.
 """
@@ -39,15 +45,16 @@ class Jet2:
 
     Supports mixed arithmetic with plain real numbers; those are treated as
     constants (zero derivatives). The Hessian is kept symmetric by
-    construction.
+    construction, or not kept at all (None): a first-order jet combines
+    only with constants and first-order jets.
     """
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray | None):
         self.value = np.asarray(value, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
+        self.hess = None if hess is None else np.asarray(hess, dtype=float)
 
     def __repr__(self) -> str:
         return f"Jet2({self.value!r}, grad={self.grad!r})"
@@ -58,14 +65,16 @@ class Jet2:
         if isinstance(other, Jet2):
             return other
         if isinstance(other, numbers.Real):
-            return Jet2(float(other), np.zeros(self.grad.shape), np.zeros(self.hess.shape))
+            return Jet2(float(other), np.zeros(self.grad.shape),
+                        None if self.hess is None else np.zeros(self.hess.shape))
         return None
 
     def __add__(self, other):
         o = self._as_jet(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        return Jet2(self.value + o.value, self.grad + o.grad,
+                    None if self.hess is None else self.hess + o.hess)
 
     __radd__ = __add__
 
@@ -73,7 +82,8 @@ class Jet2:
         o = self._as_jet(other)
         if o is None:
             return NotImplemented
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        return Jet2(self.value - o.value, self.grad - o.grad,
+                    None if self.hess is None else self.hess - o.hess)
 
     def __rsub__(self, other):
         o = self._as_jet(other)
@@ -82,21 +92,21 @@ class Jet2:
         return o - self
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet2(-self.value, -self.grad, None if self.hess is None else -self.hess)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Real) and not isinstance(other, Jet2):
             c = float(other)
-            return Jet2(self.value * c, self.grad * c, self.hess * c)
+            return Jet2(self.value * c, self.grad * c, None if self.hess is None else self.hess * c)
         if not isinstance(other, Jet2):
             return NotImplemented
         u, v = self.value[..., None], other.value[..., None]
-        cross = _outer(self.grad, other.grad)
-        return Jet2(
-            self.value * other.value,
-            self.grad * v + other.grad * u,
-            self.hess * v[..., None] + other.hess * u[..., None] + cross + cross.swapaxes(-1, -2),
-        )
+        hess = None
+        if self.hess is not None:
+            cross = _outer(self.grad, other.grad)
+            hess = (self.hess * v[..., None] + other.hess * u[..., None]
+                    + cross + cross.swapaxes(-1, -2))
+        return Jet2(self.value * other.value, self.grad * v + other.grad * u, hess)
 
     __rmul__ = __mul__
 
@@ -105,7 +115,7 @@ class Jet2:
             c = float(other)
             if c == 0.0:
                 raise EvalDomainError("division by zero")
-            return self * (1.0 / c)
+            return Jet2(self.value / c, self.grad / c, None if self.hess is None else self.hess / c)
         if not isinstance(other, Jet2):
             return NotImplemented
         return _div(self, other)
@@ -122,10 +132,10 @@ class Jet2:
         return _pow_int(self, int(k))
 
 
-def seed(point: Sequence[float], i: int) -> Jet2:
+def seed(point: Sequence[float], i: int, hessians: bool = True) -> Jet2:
     """Coordinate seed for variable ``i`` at ``point`` (n,), or at each row
     of ``point`` (N, n): value is the coordinate value, gradient the i-th
-    standard basis vector, Hessian zero.
+    standard basis vector, Hessian zero (None unless ``hessians``).
     """
     p = np.asarray(point, dtype=float)
     n = p.shape[-1]
@@ -133,12 +143,12 @@ def seed(point: Sequence[float], i: int) -> Jet2:
         raise IndexError(f"variable index {i} out of range for dimension {n}")
     g = np.zeros(p.shape)
     g[..., i] = 1.0
-    return Jet2(p[..., i], g, np.zeros(p.shape + (n,)))
+    return Jet2(p[..., i], g, np.zeros(p.shape + (n,)) if hessians else None)
 
 
-def seeds(point: Sequence[float]) -> list[Jet2]:
+def seeds(point: Sequence[float], hessians: bool = True) -> list[Jet2]:
     """Seeds for every coordinate of ``point`` (or of each of its rows), in order."""
-    return [seed(point, i) for i in range(np.shape(point)[-1])]
+    return [seed(point, i, hessians) for i in range(np.shape(point)[-1])]
 
 
 # -- elementary function propagation ----------------------------------------
@@ -160,6 +170,21 @@ def _in_range(fn, x):
         v = next(v for v in values if not _defined(fn, v))
         raise EvalDomainError(f"{fn.__name__} of {v!r} is out of the float range") from None
     return np.array(out).reshape(x.shape) if isinstance(x, np.ndarray) else out[0]
+
+
+_SINGULAR = {
+    "log": lambda u: u <= 0.0,
+    "sqrt": lambda u: u < 0.0,
+}
+
+
+def _check_domain(fn: str, values):
+    """Raise EvalDomainError naming the first of ``values`` (a number or an
+    array) outside the domain of ``fn``, for the float ring and jets alike."""
+    guard = _SINGULAR.get(fn)
+    bad = [v for v in np.ravel(values).tolist() if guard(v)] if guard else ()
+    if bad:
+        raise EvalDomainError(f"{fn} of out-of-domain value {bad[0]!r}")
 
 
 def _defined(fn, v) -> bool:
@@ -185,13 +210,13 @@ def _pow(x, k: int):
 
 
 def _unary(u: Jet2, f0, f1, f2) -> Jet2:
-    # second-order chain rule: H = f' H_u + f'' (grad_u)(grad_u)^T
-    f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
-    return Jet2(
-        f0,
-        f1 * u.grad,
-        f1[..., None] * u.hess + f2 * _outer(u.grad, u.grad),
-    )
+    # second-order chain rule: H = f' H_u + f'' (grad_u)(grad_u)^T; f2 is a
+    # function of no arguments, called only when u carries a Hessian
+    f1 = np.asarray(f1)[..., None]
+    hess = None
+    if u.hess is not None:
+        hess = f1[..., None] * u.hess + np.asarray(f2())[..., None, None] * _outer(u.grad, u.grad)
+    return Jet2(f0, f1 * u.grad, hess)
 
 
 def _div(u: Jet2, v: Jet2) -> Jet2:
@@ -200,66 +225,67 @@ def _div(u: Jet2, v: Jet2) -> Jet2:
     w = u.value / v.value
     vv = v.value[..., None]
     gw = (u.grad - w[..., None] * v.grad) / vv
-    cross = _outer(gw, v.grad)
-    hw = (u.hess - w[..., None, None] * v.hess - cross - cross.swapaxes(-1, -2)) / vv[..., None]
+    hw = None
+    if u.hess is not None:
+        cross = _outer(gw, v.grad)
+        hw = (u.hess - w[..., None, None] * v.hess - cross - cross.swapaxes(-1, -2)) / vv[..., None]
     return Jet2(w, gw, hw)
 
 
 def _pow_int(u: Jet2, k: int) -> Jet2:
     if k == 0:
-        return Jet2(np.ones(u.value.shape), np.zeros(u.grad.shape), np.zeros(u.hess.shape))
+        return Jet2(np.ones(u.value.shape), np.zeros(u.grad.shape),
+                    None if u.hess is None else np.zeros(u.hess.shape))
     if k < 0 and np.any(u.value == 0.0):
         raise EvalDomainError("zero raised to a negative power")
     f0 = _pow(u.value, k)
     f1 = k * _pow(u.value, k - 1)
-    f2 = k * (k - 1) * _pow(u.value, k - 2) if k != 1 else np.zeros(u.value.shape)
-    return _unary(u, f0, f1, f2)
+    return _unary(u, f0, f1, lambda: k * (k - 1) * _pow(u.value, k - 2) if k != 1
+                  else np.zeros(u.value.shape))
 
 
 def _sin(u: Jet2) -> Jet2:
     s, c = _in_range(math.sin, u.value), _in_range(math.cos, u.value)
-    return _unary(u, s, c, -s)
+    return _unary(u, s, c, lambda: -s)
 
 
 def _cos(u: Jet2) -> Jet2:
-    s, c = _in_range(math.sin, u.value), _in_range(math.cos, u.value)
-    return _unary(u, c, -s, -c)
+    c, s = _in_range(math.cos, u.value), _in_range(math.sin, u.value)
+    return _unary(u, c, -s, lambda: -c)
 
 
 def _tan(u: Jet2) -> Jet2:
     t = _in_range(math.tan, u.value)
     d = 1.0 + t * t
-    return _unary(u, t, d, 2.0 * t * d)
+    return _unary(u, t, d, lambda: 2.0 * t * d)
 
 
 def _exp(u: Jet2) -> Jet2:
     e = _in_range(math.exp, u.value)
-    return _unary(u, e, e, e)
+    return _unary(u, e, e, lambda: e)
 
 
 def _log(u: Jet2) -> Jet2:
-    if np.any(u.value <= 0.0):
-        raise EvalDomainError("log of a non-positive value")
-    return _unary(u, _in_range(math.log, u.value), 1.0 / u.value, -1.0 / _pow(u.value, 2))
+    _check_domain("log", u.value)
+    return _unary(u, _in_range(math.log, u.value), 1.0 / u.value, lambda: -1.0 / _pow(u.value, 2))
 
 
 def _sqrt(u: Jet2) -> Jet2:
-    if np.any(u.value < 0.0):
-        raise EvalDomainError("sqrt of a negative value")
+    _check_domain("sqrt", u.value)
     if np.any(u.value == 0.0):
         raise EvalDomainError("sqrt not differentiable at zero")
     r = _in_range(math.sqrt, u.value)
-    return _unary(u, r, 0.5 / r, -0.25 / (r * u.value))
+    return _unary(u, r, 0.5 / r, lambda: -0.25 / (r * u.value))
 
 
 def _sinh(u: Jet2) -> Jet2:
     s, c = _in_range(math.sinh, u.value), _in_range(math.cosh, u.value)
-    return _unary(u, s, c, s)
+    return _unary(u, s, c, lambda: s)
 
 
 def _cosh(u: Jet2) -> Jet2:
-    s, c = _in_range(math.sinh, u.value), _in_range(math.cosh, u.value)
-    return _unary(u, c, s, c)
+    c, s = _in_range(math.cosh, u.value), _in_range(math.sinh, u.value)
+    return _unary(u, c, s, lambda: c)
 
 
 JET_FUNCTIONS = {

@@ -6,8 +6,12 @@ check is written once, over a ``BasisRecord`` of components in a basis with
 a leading point axis, and evaluated once over all points: a frame is one
 exact point in its own basis, a chart its sample points in the orthonormal
 frames E(p) = ``orthonormal_frame(g)``. Every check takes the one stacked
-``PointRecord`` of its invocation, built by ``contact_point_data``; nothing
-caches it past the invocation.
+``PointRecord`` of its invocation, built by ``contact_point_data`` from the
+metric jets that ``sample`` took and from one jet run of the structure's
+program, which holds all its fields (φ, ξ and η, or J), with first
+derivatives only; the record carries their values and coordinate
+gradients, so every field must be differentiable at the sample points, and
+nothing caches it past the invocation.
 Residuals are maxima over the carrier's basis vectors or ordered pairs of
 them; on charts they are tensor norms in E(p). Classification covers the
 contact metric condition (with the 1/2 exterior-derivative convention used
@@ -18,15 +22,16 @@ the Ricci curvature along the Reeb field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
+from . import expr as ex
 from . import geometry
-from .chart import Chart, TensorField, eval_field, eval_field_jets
+from .chart import Chart, TensorField
 from .frame import FrameGeometry, _contract
 from .errors import CurvlabError, EvalDomainError
 
@@ -68,6 +73,12 @@ class AlmostContactStructure:
     def dim(self) -> int:
         return self.carrier.dim
 
+    @functools.cached_property
+    def program(self) -> ex.Program:
+        """The components of φ, ξ and η, each in C order, compiled on first
+        run (a chart carrier's only)."""
+        return _fields_program((self.phi, self.xi, self.eta))
+
 
 @dataclass(frozen=True)
 class AlmostHermitianStructure:
@@ -83,17 +94,28 @@ class AlmostHermitianStructure:
         if self.J.chart is not self.chart:
             raise ValueError("J defined over a different chart")
 
+    @functools.cached_property
+    def program(self) -> ex.Program:
+        """The components of J in C order, compiled on first run."""
+        return _fields_program((self.J,))
+
+
+def _fields_program(fs) -> ex.Program:
+    return ex.Program(e for f in fs for e in f.components.flat)
+
 
 @dataclass(frozen=True)
 class PointRecord:
     """The sample points of a chart, evaluated once and read by every check,
     each array with a leading point axis N: the points, g, Γ (``gamma[n,
-    k, i, j]``), R and R¹³ from one batched ``point_geometry``, the structure
-    over the REAL ring and E(p) = ``orthonormal_frame(g)``, rows in chart
-    coordinates. An almost Hermitian record carries J as ``phi`` with ξ = η
-    = 0; a bare chart's has no structure and no E(p). A frame's record has
-    N = 1, its exact g, R and structure in its own basis, E = I, and no
-    point, Γ or R¹³."""
+    k, i, j]``), R and R¹³ from the metric jets of the points, the structure
+    and its coordinate gradients from one jet run of its program, and E(p)
+    = ``orthonormal_frame(g)``, rows in chart coordinates. The gradients
+    are ``dphi[n, k, j, i]`` = ∂_i φ^k_j, ``dxi[n, k, i]`` = ∂_i ξ^k and
+    ``deta[n, j, i]`` = ∂_i η_j. An almost Hermitian record carries J as
+    ``phi`` with ξ = η = 0; a bare chart's has no structure and no E(p). A
+    frame's record has N = 1, its exact g, R and structure in its own basis,
+    E = I, and no point, Γ, R¹³ or gradients."""
 
     point: np.ndarray | None
     g: np.ndarray
@@ -104,6 +126,9 @@ class PointRecord:
     xi: np.ndarray | None = None
     eta: np.ndarray | None = None
     E: np.ndarray | None = None
+    dphi: np.ndarray | None = None
+    dxi: np.ndarray | None = None
+    deta: np.ndarray | None = None
 
     def __post_init__(self):   # every check reads it: an in-place edit must raise
         for a in vars(self).values():
@@ -111,29 +136,34 @@ class PointRecord:
                 a.flags.writeable = False
 
 
-def contact_point_data(s, points: Sequence[Sequence[float]] | None = None) -> PointRecord:
-    """The ``PointRecord`` that every check on ``s`` reads: at the chart
-    points ``points`` (N × d) of an almost contact or almost Hermitian
-    structure over a chart, or of a bare ``Chart``; on a frame, its own
-    exact record, and ``points`` is ignored."""
-    if isinstance(s, Chart):
-        chart, fields = s, ()
-    elif isinstance(s, AlmostHermitianStructure):
-        chart, fields = s.chart, (s.J,)
-    elif s.is_frame:
+def contact_point_data(s, mj: geometry.MetricJets | None = None) -> PointRecord:
+    """The ``PointRecord`` that every check on ``s`` reads, at the points of
+    the metric jets ``mj`` of the chart under ``s``: an almost contact or
+    almost Hermitian structure over a chart, whose fields take one jet run
+    there (values and gradients, no Hessians), or a bare ``Chart``. On a
+    frame, its own exact record, and ``mj`` is ignored."""
+    if isinstance(s, AlmostContactStructure) and s.is_frame:
         fg = s.carrier
         return PointRecord(None, fg.g[None], None, fg.riem[None], None, fg.phi[None],
                            fg.xi[None], fg.eta[None], np.eye(s.dim, dtype=object)[None])
-    else:
-        chart, fields = s.carrier, (s.phi, s.xi, s.eta)
-    points = np.array(points, dtype=float)   # a copy: the record is read-only
-    conn, curv = geometry.point_geometry(chart, points)
-    values = [eval_field(f, points) for f in fields]
-    if len(values) == 1:
-        values += [np.zeros(points.shape)] * 2
-    if values:
-        values.append(geometry.orthonormal_frame(curv.g))
-    return PointRecord(points, curv.g, conn.gamma, curv.riem, curv.riem13, *values)
+    conn = geometry.connection_of(mj)
+    curv = geometry.curvature_of(mj, conn)
+    if isinstance(s, Chart):
+        return PointRecord(mj.point, mj.g, conn.gamma, curv.riem, curv.riem13)
+    hermitian = isinstance(s, AlmostHermitianStructure)
+    chart, fs = (s.chart, (s.J,)) if hermitian else (s.carrier, (s.phi, s.xi, s.eta))
+    vals, grads = geometry._expr_jets(s.program, chart.env(mj.point, jets=True, hessians=False))
+    n, d = mj.point.shape
+    cut = np.cumsum([f.components.size for f in fs])[:-1]
+    values = [v.reshape((n,) + f.components.shape) for f, v in zip(fs, np.split(vals, cut, 1))]
+    grads = [dv.reshape((n,) + f.components.shape + (d,))
+             for f, dv in zip(fs, np.split(grads, cut, 1))]
+    if hermitian:   # ξ = η = 0
+        values += [np.zeros((n, d))] * 2
+        grads += [np.zeros((n, d, d))] * 2
+    (phi, xi, eta), (dphi, dxi, deta) = values, grads
+    return PointRecord(mj.point, mj.g, conn.gamma, curv.riem, curv.riem13, phi, xi, eta,
+                       geometry.orthonormal_frame(mj.g), dphi, dxi, deta)
 
 
 def _checked(what: str, val) -> float:
@@ -197,20 +227,19 @@ def _lift(t: np.ndarray, ET: np.ndarray, F: np.ndarray) -> np.ndarray:
     return ((t @ ET).transpose(0, 3, 1, 2) @ ET).transpose(0, 3, 1, 2) @ F[:, None]
 
 
-def _chart_record(s, r: PointRecord, jets: bool = True) -> BasisRecord:
+def _chart_record(r: PointRecord, jets: bool = True) -> BasisRecord:
     """The record at the chart points of ``r`` in E(p); with ``jets``, also
-    the derivative tables, from Γ, R¹³ and the jets of ξ, φ and η."""
+    the derivative tables, from Γ, R¹³ and the gradients of ξ, φ and η."""
     E, ET = r.E, r.E.transpose(0, 2, 1)
     F = r.g @ ET                  # F: coordinate vector (row) → E(p) components
     tables = {}
     if jets:
-        # dxi[n, k, i] = ∂_i ξ^k, dphi[n, k, j, i] = ∂_i φ^k_j and deta[n, j, i] = ∂_i η_j
-        dxi, dphi, deta = (eval_field_jets(f, r.point)[1] for f in (s.xi, s.phi, s.eta))
         # coordinate components (∇_i ξ)^k as [n, k, i]
-        nabla_xi = dxi + (r.gamma @ r.xi[:, None, :, None])[..., 0]
+        nabla_xi = r.dxi + (r.gamma @ r.xi[:, None, :, None])[..., 0]
         tables = dict(nabla_xi=E @ nabla_xi.transpose(0, 2, 1) @ F,
-                      dphi=_lift(geometry.nabla_endomorphism_of(r.gamma, r.phi, dphi), ET, F),
-                      d_eta=E @ (deta.transpose(0, 2, 1) - deta) @ ET,
+                      dphi=_lift(geometry.nabla_endomorphism_of(r.gamma, r.phi, r.dphi),
+                                 ET, F),
+                      d_eta=E @ (r.deta.transpose(0, 2, 1) - r.deta) @ ET,
                       r_xi=_lift((r.riem13 @ r.xi[:, None, None, :, None])[..., 0], ET, F))
     return BasisRecord(g=E @ r.g @ ET, phi=F.transpose(0, 2, 1) @ r.phi @ ET,
                        xi=(r.xi[:, None] @ F)[:, 0], eta=(E @ r.eta[..., None])[..., 0],
@@ -221,7 +250,7 @@ def _basis_record(s, rec: PointRecord, jets: bool = True) -> BasisRecord:
     """The frame's exact record, or the chart's at the points of ``rec``."""
     if isinstance(s, AlmostContactStructure) and s.is_frame:
         return _frame_record(s.carrier)
-    return _chart_record(s, rec, jets)
+    return _chart_record(rec, jets)
 
 
 def _norm(g: np.ndarray, v: np.ndarray) -> float:

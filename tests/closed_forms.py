@@ -11,7 +11,7 @@ lowered curvature from the fiber and f, f′, f″
 compare the generic chart engine on the built charts against them.
 ``eq_for_g1_obstruction`` is the algebraic obstruction that forces fiber
 dimension 2 for the g1 identity of a line-warped structure. Base
-and fiber geometry comes from ``geometry.point_geometry`` at the one point,
+and fiber geometry comes from ``reference.point_geometry`` at the one point,
 ∇ of a field from ``reference.nabla_of``.
 
 Tests import this module the way they import ``conftest`` and
@@ -26,13 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from curvlab import expr as ex
-from curvlab import geometry
 from curvlab import jet
-from curvlab.chart import Chart, _expr_jets, eval_field, eval_field_jets
+from curvlab.chart import Chart
 from curvlab.constructions import RWarpedBundle
 from curvlab.errors import EvalDomainError
+from curvlab.geometry import _expr_jets
 from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure, _checked, _norm
-from reference import nabla_of
+from reference import eval_field, eval_field_jets, nabla_of, point_geometry
 
 
 class ConeOracle:
@@ -49,7 +49,7 @@ class ConeOracle:
         self.q = np.asarray(p_cone[1:], dtype=float)
         base = s.carrier
         self.g = base.metric_at(self.q)
-        self.conn, curv = geometry.point_geometry(base, self.q)
+        self.conn, curv = point_geometry(base, self.q)
         self.riem13 = curv.riem13
         self.phi = eval_field(s.phi, self.q)
         self.xi = eval_field(s.xi, self.q)
@@ -199,8 +199,8 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
     d = nb + nf
     pb = np.asarray(p[:nb], dtype=float)
     pf = np.asarray(p[nb:], dtype=float)
-    base_conn = geometry.point_geometry(spec.base, pb)[0]
-    fiber_conn = geometry.point_geometry(spec.fiber, pf)[0]
+    base_conn = point_geometry(spec.base, pb)[0]
+    fiber_conn = point_geometry(spec.fiber, pf)[0]
     g_base = spec.base.metric_at(pb)
     g_fiber = spec.fiber.metric_at(pf)
     (b,), (db,) = _expr_jets(ex.Program([spec.warping]), spec.base.env(pb, jets=True))
@@ -243,7 +243,7 @@ def r_warped_christoffel_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.nda
     f, fp, _ = _warping_jets(rb, th)
     if f <= 0.0:
         raise EvalDomainError(f"warping function vanishes at {th}")
-    fiber_conn = geometry.point_geometry(fiber, pf)[0]
+    fiber_conn = point_geometry(fiber, pf)[0]
     g_fiber = fiber.metric_at(pf)
     gamma = np.zeros((d, d, d))
     gamma[:nf, :nf, :nf] = fiber_conn.gamma
@@ -270,7 +270,7 @@ def r_warped_riemann_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray
     th = float(p[nf])
     f, fp, fpp = _warping_jets(rb, th)
     gbar = fiber.metric_at(pf)
-    rbar = geometry.point_geometry(fiber, pf)[1].riem
+    rbar = point_geometry(fiber, pf)[1].riem
     out = np.zeros((d, d, d, d))
     # fiber block, indices (w, z, x, y)
     gg = np.einsum("xz,yw->wzxy", gbar, gbar) - np.einsum("yz,xw->wzxy", gbar, gbar)

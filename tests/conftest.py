@@ -12,7 +12,9 @@ from curvlab.constructions.registry import (build_flat3, build_s2_round,
 from curvlab.chart import Chart, sample
 from curvlab.constructions import HypersurfaceExample, SubmersionPair, resolve_target
 from curvlab.frame import heisenberg_h21
-from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure,
+from curvlab.geometry import metric_jets
+from curvlab.identities import sweep
+from curvlab.structures import (AlmostContactStructure, AlmostHermitianStructure, _checked,
                                 contact_point_data)
 
 # every hypothesis test draws the same examples on every run, with no
@@ -28,10 +30,21 @@ def flat_kahler_c2() -> AlmostHermitianStructure:
                                     name="flat_c2")
 
 
+def _chart_of(s):
+    """The chart under ``s``: a structure's chart, or ``s`` itself."""
+    return (s if isinstance(s, Chart) else s.chart if isinstance(s, AlmostHermitianStructure)
+            else s.carrier)
+
+
+def record_of(s, points):
+    """The point record of ``s`` at ``points`` (N × d) of its chart."""
+    return contact_point_data(s, metric_jets(_chart_of(s), points))
+
+
 def record_at(s, p):
     """The point record of ``s`` at the one point ``p``: the stacked record
     of ``[p]`` with every array indexed ``[0]``."""
-    r = contact_point_data(s, [p])
+    r = record_of(s, [p])
     return type(r)(**{k: None if a is None else a[0] for k, a in vars(r).items()})
 
 
@@ -50,9 +63,36 @@ def record(s, n=20, seed=42):
     ``s`` (a structure's chart, or ``s`` itself when it is a ``Chart``)."""
     if isinstance(s, AlmostContactStructure) and s.is_frame:
         return contact_point_data(s)
-    chart = (s if isinstance(s, Chart) else s.chart if isinstance(s, AlmostHermitianStructure)
-             else s.carrier)
-    return contact_point_data(s, sample(chart, n, seed))
+    return contact_point_data(s, sample(_chart_of(s), n, seed))
+
+
+# One row check of the CLI each, on ``identities.sweep`` over the record
+# ``rec`` alone; the residual is checked finite as the CLI checks an emitted
+# row, so a NaN raises here too.
+
+
+def _checked_reports(checks, rec, tol):
+    reports = sweep(checks, rec, tol)
+    for rep in (r for row in reports for r in row):
+        _checked(rep.tag, rep.residual)
+    return reports
+
+
+def check_contact(kind, rec, tol=1e-7):
+    return _checked_reports([(kind, ())], rec, tol)[0][0]
+
+
+check_hermitian = check_contact
+
+
+def check_c_alpha(alpha, rec, tol=1e-7):
+    return _checked_reports([("c_alpha", (alpha,))], rec, tol)[0][0]
+
+
+def consequence_suite(kind, rec, tol=1e-7):
+    """The consequence rows of ``kind`` keyed by row name."""
+    reports = _checked_reports([("consequences", ())], rec, tol)[0]
+    return {r.tag.split(".", 1)[1]: r for r in reports if r.tag.startswith(f"{kind}.")}
 
 
 def sample_with_vectors(chart, n_points, vecs_per_point, seed):
@@ -61,7 +101,7 @@ def sample_with_vectors(chart, n_points, vecs_per_point, seed):
     ``vectors[i]`` the ``vecs_per_point`` vectors at point i. The vectors
     continue the sample's random stream after its points: each is a uniform
     direction in [−1, 1]^dim scaled to a Euclidean norm drawn from [0.5, 2]."""
-    smp = sample(chart, n_points, seed)
+    smp = sample(chart, n_points, seed).point
     rng = np.random.default_rng(seed)
     rng.uniform(size=smp.size)   # the draws of the points
     vecs = np.empty((n_points, vecs_per_point, chart.dim))

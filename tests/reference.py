@@ -1,8 +1,10 @@
 """Independent references that the oracle tests compare the engines against.
 
 Each function rebuilds what it needs at one point: Christoffel symbols and
-curvature through ``geometry.point_geometry``, field jets through
-``eval_field_jets``. It then evaluates its own coordinate formula.
+curvature through ``point_geometry``, field values and jets through
+``eval_field`` and ``eval_field_jets``, each a run of a program of its own
+(floats or jets) over the field's components, where the CLI runs one
+program per structure. It then evaluates its own coordinate formula.
 ``nabla_of`` is ∇_X of a vector, one-form or endomorphism field along one
 vector X, the per-vector formula that the batched ∇ tables of the
 structure battery must match. ``connection_at_point``, ``curvature_at_point`` and
@@ -34,11 +36,41 @@ from typing import Sequence
 import numpy as np
 
 from curvlab import expr as ex
-from curvlab.chart import Chart, TensorField, _expr_jets, eval_field, eval_field_jets
+from curvlab.chart import Chart, TensorField
 from curvlab.constructions.submersion import SubmersionPair
 from curvlab.frame import FrameGeometry, _rat
 from curvlab.errors import SingularMetricError, UnknownIdentifierError
-from curvlab.geometry import ConnectionAtPoint, CurvatureAtPoint, MetricJets, point_geometry
+from curvlab.geometry import (ConnectionAtPoint, CurvatureAtPoint, MetricJets, _expr_jets,
+                              connection_of, curvature_of, metric_jets)
+
+
+def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[ConnectionAtPoint,
+                                                              CurvatureAtPoint]:
+    """Connection and curvature at a point ``p`` (d,), or at each row of
+    ``p`` (N, d) on a leading point axis, from one ``metric_jets``."""
+    mj = metric_jets(chart, p)
+    conn = connection_of(mj)
+    return conn, curvature_of(mj, conn)
+
+
+def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
+    """All components of ``f`` at a point ``p`` as floats, from one run of a
+    program of its components; at each row of ``p`` (N, d), on a leading
+    point axis."""
+    out = np.empty(np.shape(p)[:-1] + f.components.shape)
+    program = ex.Program(f.components.flat)
+    for idx, v in zip(np.ndindex(f.components.shape), program.run(f.chart.env(p))):
+        out[(..., *idx)] = v
+    return out
+
+
+def eval_field_jets(f: TensorField, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Components of ``f`` and their coordinate gradients at ``p``, or at
+    each row of ``p`` (N, d) on a leading point axis, as ``(values, grads)``
+    with ``grads[..., k]`` the partial derivative along coordinate k."""
+    vals, grads = _expr_jets(ex.Program(f.components.flat), f.chart.env(p, jets=True))
+    shape = vals.shape[:-1] + f.components.shape
+    return vals.reshape(shape), grads.reshape(shape + grads.shape[-1:])
 
 
 def walk(e: ex.Expr, env, ring):

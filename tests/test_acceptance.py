@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from curvlab import geometry as geo
-from curvlab.chart import Chart, sample, eval_field
-from curvlab.identities import (Witness, check_contact, check_hermitian,
-                                reevaluate_witness)
+from curvlab.chart import Chart, sample
+from curvlab.identities import Witness, reevaluate_witness
 from curvlab.structures import classify
 from curvlab.constructions import build_cone, check_submersion_lift, induce_hypersurface
 from closed_forms import ConeOracle
-from conftest import record, sample_with_vectors, structure_of
-from reference import covariant_derivative
+from conftest import check_contact, check_hermitian, record, sample_with_vectors, structure_of
+from reference import covariant_derivative, point_geometry
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,12 +60,12 @@ def test_criterion_02_cross_engine(h21_frame, h21_chart):
     fg = h21_frame.carrier
     chart = h21_chart.carrier
     worst = 0.0
-    for p in sample(chart, 3, seed=42):
+    for p in sample(chart, 3, seed=42).point:
         x1, x2 = p[0], p[1]
         vecs = [np.array([2.0, 0, 0, 0, 0]), np.array([0, 2.0, 0, 0, 0]),
                 np.array([0, 0, 2.0, 0, 2 * x1]), np.array([0, 0, 0, 2.0, 2 * x2]),
                 np.array([0, 0, 0, 0, 2.0])]
-        curv = geo.point_geometry(chart, p)[1]
+        curv = point_geometry(chart, p)[1]
         for idx in product(range(5), repeat=4):
             chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem, *(vecs[i] for i in idx)))
             worst = max(worst, abs(chart_val - float(fg.riem[idx])))
@@ -78,9 +77,9 @@ def test_criterion_02_cross_engine(h21_frame, h21_chart):
 # -- 3: H(2,1) identity verdicts ------------------------------------------------------
 
 def test_criterion_03_h21_identity_verdicts(h21_frame):
-    g2 = check_contact(h21_frame, "g2", record(h21_frame))
-    g3 = check_contact(h21_frame, "g3", record(h21_frame))
-    g1 = check_contact(h21_frame, "g1", record(h21_frame))
+    g2 = check_contact("g2", record(h21_frame))
+    g3 = check_contact("g3", record(h21_frame))
+    g1 = check_contact("g1", record(h21_frame))
     # the exhaustive-sweep oracle fixes the max residual at exactly 2 with a
     # theta-independent witness; the designated quadruple (X1, Y1, X1, Y2)
     # carries exactly 24/25 = 2 cos(theta) sin(theta)
@@ -106,7 +105,7 @@ def test_criterion_04_inclusion_chain():
     table = {}
     for name in CONTACT_TARGETS:
         s = structure_of(name)
-        v = {k: check_contact(s, k, record(s), tol=1e-7).verdict for k in ("g1", "g2", "g3")}
+        v = {k: check_contact(k, record(s), tol=1e-7).verdict for k in ("g1", "g2", "g3")}
         table[name] = v
         if (v["g1"] and not v["g2"]) or (v["g2"] and not v["g3"]):
             ok = False
@@ -125,8 +124,8 @@ def test_criterion_05_cone_theorems(s5_example, h21_chart, flat_cosym5):
     for name, base in bases.items():
         cone = build_cone(base)
         for i, (gk, kk) in enumerate((("g1", "k1"), ("g2", "k2"), ("g3", "k3"))):
-            vg = check_contact(base, gk, record(base), tol=1e-7).verdict
-            vk = check_hermitian(cone, kk, record(cone), tol=1e-7).verdict
+            vg = check_contact(gk, record(base), tol=1e-7).verdict
+            vk = check_hermitian(kk, record(cone), tol=1e-7).verdict
             if vg != vk:
                 ok = False
             seen_true += vg
@@ -145,7 +144,7 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
         points, vectors = sample_with_vectors(cone.chart, 20, 4, seed=42)
         for i, p in enumerate(points):
             oracle = ConeOracle(base, p)
-            conn, curv = geo.point_geometry(cone.chart, p)
+            conn, curv = point_geometry(cone.chart, p)
             A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
             worst = max(worst, float(np.max(np.abs(
                 np.einsum("i,kij,j->k", A, conn.gamma, B) - oracle.connection(A, B)))))
@@ -187,8 +186,8 @@ def test_criterion_08_sine_cones(sine_cone_cos, sine_cone_sin):
     ok = True
     notes = []
     for rb in (sine_cone_cos, sine_cone_sin):
-        g2 = check_contact(rb.structure, "g2", record(rb.structure)).residual
-        g1 = check_contact(rb.structure, "g1", record(rb.structure)).residual
+        g2 = check_contact("g2", record(rb.structure)).residual
+        g1 = check_contact("g1", record(rb.structure)).residual
         notes.append(f"{rb.structure.name}: g2 = {g2:.1e}, g1 = {g1:.2f}")
         ok = ok and g2 <= 1e-8 and g1 >= 0.5
     verdict(8, ok, "; ".join(notes))
@@ -198,7 +197,7 @@ def test_criterion_08_sine_cones(sine_cone_cos, sine_cone_sin):
 
 def test_criterion_09_surface_warped_g1(r_warped_surface):
     s = r_warped_surface.structure
-    res = check_contact(s, "g1", record(s)).residual
+    res = check_contact("g1", record(s)).residual
     verdict(9, res <= 1e-8, f"cosine-warped surface fiber has g1 residual {res:.2e}")
 
 
@@ -209,7 +208,7 @@ def test_criterion_10_s5_hypersurface(s5_example):
     rec = record(s)
     rep = induce_hypersurface(s5_example.ambient, s5_example.patch, rec)
     cls = classify(s, rec)
-    idents = {k: check_contact(s, k, rec).residual for k in ("g1", "g2", "g3")}
+    idents = {k: check_contact(k, rec).residual for k in ("g1", "g2", "g3")}
     ok = (rep.umbilicity <= 1e-9
           and abs(rep.beta_mean + 1.0) <= 1e-9
           and cls.sasakian_nabla_xi <= 1e-8 and cls.sasakian_nabla_phi <= 1e-8
@@ -251,8 +250,8 @@ def test_criterion_13a_curvature_symmetries():
                  "flat3"):
         s = structure_of(name)
         chart = s if isinstance(s, Chart) else s.carrier
-        for p in sample(chart, 5, seed=42):
-            res = geo.curvature_symmetry_residuals(geo.point_geometry(chart, p)[1])
+        for p in sample(chart, 5, seed=42).point:
+            res = geo.curvature_symmetry_residuals(point_geometry(chart, p)[1])
             worst = max(worst, max(res.values()))
     verdict(13, worst <= 1e-9,
             f"curvature symmetry residuals over the registry: max {worst:.2e}")

@@ -23,10 +23,9 @@ import pytest
 from curvlab.chart import sample
 from curvlab.constructions import resolve_target
 from curvlab.identities import (_CONTACT_DEFECTS, _HERMITIAN_DEFECTS, _consequence_rows,
-                                _defect_c_alpha, check_c_alpha, check_contact,
-                                check_hermitian, consequence_suite)
-from curvlab.structures import contact_point_data
-from conftest import record_at, structure_of
+                                _defect_c_alpha)
+from conftest import (check_c_alpha, check_contact, check_hermitian, consequence_suite,
+                      record_at, record_of, structure_of)
 
 ALPHAS = (0.5, -2.0)
 SEEDS = (3, 11)
@@ -110,26 +109,26 @@ def seed(request):
 
 
 def test_identities_match_oracle(contact, seed):
-    smp = sample(contact.carrier, N_POINTS, seed)
+    smp = sample(contact.carrier, N_POINTS, seed).point
     defects = {**_CONTACT_DEFECTS, **{alpha: _defect_c_alpha(alpha) for alpha in ALPHAS}}
     rows, values = brute_sweep(contact, lambda xi: defects, smp)
-    rec = contact_point_data(contact, smp)
+    rec = record_of(contact, smp)
     for kind in _CONTACT_DEFECTS:
-        rep = check_contact(contact, kind, rec)
+        rep = check_contact(kind, rec)
         assert rep.n_quadruples == N_POINTS * contact.dim ** 4
         same(rep, smp, rows, values[kind])
     for alpha in ALPHAS:
-        same(check_c_alpha(contact, alpha, rec), smp, rows, values[alpha])
+        same(check_c_alpha(alpha, rec), smp, rows, values[alpha])
 
 
 def test_consequences_match_oracle(contact, seed):
-    smp = sample(contact.carrier, N_POINTS, seed)
+    smp = sample(contact.carrier, N_POINTS, seed).point
     swept, values = brute_sweep(contact, lambda xi: {
         (kind, name): row for kind in _CONTACT_DEFECTS
         for name, row in _consequence_rows(kind, xi).items()}, smp, perp=True)
-    rec = contact_point_data(contact, smp)
+    rec = record_of(contact, smp)
     for kind in _CONTACT_DEFECTS:
-        suite = consequence_suite(contact, kind, rec)
+        suite = consequence_suite(kind, rec)
         assert list(suite) == list(_consequence_rows(kind, None))
         for name, rep in suite.items():
             same(rep, smp, swept, values[kind, name], UNREAD.get(name, ()))
@@ -137,8 +136,8 @@ def test_consequences_match_oracle(contact, seed):
 
 def test_hermitian_matches_oracle(seed):
     h = resolve_target("cone_of:s5_in_c3")
-    smp = sample(h.chart, N_POINTS, seed)
+    smp = sample(h.chart, N_POINTS, seed).point
     rows, values = brute_sweep(h, lambda xi: _HERMITIAN_DEFECTS, smp)
-    rec = contact_point_data(h, smp)
+    rec = record_of(h, smp)
     for kind in _HERMITIAN_DEFECTS:
-        same(check_hermitian(h, kind, rec), smp, rows, values[kind])
+        same(check_hermitian(kind, rec), smp, rows, values[kind])

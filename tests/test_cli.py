@@ -111,6 +111,19 @@ def test_wrong_check_kind_is_reported_before_the_record(tmp_path):
     assert err == "target carries no almost Hermitian structure\n"
 
 
+@pytest.mark.parametrize("which", ["g1", "c(1/3),consequences", "classify"])
+def test_fields_must_be_differentiable_at_the_sample_points(tmp_path, which):
+    """φ, ξ and η run once, as jets, whatever the checks read: a φ whose
+    value is defined at the sample points but whose gradient is not fails
+    every check, those that read only its values included."""
+    path = tmp_path / "sqrt0_phi.ini"
+    path.write_text('[chart]\ndim = 3\ncoords = "x, y, z"\n[metric]\ng_11 = "1"\ng_22 = "1"\n'
+                    'g_33 = "1"\n[phi]\nphi^2_1 = "1 + sqrt(x - x)"\nphi^1_2 = "-1"\n'
+                    '[xi]\nxi^3 = "1"\n[eta]\neta_3 = "1"\n')
+    code, out, err = invoke(["identities", str(path), "--which", which, "--samples", "4"])
+    assert (code, out, err) == (2, "", "sqrt not differentiable at zero\n")
+
+
 @pytest.mark.parametrize("content,message", [
     pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "x +* 1"\n',
                  "byte offset", id="expression_syntax"),
@@ -313,14 +326,14 @@ def test_non_finite_tol_exit_two():
 def test_rational_check_parameters_stay_exact():
     from fractions import Fraction
     from curvlab.cli import _parse_check
-    from curvlab.identities import check_c_alpha
+    from conftest import check_c_alpha
     from curvlab.frame import heisenberg_h21
     from curvlab.structures import AlmostContactStructure, contact_point_data
     name, (alpha,) = _parse_check("c(1/3)")
     assert (name, alpha) == ("c_alpha", Fraction(1, 3))
     # c(α) = 1 + |α| on h21
     s = AlmostContactStructure(heisenberg_h21(Fraction(3, 5), Fraction(4, 5)))
-    assert check_c_alpha(s, alpha, contact_point_data(s)).exact == Fraction(4, 3)
+    assert check_c_alpha(alpha, contact_point_data(s)).exact == Fraction(4, 3)
     assert _parse_check("kappa-mu(1/3,0)") == ("kappa_mu", (Fraction(1, 3), Fraction(0)))
     code, out, _ = invoke(["identities", "h21", "--which", "c(1/3),kappa-mu(1,0)", "--json"])
     assert code == 1
@@ -446,25 +459,28 @@ BATTERY = ["g1", "g2", "g3", "c(1/2)", "kappa-mu(1,0)", "consequences"]
     (["report", "s5_in_c3", "--samples", "20"], 23),
 ])
 def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
-    """An invocation builds a chart point's geometry once: Γ, ∂Γ and R of
-    the 20 sample points come from one batched metric_jets, and every check
-    reads that point record; a submersion's 20 base points come in a second
-    batch, and so do a hypersurface's ambient Kähler probes. No point is
-    differentiated twice."""
+    """An invocation runs a chart point's metric once, over jets: sampling
+    runs the metric program over the 20 sample points, its g is what the
+    positive-definiteness check reads, and Γ, ∂Γ and R of the point record
+    every check reads come from the same run; a submersion's 20 base points
+    come in a second run, and so do a hypersurface's ambient Kähler probes.
+    No point is differentiated twice, and no program runs over floats."""
     import curvlab.geometry as geometry
-    real, calls = geometry.metric_jets, []
+    real, calls = geometry._metric_arrays, []
 
     def counting(chart, p):
         calls.append(np.atleast_2d(p))   # one point (d,) or a batch (N, d)
         return real(chart, p)
 
-    monkeypatch.setattr(geometry, "metric_jets", counting)
+    monkeypatch.setattr(geometry, "_metric_arrays", counting)
+    _, runs = _watch_programs(monkeypatch)
     code, _, _ = invoke(argv)
     assert code == 0
     assert [len(batch) for batch in calls].count(20) == points // 20
     rows = [tuple(row) for batch in calls for row in batch]
     assert len(rows) == len(set(rows)) == points
     assert len(calls) == -(-points // 20)
+    assert {ring for _, ring, _ in runs} == {"jet", "jet1"}   # the fields' run is first-order
 
 
 def test_one_jet_walk_of_immersion_and_normal(monkeypatch):
@@ -487,9 +503,11 @@ def test_one_jet_walk_of_immersion_and_normal(monkeypatch):
 
 
 def _watch_programs(monkeypatch):
-    """The programs compiled from here on, in order, and the ids of those run."""
+    """The programs compiled from here on, in order, and the runs of any
+    program as (program, ring name, points); a jet run whose seeds carry
+    no Hessians is named "jet1"."""
     from curvlab import expr as ex
-    compiled, ran = [], set()
+    compiled, ran = [], []
     init, run_program = ex.Program.__init__, ex.Program.run
 
     def compiling(self, exprs):
@@ -497,7 +515,9 @@ def _watch_programs(monkeypatch):
         init(self, exprs)
 
     def running(self, env, ring=ex.REAL):
-        ran.add(id(self))
+        value = next(iter(env.values()), 0.0)
+        first_order = getattr(value, "hess", 0) is None
+        ran.append((self, ring.name + "1" * first_order, np.size(getattr(value, "value", value))))
         return run_program(self, env, ring)
 
     monkeypatch.setattr(ex.Program, "__init__", compiling)
@@ -523,26 +543,73 @@ def test_an_invocation_compiles_only_the_programs_it_runs(monkeypatch):
     code, _, _ = invoke(["identities", "cone_of:s5_in_c3", "--which", "k1,k2,k3",
                          "--samples", "5"])
     assert code == 0
-    assert len(compiled) == 2 and {id(p) for p in compiled} == ran
+    assert len(compiled) == 2 and {id(p) for p in compiled} == {id(p) for p, *_ in ran}
 
 
 def test_one_field_evaluation_per_sample_point(monkeypatch):
-    """φ, ξ and η are evaluated once per point and invocation, each in one
-    batch over the sample points, into the point record every check reads."""
-    import curvlab.structures as structures
-    real, calls = structures.eval_field, []
-
-    def counting(f, p):
-        calls.append((id(f), np.atleast_2d(p)))
-        return real(f, p)
-
-    monkeypatch.setattr(structures, "eval_field", counting)
+    """φ, ξ and η are evaluated once per point and invocation, in one jet run
+    of the structure's program over the sample points, into the point
+    record every check reads: its values and gradients, with no Hessians.
+    With the metric's one jet run, that is every program run; none runs
+    over floats."""
+    _, runs = _watch_programs(monkeypatch)
     code, _, _ = invoke(["identities", "s5_in_c3", "--which",
                          "g1,g2,g3,kappa-mu(1,0),consequences", "--samples", "20"])
     assert code == 0
-    assert len(calls) == 3
-    pairs = [(f, tuple(row)) for f, batch in calls for row in batch]
-    assert len(pairs) == len(set(pairs)) == 60
+    # the metric's upper triangle (15 entries), then φ, ξ and η (25 + 5 + 5
+    # components) at the 20 points: 60 field-point pairs, each once
+    assert [(len(p.roots), ring, n) for p, ring, n in runs] == [(15, "jet", 20),
+                                                               (35, "jet1", 20)]
+
+
+@pytest.mark.parametrize("target", ["h21", "s5_in_c3"])
+def test_repeated_checks_repeat_their_rows(target):
+    """One sweep computes each distinct row once; a check asked for twice,
+    or a c(α) whose α is written twice, still prints its rows twice."""
+    def rows(which):
+        code, out, _ = invoke(["identities", target, "--which", which, "--samples", "3",
+                               "--json"])
+        assert code in (0, 1)
+        return json.loads(out)["checks"]
+
+    g1, c1 = rows("g1,g1,c(1),c(1.0)")[::2]
+    assert rows("g1,g1,c(1),c(1.0)") == [g1, g1, c1, c1] == rows("g1") * 2 + rows("c(1)") * 2
+    assert c1["tag"] == "c(1)"
+    assert rows("consequences,consequences") == rows("consequences") * 2
+
+
+@pytest.mark.parametrize("target,first,second", [
+    ("s5_in_c3", "c(1)", "c(1.0000001)"), ("h21", "c(1/3)", "c(0.333333)"),
+])
+def test_distinct_alphas_sharing_a_tag_keep_their_rows(target, first, second):
+    """Two α that print alike are still two checks: each row of the pair
+    is the row that check prints alone."""
+    def rows(which):
+        code, out, _ = invoke(["identities", target, "--which", which, "--samples", "3",
+                               "--json"])
+        assert code in (0, 1)
+        return json.loads(out)["checks"]
+
+    pair = rows(f"{first},{second}")
+    assert pair == rows(first) + rows(second)
+    assert pair[0]["tag"] == pair[1]["tag"] and pair[0] != pair[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("which,tag", [
+    ("kappa-mu(1,0),g1", "kappa-mu(1,0)"), ("g1,kappa-mu(1,0)", "g1"),
+    ("consequences,g2", "g1.xi_slot_g"), ("g3,consequences", "g3"),
+    ("c(1/2),g1", "c(0.5)"),
+])
+def test_first_failing_check_in_order_is_reported(tmp_path, which, tag):
+    """Every row of this chart is NaN. The identity rows are swept before
+    any row is emitted, but each residual is checked as its row is emitted,
+    so the error names the first check in --which order."""
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOWING_CHART + CONTACT_BLOCK)
+    code, out, err = invoke(["identities", str(path), "--which", which, "--samples", "3"])
+    assert (code, out) == (2, "")
+    assert err == f"non-finite residual in {tag}\n"
 
 
 @pytest.mark.parametrize("target,checks", [

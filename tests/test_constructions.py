@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from curvlab import expr as ex
-from curvlab import geometry as geo
-from curvlab.chart import Chart, Interval, eval_field, sample
+from curvlab.chart import Chart, Interval, sample
 from curvlab.constructions import build_cone, build_r_warped_contact
 from curvlab.constructions.registry import (flat_chart, flat_kahler_r2,
                                             flat_kahler_r4)
@@ -13,7 +12,7 @@ from closed_forms import (ConeOracle, WarpedSpec, build_warped, eq_for_g1_obstru
                           r_warped_christoffel_oracle, r_warped_riemann_oracle,
                           warped_christoffel_oracle)
 from conftest import sample_with_vectors
-from reference import covariant_derivative
+from reference import covariant_derivative, eval_field, point_geometry
 
 
 # -- cone invariants ----------------------------------------------------------------
@@ -71,7 +70,7 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
     worst = 0.0
     for i, p in enumerate(points):
         oracle = ConeOracle(base, p)
-        conn, curv = geo.point_geometry(cone.chart, p)
+        conn, curv = point_geometry(cone.chart, p)
         A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
         engine_nab = np.einsum("i,kij,j->k", A, conn.gamma, B)
         worst = max(worst, float(np.max(np.abs(
@@ -93,7 +92,7 @@ def test_cone_j_composed_curvature_cases(s5_example):
     dt[0] = 1.0
     for i, p in enumerate(points):
         oracle = ConeOracle(base, p)
-        curv = geo.point_geometry(cone.chart, p)[1]
+        curv = point_geometry(cone.chart, p)[1]
         J = eval_field(cone.J, p)
         g = cone.chart.metric_at(p)
         X, Y, Z, W = (v.copy() for v in vectors[i][:4])
@@ -122,7 +121,7 @@ def test_trivial_warping_gives_product():
     p = [0.2, 0.5, -0.7]
     gamma = warped_christoffel_oracle(spec, p)
     assert np.all(gamma == 0.0)
-    assert np.max(np.abs(geo.point_geometry(chart, p)[0].gamma)) <= 1e-14
+    assert np.max(np.abs(point_geometry(chart, p)[0].gamma)) <= 1e-14
 
 
 def test_warped_with_b_t_reproduces_cone():
@@ -142,8 +141,8 @@ def test_cosine_warped_connection_oracle():
     fiber = flat_chart(("x", "y", "u", "v"))
     spec = WarpedSpec(base, fiber, ex.parse_expr("cos(th)", ["th"]))
     chart = build_warped(spec)
-    for p in sample(chart, 10, seed=6):
-        eng = geo.point_geometry(chart, p)[0].gamma
+    for p in sample(chart, 10, seed=6).point:
+        eng = point_geometry(chart, p)[0].gamma
         assert np.max(np.abs(eng - warped_christoffel_oracle(spec, p))) <= 1e-9
 
 
@@ -169,10 +168,10 @@ def test_r_warped_oracles_match_engine(sine_cone_cos, sine_cone_sin,
                                        r_warped_surface):
     for rb in (sine_cone_cos, sine_cone_sin, r_warped_surface):
         chart = rb.structure.carrier
-        for p in sample(chart, 8, seed=4):
-            eng_g = geo.point_geometry(chart, p)[0].gamma
+        for p in sample(chart, 8, seed=4).point:
+            eng_g = point_geometry(chart, p)[0].gamma
             assert np.max(np.abs(eng_g - r_warped_christoffel_oracle(rb, p))) <= 1e-8
-            eng_r = geo.point_geometry(chart, p)[1].riem
+            eng_r = point_geometry(chart, p)[1].riem
             assert np.max(np.abs(eng_r - r_warped_riemann_oracle(rb, p))) <= 1e-8
 
 
@@ -184,7 +183,7 @@ def test_f_second_over_f_minus_one_gives_unit_block(f_text):
     chart = rb.structure.carrier
     points, vectors = sample_with_vectors(chart, 6, 4, seed=15)
     for i, p in enumerate(points):
-        curv = geo.point_geometry(chart, p)[1]
+        curv = point_geometry(chart, p)[1]
         g = chart.metric_at(p)
         xi = np.array([0, 0, 0, 0, 1.0])
         for a in range(0, 4, 2):
@@ -199,7 +198,7 @@ def test_constant_warping_kills_xi_block():
     rb = build_r_warped_contact(flat_kahler_r4(), "1 + 0*z", "z", Interval())
     chart = rb.structure.carrier
     p = [0.1, 0.2, 0.3, 0.4, 0.5]
-    curv = geo.point_geometry(chart, p)[1]
+    curv = point_geometry(chart, p)[1]
     assert np.max(np.abs(curv.riem)) <= 1e-14
 
 
@@ -216,9 +215,9 @@ def test_vanishing_warping_rejected():
 
 def test_eq_for_g1_obstruction_dimension_two_vs_four():
     n2 = flat_kahler_r2()
-    assert eq_for_g1_obstruction(n2, sample(n2.chart, 10, seed=2)) <= 1e-12
+    assert eq_for_g1_obstruction(n2, sample(n2.chart, 10, seed=2).point) <= 1e-12
     n4 = flat_kahler_r4()
-    assert eq_for_g1_obstruction(n4, sample(n4.chart, 10, seed=2)) > 0.1
+    assert eq_for_g1_obstruction(n4, sample(n4.chart, 10, seed=2).point) > 0.1
 
 
 def test_eq_for_g1_obstruction_sweeps_the_coordinate_basis():
@@ -226,7 +225,7 @@ def test_eq_for_g1_obstruction_sweeps_the_coordinate_basis():
     each sampled point. On flat R⁴ with its rotation J the largest basis
     value is exactly 1."""
     n4 = flat_kahler_r4()
-    assert eq_for_g1_obstruction(n4, sample(n4.chart, 4, seed=2)) == 1.0
+    assert eq_for_g1_obstruction(n4, sample(n4.chart, 4, seed=2).point) == 1.0
 
 
 def test_eq_for_g1_obstruction_nan_raises():
@@ -239,4 +238,4 @@ def test_eq_for_g1_obstruction_nan_raises():
     J[1, 0] = "exp(400)*exp(400)*0 + 1"
     bad = AlmostHermitianStructure(n4.chart, TensorField(n4.chart, "endomorphism", J))
     with pytest.raises(EvalDomainError):
-        eq_for_g1_obstruction(bad, sample(n4.chart, 3, seed=2))
+        eq_for_g1_obstruction(bad, sample(n4.chart, 3, seed=2).point)

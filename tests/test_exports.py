@@ -15,8 +15,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # public functions and methods that no CLI path enters, each with the reason
 # it stays in src/
 _RATIONAL = "the exact scalar ring that exact chart verdicts (ROADMAP.md, item 4) evaluate in"
+_FLOAT_METRIC = ("the float ring's run of the metric, which the tests compare the jet run of "
+                 "sample against bit for bit (perfbench's known-answer tests read it too)")
 UNREACHED = {
     "identities.reevaluate_witness": "its CLI caller is the planned --verify-witness",
+    "chart.Chart.metric_at": _FLOAT_METRIC,
     "expr.eval_expr": "the one-expression entry point that the docs and tests use",
     "cli.main": "the console entry point; it calls run",
     "expr.Ring.call": "RationalRing's function call, which it inherits: " + _RATIONAL,
@@ -46,13 +49,14 @@ J^2_1 = "1"
 J^1_2 = "-1"
 """
 
-# a float literal and a named constant: the rings lift both
+# a float literal and a named constant, which the rings lift, and a function
+# of a constant, which the jet ring hands to the float ring
 FLOAT_PI_CHART = """[chart]
 dim = 2
 coords = "x, y"
 [metric]
 g_11 = "1.5 + sin(pi*x)^2/4"
-g_22 = "2"
+g_22 = "1 + exp(0)"
 """
 
 

@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from curvlab import geometry as geo
-from curvlab.chart import Chart, Interval, TensorField, eval_field, eval_field_jets, sample
+from curvlab.chart import Chart, Interval, TensorField, sample
 from curvlab.errors import SingularMetricError
 from curvlab.frame import heisenberg_h21
 from curvlab.manifold_io import load_manifold_file
 from conftest import sample_with_vectors
-from reference import (connection_at_point, contact_volume_coefficient,
-                       covariant_derivative, covariant_derivative_02, curvature_at_point,
-                       exterior_d_oneform, gram_schmidt, lie_derivative_metric, ricci,
-                       to_text)
+from reference import (connection_at_point, contact_volume_coefficient, covariant_derivative,
+                       covariant_derivative_02, curvature_at_point, eval_field, eval_field_jets,
+                       exterior_d_oneform, gram_schmidt, lie_derivative_metric, point_geometry,
+                       ricci, to_text)
 
 
 def frame_vectors_at(p):
@@ -35,24 +35,24 @@ def frame_vectors_at(p):
 
 def test_flat_christoffel_zero(flat3):
     for p in ([0.0, 0.0, 0.0], [1.0, -0.5, 2.0]):
-        conn = geo.point_geometry(flat3, p)[0]
+        conn = point_geometry(flat3, p)[0]
         assert np.all(conn.gamma == 0.0)
 
 
 def test_cone_over_flat_christoffel():
     cone = Chart(("t", "x"), [["1", "0"], [None, "t^2"]],
                  [Interval(0, math.inf), Interval()])
-    conn = geo.point_geometry(cone, [2.0, 0.7])[0]
+    conn = point_geometry(cone, [2.0, 0.7])[0]
     assert abs(conn.gamma[1, 0, 1] - 0.5) < 1e-14   # Gamma^x_tx = 1/t
     assert abs(conn.gamma[1, 1, 0] - 0.5) < 1e-14
     assert abs(conn.gamma[0, 1, 1] + 2.0) < 1e-14   # Gamma^t_xx = -t
 
 
 def test_sphere_christoffel(s2_round):
-    conn = geo.point_geometry(s2_round, [math.pi / 2, 0.4])[0]
+    conn = point_geometry(s2_round, [math.pi / 2, 0.4])[0]
     assert abs(conn.gamma[0, 1, 1]) < 1e-12         # -sin cos = 0 at equator
     th = 0.8
-    conn = geo.point_geometry(s2_round, [th, 0.4])[0]
+    conn = point_geometry(s2_round, [th, 0.4])[0]
     assert abs(conn.gamma[0, 1, 1] + math.sin(th) * math.cos(th)) < 1e-12
     assert abs(conn.gamma[1, 0, 1] - math.cos(th) / math.sin(th)) < 1e-12
 
@@ -60,7 +60,7 @@ def test_sphere_christoffel(s2_round):
 def test_singular_metric_raises():
     degenerate = Chart(("x", "y"), [["x", "0"], [None, "x"]])
     with pytest.raises(SingularMetricError):
-        geo.point_geometry(degenerate, [0.0, 0.0])
+        point_geometry(degenerate, [0.0, 0.0])
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -68,13 +68,13 @@ def test_singular_metric_raises():
 def test_flat5_curvature_zero():
     flat5 = Chart(tuple("abcde"), [[("1" if i == j else "0") for j in range(5)]
                                    for i in range(5)])
-    curv = geo.point_geometry(flat5, [0.1, 0.2, 0.3, 0.4, 0.5])[1]
+    curv = point_geometry(flat5, [0.1, 0.2, 0.3, 0.4, 0.5])[1]
     assert np.all(curv.riem == 0.0)
 
 
 def test_h21_chart_curvature_table(h21_chart):
     p = [0.4, -0.7, 0.2, 1.1, -0.3]
-    curv = geo.point_geometry(h21_chart.carrier, p)[1]
+    curv = point_geometry(h21_chart.carrier, p)[1]
     X1, X2, Y1, Y2, XI = frame_vectors_at(p)
     r = lambda a, b, c, d: float(np.einsum("ijkl,i,j,k,l", curv.riem, a, b, c, d))
     assert abs(r(X1, X2, Y1, Y2) - (-1.0)) < 1e-12
@@ -90,7 +90,7 @@ def test_cross_engine_h21_all_quadruples(h21_chart):
     """Chart engine on frame vectors vs the exact rational frame engine."""
     fg = heisenberg_h21(Fraction(3, 5), Fraction(4, 5))
     for p in ([0.0] * 5, [0.5, -1.2, 0.3, 0.8, 2.0]):
-        curv = geo.point_geometry(h21_chart.carrier, p)[1]
+        curv = point_geometry(h21_chart.carrier, p)[1]
         vecs = frame_vectors_at(p)
         for i, j, k, l in product(range(5), repeat=4):
             chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem,
@@ -197,7 +197,7 @@ def test_h21_deta_on_frame(h21_chart):
 def test_h21_contact_volume_nonzero(h21_chart):
     s = h21_chart
     vols = [contact_volume_coefficient(s.carrier, s.eta, p)
-            for p in sample(s.carrier, 5, seed=31)]
+            for p in sample(s.carrier, 5, seed=31).point]
     assert all(abs(v) > 1e-6 for v in vols)
     # constant across points (left invariance)
     assert max(vols) - min(vols) < 1e-12
@@ -239,8 +239,8 @@ def test_curvature_symmetries_on_registry(h21_chart, s5_example, sine_cone_cos,
               sine_cone_cos.structure.carrier, sine_cone_sin.structure.carrier,
               r_warped_surface.structure.carrier, flat_cosym5.carrier, s2_round]
     for chart in charts:
-        for p in sample(chart, 5, seed=13):
-            res = geo.curvature_symmetry_residuals(geo.point_geometry(chart, p)[1])
+        for p in sample(chart, 5, seed=13).point:
+            res = geo.curvature_symmetry_residuals(point_geometry(chart, p)[1])
             assert max(res.values()) <= 1e-9, (chart.name, res)
 
 
@@ -279,7 +279,7 @@ REGISTRY_FIELDS = _registry_fields()
 def _assert_point_geometry_per_point(chart, pts):
     """The batched Γ, ∂Γ, R¹³, R and E(p) equal, bit for bit, the one-point
     formulas of ``reference`` run on each point's own metric jets."""
-    conn, curv = geo.point_geometry(chart, pts)
+    conn, curv = point_geometry(chart, pts)
     E = geo.orthonormal_frame(curv.g)
     for n, p in enumerate(pts):
         one = geo.metric_jets(chart, p)
@@ -298,7 +298,7 @@ def test_batched_evaluation_equals_per_point(label, chart, fields):
     """One batched walk per expression gives every point's numbers bit for
     bit: metric jets, the metric and the fields and their jets; and the
     batched point geometry equals the one-point reference formulas."""
-    pts = sample(chart, 4, seed=9)
+    pts = sample(chart, 4, seed=9).point
     mj = geo.metric_jets(chart, pts)
     g = chart.metric_at(pts)
     vals = [eval_field(f, pts) for f in fields]
@@ -315,21 +315,54 @@ def test_batched_evaluation_equals_per_point(label, chart, fields):
     _assert_point_geometry_per_point(chart, pts)
 
 
-@pytest.mark.parametrize("k", range(3))
-def test_batched_point_geometry_on_generated_charts(tmp_path, k):
-    """The benchmark's bare charts with dense off-diagonal metrics: seed 3
-    draws dimensions 3, 5 and 6."""
+def _generated_bare_chart(tmp_path, k):
+    """The k-th bare chart the benchmark's generator draws at seed 3."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         from workloads import Generator
     finally:
         sys.path.pop(0)
     gen = Generator("chart_sweep", 3, tmp_path)
-    files = [gen.bare_chart_file() for _ in range(k + 1)]
-    path, dim = files[-1]
-    assert dim == (3, 5, 6)[k]
-    chart = load_manifold_file(path)
-    _assert_point_geometry_per_point(chart, sample(chart, 7, seed=k))
+    path, _ = [gen.bare_chart_file() for _ in range(k + 1)][-1]
+    return load_manifold_file(path)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_batched_point_geometry_on_generated_charts(tmp_path, k):
+    """The benchmark's bare charts with dense off-diagonal metrics: seed 3
+    draws dimensions 3, 5 and 6."""
+    chart = _generated_bare_chart(tmp_path, k)
+    assert chart.dim == (3, 5, 6)[k]
+    _assert_point_geometry_per_point(chart, sample(chart, 7, seed=k).point)
+
+
+# a metric and a field that divide by constants that are not powers of 2
+_DIVIDING = Chart(("x", "y"), [["1 + x^2/3", "y/7"], [None, "2 + sin(x)/3"]], name="dividing")
+VALUE_CASES = [pytest.param(chart, fields, id=label) for label, chart, fields in REGISTRY_FIELDS] \
+    + [pytest.param(_DIVIDING, (TensorField(_DIVIDING, "vector", ["cos(x)/3", "-y/10"]),),
+                    id="dividing")] \
+    + [pytest.param(k, (), id=f"generated_{k}") for k in range(3)]
+
+
+@pytest.mark.parametrize("chart,fields", VALUE_CASES)
+def test_jet_values_are_the_float_values(tmp_path, chart, fields):
+    """The value part of a jet run is the float run, bit for bit, sign of
+    zero included, for the metric program and for one program over the
+    fields, at every point of a sample: the CLI reads g, φ, ξ and η (or J)
+    from jet runs alone."""
+    from curvlab import expr as ex
+    if isinstance(chart, int):
+        chart = _generated_bare_chart(tmp_path, chart)
+    for seed in range(3):
+        mj = sample(chart, 7, seed)
+        assert mj.g.tobytes() == chart.metric_at(mj.point).tobytes()
+        if fields:
+            program = ex.Program(e for f in fields for e in f.components.flat)
+            real = np.empty((7, len(program.roots)))
+            for r, v in enumerate(program.run(chart.env(mj.point))):
+                real[:, r] = v
+            vals, _ = geo._expr_jets(program, chart.env(mj.point, jets=True))
+            assert vals.tobytes() == real.tobytes()
 
 
 def test_batched_singular_metric_names_first_point():
@@ -362,7 +395,7 @@ def test_metric_jets_calls_each_distinct_function_once(monkeypatch, target, coun
     from curvlab.constructions.registry import resolve_target
     obj = resolve_target(target)
     chart = obj.chart if target.startswith("cone_of:") else obj.structure.carrier
-    points = sample(chart, 5, seed=3)
+    points = sample(chart, 5, seed=3).point
     calls = dict.fromkeys(counts, 0)
     for fn in calls:
         def counted(u, fn=fn, rule=jet.JET_FUNCTIONS[fn]):

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.chart import Chart, Interval, TensorField, eval_field, sample
+from curvlab.chart import Chart, Interval, TensorField, sample
 from curvlab.errors import CurvlabError
 from curvlab.structures import AlmostHermitianStructure, classify, contact_point_data
 from curvlab.constructions import SurfacePatch, hypersurface, induce_hypersurface
 from curvlab.constructions.registry import ambient_c3
-from curvlab.identities import check_contact
 
-from conftest import record
-from reference import hypersurface_at_point, nabla_J_at_point
+from conftest import check_contact, record, record_of
+from reference import eval_field, hypersurface_at_point, nabla_J_at_point
 
 
 def test_s5_induction(s5_example):
@@ -46,7 +45,7 @@ def test_s5_induced_structure_is_sasakian(s5_example):
     assert cls.sasakian_nabla_xi <= 1e-8
     assert cls.sasakian_nabla_phi <= 1e-8
     for kind in ("g1", "g2", "g3"):
-        assert check_contact(s, kind, rec).residual <= 1e-7
+        assert check_contact(kind, rec).residual <= 1e-7
 
 
 def _sphere_like_immersion():
@@ -158,8 +157,8 @@ def _curved_ambient(J_entries):
 def test_batched_nabla_J_matches_per_probe(ambient):
     """The ambient Kähler check's one batch over its probes gives each
     probe's ∇J residual and J bit for bit."""
-    points = sample(ambient.chart, 3, seed=7)
-    J, nabla_J = hypersurface._ambient_kahler(ambient, points)
+    points = sample(ambient.chart, 3, seed=7).point
+    J, nabla_J = hypersurface._ambient_kahler(ambient)
     assert np.array_equal(nabla_J, [nabla_J_at_point(ambient, p) for p in points])
     assert np.array_equal(J, [eval_field(ambient.J, p) for p in points])
 
@@ -188,7 +187,7 @@ _DEGENERATE = ("cos(a)*cos(p1)", "cos(a)*sin(p1)",
 def _points(chart, p1_values):
     """The record of ``chart`` at parameter points of s5_in_c3 that differ
     only in p1."""
-    return contact_point_data(chart, [[0.7, 0.6, v, 0.3, 0.3] for v in p1_values])
+    return record_of(chart, [[0.7, 0.6, v, 0.3, 0.3] for v in p1_values])
 
 
 def test_rank_deficient_immersion_rejected(s5_example):
@@ -247,8 +246,8 @@ def test_non_finite_immersion_jacobian_is_named(s5_example):
     immersion = ("exp(400*a)*exp(400*a)*0 + cos(a)*cos(p1)",) + _S5_IMMERSION[1:]
     bad = SurfacePatch(chart=s5_example.patch.chart, immersion=immersion,
                        normal=_S5_IMMERSION)
-    points = contact_point_data(bad.chart, [[0.7, 0.6, 0.5, 0.3, 0.3], [1.2, 0.6, 0.5, 0.3, 0.3],
-                                            [1.3, 0.6, 0.5, 0.3, 0.3]])
+    points = record_of(bad.chart, [[0.7, 0.6, 0.5, 0.3, 0.3], [1.2, 0.6, 0.5, 0.3, 0.3],
+                                   [1.3, 0.6, 0.5, 0.3, 0.3]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CurvlabError, match=r"^immersion Jacobian is not finite at "
                                                r"\(1\.2, 0\.6, 0\.5, 0\.3, 0\.3\)$"):

@@ -4,10 +4,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from curvlab.identities import (check_c_alpha, check_contact, check_hermitian,
-                                consequence_suite, reevaluate_witness)
+from curvlab.identities import reevaluate_witness
 from curvlab.constructions import build_cone, resolve_target
-from conftest import flat_kahler_c2, record, record_at, sample_with_vectors, structure_of
+from conftest import (check_c_alpha, check_contact, check_hermitian, consequence_suite,
+                      flat_kahler_c2, record, record_at, sample_with_vectors, structure_of)
 
 F = Fraction
 
@@ -17,7 +17,7 @@ F = Fraction
 def test_flat_c2_satisfies_all_k():
     h = flat_kahler_c2()
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(h, kind, record(h))
+        rep = check_hermitian(kind, record(h))
         assert rep.residual <= 1e-12
         assert rep.verdict
 
@@ -25,38 +25,38 @@ def test_flat_c2_satisfies_all_k():
 def test_cone_over_s5_is_kahler_flat(s5_example):
     cone = build_cone(s5_example.structure)
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(cone, kind, record(cone))
+        rep = check_hermitian(kind, record(cone))
         assert rep.residual <= 1e-7
 
 
 def test_cone_over_h21_k2_but_not_k1(h21_chart):
     cone = build_cone(h21_chart)
-    k2 = check_hermitian(cone, "k2", record(cone))
+    k2 = check_hermitian("k2", record(cone))
     assert k2.residual <= 1e-7
-    k1 = check_hermitian(cone, "k1", record(cone))
+    k1 = check_hermitian("k1", record(cone))
     assert k1.residual >= 0.5
-    k3 = check_hermitian(cone, "k3", record(cone))
+    k3 = check_hermitian("k3", record(cone))
     assert k3.residual <= 1e-7
 
 
 # -- contact identities ---------------------------------------------------------------
 
 def test_h21_g2_exactly_zero(h21_frame):
-    rep = check_contact(h21_frame, "g2", record(h21_frame))
+    rep = check_contact("g2", record(h21_frame))
     assert rep.exact == 0
     assert rep.verdict
     assert rep.n_quadruples == 625
 
 
 def test_h21_g3_exactly_zero(h21_frame):
-    rep = check_contact(h21_frame, "g3", record(h21_frame))
+    rep = check_contact("g3", record(h21_frame))
     assert rep.exact == 0
 
 
 def test_h21_g1_exact_residuals(h21_frame):
     """The exhaustive sweep pins the max residual at exactly 2; the
     designated quadruple (X1, Y1, X1, Y2) carries exactly 24/25 = 2cs."""
-    rep = check_contact(h21_frame, "g1", record(h21_frame))
+    rep = check_contact("g1", record(h21_frame))
     assert rep.exact == 2
     assert not rep.verdict
     # the argmax witness reproduces its residual exactly
@@ -86,76 +86,76 @@ def test_h21_chart_residuals_are_the_exact_h21_values(cs):
     s = resolve_target(f"h21_chart:{cs}")
     rec = record(s, 5, seed=1)
     for kind, exact in (("g1", 2), ("g2", 0), ("g3", 0)):
-        assert abs(check_contact(s, kind, rec).residual - exact) <= 1e-12, kind
-    assert abs(check_c_alpha(s, F(1, 2), rec).residual - 1.5) <= 1e-12
+        assert abs(check_contact(kind, rec).residual - exact) <= 1e-12, kind
+    assert abs(check_c_alpha(F(1, 2), rec).residual - 1.5) <= 1e-12
 
 
 def test_s5_satisfies_all_g(s5_example):
     for kind in ("g1", "g2", "g3"):
-        rep = check_contact(s5_example.structure, kind, record(s5_example.structure))
+        rep = check_contact(kind, record(s5_example.structure))
         assert rep.residual <= 1e-7, kind
 
 
 def test_sine_cone_g2_not_g1(sine_cone_cos, sine_cone_sin):
     for bundle in (sine_cone_cos, sine_cone_sin):
         s = bundle.structure
-        g2 = check_contact(s, "g2", record(s))
+        g2 = check_contact("g2", record(s))
         assert g2.residual <= 1e-8
-        g1 = check_contact(s, "g1", record(s))
+        g1 = check_contact("g1", record(s))
         assert g1.residual >= 0.5
-        g3 = check_contact(s, "g3", record(s))
+        g3 = check_contact("g3", record(s))
         assert g3.residual <= 1e-8
 
 
 def test_surface_warped_satisfies_g1(r_warped_surface):
-    rep = check_contact(r_warped_surface.structure, "g1", record(r_warped_surface.structure))
+    rep = check_contact("g1", record(r_warped_surface.structure))
     assert rep.residual <= 1e-8
 
 
 def test_flat_cosym_fails_all_g(flat_cosym5):
     for kind in ("g1", "g2", "g3"):
-        rep = check_contact(flat_cosym5, kind, record(flat_cosym5))
+        rep = check_contact(kind, record(flat_cosym5))
         assert rep.residual > 0.1, kind
 
 
 # -- c(alpha) ---------------------------------------------------------------------------
 
 def test_s5_is_c1(s5_example):
-    assert check_c_alpha(s5_example.structure, 1.0, record(s5_example.structure)).residual <= 1e-7
+    assert check_c_alpha(1.0, record(s5_example.structure)).residual <= 1e-7
 
 
 def test_s5_alpha_zero_negative_control(s5_example):
-    assert check_c_alpha(s5_example.structure, 0.0, record(s5_example.structure)).residual >= 0.5
+    assert check_c_alpha(0.0, record(s5_example.structure)).residual >= 0.5
 
 
 def test_flat_cosym_is_c0(flat_cosym5):
-    assert check_c_alpha(flat_cosym5, 0.0, record(flat_cosym5)).residual <= 1e-12
+    assert check_c_alpha(0.0, record(flat_cosym5)).residual <= 1e-12
 
 
 def test_h21_c1_equals_g1(h21_frame):
     # c(1) coincides with g1 term for term
     rec = record(h21_frame)
-    assert check_c_alpha(h21_frame, 1, rec).exact == check_contact(h21_frame, "g1", rec).exact
+    assert check_c_alpha(1, rec).exact == check_contact("g1", rec).exact
 
 
 # -- consequences ------------------------------------------------------------------------
 
 def test_s5_consequences(s5_example):
     for kind in ("g1", "g2", "g3"):
-        suite = consequence_suite(s5_example.structure, kind, record(s5_example.structure))
+        suite = consequence_suite(kind, record(s5_example.structure))
         for tag, rep in suite.items():
             assert rep.residual <= 1e-7, (kind, tag)
 
 
 def test_h21_xi_slot_consequence_exact(h21_frame):
-    suite = consequence_suite(h21_frame, "g2", record(h21_frame))
+    suite = consequence_suite("g2", record(h21_frame))
     assert suite["xi_slot_g"].exact == 0
     assert suite["xi_slot_zero"].exact == 0
 
 
 def test_flat_cosym_xi_slot_fails(flat_cosym5):
     # R = 0 so R(xi, Y, xi, W) cannot equal g(Y, W); the g3 consequence fails
-    suite = consequence_suite(flat_cosym5, "g3", record(flat_cosym5))
+    suite = consequence_suite("g3", record(flat_cosym5))
     assert suite["xi_slot_g"].residual > 0.1
     assert suite["restricted"].residual <= 1e-12
 
@@ -201,7 +201,7 @@ CONTACT_TARGETS = ("h21", "h21_chart", "flat_cosym5", "sine_cone_cos",
 @pytest.mark.parametrize("name", CONTACT_TARGETS)
 def test_inclusion_chain(name):
     s = structure_of(name)
-    verdicts = {k: check_contact(s, k, record(s), tol=1e-7).verdict for k in ("g1", "g2", "g3")}
+    verdicts = {k: check_contact(k, record(s), tol=1e-7).verdict for k in ("g1", "g2", "g3")}
     assert not (verdicts["g1"] and not verdicts["g2"]), name
     assert not (verdicts["g2"] and not verdicts["g3"]), name
 
@@ -210,7 +210,7 @@ def test_inclusion_chain(name):
 def test_g3_implies_ricci_2n(name):
     from curvlab.structures import classify
     s = structure_of(name)
-    if not check_contact(s, "g3", record(s), tol=1e-7).verdict:
+    if not check_contact("g3", record(s), tol=1e-7).verdict:
         pytest.skip("g3 does not hold here")
     rep = classify(s, record(s))
     assert abs(float(rep.ric_xi_xi) - rep.ric_xi_xi_target) <= 1e-6
@@ -218,22 +218,22 @@ def test_g3_implies_ricci_2n(name):
 
 def test_witness_reproducibility_chart(s5_example, sine_cone_cos):
     for s, kind in ((s5_example.structure, "g2"), (sine_cone_cos.structure, "g1")):
-        rep = check_contact(s, kind, record(s))
+        rep = check_contact(kind, record(s))
         assert reevaluate_witness(s, kind, rep.witness) == rep.residual
 
 
 def test_witness_reproducibility_hermitian(h21_chart):
     h = build_cone(h21_chart)
     for kind in ("k1", "k2", "k3"):
-        rep = check_hermitian(h, kind, record(h))
+        rep = check_hermitian(kind, record(h))
         assert reevaluate_witness(h, kind, rep.witness) == rep.residual
 
 
 @pytest.mark.parametrize("alpha", [F(1, 2), F(-2)])
 def test_witness_reproducibility_c_alpha(s5_example, h21_frame, alpha):
-    rep = check_c_alpha(s5_example.structure, alpha, record(s5_example.structure))
+    rep = check_c_alpha(alpha, record(s5_example.structure))
     assert reevaluate_witness(s5_example.structure, "c", rep.witness, alpha) == rep.residual
-    rep = check_c_alpha(h21_frame, alpha, record(h21_frame))
+    rep = check_c_alpha(alpha, record(h21_frame))
     again = reevaluate_witness(h21_frame, "c", rep.witness, alpha)
     assert type(again) is Fraction and again == rep.exact
 
@@ -241,14 +241,15 @@ def test_witness_reproducibility_c_alpha(s5_example, h21_frame, alpha):
 def test_chart_sweep_covers_every_frame_quadruple(sine_cone_cos):
     """A chart sweep visits all d⁴ quadruples of E(p) at every point."""
     s = sine_cone_cos.structure
-    rep = check_contact(s, "g1", record(s, 5, seed=1))
+    rep = check_contact("g1", record(s, 5, seed=1))
     assert rep.n_points == 5
     assert rep.n_quadruples == rep.n_points * s.dim ** 4
 
 
 def test_one_evaluation_per_check(monkeypatch):
-    """Each identity check evaluates its defect once, as one table over all
-    sample points: one set of closures per check, not one per point."""
+    """The identity rows of an invocation are one sweep and its consequence
+    rows one more: one set of closures per sweep, each defect one table over
+    all sample points, not one per point or per check."""
     import contextlib
     import io
     import curvlab.cli as cli
@@ -256,17 +257,75 @@ def test_one_evaluation_per_check(monkeypatch):
     real, calls = identities._closures, []
     monkeypatch.setattr(identities, "_closures", lambda *a: calls.append(a) or real(*a))
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.run(["identities", "s5_in_c3", "--which", "g1,g2,g3", "--samples", "20"])
+        code = cli.run(["identities", "s5_in_c3", "--which", "g1,g2,g3,consequences",
+                        "--samples", "20"])
     assert code == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert all(riem.shape == (20, 5, 5, 5, 5) for riem, *_ in calls)
+
+
+def test_shared_terms_are_contracted_once(monkeypatch):
+    """Within a sweep each closure value is computed once per distinct
+    argument tuple: g1, g2, g3 and c(1/2) read 5 distinct curvature terms
+    (10 reads), and the consequence rows of the three kinds 8 (15 reads, the
+    ξ-slot rows of every kind on one ξ slot batch). 13 r4 evaluations of 4
+    slot contractions each on the exact frame; 25 and 100 without the memo."""
+    import contextlib
+    import io
+    import curvlab.cli as cli
+    import curvlab.identities as identities
+    real, calls = identities._contract, []
+    monkeypatch.setattr(identities, "_contract", lambda *a: calls.append(1) or real(*a))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(["identities", "h21:3/5,4/5", "--which",
+                        "g1,g2,g3,c(1/2),consequences"])
+    assert code == 1
+    assert len(calls) == 52
+
+
+@pytest.mark.parametrize("target,which", [
+    ("s5_in_c3", "g1,g2,g3,c(1/2),consequences"), ("h21:3/5,4/5", "g1,g2,g3,c(1/2),consequences"),
+    ("cone_of:s5_in_c3", "k1,k2,k3"),
+])
+def test_kept_values_are_released_at_their_last_read(monkeypatch, target, which):
+    """The stand-in run finds the last read of every distinct closure call
+    that a sweep makes: recorded on the sweep's closures, with every
+    argument kept alive so that no id is reused, each call's last read is a
+    position at which the memo releases its value, and a sweep ends with
+    nothing kept."""
+    import contextlib
+    import io
+    import curvlab.cli as cli
+    import curvlab.identities as identities
+    sweeps, kept, real = [], [], identities._remembered
+
+    def remembered(fns, last):
+        memo_fns = real(fns, last)
+        calls = []
+        sweeps.append((last, calls, memo_fns[0].__closure__))
+
+        def record(fn):
+            def call(*args):
+                kept.append(args)
+                calls.append((fn, *map(id, args)))
+                return fn(*args)
+            return call
+        return tuple(map(record, memo_fns))
+
+    monkeypatch.setattr(identities, "_remembered", remembered)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["identities", target, "--which", which, "--samples", "4"]) in (0, 1)
+    assert len(sweeps) == 2 - which.startswith("k")
+    for last, calls, cells in sweeps:
+        assert last == set({key: n for n, key in enumerate(calls)}.values())
+        assert {} in [c.cell_contents for c in cells]   # the memo, emptied
 
 
 def test_identity_reports_deterministic(s5_example):
     s = s5_example.structure
     rec = record(s, 6, seed=3)
-    a = check_contact(s, "g1", rec)
-    b = check_contact(s, "g1", rec)
+    a = check_contact("g1", rec)
+    b = check_contact("g1", rec)
     assert a.residual == b.residual
     assert a.witness == b.witness
 

@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 
 from curvlab import geometry
-from curvlab.chart import eval_field, eval_field_jets, sample
+from curvlab.chart import sample
 from curvlab.frame import FrameGeometry, heisenberg_h21
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
-from curvlab.structures import (AlmostContactStructure, check_kappa_mu, classify,
-                                contact_point_data, validate)
-from conftest import flat_kahler_c2, record, structure_of
-from reference import frame_ricci, nabla_of, ricci
+from curvlab.structures import AlmostContactStructure, check_kappa_mu, classify, validate
+from conftest import flat_kahler_c2, record, record_of, structure_of
+from reference import (eval_field, eval_field_jets, frame_ricci, nabla_of, point_geometry,
+                       ricci)
 from test_frame_oracle import tilted_frame_text
 
 F = Fraction
@@ -84,7 +84,7 @@ def oracle_classify(s, points):
     ric, ric_dev = None, -1.0
     for p in points:
         g, vecs = basis_at(chart, p)
-        gamma = geometry.point_geometry(chart, p)[0].gamma
+        gamma = point_geometry(chart, p)[0].gamma
         phi, xi, eta = eval_field(s.phi, p), eval_field(s.xi, p), eval_field(s.eta, p)
         xi_jets, phi_jets = eval_field_jets(s.xi, p), eval_field_jets(s.phi, p)
         grads = eval_field_jets(s.eta, p)[1]        # grads[j, i] = ∂_i η_j
@@ -115,7 +115,7 @@ def oracle_kappa_mu(s, kappa, mu, points):
     worst = 0.0
     for p in points:
         g, vecs = basis_at(s.carrier, p)
-        riem13 = geometry.point_geometry(s.carrier, p)[1].riem13
+        riem13 = point_geometry(s.carrier, p)[1].riem13
         phi_v, phi_g = eval_field_jets(s.phi, p)
         xi_v, xi_g = eval_field_jets(s.xi, p)       # xi_g[k, i] = ∂_i ξ^k
         eta = eval_field(s.eta, p)
@@ -167,8 +167,8 @@ def contact(request):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chart_validate_matches_oracle(contact, seed):
-    smp = sample(contact.carrier, 3, seed)
-    got, want = validate(contact, contact_point_data(contact, smp)), oracle_validate(contact, smp)
+    smp = sample(contact.carrier, 3, seed).point
+    got, want = validate(contact, record_of(contact, smp)), oracle_validate(contact, smp)
     assert list(got) == list(want)
     for key in want:
         close(got[key], want[key])
@@ -176,8 +176,8 @@ def test_chart_validate_matches_oracle(contact, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_chart_classify_matches_oracle(contact, seed):
-    smp = sample(contact.carrier, 3, seed)
-    rep = classify(contact, contact_point_data(contact, smp))
+    smp = sample(contact.carrier, 3, seed).point
+    rep = classify(contact, record_of(contact, smp))
     want, ric = oracle_classify(contact, smp)
     close(rep.compatibility, max(oracle_validate(contact, smp).values()))
     for key, val in want.items():
@@ -188,16 +188,16 @@ def test_chart_classify_matches_oracle(contact, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kappa,mu", KAPPA_MU)
 def test_chart_kappa_mu_matches_oracle(contact, seed, kappa, mu):
-    smp = sample(contact.carrier, 3, seed)
-    close(check_kappa_mu(contact, kappa, mu, contact_point_data(contact, smp)),
+    smp = sample(contact.carrier, 3, seed).point
+    close(check_kappa_mu(contact, kappa, mu, record_of(contact, smp)),
           oracle_kappa_mu(contact, float(kappa), float(mu), smp))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hermitian_validate_matches_oracle(seed):
     h = flat_kahler_c2()
-    smp = sample(h.chart, 3, seed)
-    got, want = validate(h, contact_point_data(h, smp)), oracle_hermitian(h, smp)
+    smp = sample(h.chart, 3, seed).point
+    got, want = validate(h, record_of(h, smp)), oracle_hermitian(h, smp)
     assert list(got) == list(want)
     for key in want:
         close(got[key], want[key])

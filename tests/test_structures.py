@@ -31,12 +31,11 @@ def test_s5_validates(s5_example):
 def test_validate_differentiates_nothing(monkeypatch, s5_example):
     """validate reads g, φ, ξ and η of the point record: no field jets, no
     metric jets and no expression program run once the record exists."""
-    import curvlab.structures as structures
     from curvlab import expr, geometry
     s = s5_example.structure
     records = contact_point_data(s, sample(s.carrier, 20, seed=3))
     calls = []
-    for owner, name in ((structures, "eval_field_jets"), (geometry, "metric_jets"),
+    for owner, name in ((geometry, "_expr_jets"), (geometry, "metric_jets"),
                         (expr.Program, "run")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, real=real, name=name:
@@ -188,35 +187,41 @@ def test_classification_deterministic(s5_example):
 def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
     """A NaN in R or Γ at the sample points must raise, not read as a pass:
     clamps such as max(x, 0) and some array maxima drop NaN. Poisoning only
-    the last point of the batch catches a batched maximum that skips a NaN."""
+    the last point of the batch catches a batched maximum that skips a NaN.
+    The identity rows raise where the CLI emits them."""
     from dataclasses import replace
     from curvlab import geometry
+    from curvlab.cli import _identity_rows
     from curvlab.errors import EvalDomainError
-    from curvlab.identities import check_contact, consequence_suite
-    real = geometry.point_geometry
     s = s5_example.structure
-    smp = sample(s.carrier, 3, seed=1)
+    mj = sample(s.carrier, 3, seed=1)
+    at = -1 if poison == "curvature_at_last_point" else slice(None)
+    real_conn, real_curv = geometry.connection_of, geometry.curvature_of
 
-    def poisoned(chart, points):
-        conn, curv = real(chart, points)
-        assert np.array_equal(points, smp)   # the whole batch in one call
-        at = -1 if poison == "curvature_at_last_point" else slice(None)
-        if poison == "connection":
-            gamma = conn.gamma.copy()
-            gamma[at] = np.nan
-            return replace(conn, gamma=gamma), curv
+    def poisoned_connection(m):
+        conn = real_conn(m)
+        assert m is mj   # the whole batch in one call
+        gamma = conn.gamma.copy()
+        gamma[at] = np.nan
+        return replace(conn, gamma=gamma)
+
+    def poisoned_curvature(m, conn):
+        curv = real_curv(m, conn)
+        assert m is mj
         riem, riem13 = curv.riem.copy(), curv.riem13.copy()
         riem[at] = riem13[at] = np.nan
-        return conn, replace(curv, riem=riem, riem13=riem13)
+        return replace(curv, riem=riem, riem13=riem13)
 
-    monkeypatch.setattr(geometry, "point_geometry", poisoned)
-    rec = contact_point_data(s, smp)
+    if poison == "connection":
+        monkeypatch.setattr(geometry, "connection_of", poisoned_connection)
+    else:
+        monkeypatch.setattr(geometry, "curvature_of", poisoned_curvature)
+    rec = contact_point_data(s, mj)
     with pytest.raises(EvalDomainError):
         classify(s, rec)
     with pytest.raises(EvalDomainError):
         check_kappa_mu(s, 1.0, 0.0, rec)
     if poison != "connection":   # the identity rows read R, not Γ
-        with pytest.raises(EvalDomainError):
-            check_contact(s, "g1", rec)
-        with pytest.raises(EvalDomainError):
-            consequence_suite(s, "g1", rec)
+        for check in ("g1", ()), ("consequences", ()):
+            with pytest.raises(EvalDomainError):
+                _identity_rows(s, [check], rec, 1e-7)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from curvlab.chart import sample, eval_field
+from curvlab.chart import sample
 from curvlab.constructions import check_submersion_lift
 from curvlab.errors import CurvlabError
-from curvlab.structures import contact_point_data, validate
-from conftest import record
-from reference import horizontal_lift
+from curvlab.structures import validate
+from conftest import record, record_of
+from reference import eval_field, horizontal_lift
 
 
 def test_total_space_structure_validates(hopf_pair):
@@ -16,7 +16,7 @@ def test_total_space_structure_validates(hopf_pair):
 
 def test_lift_projects_back(hopf_pair):
     from curvlab.constructions.submersion import _projection_jets
-    points = sample(hopf_pair.total.carrier, 10, seed=19)
+    points = sample(hopf_pair.total.carrier, 10, seed=19).point
     rng = np.random.default_rng(20)
     for p in points:
         _, dpi, _ = _projection_jets(hopf_pair, p)
@@ -30,7 +30,7 @@ def test_lift_projects_back(hopf_pair):
 
 def test_lift_isometry_onto_base(hopf_pair):
     # dpi restricted to the horizontal space is isometric for these metrics
-    points = sample(hopf_pair.total.carrier, 6, seed=29)
+    points = sample(hopf_pair.total.carrier, 6, seed=29).point
     from curvlab.constructions.submersion import _projection_jets
     for p in points:
         base_pt, dpi, _ = _projection_jets(hopf_pair, p)
@@ -64,7 +64,7 @@ def test_lift_solver_singular_detected(hopf_pair):
         projection=("sin(alpha)/cos(alpha)*cos(gamma - beta)",
                     "sin(alpha)/cos(alpha)*cos(gamma - beta)"))
     with pytest.raises(CurvlabError, match=r"singular at \(0\.7, 0\.3, 1\.1\)$"):
-        check_submersion_lift(bad, contact_point_data(bad.total, [[0.7, 0.3, 1.1]]))
+        check_submersion_lift(bad, record_of(bad.total, [[0.7, 0.3, 1.1]]))
 
 
 def test_lift_singular_at_a_later_point_names_it(hopf_pair):
@@ -75,7 +75,7 @@ def test_lift_singular_at_a_later_point_names_it(hopf_pair):
                          projection=("alpha", "beta*beta"))
     pts = np.array([[0.5, 0.3, 0.1], [0.6, 0.0, 0.2], [0.7, 0.0, 0.4]])
     with pytest.raises(CurvlabError, match=r"singular at \(0\.6, 0\.0, 0\.2\)$"):
-        check_submersion_lift(bad, contact_point_data(bad.total, pts))
+        check_submersion_lift(bad, record_of(bad.total, pts))
 
 
 def test_nan_structure_never_passes(hopf_pair):

@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 from curvlab import expr as ex
-from curvlab import geometry
-from curvlab.chart import Chart, TensorField, eval_field, eval_field_jets, sample
+from curvlab.chart import Chart, TensorField, sample
 from curvlab.constructions import SubmersionPair, check_submersion_lift
 from curvlab.constructions.registry import build_hopf_pair
-from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure, contact_point_data
-from conftest import record_at
+from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure
+from conftest import record_at, record_of
+from reference import eval_field, eval_field_jets, point_geometry
 
 SEEDS = (3, 11)
 N_POINTS = 12
@@ -74,7 +74,7 @@ def oracle(sp, points):
         ddpi = np.array([v.hess for v in jets])
         gN = base_chart.metric_at(base_pt)
         Jb = eval_field(sp.base.J, base_pt)
-        conn_N, curv_N = geometry.point_geometry(base_chart, base_pt)
+        conn_N, curv_N = point_geometry(base_chart, base_pt)
         eta_vals, deta = eval_field_jets(sp.total.eta, p)
         lifts, dlifts = zip(*(_lift_with_derivatives(dpi, ddpi, eta_vals, deta, Xb)
                               for Xb in base_dirs))
@@ -167,9 +167,9 @@ FAILING = {"hopf_pair": (), "negated_j": ("lift_connection", "lift_bracket"),
 @pytest.mark.parametrize("name", PAIRS)
 def test_lift_tables_match_oracle(name, seed):
     sp = PAIRS[name]()
-    points = sample(sp.total.carrier, N_POINTS, seed)
+    points = sample(sp.total.carrier, N_POINTS, seed).point
     want = oracle(sp, points)
-    got = check_submersion_lift(sp, contact_point_data(sp.total, points))
+    got = check_submersion_lift(sp, record_of(sp.total, points))
     assert tuple(got) == TAGS
     for tag in TAGS:
         assert abs(got[tag] - want[tag]) <= 1e-12 * max(1.0, abs(want[tag])), tag
