@@ -104,10 +104,7 @@ class Chart:
         m = np.empty((self.dim, self.dim), dtype=object)
         for i in range(self.dim):
             for j in range(self.dim):
-                m[i, j] = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entry = metric[i][j] if not isinstance(metric, np.ndarray) else metric[i, j]
+                entry = metric[i][j]   # a nested list or an array
                 if entry is None:
                     continue
                 if isinstance(entry, str):

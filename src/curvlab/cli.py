@@ -264,7 +264,7 @@ def run(argv=None) -> int:
                 raise InputError("target carries no almost contact structure")
         rec = contact_point_data(s, mj)
         if isinstance(s, Chart):
-            res = geometry.curvature_symmetry_residuals(rec)
+            res = geometry.curvature_symmetry_residuals(rec.riem)
             rows = [_row(f"symmetry.{k}", v, v <= 1e-9)
                     for k, v in _finite("symmetry", res).items()]
         else:

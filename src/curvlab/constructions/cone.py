@@ -42,10 +42,8 @@ def build_cone(s: AlmostContactStructure) -> AlmostHermitianStructure:
     t = ex.Var(CONE_COORD)
     t2 = ex.Pow(t, 2)
     metric = np.empty((d + 1, d + 1), dtype=object)
-    metric[:] = None
     metric[0, 0] = ex.Num(1)
     for i in range(d):
-        metric[0, i + 1] = ex.Num(0)
         for j in range(i, d):
             metric[i + 1, j + 1] = ex.Bin("*", t2, base_chart.metric[i, j])
     domain = (Interval(0.0, np.inf),) + base_chart.domain
@@ -53,7 +51,6 @@ def build_cone(s: AlmostContactStructure) -> AlmostHermitianStructure:
                        name=f"cone({base_chart.name or 'base'})")
 
     J = np.empty((d + 1, d + 1), dtype=object)
-    J[0, 0] = ex.Num(0)
     for i in range(d):
         # J ∂_t = −(1/t) ξ
         J[i + 1, 0] = ex.Bin("/", ex.Neg(s.xi.components[i]), t)

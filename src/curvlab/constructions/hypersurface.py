@@ -28,8 +28,7 @@ from .. import expr as ex
 from .. import geometry
 from ..chart import Chart, sample
 from ..geometry import _expr_jets
-from ..structures import (AlmostHermitianStructure, PointRecord, _checked, _finite,
-                          contact_point_data)
+from ..structures import AlmostHermitianStructure, PointRecord, _checked, _field_jets, _finite
 from ..errors import CurvlabError
 
 __all__ = ["SurfacePatch", "HypersurfaceReport", "induce_hypersurface"]
@@ -83,10 +82,12 @@ def _per_point(a: np.ndarray) -> np.ndarray:
 
 def _ambient_kahler(ambient: AlmostHermitianStructure):
     """J at the Kähler check's 3 probes of the ambient chart (seed 7) and
-    the largest |∇J| entry at each, read from the ambient's point record
-    there: one metric jet run and one jet run of J."""
-    rec = contact_point_data(ambient, sample(ambient.chart, 3, seed=7))
-    return rec.phi, _per_point(geometry.nabla_endomorphism_of(rec.gamma, rec.phi, rec.dphi))
+    the largest |∇J| entry at each, from Γ and the jets of J there: one
+    metric jet run and one jet run of J."""
+    mj = sample(ambient.chart, 3, seed=7)
+    (J,), (dJ,) = _field_jets(ambient, mj.point)
+    gamma, _ = geometry.connection_of(mj)
+    return J, _per_point(geometry.nabla_endomorphism_of(gamma, J, dJ))
 
 
 def _induction(J: np.ndarray, patch: SurfacePatch, rec: PointRecord):

@@ -1,20 +1,11 @@
 """Built-in example registry.
 
-Targets are resolved by name; parameterized targets take inline arguments
-after a colon (``h21:3/5,4/5``) and the cone builder composes over another
-contact target (``cone_of:s5_in_c3``). Registered names:
-
-    flat3            flat R³ chart (metric only)
-    s2_round         round 2-sphere chart (metric only)
-    h21[:c,s]        Heisenberg frame structure, exact rationals
-    h21_chart[:c,s]  the same structure on its global coordinate chart
-    flat_cosym5      flat R⁵ with the standard cosymplectic structure
-    sine_cone_cos    cosine-warped R⁴ contact structure
-    sine_cone_sin    sine-warped variant
-    r_warped_surface cosine-warped R² (surface fiber) contact structure
-    s5_in_c3         round S⁵ in Hopf coordinates, with immersion data
-    cone_of:<name>   metric cone over a chart-carried contact target
-    hopf_pair        unit S³ fibered over the radius-1/2 round 2-sphere
+One table maps each target name to its builder; ``curvlab list`` prints
+the names in the table's order. A parameterized target takes the text after
+a colon: ``h21:3/5,4/5`` and ``h21_chart:3/5,4/5`` give (c, s), with
+(3/5, 4/5) when the text is empty, and ``cone_of:s5_in_c3`` names the
+contact target the cone is built over. Any other target given a parameter
+is an input error. Nothing is built until a name is resolved.
 """
 
 from __future__ import annotations
@@ -54,23 +45,17 @@ class HypersurfaceExample:
 
 def flat_chart(coords, name: str = "") -> Chart:
     d = len(coords)
-    metric = [[ex.Num(1 if i == j else 0) for j in range(d)] for i in range(d)]
+    metric = [[ex.Num(1) if i == j else None for j in range(d)] for i in range(d)]
     return Chart(coords, metric, name=name or "flat")
 
 
 def _rotation_block_J(chart: Chart, pairs) -> TensorField:
     """Constant complex structure sending the first coordinate of each pair
     to the second (J∂_a = ∂_b, J∂_b = −∂_a)."""
-    d = chart.dim
-    J = np.empty((d, d), dtype=object)
-    J[:] = None
+    J = np.empty((chart.dim, chart.dim), dtype=object)
     for (a, b) in pairs:
         J[b, a] = ex.Num(1)
         J[a, b] = ex.Num(-1)
-    for i in range(d):
-        for j in range(d):
-            if J[i, j] is None:
-                J[i, j] = ex.Num(0)
     return TensorField(chart, "endomorphism", J)
 
 
@@ -123,7 +108,6 @@ def build_h21_chart(c=Fraction(3, 5), s=Fraction(4, 5)) -> AlmostContactStructur
     ], name="h21_chart")
     cs, ss = str(c), str(s)
     phi = np.empty((5, 5), dtype=object)
-    phi[:] = None
     # columns: phi ∂_x1 = c ∂_y1 + s ∂_y2 + (c x1 + s x2) ∂_z, etc.
     entries = {
         (2, 0): cs, (3, 0): ss, (4, 0): f"({cs})*x1 + ({ss})*x2",
@@ -147,7 +131,6 @@ def build_flat_cosym5() -> AlmostContactStructure:
     """Flat R⁵ with the product-structure tensors: a c(0) example."""
     chart = flat_chart(("x", "y", "u", "v", "z"), name="flat_cosym5")
     phi = np.empty((5, 5), dtype=object)
-    phi[:] = None
     phi[1, 0] = ex.Num(1)
     phi[0, 1] = ex.Num(-1)
     phi[3, 2] = ex.Num(1)
@@ -198,7 +181,6 @@ def build_s5_in_c3() -> HypersurfaceExample:
         [dom_angle, dom_angle, Interval(), Interval(), Interval()],
         name="s5_hopf")
     phi = np.empty((5, 5), dtype=object)
-    phi[:] = None
     entries = {
         (2, 0): "-sin(a)/cos(a)", (3, 0): "cos(a)/sin(a)", (4, 0): "cos(a)/sin(a)",
         (3, 1): "-sin(b)/cos(b)", (4, 1): "cos(b)/sin(b)",
@@ -238,7 +220,6 @@ def build_hopf_pair() -> SubmersionPair:
         [Interval(0.2, 1.35), Interval(), Interval()],
         name="s3_hopf")
     phi = np.empty((3, 3), dtype=object)
-    phi[:] = None
     phi[1, 0] = "sin(alpha)/cos(alpha)"
     phi[2, 0] = "-cos(alpha)/sin(alpha)"
     phi[0, 1] = "-sin(alpha)*cos(alpha)"
@@ -255,8 +236,6 @@ def build_hopf_pair() -> SubmersionPair:
         [["1/(1 + u^2 + v^2)^2", "0"], [None, "1/(1 + u^2 + v^2)^2"]],
         name="s2_half")
     J = np.empty((2, 2), dtype=object)
-    J[0, 0] = ex.Num(0)
-    J[1, 1] = ex.Num(0)
     J[1, 0] = ex.Num(-1)
     J[0, 1] = ex.Num(1)
     base = AlmostHermitianStructure(base_chart, TensorField(base_chart, "endomorphism", J),
@@ -271,69 +250,68 @@ def build_hopf_pair() -> SubmersionPair:
 
 
 def _parse_cs(arg: str) -> tuple[Fraction, Fraction]:
+    if not arg:
+        return Fraction(3, 5), Fraction(4, 5)
     try:
-        parts = arg.split(",")
-        if len(parts) != 2:
-            raise ValueError
-        return Fraction(parts[0].strip()), Fraction(parts[1].strip())
+        c, s = arg.split(",")   # ValueError unless there is exactly one comma
+        return Fraction(c.strip()), Fraction(s.strip())
     except (ValueError, ZeroDivisionError):
         raise RegistryError(
             f"expected two rationals 'c,s' after the colon, got {arg!r}") from None
 
 
+def _h21(arg: str) -> AlmostContactStructure:
+    c, s = _parse_cs(arg)
+    return AlmostContactStructure(heisenberg_h21(c, s), name=f"h21({c},{s})")
+
+
+def _cone_of(arg: str) -> AlmostHermitianStructure:
+    if not arg:
+        raise RegistryError("cone_of needs a contact target, e.g. cone_of:s5_in_c3")
+    inner = resolve_target(arg)
+    s = inner.structure if isinstance(inner, HypersurfaceExample) else inner
+    if not isinstance(s, AlmostContactStructure):
+        got = ("chart" if isinstance(s, Chart) else "pair" if isinstance(s, SubmersionPair)
+               else "hermitian")
+        raise RegistryError(f"cone_of needs a contact target, got {got}")
+    return build_cone(s)
+
+
+# name, as ``curvlab list`` prints it → (builder, whether the builder takes
+# the text after the colon)
+_TARGETS = {
+    "flat3": (build_flat3, False),
+    "s2_round": (build_s2_round, False),
+    "h21": (_h21, True),
+    "h21_chart": (lambda arg: build_h21_chart(*_parse_cs(arg)), True),
+    "flat_cosym5": (build_flat_cosym5, False),
+    "sine_cone_cos": (lambda: build_sine_cone("cos").structure, False),
+    "sine_cone_sin": (lambda: build_sine_cone("sin").structure, False),
+    "r_warped_surface": (lambda: build_r_warped_surface().structure, False),
+    "s5_in_c3": (build_s5_in_c3, False),
+    "cone_of:<contact target>": (_cone_of, True),
+    "hopf_pair": (build_hopf_pair, False),
+}
+
+
 def registry_names() -> list[str]:
-    return ["flat3", "s2_round", "h21", "h21_chart", "flat_cosym5",
-            "sine_cone_cos", "sine_cone_sin", "r_warped_surface",
-            "s5_in_c3", "cone_of:<contact target>", "hopf_pair"]
+    return list(_TARGETS)
 
 
 def resolve_target(name: str):
     """Resolve a registry target name, with inline parameters, to its object:
     a ``Chart``, an ``AlmostContactStructure``, an
     ``AlmostHermitianStructure``, a ``SubmersionPair`` or a
-    ``HypersurfaceExample``."""
+    ``HypersurfaceExample``. A builder's ValueError is a RegistryError."""
     base, _, arg = name.partition(":")
     base = base.strip()
-    if base == "flat3":
-        return build_flat3()
-    if base == "s2_round":
-        return build_s2_round()
-    if base == "h21":
-        c, s = _parse_cs(arg) if arg else (Fraction(3, 5), Fraction(4, 5))
-        try:
-            fg = heisenberg_h21(c, s)
-        except ValueError as e:
-            raise RegistryError(str(e)) from None
-        return AlmostContactStructure(fg, name=f"h21({c},{s})")
-    if base == "h21_chart":
-        c, s = _parse_cs(arg) if arg else (Fraction(3, 5), Fraction(4, 5))
-        try:
-            return build_h21_chart(c, s)
-        except ValueError as e:
-            raise RegistryError(str(e)) from None
-    if base == "flat_cosym5":
-        return build_flat_cosym5()
-    if base == "sine_cone_cos":
-        return build_sine_cone("cos").structure
-    if base == "sine_cone_sin":
-        return build_sine_cone("sin").structure
-    if base == "r_warped_surface":
-        return build_r_warped_surface().structure
-    if base == "s5_in_c3":
-        return build_s5_in_c3()
-    if base == "hopf_pair":
-        return build_hopf_pair()
-    if base == "cone_of":
-        if not arg:
-            raise RegistryError("cone_of needs a contact target, e.g. cone_of:s5_in_c3")
-        inner = resolve_target(arg)
-        s = inner.structure if isinstance(inner, HypersurfaceExample) else inner
-        if not isinstance(s, AlmostContactStructure):
-            got = ("chart" if isinstance(s, Chart) else "pair" if isinstance(s, SubmersionPair)
-                   else "hermitian")
-            raise RegistryError(f"cone_of needs a contact target, got {got}")
-        try:
-            return build_cone(s)
-        except ValueError as e:
-            raise RegistryError(str(e)) from None
-    raise RegistryError(f"unknown target {name!r}")
+    entry = next((e for key, e in _TARGETS.items() if key.partition(":")[0] == base), None)
+    if entry is None:
+        raise RegistryError(f"unknown target {name!r}")
+    build, takes_parameter = entry
+    if arg and not takes_parameter:
+        raise RegistryError(f"target {base!r} takes no parameter, got {arg!r}")
+    try:
+        return build(arg) if takes_parameter else build()
+    except ValueError as e:
+        raise RegistryError(str(e)) from None

@@ -53,22 +53,14 @@ def build_r_warped_contact(n: AlmostHermitianStructure, f_text: str | ex.Expr,
     d = nf + 1
     f2 = ex.Pow(f, 2)
     metric = np.empty((d, d), dtype=object)
-    metric[:] = None
     for i in range(nf):
-        metric[i, d - 1] = ex.Num(0)
         for j in range(i, nf):
             metric[i, j] = ex.Bin("*", f2, fiber.metric[i, j])
     metric[d - 1, d - 1] = ex.Num(1)
     chart = Chart(coords, metric, fiber.domain + (theta_domain,),
                   name=name or f"r_warped({fiber.name or 'fiber'})")
     phi = np.empty((d, d), dtype=object)
-    phi[:] = None
-    for i in range(nf):
-        for j in range(nf):
-            phi[i, j] = n.J.components[i, j]
-    for i in range(d):
-        phi[i, d - 1] = ex.Num(0)
-        phi[d - 1, i] = ex.Num(0)
+    phi[:nf, :nf] = n.J.components
     xi = [ex.Num(0)] * nf + [ex.Num(1)]
     eta = [ex.Num(0)] * nf + [ex.Num(1)]
     structure = AlmostContactStructure(

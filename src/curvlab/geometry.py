@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     from .chart import Chart
 
 __all__ = [
-    "ConnectionAtPoint", "CurvatureAtPoint", "MetricJets",
+    "MetricJets",
     "metric_jets", "connection_of", "curvature_of",
     "nabla_endomorphism_of",
     "orthonormal_frame", "curvature_symmetry_residuals",
@@ -115,28 +115,6 @@ def _metric_arrays(chart: Chart, p: np.ndarray):
     return g, dg, d2g
 
 
-@dataclass(frozen=True)
-class ConnectionAtPoint:
-    """Christoffel symbols Γ^k_ij, gamma[..., k, i, j], and their derivatives
-    dgamma[..., k, i, j, m] = ∂_m Γ^k_ij, at a point or on a point axis."""
-
-    gamma: np.ndarray
-    dgamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class CurvatureAtPoint:
-    """Curvature arrays at a point, or at N points on a leading axis.
-
-    ``riem[i, j, k, l]`` is the lowered R(∂_i, ∂_j, ∂_k, ∂_l);
-    ``riem13[m, i, j, k]`` is the operator component (R_∂i∂j ∂_k)^m.
-    """
-
-    riem: np.ndarray
-    riem13: np.ndarray
-    g: np.ndarray
-
-
 def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     """The metric jets at a point ``p`` (d,), or at each row of ``p`` (N, d)
     on a leading axis: one jet run of the chart's metric program over all
@@ -145,8 +123,10 @@ def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     return MetricJets(p, *_metric_arrays(chart, p))
 
 
-def connection_of(mj: MetricJets) -> ConnectionAtPoint:
-    """Levi-Civita connection Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij)."""
+def connection_of(mj: MetricJets) -> tuple[np.ndarray, np.ndarray]:
+    """Levi-Civita connection Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij)
+    as ``gamma[..., k, i, j]``, and its derivatives ``dgamma[..., k, i, j,
+    m]`` = ∂_m Γ^k_ij, at a point or on a point axis."""
     # lowered symbols Γ_{l,ij} and their m-derivatives
     low = 0.5 * (np.einsum("...jli->...lij", mj.dg) + np.einsum("...ilj->...lij", mj.dg)
                  - np.einsum("...ijl->...lij", mj.dg))
@@ -157,18 +137,22 @@ def connection_of(mj: MetricJets) -> ConnectionAtPoint:
     dginv = -np.einsum("...ka,...abm,...bl->...klm", mj.ginv, mj.dg, mj.ginv)
     dgamma = (np.einsum("...klm,...lij->...kijm", dginv, low)
               + np.einsum("...kl,...lijm->...kijm", mj.ginv, dlow))
-    return ConnectionAtPoint(gamma=gamma, dgamma=dgamma)
+    return gamma, dgamma
 
 
-def curvature_of(mj: MetricJets, conn: ConnectionAtPoint) -> CurvatureAtPoint:
-    """Curvature on coordinate fields; the bracket term vanishes there."""
-    gamma, dgamma = conn.gamma, conn.dgamma
+def curvature_of(g: np.ndarray, gamma: np.ndarray,
+                 dgamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature on coordinate fields from the metric g and the connection
+    (``connection_of``), at a point or on a point axis: the lowered
+    ``riem[..., i, j, k, l]`` = R(∂_i, ∂_j, ∂_k, ∂_l) and the operator
+    components ``riem13[..., m, i, j, k]`` = (R_∂i∂j ∂_k)^m. The bracket
+    term vanishes on coordinate fields."""
     # (R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp
     riem13 = (np.einsum("...mjki->...mijk", dgamma) - np.einsum("...mikj->...mijk", dgamma)
               + np.einsum("...pjk,...mip->...mijk", gamma, gamma)
               - np.einsum("...pik,...mjp->...mijk", gamma, gamma))
-    riem = -np.einsum("...lm,...mijk->...ijkl", mj.g, riem13)
-    return CurvatureAtPoint(riem=riem, riem13=riem13, g=mj.g)
+    riem = -np.einsum("...lm,...mijk->...ijkl", g, riem13)
+    return riem, riem13
 
 
 def nabla_endomorphism_of(gamma: np.ndarray, vals: np.ndarray,
@@ -203,9 +187,8 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def curvature_symmetry_residuals(curv) -> dict[str, float]:
-    """Max residuals of the four classical symmetries of the lowered tensors ``curv.riem``."""
-    R = curv.riem
+def curvature_symmetry_residuals(R: np.ndarray) -> dict[str, float]:
+    """Max residuals of the four classical symmetries of the lowered tensors ``R``."""
     return {
         "antisym_first_pair": float(np.max(np.abs(R + np.einsum("...ijkl->...jikl", R)))),
         "antisym_second_pair": float(np.max(np.abs(R + np.einsum("...ijkl->...ijlk", R)))),

@@ -267,7 +267,25 @@ def _exp(u: Jet2) -> Jet2:
 
 def _log(u: Jet2) -> Jet2:
     _check_domain("log", u.value)
-    return _unary(u, _in_range(math.log, u.value), 1.0 / u.value, lambda: -1.0 / _pow(u.value, 2))
+    v = _unary(u, _in_range(math.log, u.value), 1.0 / u.value, lambda: _log_f2(u.value))
+    over = _square_overflows(u.value)
+    if v.hess is not None and over.any():
+        # where u² overflows, f''(u) reads −0.0 and ∇u ∇uᵀ may overflow
+        # too: the term f''(u) ∇u ∇uᵀ is −∇v ∇vᵀ, whose factors are finite
+        v.hess[over] = ((1.0 / u.value)[..., None, None] * u.hess
+                        - _outer(v.grad, v.grad))[over]
+    return v
+
+
+def _square_overflows(x: np.ndarray) -> np.ndarray:
+    """Where the square of a finite ``x`` passes the float range: |x| ≥ 2⁵¹²."""
+    return np.isfinite(x) & (np.abs(x) >= 2.0**512)
+
+
+def _log_f2(x: np.ndarray) -> np.ndarray:
+    """log''(x) = −1/x² over ``_pow``'s square, and −0.0 where the square
+    overflows (|x| ≳ 1.3e154), where −1/x² is below 1e−308 in size."""
+    return -1.0 / _pow(np.where(_square_overflows(x), np.inf, x), 2)
 
 
 def _sqrt(u: Jet2) -> Jet2:

@@ -32,8 +32,11 @@ A frame-carried structure uses a single section::
     eta[5] = "1"
 
 Indices are 1-based. Values are quoted; rationals stay exact in frame
-sections. Unknown keys are errors (strict mode), and parse failures carry
-byte offsets into the file.
+sections. A [frame] key is one of c (three indices: c[k][i][j] also sets
+c[k][j][i] to its negative), g (two: g[i][j] also sets g[j][i]), phi (two),
+xi and eta (one each); c and g default to zero, while phi, xi and eta exist
+only when an entry names them. Unknown keys are errors (strict mode), and
+parse failures carry byte offsets into the file.
 """
 
 from __future__ import annotations
@@ -55,7 +58,11 @@ __all__ = ["load_manifold_text", "load_manifold_file"]
 _SECTIONS = ("chart", "metric", "phi", "xi", "eta", "hermitian", "frame")
 _DOMAIN_RE = re.compile(
     r"^\s*(\w+)\s+in\s+\(\s*([\w.+-]+)\s*,\s*([\w.+-]+)\s*\)\s*$")
-_FRAME_KEY_RE = re.compile(r"^(c|g|phi|xi|eta)((?:\[\d+\])+)$")
+# [frame] keys: name → (rank, sign of the partner entry that swaps the
+# last two indices, or None)
+_FRAME_KEYS = {"c": (3, -1), "g": (2, 1), "phi": (2, None), "xi": (1, None), "eta": (1, None)}
+_FRAME_KEY_RE = re.compile(rf"^({'|'.join(_FRAME_KEYS)})((?:\[\d+\])+)$")
+_INDICES = ("one index", "two indices", "three indices")
 
 
 def _parse_bound(text: str, offset: int) -> float:
@@ -106,14 +113,14 @@ def _iter_entries(text: str):
         yield section, key, value, value_offset
 
 
-def _parse_indexed(key: str, prefixes: tuple[str, ...], offset: int):
-    """Keys like g_11, phi^2_1, xi^3, eta_2, J^1_2 -> (prefix, indices).
+def _parse_indexed(key: str, prefix: str, offset: int):
+    """Keys like g_11, phi^2_1, xi^3, eta_2, J^1_2 -> their indices.
 
     A single two-digit group splits into two one-digit indices (dimensions
     here never exceed 8), so g_12 and g_1_2 are the same entry.
     """
     m = re.match(r"^([A-Za-z]+)[\^_](\d+)(?:_(\d+))?$", key)
-    if not m or m.group(1) not in prefixes:
+    if not m or m.group(1) != prefix:
         raise ManifoldFormatError(f"unknown key {key!r}", offset)
     if m.group(3):
         idx = (int(m.group(2)), int(m.group(3)))
@@ -121,60 +128,42 @@ def _parse_indexed(key: str, prefixes: tuple[str, ...], offset: int):
         idx = (int(m.group(2)[0]), int(m.group(2)[1]))
     else:
         idx = (int(m.group(2)),)
-    return m.group(1), idx
+    return idx
 
 
 def load_manifold_text(text: str):
     """Parse a manifold definition; returns a Chart, an
     AlmostContactStructure or an AlmostHermitianStructure."""
     chart_meta: dict = {}
-    metric_entries: list = []
-    phi_entries: list = []
-    xi_entries: list = []
-    eta_entries: list = []
-    herm_entries: list = []
-    frame_entries: list = []
-    saw = set()
-
+    entries: dict[str, list] = {}   # section → its (key, value, offset) in file order
     for section, key, value, off in _iter_entries(text):
-        saw.add(section)
-        if section == "chart":
-            if key == "dim":
-                try:
-                    chart_meta["dim"] = int(value)
-                except ValueError:
-                    raise ManifoldFormatError("dim must be an integer", off) from None
-            elif key == "coords":
-                chart_meta["coords"] = tuple(c.strip() for c in value.split(",") if c.strip())
-            elif key == "domain":
-                m = _DOMAIN_RE.match(value)
-                if not m:
-                    raise ManifoldFormatError(
-                        f"bad domain entry {value!r}; expected 'name in (lo, hi)'", off)
-                chart_meta.setdefault("domain", {})[m.group(1)] = (
-                    _parse_bound(m.group(2), off), _parse_bound(m.group(3), off))
-            else:
-                raise ManifoldFormatError(f"unknown key {key!r} in [chart]", off)
-        elif section == "metric":
-            metric_entries.append((key, value, off))
-        elif section == "phi":
-            phi_entries.append((key, value, off))
-        elif section == "xi":
-            xi_entries.append((key, value, off))
-        elif section == "eta":
-            eta_entries.append((key, value, off))
-        elif section == "hermitian":
-            herm_entries.append((key, value, off))
-        elif section == "frame":
-            frame_entries.append((key, value, off))
+        entries.setdefault(section, []).append((key, value, off))
+        if section != "chart":
+            continue
+        if key == "dim":
+            try:
+                chart_meta["dim"] = int(value)
+            except ValueError:
+                raise ManifoldFormatError("dim must be an integer", off) from None
+        elif key == "coords":
+            chart_meta["coords"] = tuple(c.strip() for c in value.split(",") if c.strip())
+        elif key == "domain":
+            m = _DOMAIN_RE.match(value)
+            if not m:
+                raise ManifoldFormatError(
+                    f"bad domain entry {value!r}; expected 'name in (lo, hi)'", off)
+            chart_meta.setdefault("domain", {})[m.group(1)] = (
+                _parse_bound(m.group(2), off), _parse_bound(m.group(3), off))
+        else:
+            raise ManifoldFormatError(f"unknown key {key!r} in [chart]", off)
 
-    if "frame" in saw:
-        if saw - {"frame"}:
+    if "frame" in entries:
+        if entries.keys() - {"frame"}:
             raise ManifoldFormatError("[frame] cannot be mixed with chart sections")
-        return _build_frame(frame_entries)
-    if "chart" not in saw or "metric" not in saw:
+        return _build_frame(entries["frame"])
+    if "chart" not in entries or "metric" not in entries:
         raise ManifoldFormatError("need [chart] and [metric] sections")
-    if "hermitian" in saw and ({"phi", "xi", "eta"} & saw):
+    if "hermitian" in entries and ({"phi", "xi", "eta"} & entries.keys()):
         raise ManifoldFormatError("[hermitian] replaces the contact block")
 
     dim = chart_meta.get("dim")
@@ -205,9 +194,8 @@ def load_manifold_text(text: str):
             raise ManifoldFormatError(str(e), off + max(e.offset, 0)) from None
 
     metric = np.empty((dim, dim), dtype=object)
-    metric[:] = None
-    for key, value, off in metric_entries:
-        prefix, idx = _parse_indexed(key, ("g",), off)
+    for key, value, off in entries["metric"]:
+        idx = _parse_indexed(key, "g", off)
         if len(idx) != 2 or not all(1 <= i <= dim for i in idx):
             raise ManifoldFormatError(f"bad metric index in {key!r}", off)
         i, j = idx[0] - 1, idx[1] - 1
@@ -219,27 +207,25 @@ def load_manifold_text(text: str):
         if i != j:
             metric[j, i] = e
     try:
-        chart = Chart(coords, metric, domain, name=chart_meta.get("name", ""))
+        chart = Chart(coords, metric, domain)
     except ValueError as e:
         raise ManifoldFormatError(str(e)) from None
 
-    def tensor(entries, prefixes, rank, valence):
-        if not entries:
+    def tensor(section, prefix, rank, valence):
+        if section not in entries:
             return None
-        shape = (dim,) * rank
-        comp = np.empty(shape, dtype=object)
-        comp[(slice(None),) * rank] = None
-        for key, value, off in entries:
-            _, idx = _parse_indexed(key, prefixes, off)
+        comp = np.empty((dim,) * rank, dtype=object)
+        for key, value, off in entries[section]:
+            idx = _parse_indexed(key, prefix, off)
             if len(idx) != rank or not all(1 <= i <= dim for i in idx):
                 raise ManifoldFormatError(f"bad index in {key!r}", off)
             comp[tuple(i - 1 for i in idx)] = parse_entry(value, off)
         return TensorField(chart, valence, comp)
 
-    phi = tensor(phi_entries, ("phi",), 2, "endomorphism")
-    xi = tensor(xi_entries, ("xi",), 1, "vector")
-    eta = tensor(eta_entries, ("eta",), 1, "oneform")
-    J = tensor(herm_entries, ("J",), 2, "endomorphism")
+    phi = tensor("phi", "phi", 2, "endomorphism")
+    xi = tensor("xi", "xi", 1, "vector")
+    eta = tensor("eta", "eta", 1, "oneform")
+    J = tensor("hermitian", "J", 2, "endomorphism")
 
     if J is not None:
         return AlmostHermitianStructure(chart, J)
@@ -266,60 +252,32 @@ def _build_frame(entries):
     if dim is None:
         raise ManifoldFormatError("[frame] must declare dim first")
 
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    g = [[Fraction(0)] * dim for _ in range(dim)]
-    phi = None
-    xi = None
-    eta = None
+    def zeros(rank):
+        return np.full((dim,) * rank, Fraction(0), dtype=object)
 
-    def rat(value: str, off: int) -> Fraction:
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ManifoldFormatError(f"bad rational {value!r}", off) from None
-
+    tensors = {"c": zeros(3), "g": zeros(2)}
     for key, value, off in values:
         m = _FRAME_KEY_RE.match(key)
         if not m:
             raise ManifoldFormatError(f"unknown key {key!r} in [frame]", off)
         name = m.group(1)
-        idx = [int(s) for s in re.findall(r"\[(\d+)\]", m.group(2))]
-        if not all(1 <= i <= dim for i in idx):
+        idx = tuple(int(s) - 1 for s in re.findall(r"\[(\d+)\]", m.group(2)))
+        if not all(0 <= i < dim for i in idx):
             raise ManifoldFormatError(f"index out of range in {key!r}", off)
-        v = rat(value, off)
-        if name == "c":
-            if len(idx) != 3:
-                raise ManifoldFormatError(f"c needs three indices in {key!r}", off)
-            k, i, j = (x - 1 for x in idx)
-            c[k][i][j] = v
-            c[k][j][i] = -v
-        elif name == "g":
-            if len(idx) != 2:
-                raise ManifoldFormatError(f"g needs two indices in {key!r}", off)
-            i, j = (x - 1 for x in idx)
-            g[i][j] = v
-            g[j][i] = v
-        elif name == "phi":
-            if len(idx) != 2:
-                raise ManifoldFormatError(f"phi needs two indices in {key!r}", off)
-            if phi is None:
-                phi = [[Fraction(0)] * dim for _ in range(dim)]
-            phi[idx[0] - 1][idx[1] - 1] = v
-        elif name == "xi":
-            if len(idx) != 1:
-                raise ManifoldFormatError(f"xi needs one index in {key!r}", off)
-            if xi is None:
-                xi = [Fraction(0)] * dim
-            xi[idx[0] - 1] = v
-        else:
-            if len(idx) != 1:
-                raise ManifoldFormatError(f"eta needs one index in {key!r}", off)
-            if eta is None:
-                eta = [Fraction(0)] * dim
-            eta[idx[0] - 1] = v
+        try:
+            v = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ManifoldFormatError(f"bad rational {value!r}", off) from None
+        rank, partner = _FRAME_KEYS[name]
+        if len(idx) != rank:
+            raise ManifoldFormatError(f"{name} needs {_INDICES[rank - 1]} in {key!r}", off)
+        t = tensors.setdefault(name, zeros(rank))
+        t[idx] = v
+        if partner:
+            t[idx[:-2] + idx[:-3:-1]] = partner * v
 
     try:
-        fg = FrameGeometry(dim=dim, c=c, g=g, phi=phi, xi=xi, eta=eta)
+        fg = FrameGeometry(dim=dim, **tensors)
     except ValueError as e:
         raise ManifoldFormatError(str(e)) from None
     if fg.phi is not None and fg.xi is not None and fg.eta is not None:

@@ -146,24 +146,33 @@ def contact_point_data(s, mj: geometry.MetricJets | None = None) -> PointRecord:
         fg = s.carrier
         return PointRecord(None, fg.g[None], None, fg.riem[None], None, fg.phi[None],
                            fg.xi[None], fg.eta[None], np.eye(s.dim, dtype=object)[None])
-    conn = geometry.connection_of(mj)
-    curv = geometry.curvature_of(mj, conn)
+    gamma, dgamma = geometry.connection_of(mj)
+    riem, riem13 = geometry.curvature_of(mj.g, gamma, dgamma)
     if isinstance(s, Chart):
-        return PointRecord(mj.point, mj.g, conn.gamma, curv.riem, curv.riem13)
-    hermitian = isinstance(s, AlmostHermitianStructure)
-    chart, fs = (s.chart, (s.J,)) if hermitian else (s.carrier, (s.phi, s.xi, s.eta))
-    vals, grads = geometry._expr_jets(s.program, chart.env(mj.point, jets=True, hessians=False))
-    n, d = mj.point.shape
-    cut = np.cumsum([f.components.size for f in fs])[:-1]
-    values = [v.reshape((n,) + f.components.shape) for f, v in zip(fs, np.split(vals, cut, 1))]
-    grads = [dv.reshape((n,) + f.components.shape + (d,))
-             for f, dv in zip(fs, np.split(grads, cut, 1))]
-    if hermitian:   # ξ = η = 0
+        return PointRecord(mj.point, mj.g, gamma, riem, riem13)
+    values, grads = _field_jets(s, mj.point)
+    if isinstance(s, AlmostHermitianStructure):   # ξ = η = 0
+        n, d = mj.point.shape
         values += [np.zeros((n, d))] * 2
         grads += [np.zeros((n, d, d))] * 2
     (phi, xi, eta), (dphi, dxi, deta) = values, grads
-    return PointRecord(mj.point, mj.g, conn.gamma, curv.riem, curv.riem13, phi, xi, eta,
+    return PointRecord(mj.point, mj.g, gamma, riem, riem13, phi, xi, eta,
                        geometry.orthonormal_frame(mj.g), dphi, dxi, deta)
+
+
+def _field_jets(s, point: np.ndarray) -> tuple[list, list]:
+    """The fields of a chart structure ``s`` at the points ``point`` (N, d),
+    φ, ξ and η or J alone, from one jet run of its program with first
+    derivatives only: their values and their coordinate gradients, each
+    with the leading point axis, as ``PointRecord`` lays them out."""
+    chart, fs = ((s.chart, (s.J,)) if isinstance(s, AlmostHermitianStructure)
+                 else (s.carrier, (s.phi, s.xi, s.eta)))
+    vals, grads = geometry._expr_jets(s.program, chart.env(point, jets=True, hessians=False))
+    n, d = point.shape
+    cut = np.cumsum([f.components.size for f in fs])[:-1]
+    return ([v.reshape((n,) + f.components.shape) for f, v in zip(fs, np.split(vals, cut, 1))],
+            [dv.reshape((n,) + f.components.shape + (d,))
+             for f, dv in zip(fs, np.split(grads, cut, 1))])
 
 
 def _checked(what: str, val) -> float:

@@ -49,8 +49,7 @@ class ConeOracle:
         self.q = np.asarray(p_cone[1:], dtype=float)
         base = s.carrier
         self.g = base.metric_at(self.q)
-        self.conn, curv = point_geometry(base, self.q)
-        self.riem13 = curv.riem13
+        self.gamma, _, self.riem13 = point_geometry(base, self.q)
         self.phi = eval_field(s.phi, self.q)
         self.xi = eval_field(s.xi, self.q)
         self.eta = eval_field(s.eta, self.q)
@@ -60,7 +59,7 @@ class ConeOracle:
 
     def _nabla(self, X, Y):
         # ∇_X Y on the base for constant-component Y
-        return np.einsum("i,kij,j->k", X, self.conn.gamma, Y)
+        return np.einsum("i,kij,j->k", X, self.gamma, Y)
 
     def _rop(self, X, Y, Z):
         # base curvature operator R_XY Z
@@ -94,7 +93,7 @@ class ConeOracle:
         """(∇̃_A J) B from base covariant derivatives of φ, ξ, η."""
         _, X = self._split(A)
         b, Y = self._split(B)
-        dxi, deta, dphi = (nabla_of(self.conn.gamma, valence, jets, X)
+        dxi, deta, dphi = (nabla_of(self.gamma, valence, jets, X)
                            for valence, jets in self._fields)
         # (∇̃_X J) ∂_t = −(1/t)(∇_X ξ + φX)
         from_dt = -(dxi + self.phi @ X) / self.t
@@ -199,8 +198,8 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
     d = nb + nf
     pb = np.asarray(p[:nb], dtype=float)
     pf = np.asarray(p[nb:], dtype=float)
-    base_conn = point_geometry(spec.base, pb)[0]
-    fiber_conn = point_geometry(spec.fiber, pf)[0]
+    base_gamma = point_geometry(spec.base, pb)[0]
+    fiber_gamma = point_geometry(spec.fiber, pf)[0]
     g_base = spec.base.metric_at(pb)
     g_fiber = spec.fiber.metric_at(pf)
     (b,), (db,) = _expr_jets(ex.Program([spec.warping]), spec.base.env(pb, jets=True))
@@ -210,8 +209,8 @@ def warped_christoffel_oracle(spec: WarpedSpec, p: Sequence[float]) -> np.ndarra
     grad_lnb = np.linalg.solve(g_base, dlnb)
 
     gamma = np.zeros((d, d, d))
-    gamma[:nb, :nb, :nb] = base_conn.gamma
-    gamma[nb:, nb:, nb:] = fiber_conn.gamma
+    gamma[:nb, :nb, :nb] = base_gamma
+    gamma[nb:, nb:, nb:] = fiber_gamma
     for a in range(nb):
         for z in range(nf):
             for w in range(nf):
@@ -243,10 +242,10 @@ def r_warped_christoffel_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.nda
     f, fp, _ = _warping_jets(rb, th)
     if f <= 0.0:
         raise EvalDomainError(f"warping function vanishes at {th}")
-    fiber_conn = point_geometry(fiber, pf)[0]
+    fiber_gamma = point_geometry(fiber, pf)[0]
     g_fiber = fiber.metric_at(pf)
     gamma = np.zeros((d, d, d))
-    gamma[:nf, :nf, :nf] = fiber_conn.gamma
+    gamma[:nf, :nf, :nf] = fiber_gamma
     for a in range(nf):
         gamma[a, nf, a] = fp / f
         gamma[a, a, nf] = fp / f
@@ -270,7 +269,7 @@ def r_warped_riemann_oracle(rb: RWarpedBundle, p: Sequence[float]) -> np.ndarray
     th = float(p[nf])
     f, fp, fpp = _warping_jets(rb, th)
     gbar = fiber.metric_at(pf)
-    rbar = point_geometry(fiber, pf)[1].riem
+    rbar = point_geometry(fiber, pf)[1]
     out = np.zeros((d, d, d, d))
     # fiber block, indices (w, z, x, y)
     gg = np.einsum("xz,yw->wzxy", gbar, gbar) - np.einsum("yz,xw->wzxy", gbar, gbar)

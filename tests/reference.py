@@ -40,17 +40,16 @@ from curvlab.chart import Chart, TensorField
 from curvlab.constructions.submersion import SubmersionPair
 from curvlab.frame import FrameGeometry, _rat
 from curvlab.errors import SingularMetricError, UnknownIdentifierError
-from curvlab.geometry import (ConnectionAtPoint, CurvatureAtPoint, MetricJets, _expr_jets,
-                              connection_of, curvature_of, metric_jets)
+from curvlab.geometry import MetricJets, _expr_jets, connection_of, curvature_of, metric_jets
 
 
-def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[ConnectionAtPoint,
-                                                              CurvatureAtPoint]:
-    """Connection and curvature at a point ``p`` (d,), or at each row of
+def point_geometry(chart: Chart, p: Sequence[float]) -> tuple[np.ndarray, np.ndarray,
+                                                              np.ndarray]:
+    """Γ, the lowered R and R¹³ at a point ``p`` (d,), or at each row of
     ``p`` (N, d) on a leading point axis, from one ``metric_jets``."""
     mj = metric_jets(chart, p)
-    conn = connection_of(mj)
-    return conn, curvature_of(mj, conn)
+    gamma, dgamma = connection_of(mj)
+    return (gamma, *curvature_of(mj.g, gamma, dgamma))
 
 
 def eval_field(f: TensorField, p: Sequence[float]) -> np.ndarray:
@@ -145,7 +144,7 @@ def to_text(e: ex.Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def connection_at_point(mj: MetricJets) -> ConnectionAtPoint:
+def connection_at_point(mj: MetricJets) -> tuple[np.ndarray, np.ndarray]:
     """Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij) and ∂_m Γ^k_ij from
     the metric jets at one point, with no point axis."""
     low = 0.5 * (np.einsum("jli->lij", mj.dg) + np.einsum("ilj->lij", mj.dg)
@@ -156,18 +155,18 @@ def connection_at_point(mj: MetricJets) -> ConnectionAtPoint:
     dginv = -np.einsum("ka,abm,bl->klm", mj.ginv, mj.dg, mj.ginv)
     dgamma = (np.einsum("klm,lij->kijm", dginv, low)
               + np.einsum("kl,lijm->kijm", mj.ginv, dlow))
-    return ConnectionAtPoint(gamma=gamma, dgamma=dgamma)
+    return gamma, dgamma
 
 
-def curvature_at_point(mj: MetricJets, conn: ConnectionAtPoint) -> CurvatureAtPoint:
-    """(R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp
-    and R_ijkl = −g_lm (R_ij ∂_k)^m at one point, with no point axis."""
-    gamma, dgamma = conn.gamma, conn.dgamma
+def curvature_at_point(g: np.ndarray, gamma: np.ndarray,
+                       dgamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_ijkl = −g_lm (R_ij ∂_k)^m and (R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik
+    + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp at one point, with no point axis."""
     riem13 = (np.einsum("mjki->mijk", dgamma) - np.einsum("mikj->mijk", dgamma)
               + np.einsum("pjk,mip->mijk", gamma, gamma)
               - np.einsum("pik,mjp->mijk", gamma, gamma))
-    riem = -np.einsum("lm,mijk->ijkl", mj.g, riem13)
-    return CurvatureAtPoint(riem=riem, riem13=riem13, g=mj.g)
+    riem = -np.einsum("lm,mijk->ijkl", g, riem13)
+    return riem, riem13
 
 
 def gram_schmidt(g: np.ndarray) -> np.ndarray:
@@ -208,13 +207,13 @@ def nabla_of(gamma: np.ndarray, valence: str, jets, X) -> np.ndarray:
 
 def covariant_derivative(chart: Chart, f: TensorField, p: Sequence[float], X) -> np.ndarray:
     """∇_X f at ``p`` for a vector, one-form or endomorphism field."""
-    return nabla_of(point_geometry(chart, p)[0].gamma, f.valence, eval_field_jets(f, p), X)
+    return nabla_of(point_geometry(chart, p)[0], f.valence, eval_field_jets(f, p), X)
 
 
 def covariant_derivative_02(chart: Chart, components, p: Sequence[float], X) -> np.ndarray:
     """∇_X T for a (0,2) expression array; used for the ∇g = 0 check."""
     t = TensorField(chart, "endomorphism", components)  # same shape, parse only
-    gamma = point_geometry(chart, p)[0].gamma
+    gamma = point_geometry(chart, p)[0]
     X = np.asarray(X, dtype=float)
     vals, grads = eval_field_jets(t, p)
     # (∇_X T)_jk = X^i (∂_i T_jk − Γ^m_ij T_mk − Γ^m_ik T_jm)
@@ -227,7 +226,7 @@ def lie_derivative_metric(chart: Chart, xi: TensorField, p: Sequence[float], X, 
     """(L_ξ g)(X, Y) = g(∇_X ξ, Y) + g(X, ∇_Y ξ) for the Levi-Civita metric."""
     if xi.valence != "vector":
         raise ValueError("Killing test expects a vector field")
-    gamma, jets = point_geometry(chart, p)[0].gamma, eval_field_jets(xi, p)
+    gamma, jets = point_geometry(chart, p)[0], eval_field_jets(xi, p)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     g = chart.metric_at(p)
@@ -247,11 +246,10 @@ def exterior_d_oneform(chart: Chart, eta: TensorField, p: Sequence[float], X, Y)
 
 def ricci(chart: Chart, p: Sequence[float], X, Y) -> float:
     """Ric(X, Y) = Σ_a R(E_a, X, E_a, Y) over a g-orthonormal frame."""
-    curv = point_geometry(chart, p)[1]
-    E = gram_schmidt(curv.g)
+    E = gram_schmidt(chart.metric_at(p))
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return float(np.einsum("ai,j,ak,l,ijkl->", E, X, E, Y, curv.riem))
+    return float(np.einsum("ai,j,ak,l,ijkl->", E, X, E, Y, point_geometry(chart, p)[1]))
 
 
 def contact_volume_coefficient(chart: Chart, eta: TensorField, p: Sequence[float]) -> float:
@@ -328,7 +326,7 @@ def hypersurface_at_point(J: np.ndarray, patch, p: Sequence[float], g: np.ndarra
 
 def nabla_J_at_point(ambient, p: Sequence[float]) -> float:
     """Largest |(∇_i J)^k_j| at one point, from ``point_geometry`` there."""
-    gamma = point_geometry(ambient.chart, p)[0].gamma
+    gamma = point_geometry(ambient.chart, p)[0]
     J, dJ = eval_field_jets(ambient.J, p)      # dJ[k, j, i] = ∂_i J^k_j
     return np.max(np.abs(dJ.transpose(0, 2, 1) + gamma @ J - np.tensordot(J, gamma, 1)))
 

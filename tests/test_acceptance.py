@@ -65,9 +65,9 @@ def test_criterion_02_cross_engine(h21_frame, h21_chart):
         vecs = [np.array([2.0, 0, 0, 0, 0]), np.array([0, 2.0, 0, 0, 0]),
                 np.array([0, 0, 2.0, 0, 2 * x1]), np.array([0, 0, 0, 2.0, 2 * x2]),
                 np.array([0, 0, 0, 0, 2.0])]
-        curv = point_geometry(chart, p)[1]
+        riem = point_geometry(chart, p)[1]
         for idx in product(range(5), repeat=4):
-            chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem, *(vecs[i] for i in idx)))
+            chart_val = float(np.einsum("ijkl,i,j,k,l", riem, *(vecs[i] for i in idx)))
             worst = max(worst, abs(chart_val - float(fg.riem[idx])))
     verdict(2, worst <= 1e-8,
             f"chart engine matches the frame engine on all 625 quadruples "
@@ -144,12 +144,12 @@ def test_criterion_06_cone_oracles(s5_example, h21_chart):
         points, vectors = sample_with_vectors(cone.chart, 20, 4, seed=42)
         for i, p in enumerate(points):
             oracle = ConeOracle(base, p)
-            conn, curv = point_geometry(cone.chart, p)
+            gamma, _, riem13 = point_geometry(cone.chart, p)
             A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
             worst = max(worst, float(np.max(np.abs(
-                np.einsum("i,kij,j->k", A, conn.gamma, B) - oracle.connection(A, B)))))
+                np.einsum("i,kij,j->k", A, gamma, B) - oracle.connection(A, B)))))
             worst = max(worst, float(np.max(np.abs(
-                np.einsum("mijk,i,j,k->m", curv.riem13, A, B, C)
+                np.einsum("mijk,i,j,k->m", riem13, A, B, C)
                 - oracle.curvature_op(A, B, C)))))
             dJ = covariant_derivative(cone.chart, cone.J, p, A)
             worst = max(worst, float(np.max(np.abs(dJ @ B - oracle.nabla_J(A, B)))))

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
@@ -34,11 +35,49 @@ def invoke(argv, env=None):
     return code, out.getvalue(), err.getvalue()
 
 
+REGISTRY_LIST = ["flat3", "s2_round", "h21", "h21_chart", "flat_cosym5", "sine_cone_cos",
+                 "sine_cone_sin", "r_warped_surface", "s5_in_c3", "cone_of:<contact target>",
+                 "hopf_pair"]
+
+
 def test_list_names():
-    code, out, _ = invoke(["list"])
-    assert code == 0
-    for name in ("h21", "s5_in_c3", "hopf_pair", "sine_cone_cos"):
-        assert name in out
+    code, out, err = invoke(["list"])
+    assert (code, out.splitlines(), err) == (0, REGISTRY_LIST, "")
+
+
+@pytest.mark.parametrize("name", [n for n in REGISTRY_LIST
+                                  if n not in ("h21", "h21_chart") and ":" not in n])
+def test_parameter_on_a_target_that_takes_none_exits_two(name):
+    """A parameter given to a target that takes none is an input error, also
+    when the target is the contact target of a cone."""
+    for target in (f"{name}:x", f"cone_of:{name}:x"):
+        for argv in (["classify", target], ["report", target, "--json"]):
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, "")
+            assert err == f"target {name!r} takes no parameter, got 'x'\n"
+
+
+@pytest.mark.parametrize("name", ["h21", "h21_chart"])
+def test_empty_parameter_keeps_the_default(name):
+    from curvlab.constructions import resolve_target
+    assert resolve_target(f"{name}:").name == resolve_target(name).name == f"{name}(3/5,4/5)"
+    runs = [invoke(["classify", t, "--samples", "5", "--json"]) for t in (name, f"{name}:")]
+    (code, out, err), (code2, out2, err2) = runs
+    assert (code, err) == (code2, err2) == (0, "")
+    assert json.loads(out)["checks"] == json.loads(out2)["checks"]
+
+
+def test_log_past_the_square_overflow_reports(tmp_path):
+    """log(u) with u = exp(400 x)² ≈ 1e190: u² overflows in log's second
+    derivative −1/u², which used to raise OverflowError (exit 2); the
+    chart's curvature is finite, so the report is too."""
+    path = tmp_path / "log.ini"
+    path.write_text('[chart]\ndim = 2\ncoords = "x, y"\ndomain = "x in (0.5, 0.6)"\n'
+                    '[metric]\ng_11 = "2 + log(exp(400*x)*exp(400*x))"\ng_22 = "1"\n')
+    code, out, err = invoke(["report", str(path), "--json"])
+    assert code in (0, 1) and err == ""
+    rows = json.loads(out)["checks"]
+    assert rows and all(math.isfinite(r["residual"]) for r in rows)
 
 
 def test_identities_h21_exit_one():

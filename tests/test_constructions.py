@@ -70,12 +70,12 @@ def test_cone_closed_forms_match_engine(base_name, s5_example, h21_chart,
     worst = 0.0
     for i, p in enumerate(points):
         oracle = ConeOracle(base, p)
-        conn, curv = point_geometry(cone.chart, p)
+        gamma, _, riem13 = point_geometry(cone.chart, p)
         A, B, C = vectors[i][0], vectors[i][1], vectors[i][2]
-        engine_nab = np.einsum("i,kij,j->k", A, conn.gamma, B)
+        engine_nab = np.einsum("i,kij,j->k", A, gamma, B)
         worst = max(worst, float(np.max(np.abs(
             engine_nab - oracle.connection(A, B)))))
-        engine_R = np.einsum("mijk,i,j,k->m", curv.riem13, A, B, C)
+        engine_R = np.einsum("mijk,i,j,k->m", riem13, A, B, C)
         worst = max(worst, float(np.max(np.abs(
             engine_R - oracle.curvature_op(A, B, C)))))
         dJ = covariant_derivative(cone.chart, cone.J, p, A)
@@ -92,15 +92,15 @@ def test_cone_j_composed_curvature_cases(s5_example):
     dt[0] = 1.0
     for i, p in enumerate(points):
         oracle = ConeOracle(base, p)
-        curv = point_geometry(cone.chart, p)[1]
+        riem13 = point_geometry(cone.chart, p)[2]
         J = eval_field(cone.J, p)
         g = cone.chart.metric_at(p)
         X, Y, Z, W = (v.copy() for v in vectors[i][:4])
         for v in (X, Y, Z, W):
             v[0] = 0.0  # base-lifted vectors
-        e_jdt = np.einsum("mijk,i,j,k->m", curv.riem13, X, Y, J @ dt)
+        e_jdt = np.einsum("mijk,i,j,k->m", riem13, X, Y, J @ dt)
         assert np.max(np.abs(e_jdt - oracle.curvature_J_dt(X, Y))) <= 1e-8
-        e_jz = np.einsum("mijk,i,j,k->m", curv.riem13, X, Y, J @ Z)
+        e_jz = np.einsum("mijk,i,j,k->m", riem13, X, Y, J @ Z)
         assert np.max(np.abs(e_jz - oracle.curvature_J_base(X, Y, Z))) <= 1e-8
         # scalar pairings
         p1 = float((J @ W) @ g @ e_jdt)
@@ -121,7 +121,7 @@ def test_trivial_warping_gives_product():
     p = [0.2, 0.5, -0.7]
     gamma = warped_christoffel_oracle(spec, p)
     assert np.all(gamma == 0.0)
-    assert np.max(np.abs(point_geometry(chart, p)[0].gamma)) <= 1e-14
+    assert np.max(np.abs(point_geometry(chart, p)[0])) <= 1e-14
 
 
 def test_warped_with_b_t_reproduces_cone():
@@ -142,7 +142,7 @@ def test_cosine_warped_connection_oracle():
     spec = WarpedSpec(base, fiber, ex.parse_expr("cos(th)", ["th"]))
     chart = build_warped(spec)
     for p in sample(chart, 10, seed=6).point:
-        eng = point_geometry(chart, p)[0].gamma
+        eng = point_geometry(chart, p)[0]
         assert np.max(np.abs(eng - warped_christoffel_oracle(spec, p))) <= 1e-9
 
 
@@ -169,9 +169,9 @@ def test_r_warped_oracles_match_engine(sine_cone_cos, sine_cone_sin,
     for rb in (sine_cone_cos, sine_cone_sin, r_warped_surface):
         chart = rb.structure.carrier
         for p in sample(chart, 8, seed=4).point:
-            eng_g = point_geometry(chart, p)[0].gamma
+            eng_g = point_geometry(chart, p)[0]
             assert np.max(np.abs(eng_g - r_warped_christoffel_oracle(rb, p))) <= 1e-8
-            eng_r = point_geometry(chart, p)[1].riem
+            eng_r = point_geometry(chart, p)[1]
             assert np.max(np.abs(eng_r - r_warped_riemann_oracle(rb, p))) <= 1e-8
 
 
@@ -183,14 +183,14 @@ def test_f_second_over_f_minus_one_gives_unit_block(f_text):
     chart = rb.structure.carrier
     points, vectors = sample_with_vectors(chart, 6, 4, seed=15)
     for i, p in enumerate(points):
-        curv = point_geometry(chart, p)[1]
+        riem = point_geometry(chart, p)[1]
         g = chart.metric_at(p)
         xi = np.array([0, 0, 0, 0, 1.0])
         for a in range(0, 4, 2):
             X, W = vectors[i][a].copy(), vectors[i][a + 1].copy()
             X[-1] = 0.0
             W[-1] = 0.0
-            lhs = float(np.einsum("ijkl,i,j,k,l", curv.riem, W, xi, X, xi))
+            lhs = float(np.einsum("ijkl,i,j,k,l", riem, W, xi, X, xi))
             assert abs(lhs - float(X @ g @ W)) <= 1e-8
 
 
@@ -198,8 +198,7 @@ def test_constant_warping_kills_xi_block():
     rb = build_r_warped_contact(flat_kahler_r4(), "1 + 0*z", "z", Interval())
     chart = rb.structure.carrier
     p = [0.1, 0.2, 0.3, 0.4, 0.5]
-    curv = point_geometry(chart, p)[1]
-    assert np.max(np.abs(curv.riem)) <= 1e-14
+    assert np.max(np.abs(point_geometry(chart, p)[1])) <= 1e-14
 
 
 def test_vanishing_warping_rejected():

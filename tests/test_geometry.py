@@ -35,26 +35,25 @@ def frame_vectors_at(p):
 
 def test_flat_christoffel_zero(flat3):
     for p in ([0.0, 0.0, 0.0], [1.0, -0.5, 2.0]):
-        conn = point_geometry(flat3, p)[0]
-        assert np.all(conn.gamma == 0.0)
+        assert np.all(point_geometry(flat3, p)[0] == 0.0)
 
 
 def test_cone_over_flat_christoffel():
     cone = Chart(("t", "x"), [["1", "0"], [None, "t^2"]],
                  [Interval(0, math.inf), Interval()])
-    conn = point_geometry(cone, [2.0, 0.7])[0]
-    assert abs(conn.gamma[1, 0, 1] - 0.5) < 1e-14   # Gamma^x_tx = 1/t
-    assert abs(conn.gamma[1, 1, 0] - 0.5) < 1e-14
-    assert abs(conn.gamma[0, 1, 1] + 2.0) < 1e-14   # Gamma^t_xx = -t
+    gamma = point_geometry(cone, [2.0, 0.7])[0]
+    assert abs(gamma[1, 0, 1] - 0.5) < 1e-14   # Gamma^x_tx = 1/t
+    assert abs(gamma[1, 1, 0] - 0.5) < 1e-14
+    assert abs(gamma[0, 1, 1] + 2.0) < 1e-14   # Gamma^t_xx = -t
 
 
 def test_sphere_christoffel(s2_round):
-    conn = point_geometry(s2_round, [math.pi / 2, 0.4])[0]
-    assert abs(conn.gamma[0, 1, 1]) < 1e-12         # -sin cos = 0 at equator
+    gamma = point_geometry(s2_round, [math.pi / 2, 0.4])[0]
+    assert abs(gamma[0, 1, 1]) < 1e-12         # -sin cos = 0 at equator
     th = 0.8
-    conn = point_geometry(s2_round, [th, 0.4])[0]
-    assert abs(conn.gamma[0, 1, 1] + math.sin(th) * math.cos(th)) < 1e-12
-    assert abs(conn.gamma[1, 0, 1] - math.cos(th) / math.sin(th)) < 1e-12
+    gamma = point_geometry(s2_round, [th, 0.4])[0]
+    assert abs(gamma[0, 1, 1] + math.sin(th) * math.cos(th)) < 1e-12
+    assert abs(gamma[1, 0, 1] - math.cos(th) / math.sin(th)) < 1e-12
 
 
 def test_singular_metric_raises():
@@ -68,15 +67,14 @@ def test_singular_metric_raises():
 def test_flat5_curvature_zero():
     flat5 = Chart(tuple("abcde"), [[("1" if i == j else "0") for j in range(5)]
                                    for i in range(5)])
-    curv = point_geometry(flat5, [0.1, 0.2, 0.3, 0.4, 0.5])[1]
-    assert np.all(curv.riem == 0.0)
+    assert np.all(point_geometry(flat5, [0.1, 0.2, 0.3, 0.4, 0.5])[1] == 0.0)
 
 
 def test_h21_chart_curvature_table(h21_chart):
     p = [0.4, -0.7, 0.2, 1.1, -0.3]
-    curv = point_geometry(h21_chart.carrier, p)[1]
+    riem = point_geometry(h21_chart.carrier, p)[1]
     X1, X2, Y1, Y2, XI = frame_vectors_at(p)
-    r = lambda a, b, c, d: float(np.einsum("ijkl,i,j,k,l", curv.riem, a, b, c, d))
+    r = lambda a, b, c, d: float(np.einsum("ijkl,i,j,k,l", riem, a, b, c, d))
     assert abs(r(X1, X2, Y1, Y2) - (-1.0)) < 1e-12
     assert abs(r(X1, Y2, X2, Y1) - (-1.0)) < 1e-12
     assert abs(r(X1, Y1, X2, Y2) - (-2.0)) < 1e-12
@@ -90,10 +88,10 @@ def test_cross_engine_h21_all_quadruples(h21_chart):
     """Chart engine on frame vectors vs the exact rational frame engine."""
     fg = heisenberg_h21(Fraction(3, 5), Fraction(4, 5))
     for p in ([0.0] * 5, [0.5, -1.2, 0.3, 0.8, 2.0]):
-        curv = point_geometry(h21_chart.carrier, p)[1]
+        riem = point_geometry(h21_chart.carrier, p)[1]
         vecs = frame_vectors_at(p)
         for i, j, k, l in product(range(5), repeat=4):
-            chart_val = float(np.einsum("ijkl,i,j,k,l", curv.riem,
+            chart_val = float(np.einsum("ijkl,i,j,k,l", riem,
                                          vecs[i], vecs[j], vecs[k], vecs[l]))
             exact = float(fg.riem[i, j, k, l])
             assert abs(chart_val - exact) <= 1e-8
@@ -279,16 +277,18 @@ REGISTRY_FIELDS = _registry_fields()
 def _assert_point_geometry_per_point(chart, pts):
     """The batched Γ, ∂Γ, R¹³, R and E(p) equal, bit for bit, the one-point
     formulas of ``reference`` run on each point's own metric jets."""
-    conn, curv = point_geometry(chart, pts)
-    E = geo.orthonormal_frame(curv.g)
+    mj = geo.metric_jets(chart, pts)
+    gamma, dgamma = geo.connection_of(mj)
+    riem, riem13 = geo.curvature_of(mj.g, gamma, dgamma)
+    E = geo.orthonormal_frame(mj.g)
     for n, p in enumerate(pts):
         one = geo.metric_jets(chart, p)
-        conn1 = connection_at_point(one)
-        curv1 = curvature_at_point(one, conn1)
-        assert np.array_equal(conn.gamma[n], conn1.gamma)
-        assert np.array_equal(conn.dgamma[n], conn1.dgamma)
-        assert np.array_equal(curv.riem13[n], curv1.riem13)
-        assert np.array_equal(curv.riem[n], curv1.riem)
+        gamma1, dgamma1 = connection_at_point(one)
+        riem1, riem13_1 = curvature_at_point(one.g, gamma1, dgamma1)
+        assert np.array_equal(gamma[n], gamma1)
+        assert np.array_equal(dgamma[n], dgamma1)
+        assert np.array_equal(riem13[n], riem13_1)
+        assert np.array_equal(riem[n], riem1)
         assert np.array_equal(E[n], gram_schmidt(one.g))
 
 

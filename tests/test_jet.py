@@ -336,6 +336,35 @@ def test_batched_domain_errors_name_the_first_value():
         u**200
 
 
+def test_log_second_derivative_keeps_pow_bits():
+    """log''(x) = −1/x² is ``-1.0 / _pow(x, 2)`` bit for bit wherever the
+    square is finite, and −0.0 where it overflows (|x| ≥ 2⁵¹²), where
+    ``_pow`` raises OverflowError."""
+    rng = np.random.default_rng(5)
+    finite = np.concatenate([
+        [5e-324, 1e-310, 1e-200, 0.3, 1.0, 2.5, 1e154, np.nextafter(2.0**512, 0), -1e100,
+         math.nan],
+        10.0 ** rng.uniform(-320, math.log10(2.0**512), 2000)])
+    with np.errstate(all="ignore"):
+        assert jet._log_f2(finite).tobytes() == (-1.0 / jet._pow(finite, 2)).tobytes()
+    for v in (2.0**512, 1.35e154, 1e200, -1e300, 1.7976931348623157e308):
+        with pytest.raises(OverflowError):
+            jet._pow(np.array([v]), 2)
+        out = jet._log_f2(np.array([v]))
+        assert out[0] == 0.0 and np.signbit(out[0])
+
+
+def test_log_hessian_past_the_square_overflow():
+    """log(u) for u = exp(400 x)² ≈ 1e191: u² and ∇u ∇uᵀ overflow, yet the
+    jet of log u = 800 x is finite, its Hessian 0 up to rounding."""
+    x = jet.seed(np.array([[0.55], [0.6]]), 0)
+    e = jet.JET_FUNCTIONS["exp"](400.0 * x)
+    with np.errstate(over="ignore", invalid="ignore"):   # as the CLI runs
+        v = jet.JET_FUNCTIONS["log"](e * e)
+    assert np.allclose(v.value, [440.0, 480.0]) and np.allclose(v.grad, 800.0)
+    assert np.all(np.isfinite(v.hess)) and np.max(np.abs(v.hess)) <= 1e-6
+
+
 POW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan,
              1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 2.5]
 

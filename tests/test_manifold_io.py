@@ -188,6 +188,42 @@ g[3][3] = "1"
         load_manifold_text(text)
 
 
+@pytest.mark.parametrize("line,message", [
+    ('h[1] = "1"', "unknown key 'h[1]' in [frame]"),
+    ('c[1] [2] = "1"', "unknown key 'c[1] [2]' in [frame]"),
+    ('g[4][1] = "1"', "index out of range in 'g[4][1]'"),
+    ('g[0][1] = "1"', "index out of range in 'g[0][1]'"),
+    ('g[1][1] = "x"', "bad rational 'x'"),
+    ('g[1][1] = "1/0"', "bad rational '1/0'"),
+    ('c[1][2] = "1"', "c needs three indices in 'c[1][2]'"),
+    ('g[1] = "1"', "g needs two indices in 'g[1]'"),
+    ('phi[1][2][3] = "1"', "phi needs two indices in 'phi[1][2][3]'"),
+    ('xi[1][1] = "1"', "xi needs one index in 'xi[1][1]'"),
+    ('eta[1][2] = "1"', "eta needs one index in 'eta[1][2]'"),
+    # the range is checked before the rational, the rational before the rank
+    ('c[9][1] = "q"', "index out of range in 'c[9][1]'"),
+    ('xi[1][1] = "q"', "bad rational 'q'"),
+])
+def test_frame_key_errors_are_pinned(line, message):
+    text = FRAME_TEXT + line + "\n"
+    with pytest.raises(ManifoldFormatError) as err:
+        load_manifold_text(text)
+    offset = text.index(line) + line.index('"') + 1   # the value's first byte
+    assert str(err.value) == f"{message} (at byte offset {offset})"
+
+
+def test_frame_partners_and_optional_tensors():
+    """c[k][i][j] sets c[k][j][i] to its negative and g[i][j] sets g[j][i];
+    phi, xi and eta exist only when an entry names them."""
+    fg = load_manifold_text(FRAME_TEXT.replace('g[3][3] = "4"', 'g[3][3] = "4"\ng[1][2] = "1/3"'))
+    assert fg.c[0][1][2] == 1 and fg.c[0][2][1] == -1
+    assert fg.g[0][1] == fg.g[1][0] == Fraction(1, 3)
+    assert fg.phi is None and fg.xi is None and fg.eta is None
+    fg = load_manifold_text(FRAME_TEXT + 'xi[3] = "1/2"\n')
+    assert fg.xi.tolist() == [0, 0, Fraction(1, 2)]
+    assert fg.phi is None and fg.eta is None
+
+
 def test_frame_rational_entries_exact():
     text = FRAME_TEXT.replace('g[3][3] = "4"', 'g[3][3] = "9/2"')
     fg = load_manifold_text(text)

@@ -84,7 +84,7 @@ def oracle_classify(s, points):
     ric, ric_dev = None, -1.0
     for p in points:
         g, vecs = basis_at(chart, p)
-        gamma = point_geometry(chart, p)[0].gamma
+        gamma = point_geometry(chart, p)[0]
         phi, xi, eta = eval_field(s.phi, p), eval_field(s.xi, p), eval_field(s.eta, p)
         xi_jets, phi_jets = eval_field_jets(s.xi, p), eval_field_jets(s.phi, p)
         grads = eval_field_jets(s.eta, p)[1]        # grads[j, i] = ∂_i η_j
@@ -115,7 +115,7 @@ def oracle_kappa_mu(s, kappa, mu, points):
     worst = 0.0
     for p in points:
         g, vecs = basis_at(s.carrier, p)
-        riem13 = point_geometry(s.carrier, p)[1].riem13
+        riem13 = point_geometry(s.carrier, p)[2]
         phi_v, phi_g = eval_field_jets(s.phi, p)
         xi_v, xi_g = eval_field_jets(s.xi, p)       # xi_g[k, i] = ∂_i ξ^k
         eta = eval_field(s.eta, p)

@@ -189,7 +189,6 @@ def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
     clamps such as max(x, 0) and some array maxima drop NaN. Poisoning only
     the last point of the batch catches a batched maximum that skips a NaN.
     The identity rows raise where the CLI emits them."""
-    from dataclasses import replace
     from curvlab import geometry
     from curvlab.cli import _identity_rows
     from curvlab.errors import EvalDomainError
@@ -199,18 +198,18 @@ def test_nan_point_geometry_never_passes(monkeypatch, s5_example, poison):
     real_conn, real_curv = geometry.connection_of, geometry.curvature_of
 
     def poisoned_connection(m):
-        conn = real_conn(m)
+        gamma, dgamma = real_conn(m)
         assert m is mj   # the whole batch in one call
-        gamma = conn.gamma.copy()
+        gamma = gamma.copy()
         gamma[at] = np.nan
-        return replace(conn, gamma=gamma)
+        return gamma, dgamma
 
-    def poisoned_curvature(m, conn):
-        curv = real_curv(m, conn)
-        assert m is mj
-        riem, riem13 = curv.riem.copy(), curv.riem13.copy()
+    def poisoned_curvature(g, gamma, dgamma):
+        riem, riem13 = real_curv(g, gamma, dgamma)
+        assert g is mj.g
+        riem, riem13 = riem.copy(), riem13.copy()
         riem[at] = riem13[at] = np.nan
-        return replace(curv, riem=riem, riem13=riem13)
+        return riem, riem13
 
     if poison == "connection":
         monkeypatch.setattr(geometry, "connection_of", poisoned_connection)

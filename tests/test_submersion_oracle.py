@@ -74,7 +74,7 @@ def oracle(sp, points):
         ddpi = np.array([v.hess for v in jets])
         gN = base_chart.metric_at(base_pt)
         Jb = eval_field(sp.base.J, base_pt)
-        conn_N, curv_N = point_geometry(base_chart, base_pt)
+        gamma_N, riem_N, _ = point_geometry(base_chart, base_pt)
         eta_vals, deta = eval_field_jets(sp.total.eta, p)
         lifts, dlifts = zip(*(_lift_with_derivatives(dpi, ddpi, eta_vals, deta, Xb)
                               for Xb in base_dirs))
@@ -89,7 +89,7 @@ def oracle(sp, points):
             return float(np.einsum("ijkl,i,j,k,l", rec.riem, u, v, w, z))
 
         def rN(u, v, w, z):
-            return float(np.einsum("ijkl,i,j,k,l", curv_N.riem, u, v, w, z))
+            return float(np.einsum("ijkl,i,j,k,l", riem_N, u, v, w, z))
 
         add("dpi_xi", np.max(np.abs(dpi @ xi)))
         for a, Xb in enumerate(base_dirs):
@@ -99,7 +99,7 @@ def oracle(sp, points):
             for b, Yb in enumerate(base_dirs):
                 Yl, dYl = lifts[b], dlifts[b]
                 nab = dYl @ Xl + np.einsum("i,kij,j->k", Xl, rec.gamma, Yl)
-                nab_N = np.einsum("i,kij,j->k", Xb, conn_N.gamma, Yb)
+                nab_N = np.einsum("i,kij,j->k", Xb, gamma_N, Yb)
                 predicted = _solve(dpi, eta, nab_N) - G(Xb, Jb @ Yb) * xi
                 add("lift_connection", _gnorm(gM, nab - predicted))
                 bracket = dYl @ Xl - dlifts[a] @ Yl
