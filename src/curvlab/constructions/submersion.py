@@ -14,7 +14,8 @@ Every relation is tensorial in its base arguments, so the lifted frame
 spans them all: the connection, Reeb and bracket relations are tables over
 the pairs (a, b) of base coordinate fields, the curvature lift and the
 Hermitian-identity consequences nb⁴ tables, built with the identity
-closures on L laid out on four slot axes as in the frame sweep.
+sweep's closures, their slot names w, z, x and y bound to L on four slot
+axes as in the frame sweep.
 The relations checked against the generic chart engines on both levels:
 
 * connection lift:  ∇ᴹ_{X↑} Y↑ = (∇ᴺ_X Y)↑ − G(X, JY) ξ
@@ -117,22 +118,21 @@ def check_submersion_lift(sp: SubmersionPair, rec: PointRecord) -> dict[str, flo
     predicted = (np.einsum("nkc,ncab->nabk", L, base.gamma)
                  - GJ[..., None] * rec.xi[:, None, None])
 
-    # (N, nb, nb, nb, nb) tables on the stacked lifted frames, W, Z, X, Y on
+    # (N, nb, nb, nb, nb) tables on the stacked lifted frames, w, z, x, y on
     # slot axes 0-3 after the point axis
-    r4, gd, phv, _ = _closures(rec.riem, rec.g, rec.phi, rec.eta)
-    W, Z, X, Y = _slot_axes(L.transpose(0, 2, 1))
-    pw, pz, px, py = phv(W), phv(Z), phv(X), phv(Y)
-    rxyzw = r4(X, Y, Z, W)
+    r4, gd, _ = _closures(rec.riem, rec.g, rec.phi, rec.eta,
+                          _slot_axes(L.transpose(0, 2, 1), "wzxy"))
     tables = {
-        "lift_curvature": r4(W, Z, X, Y) - (base.riem - 2.0 * gd(X, py) * gd(W, pz)
-                                            + gd(Y, pz) * gd(W, px) - gd(X, pz) * gd(W, py)),
+        "lift_curvature": r4("w", "z", "x", "y") - (
+            base.riem - 2.0 * gd("x", "py") * gd("w", "pz")
+            + gd("y", "pz") * gd("w", "px") - gd("x", "pz") * gd("w", "py")),
         # consequences of the base satisfying each Hermitian identity
-        "lift_k1_consequence": (r4(X, Y, pz, pw) - rxyzw
-                                - (-gd(Y, W) * gd(Z, X) - gd(Y, pw) * gd(Z, px)
-                                   + gd(X, W) * gd(Z, Y) + gd(X, pw) * gd(Z, py))),
-        "lift_k2_consequence": (r4(px, Y, Z, W) + r4(X, py, Z, W) + r4(X, Y, pz, W)
-                                + r4(X, Y, Z, pw)),
-        "lift_k3_consequence": r4(px, py, pz, pw) - rxyzw,
+        "lift_k1_consequence": (r4("x", "y", "pz", "pw") - r4("x", "y", "z", "w")
+                                - (-gd("y", "w") * gd("z", "x") - gd("y", "pw") * gd("z", "px")
+                                   + gd("x", "w") * gd("z", "y") + gd("x", "pw") * gd("z", "py"))),
+        "lift_k2_consequence": (r4("px", "y", "z", "w") + r4("x", "py", "z", "w")
+                                + r4("x", "y", "pz", "w") + r4("x", "y", "z", "pw")),
+        "lift_k3_consequence": r4("px", "py", "pz", "pw") - r4("x", "y", "z", "w"),
     }
     return _finite("lift", {
         "dpi_xi": np.max(np.abs(dpi @ rec.xi[..., None])),

@@ -8,19 +8,20 @@ on the metric cone, and the one-parameter c(α) family interpolates the
 φ-invariance defect.
 
 Each defect is written once, over closures (curvature on four vectors,
-metric pairing, φ or J, η), and one sweep evaluates it on both carriers,
-exhaustively over all dim⁴ quadruples of an orthonormal basis and all
-points at once. A frame carrier is one point in its own basis, in exact
-rational arithmetic, which is what turns verdicts like "g2 holds, g1
-fails" into arithmetic facts. A chart carrier is swept over the
+metric pairing, η) that take slot names: x, y, z and w for the swept rows,
+"p" + a name for φ (or J) of that row, xi for ξ. One sweep evaluates it on
+both carriers, exhaustively over all dim⁴ quadruples of an orthonormal
+basis and all points at once. A frame carrier is one point in its own
+basis, in exact rational arithmetic, which is what turns verdicts like "g2
+holds, g1 fails" into arithmetic facts. A chart carrier is swept over the
 orthonormal frames E(p) of the one stacked point record that every check
-of an invocation shares. The consequence rows use the same sweep on
-vectors projected to v − η(v)ξ.
+of an invocation shares. The consequence rows use the same sweep with x,
+y, z and w bound to the rows projected to v − η(v)ξ.
 
 ``sweep`` takes every identity check of an invocation and reads the point
 record alone: the plain rows are one sweep and the consequence rows of all
-three kinds one more, and within a sweep each closure value is computed
-once per distinct argument tuple and kept until its last read, so a term
+three kinds one more. Each sweep has its own closures, which compute each
+value once per tuple of names and keep it until the sweep ends, so a term
 that several rows share (such as R(X, Y, φZ, φW) in g1, g2 and c(α)) is
 contracted once.
 
@@ -31,14 +32,14 @@ tolerances are meaningful.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import geometry
-from .frame import _contract, _rat
+from .frame import _contract
 from .structures import (AlmostContactStructure, AlmostHermitianStructure, PointRecord,
                          contact_point_data)
 
@@ -92,45 +93,44 @@ class IdentityReport:
 
 # -- identity defects, generic over the scalar ring ---------------------------
 #
-# Each defect function takes closures r4 (lowered curvature on four vectors),
-# gd (metric pairing), phv (φ or J applied to a vector) and etv (η value) and
-# returns LHS − RHS of the identity; works for floats and Fractions alike.
+# Each defect takes closures r4 (lowered curvature on four slots), gd
+# (metric pairing of two) and etv (η of one) over slot names and returns
+# LHS − RHS of the identity; works for floats and Fractions alike. The
+# names: x, y, z and w are the swept rows, "p" + a name is φ (or J) of that
+# batch, and xi is ξ on no slot axis.
 
 
-def _defect_k1(r4, gd, phv, etv, X, Y, Z, W):
-    return r4(X, Y, Z, W) - r4(X, Y, phv(Z), phv(W))
+def _defect_k1(r4, gd, etv):
+    return r4("x", "y", "z", "w") - r4("x", "y", "pz", "pw")
 
 
-def _defect_k2(r4, gd, phv, etv, X, Y, Z, W):
-    jx, jy, jz, jw = phv(X), phv(Y), phv(Z), phv(W)
-    return (r4(X, Y, Z, W) - r4(jx, jy, Z, W) - r4(jx, Y, jz, W)
-            - r4(jx, Y, Z, jw))
+def _defect_k2(r4, gd, etv):
+    return (r4("x", "y", "z", "w") - r4("px", "py", "z", "w") - r4("px", "y", "pz", "w")
+            - r4("px", "y", "z", "pw"))
 
 
-def _defect_k3(r4, gd, phv, etv, X, Y, Z, W):
-    return r4(X, Y, Z, W) - r4(phv(X), phv(Y), phv(Z), phv(W))
+def _defect_k3(r4, gd, etv):
+    return r4("x", "y", "z", "w") - r4("px", "py", "pz", "pw")
 
 
-def _defect_g1(r4, gd, phv, etv, X, Y, Z, W):
-    pz, pw = phv(Z), phv(W)
-    lhs = r4(X, Y, pz, pw) - r4(X, Y, Z, W)
-    rhs = (gd(Y, pw) * gd(X, pz) - gd(X, pw) * gd(Y, pz)
-           + gd(X, W) * gd(Y, Z) - gd(Y, W) * gd(X, Z))
+def _defect_g1(r4, gd, etv):
+    lhs = r4("x", "y", "pz", "pw") - r4("x", "y", "z", "w")
+    rhs = (gd("y", "pw") * gd("x", "pz") - gd("x", "pw") * gd("y", "pz")
+           + gd("x", "w") * gd("y", "z") - gd("y", "w") * gd("x", "z"))
     return lhs - rhs
 
 
-def _defect_g2(r4, gd, phv, etv, X, Y, Z, W):
-    px, py, pz, pw = phv(X), phv(Y), phv(Z), phv(W)
-    rhs = (r4(px, Y, Z, pw) + r4(X, py, Z, pw) + r4(X, Y, pz, pw)
-           + gd(X, Z) * etv(W) * etv(Y) - gd(Z, Y) * etv(X) * etv(W))
-    return r4(X, Y, Z, W) - rhs
+def _defect_g2(r4, gd, etv):
+    rhs = (r4("px", "y", "z", "pw") + r4("x", "py", "z", "pw") + r4("x", "y", "pz", "pw")
+           + gd("x", "z") * etv("w") * etv("y") - gd("z", "y") * etv("x") * etv("w"))
+    return r4("x", "y", "z", "w") - rhs
 
 
-def _defect_g3(r4, gd, phv, etv, X, Y, Z, W):
-    rhs = (r4(phv(X), phv(Y), phv(Z), phv(W))
-           + gd(X, Z) * etv(W) * etv(Y) - gd(Z, Y) * etv(X) * etv(W)
-           + gd(Y, W) * etv(X) * etv(Z) - gd(X, W) * etv(Y) * etv(Z))
-    return r4(X, Y, Z, W) - rhs
+def _defect_g3(r4, gd, etv):
+    rhs = (r4("px", "py", "pz", "pw")
+           + gd("x", "z") * etv("w") * etv("y") - gd("z", "y") * etv("x") * etv("w")
+           + gd("y", "w") * etv("x") * etv("z") - gd("x", "w") * etv("y") * etv("z"))
+    return r4("x", "y", "z", "w") - rhs
 
 
 def _defect_c_alpha(alpha):
@@ -138,17 +138,55 @@ def _defect_c_alpha(alpha):
     # term with the g1 correction block under the engine-wide lowering
     # convention R(X,Y,Z,W) = −g(R_XY Z, W); sources stating the family
     # with the opposite lowering sign list the block negated.
-    def defect(r4, gd, phv, etv, X, Y, Z, W):
-        pz, pw = phv(Z), phv(W)
-        rhs = r4(X, Y, pz, pw) + alpha * (
-            gd(X, Z) * gd(Y, W) - gd(X, W) * gd(Y, Z)
-            - gd(X, pz) * gd(Y, pw) + gd(X, pw) * gd(Y, pz))
-        return r4(X, Y, Z, W) - rhs
+    def defect(r4, gd, etv):
+        rhs = r4("x", "y", "pz", "pw") + alpha * (
+            gd("x", "z") * gd("y", "w") - gd("x", "w") * gd("y", "z")
+            - gd("x", "pz") * gd("y", "pw") + gd("x", "pw") * gd("y", "pz"))
+        return r4("x", "y", "z", "w") - rhs
     return defect
 
 
 _CONTACT_DEFECTS = {"g1": _defect_g1, "g2": _defect_g2, "g3": _defect_g3}
 _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
+
+
+# -- ξ-slot consequence rows ------------------------------------------------------
+#
+# Residual rows per identity kind, swept over vectors orthogonalized against
+# ξ. Every kind shares the two ξ-slot rows; the restricted row is the
+# identity with its η-terms dropped, valid on the orthogonal complement.
+
+
+def _xi_slot_g(r4, gd, etv):
+    return r4("xi", "y", "xi", "w") - gd("y", "w")
+
+
+def _xi_slot_zero(r4, gd, etv):
+    return r4("xi", "y", "z", "w")
+
+
+def _xi_slot_phi_zero(r4, gd, etv):
+    return r4("xi", "y", "pz", "pw")
+
+
+def _restricted_g1(r4, gd, etv):
+    lhs = r4("x", "y", "z", "w") - gd("y", "w") * gd("x", "z") + gd("x", "w") * gd("y", "z")
+    rhs = (r4("x", "y", "pz", "pw") - gd("y", "pw") * gd("x", "pz")
+           + gd("x", "pw") * gd("y", "pz"))
+    return lhs - rhs
+
+
+def _restricted_g2(r4, gd, etv):
+    return r4("x", "y", "z", "w") - (r4("px", "y", "z", "pw") + r4("x", "py", "z", "pw")
+                                     + r4("x", "y", "pz", "pw"))
+
+
+_XI_SLOT_ROWS = {"xi_slot_g": _xi_slot_g, "xi_slot_zero": _xi_slot_zero}
+_CONSEQUENCES = {
+    "g1": {**_XI_SLOT_ROWS, "xi_slot_phi_zero": _xi_slot_phi_zero, "restricted": _restricted_g1},
+    "g2": {**_XI_SLOT_ROWS, "restricted": _restricted_g2},
+    "g3": {**_XI_SLOT_ROWS, "restricted": _defect_k3},
+}
 
 
 # -- one sweep for both carriers -----------------------------------------------
@@ -160,22 +198,37 @@ _HERMITIAN_DEFECTS = {"k1": _defect_k1, "k2": _defect_k2, "k3": _defect_k3}
 # quadruple).
 
 
-def _slot_axes(basis: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``basis`` (N × n × d) on four slot axes: slot a holds
-    them on batch axis a after the point axis, so a defect of the four
-    slots is its (N, n, n, n, n) table."""
+def _slot_axes(basis: np.ndarray, names: str = "xyzw") -> dict[str, np.ndarray]:
+    """The rows of ``basis`` (N × n × d) on four slot axes, by slot name:
+    the a-th name holds them on batch axis a after the point axis, so a
+    defect of the four slots is its (N, n, n, n, n) table."""
     N, n, d = basis.shape
-    return [basis.reshape([N] + [n if b == a else 1 for b in range(4)] + [d]) for a in range(4)]
+    return {name: basis.reshape([N] + [n if b == a else 1 for b in range(4)] + [d])
+            for a, name in enumerate(names)}
 
 
-def _closures(riem, g, phi, eta):
-    """The defects' r4, gd, phv and etv over slot batches at N points.
+def _kept(fn):
+    """``fn`` computing each value once per tuple of names and keeping it
+    for the lifetime of the returned function, read-only, since rows share
+    it."""
+    @functools.cache
+    def call(*names):
+        out = fn(*names)
+        out.flags.writeable = False
+        return out
+    return call
+
+
+def _closures(riem, g, phi, eta, slots: dict):
+    """The defects' r4, gd and etv over the named slot batches ``slots`` at
+    N points, each value computed once per tuple of names.
 
     The tensors carry a leading point axis N; a slot batch has shape (N,
     s0, s1, s2, s3, d), rows on one slot axis and 1 on the others, and
-    results broadcast over the point and slot axes. r4 contracts one
-    curvature slot per argument: by one stacked matmul on floats, through
-    the zero-skipping ``_contract`` on an exact frame's one slice.
+    results broadcast over the point and slot axes. A name not in
+    ``slots`` is "p" + a name in it: φ (or J) of that batch. r4 contracts
+    one curvature slot per argument: by one stacked matmul on floats,
+    through the zero-skipping ``_contract`` on an exact frame's one slice.
     """
     N, d = g.shape[:2]
     g, phi, eta = (a.reshape(N, 1, 1, 1, 1, d, -1) for a in (g, phi, eta))
@@ -187,9 +240,14 @@ def _closures(riem, g, phi, eta):
             return (t.reshape(N, d, -1).transpose(0, 2, 1) @ rows.transpose(0, 2, 1)).reshape(
                 t.shape[:1] + t.shape[2:] + rows.shape[1:2])
 
-    def r4(*vectors):
+    @_kept
+    def vec(name):
+        return slots[name] if name in slots else (phi @ slots[name[1:]][..., None])[..., 0]
+
+    @_kept
+    def r4(*names):
         t, axes = riem, []
-        for v in vectors:   # each step contracts the leading curvature slot
+        for v in map(vec, names):   # each step contracts the leading curvature slot
             axes.append(int(np.argmax(v.shape[1:-1])))
             t = contract(t, v.reshape(N, -1, d))
         t = t.transpose(0, *(1 + np.argsort(axes, kind="stable")))
@@ -198,133 +256,41 @@ def _closures(riem, g, phi, eta):
             shape[1 + a] *= n
         return t.reshape(shape)
 
+    @_kept
     def gd(a, b):
-        return ((a[..., None, :] @ g) @ b[..., :, None])[..., 0, 0]
+        return ((vec(a)[..., None, :] @ g) @ vec(b)[..., :, None])[..., 0, 0]
 
-    def phv(v):
-        return (phi @ v[..., None])[..., 0]
+    @_kept
+    def etv(a):
+        return (vec(a)[..., None, :] @ eta)[..., 0, 0]
 
-    def etv(v):
-        return (v[..., None, :] @ eta)[..., 0, 0]
-
-    return r4, gd, phv, etv
+    return r4, gd, etv
 
 
-def _projected(slots, etv, xi):
-    """``slots`` with every vector v replaced by v − η(v)ξ when the slot
-    batch ``xi`` is given."""
-    return slots if xi is None else [v - etv(v)[..., None] * xi for v in slots]
-
-
-def _remembered(closures, last: set[int]):
-    """``closures`` that compute each value once per tuple of argument
-    objects and keep it until the call in ``last`` that reads it for the
-    last time; calls are counted in order across all of them. A kept value
-    keeps its arguments, so no id is reused while it is kept, and it is
-    read-only, since rows share it."""
-    memo, calls = {}, itertools.count()
-
-    def remembered(fn):
-        def call(*args):
-            key = (fn, *map(id, args))
-            if key not in memo:
-                out = fn(*args)
-                out.flags.writeable = False
-                memo[key] = args, out
-            out = memo[key][1]
-            if next(calls) in last:
-                del memo[key]
-            return out
-        return call
-
-    return tuple(map(remembered, closures))
-
-
-def _last_reads(rows: dict, xi) -> set[int]:
-    """The positions, in call order, of the last call of each distinct
-    closure call that a sweep of ``rows`` makes, found by running the rows
-    on stand-in scalars: a defect branches on no value, so the sweep makes
-    the same calls in the same order."""
-    calls, values = [], {}
-
-    def stand_in(fn):
-        def call(*args):
-            key = (fn, *map(id, args))
-            calls.append(key)
-            # one value per key, as the sweep's memo gives; it keeps the
-            # arguments, so no id is reused during the run
-            return values.setdefault(key, (args, np.float64(0.0)))[1]
-        return call
-
-    closures = tuple(map(stand_in, "r4 gd phv etv".split()))
-    slots = _projected([np.float64(0.0) for _ in range(4)], closures[3], xi)
-    for _, defect in rows.values():
-        defect(*closures, *slots)
-    return set({key: n for n, key in enumerate(calls)}.values())
-
-
-def _sweep(rows: dict, t: PointRecord, tol: float, xi=None) -> dict:
+def _sweep(rows: dict, t: PointRecord, tol: float, perp: bool = False) -> dict:
     """One report per ``rows`` entry (key → (tag, defect)), under the same
-    key, over the bases of the record ``t``, with every swept vector v
-    replaced by v − η(v)ξ when the slot batch ``xi`` is given. Exact
-    (object) tables give exact residuals. A residual may be non-finite: the
-    caller checks it where it emits it."""
-    closures = r4, gd, phv, etv = _remembered(_closures(t.riem, t.g, t.phi, t.eta),
-                                              _last_reads(rows, xi))
-    slots = _projected(_slot_axes(t.E), etv, xi)
+    key, over the bases of the record ``t``; with ``perp``, every swept
+    vector v is replaced by v − η(v)ξ and xi names ξ. Exact (object)
+    tables give exact residuals. A residual may be non-finite: the caller
+    checks it where it emits it."""
+    slots = _slot_axes(t.E)
+    if perp:
+        xi = t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)   # ξ on no slot axis
+        eta = t.eta.reshape(xi.shape[:-1] + (-1, 1))
+        slots = {**{name: v - (v[..., None, :] @ eta)[..., 0] * xi
+                    for name, v in slots.items()}, "xi": xi}
+    closures = _closures(t.riem, t.g, t.phi, t.eta, slots)
     shape = t.E.shape[:2] + t.E.shape[1:2] * 3
     reports = {}
     for key, (tag, defect) in rows.items():
-        vals = np.abs(np.broadcast_to(defect(*closures, *slots), shape))
+        vals = np.abs(np.broadcast_to(defect(*closures), shape))
         idx = np.unravel_index(np.argmax(vals), shape)
         witness = Witness(None if t.point is None else tuple(t.point[idx[0]].tolist()),
-                          tuple(tuple(v[idx[0]].reshape(-1, v.shape[-1])[i].tolist())
-                                for v, i in zip(slots, idx[1:])))
+                          tuple(tuple(slots[n][idx[0]].reshape(-1, t.E.shape[-1])[i].tolist())
+                                for n, i in zip("xyzw", idx[1:])))
         reports[key] = IdentityReport(tag=tag, n_points=shape[0], n_quadruples=vals.size,
                                       value=vals[idx], witness=witness, tolerance=tol)
     return reports
-
-
-# -- ξ-slot consequence suites ----------------------------------------------------
-
-# Residual rows per identity kind, evaluated with vectors orthogonalized
-# against ξ. Every kind shares the two ξ-slot rows; the restricted row is the
-# identity with its η-terms dropped, valid on the orthogonal complement.
-
-
-def _consequence_rows(kind: str, xi):
-    """The rows of ``kind`` as defects of (X, Y, Z, W); the ξ-slot rows put
-    ``xi``, a slot batch, into the slots they do not sweep."""
-    def xi_slot_g(r4, gd, phv, etv, X, Y, Z, W):
-        return r4(xi, Y, xi, W) - gd(Y, W)
-
-    def xi_slot_zero(r4, gd, phv, etv, X, Y, Z, W):
-        return r4(xi, Y, Z, W)
-
-    rows = {"xi_slot_g": xi_slot_g, "xi_slot_zero": xi_slot_zero}
-    if kind == "g1":
-        def xi_slot_phi_zero(r4, gd, phv, etv, X, Y, Z, W):
-            return r4(xi, Y, phv(Z), phv(W))
-
-        def restricted(r4, gd, phv, etv, X, Y, Z, W):
-            pz, pw = phv(Z), phv(W)
-            lhs = r4(X, Y, Z, W) - gd(Y, W) * gd(X, Z) + gd(X, W) * gd(Y, Z)
-            rhs = r4(X, Y, pz, pw) - gd(Y, pw) * gd(X, pz) + gd(X, pw) * gd(Y, pz)
-            return lhs - rhs
-
-        rows["xi_slot_phi_zero"] = xi_slot_phi_zero
-    elif kind == "g2":
-        def restricted(r4, gd, phv, etv, X, Y, Z, W):
-            px, py, pz, pw = phv(X), phv(Y), phv(Z), phv(W)
-            return r4(X, Y, Z, W) - (r4(px, Y, Z, pw) + r4(X, py, Z, pw)
-                                     + r4(X, Y, pz, pw))
-    elif kind == "g3":
-        def restricted(r4, gd, phv, etv, X, Y, Z, W):
-            return r4(X, Y, Z, W) - r4(phv(X), phv(Y), phv(Z), phv(W))
-    else:
-        raise ValueError(f"unknown contact identity {kind!r}")
-    rows["restricted"] = restricted
-    return rows
 
 
 # -- the sweep entry -------------------------------------------------------------
@@ -353,14 +319,12 @@ def sweep(checks, t: PointRecord, tol: float = 1e-7) -> list[list[IdentityReport
     more, with one ξ slot batch for all of them. Residuals are not checked
     finite here: an emitted row goes through ``structures._checked``.
     """
-    plain, perp, keys = {}, {}, []
-    xi = t.xi.reshape(len(t.xi), 1, 1, 1, 1, -1)   # ξ on no slot axis
+    plain, conseq, keys = {}, {}, []
     for name, args in checks:
         if name == "consequences":
-            if not perp:
-                perp = {f"{kind}.{row}": (f"{kind}.{row}", defect) for kind in CONTACT_KINDS
-                        for row, defect in _consequence_rows(kind, xi).items()}
-            keys.append(list(perp))
+            conseq = {f"{kind}.{row}": (f"{kind}.{row}", defect)
+                      for kind, rows in _CONSEQUENCES.items() for row, defect in rows.items()}
+            keys.append(list(conseq))
         else:
             # keyed by the check itself: distinct α may share a display tag
             plain[name, args] = _plain_row(name, args, t)
@@ -368,8 +332,8 @@ def sweep(checks, t: PointRecord, tol: float = 1e-7) -> list[list[IdentityReport
     reports = {}
     if plain:
         reports.update(_sweep(plain, t, tol))
-    if perp:
-        reports.update(_sweep(perp, t, tol, xi))
+    if conseq:
+        reports.update(_sweep(conseq, t, tol, perp=True))
     return [[reports[key] for key in row] for row in keys]
 
 
@@ -377,22 +341,20 @@ def reevaluate_witness(s, kind: str, witness: Witness, alpha=None) -> float | Fr
     """Recompute an identity defect at a recorded witness, as a sweep of one
     point, to verify that reported residuals are reproducible.
 
-    On frame carriers the four witness vectors fill the slots and the
-    defect is an exact Fraction. On charts the record at the witness point
-    is rebuilt and the table evaluated in the sweep's layout, so the entry
-    whose slot rows are the witness vectors is rounded as the sweep rounded
-    it; a vector that is no row of E(p) raises ValueError.
+    The record is the frame's own, or a chart's rebuilt at the witness
+    point; the table is evaluated in the sweep's layout and the entry read
+    whose slot rows are the witness vectors, so it is exact on a frame and
+    rounded as the sweep rounded it on a chart. A vector that is no row of
+    the basis (E(p), or I on a frame) raises ValueError.
     """
-    frame = isinstance(s, AlmostContactStructure) and s.is_frame
-    if frame:   # the witness vectors fill the slots
-        t, idx = contact_point_data(s), (0,) * 5
-        slots = [_rat(v).reshape(1, 1, 1, 1, 1, -1) for v in witness.vectors]
-    else:       # the entry whose slot rows are the witness vectors
+    if isinstance(s, AlmostContactStructure) and s.is_frame:
+        t = contact_point_data(s)
+    else:
         chart = s.chart if isinstance(s, AlmostHermitianStructure) else s.carrier
         t = contact_point_data(s, geometry.metric_jets(chart, [witness.point]))
-        rows, slots = t.E[0].tolist(), _slot_axes(t.E)
-        idx = (0,) + tuple(rows.index(list(v)) for v in witness.vectors)
+    rows = t.E[0].tolist()
+    idx = (0,) + tuple(rows.index(list(v)) for v in witness.vectors)
     _, defect = _plain_row(kind.lower() if alpha is None else "c_alpha", (alpha,), t)
-    val = np.broadcast_to(defect(*_closures(t.riem, t.g, t.phi, t.eta), *slots),
+    val = np.broadcast_to(defect(*_closures(t.riem, t.g, t.phi, t.eta, _slot_axes(t.E))),
                           t.E.shape[:2] + t.E.shape[1:2] * 3)[idx]
-    return abs(val) if frame else abs(float(val))
+    return abs(val) if t.riem.dtype == object else abs(float(val))

@@ -268,12 +268,13 @@ def _exp(u: Jet2) -> Jet2:
 def _log(u: Jet2) -> Jet2:
     _check_domain("log", u.value)
     v = _unary(u, _in_range(math.log, u.value), 1.0 / u.value, lambda: _log_f2(u.value))
-    over = _square_overflows(u.value)
-    if v.hess is not None and over.any():
+    edge = _square_overflows(u.value) | (np.abs(u.value) < 2.0**-511)
+    if v.hess is not None and edge.any():
         # where u² overflows, f''(u) reads −0.0 and ∇u ∇uᵀ may overflow
-        # too: the term f''(u) ∇u ∇uᵀ is −∇v ∇vᵀ, whose factors are finite
-        v.hess[over] = ((1.0 / u.value)[..., None, None] * u.hess
-                        - _outer(v.grad, v.grad))[over]
+        # too; where it underflows, f''(u) reads −inf and ∇u ∇uᵀ may read
+        # 0: the term f''(u) ∇u ∇uᵀ is −∇v ∇vᵀ, whose factors are finite
+        v.hess[edge] = ((1.0 / u.value)[..., None, None] * u.hess
+                        - _outer(v.grad, v.grad))[edge]
     return v
 
 

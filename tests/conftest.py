@@ -95,6 +95,20 @@ def consequence_suite(kind, rec, tol=1e-7):
     return {r.tag.split(".", 1)[1]: r for r in reports if r.tag.startswith(f"{kind}.")}
 
 
+def bind_slots(closures, named):
+    """Vector closures (r4, gd, phv, etv) as a defect's closures over slot
+    names: ``named`` maps x, y, z, w and xi to vectors, and "p" + a name is
+    phv of that vector, computed once and added to ``named``."""
+    r4, gd, phv, etv = closures
+
+    def vec(name):
+        if name not in named:
+            named[name] = phv(named[name[1:]])
+        return named[name]
+    return (lambda *names: r4(*map(vec, names)), lambda a, b: gd(vec(a), vec(b)),
+            lambda a: etv(vec(a)))
+
+
 def sample_with_vectors(chart, n_points, vecs_per_point, seed):
     """``sample(chart, n_points, seed)`` and random tangent vectors for tests
     that take them as their own inputs, as ``(points, vectors)`` with

@@ -4,15 +4,15 @@ The oracle is the plain sweep: at each sample point it takes every
 quadruple of rows of E(p) = ``orthonormal_frame(g)``, projected to
 v − η(v)ξ for the consequence rows, and evaluates every defect on it with
 scalar closures (``float(((riem @ d) @ c) @ b @ a)``, ``a @ g @ b``,
-``phi @ v``, ``float(eta @ v)``). The engine evaluates each defect once per
-point on the d⁴ table and contracts the curvature slots in the other
-order, so the two round differently. For g1, g2, g3, c(α), every
-consequence row and k1, k2, k3 the engine's residual must equal the
-oracle's maximum within 1e-12·max(1, |oracle|), and the oracle's value at
-the engine's witness must be that maximum within the same bound. Where
-the engine's values tie exactly, in the slots a row does not read or on a
-row that is 0 everywhere, its witness is the first such quadruple in C
-order.
+``phi @ v``, ``float(eta @ v)``) bound to the quadruple's slot names. The
+engine evaluates each defect once per point on the d⁴ table and contracts
+the curvature slots in the other order, so the two round differently.
+For g1, g2, g3, c(α), every consequence row and k1, k2, k3 the engine's
+residual must equal the oracle's maximum within 1e-12·max(1, |oracle|),
+and the oracle's value at the engine's witness must be that maximum within
+the same bound. Where the engine's values tie exactly, in the slots a row
+does not read or on a row that is 0 everywhere, its witness is the first
+such quadruple in C order.
 """
 
 from itertools import product
@@ -22,10 +22,10 @@ import pytest
 
 from curvlab.chart import sample
 from curvlab.constructions import resolve_target
-from curvlab.identities import (_CONTACT_DEFECTS, _HERMITIAN_DEFECTS, _consequence_rows,
+from curvlab.identities import (_CONSEQUENCES, _CONTACT_DEFECTS, _HERMITIAN_DEFECTS,
                                 _defect_c_alpha)
-from conftest import (check_c_alpha, check_contact, check_hermitian, consequence_suite,
-                      record_at, record_of, structure_of)
+from conftest import (bind_slots, check_c_alpha, check_contact, check_hermitian,
+                      consequence_suite, record_at, record_of, structure_of)
 
 ALPHAS = (0.5, -2.0)
 SEEDS = (3, 11)
@@ -58,19 +58,20 @@ def oracle_closures(riem, g, phi, eta):
             remembered(lambda v: phi @ v), lambda v: float(eta @ v))
 
 
-def brute_sweep(s, defects_at, points, perp=False):
+def brute_sweep(s, defects, points, perp=False):
     """(rows, {tag: values}): ``rows[n]`` holds the swept vectors at point n
     and ``values[tag][n, i, j, k, l]`` the |defect| on rows i, j, k, l;
-    ``defects_at`` maps ξ at a point to the defects there, keyed by tag."""
+    ``defects`` maps each tag to its defect."""
     rows, values = [], {}
     for p in points:
         r = record_at(s, p)
         closures = oracle_closures(r.riem, r.g, r.phi, r.eta)
         vecs = [v - float(r.eta @ v) * r.xi if perp else v for v in r.E]
         rows.append(np.array(vecs))
-        for tag, defect in defects_at(r.xi).items():
-            values.setdefault(tag, []).append([abs(defect(*closures, *quad))
-                                               for quad in product(vecs, repeat=4)])
+        quads = [bind_slots(closures, {**dict(zip("xyzw", quad)), "xi": r.xi})
+                 for quad in product(vecs, repeat=4)]
+        for tag, defect in defects.items():
+            values.setdefault(tag, []).append([abs(defect(*quad)) for quad in quads])
     d = len(rows[0])
     return rows, {tag: np.reshape(v, (len(points),) + (d,) * 4) for tag, v in values.items()}
 
@@ -111,7 +112,7 @@ def seed(request):
 def test_identities_match_oracle(contact, seed):
     smp = sample(contact.carrier, N_POINTS, seed).point
     defects = {**_CONTACT_DEFECTS, **{alpha: _defect_c_alpha(alpha) for alpha in ALPHAS}}
-    rows, values = brute_sweep(contact, lambda xi: defects, smp)
+    rows, values = brute_sweep(contact, defects, smp)
     rec = record_of(contact, smp)
     for kind in _CONTACT_DEFECTS:
         rep = check_contact(kind, rec)
@@ -123,13 +124,13 @@ def test_identities_match_oracle(contact, seed):
 
 def test_consequences_match_oracle(contact, seed):
     smp = sample(contact.carrier, N_POINTS, seed).point
-    swept, values = brute_sweep(contact, lambda xi: {
-        (kind, name): row for kind in _CONTACT_DEFECTS
-        for name, row in _consequence_rows(kind, xi).items()}, smp, perp=True)
+    swept, values = brute_sweep(contact, {
+        (kind, name): row for kind, rows in _CONSEQUENCES.items()
+        for name, row in rows.items()}, smp, perp=True)
     rec = record_of(contact, smp)
     for kind in _CONTACT_DEFECTS:
         suite = consequence_suite(kind, rec)
-        assert list(suite) == list(_consequence_rows(kind, None))
+        assert list(suite) == list(_CONSEQUENCES[kind])
         for name, rep in suite.items():
             same(rep, smp, swept, values[kind, name], UNREAD.get(name, ()))
 
@@ -137,7 +138,7 @@ def test_consequences_match_oracle(contact, seed):
 def test_hermitian_matches_oracle(seed):
     h = resolve_target("cone_of:s5_in_c3")
     smp = sample(h.chart, N_POINTS, seed).point
-    rows, values = brute_sweep(h, lambda xi: _HERMITIAN_DEFECTS, smp)
+    rows, values = brute_sweep(h, _HERMITIAN_DEFECTS, smp)
     rec = record_of(h, smp)
     for kind in _HERMITIAN_DEFECTS:
         same(check_hermitian(kind, rec), smp, rows, values[kind])

@@ -11,7 +11,9 @@ from curvlab.constructions.registry import (flat_chart, flat_kahler_r2,
 from closed_forms import (ConeOracle, WarpedSpec, build_warped, eq_for_g1_obstruction,
                           r_warped_christoffel_oracle, r_warped_riemann_oracle,
                           warped_christoffel_oracle)
-from conftest import sample_with_vectors
+from curvlab.identities import sweep
+from curvlab.structures import validate
+from conftest import record_of, sample_with_vectors, structure_of
 from reference import covariant_derivative, eval_field, point_geometry
 
 
@@ -109,6 +111,31 @@ def test_cone_j_composed_curvature_cases(s5_example):
         assert abs(p2 - oracle.pair_2(X[1:], Y[1:], Z[1:])) <= 1e-8
         p3 = float((J @ W) @ g @ e_jz)
         assert abs(p3 - oracle.pair_3(X[1:], Y[1:], Z[1:], W[1:])) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["h21_chart:3/5,4/5", "h21_chart:-5/13,12/13", "sine_cone_cos",
+                                  "sine_cone_sin", "flat_cosym5", "r_warped_surface", "s5_in_c3",
+                                  "hopf_pair"])
+def test_cone_law_pointwise(name):
+    """The cone law at matched points: t² k_i(cone, (t, p)) = g_i(base, p),
+    each side swept over its own one-point record, for i = 1, 2, 3. Where
+    g_i is at rounding level, t² k_i is too. ∂_t spans the cone curvature's
+    nullity, so a wrong J∂_t leaves every k_i as it is: the cone structure
+    is checked compatible at each cone point as well."""
+    s = structure_of(name)
+    cone = build_cone(s)
+    for p in sample(s.carrier, 3, 3).point:
+        g = [rep.residual for rep, in sweep([(k, ()) for k in ("g1", "g2", "g3")],
+                                            record_of(s, [p]))]
+        for t in (0.3, 1.0, 3.7):
+            rec = record_of(cone, [[t, *p]])
+            assert max(validate(cone, rec).values()) <= 1e-12, t
+            k = [rep.residual for rep, in sweep([(k, ()) for k in ("k1", "k2", "k3")], rec)]
+            for i, (gi, ki) in enumerate(zip(g, k), 1):
+                if gi > 1e-6:
+                    assert abs(t * t * ki - gi) <= 1e-12 * max(1.0, gi), (i, t, gi, ki)
+                else:
+                    assert t * t * ki <= 1e-10, (i, t, gi, ki)
 
 
 # -- generic warped products -------------------------------------------------------------

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from curvlab.frame import FrameGeometry, heisenberg_h21
-from curvlab.identities import _CONTACT_DEFECTS, _consequence_rows, _defect_c_alpha
+from curvlab.identities import _CONSEQUENCES, _CONTACT_DEFECTS, _defect_c_alpha
 from curvlab.manifold_io import load_manifold_file
 from curvlab.structures import AlmostContactStructure, contact_point_data
-from conftest import check_c_alpha, check_contact, consequence_suite
+from conftest import bind_slots, check_c_alpha, check_contact, consequence_suite
 
 F = Fraction
 ALPHAS = (F(1, 2), F(-2))
@@ -63,10 +63,14 @@ def brute_closures(fg, riem):
             lambda v: sum(eta[i] * x for i, x in nz(v)))
 
 
-def brute_sweep(closures, defect, rows):
+def brute_sweep(closures, defect, rows, xi=None):
+    """The first strict maximum of |defect| in ``product`` order, with x, y,
+    z and w bound to each quadruple of ``rows``, xi to ``xi`` and "p" + a
+    name to φ of that vector."""
     worst, at = -1, None
     for idx in product(range(len(rows)), repeat=4):
-        val = abs(defect(*closures, *(rows[i] for i in idx)))
+        val = abs(defect(*bind_slots(closures, {**dict(zip("xyzw", (rows[i] for i in idx))),
+                                                "xi": xi})))
         if val > worst:
             worst, at = val, idx
     return worst, tuple(tuple(rows[i]) for i in at)
@@ -135,8 +139,8 @@ def test_consequences_match_oracle(frame):
     perp = [[int(a == b) - fg.eta[b] * xi[a] for a in range(s.dim)] for b in range(s.dim)]
     for kind in _CONTACT_DEFECTS:
         suite = consequence_suite(kind, contact_point_data(s))
-        for name, row in _consequence_rows(kind, xi).items():
-            same(suite[name], brute_sweep(closures, row, perp))
+        for name, row in _CONSEQUENCES[kind].items():
+            same(suite[name], brute_sweep(closures, row, perp, xi))
 
 
 def test_table_symmetries(frame):

@@ -283,42 +283,61 @@ def test_shared_terms_are_contracted_once(monkeypatch):
     assert len(calls) == 52
 
 
-@pytest.mark.parametrize("target,which", [
-    ("s5_in_c3", "g1,g2,g3,c(1/2),consequences"), ("h21:3/5,4/5", "g1,g2,g3,c(1/2),consequences"),
-    ("cone_of:s5_in_c3", "k1,k2,k3"),
-])
-def test_kept_values_are_released_at_their_last_read(monkeypatch, target, which):
-    """The stand-in run finds the last read of every distinct closure call
-    that a sweep makes: recorded on the sweep's closures, with every
-    argument kept alive so that no id is reused, each call's last read is a
-    position at which the memo releases its value, and a sweep ends with
-    nothing kept."""
+def test_each_sweep_computes_a_term_once(monkeypatch):
+    """Each sweep's r4 computes a curvature term once per tuple of slot
+    names: 5 distinct terms in the plain rows of g1, g2, g3 and c(1/2), 8
+    in the consequence rows of the three kinds, 13 in all."""
     import contextlib
     import io
     import curvlab.cli as cli
     import curvlab.identities as identities
-    sweeps, kept, real = [], [], identities._remembered
+    real, r4s = identities._closures, []
 
-    def remembered(fns, last):
-        memo_fns = real(fns, last)
-        calls = []
-        sweeps.append((last, calls, memo_fns[0].__closure__))
-
-        def record(fn):
-            def call(*args):
-                kept.append(args)
-                calls.append((fn, *map(id, args)))
-                return fn(*args)
-            return call
-        return tuple(map(record, memo_fns))
-
-    monkeypatch.setattr(identities, "_remembered", remembered)
+    def closures(*a):
+        out = real(*a)
+        r4s.append(out[0])
+        return out
+    monkeypatch.setattr(identities, "_closures", closures)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(["identities", target, "--which", which, "--samples", "4"]) in (0, 1)
-    assert len(sweeps) == 2 - which.startswith("k")
-    for last, calls, cells in sweeps:
-        assert last == set({key: n for n, key in enumerate(calls)}.values())
-        assert {} in [c.cell_contents for c in cells]   # the memo, emptied
+        code = cli.run(["identities", "h21:3/5,4/5", "--which",
+                        "g1,g2,g3,c(1/2),consequences"])
+    assert code == 1
+    assert [r4.cache_info().misses for r4 in r4s] == [5, 8]
+
+
+@pytest.mark.parametrize("target,which", [
+    ("s5_in_c3", "g1,g2,g3,c(1/2),consequences"), ("h21:3/5,4/5", "g1,g2,g3,c(1/2),consequences"),
+    ("cone_of:s5_in_c3", "k1,k2,k3"),
+])
+def test_kept_values_go_with_their_sweep(monkeypatch, target, which):
+    """A sweep's closures, and with them every value they keep, are freed
+    when the sweep returns: by reference counting, with the cycle collector
+    off."""
+    import gc
+    import weakref
+    import curvlab.identities as identities
+    from curvlab.cli import _parse_check, _split_checks
+    real, refs = identities._closures, []
+
+    def closures(*a):
+        out = real(*a)
+        refs.append(weakref.ref(out[0]))
+        return out
+    monkeypatch.setattr(identities, "_closures", closures)
+    rec = record(structure_of(target), 4, seed=1)
+    gc.disable()
+    try:
+        identities.sweep([_parse_check(tok) for tok in _split_checks(which)], rec)
+        assert len(refs) == 2 - which.startswith("k")
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_frame_witness_off_the_basis_raises(h21_frame):
+    from curvlab.identities import Witness
+    with pytest.raises(ValueError):
+        reevaluate_witness(h21_frame, "g1", Witness(None, ((1, 1, 0, 0, 0),) + ((0,) * 5,) * 3))
 
 
 def test_identity_reports_deterministic(s5_example):

@@ -365,6 +365,17 @@ def test_log_hessian_past_the_square_overflow():
     assert np.all(np.isfinite(v.hess)) and np.max(np.abs(v.hess)) <= 1e-6
 
 
+def test_log_hessian_past_the_square_underflow():
+    """log(u) for u = x²⁰⁰: at x = 0.1 and 0.04, u² underflows and ∇u ∇uᵀ
+    with it, yet the Hessian of log u = 200 log x is −200/x², as at 1.5."""
+    xs = np.array([0.1, 0.04, 1.5])
+    x = jet.seed(xs[:, None], 0)
+    with np.errstate(all="ignore"):   # as the CLI runs
+        v = jet.JET_FUNCTIONS["log"](x**200)
+    assert np.allclose(v.grad[:, 0], 200.0 / xs, rtol=1e-12)
+    assert np.allclose(v.hess[:, 0, 0], -200.0 / xs**2, rtol=1e-12)
+
+
 POW_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan,
              1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 2.5]
 
