@@ -19,8 +19,12 @@ point or at N of them; ``sample`` (chart.py) makes that run at the sample
 points of an invocation. The ``*_of`` functions are formulas over values
 already built (metric jets, Γ, curvature, field jets): ``connection_of``,
 ``curvature_of`` and ``orthonormal_frame`` take one point or N on a leading
-axis, and a point's numbers in a batch are its one-point numbers bit for
-bit; at N points each is one array evaluation. ``nabla_endomorphism_of`` is
+axis, and at N points each is one array evaluation. Γ, ∂Γ, R¹³ and R are
+stacked ``@`` products (BLAS) and E(p) is the inverse of a Cholesky factor
+(LAPACK); each makes the same call per point as the one-point call, so a
+point's numbers in a batch are its one-point numbers bit for bit. The
+index-contraction formulas of ``tests/reference.py`` sum in another
+order and agree with them to rounding. ``nabla_endomorphism_of`` is
 ∇φ along every coordinate direction at N points, shared by the structure
 battery and the hypersurface's ambient Kähler check. Other derived
 quantities (∇ of a vector field, L_ξ g, dη, Ric) are computed by the checks
@@ -127,16 +131,22 @@ def connection_of(mj: MetricJets) -> tuple[np.ndarray, np.ndarray]:
     """Levi-Civita connection Γ^k_ij = ½ g^kl (∂_i g_jl + ∂_j g_il − ∂_l g_ij)
     as ``gamma[..., k, i, j]``, and its derivatives ``dgamma[..., k, i, j,
     m]`` = ∂_m Γ^k_ij, at a point or on a point axis."""
+    lead, d = mj.g.shape[:-2], mj.g.shape[-1]
     # lowered symbols Γ_{l,ij} and their m-derivatives
     low = 0.5 * (np.einsum("...jli->...lij", mj.dg) + np.einsum("...ilj->...lij", mj.dg)
                  - np.einsum("...ijl->...lij", mj.dg))
-    dlow = 0.5 * (np.einsum("...jlim->...lijm", mj.d2g) + np.einsum("...iljm->...lijm", mj.d2g)
-                  - np.einsum("...ijlm->...lijm", mj.d2g))
-    gamma = np.einsum("...kl,...lij->...kij", mj.ginv, low)
-    # ∂_m g^{kl} = −g^{ka} (∂_m g_ab) g^{bl}
-    dginv = -np.einsum("...ka,...abm,...bl->...klm", mj.ginv, mj.dg, mj.ginv)
-    dgamma = (np.einsum("...klm,...lij->...kijm", dginv, low)
-              + np.einsum("...kl,...lijm->...kijm", mj.ginv, dlow))
+    # in place: a temporary the size of d2g costs a fresh allocation each
+    dlow = np.einsum("...jlim->...lijm", mj.d2g) + np.einsum("...iljm->...lijm", mj.d2g)
+    dlow -= np.einsum("...ijlm->...lijm", mj.d2g)
+    dlow *= 0.5
+    low_ij = low.reshape(lead + (d, d * d))   # l by (i, j)
+    gamma = (mj.ginv @ low_ij).reshape(low.shape)
+    # ∂_m Γ = g⁻¹ ∂_m low + (∂_m g⁻¹) low, where ∂_m g⁻¹ = −g⁻¹ (∂_m g) g⁻¹ has m
+    # on a batch axis: dginv[..., m, k, l]
+    ginv = mj.ginv[..., None, :, :]
+    dginv = ginv @ np.moveaxis(mj.dg, -1, -3) @ ginv
+    dgamma = (mj.ginv @ dlow.reshape(lead + (d, d ** 3))).reshape(dlow.shape)
+    dgamma -= np.moveaxis((dginv @ low_ij[..., None, :, :]).reshape(lead + (d,) * 4), -4, -1)
     return gamma, dgamma
 
 
@@ -147,12 +157,17 @@ def curvature_of(g: np.ndarray, gamma: np.ndarray,
     ``riem[..., i, j, k, l]`` = R(∂_i, ∂_j, ∂_k, ∂_l) and the operator
     components ``riem13[..., m, i, j, k]`` = (R_∂i∂j ∂_k)^m. The bracket
     term vanishes on coordinate fields."""
-    # (R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp
-    riem13 = (np.einsum("...mjki->...mijk", dgamma) - np.einsum("...mikj->...mijk", dgamma)
-              + np.einsum("...pjk,...mip->...mijk", gamma, gamma)
-              - np.einsum("...pik,...mjp->...mijk", gamma, gamma))
-    riem = -np.einsum("...lm,...mijk->...ijkl", g, riem13)
-    return riem, riem13
+    lead, d = g.shape[:-2], g.shape[-1]
+    # (R_ij ∂_k)^m = ∂_i Γ^m_jk − ∂_j Γ^m_ik + Γ^p_jk Γ^m_ip − Γ^p_ik Γ^m_jp, where
+    # gg[..., m, i, j, k] = Γ^m_ip Γ^p_jk is one (m i) by (j k) product
+    gg = gamma.reshape(lead + (d * d, d)) @ gamma.reshape(lead + (d, d * d))
+    gg = gg.reshape(dgamma.shape)
+    riem13 = np.moveaxis(dgamma, -1, -3) - dgamma.swapaxes(-1, -2)
+    riem13 += gg
+    riem13 -= gg.swapaxes(-3, -2)
+    # R_ijkl = −g_lm (R_ij ∂_k)^m, with (i j k) by m times g's transpose
+    riem = -(np.moveaxis(riem13, -4, -1).reshape(lead + (d ** 3, d)) @ g.swapaxes(-1, -2))
+    return riem.reshape(riem13.shape), riem13
 
 
 def nabla_endomorphism_of(gamma: np.ndarray, vals: np.ndarray,
@@ -168,23 +183,16 @@ def nabla_endomorphism_of(gamma: np.ndarray, vals: np.ndarray,
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt frame from the coordinate basis, pivot order fixed; g is (d, d) or (N, d, d).
-
-    Returns ``E`` with rows E[..., a, :] the frame vectors; E g E^T = identity.
-    """
-    d = g.shape[-1]
-    E = np.zeros(g.shape)
-    for a in range(d):
-        v = np.zeros(g.shape[:-2] + (1, d))   # a row vector at each point
-        v[..., a] = 1.0
-        for b in range(a):
-            Eb = E[..., b:b + 1, :]
-            v = v - (Eb @ g @ v.swapaxes(-1, -2)) * Eb
-        nrm2 = v @ g @ v.swapaxes(-1, -2)
-        if np.any(nrm2 <= 0.0):
-            raise SingularMetricError("Gram-Schmidt breakdown: metric not positive definite")
-        E[..., a:a + 1, :] = v / np.sqrt(nrm2)
-    return E
+    """The g-orthonormal frame E = L⁻¹ from the Cholesky factor g = L Lᵀ, for
+    g (d, d) or (N, d, d): rows E[..., a, :] are the frame vectors, and
+    E g Eᵀ = identity. E is lower triangular with a positive diagonal, so it
+    is the frame Gram-Schmidt builds from the coordinate basis in its fixed
+    pivot order."""
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as e:
+        raise SingularMetricError("Gram-Schmidt breakdown: metric not positive definite") from e
+    return np.linalg.inv(L)
 
 
 def curvature_symmetry_residuals(R: np.ndarray) -> dict[str, float]:

@@ -113,22 +113,23 @@ def _iter_entries(text: str):
         yield section, key, value, value_offset
 
 
-def _parse_indexed(key: str, prefix: str, offset: int):
+def _parse_indexed(key: str, prefix: str, offset: int, rank: int):
     """Keys like g_11, phi^2_1, xi^3, eta_2, J^1_2 -> their indices.
 
-    A single two-digit group splits into two one-digit indices (dimensions
-    here never exceed 8), so g_12 and g_1_2 are the same entry.
+    A rank-1 key reads its digit group as one index, so xi^11 is ξ^11. In a
+    rank-2 key a single two-digit group splits into two one-digit indices,
+    so g_12 and g_1_2 are the same entry; an index of 10 or more needs the
+    separated form, g_1_11.
     """
     m = re.match(r"^([A-Za-z]+)[\^_](\d+)(?:_(\d+))?$", key)
     if not m or m.group(1) != prefix:
         raise ManifoldFormatError(f"unknown key {key!r}", offset)
     if m.group(3):
-        idx = (int(m.group(2)), int(m.group(3)))
-    elif len(m.group(2)) == 2:
-        idx = (int(m.group(2)[0]), int(m.group(2)[1]))
-    else:
-        idx = (int(m.group(2)),)
-    return idx
+        return int(m.group(2)), int(m.group(3))
+    digits = m.group(2)
+    if rank == 2 and len(digits) == 2:
+        return int(digits[0]), int(digits[1])
+    return (int(digits),)
 
 
 def load_manifold_text(text: str):
@@ -195,7 +196,7 @@ def load_manifold_text(text: str):
 
     metric = np.empty((dim, dim), dtype=object)
     for key, value, off in entries["metric"]:
-        idx = _parse_indexed(key, "g", off)
+        idx = _parse_indexed(key, "g", off, 2)
         if len(idx) != 2 or not all(1 <= i <= dim for i in idx):
             raise ManifoldFormatError(f"bad metric index in {key!r}", off)
         i, j = idx[0] - 1, idx[1] - 1
@@ -216,7 +217,7 @@ def load_manifold_text(text: str):
             return None
         comp = np.empty((dim,) * rank, dtype=object)
         for key, value, off in entries[section]:
-            idx = _parse_indexed(key, prefix, off)
+            idx = _parse_indexed(key, prefix, off, rank)
             if len(idx) != rank or not all(1 <= i <= dim for i in idx):
                 raise ManifoldFormatError(f"bad index in {key!r}", off)
             comp[tuple(i - 1 for i in idx)] = parse_entry(value, off)

@@ -1,19 +1,28 @@
-"""Run a fixed matrix of CLI invocations in-process and write their outputs.
+"""Run a fixed matrix of CLI invocations in-process and record their outputs.
 
 Usage::
 
     python tests/cli_matrix.py OUT.json
+    python tests/cli_matrix.py --update
 
-Each entry of OUT.json is ``[argv, exit, stdout, stderr]`` of one
+The first form writes each run as ``[argv, exit, stdout, stderr]`` of one
 ``curvlab.cli.run`` call, so ``cmp`` on the files written by two trees
-checks that they behave byte for byte alike. The matrix is ``list``; every
-registry target and parameterized form under classify, report and four
-``--which`` sets at seeds 1 and 2 with ``--samples 5 --json``; a text-mode
-report per target; the golden files' invocations; and one chart whose
-metric's log underflows in its jets. pytest does not collect this file.
+checks that they behave byte for byte alike. ``--update`` rewrites the
+golden ``golden/cli_matrix.json``, which keeps per run its argv, exit code,
+stderr and the sha256 of its stdout, and which
+``test_cli_matrix.py`` compares every run with. A change that moves a run
+regenerates the golden and says in CHANGES.md which runs moved and why.
+
+The matrix is ``list``; every registry target and parameterized form under
+classify, report and four ``--which`` sets at seeds 1 and 2 with
+``--samples 5 --json``; a text-mode report per target; the golden files'
+invocations; one chart whose metric's log underflows in its jets; and a
+dimension-11 Heisenberg chart whose ξ and η name indices past 9. pytest
+does not collect this file.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+MATRIX_GOLDEN = GOLDEN / "cli_matrix.json"
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from curvlab.cli import run  # noqa: E402
@@ -37,6 +48,13 @@ GOLDENS = (
     ["identities", "sine_cone_cos", "--which", "g1,g2,g3,c(1/2),kappa-mu(1,0),consequences",
      "--samples", "5", "--seed", "3", "--json"],
     ["report", "s5_in_c3", "--samples", "7", "--seed", "3", "--json"],
+)
+# runs in golden/, on the files there
+FILE_RUNS = (
+    ["report", "bare_trig_chart.ini", "--samples", "6", "--seed", "7", "--json"],
+    ["report", "heisenberg_h51.ini", "--samples", "5", "--seed", "1", "--json"],
+    ["identities", "heisenberg_h51.ini", "--which", "c(1/2),kappa-mu(1,0),consequences",
+     "--samples", "5", "--seed", "2", "--json"],
 )
 UNDERFLOW = ('[chart]\ndim = 2\ncoords = "x, y"\n[metric]\n'
              'g_11 = "2 + log(x^200)/1000"\ng_22 = "1"\n')
@@ -71,19 +89,35 @@ def in_dir(path, argv):
         os.chdir(cwd)
 
 
-def main(out_path):
+def runs():
+    """Every run of the matrix, in order, as ``[argv, exit, stdout, stderr]``."""
     os.environ.pop("CURVLAB_SEED", None)
-    runs = [invoke(argv) for argv in invocations()]
-    runs.append(in_dir(HERE / "golden", ["report", "bare_trig_chart.ini", "--samples", "6",
-                                          "--seed", "7", "--json"]))
+    out = [invoke(argv) for argv in invocations()]
+    out += [in_dir(GOLDEN, argv) for argv in FILE_RUNS]
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "underflow.ini").write_text(UNDERFLOW, encoding="utf-8")
-        runs.append(in_dir(tmp, ["report", "underflow.ini", "--seed", "1"]))
-    Path(out_path).write_text(json.dumps(runs, indent=1) + "\n", encoding="utf-8")
-    print(f"{len(runs)} runs, {sum(r[1] == 0 for r in runs)} exit 0", file=sys.stderr)
+        out.append(in_dir(tmp, ["report", "underflow.ini", "--seed", "1"]))
+    return out
+
+
+def digest(run_):
+    """A run as the golden keeps it: stdout by its sha256."""
+    argv, code, stdout, stderr = run_
+    return {"argv": argv, "exit": code, "stderr": stderr,
+            "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
+
+
+def main(args):
+    if len(args) != 1:
+        sys.exit(__doc__)
+    result = runs()
+    if args[0] == "--update":   # one run a line, so a diff names the runs that moved
+        lines = ",\n".join(json.dumps(digest(r)) for r in result)
+        MATRIX_GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    else:
+        Path(args[0]).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(result)} runs, {sum(r[1] == 0 for r in result)} exit 0", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    main(sys.argv[1])
+    main(sys.argv[1:])

@@ -8,12 +8,15 @@ program per structure. It then evaluates its own coordinate formula.
 ``nabla_of`` is ∇_X of a vector, one-form or endomorphism field along one
 vector X, the per-vector formula that the batched ∇ tables of the
 structure battery must match. ``connection_at_point``, ``curvature_at_point`` and
-``gram_schmidt`` are the one-point formulas, with no point axis, that the
-batched ``connection_of``, ``curvature_of`` and ``orthonormal_frame`` must
-match bit for bit; ``hypersurface_at_point`` and ``nabla_J_at_point`` play
-that part for the batched hypersurface induction and its ambient Kähler
-check, ``sample_per_scalar`` for the one-call draw of ``sample``, and
-``walk`` for the interned ``expr.Program``. ``horizontal_lift`` solves for
+``gram_schmidt`` are the one-point formulas, with no point axis, written as
+index contractions and a Gram-Schmidt loop: the engine's ``connection_of``,
+``curvature_of`` and ``orthonormal_frame`` (stacked matrix products and a
+Cholesky factor) must agree with them to rounding, not bit for bit, as the
+sum orders differ. ``hypersurface_at_point`` and ``nabla_J_at_point`` are
+the one-point formulas that the batched hypersurface induction and its
+ambient Kähler check must match bit for bit, ``sample_per_scalar`` plays
+that part for the one-call draw of ``sample``, and ``walk`` for the
+interned ``expr.Program``. ``horizontal_lift`` solves for
 the lift of one base vector at one point with its own solve, which the
 lifted frame of ``check_submersion_lift`` must match, and ``to_text``
 prints an expression back to text for the parser's round-trip tests. None

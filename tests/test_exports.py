@@ -14,7 +14,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # public functions and methods that no CLI path enters, each with the reason
 # it stays in src/
-_RATIONAL = "the exact scalar ring that exact chart verdicts (ROADMAP.md, item 4) evaluate in"
+_RATIONAL = "the exact scalar ring that exact chart verdicts (ROADMAP.md, item 7) evaluate in"
 _FLOAT_METRIC = ("the float ring's run of the metric, which the tests compare the jet run of "
                  "sample against bit for bit (perfbench's known-answer tests read it too)")
 UNREACHED = {

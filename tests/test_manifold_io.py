@@ -1,13 +1,18 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvlab.chart import Chart
+from curvlab.cli import run
 from curvlab.errors import ManifoldFormatError
 from curvlab.frame import FrameGeometry
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
 from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure
+from reference import eval_field
 
 SINE_CONE_TEXT = """
 # cosine-warped flat four-space
@@ -228,3 +233,29 @@ def test_frame_rational_entries_exact():
     text = FRAME_TEXT.replace('g[3][3] = "4"', 'g[3][3] = "9/2"')
     fg = load_manifold_text(text)
     assert fg.g[2][2] == Fraction(9, 2)
+
+
+H51 = Path(__file__).parent / "golden" / "heisenberg_h51.ini"
+
+
+def test_rank_one_keys_read_indices_past_nine():
+    """A rank-1 key's digit group is one index: the dimension-11 Heisenberg
+    chart's xi^11, eta_10 and eta_11 land on ξ^11, η_10 and η_11, while a
+    rank-2 key's two-digit group still splits (g_11 is g_1_1), and the
+    structure is the Sasakian one that its comments describe."""
+    s = load_manifold_file(H51)
+    assert isinstance(s, AlmostContactStructure) and s.carrier.dim == 11
+    p = np.linspace(-0.9, 1.1, 11)
+    assert eval_field(s.xi, p).tolist() == [0.0] * 10 + [2.0]
+    assert eval_field(s.eta, p).tolist() == [0.0] * 5 + (-p[:5] / 2).tolist() + [0.5]
+    g = s.carrier.metric_at(p)
+    assert g[0, 0] == g[10, 10] == 0.25 and g[0, 10] == 0.0 and g[5, 10] == -p[0] / 4
+    code = run(["identities", str(H51), "--which", "g1,g2,g3", "--samples", "3"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("key", ["xi^11", "xi^6", "xi^0"])
+def test_rank_one_index_out_of_range_is_error(key):
+    text = SINE_CONE_TEXT.replace('xi^5 = "1"', f'xi^5 = "1"\n{key} = "1"')
+    with pytest.raises(ManifoldFormatError, match=re.escape(f"bad index in '{key}'")):
+        load_manifold_text(text)
