@@ -7,9 +7,10 @@ same chart; a structure compiles the programs of its fields (structures.py).
 Multi-chart atlases are out of scope; every example here fits one chart up
 to measure-zero sets that sampling avoids.
 
-``sample`` draws the points of an invocation and runs the metric program
-once over the jet ring there: the positive-definiteness check reads that
-run's g, and every later stage reads its ``MetricJets``. ``Chart.metric_at``
+``sample`` draws the points of an invocation and returns their
+``MetricJets``, from one run of the metric program over the jet ring
+there. Every later stage reads them; they factor g once, which checks it
+positive definite and gives the orthonormal frames. ``Chart.metric_at``
 is the float ring's run of the same program, which the tests compare the
 jet values against bit for bit.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry, jet
-from .errors import CurvlabError, SamplingError, SingularMetricError
+from .errors import CurvlabError, SamplingError
 
 __all__ = [
     "Interval", "Chart", "TensorField", "sample",
@@ -179,21 +180,6 @@ class TensorField:
         object.__setattr__(self, "components", parsed)
 
 
-
-def _check_spd(pts: np.ndarray, g: np.ndarray):
-    """Positive definiteness of the metrics g (N, d, d) at the rows of
-    ``pts`` (N, d) via leading principal minors; names the first failing
-    point and its first failing minor. A non-finite minor fails too, NaN
-    included."""
-    d = g.shape[-1]
-    minors = np.stack([np.linalg.det(g[:, :k, :k]) for k in range(1, d + 1)], axis=1)
-    bad = ~(np.isfinite(minors) & (minors > 0.0))
-    if bad.any():
-        n, k = divmod(int(np.argmax(bad)), d)
-        raise SingularMetricError(f"metric not positive definite at "
-                                  f"{tuple(pts[n].tolist())} (leading minor {k + 1})")
-
-
 def sample(chart: Chart, n_points: int, seed: int) -> geometry.MetricJets:
     """Draw points uniformly from the bounded part of the domain, and the
     metric jets there from one jet run of the metric program; the points
@@ -201,16 +187,14 @@ def sample(chart: Chart, n_points: int, seed: int) -> geometry.MetricJets:
 
     Deterministic for a fixed ``(chart, n_points, seed)``. Unbounded
     coordinates are drawn from (−2, 2); strictly positive ones from (0.5, 3);
-    bounded ones keep a 1e−3 margin from the open ends. Every sampled point
-    is checked positive definite on the run's g, before g is inverted.
-    Checks that need directions at a point sweep a basis there, never
-    sampled vectors.
+    bounded ones keep a 1e−3 margin from the open ends. The metric jets
+    factor g at every sampled point, so a g that is not positive definite
+    there raises SingularMetricError. Checks that need directions at a
+    point sweep a basis there, never sampled vectors.
     """
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     lo, hi = np.array([iv.sample_window() for iv in chart.domain]).T
     # one draw of N × d uniforms, row by row: the stream of N·d scalar draws
     pts = np.random.default_rng(seed).uniform(lo, hi, size=(n_points, chart.dim))
-    g, dg, d2g = geometry._metric_arrays(chart, pts)
-    _check_spd(pts, g)
-    return geometry.MetricJets(pts, g, dg, d2g)
+    return geometry.metric_jets(chart, pts)

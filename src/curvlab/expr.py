@@ -36,7 +36,8 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from . import jet
-from .errors import EvalDomainError, ExprSyntaxError, RingError, UnknownIdentifierError
+from .errors import (CurvlabError, EvalDomainError, ExprSyntaxError, RingError,
+                     UnknownIdentifierError)
 
 __all__ = [
     "Expr", "Num", "ConstName", "Var", "Neg", "Bin", "Pow", "Call",
@@ -46,6 +47,8 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh")
 NAMED_CONSTANTS = ("pi", "e")
+# the parser and ``Program`` recurse once per level of nesting
+_TOO_DEEP = "expression nested too deeply"
 
 
 # -- AST ----------------------------------------------------------------------
@@ -256,10 +259,14 @@ class _Parser:
 def parse_expr(text: str, coords: Sequence[str]) -> Expr:
     """Parse ``text`` against the declared coordinate names.
 
-    Raises :class:`ExprSyntaxError` with a byte offset on malformed input
-    and :class:`UnknownIdentifierError` for undeclared identifiers.
+    Raises :class:`ExprSyntaxError` with a byte offset on malformed input,
+    and at offset 0 on nesting too deep for the interpreter's stack, and
+    :class:`UnknownIdentifierError` for undeclared identifiers.
     """
-    return _Parser(text, coords).parse()
+    try:
+        return _Parser(text, coords).parse()
+    except RecursionError:
+        raise ExprSyntaxError(_TOO_DEEP, 0) from None
 
 
 # -- rings and evaluation -------------------------------------------------------
@@ -355,13 +362,17 @@ class Program:
     a plain walk of the roots, so it raises that walk's first error. Equal
     nodes merge only when their literals also agree in type and sign and
     their exponents in type, since ``Num(1) == Num(1.0)`` and
-    ``Num(0.0) == Num(-0.0)`` can evaluate differently.
+    ``Num(0.0) == Num(-0.0)`` can evaluate differently. An expression
+    nested too deeply for the interpreter's stack raises CurvlabError.
     """
 
     def __init__(self, exprs: Iterable[Expr]):
         self.code: list[tuple] = []   # (op, a, b): operands are earlier slots
         slots: dict[tuple, int] = {}
-        self.roots = tuple(self._intern(e, slots) for e in exprs)
+        try:
+            self.roots = tuple(self._intern(e, slots) for e in exprs)
+        except RecursionError:
+            raise CurvlabError(_TOO_DEEP) from None
 
     def _intern(self, e: Expr, slots: dict) -> int:
         match e:

@@ -16,13 +16,15 @@ metric compatibility test does) scale explicitly.
 
 ``metric_jets`` runs a chart's metric program once over the jet ring at a
 point or at N of them; ``sample`` (chart.py) makes that run at the sample
-points of an invocation. The ``*_of`` functions are formulas over values
-already built (metric jets, Γ, curvature, field jets): ``connection_of``,
-``curvature_of`` and ``orthonormal_frame`` take one point or N on a leading
-axis, and at N points each is one array evaluation. Γ, ∂Γ, R¹³ and R are
-stacked ``@`` products (BLAS) and E(p) is the inverse of a Cholesky factor
-(LAPACK); each makes the same call per point as the one-point call, so a
-point's numbers in a batch are its one-point numbers bit for bit. The
+points of an invocation. Its ``MetricJets`` factors g once, by one stacked
+Cholesky call (LAPACK): that is the check that g is finite and positive
+definite, and the factor's inverse is the orthonormal frame E(p). The
+``*_of`` functions are formulas over values already built (metric jets,
+Γ, curvature, field jets): ``connection_of`` and ``curvature_of`` take one
+point or N on a leading axis, and at N points each is one array
+evaluation of stacked ``@`` products (BLAS). Γ, ∂Γ, R¹³, R and E(p) each
+make the same call per point as the one-point call, so a point's numbers
+in a batch are its one-point numbers bit for bit. The
 index-contraction formulas of ``tests/reference.py`` sum in another
 order and agree with them to rounding. ``nabla_endomorphism_of`` is
 ∇φ along every coordinate direction at N points, shared by the structure
@@ -50,8 +52,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MetricJets",
     "metric_jets", "connection_of", "curvature_of",
-    "nabla_endomorphism_of",
-    "orthonormal_frame", "curvature_symmetry_residuals",
+    "nabla_endomorphism_of", "curvature_symmetry_residuals",
 ]
 
 
@@ -79,44 +80,49 @@ def _expr_jets(program: ex.Program, env: dict, hessians: bool = False):
 
 @dataclass(frozen=True)
 class MetricJets:
-    """The metric, its first two coordinate derivative arrays and its
-    inverse at a point ``point`` (d,), or at N points (N, d) along a leading
-    axis. The inverse is taken at construction: a singular metric raises
-    SingularMetricError naming its first singular point."""
+    """The metric, its first two coordinate derivative arrays, its inverse
+    and its orthonormal frame at a point ``point`` (d,), or at N points
+    (N, d) along a leading axis. g is factored at construction, g = L Lᵀ by
+    Cholesky: a g that is not finite or not positive definite raises
+    SingularMetricError naming its first such point and the first leading
+    minor that fails there. ``E`` = L⁻¹ holds the frame vectors as rows, so
+    E g Eᵀ = identity; E is lower triangular with a positive diagonal, the
+    frame Gram-Schmidt builds from the coordinate basis in its fixed pivot
+    order."""
 
     point: np.ndarray
     g: np.ndarray    # (d, d)
     dg: np.ndarray   # (d, d, d); dg[i, j, k] = ∂_k g_ij
     d2g: np.ndarray  # (d, d, d, d); d2g[i, j, k, l] = ∂_k ∂_l g_ij
     ginv: np.ndarray = field(init=False)
+    E: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        d = self.g.shape[-1]
         try:
-            ginv = np.linalg.inv(self.g)
-        except np.linalg.LinAlgError:   # name the first singular point
-            for q, gq in zip(self.point.reshape(-1, d), self.g.reshape(-1, d, d)):
-                try:
-                    np.linalg.inv(gq)
-                except np.linalg.LinAlgError as e:
-                    raise SingularMetricError(f"metric singular at {tuple(map(float, q))}") from e
-            raise
-        object.__setattr__(self, "ginv", ginv)
+            if not np.isfinite(self.g).all():
+                raise np.linalg.LinAlgError
+            L = np.linalg.cholesky(self.g)
+        except np.linalg.LinAlgError:
+            raise _first_failure(self.point, self.g) from None
+        object.__setattr__(self, "ginv", np.linalg.inv(self.g))
+        object.__setattr__(self, "E", np.linalg.inv(L))
 
 
-def _metric_arrays(chart: Chart, p: np.ndarray):
-    """g, dg and d2g at a point ``p`` (d,), or at each row of ``p`` (N, d):
-    one jet run of the chart's metric program over all the points."""
-    d = chart.dim
-    lead = p.shape[:-1]
-    g = np.empty(lead + (d, d))
-    dg = np.empty(lead + (d, d, d))
-    d2g = np.empty(lead + (d, d, d, d))
-    vals, grads, hess = _expr_jets(chart.metric_program, chart.env(p, jets=True), hessians=True)
-    i, j = np.array(chart.upper).T
-    for a, b in ((i, j), (j, i)):
-        g[..., a, b], dg[..., a, b, :], d2g[..., a, b, :, :] = vals, grads, hess
-    return g, dg, d2g
+def _first_failure(point: np.ndarray, g: np.ndarray) -> SingularMetricError:
+    """The error naming the first point, in row order, whose metric has a
+    k × k leading block that is not finite or has no Cholesky factor, and
+    the first such k there."""
+    d = g.shape[-1]
+    for q, gq in zip(point.reshape(-1, d), g.reshape(-1, d, d)):
+        for k in range(1, d + 1):
+            try:
+                if np.isfinite(gq[:k, :k]).all():
+                    np.linalg.cholesky(gq[:k, :k])
+                    continue
+            except np.linalg.LinAlgError:
+                pass
+            return SingularMetricError(f"metric not positive definite at "
+                                       f"{tuple(q.tolist())} (leading minor {k})")
 
 
 def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
@@ -124,7 +130,15 @@ def metric_jets(chart: Chart, p: Sequence[float]) -> MetricJets:
     on a leading axis: one jet run of the chart's metric program over all
     the points, which the jets keep a copy of."""
     p = np.array(p, dtype=float)
-    return MetricJets(p, *_metric_arrays(chart, p))
+    d = chart.dim
+    g = np.empty(p.shape[:-1] + (d, d))
+    dg = np.empty(g.shape + (d,))
+    d2g = np.empty(g.shape + (d, d))
+    vals, grads, hess = _expr_jets(chart.metric_program, chart.env(p, jets=True), hessians=True)
+    i, j = np.array(chart.upper).T
+    for a, b in ((i, j), (j, i)):
+        g[..., a, b], dg[..., a, b, :], d2g[..., a, b, :, :] = vals, grads, hess
+    return MetricJets(p, g, dg, d2g)
 
 
 def connection_of(mj: MetricJets) -> tuple[np.ndarray, np.ndarray]:
@@ -180,19 +194,6 @@ def nabla_endomorphism_of(gamma: np.ndarray, vals: np.ndarray,
     n, d = vals.shape[:2]
     return (grads.transpose(0, 1, 3, 2) + gamma @ vals[:, None]
             - (vals @ gamma.reshape(n, d, d * d)).reshape(gamma.shape))
-
-
-def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """The g-orthonormal frame E = L⁻¹ from the Cholesky factor g = L Lᵀ, for
-    g (d, d) or (N, d, d): rows E[..., a, :] are the frame vectors, and
-    E g Eᵀ = identity. E is lower triangular with a positive diagonal, so it
-    is the frame Gram-Schmidt builds from the coordinate basis in its fixed
-    pivot order."""
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as e:
-        raise SingularMetricError("Gram-Schmidt breakdown: metric not positive definite") from e
-    return np.linalg.inv(L)
 
 
 def curvature_symmetry_residuals(R: np.ndarray) -> dict[str, float]:

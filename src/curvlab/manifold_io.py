@@ -201,7 +201,11 @@ def load_manifold_text(text: str):
             raise ManifoldFormatError(f"bad metric index in {key!r}", off)
         i, j = idx[0] - 1, idx[1] - 1
         e = parse_entry(value, off)
-        if metric[j, i] is not None and metric[j, i] != e:
+        try:
+            disagree = metric[j, i] is not None and metric[j, i] != e
+        except RecursionError:   # == walks both trees
+            raise ManifoldFormatError(ex._TOO_DEEP, off) from None
+        if disagree:
             raise ManifoldFormatError(f"metric entries ({j+1},{i+1}) and "
                                       f"({i+1},{j+1}) disagree", off)
         metric[i, j] = e
@@ -253,10 +257,7 @@ def _build_frame(entries):
     if dim is None:
         raise ManifoldFormatError("[frame] must declare dim first")
 
-    def zeros(rank):
-        return np.full((dim,) * rank, Fraction(0), dtype=object)
-
-    tensors = {"c": zeros(3), "g": zeros(2)}
+    parsed = []
     for key, value, off in values:
         m = _FRAME_KEY_RE.match(key)
         if not m:
@@ -269,9 +270,22 @@ def _build_frame(entries):
             v = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ManifoldFormatError(f"bad rational {value!r}", off) from None
-        rank, partner = _FRAME_KEYS[name]
+        rank = _FRAME_KEYS[name][0]
         if len(idx) != rank:
             raise ManifoldFormatError(f"{name} needs {_INDICES[rank - 1]} in {key!r}", off)
+        parsed.append((name, idx, v))
+    # a positive definite g has g[i][i] > 0 for every i: checked before the
+    # tensors, of dim³ entries, are allocated
+    diagonal = {idx[0]: v for name, idx, v in parsed if name == "g" and idx[0] == idx[1]}
+    if len(diagonal) < dim or min(diagonal.values()) <= 0:
+        raise ManifoldFormatError("frame metric not positive definite")
+
+    def zeros(rank):
+        return np.full((dim,) * rank, Fraction(0), dtype=object)
+
+    tensors = {"c": zeros(3), "g": zeros(2)}
+    for name, idx, v in parsed:
+        rank, partner = _FRAME_KEYS[name]
         t = tensors.setdefault(name, zeros(rank))
         t[idx] = v
         if partner:

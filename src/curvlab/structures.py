@@ -5,7 +5,7 @@ Structures live over either a coordinate chart or an invariant frame. Each
 check is written once, over a ``BasisRecord`` of components in a basis with
 a leading point axis, and evaluated once over all points: a frame is one
 exact point in its own basis, a chart its sample points in the orthonormal
-frames E(p) = ``orthonormal_frame(g)``. Every check takes the one stacked
+frames E(p) of their metric jets. Every check takes the one stacked
 ``PointRecord`` of its invocation, built by ``contact_point_data`` from the
 metric jets that ``sample`` took and from one jet run of the structure's
 program, which holds all its fields (φ, ξ and η, or J), with first
@@ -110,7 +110,7 @@ class PointRecord:
     each array with a leading point axis N: the points, g, Γ (``gamma[n,
     k, i, j]``), R and R¹³ from the metric jets of the points, the structure
     and its coordinate gradients from one jet run of its program, and E(p)
-    = ``orthonormal_frame(g)``, rows in chart coordinates. The gradients
+    of the metric jets, rows in chart coordinates. The gradients
     are ``dphi[n, k, j, i]`` = ∂_i φ^k_j, ``dxi[n, k, i]`` = ∂_i ξ^k and
     ``deta[n, j, i]`` = ∂_i η_j. An almost Hermitian record carries J as
     ``phi`` with ξ = η = 0; a bare chart's has no structure and no E(p). A
@@ -156,8 +156,8 @@ def contact_point_data(s, mj: geometry.MetricJets | None = None) -> PointRecord:
         values += [np.zeros((n, d))] * 2
         grads += [np.zeros((n, d, d))] * 2
     (phi, xi, eta), (dphi, dxi, deta) = values, grads
-    return PointRecord(mj.point, mj.g, gamma, riem, riem13, phi, xi, eta,
-                       geometry.orthonormal_frame(mj.g), dphi, dxi, deta)
+    return PointRecord(mj.point, mj.g, gamma, riem, riem13, phi, xi, eta, mj.E,
+                       dphi, dxi, deta)
 
 
 def _field_jets(s, point: np.ndarray) -> tuple[list, list]:
@@ -211,20 +211,22 @@ class BasisRecord:
     r_xi: np.ndarray | None = None
 
 
-def _frame_record(fg: FrameGeometry) -> BasisRecord:
-    """The exact record of a frame in its own basis (N = 1). The structure
-    has constant components there, so ∇ acts through the connection alone."""
-    nab = fg.nabla                   # nab[i, j, k]: E_k part of ∇_Ei Ej
-    by_j = nab.transpose(1, 0, 2)
-    tensors = dict(
-        g=fg.g, phi=fg.phi, xi=fg.xi, eta=fg.eta,
-        nabla_xi=_contract(by_j, fg.xi[None])[..., 0],
-        # (∇_Ei φ)E_j = ∇_Ei (φE_j) − φ(∇_Ei E_j)
-        dphi=(_contract(by_j, fg.phi.T).transpose(0, 2, 1)
-              - _contract(nab.transpose(2, 0, 1), fg.phi)),
-        # dη(E_i, E_j) = −η([E_i, E_j])
-        d_eta=-_contract(fg.c, fg.eta[None])[..., 0],
-        r_xi=_contract(fg.riem13.transpose(2, 0, 1, 3), fg.xi[None])[..., 0])
+def _frame_record(fg: FrameGeometry, jets: bool) -> BasisRecord:
+    """The exact record of a frame in its own basis (N = 1); with ``jets``,
+    also the derivative tables. The structure has constant components
+    there, so ∇ acts through the connection alone."""
+    tensors = dict(g=fg.g, phi=fg.phi, xi=fg.xi, eta=fg.eta)
+    if jets:
+        nab = fg.nabla                   # nab[i, j, k]: E_k part of ∇_Ei Ej
+        by_j = nab.transpose(1, 0, 2)
+        tensors.update(
+            nabla_xi=_contract(by_j, fg.xi[None])[..., 0],
+            # (∇_Ei φ)E_j = ∇_Ei (φE_j) − φ(∇_Ei E_j)
+            dphi=(_contract(by_j, fg.phi.T).transpose(0, 2, 1)
+                  - _contract(nab.transpose(2, 0, 1), fg.phi)),
+            # dη(E_i, E_j) = −η([E_i, E_j])
+            d_eta=-_contract(fg.c, fg.eta[None])[..., 0],
+            r_xi=_contract(fg.riem13.transpose(2, 0, 1, 3), fg.xi[None])[..., 0])
     return BasisRecord(**{k: a[None] for k, a in tensors.items()})
 
 
@@ -256,9 +258,10 @@ def _chart_record(r: PointRecord, jets: bool = True) -> BasisRecord:
 
 
 def _basis_record(s, rec: PointRecord, jets: bool = True) -> BasisRecord:
-    """The frame's exact record, or the chart's at the points of ``rec``."""
+    """The frame's exact record, or the chart's at the points of ``rec``;
+    with ``jets``, also the derivative tables."""
     if isinstance(s, AlmostContactStructure) and s.is_frame:
-        return _frame_record(s.carrier)
+        return _frame_record(s.carrier, jets)
     return _chart_record(rec, jets)
 
 

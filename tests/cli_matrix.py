@@ -16,9 +16,10 @@ regenerates the golden and says in CHANGES.md which runs moved and why.
 The matrix is ``list``; every registry target and parameterized form under
 classify, report and four ``--which`` sets at seeds 1 and 2 with
 ``--samples 5 --json``; a text-mode report per target; the golden files'
-invocations; one chart whose metric's log underflows in its jets; and a
-dimension-11 Heisenberg chart whose ξ and η name indices past 9. pytest
-does not collect this file.
+invocations; one chart whose metric's log underflows in its jets; a
+dimension-11 Heisenberg chart whose ξ and η name indices past 9; and every
+file of ``bad_inputs.py``, each under the commands its tests run it with.
+pytest does not collect this file.
 """
 
 import contextlib
@@ -36,6 +37,8 @@ MATRIX_GOLDEN = GOLDEN / "cli_matrix.json"
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from curvlab.cli import run  # noqa: E402
+from bad_inputs import (FLOAT_FAULTS, FRAME_KEY_ERRORS, FRAME_TEXT, HUGE_FRAME,  # noqa: E402
+                        INCOMPATIBLE_CONTACT, INCOMPATIBLE_HERMITIAN, MALFORMED, TOO_DEEP)
 
 TARGETS = ("flat3", "s2_round", "h21", "h21_chart", "flat_cosym5", "sine_cone_cos",
            "sine_cone_sin", "r_warped_surface", "s5_in_c3", "hopf_pair",
@@ -89,14 +92,38 @@ def in_dir(path, argv):
         os.chdir(cwd)
 
 
+def files():
+    """Each file the matrix writes, with its runs as the argv after the
+    command, which the file name follows."""
+    yield "underflow.ini", UNDERFLOW, [["report", "--seed", "1"]]
+    for name, content, _ in MALFORMED:
+        yield f"{name}.ini", content, [["classify"]]
+    for name, text, _ in FLOAT_FAULTS:
+        yield f"{name}.ini", text, [["report"]]
+    for name, text, _ in INCOMPATIBLE_HERMITIAN:
+        yield f"{name}.ini", text, [["report"], ["identities", "--which", "k3,k1"]]
+    for n, (line, _) in enumerate(FRAME_KEY_ERRORS):
+        yield f"frame_key_{n}.ini", FRAME_TEXT + line + "\n", [["classify"]]
+    tail = ["--samples", "5", "--seed", "1", "--json"]
+    for name, text in INCOMPATIBLE_CONTACT:
+        yield f"{name}.ini", text, [["classify", *tail]] + [
+            ["identities", "--which", which, *tail]
+            for which in ("c(0)", "kappa-mu(0,0)", "g2", "consequences")]
+    for name, text in TOO_DEEP:
+        yield f"{name}.ini", text, [["report"]]
+    yield "huge_frame.ini", HUGE_FRAME, [["classify"]]
+
+
 def runs():
     """Every run of the matrix, in order, as ``[argv, exit, stdout, stderr]``."""
     os.environ.pop("CURVLAB_SEED", None)
     out = [invoke(argv) for argv in invocations()]
     out += [in_dir(GOLDEN, argv) for argv in FILE_RUNS]
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "underflow.ini").write_text(UNDERFLOW, encoding="utf-8")
-        out.append(in_dir(tmp, ["report", "underflow.ini", "--seed", "1"]))
+        for name, content, argvs in files():
+            Path(tmp, name).write_bytes(content if isinstance(content, bytes)
+                                        else content.encode("utf-8"))
+            out += [in_dir(tmp, [command, name, *rest]) for command, *rest in argvs]
     return out
 
 

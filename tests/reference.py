@@ -10,8 +10,8 @@ vector X, the per-vector formula that the batched ∇ tables of the
 structure battery must match. ``connection_at_point``, ``curvature_at_point`` and
 ``gram_schmidt`` are the one-point formulas, with no point axis, written as
 index contractions and a Gram-Schmidt loop: the engine's ``connection_of``,
-``curvature_of`` and ``orthonormal_frame`` (stacked matrix products and a
-Cholesky factor) must agree with them to rounding, not bit for bit, as the
+``curvature_of`` and ``MetricJets.E`` (stacked matrix products and the
+inverse of a Cholesky factor) must agree with them to rounding, not bit for bit, as the
 sum orders differ. ``hypersurface_at_point`` and ``nabla_J_at_point`` are
 the one-point formulas that the batched hypersurface induction and its
 ambient Kähler check must match bit for bit, ``sample_per_scalar`` plays

@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.chart import Chart, Interval, TensorField, _check_spd, sample, DOMAIN_MARGIN
+from curvlab.chart import Chart, Interval, TensorField, sample, DOMAIN_MARGIN
 from curvlab.errors import SamplingError, SingularMetricError
+from curvlab.geometry import MetricJets
 from curvlab.constructions.registry import flat_chart
 from conftest import sample_with_vectors
 from reference import eval_field, eval_field_jets
 
 
 def check_spd(chart, p):
-    """The positive-definiteness check of ``sample``, on the float run of
-    the metric at a point or at each row of ``p``."""
+    """The positive-definiteness check of ``sample``, which factoring g in
+    ``MetricJets`` makes, on the float run of the metric at a point or at
+    each row of ``p``."""
     pts = np.asarray(p, dtype=float).reshape(-1, chart.dim)
-    _check_spd(pts, chart.metric_at(pts))
+    MetricJets(pts, chart.metric_at(pts), None, None)
 
 
 def test_flat_sampling_window_and_determinism(flat3):

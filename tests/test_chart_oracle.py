@@ -1,7 +1,7 @@
 """The batched chart sweep against a per-quadruple float oracle.
 
 The oracle is the plain sweep: at each sample point it takes every
-quadruple of rows of E(p) = ``orthonormal_frame(g)``, projected to
+quadruple of rows of E(p), the metric jets' ``E``, projected to
 v − η(v)ξ for the consequence rows, and evaluates every defect on it with
 scalar closures (``float(((riem @ d) @ c) @ b @ a)``, ``a @ g @ b``,
 ``phi @ v``, ``float(eta @ v)``) bound to the quadruple's slot names. The

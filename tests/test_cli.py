@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from curvlab.cli import run
+from bad_inputs import (FLOAT_FAULTS, H21_FRAME, INCOMPATIBLE_CONTACT, INCOMPATIBLE_HERMITIAN,
+                        MALFORMED, OVERFLOWING_CHART, TOO_DEEP)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -163,32 +165,7 @@ def test_fields_must_be_differentiable_at_the_sample_points(tmp_path, which):
     assert (code, out, err) == (2, "", "sqrt not differentiable at zero\n")
 
 
-@pytest.mark.parametrize("content,message", [
-    pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "x +* 1"\n',
-                 "byte offset", id="expression_syntax"),
-    pytest.param(b"\xff\xfe[chart]\n", "not valid UTF-8", id="not_utf8"),
-    pytest.param(b'[chart]\ndim = 2\ncoords = "x, x"\n[metric]\ng_11 = "1"\ng_22 = "1"\n',
-                 "duplicate coordinate names", id="duplicate_coords"),
-    pytest.param(b'[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "-1"\n',
-                 "metric not positive definite at (1.", id="not_positive_definite"),
-    pytest.param(b'[chart]\ndim = 1\ncoords = "1x"\n[metric]\ng_11 = "1"\n',
-                 "coordinate name '1x' does not parse", id="coordinate_1x"),
-    pytest.param(b'[chart]\ndim = 1\ncoords = "x y"\n[metric]\ng_11 = "1"\n',
-                 "coordinate name 'x y' does not parse", id="coordinate_x_y"),
-    pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "1"\ng_12 = "2"\n'
-                 b'g_22 = "1"\n', "(leading minor 2)", id="leading_minor_2"),
-    pytest.param(b'[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "2 + log(x)"\n',
-                 "log of out-of-domain value -0.", id="log_of_negative"),
-    pytest.param(b'[chart]\ndim = 2\ncoords = "x, y"\ndomain = "x in (0.99, 1)"\n[metric]\n'
-                 b'g_11 = "exp(400*x)*exp(400*x)*0 + 1"\ng_22 = "1"\n',
-                 "metric not positive definite at (0.99", id="nan_metric"),
-    pytest.param('[chart]\ndim = 1\ncoords = "x"\n[metric]\ng_11 = "x^²"\n'.encode(),
-                 "exponent must be an integer literal", id="superscript_exponent"),
-    pytest.param(b'[frame]\ndim = 0\n', "dim must be a positive integer (at byte offset 13)",
-                 id="frame_dim_zero"),
-    pytest.param(b'[frame]\ndim = -2\ng[1][1] = "1"\n',
-                 "dim must be a positive integer (at byte offset 13)", id="frame_dim_negative"),
-])
+@pytest.mark.parametrize("content,message", [pytest.param(c, m, id=i) for i, c, m in MALFORMED])
 def test_malformed_file_exit_two(tmp_path, content, message):
     bad = tmp_path / "bad.ini"
     bad.write_bytes(content)
@@ -199,15 +176,20 @@ def test_malformed_file_exit_two(tmp_path, content, message):
     assert "array(" not in err and len(err.splitlines()) == 1   # one line, one scalar
 
 
-@pytest.mark.parametrize("content,residual", [
-    # g(J·, J·) ≠ g, although J² = −1
-    pytest.param('[chart]\ndim = 2\ncoords = "x, y"\n[metric]\ng_11 = "1"\ng_22 = "4"\n'
-                 '[hermitian]\nJ^2_1 = "1"\nJ^1_2 = "-1"\n', "3.000e+00", id="incompatible_metric"),
-    # J² ≠ −1: J ∂_z = 0
-    pytest.param('[chart]\ndim = 3\ncoords = "x, y, z"\n[metric]\ng_11 = "1"\ng_22 = "1"\n'
-                 'g_33 = "1"\n[hermitian]\nJ^2_1 = "1"\nJ^1_2 = "-1"\n', "1.000e+00",
-                 id="j_square"),
-])
+@pytest.mark.parametrize("text", [pytest.param(t, id=i) for i, t in TOO_DEEP])
+def test_deep_expression_exits_two(tmp_path, text):
+    """An expression nested past the interpreter's stack, in the parser, in
+    its compiled program or in comparing g_12 with g_21, is an input error:
+    exit 2 and one line saying so, not a RecursionError."""
+    path = tmp_path / "deep.ini"
+    path.write_text(text)
+    code, out, err = invoke(["report", str(path)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "expression nested too deeply" in err
+
+
+@pytest.mark.parametrize("content,residual",
+                         [pytest.param(c, r, id=i) for i, c, r in INCOMPATIBLE_HERMITIAN])
 def test_incompatible_hermitian_file_exit_two(tmp_path, content, residual):
     """k1–k3 read J as an almost complex structure compatible with g. A J
     that is not one is an input error, as an incompatible contact structure
@@ -387,15 +369,6 @@ def test_unrepresentable_check_parameter_exit_two():
     assert "bad parameters" in err
 
 
-OVERFLOWING_CHART = """[chart]
-dim = 3
-coords = "x, y, z"
-domain = "x in (0.99, 1)"
-[metric]
-g_11 = "1"
-g_22 = "1 + exp(700*x)"
-g_33 = "1"
-"""
 CONTACT_BLOCK = """[phi]
 phi^2_1 = "1"
 phi^1_2 = "-1"
@@ -442,15 +415,7 @@ def test_overflow_exits_two_without_traceback(tmp_path):
     assert "array(" not in proc.stderr
 
 
-NAN_CONSTANT_CHART = OVERFLOWING_CHART.replace('"1 + exp(700*x)"', '"1"').replace(
-    'g_33 = "1"', 'g_33 = "(0)*(1e400)"')
-
-
-@pytest.mark.parametrize("chart,message", [
-    (OVERFLOWING_CHART, "non-finite residual in symmetry.antisym_first_pair"),
-    (NAN_CONSTANT_CHART, "metric not positive definite at (0.9971916483884478, "
-                         "-0.24448624099179073, 1.4343916796455298) (leading minor 3)"),
-], ids=["overflowing_hessian", "nan_constant"])
+@pytest.mark.parametrize("chart,message", [pytest.param(c, m, id=i) for i, c, m in FLOAT_FAULTS])
 def test_floating_point_faults_print_one_line(tmp_path, chart, message):
     """An overflowing jet reads as a non-finite residual, and a NaN metric
     entry as a metric that is not positive definite at the first sample
@@ -505,13 +470,13 @@ def test_one_metric_jets_per_sample_point(monkeypatch, argv, points):
     come in a second run, and so do a hypersurface's ambient Kähler probes.
     No point is differentiated twice, and no program runs over floats."""
     import curvlab.geometry as geometry
-    real, calls = geometry._metric_arrays, []
+    real, calls = geometry.metric_jets, []
 
     def counting(chart, p):
         calls.append(np.atleast_2d(p))   # one point (d,) or a batch (N, d)
         return real(chart, p)
 
-    monkeypatch.setattr(geometry, "_metric_arrays", counting)
+    monkeypatch.setattr(geometry, "metric_jets", counting)
     _, runs = _watch_programs(monkeypatch)
     code, _, _ = invoke(argv)
     assert code == 0
@@ -668,28 +633,6 @@ def test_shared_point_records_do_not_leak_between_checks(target, checks):
     assert rows(",".join(checks)) == [row for check in checks for row in rows(check)]
 
 
-H21_FRAME = """[frame]
-dim = 5
-c[5][1][3] = "2"
-c[5][2][4] = "2"
-g[1][1] = "1"
-g[2][2] = "1"
-g[3][3] = "1"
-g[4][4] = "1"
-g[5][5] = "1"
-phi[1][3] = "-3/5"
-phi[1][4] = "-4/5"
-phi[2][3] = "-4/5"
-phi[2][4] = "3/5"
-phi[3][1] = "3/5"
-phi[3][2] = "4/5"
-phi[4][1] = "4/5"
-phi[4][2] = "-3/5"
-xi[5] = "1"
-eta[5] = "1"
-"""
-
-
 def test_classify_rejects_incompatible_frame(tmp_path):
     """Frames follow the chart rule: a compatibility residual above the
     tolerance is an input error, not a classification."""
@@ -697,7 +640,7 @@ def test_classify_rejects_incompatible_frame(tmp_path):
     good.write_text(H21_FRAME)
     assert invoke(["classify", str(good)])[0] == 0
     bad = tmp_path / "h21_bad_phi.ini"
-    bad.write_text(H21_FRAME.replace('phi[3][1] = "3/5"', 'phi[3][1] = "2"'))
+    bad.write_text(dict(INCOMPATIBLE_CONTACT)["incompatible_frame"])
     code, out, err = invoke(["classify", str(bad)])
     assert code == 2
     assert "fails compatibility validation" in err

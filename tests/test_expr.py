@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from curvlab import expr as ex
 from curvlab import jet
-from curvlab.errors import (EvalDomainError, ExprSyntaxError, RingError,
+from curvlab.errors import (CurvlabError, EvalDomainError, ExprSyntaxError, RingError,
                             UnknownIdentifierError)
 from reference import to_text, walk
 
@@ -96,6 +96,24 @@ def test_coordinate_shadows_constant():
 def test_trailing_input_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("x + y)")
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+                         ids=["parentheses", "minus"])
+def test_nesting_past_the_stack_is_a_syntax_error(text):
+    """The parser recurses once per parenthesis or unary minus; past the
+    interpreter's stack that is a syntax error at the expression's start."""
+    with pytest.raises(ExprSyntaxError, match=r"^expression nested too deeply \(at offset 0\)$"):
+        parse(text)
+
+
+def test_program_of_a_tree_past_the_stack_raises():
+    """A sum of 3000 terms parses in a loop into a tree 3000 levels deep,
+    which ``Program`` compiles by recursion: a CurvlabError, not a
+    RecursionError."""
+    e = parse("+".join(["x"] * 3000))
+    with pytest.raises(CurvlabError, match=r"^expression nested too deeply$"):
+        ex.Program([e])
 
 
 # -- printer round trip --------------------------------------------------------

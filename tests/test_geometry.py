@@ -277,8 +277,7 @@ REGISTRY_FIELDS = _registry_fields()
 def _point_geometry_of(mj):
     """Γ, ∂Γ, R, R¹³ and E(p) from the engine, at a point or on a point axis."""
     gamma, dgamma = geo.connection_of(mj)
-    return (gamma, dgamma, *geo.curvature_of(mj.g, gamma, dgamma),
-            geo.orthonormal_frame(mj.g))
+    return (gamma, dgamma, *geo.curvature_of(mj.g, gamma, dgamma), mj.E)
 
 
 def _assert_point_geometry_per_point(chart, pts):
@@ -373,8 +372,22 @@ def test_jet_values_are_the_float_values(tmp_path, chart, fields):
 
 def test_batched_singular_metric_names_first_point():
     degenerate = Chart(("x", "y"), [["x", "0"], [None, "1"]])
-    with pytest.raises(SingularMetricError, match=r"at \(0\.0, 2\.0\)$"):
+    with pytest.raises(SingularMetricError, match=r"at \(0\.0, 2\.0\) \(leading minor 1\)$"):
         geo.metric_jets(degenerate, np.array([[1.0, 1.0], [0.0, 2.0], [0.0, 3.0]]))
+
+
+@pytest.mark.parametrize("metric,minor", [
+    pytest.param([["(0)*(1e400)", "0"], [None, "1"]], 1, id="nan"),
+    pytest.param([["1", "0"], [None, "-1"]], 2, id="indefinite"),
+])
+def test_metric_jets_rejects_a_metric_that_is_not_positive_definite(metric, minor):
+    """metric_jets factors g itself, on every path and not only in
+    ``sample``: a NaN g, whose inverse is NaN, and diag(1, −1), which has
+    an inverse, both raise and name the point and the leading minor."""
+    chart = Chart(("x", "y"), metric)
+    with pytest.raises(SingularMetricError, match=r"^metric not positive definite at "
+                       rf"\(0\.5, 1\.0\) \(leading minor {minor}\)$"):
+        geo.metric_jets(chart, [0.5, 1.0])
 
 
 def _function_calls(e):

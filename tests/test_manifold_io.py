@@ -12,6 +12,7 @@ from curvlab.errors import ManifoldFormatError
 from curvlab.frame import FrameGeometry
 from curvlab.manifold_io import load_manifold_file, load_manifold_text
 from curvlab.structures import AlmostContactStructure, AlmostHermitianStructure
+from bad_inputs import FRAME_KEY_ERRORS, FRAME_TEXT, HUGE_FRAME
 from reference import eval_field
 
 SINE_CONE_TEXT = """
@@ -40,18 +41,6 @@ xi^5 = "1"
 [eta]
 eta_5 = "1"
 """
-
-FRAME_TEXT = """
-[frame]
-dim = 3
-c[3][1][2] = "1"
-c[1][2][3] = "1"
-c[2][3][1] = "1"
-g[1][1] = "1"
-g[2][2] = "1"
-g[3][3] = "4"
-"""
-
 
 def test_load_contact_chart():
     s = load_manifold_text(SINE_CONE_TEXT)
@@ -174,6 +163,26 @@ def test_domain_bound_with_negative_exponent():
     assert (c.domain[0].lo, c.domain[0].hi) == (-0.1, 0.5)
 
 
+@pytest.mark.parametrize("text,message", [
+    pytest.param(HUGE_FRAME, "frame metric not positive definite", id="huge_dim"),
+    pytest.param(FRAME_TEXT.replace('g[3][3] = "4"', 'g[3][3] = "0"'),
+                 "frame metric not positive definite", id="zero_diagonal"),
+    pytest.param(FRAME_TEXT.replace('g[3][3] = "4"', 'g[1][3] = "4"'),
+                 "frame metric not positive definite", id="missing_diagonal"),
+    # an entry's own error comes first
+    pytest.param(HUGE_FRAME + 'h[1] = "1"\n', "unknown key 'h[1]' in [frame] (at byte offset 31)",
+                 id="huge_dim_bad_key"),
+])
+def test_frame_diagonal_is_checked_before_allocation(text, message):
+    """A positive definite frame metric has every g[i][i] > 0. The loader
+    checks that once every entry has parsed, before it allocates the dim³
+    structure constants, so a huge dim without a metric is an input error
+    and not a failed allocation."""
+    with pytest.raises(ManifoldFormatError) as err:
+        load_manifold_text(text)
+    assert str(err.value) == message
+
+
 def test_unreadable_file_is_format_error(tmp_path):
     with pytest.raises(ManifoldFormatError):
         load_manifold_file(tmp_path / "missing.ini")
@@ -193,22 +202,7 @@ g[3][3] = "1"
         load_manifold_text(text)
 
 
-@pytest.mark.parametrize("line,message", [
-    ('h[1] = "1"', "unknown key 'h[1]' in [frame]"),
-    ('c[1] [2] = "1"', "unknown key 'c[1] [2]' in [frame]"),
-    ('g[4][1] = "1"', "index out of range in 'g[4][1]'"),
-    ('g[0][1] = "1"', "index out of range in 'g[0][1]'"),
-    ('g[1][1] = "x"', "bad rational 'x'"),
-    ('g[1][1] = "1/0"', "bad rational '1/0'"),
-    ('c[1][2] = "1"', "c needs three indices in 'c[1][2]'"),
-    ('g[1] = "1"', "g needs two indices in 'g[1]'"),
-    ('phi[1][2][3] = "1"', "phi needs two indices in 'phi[1][2][3]'"),
-    ('xi[1][1] = "1"', "xi needs one index in 'xi[1][1]'"),
-    ('eta[1][2] = "1"', "eta needs one index in 'eta[1][2]'"),
-    # the range is checked before the rational, the rational before the rank
-    ('c[9][1] = "q"', "index out of range in 'c[9][1]'"),
-    ('xi[1][1] = "q"', "bad rational 'q'"),
-])
+@pytest.mark.parametrize("line,message", FRAME_KEY_ERRORS)
 def test_frame_key_errors_are_pinned(line, message):
     text = FRAME_TEXT + line + "\n"
     with pytest.raises(ManifoldFormatError) as err:

@@ -1,7 +1,7 @@
 """validate, classify and kappa-mu against per-vector oracles.
 
 On charts the oracle is the plain loop: at each sample point it feeds the
-rows of E(p) = orthonormal_frame(g), and every ordered pair of them, one
+rows of E(p), the metric jets' ``E``, and every ordered pair of them, one
 vector at a time to single-vector formulas in chart coordinates (∇ from
 ``reference.nabla_of``, dη from the curl of η's gradients, norms from
 ``v @ g @ v``, h = ½ L_ξ φ from coordinate brackets). The engine works on
@@ -42,8 +42,8 @@ def gnorm(g, v):
 
 def basis_at(chart, p):
     """g at p and the rows of E(p)."""
-    g = chart.metric_at(p)
-    return g, list(geometry.orthonormal_frame(g))
+    mj = geometry.metric_jets(chart, p)
+    return mj.g, list(mj.E)
 
 
 def oracle_validate(s, points):

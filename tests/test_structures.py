@@ -44,6 +44,20 @@ def test_validate_differentiates_nothing(monkeypatch, s5_example):
     assert calls == []
 
 
+def test_validate_builds_no_frame_derivative_tables(monkeypatch, h21_frame):
+    """On a frame too, validate reads g, φ, ξ and η alone: the exact tables
+    of ∇ξ, ∇φ, dη and R(·, ·)ξ, which classify and kappa-mu read, are not
+    built."""
+    from curvlab import structures
+    rec, calls = record(h21_frame), []
+    real = structures._contract
+    monkeypatch.setattr(structures, "_contract", lambda *a: calls.append(a) or real(*a))
+    assert all(v == 0.0 for v in validate(h21_frame, rec).values())
+    assert calls == []
+    classify(h21_frame, rec)
+    assert len(calls) == 5
+
+
 def test_corrupted_phi_detected(sine_cone_cos):
     s = sine_cone_cos.structure
     chart = s.carrier
